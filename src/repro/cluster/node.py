@@ -648,6 +648,9 @@ class Node:
         self._lock = threading.Lock()
         self._impls: list[ImplementationObject] = []
         self._created_total = 0
+        # Work done by IOs that have since left (released or migrated).
+        self._retired_processed = 0
+        self._retired_shed = 0
         self._closed = False
 
     # -- IO hosting -----------------------------------------------------------
@@ -723,12 +726,26 @@ class Node:
         return None
 
     def remove_impl(self, impl: ImplementationObject) -> None:
-        """Unlist a migrated-away IO (it stays published as a forwarder)."""
+        """Unlist an IO that migrated away (it stays published as a
+        forwarder) or was released; its work stays in the node totals."""
         with self._lock:
             try:
                 self._impls.remove(impl)
             except ValueError:
-                pass
+                return
+        # The node's work totals are cumulative: keep what the departing
+        # IO did (``created_total`` likewise never shrinks).
+        stats = impl.stats()
+        with self._lock:
+            self._retired_processed += stats["processed"]
+            self._retired_shed += stats["shed"]
+
+    def release_impl(self, impl: ImplementationObject) -> None:
+        """A disposed IO leaves the node: unlisted and unpublished."""
+        self.remove_impl(impl)
+        path = getattr(impl, "_parc_path", None)
+        if path is not None and impl._parc_home is self.host:
+            self.host.unpublish(path)
 
     def queued_count(self) -> int:
         """Queued (not yet executing) calls across hosted mailboxes."""
@@ -769,6 +786,8 @@ class Node:
     def stats(self) -> dict:
         with self._lock:
             impls = list(self._impls)
+            processed = self._retired_processed
+            shed = self._retired_shed
         impl_stats = [impl.stats() for impl in impls]
         return {
             "index": self.index,
@@ -776,8 +795,8 @@ class Node:
             "ios": len(impls),
             "created_total": self._created_total,
             "queued": sum(s["queued"] for s in impl_stats),
-            "processed": sum(s["processed"] for s in impl_stats),
-            "shed": sum(s["shed"] for s in impl_stats),
+            "processed": processed + sum(s["processed"] for s in impl_stats),
+            "shed": shed + sum(s["shed"] for s in impl_stats),
             "p99_s": self.method_p99(),
         }
 

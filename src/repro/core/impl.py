@@ -30,7 +30,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import OverloadError, ScooppError
 from repro.flow.policy import DEADLINE, ShedPolicy
@@ -85,13 +85,54 @@ class _Task:
     posted_at: float = 0.0
 
 
+class _Aggregate:
+    """One asynchronous mailbox entry: the ``processN`` parameter array.
+
+    *calls* is the ``[(args, kwargs), ...]`` list of one method's
+    consecutive asynchronous invocations, sharing one trace context and
+    one admission time.  No caller waits on any of them, so the worker
+    can run the list as a plain loop (:meth:`ImplementationObject.
+    _execute_aggregate`); iterating the entry yields equivalent
+    :class:`_Task` objects for the paths that need one per call — traced
+    execution, migration replay, forwarding.
+    """
+
+    __slots__ = ("method", "calls", "trace", "posted_at")
+
+    def __init__(
+        self, method: str, calls: list, trace: Any, posted_at: float
+    ) -> None:
+        self.method = method
+        self.calls = calls
+        self.trace = trace
+        self.posted_at = posted_at
+
+    def __len__(self) -> int:
+        return len(self.calls)
+
+    def __iter__(self) -> Iterator[_Task]:
+        for args, kwargs in self.calls:
+            yield _Task(
+                method=self.method,
+                args=args,
+                kwargs=kwargs,
+                trace=self.trace,
+                posted_at=self.posted_at,
+            )
+
+
+#: A mailbox entry: an asynchronous aggregate, or the task list of a
+#: synchronous call / ``invoke_batch`` whose callers wait on the events.
+_Entry = _Aggregate | list[_Task]
+
+
 class _IOMailbox:
     """Bounded, priority-laned mailbox feeding one worker thread.
 
-    Entries are *batches* (lists of :class:`_Task`): an aggregated
-    ``processN`` message stays one entry, so its calls execute
-    back-to-back exactly as Fig. 7 requires.  Drain order is
-    high → normal → low, FIFO within a lane.
+    Entries are *batches* (an :class:`_Aggregate` or a list of
+    :class:`_Task`): an aggregated ``processN`` message stays one entry,
+    so its calls execute back-to-back exactly as Fig. 7 requires.  Drain
+    order is high → normal → low, FIFO within a lane.
 
     ``depth`` bounds each lane in *tasks* (0 = unbounded, the paper's
     semantics).  A full lane rejects new work with
@@ -112,7 +153,7 @@ class _IOMailbox:
         self._lock = threading.Lock()
         self._work_available = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
-        self._lanes: dict[str, deque[list[_Task]]] = {
+        self._lanes: dict[str, deque[_Entry]] = {
             lane: deque() for lane in LANES
         }
         self._queued: dict[str, int] = {lane: 0 for lane in LANES}
@@ -126,7 +167,7 @@ class _IOMailbox:
         lane = self._lane_of.get(method, "normal")
         return lane if lane in self._lanes else "normal"
 
-    def put(self, method: str, tasks: list[_Task]) -> None:
+    def put(self, method: str, tasks: _Entry) -> None:
         """Admit one entry (single call or aggregate batch).
 
         Raises :class:`OverloadError` when the target lane cannot hold
@@ -153,7 +194,7 @@ class _IOMailbox:
             self._queued[lane] += len(tasks)
             self._work_available.notify()
 
-    def pop(self) -> list[_Task] | None:
+    def pop(self) -> _Entry | None:
         """Next entry in priority order; ``None`` once stopped and empty.
 
         The batch's tasks are added to ``_active`` *before* the lock is
@@ -241,7 +282,7 @@ class _IOMailbox:
 
     # -- live migration ----------------------------------------------------
 
-    def begin_migration(self) -> list[list[_Task]]:
+    def begin_migration(self) -> list[_Entry]:
         """Pause the mailbox and extract every queued entry.
 
         Blocks new admissions, waits out the batch executing right now
@@ -262,7 +303,7 @@ class _IOMailbox:
             self._migrating = True
             while self._active or self._inline_claims:
                 self._idle.wait()
-            entries: list[list[_Task]] = []
+            entries: list[_Entry] = []
             for lane in LANES:
                 while self._lanes[lane]:
                     batch = self._lanes[lane].popleft()
@@ -270,13 +311,18 @@ class _IOMailbox:
                     entries.append(batch)
             return entries
 
-    def abort_migration(self, entries: list[list[_Task]]) -> None:
+    def abort_migration(self, entries: list[_Entry]) -> None:
         """Requeue the extracted entries and resume normal service."""
         with self._work_available:
             for batch in entries:
                 if not batch:
                     continue
-                lane = self.lane_for(batch[0].method)
+                method = (
+                    batch.method
+                    if type(batch) is _Aggregate
+                    else batch[0].method
+                )
+                lane = self.lane_for(method)
                 self._lanes[lane].append(batch)
                 self._queued[lane] += len(batch)
             self._migrating = False
@@ -332,6 +378,9 @@ class ImplementationObject(MarshalByRefObject):
     * ``enqueue_columns(method, count, columns)`` — the columnar form of
       the same aggregate: positional argument columns instead of repeated
       per-call tuples (smaller on the wire for homogeneous batches);
+    * ``enqueue_run(entries)`` — several consecutive aggregates/singles
+      in one request, each admitted as its own mailbox entry (partial
+      admission on failure, see the method);
     * ``invoke(method, args, kwargs)`` — synchronous call: queued behind
       pending work, result returned (program order is preserved);
     * ``drain()`` — block until the mailbox is empty;
@@ -412,18 +461,7 @@ class ImplementationObject(MarshalByRefObject):
     # -- remote surface ----------------------------------------------------
 
     def enqueue(self, method: str, args: tuple = (), kwargs: dict | None = None) -> None:
-        self._post(
-            method,
-            [
-                _Task(
-                    method=method,
-                    args=tuple(args),
-                    kwargs=dict(kwargs or {}),
-                    trace=current_context.get(),
-                    posted_at=time.monotonic(),
-                )
-            ],
-        )
+        self.enqueue_batch(method, [(tuple(args), dict(kwargs or {}))])
 
     def enqueue_batch(self, method: str, batch: list) -> None:
         """Post one aggregate message carrying *batch* invocations.
@@ -432,20 +470,16 @@ class ImplementationObject(MarshalByRefObject):
         consecutively with no interleaving, matching Fig. 7's ``processN``
         loop over the parameter array.
         """
-        trace = current_context.get()
-        posted_at = time.monotonic()
-        tasks = [
-            _Task(
-                method=method,
-                args=tuple(args),
-                kwargs=dict(kwargs),
-                trace=trace,
-                posted_at=posted_at,
+        if batch:
+            self._post(
+                method,
+                _Aggregate(
+                    method,
+                    list(batch),
+                    current_context.get(),
+                    time.monotonic(),
+                ),
             )
-            for args, kwargs in batch
-        ]
-        if tasks:
-            self._post(method, tasks)
 
     def enqueue_columns(
         self, method: str, count: int, columns: list = ()
@@ -458,6 +492,34 @@ class ImplementationObject(MarshalByRefObject):
         :meth:`enqueue_batch` path, so execution semantics are identical.
         """
         self.enqueue_batch(method, unpack_columns(count, list(columns)))
+
+    def enqueue_run(self, entries: list) -> None:
+        """Post a run of consecutive outbox items shipped as one request.
+
+        The PO sender's group commit: each entry is one aggregate or
+        single in caller order, ``(method, count, columns | None, rows |
+        None)`` — columns as for :meth:`enqueue_columns`, rows as for
+        :meth:`enqueue_batch`.  Every entry is admitted on its own
+        through those methods, so it is its own mailbox entry and lanes,
+        the depth bound, migration forwarding and FIFO order behave as
+        if the entries had arrived in separate requests.
+
+        Admission is partial on failure: the entries before the first
+        one that raises (``OverloadError`` from a full lane, a disposed
+        mailbox) are enqueued exactly once, that entry and all later
+        ones are not, and the error travels back to the sender — which
+        therefore must never re-send a refused run.
+        """
+        for method, count, columns, rows in entries:
+            if columns is not None:
+                self.enqueue_columns(method, count, columns)
+            elif len(rows) != count:
+                raise ScooppError(
+                    f"run entry for {method!r} announces {count} calls, "
+                    f"carries {len(rows)}"
+                )
+            else:
+                self.enqueue_batch(method, rows)
 
     def invoke(self, method: str, args: tuple = (), kwargs: dict | None = None) -> Any:
         task = _Task(
@@ -557,8 +619,9 @@ class ImplementationObject(MarshalByRefObject):
         if not self._sync_fastpath or not self._mailbox.try_claim_idle():
             return False
         try:
+            telemetry, tracer = self._tracing()
             for task in tasks:
-                self._execute(task)
+                self._execute(task, telemetry, tracer)
                 with self._stats_lock:
                     self._processed += 1
                     self._inline += 1
@@ -575,6 +638,11 @@ class ImplementationObject(MarshalByRefObject):
     def dispose(self) -> None:
         self._mailbox.stop()
         self._worker.join(timeout=30.0)
+        # A released IO leaves its node: unlisted (no placement load, no
+        # stats/pressure walk) and unpublished.  Idempotent.
+        release = getattr(self.node, "release_impl", None)
+        if release is not None:
+            release(self)
 
     def stats(self) -> dict:
         with self._stats_lock:
@@ -604,11 +672,11 @@ class ImplementationObject(MarshalByRefObject):
 
     # -- live migration ----------------------------------------------------
 
-    def begin_migration(self) -> list[list[_Task]]:
+    def begin_migration(self) -> list[_Entry]:
         """Pause the mailbox; see :meth:`_IOMailbox.begin_migration`."""
         return self._mailbox.begin_migration()
 
-    def abort_migration(self, entries: list[list[_Task]]) -> None:
+    def abort_migration(self, entries: list[_Entry]) -> None:
         self._mailbox.abort_migration(entries)
 
     def complete_migration(self, forward: Any) -> None:
@@ -637,20 +705,20 @@ class ImplementationObject(MarshalByRefObject):
 
     # -- worker --------------------------------------------------------------
 
-    def _post(self, method: str, tasks: list[_Task]) -> None:
+    def _post(self, method: str, entry: _Entry) -> None:
         try:
-            self._mailbox.put(method, tasks)
+            self._mailbox.put(method, entry)
         except OverloadError:
-            self._note_shed("overflow", len(tasks), method)
+            self._note_shed("overflow", len(entry), method)
             raise
         except MailboxMigratedError:
-            self._forward_tasks(method, tasks)
+            self._forward_entry(method, entry)
         except ScooppError:
             raise ScooppError(
                 f"implementation object for {self.class_name} is disposed"
             ) from None
 
-    def _forward_tasks(self, method: str, tasks: list[_Task]) -> None:
+    def _forward_entry(self, method: str, entry: _Entry) -> None:
         """Relay work that raced a completed migration to the new home."""
         forward = self._forward
         if forward is None:
@@ -658,15 +726,10 @@ class ImplementationObject(MarshalByRefObject):
                 f"implementation object for {self.class_name} migrated "
                 "away with no forwarding address"
             )
-        if all(task.done is None for task in tasks):
-            forward.enqueue_batch(
-                method, [(task.args, task.kwargs) for task in tasks]
-            )
+        if type(entry) is _Aggregate:
+            forward.enqueue_batch(method, entry.calls)
             return
-        for task in tasks:
-            if task.done is None:
-                forward.enqueue(method, task.args, task.kwargs)
-                continue
+        for task in entry:
             # Synchronous stragglers complete inline: the caller's wait
             # event is local, so the result is relayed rather than the
             # task object itself.
@@ -720,30 +783,100 @@ class ImplementationObject(MarshalByRefObject):
 
     def _run(self) -> None:
         while True:
-            batch = self._mailbox.pop()
-            if batch is None:
+            entry = self._mailbox.pop()
+            if entry is None:
                 return
             try:
-                for task in batch:
-                    if self._past_deadline(task):
-                        self._shed_task(task)
-                    else:
-                        self._execute(task)
-                    with self._stats_lock:
-                        self._processed += 1
+                telemetry, tracer = self._tracing()
+                if type(entry) is _Aggregate and tracer is None:
+                    self._execute_aggregate(entry)
+                else:
+                    # Per call: synchronous tasks (a caller waits on
+                    # each event) and traced aggregates (each call gets
+                    # its own io span and histogram sample).
+                    for task in entry:
+                        if self._past_deadline(task):
+                            self._shed_task(task)
+                        else:
+                            self._execute(task, telemetry, tracer)
+                        with self._stats_lock:
+                            self._processed += 1
             finally:
-                self._mailbox.batch_done(len(batch))
+                self._mailbox.batch_done(len(entry))
 
-    def _execute(self, task: _Task) -> None:
-        # Node-bound tracer when the cluster enabled telemetry (spans land
-        # in this node's lane of the merged trace); the process-global
-        # tracer otherwise (the original set_global_tracer contract).
+    def _tracing(self) -> tuple[Any, Any]:
+        """(node telemetry or None, tracer or None) for executing work.
+
+        Node-bound tracer when the cluster enabled telemetry (spans land
+        in this node's lane of the merged trace); the process-global
+        tracer otherwise (the original set_global_tracer contract).
+        """
         telemetry = getattr(self.node, "telemetry", None)
         if telemetry is not None and telemetry.enabled:
-            tracer = telemetry.tracer
-        else:
-            telemetry = None
-            tracer = get_global_tracer()
+            return telemetry, telemetry.tracer
+        return None, get_global_tracer()
+
+    def _execute_aggregate(self, aggregate: _Aggregate) -> None:
+        """The untraced ``processN`` loop: one context set-up per batch.
+
+        Node, executing-impl and trace context are set once, the bound
+        method is resolved once, and the batch pays one clock pair and
+        one ``_stats_lock`` round.  Each call keeps its own ``try``: a
+        failure is recorded and the rest of the batch still runs.  The
+        deadline shed stays a per-call check — a long batch can cross
+        its budget halfway through.
+        """
+        method = aggregate.method
+        policy = self._shed_policy
+        budget_s = policy.budget_s if policy.kind == DEADLINE else None
+        failures: list[tuple[str, str]] = []
+        executed = 0
+        func = None
+        node_token = current_node.set(self.node)
+        impl_token = executing_impl.set(self)
+        trace_token = (
+            current_context.set(aggregate.trace)
+            if aggregate.trace is not None
+            else None
+        )
+        started = time.perf_counter()
+        try:
+            for args, kwargs in aggregate.calls:
+                if (
+                    budget_s is not None
+                    and time.monotonic() - aggregate.posted_at > budget_s
+                ):
+                    self._shed_task(
+                        _Task(
+                            method, args, kwargs,
+                            posted_at=aggregate.posted_at,
+                        )
+                    )
+                    continue
+                executed += 1
+                try:
+                    if func is None:
+                        func = getattr(self.instance, method)
+                    func(*args, **kwargs)
+                except BaseException as exc:  # noqa: BLE001 - active-object boundary
+                    failures.append((method, repr(exc)))
+        finally:
+            elapsed = time.perf_counter() - started
+            if trace_token is not None:
+                current_context.reset(trace_token)
+            executing_impl.reset(impl_token)
+            current_node.reset(node_token)
+            with self._stats_lock:
+                self._processed += len(aggregate.calls)
+                self._busy_s += elapsed
+                if failures:
+                    self._async_failures.extend(failures)
+                    del self._async_failures[:-32]
+            if executed:
+                # One sample per batch, carrying the batch mean.
+                self._report_execution(elapsed / executed, method)
+
+    def _execute(self, task: _Task, telemetry: Any, tracer: Any) -> None:
         started = time.perf_counter()
         span_name = f"{self.class_name.rsplit('.', 1)[-1]}.{task.method}"
         token = current_node.set(self.node)
@@ -792,24 +925,27 @@ class ImplementationObject(MarshalByRefObject):
                 ).observe(elapsed)
             with self._stats_lock:
                 self._busy_s += elapsed
-            if self._on_execution is not None:
-                try:
-                    if self._on_execution_with_method:
-                        try:
-                            self._on_execution(
-                                self.class_name, elapsed, task.method
-                            )
-                        except TypeError:
-                            # Legacy two-argument observer; remember and
-                            # retry without the method name.
-                            self._on_execution_with_method = False
-                            self._on_execution(self.class_name, elapsed)
-                    else:
-                        self._on_execution(self.class_name, elapsed)
-                except Exception:  # noqa: BLE001 - stats must never kill work
-                    pass
+            self._report_execution(elapsed, task.method)
             if task.done is not None:
                 task.done.set()
+
+    def _report_execution(self, elapsed: float, method: str) -> None:
+        """Feed the ``on_execution`` observer (the grain controller)."""
+        if self._on_execution is None:
+            return
+        try:
+            if self._on_execution_with_method:
+                try:
+                    self._on_execution(self.class_name, elapsed, method)
+                except TypeError:
+                    # Legacy two-argument observer; remember and
+                    # retry without the method name.
+                    self._on_execution_with_method = False
+                    self._on_execution(self.class_name, elapsed)
+            else:
+                self._on_execution(self.class_name, elapsed)
+        except Exception:  # noqa: BLE001 - stats must never kill work
+            pass
 
     @property
     def queue_length(self) -> int:

@@ -42,7 +42,7 @@ from repro.errors import (
     ScooppError,
 )
 from repro.remoting.objref import ObjRef
-from repro.remoting.proxy import RemoteProxy
+from repro.remoting.proxy import RemoteProxy, is_missing_method
 from repro.serialization.codec import (
     method_column_plan,
     pack_columns,
@@ -122,9 +122,10 @@ class RemoteGrain:
     """Parallel grain: aggregation buffers + ordered sender + remote IO.
 
     Aggregation is "(delay and) combine" (§3.1): a partial batch is never
-    held indefinitely — the sender thread auto-flushes any buffer older
-    than *flush_after_s*, so asynchronous calls always make progress even
-    when the program stops short of ``max_calls``.
+    held indefinitely — the sender thread auto-flushes any buffer that
+    has waited *flush_after_s* behind a free wire, so asynchronous calls
+    always make progress even when the program stops short of
+    ``max_calls``.
     """
 
     is_local = False
@@ -136,6 +137,12 @@ class RemoteGrain:
     #: controller's EWMAs move slowly, so re-deciding on every post would
     #: only add lock traffic.
     RETUNE_PERIOD_S = 0.02
+
+    #: Caps on one coalesced request (:meth:`_take_run_locked`): calls
+    #: carried, and serialized size as estimated from the bytes per call
+    #: observed on this grain's earlier sends of the same method.
+    RUN_MAX_CALLS = 4096
+    RUN_MAX_BYTES = 1 << 20
 
     def __init__(
         self,
@@ -187,6 +194,10 @@ class RemoteGrain:
         # each successful send — the adaptive grain controller's
         # bytes-per-call input.
         self.wire_observer = None
+        # Serialized bytes per call of each method's last unmixed send:
+        # the size estimate behind the run byte cap.  A method not seen
+        # yet travels alone, so every estimate starts from a real frame.
+        self._wire_bytes_per_call: dict[str, float] = {}
         # Crash-recovery hooks, set by the runtime after construction:
         # *spec* is the (info, args, kwargs) needed to re-create the IO,
         # *recoverer* is ``runtime.recover_grain`` (returns True once the
@@ -218,7 +229,7 @@ class RemoteGrain:
         different method flushes the previous run first, so total program
         order is preserved (batches and singles leave in caller order).
         """
-        self._with_recovery(lambda: self._post_once(method, args, kwargs))
+        self._with_recovery(self._post_once, method, args, kwargs)
 
     def _post_once(self, method: str, args: tuple, kwargs: dict) -> None:
         # The PO call site: capture the caller's trace context here so the
@@ -233,7 +244,7 @@ class RemoteGrain:
                 self._maybe_retune(method)
             if self.max_calls == 1:
                 self._enqueue_locked(
-                    ("single", method, (tuple(args), dict(kwargs)), ctx)
+                    (method, [(tuple(args), dict(kwargs))], ctx)
                 )
                 return
             if self._buffer_method not in (None, method):
@@ -263,7 +274,7 @@ class RemoteGrain:
         once against the new IO; non-restartable grains surface
         :class:`~repro.errors.NodeLostError`.
         """
-        return self._with_recovery(lambda: self._call_once(method, args, kwargs))
+        return self._with_recovery(self._call_once, method, args, kwargs)
 
     def _call_once(self, method: str, args: tuple, kwargs: dict) -> Any:
         with self._lock:
@@ -299,9 +310,7 @@ class RemoteGrain:
         ]
         if not normalized:
             return []
-        return self._with_recovery(
-            lambda: self._call_many_once(method, normalized)
-        )
+        return self._with_recovery(self._call_many_once, method, normalized)
 
     def _call_many_once(self, method: str, batch: list) -> list:
         with self._lock:
@@ -320,7 +329,9 @@ class RemoteGrain:
         if self._sync_batched:
             try:
                 reply = self._invoke_batched(method, batch)
-            except RemoteInvocationError:
+            except RemoteInvocationError as exc:
+                if not is_missing_method(exc):
+                    raise
                 # Peer predates invoke_batch: negotiate down for good.
                 self._sync_batched = False
             else:
@@ -350,7 +361,9 @@ class RemoteGrain:
                     return self.impl.invoke_columns(
                         method, len(batch), list(columns)
                     )
-                except RemoteInvocationError:
+                except RemoteInvocationError as exc:
+                    if not is_missing_method(exc):
+                        raise
                     # Only the sync columnar surface is missing; the
                     # row-form invoke_batch below decides whether the
                     # peer speaks returnN at all.
@@ -484,9 +497,9 @@ class RemoteGrain:
             self._outbox.clear()
             self._outbox_cv.notify_all()
 
-    def _with_recovery(self, attempt):  # type: ignore[no-untyped-def]
+    def _with_recovery(self, attempt, *args):  # type: ignore[no-untyped-def]
         try:
-            return attempt()
+            return attempt(*args)
         except NodeLostError:
             raise
         except OverloadError:
@@ -498,7 +511,7 @@ class RemoteGrain:
         except (ScooppError, *_TRANSPORT_ERRORS) as exc:
             if not self._try_recover(exc):
                 raise
-            return attempt()
+            return attempt(*args)
 
     def _try_recover(self, exc: BaseException) -> bool:
         """Ask the runtime to confirm node death and respawn; True = retry."""
@@ -550,15 +563,17 @@ class RemoteGrain:
                 "po", "po.flush", method=method, calls=len(batch),
                 grain=self.grain_id,
             )
-        if len(batch) == 1:
-            self._enqueue_locked(("single", method, batch[0], ctx))
-        else:
-            self._enqueue_locked(("batch", method, batch, ctx))
+        self._enqueue_locked((method, batch, ctx))
 
     def _enqueue_locked(self, item: tuple) -> None:
+        """Queue one ``(method, calls, trace context)`` item for the sender.
+
+        An item of one call is a *single* (it travels as a plain
+        ``enqueue``), anything longer an aggregate.
+        """
         self._outbox.append(item)
         self.batches_sent += 1
-        if item[0] == "batch":
+        if len(item[1]) > 1:
             self.batches += 1
         else:
             self.singles += 1
@@ -577,11 +592,20 @@ class RemoteGrain:
     def _send_loop(self) -> None:
         while True:
             with self._outbox_cv:
+                # The flush deadline runs while the wire is free.  Time
+                # this thread spent shipping, or waiting for its turn to
+                # run, is not held against the buffer: those calls could
+                # not have left any sooner, and a caller that is merely
+                # being starved of the interpreter would otherwise have
+                # its aggregates cut short at every busy spell.
+                idle_since = _time.monotonic()
                 while not self._outbox and not self._released:
                     if self._buffer:
                         # Auto-flush: a partial batch may only be
                         # *delayed*, never parked indefinitely.
-                        age = _time.monotonic() - self._buffer_since
+                        age = _time.monotonic() - max(
+                            self._buffer_since, idle_since
+                        )
                         if age >= self.flush_after_s:
                             self._flush_locked()
                             continue
@@ -590,19 +614,13 @@ class RemoteGrain:
                         self._outbox_cv.wait()
                 if not self._outbox and self._released:
                     return
-                kind, method, payload, ctx = self._outbox[0]
+                run = self._take_run_locked()
             try:
                 # Re-activate the post-time trace context so the enqueue
                 # rpc (and the remote io span behind it) chains to the
                 # caller's span rather than to this sender thread.
-                with activate(ctx):
-                    if kind == "single":
-                        args, kwargs = payload
-                        self.impl.enqueue(method, args, kwargs)
-                        calls = 1
-                    else:
-                        self._send_batch(method, payload)
-                        calls = len(payload)
+                with activate(run[0][2]):
+                    calls = self._send_run(run)
             except BaseException as exc:  # noqa: BLE001 - surfaced on next use
                 with self._outbox_cv:
                     if isinstance(exc, OverloadError):
@@ -611,16 +629,81 @@ class RemoteGrain:
                     self._outbox.clear()
                     self._outbox_cv.notify_all()
                 continue
+            nbytes = getattr(self.impl, "_parc_last_wire_bytes", 0)
+            method = run[0][0]
+            if all(item[0] == method for item in run):
+                self._wire_bytes_per_call[method] = nbytes / calls
             if self.wire_observer is not None:
-                nbytes = getattr(self.impl, "_parc_last_wire_bytes", 0)
                 try:
                     self.wire_observer(nbytes, calls)
                 except Exception:  # noqa: BLE001 - stats must never kill work
                     pass
             with self._outbox_cv:
-                self._outbox.popleft()
+                # Pop exactly the items sent; a rebind or mark_lost in
+                # the meantime has already emptied the outbox.
+                for item in run:
+                    if self._outbox and self._outbox[0] is item:
+                        self._outbox.popleft()
                 if not self._outbox:
                     self._outbox_cv.notify_all()
+
+    def _take_run_locked(self) -> list:
+        """The outbox prefix the next request carries (left in place).
+
+        Group commit: everything that was flushed while the previous
+        round trip was in flight leaves together, so the per-request
+        cost is paid once per run instead of once per aggregate; a slow
+        caller never has more than one item queued and sees no change.
+        Only items posted under the same trace context merge (the run is
+        sent under that context), only towards a columnar-speaking peer,
+        and only up to the RUN_MAX_* caps.
+        """
+        outbox = self._outbox
+        method, calls, ctx = outbox[0]
+        run = [outbox[0]]
+        per_call = self._wire_bytes_per_call.get(method)
+        if len(outbox) == 1 or not self.columnar or per_call is None:
+            return run
+        total = len(calls)
+        nbytes = total * per_call
+        for item in itertools.islice(outbox, 1, None):
+            per_call = self._wire_bytes_per_call.get(item[0])
+            if per_call is None or item[2] is not ctx:
+                break
+            total += len(item[1])
+            nbytes += len(item[1]) * per_call
+            if total > self.RUN_MAX_CALLS or nbytes > self.RUN_MAX_BYTES:
+                break
+            run.append(item)
+        return run
+
+    def _send_run(self, run: list) -> int:
+        """Ship *run* in one request; returns the number of calls sent.
+
+        A run of one item travels exactly as it always has (``enqueue``
+        / ``enqueue_columns`` / ``enqueue_batch``).  A longer run is one
+        ``enqueue_run`` and is never re-sent in another form: the IO
+        admits entry by entry, so a failure may have left a prefix
+        enqueued.
+        """
+        if len(run) == 1:
+            method, calls, _ctx = run[0]
+            if len(calls) == 1:
+                self.impl.enqueue(method, *calls[0])
+            else:
+                self._send_batch(method, calls)
+            return len(calls)
+        entries = []
+        total = 0
+        for method, calls, _ctx in run:
+            columns = pack_columns(calls, self._plan_for(method))
+            if columns is not None:
+                entries.append((method, len(calls), list(columns), None))
+            else:
+                entries.append((method, len(calls), None, calls))
+            total += len(calls)
+        self.impl.enqueue_run(entries)
+        return total
 
     def _send_batch(self, method: str, batch: list) -> None:
         """Ship one aggregate, columnar when the batch shape allows it.
@@ -628,10 +711,11 @@ class RemoteGrain:
         Columnar packing encodes the method name, trace header and
         argument schema once and each parameter as one contiguous column
         (Fig. 7's parameter array, transposed).  Heterogeneous batches —
-        kwargs, mixed arity — fall back to the row form transparently.  A
-        remote refusal (an older peer without ``enqueue_columns``) also
-        falls back and disables columnar for this grain; the failed call
-        enqueued nothing, so re-sending as rows cannot duplicate work.
+        kwargs, mixed arity — fall back to the row form transparently.  An
+        older peer without ``enqueue_columns`` refuses the method before
+        anything runs; only that refusal falls back and disables columnar
+        for this grain, because only then is it certain that re-sending
+        as rows cannot duplicate work.  Any other remote failure surfaces.
         """
         if self.columnar:
             columns = pack_columns(batch, self._plan_for(method))
@@ -641,7 +725,9 @@ class RemoteGrain:
                         method, len(batch), list(columns)
                     )
                     return
-                except RemoteInvocationError:
+                except RemoteInvocationError as exc:
+                    if not is_missing_method(exc):
+                        raise
                     self.columnar = False
         self.impl.enqueue_batch(method, batch)
 

@@ -47,7 +47,11 @@ from repro.remoting.objref import (
     ObjRef,
     current_host,
 )
-from repro.remoting.proxy import RemoteProxy, make_typed_proxy_class
+from repro.remoting.proxy import (
+    MISSING_METHOD_TEXT,
+    RemoteProxy,
+    make_typed_proxy_class,
+)
 from repro.serialization import default_registry
 from repro.telemetry.context import TRACE_HEADER, current_context, from_header
 from repro.telemetry.tracer import current_tracer_var
@@ -561,7 +565,7 @@ class RemotingHost:
         method = getattr(target, name, None)
         if method is None or not callable(method):
             raise RemotingError(
-                f"{type(target).__qualname__} has no remote method {name!r}"
+                f"{type(target).__qualname__} {MISSING_METHOD_TEXT} {name!r}"
             )
         return method
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any
 
-from repro.core.impl import ImplementationObject, _Task
+from repro.core.impl import ImplementationObject, _Entry
 from repro.core.model import parallel_class_table
 from repro.errors import MigrationError
 from repro.remoting import MarshalByRefObject
@@ -251,7 +251,7 @@ class NodeScheduler(MarshalByRefObject):
         return None
 
     def _replay(
-        self, entries: list[list[_Task]], new_impl: Any
+        self, entries: list[_Entry], new_impl: Any
     ) -> tuple[int, int]:
         """Replay the extracted backlog into the new IO, in order.
 

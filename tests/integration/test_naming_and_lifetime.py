@@ -164,3 +164,39 @@ class TestLeaseSweeper:
         host.close()
         with pytest.raises(RemotingError):
             host.start_lease_sweeper()
+
+
+class TestReleasedGrainsLeaveTheirNode:
+    def test_churn_returns_nodes_to_their_pre_churn_state(self):
+        config = parc.ParcConfig(
+            nodes=2,
+            channel="tcp",
+            scheduler=parc.SchedulerConfig(grain=GrainPolicy(max_calls=4)),
+        )
+        with parc.session(config) as rt:
+            nodes = rt.cluster.nodes
+            before_ios = [row["ios"] for row in rt.stats()]
+            before_paths = [node.host.published_paths() for node in nodes]
+            before_load = [node.current_load() for node in nodes]
+            for _round in range(4):
+                boards = [parc.new(Board) for _ in range(50)]
+                for index, board in enumerate(boards):
+                    for n in range(4):
+                        board.post(f"{index}.{n}")
+                assert all(len(board.posts()) == 4 for board in boards)
+                assert sum(row["ios"] for row in rt.stats()) == (
+                    sum(before_ios) + 50
+                )
+                for board in boards:
+                    board.parc_release()
+                    board.parc_release()  # idempotent
+            rows = rt.stats()
+            assert [row["ios"] for row in rows] == before_ios
+            assert [
+                node.host.published_paths() for node in nodes
+            ] == before_paths
+            assert [node.current_load() for node in nodes] == before_load
+            # The cumulative figures keep what the released grains did:
+            # 4 posts and 1 posts() per grain.
+            assert sum(row["created_total"] for row in rows) == 200
+            assert sum(row["processed"] for row in rows) == 200 * 5

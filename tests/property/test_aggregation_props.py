@@ -9,6 +9,7 @@ lose a call or reorder the program.
 from __future__ import annotations
 
 import threading
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,13 +48,56 @@ operations = st.lists(
 )
 
 
+class SlowWire:
+    """An IO behind a wire with a round-trip time.
+
+    While a request sleeps the caller keeps flushing, so the outbox the
+    sender finds afterwards holds several items: the coalesced
+    ``enqueue_run`` path, which a zero-latency in-process IO would
+    hardly ever take.
+    """
+
+    def __init__(self, inner, delay_s):
+        self._inner = inner
+        self._delay_s = delay_s
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def enqueue(self, *args):
+        time.sleep(self._delay_s)
+        self._inner.enqueue(*args)
+
+    def enqueue_batch(self, *args):
+        time.sleep(self._delay_s)
+        self._inner.enqueue_batch(*args)
+
+    def enqueue_columns(self, *args):
+        time.sleep(self._delay_s)
+        self._inner.enqueue_columns(*args)
+
+    def enqueue_run(self, entries):
+        time.sleep(self._delay_s)
+        self._inner.enqueue_run(entries)
+
+
 class TestAggregationOrdering:
-    @given(ops=operations, max_calls=st.integers(min_value=1, max_value=9))
+    @given(
+        ops=operations,
+        max_calls=st.integers(min_value=1, max_value=9),
+        coalescing=st.booleans(),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_no_interleaving_loses_or_reorders(self, ops, max_calls):
+    def test_no_interleaving_loses_or_reorders(
+        self, ops, max_calls, coalescing
+    ):
         journal = Journal()
         impl = ImplementationObject(journal, "prop.Journal")
+        if coalescing:
+            impl = SlowWire(impl, delay_s=0.0005)
         grain = RemoteGrain(impl, max_calls=max_calls)
+        # Columnar-speaking peers are the ones that get coalesced runs.
+        grain.columnar = coalescing
         expected = []
         try:
             for operation, value in ops:

@@ -202,3 +202,138 @@ class TestExecutionCallback:
             assert container.invoke("get_log") == []
         finally:
             container.dispose()
+
+
+class Picky(Recorder):
+    def record_unless_odd(self, value):
+        if value % 2:
+            raise ValueError(f"odd value {value}")
+        self.record(value)
+
+
+def _batch(values):
+    return [((value,), {}) for value in values]
+
+
+class TestProcessNLoop:
+    """A dequeued asynchronous aggregate runs as one loop (Fig. 7)."""
+
+    def test_failure_mid_batch_is_recorded_and_the_rest_run(self):
+        target = Picky()
+        container = ImplementationObject(target, "test.Picky")
+        try:
+            container.enqueue_batch("record_unless_odd", _batch(range(6)))
+            container.drain()
+            assert target.get_log() == [0, 2, 4]
+            failures = container.async_failures()
+            assert [method for method, _text in failures] == (
+                ["record_unless_odd"] * 3
+            )
+            assert "odd value 1" in failures[0][1]
+            assert "odd value 5" in failures[2][1]
+            assert container.stats()["async_failures"] == 3
+        finally:
+            container.dispose()
+
+    def test_unknown_method_fails_every_call_of_the_batch(self, impl):
+        impl.enqueue_batch("no_such_method", _batch(range(3)))
+        impl.enqueue("record", ("after",))
+        assert impl.invoke("get_log") == ["after"]
+        assert len(impl.async_failures()) == 3
+
+    def test_processed_and_busy_advance_by_the_batch(self, impl):
+        before = impl.stats()
+        impl.enqueue_batch(
+            "slow", [((index, 0.002), {}) for index in range(5)]
+        )
+        impl.drain()
+        after = impl.stats()
+        assert after["processed"] - before["processed"] == 5
+        assert after["busy_s"] - before["busy_s"] >= 5 * 0.002
+
+    def test_observer_gets_one_sample_per_batch_with_the_mean(self):
+        seen = []
+        container = ImplementationObject(
+            Recorder(),
+            "test.Recorder",
+            on_execution=lambda name, elapsed, method: seen.append(
+                (name, elapsed, method)
+            ),
+        )
+        try:
+            container.enqueue_batch(
+                "slow", [((index, 0.004), {}) for index in range(4)]
+            )
+            container.drain()
+            assert len(seen) == 1
+            name, elapsed, method = seen[0]
+            assert (name, method) == ("test.Recorder", "slow")
+            # The per-call mean, not the sum.
+            assert elapsed == pytest.approx(container.stats()["busy_s"] / 4)
+            assert elapsed >= 0.004
+        finally:
+            container.dispose()
+
+    def test_telemetry_keeps_one_span_and_sample_per_call(self):
+        from types import SimpleNamespace
+
+        from repro.telemetry import TelemetryConfig
+        from repro.telemetry.node import NodeTelemetry
+
+        telemetry = NodeTelemetry("n0", TelemetryConfig(enabled=True))
+        container = ImplementationObject(
+            Recorder(),
+            "test.Recorder",
+            node=SimpleNamespace(telemetry=telemetry),
+        )
+        try:
+            container.enqueue_batch("record", _batch(range(7)))
+            container.drain()
+            spans = [
+                e for e in telemetry.tracer.events() if e.category == "io"
+            ]
+            assert [e.name for e in spans] == ["Recorder.record"] * 7
+            histogram = telemetry.metrics.export()[
+                "parc.method.seconds.Recorder.record"
+            ]
+            assert histogram["count"] == 7
+            assert container.stats()["processed"] == 7
+        finally:
+            container.dispose()
+
+    def test_global_tracer_also_selects_the_per_call_path(self):
+        from repro.telemetry import Tracer, set_global_tracer
+
+        tracer = Tracer()
+        set_global_tracer(tracer)
+        container = ImplementationObject(Recorder(), "test.Recorder")
+        try:
+            container.enqueue_batch("record", _batch(range(3)))
+            container.drain()
+            io_spans = [e for e in tracer.events() if e.category == "io"]
+            assert len(io_spans) == 3
+        finally:
+            set_global_tracer(None)
+            container.dispose()
+
+    def test_deadline_policy_still_sheds_per_call(self):
+        target = Recorder()
+        container = ImplementationObject(
+            target, "test.Recorder", shed_policy="deadline:0.25"
+        )
+        try:
+            # The second call outlasts the budget: the calls behind it in
+            # the same aggregate are shed one by one, not run.
+            delays = {"a": 0.0, "b": 0.3, "c": 0.0, "d": 0.0}
+            container.enqueue_batch(
+                "slow", [((name, delay), {}) for name, delay in delays.items()]
+            )
+            container.drain()
+            assert target.get_log() == ["a", "b"]
+            stats = container.stats()
+            assert stats["shed_deadline"] == 2
+            assert stats["processed"] == 4
+            failures = container.async_failures()
+            assert [method for method, _text in failures] == ["slow", "slow"]
+        finally:
+            container.dispose()

@@ -299,7 +299,13 @@ class TestColumnarAggregates:
         class _RefusingImpl(_RecordingImpl):
             def enqueue_columns(self, method, count, columns=()):
                 self.calls.append(("columns-refused", method, count))
-                raise RemoteInvocationError("no such method enqueue_columns")
+                # The wording of a real old peer's host (RemotingHost.
+                # _resolve_method through the proxy's error mapping).
+                raise RemoteInvocationError(
+                    "remote call enqueue_columns failed with "
+                    "RemotingError: ImplementationObject has no remote "
+                    "method 'enqueue_columns'"
+                )
 
         target = ColumnTarget()
         impl = _RefusingImpl(ImplementationObject(target, "test.Col"))
