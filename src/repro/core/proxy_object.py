@@ -144,6 +144,16 @@ class RemoteGrain:
     RUN_MAX_CALLS = 4096
     RUN_MAX_BYTES = 1 << 20
 
+    #: How far a caller may get ahead of the sender, in flushed calls the
+    #: sender has not taken yet: the post that reaches it waits — at most
+    #: YIELD_TIMEOUT_S, once — for the sender to take them
+    #: (:meth:`_post_once`).  Without the wait a caller that never blocks
+    #: keeps the interpreter until CPython's 5 ms switch interval expires,
+    #: so when requests left and how many aggregates each carried was
+    #: decided by where that interval happened to fall.
+    YIELD_AT_CALLS = 128
+    YIELD_TIMEOUT_S = 0.005
+
     def __init__(
         self,
         impl_proxy: RemoteProxy,
@@ -212,6 +222,8 @@ class RemoteGrain:
         self._buffer_ctx = None  # trace context of the first buffered call
         self._outbox: deque = deque()
         self._outbox_cv = threading.Condition(self._lock)
+        # Calls in outbox items the sender has not taken yet.
+        self._unsent_calls = 0
         self._sender_error: BaseException | None = None
         self._lost: NodeLostError | None = None
         self._released = False
@@ -228,6 +240,10 @@ class RemoteGrain:
         Buffering is per *consecutive run* of one method: a call to a
         different method flushes the previous run first, so total program
         order is preserved (batches and singles leave in caller order).
+
+        Returns at once unless this call leaves the caller
+        ``YIELD_AT_CALLS`` ahead of the sender; then it first lets the
+        sender take what is queued (see ``YIELD_AT_CALLS``).
         """
         self._with_recovery(self._post_once, method, args, kwargs)
 
@@ -240,24 +256,33 @@ class RemoteGrain:
         with self._lock:
             self._ensure_usable()
             self.calls_posted += 1
+            unsent = self._unsent_calls
             if not self._buffer:
                 self._maybe_retune(method)
             if self.max_calls == 1:
                 self._enqueue_locked(
                     (method, [(tuple(args), dict(kwargs))], ctx)
                 )
-                return
-            if self._buffer_method not in (None, method):
-                self._flush_locked()
-            if not self._buffer:
-                self._buffer_since = _time.monotonic()
-                self._buffer_ctx = ctx
-                # Wake the sender so it can arm the auto-flush timer.
-                self._outbox_cv.notify_all()
-            self._buffer_method = method
-            self._buffer.append((tuple(args), dict(kwargs)))
-            if len(self._buffer) >= self.max_calls:
-                self._flush_locked()
+            else:
+                if self._buffer_method not in (None, method):
+                    self._flush_locked()
+                if not self._buffer:
+                    self._buffer_since = _time.monotonic()
+                    self._buffer_ctx = ctx
+                    # Wake the sender so it can arm the auto-flush timer.
+                    self._outbox_cv.notify_all()
+                self._buffer_method = method
+                self._buffer.append((tuple(args), dict(kwargs)))
+                if len(self._buffer) >= self.max_calls:
+                    self._flush_locked()
+            if unsent < self.YIELD_AT_CALLS <= self._unsent_calls:
+                # This call put the caller YIELD_AT_CALLS ahead of the
+                # wire: let the sender have the interpreter now.  Bounded,
+                # and once per crossing, so a slow wire delays the caller
+                # by one timeout per run rather than throttling it.
+                self._outbox_cv.wait_for(
+                    self._sender_caught_up, self.YIELD_TIMEOUT_S
+                )
 
     # -- sync path ------------------------------------------------------
 
@@ -463,8 +488,7 @@ class RemoteGrain:
             self.impl = new_impl
             self._sender_error = None
             self._lost = None
-            self._outbox.clear()
-            self._outbox_cv.notify_all()
+            self._clear_outbox_locked()
 
     def repoint(self, new_impl) -> None:  # type: ignore[no-untyped-def]
         """Follow a live migration: swap the IO without losing work.
@@ -494,8 +518,7 @@ class RemoteGrain:
             self._sender_error = None
             self._buffer = []
             self._buffer_method = None
-            self._outbox.clear()
-            self._outbox_cv.notify_all()
+            self._clear_outbox_locked()
 
     def _with_recovery(self, attempt, *args):  # type: ignore[no-untyped-def]
         try:
@@ -573,10 +596,20 @@ class RemoteGrain:
         """
         self._outbox.append(item)
         self.batches_sent += 1
-        if len(item[1]) > 1:
+        calls = len(item[1])
+        if calls > 1:
             self.batches += 1
         else:
             self.singles += 1
+        self._unsent_calls += calls
+        self._outbox_cv.notify_all()
+
+    def _sender_caught_up(self) -> bool:
+        return self._unsent_calls < self.YIELD_AT_CALLS
+
+    def _clear_outbox_locked(self) -> None:
+        self._outbox.clear()
+        self._unsent_calls = 0
         self._outbox_cv.notify_all()
 
     def _wait_outbox_empty(self) -> None:
@@ -615,6 +648,8 @@ class RemoteGrain:
                 if not self._outbox and self._released:
                     return
                 run = self._take_run_locked()
+                self._unsent_calls -= sum(len(item[1]) for item in run)
+                self._outbox_cv.notify_all()
             try:
                 # Re-activate the post-time trace context so the enqueue
                 # rpc (and the remote io span behind it) chains to the
@@ -626,8 +661,7 @@ class RemoteGrain:
                     if isinstance(exc, OverloadError):
                         self.sheds += 1
                     self._sender_error = exc
-                    self._outbox.clear()
-                    self._outbox_cv.notify_all()
+                    self._clear_outbox_locked()
                 continue
             nbytes = getattr(self.impl, "_parc_last_wire_bytes", 0)
             method = run[0][0]

@@ -305,6 +305,119 @@ class TestRunCaps:
         assert RemoteGrain.RUN_MAX_BYTES == 1 << 20
 
 
+def count_yields(grain):
+    """Record the timeout of every wait the caller makes for the sender."""
+    waits = []
+    wait_for = grain._outbox_cv.wait_for
+
+    def counting(predicate, timeout=None):
+        waits.append(timeout)
+        return wait_for(predicate, timeout)
+
+    grain._outbox_cv.wait_for = counting
+    return waits
+
+
+class TestCallerYield:
+    """A caller ``YIELD_AT_CALLS`` ahead of the sender lets it catch up."""
+
+    def test_post_that_reaches_the_lead_waits_for_the_sender(
+        self, gated, monkeypatch
+    ):
+        target, _io, impl, grain = gated
+        monkeypatch.setattr(RemoteGrain, "YIELD_AT_CALLS", 3 * MAX_CALLS)
+        monkeypatch.setattr(RemoteGrain, "YIELD_TIMEOUT_S", 30.0)
+        post_steps(grain, 0, MAX_CALLS)
+        assert impl.in_flight.wait(timeout=5.0)  # taken: nothing unsent
+        posted = threading.Event()
+
+        def caller():
+            post_steps(grain, MAX_CALLS, 3 * MAX_CALLS)
+            posted.set()
+
+        thread = threading.Thread(target=caller, daemon=True)
+        thread.start()
+        # The third aggregate puts the caller 12 calls ahead: it waits.
+        assert not posted.wait(timeout=0.2)
+        assert grain.batches == 4  # every call was queued before the wait
+        impl.gate.set()  # the sender returns and takes the three together
+        assert posted.wait(timeout=5.0)
+        thread.join(timeout=5.0)
+        grain.drain()
+        assert impl.run_sizes() == [1, 3]
+        assert target.snapshot() == [
+            ("step", x, n) for x, n in steps(0, 4 * MAX_CALLS)
+        ]
+
+    def test_wait_is_bounded_and_made_once_per_crossing(
+        self, gated, monkeypatch
+    ):
+        target, _io, impl, grain = gated
+        monkeypatch.setattr(RemoteGrain, "YIELD_AT_CALLS", 2 * MAX_CALLS)
+        monkeypatch.setattr(RemoteGrain, "YIELD_TIMEOUT_S", 0.05)
+        waits = count_yields(grain)
+        post_steps(grain, 0, MAX_CALLS)
+        assert impl.in_flight.wait(timeout=5.0)
+        # The wire stays busy: the caller waits out one timeout when it
+        # gets two aggregates ahead and is not held up again behind it.
+        post_steps(grain, MAX_CALLS, 6 * MAX_CALLS)
+        assert waits == [0.05]
+        impl.gate.set()
+        grain.drain()
+        assert impl.run_sizes() == [1, 6]
+        assert len(target.snapshot()) == 7 * MAX_CALLS
+
+    def test_caller_the_sender_keeps_up_with_never_waits(self, gated):
+        _target, _io, impl, grain = gated
+        impl.gate.set()
+        waits = count_yields(grain)
+        ahead = RemoteGrain.YIELD_AT_CALLS // MAX_CALLS - 1
+        for block in range(3):
+            post_steps(grain, block * ahead * MAX_CALLS, ahead * MAX_CALLS)
+            grain.sync_outbox()
+        assert [w for w in waits if w == RemoteGrain.YIELD_TIMEOUT_S] == []
+
+    def test_failed_send_releases_a_waiting_caller(self, monkeypatch):
+        gate, in_flight = threading.Event(), threading.Event()
+
+        class Refusing:
+            def enqueue_columns(self, method, count, columns=()):
+                in_flight.set()
+                assert gate.wait(timeout=10.0)
+                raise OverloadError("mailbox full")
+
+            def dispose(self):
+                pass
+
+        monkeypatch.setattr(RemoteGrain, "YIELD_AT_CALLS", 2 * MAX_CALLS)
+        monkeypatch.setattr(RemoteGrain, "YIELD_TIMEOUT_S", 30.0)
+        grain = columnar_grain(Refusing())
+        try:
+            post_steps(grain, 0, MAX_CALLS)
+            assert in_flight.wait(timeout=5.0)
+            posted = threading.Event()
+
+            def caller():
+                post_steps(grain, MAX_CALLS, 2 * MAX_CALLS)
+                posted.set()
+
+            thread = threading.Thread(target=caller, daemon=True)
+            thread.start()
+            assert not posted.wait(timeout=0.2)
+            gate.set()  # the send fails: the outbox is dropped
+            assert posted.wait(timeout=5.0)
+            thread.join(timeout=5.0)
+            with pytest.raises(OverloadError):
+                grain.post("step", (0.0, 0), {})
+        finally:
+            gate.set()
+            grain.dispose()
+
+    def test_default_lead_is_the_documented_constant(self):
+        assert RemoteGrain.YIELD_AT_CALLS == 128
+        assert RemoteGrain.YIELD_TIMEOUT_S == 0.005
+
+
 class TestPartialAdmission:
     def test_overflow_admits_the_prefix_once_and_sheds_the_rest(self):
         target = Target(hold_first=True)
