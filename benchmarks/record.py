@@ -13,12 +13,13 @@ artifact): ``wire`` (the default) -> ``BENCH_wire.json``, ``overload``
 its default path.  Absolute rates are this machine's; the
 ``guarded_ratios`` block in each document is the comparable shape.
 ``cpus`` is recorded because several ratios are scheduling-bound: with
-one CPU a spin path never runs, every round trip costs two context
-switches, and fast/legacy collapse toward parity — only multi-core
-hosts can show those speedups.
+one CPU a spin path never runs and every round trip costs two context
+switches — only multi-core hosts can show the shm speedup.
 
-* ``wire``: ping-pong round trips per second for fast/legacy over tcp
-  and aio at several payload sizes, the same payloads over the shm
+* ``wire``: ping-pong round trips per second over tcp and aio at
+  several payload sizes (``tcp_fast_rt_s`` / ``aio_fast_rt_s``: the
+  names predate the removal of the legacy path and are kept so old
+  recordings stay comparable), the same payloads over the shm
   backplane, the columnar-versus-row aggregate encoding sizes, and the
   TAB-LAT latency table (modeled one-way latencies and live localhost
   round trips per stack).
@@ -104,21 +105,9 @@ def collect() -> dict:
     pingpong = {}
     for size in SIZES:
         pingpong[str(size)] = {
-            "tcp_fast_rt_s": pingpong_rate(
-                lambda: TcpChannel(fastpath=True), size
-            ),
-            "tcp_legacy_rt_s": pingpong_rate(
-                lambda: TcpChannel(fastpath=False), size
-            ),
-            "aio_fast_rt_s": pingpong_rate(
-                lambda: AioTcpChannel(fastpath=True), size
-            ),
-            "aio_legacy_rt_s": pingpong_rate(
-                lambda: AioTcpChannel(fastpath=False), size
-            ),
-            "shm_rt_s": backplane_pingpong_rate(
-                lambda: ShmChannel(), "auto", size
-            ),
+            "tcp_fast_rt_s": pingpong_rate(TcpChannel, size),
+            "aio_fast_rt_s": pingpong_rate(AioTcpChannel, size),
+            "shm_rt_s": backplane_pingpong_rate(ShmChannel, "auto", size),
         }
     row_bytes, columnar_bytes = columnar_sizes()
     guarded = pingpong[str(PAYLOAD_BYTES)]
@@ -137,12 +126,6 @@ def collect() -> dict:
         },
         "latency_table": collect_latency_table(),
         "guarded_ratios": {
-            "tcp_pingpong_64k": (
-                guarded["tcp_fast_rt_s"] / guarded["tcp_legacy_rt_s"]
-            ),
-            "aio_pingpong_64k": (
-                guarded["aio_fast_rt_s"] / guarded["aio_legacy_rt_s"]
-            ),
             "shm_vs_tcp_64k": guarded["shm_rt_s"] / guarded["tcp_fast_rt_s"],
             "columnar_size_64_calls": row_bytes / columnar_bytes,
         },

@@ -10,11 +10,9 @@ Claims, asserted on this machine:
   transport (both sides must be scheduled, ~2 switches per rt, and the
   kernel charges the same for a doorbell wake as for a socket wake), so
   the 3x target is physically unreachable there and shm gets a
-  no-regression floor instead — the same policy the wire fast path
-  applies to aio's jitter-dominated round trips.
+  no-regression floor instead.
 * the ``same_node_transport="shm"`` cluster produces identical farm
-  results to the plain tcp cluster while routing over the rings;
-* fast and legacy formatter endpoints interoperate over shm.
+  results to the plain tcp cluster while routing over the rings.
 
 Telemetry sanity rides along: a measured run must report ring
 occupancy, doorbell wakeups and park counts under ``shm.*``.
@@ -164,22 +162,6 @@ def test_shm_run_reports_telemetry():
         "shm.wait.spin_hits",
     ):
         assert key in snap, f"missing {key}"
-
-
-def test_shm_interop_mixed_formatters():
-    """Fast and legacy endpoints speak the same frames over the rings."""
-    message = CallMessage(uri="x", method="echo", args=(b"interop" * 64,))
-    for server_fast, client_fast in ((True, False), (False, True)):
-        server = ShmChannel(fastpath=server_fast)
-        client = ShmChannel(fastpath=client_fast)
-        binding = server.listen("auto", _echo)
-        try:
-            result = client.round_trip(binding.authority, "x", message)
-            assert result.args == message.args
-        finally:
-            client.close()
-            binding.close()
-            server.close()
 
 
 LIMIT = 400

@@ -1,28 +1,30 @@
-"""WIRE-FAST — zero-copy wire path versus the legacy copy-per-stage path.
+"""WIRE — what the one wire path costs and saves, on this machine.
 
-Three claims, asserted on this machine:
+tcp, shm and aio share one framed exchange
+(:mod:`repro.channels.exchange`): compiled codecs, requests built in
+pooled buffers with the header patched in place, replies decoded from a
+view of the frame.  There is no second path to compare it with, so this
+file measures rather than races:
 
-* ping-pong throughput at 64 KiB payloads over tcp is >= 1.3x the legacy
-  path on multi-core hosts (compiled codecs + pooled buffers +
-  scatter-gather framing remove two full payload copies per request on
-  each side; on a single CPU the saved copies hide inside the context
-  switches that bound every round trip, so only a no-regression floor
-  is asserted there — see MULTI_CORE below);
+* :func:`pingpong_rate` prices a whole ``round_trip`` — encode, frame,
+  send, server read, dispatch, respond, client decode — at a payload
+  size; ``record.py`` records it per transport into ``BENCH_wire.json``
+  (``tcp_fast_rt_s`` / ``aio_fast_rt_s`` keep their names so older
+  recordings stay comparable) and guards ``shm_vs_tcp_64k``;
 * the columnar ``processN`` aggregate encodes a 64-call batch >= 1.5x
   smaller than the row form (method, trace header and schema once, one
-  contiguous column per parameter);
-* both paths are selectable per runtime (``ParcConfig(wire_fastpath=...)``)
-  and interoperate on the wire — a fast client speaks to a legacy server
-  and vice versa, byte-for-byte the same frame format.
+  contiguous column per parameter) — guarded as
+  ``columnar_size_64_calls``;
+* the prime farm over tcp and aio counts the primes the sequential
+  sieve counts.
 
-The aio transport gets a no-regression floor rather than a speedup
-guardrail: its round trips cross the event loop four times, so localhost
-scheduling jitter dominates small differences.
+Wire *speed* regressions are held end to end by parcbench's
+``sync_small`` and ``bulk_echo`` and per layer by its
+``channels.tcp_rtt_*_us`` / ``aio.rtt_*_us`` rows.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import repro.core as parc
@@ -39,21 +41,9 @@ PAYLOAD_BYTES = 64 * 1024
 ROUNDS = 500
 TRIALS = 6
 
-#: The tcp speedup guardrail only arms on multi-core hosts.  The fast
-#: path saves CPU (two payload copies per request per side), not wire
-#: time: with client and server threads sharing one CPU, every round
-#: trip is bounded by the same two context switches either way, the
-#: saved memcpy hides inside the switch latency, and fast/legacy
-#: measure within noise of parity (BENCH_wire.json records 1.01x on a
-#: 1-cpu box against 1.3x+ on multi-core).  Single-CPU hosts assert a
-#: no-regression floor instead.
-MULTI_CORE = (os.cpu_count() or 1) >= 2
-TCP_SPEEDUP = 1.3
-TCP_FLOOR = 0.85
-
 
 def _echo(path, body, headers):  # type: ignore[no-untyped-def]
-    # body may be a memoryview on the fast server path.
+    # body is a memoryview into the server's receive buffer.
     return bytes(body)
 
 
@@ -62,9 +52,9 @@ def pingpong_rate(
 ) -> float:
     """Round trips/second through ``round_trip``, best of *trials* runs.
 
-    Client and server run the same configuration, so a fast-vs-legacy
-    comparison prices the whole path: encode, frame, send, server read,
-    dispatch, respond, client decode.
+    Client and server are two channels of the same kind, so the rate
+    prices the whole path: encode, frame, send, server read, dispatch,
+    respond, client decode.
     """
     server = make_channel()
     client = make_channel()
@@ -90,104 +80,10 @@ def pingpong_rate(
         server.close()
 
 
-def wire_rates() -> dict[str, float]:
-    """Best-of-TRIALS rates, fast/legacy trials interleaved.
-
-    Interleaving matters: machine-level drift (turbo states, a noisy CI
-    neighbour) then degrades every configuration's slow trials equally
-    instead of biasing whichever config happened to run last.
-    """
-    configs = {
-        "tcp-fast": lambda: TcpChannel(fastpath=True),
-        "tcp-legacy": lambda: TcpChannel(fastpath=False),
-        "aio-fast": lambda: AioTcpChannel(fastpath=True),
-        "aio-legacy": lambda: AioTcpChannel(fastpath=False),
-    }
-    rates = dict.fromkeys(configs, 0.0)
-    for _ in range(TRIALS):
-        for name, factory in configs.items():
-            rates[name] = max(rates[name], pingpong_rate(factory, trials=1))
-    return rates
-
-
-ATTEMPTS = 3
-
-
-def _best_rates() -> dict[str, float]:
-    """Up to ATTEMPTS measurement passes, stopping once the guardrail
-    thresholds are demonstrated.
-
-    A perf guardrail asks "can this machine still show the speedup", so
-    a pass under transient load does not fail the build — but a real
-    regression fails every attempt.
-    """
-    best = {}
-    for _ in range(ATTEMPTS):
-        rates = wire_rates()
-        if not best or (
-            rates["tcp-fast"] / rates["tcp-legacy"]
-            > best["tcp-fast"] / best["tcp-legacy"]
-        ):
-            best = rates
-        if (
-            best["tcp-fast"] / best["tcp-legacy"]
-            >= (TCP_SPEEDUP if MULTI_CORE else TCP_FLOOR)
-            and best["aio-fast"] / best["aio-legacy"] >= 0.85
-        ):
-            break
-    return best
-
-
-def test_wire_fast_pingpong_speedup(benchmark):
-    rates = benchmark.pedantic(_best_rates, rounds=1, iterations=1)
-    tcp_ratio = rates["tcp-fast"] / rates["tcp-legacy"]
-    aio_ratio = rates["aio-fast"] / rates["aio-legacy"]
-    print()
-    print(
-        format_table(
-            ["transport", "fast rt/s", "legacy rt/s", "ratio"],
-            [
-                ["tcp", round(rates["tcp-fast"]), round(rates["tcp-legacy"]),
-                 round(tcp_ratio, 2)],
-                ["aio", round(rates["aio-fast"]), round(rates["aio-legacy"]),
-                 round(aio_ratio, 2)],
-            ],
-            title=(
-                f"WIRE-FAST — ping-pong at {PAYLOAD_BYTES // 1024} KiB, "
-                f"{os.cpu_count()} cpu(s)"
-            ),
-        )
-    )
-    if MULTI_CORE:
-        assert tcp_ratio >= TCP_SPEEDUP, (
-            f"tcp fast path is only {tcp_ratio:.2f}x legacy (need >= "
-            f"{TCP_SPEEDUP}x with {os.cpu_count()} cpus)"
-        )
-    else:
-        assert tcp_ratio >= TCP_FLOOR, (
-            f"tcp fast path fell to {tcp_ratio:.2f}x legacy on a "
-            f"single-CPU host (floor {TCP_FLOOR}x): the zero-copy path "
-            f"itself regressed"
-        )
-    assert aio_ratio >= 0.85, (
-        f"aio fast path regressed to {aio_ratio:.2f}x legacy"
-    )
-
-
-def test_wire_interop_mixed_endpoints():
-    """Fast and legacy endpoints speak the same bytes, both directions."""
-    message = CallMessage(uri="x", method="echo", args=(b"interop" * 64,))
-    for server_fast, client_fast in ((True, False), (False, True)):
-        server = TcpChannel(fastpath=server_fast)
-        client = TcpChannel(fastpath=client_fast)
-        binding = server.listen("127.0.0.1:0", _echo)
-        try:
-            result = client.round_trip(binding.authority, "x", message)
-            assert result.args == message.args
-        finally:
-            client.close()
-            binding.close()
-            server.close()
+def test_pingpong_round_trips_over_tcp_and_aio():
+    """The measuring loop itself: every reply checked, a rate reported."""
+    for factory in (TcpChannel, AioTcpChannel):
+        assert pingpong_rate(factory, payload_size=1024, trials=1) > 0
 
 
 def columnar_sizes(calls: int = 64) -> tuple[int, int]:
@@ -234,14 +130,13 @@ LIMIT = 400
 BATCH = 25
 
 
-def run_farm(channel: str, wire_fastpath: bool) -> int:
-    """The ABL-CHAN prime farm under an explicit wire-path selection."""
+def run_farm(channel: str) -> int:
+    """The ABL-CHAN prime farm over *channel*."""
     parc.init(
         ParcConfig(
             nodes=2,
             channel=channel,
             grain=GrainPolicy(max_calls=4),
-            wire_fastpath=wire_fastpath,
         )
     )
     try:
@@ -264,15 +159,11 @@ def run_farm(channel: str, wire_fastpath: bool) -> int:
         parc.shutdown()
 
 
-def test_farm_correct_on_both_paths_over_tcp_and_aio(benchmark):
+def test_farm_correct_over_tcp_and_aio(benchmark):
     expected = len(sieve(LIMIT - 1))
 
     def run_all():
-        return {
-            (channel, fast): run_farm(channel, fast)
-            for channel in ("tcp", "aio")
-            for fast in (True, False)
-        }
+        return {channel: run_farm(channel) for channel in ("tcp", "aio")}
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     assert all(total == expected for total in results.values()), results

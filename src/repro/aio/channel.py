@@ -52,33 +52,26 @@ import threading
 from typing import Callable, Mapping
 
 from repro.channels.base import Channel, RequestHandler, ServerBinding
+from repro.channels.exchange import build_request_frame, run_handler
 from repro.channels.framing import (
     CORRELATION_SIZE,
     FLAG_CORRELATED,
     FLAG_CREDIT,
     HEADER_SIZE,
     append_frame,
-    encode_frame,
     pack_correlation_into,
-    pack_header_into,
     parse_header_from,
     split_credit,
 )
 from repro.channels.request import (
     STATUS_ERROR,
     STATUS_OK,
-    decode_request,
-    decode_request_view,
-    decode_response,
     decode_response_view,
-    encode_request,
-    encode_request_meta,
-    encode_response,
 )
 from repro.channels.tcp import parse_host_port
 from repro.errors import ChannelClosedError, ChannelError, WireFormatError
 from repro.aio.loop import LoopThread
-from repro.serialization import BinaryFormatter, FastBinaryFormatter
+from repro.serialization import FastBinaryFormatter
 from repro.telemetry import MetricsRegistry
 
 #: Default bound on concurrent in-flight requests per client connection.
@@ -228,23 +221,20 @@ class _AioConnection:
         authority: str,
         window: int,
         metrics: _ClientMetrics,
-        credits: bool = True,
     ) -> None:
         self.authority = authority
         self.broken: ChannelError | None = None
         self._transport: asyncio.Transport | None = None
         self._loop = asyncio.get_running_loop()
+        # The configured window is only the starting value: replies to
+        # credited requests carry the server's grants (repro.flow) — a
+        # loaded server shrinks it, an idle one restores it.
         self._window = window
-        # With credits enabled every request advertises FLAG_CREDIT and
-        # the window tracks the server's grants (repro.flow): a loaded
-        # server shrinks it, an idle one restores it.  The configured
-        # window is only the starting value.
-        self._request_flags = FLAG_CREDIT if credits else 0
         self._metrics = metrics
         self._in_flight = 0
         self._pending: dict[int, concurrent.futures.Future] = {}
         self._backlog: collections.deque[
-            tuple[bytes, bool, concurrent.futures.Future]
+            tuple[bytearray, concurrent.futures.Future]
         ] = collections.deque()
         self._ids = itertools.count(1)
         # Outgoing frames are coalesced per loop iteration: _send appends
@@ -259,10 +249,9 @@ class _AioConnection:
         authority: str,
         window: int,
         metrics: _ClientMetrics,
-        credits: bool = True,
     ) -> "_AioConnection":
         host, port = parse_host_port(authority)
-        connection = cls(authority, window, metrics, credits)
+        connection = cls(authority, window, metrics)
         loop = asyncio.get_running_loop()
         try:
             transport, _protocol = await loop.create_connection(
@@ -276,16 +265,13 @@ class _AioConnection:
     # -- submission ------------------------------------------------------
 
     def submit(
-        self,
-        request: bytes,
-        future: concurrent.futures.Future,
-        prebuilt: bool = False,
+        self, request: bytearray, future: concurrent.futures.Future
     ) -> None:
         """Send now if a window slot is free, else queue (backpressure).
 
-        *prebuilt* marks a fast-path request: a complete frame built by
-        the caller thread with placeholder correlation-id bytes that
-        :meth:`_send` patches in place — no re-framing on the loop.
+        *request* is a complete frame built by the caller thread with
+        placeholder correlation-id bytes that :meth:`_send` patches in
+        place — no re-framing on the loop.
         """
         if future.done():
             return  # caller already timed out or the channel closed
@@ -293,33 +279,21 @@ class _AioConnection:
             _fail(future, self.broken)
             return
         if self._in_flight >= self._window:
-            self._backlog.append((request, prebuilt, future))
+            self._backlog.append((request, future))
             self._metrics.queued.add(1)
             return
-        self._send(request, prebuilt, future)
+        self._send(request, future)
 
     def _send(
-        self,
-        request: bytes,
-        prebuilt: bool,
-        future: concurrent.futures.Future,
+        self, request: bytearray, future: concurrent.futures.Future
     ) -> None:
         correlation_id = next(self._ids)
         self._pending[correlation_id] = future
         future._parc_cid = correlation_id  # for abandon() after a timeout
         self._in_flight += 1
         self._metrics.in_flight.add(1)
-        if prebuilt:
-            pack_correlation_into(request, HEADER_SIZE, correlation_id)
-            self._write_buffer.append(request)
-        else:
-            self._write_buffer.append(
-                encode_frame(
-                    request,
-                    self._request_flags,
-                    correlation_id=correlation_id,
-                )
-            )
+        pack_correlation_into(request, HEADER_SIZE, correlation_id)
+        self._write_buffer.append(request)
         if not self._flush_scheduled:
             self._flush_scheduled = True
             self._loop.call_soon(self._flush)
@@ -348,11 +322,11 @@ class _AioConnection:
             and self._in_flight < self._window
             and self.broken is None
         ):
-            request, prebuilt, future = self._backlog.popleft()
+            request, future = self._backlog.popleft()
             self._metrics.queued.add(-1)
             if future.done():
                 continue  # abandoned while queued
-            self._send(request, prebuilt, future)
+            self._send(request, future)
 
     def abandon(self, future: concurrent.futures.Future) -> None:
         """Forget a request whose caller gave up (timeout path)."""
@@ -364,7 +338,7 @@ class _AioConnection:
                 self._pump()
             return
         for entry in self._backlog:
-            if entry[2] is future:
+            if entry[1] is future:
                 self._backlog.remove(entry)
                 self._metrics.queued.add(-1)
                 return
@@ -408,7 +382,7 @@ class _AioConnection:
         self._metrics.in_flight.add(-len(pending))
         self._in_flight = 0
         backlog, self._backlog = self._backlog, collections.deque()
-        for _request, _prebuilt, future in backlog:
+        for _request, future in backlog:
             _fail(future, error)
         self._metrics.queued.add(-len(backlog))
         if self._transport is not None and not self._transport.is_closing():
@@ -580,7 +554,6 @@ class _AioBinding(ServerBinding):
         # Attached by RemotingHost.listen; plain handlers have none and
         # their responses carry no credit grants.
         self._grantor = getattr(handler, "credit_grantor", None)
-        self._fastpath = channel._fastpath
         self._loop_thread = channel._ensure_loop()
         self._loop = self._loop_thread.loop
         self._in_flight = channel.metrics.gauge(
@@ -606,17 +579,12 @@ class _AioBinding(ServerBinding):
         return self._authority
 
     def _dispatch(self, payload: bytes) -> tuple[int, bytes]:
-        """Decode + run the blocking handler (executes on the pool)."""
-        try:
-            if self._fastpath:
-                # The payload is an immutable per-frame bytes object, so
-                # the body view stays valid for the handler's lifetime.
-                path, headers, body = decode_request_view(payload)
-            else:
-                path, headers, body = decode_request(payload)
-            return STATUS_OK, self._handler(path, body, headers)
-        except Exception as exc:  # noqa: BLE001 - wire boundary
-            return STATUS_ERROR, f"{type(exc).__name__}: {exc}".encode("utf-8")
+        """Decode + run the blocking handler (executes on the pool).
+
+        The payload is an immutable per-frame bytes object, so the body
+        view stays valid for the handler's lifetime.
+        """
+        return run_handler(self._handler, payload)
 
     def _respond_later(
         self,
@@ -771,13 +739,12 @@ class AioTcpChannel(Channel):
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         dispatch_workers: int = DEFAULT_DISPATCH_WORKERS,
         metrics: MetricsRegistry | None = None,
-        fastpath: bool = True,
         credits: bool = True,
     ) -> None:
-        if formatter is None:
-            formatter = FastBinaryFormatter() if fastpath else BinaryFormatter()
-        super().__init__(formatter)
-        self._fastpath = fastpath and hasattr(self.formatter, "dumps_into")
+        super().__init__(
+            formatter if formatter is not None else FastBinaryFormatter()
+        )
+        self._dumps_into = getattr(self.formatter, "dumps_into", None)
         if window < 1:
             raise ChannelError("window must be at least 1")
         self.window = window
@@ -826,9 +793,9 @@ class AioTcpChannel(Channel):
         body: bytes,
         headers: Mapping[str, str] | None = None,
     ) -> bytes:
-        request = encode_request(path, dict(headers or {}), body)
-        payload = self._exchange(authority, request, prebuilt=False)
-        return decode_response(payload)
+        request = self._frame(path, headers, body, None)
+        request += body
+        return bytes(decode_response_view(self._exchange(authority, request)))
 
     def round_trip(
         self,
@@ -837,35 +804,40 @@ class AioTcpChannel(Channel):
         message: object,
         headers: Mapping[str, str] | None = None,
     ):
-        """Fast-path exchange: the complete frame is built by the caller.
+        """Exchange *message*; the complete frame is built by the caller.
 
         The frame — ``[header][correlation-id placeholder][path+headers]
         [body]`` — is assembled in one ``bytearray`` on the caller thread
         (header patched in place once the length is known); the event
         loop only stamps the correlation id and hands the buffer to the
-        transport.  The response body deserializes from a ``memoryview``,
-        skipping the legacy status-strip copy.
+        transport.  The response body deserializes from a ``memoryview``.
         """
-        if not self._fastpath:
+        if self._dumps_into is None:
             return super().round_trip(authority, path, message, headers)
-        request = bytearray(HEADER_SIZE + CORRELATION_SIZE)
-        encode_request_meta(request, path, dict(headers or {}))
-        body_start = len(request)
-        self.formatter.dumps_into(request, message)
-        self.last_request_bytes = len(request) - body_start
-        pack_header_into(
-            request, 0, self._request_flags, len(request) - HEADER_SIZE
-        )
-        payload = self._exchange(authority, request, prebuilt=True)
+        request = self._frame(path, headers, message, self._dumps_into)
+        payload = self._exchange(authority, request)
         return self.formatter.loads(decode_response_view(payload))
 
-    def _exchange(
-        self, authority: str, request, prebuilt: bool
-    ) -> bytes:
+    def _frame(self, path, headers, body, dumps_into) -> bytearray:  # type: ignore[no-untyped-def]
+        request = bytearray()
+        size = build_request_frame(
+            request,
+            self._request_flags,
+            path,
+            headers or {},
+            body,
+            dumps_into,
+            reserve=CORRELATION_SIZE,
+        )
+        if dumps_into is not None:
+            self.last_request_bytes = size
+        return request
+
+    def _exchange(self, authority: str, request: bytearray) -> bytes:
         """Submit one framed request and block for the raw response payload."""
         loop_thread = self._ensure_loop()
         future: concurrent.futures.Future = concurrent.futures.Future()
-        self._outbox.append((authority, request, prebuilt, future))
+        self._outbox.append((authority, request, future))
         if not self._outbox_scheduled:
             # Benign race: a stale False schedules a second (empty) drain;
             # a stale True means a drain that has not yet run will pick
@@ -901,13 +873,13 @@ class AioTcpChannel(Channel):
         self._outbox_scheduled = False
         while True:
             try:
-                authority, request, prebuilt, future = self._outbox.popleft()
+                authority, request, future = self._outbox.popleft()
             except IndexError:
                 return
-            self._submit(authority, request, prebuilt, future)
+            self._submit(authority, request, future)
 
     def _submit(
-        self, authority: str, request: bytes, prebuilt: bool,
+        self, authority: str, request: bytearray,
         future: concurrent.futures.Future,
     ) -> None:
         if self._closed:
@@ -915,14 +887,14 @@ class AioTcpChannel(Channel):
             return
         connection = self._connections.get(authority)
         if connection is not None and connection.broken is None:
-            connection.submit(request, future, prebuilt)
+            connection.submit(request, future)
         else:
             asyncio.ensure_future(
-                self._connect_and_submit(authority, request, prebuilt, future)
+                self._connect_and_submit(authority, request, future)
             )
 
     async def _connect_and_submit(
-        self, authority: str, request: bytes, prebuilt: bool,
+        self, authority: str, request: bytearray,
         future: concurrent.futures.Future,
     ) -> None:
         try:
@@ -931,7 +903,7 @@ class AioTcpChannel(Channel):
             _fail(future, exc if isinstance(exc, ChannelError)
                   else ChannelError(str(exc)))
             return
-        connection.submit(request, future, prebuilt)
+        connection.submit(request, future)
 
     async def _connection_for(self, authority: str) -> _AioConnection:
         lock = self._conn_locks.setdefault(authority, asyncio.Lock())
@@ -946,10 +918,7 @@ class AioTcpChannel(Channel):
             try:
                 connection = await asyncio.wait_for(
                     _AioConnection.open(
-                        authority,
-                        self.window,
-                        self._client_metrics,
-                        self.credits,
+                        authority, self.window, self._client_metrics
                     ),
                     timeout=self.connect_timeout,
                 )

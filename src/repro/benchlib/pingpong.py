@@ -136,9 +136,9 @@ def live_pingpong_remoting(
         def channel_cls():  # type: ignore[misc]
             return channels_create(channel_kind)
     server_channel = channel_cls()
-    # Socket schemes bind an ephemeral port; non-socket schemes (shm,
-    # loopback) mint their own authority token.
-    if server_channel.scheme in ("tcp", "http", "aio"):
+    # Socket schemes (under any wrapper prefix) bind an ephemeral port;
+    # non-socket schemes (shm, loopback) mint their own authority token.
+    if server_channel.scheme.rpartition("+")[2] in ("tcp", "http", "aio"):
         listen_authority = "127.0.0.1:0"
     else:
         listen_authority = "auto"
@@ -204,7 +204,7 @@ def live_concurrent_pingpong(
     server_channel = _channel_for(channel_kind)
     authority = (
         "127.0.0.1:0"
-        if server_channel.scheme in ("tcp", "http", "aio")
+        if server_channel.scheme.rpartition("+")[2] in ("tcp", "http", "aio")
         else "auto"
     )
     binding = host.listen(server_channel, authority)

@@ -81,10 +81,11 @@ class Channel(abc.ABC):
         The default composes ``formatter.dumps`` → :meth:`call` →
         ``formatter.loads``, so wrapper channels (chaos, breaker, metering,
         sinks) inherit correct behaviour through their ``call`` overrides
-        automatically.  Socket transports override this with a zero-copy
-        fast path (pooled encode buffers, scatter-gather writes,
-        ``memoryview`` decode) that never materialises the intermediate
-        request/response ``bytes``.
+        automatically.  The framed transports (tcp, shm, aio) override it
+        to encode into the frame buffer and decode from a view of the
+        reply frame, never materialising the intermediate ``bytes``; both
+        routes end in the same exchange
+        (:mod:`repro.channels.exchange`).
         """
         body = self.formatter.dumps(message)
         self.last_request_bytes = len(body)

@@ -1,4 +1,4 @@
-"""Length-prefixed frame codec used by the TCP and aio channels.
+"""Length-prefixed frame codec used by the tcp, aio and shm channels.
 
 Frame layout::
 
@@ -69,10 +69,14 @@ def encode_frame(
 ) -> bytes:
     """Build a complete frame for *payload*.
 
+    The reference encoder: the channels build frames in place
+    (:func:`pack_header_into`, :func:`append_frame`,
+    :func:`write_frame_parts`) and tests hold them to this one's bytes.
+
     Passing *correlation_id* sets :data:`FLAG_CORRELATED` and prepends the
-    id to the payload; :func:`split_correlation` recovers it on the far
-    side.  Passing *credit* sets :data:`FLAG_CREDIT` and inserts the grant
-    after the correlation id (response frames only; see module docstring).
+    id to the payload.  Passing *credit* sets :data:`FLAG_CREDIT` and
+    inserts the grant after the correlation id (response frames only; see
+    module docstring).
     """
     if credit is not None:
         flags |= FLAG_CREDIT
@@ -102,27 +106,11 @@ def parse_header(header: bytes) -> tuple[int, int]:
     return flags, length
 
 
-def split_correlation(flags: int, payload: bytes) -> tuple[int | None, bytes]:
-    """Extract ``(correlation_id, body)`` from a decoded frame payload.
-
-    Returns ``(None, payload)`` for uncorrelated frames.
-    """
-    if not flags & FLAG_CORRELATED:
-        return None, payload
-    if len(payload) < CORRELATION_SIZE:
-        raise WireFormatError(
-            f"correlated frame payload of {len(payload)} bytes is shorter "
-            f"than the {CORRELATION_SIZE}-byte correlation id"
-        )
-    (correlation_id,) = _CORRELATION.unpack_from(payload)
-    return correlation_id, payload[CORRELATION_SIZE:]
-
-
 def split_credit(flags: int, payload):  # type: ignore[no-untyped-def]
     """Extract ``(credit_grant, body)`` from a *response* payload.
 
-    Call after :func:`split_correlation` (the grant sits between the
-    correlation id and the body).  Returns ``(None, payload)`` when the
+    The grant sits between the correlation id and the body, so strip the
+    id first.  Returns ``(None, payload)`` when the
     response carries no grant — an old server, or one without a grantor.
     Accepts ``bytes`` or ``memoryview`` and slices without copying.
     """
@@ -159,9 +147,9 @@ def parse_header_from(buf, offset: int = 0) -> tuple[int, int]:
 def pack_header_into(buf, offset: int, flags: int, length: int) -> None:
     """Write a frame header in place (the reserved-prefix encode trick).
 
-    The fast encode path appends ``HEADER_SIZE`` placeholder bytes, builds
-    the payload behind them, then patches the real header here — one
-    buffer, no concatenation.
+    The encoder appends ``HEADER_SIZE`` placeholder bytes, builds the
+    payload behind them, then patches the real header here — one buffer,
+    no concatenation.
     """
     if length > MAX_FRAME:
         raise WireFormatError(
@@ -246,12 +234,6 @@ def recv_exact_into(sock: socket.socket, view: memoryview) -> None:
         remaining -= received
 
 
-def read_frame(sock: socket.socket) -> tuple[int, bytes]:
-    """Read one frame; returns ``(flags, payload)``."""
-    flags, length = parse_header(recv_exact(sock, HEADER_SIZE))
-    return flags, recv_exact(sock, length)
-
-
 def read_frame_into(
     sock: socket.socket, buf: bytearray
 ) -> tuple[int, memoryview]:
@@ -308,9 +290,9 @@ def write_frame_parts(
 ) -> None:
     """Send one frame whose payload is the concatenation of *parts*.
 
-    The scatter-gather sibling of :func:`write_frame`: the header (and
-    optional correlation id / credit grant) is built once into a small
-    scratch buffer and the payload parts are handed to the kernel as-is.
+    The header (and optional correlation id / credit grant) is built once
+    into a small scratch buffer and the payload parts are handed to the
+    kernel as-is.
     """
     length = sum(len(part) for part in parts)
     head = bytearray()
@@ -330,14 +312,3 @@ def write_frame_parts(
     if credit is not None:
         head += _CREDIT.pack(credit)
     sendmsg_all(sock, [head, *parts])
-
-
-def write_frame(
-    sock: socket.socket,
-    payload: bytes,
-    flags: int = 0,
-    correlation_id: int | None = None,
-    credit: int | None = None,
-) -> None:
-    """Send one complete frame."""
-    sock.sendall(encode_frame(payload, flags, correlation_id, credit))

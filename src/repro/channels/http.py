@@ -15,8 +15,14 @@ import threading
 from typing import Mapping
 
 from repro.channels.base import Channel, RequestHandler, ServerBinding
+from repro.channels.exchange import ConnectionPool
 from repro.channels.framing import recv_exact
-from repro.channels.tcp import _ConnectionPool, parse_host_port
+from repro.channels.tcp import (
+    DEFAULT_MAX_IDLE_PER_AUTHORITY,
+    DEFAULT_MAX_IDLE_SECONDS,
+    connect,
+    parse_host_port,
+)
 from repro.errors import ChannelClosedError, ChannelError, WireFormatError
 from repro.serialization import SoapFormatter
 
@@ -170,7 +176,9 @@ class HttpChannel(Channel):
 
     def __init__(self, formatter=None) -> None:  # type: ignore[no-untyped-def]
         super().__init__(formatter if formatter is not None else SoapFormatter())
-        self._pool = _ConnectionPool()
+        self._pool = ConnectionPool(
+            connect, DEFAULT_MAX_IDLE_PER_AUTHORITY, DEFAULT_MAX_IDLE_SECONDS
+        )
 
     def listen(self, authority: str, handler: RequestHandler) -> ServerBinding:
         host, port = parse_host_port(authority)
@@ -186,12 +194,13 @@ class HttpChannel(Channel):
         request = build_request(authority, path, dict(headers or {}), body)
         conn = self._pool.checkout(authority)
         try:
-            conn.sendall(request)
-            start_line, _headers, response_body = read_http_message(conn)
+            conn.sock.sendall(request)
+            start_line, _headers, response_body = read_http_message(conn.sock)
         except (OSError, ChannelError):
             conn.close()
             raise
-        self._pool.checkin(authority, conn)
+        finally:
+            self._pool.checkin(authority, conn)  # drops a closed socket
         parts = start_line.split(" ", 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
             raise WireFormatError(f"bad HTTP status line {start_line!r}")

@@ -15,7 +15,7 @@ from typing import Mapping
 
 from repro.channels.base import Channel, RequestHandler, ServerBinding
 from repro.errors import AddressError, ChannelClosedError, ChannelError
-from repro.serialization import BinaryFormatter, FastBinaryFormatter
+from repro.serialization import FastBinaryFormatter
 
 
 class _LoopbackRegistry:
@@ -72,25 +72,16 @@ class _LoopbackBinding(ServerBinding):
 class LoopbackChannel(Channel):
     """Same-process channel with real serialized payloads.
 
-    ``fastpath`` selects the default formatter exactly like the socket
-    channels do — :class:`FastBinaryFormatter` (compiled codecs) when
-    true, the legacy :class:`BinaryFormatter` when false — so in-process
-    tests can exercise both codec paths.  There is no buffer fast path
-    to toggle: the loopback's ``call`` already runs without sockets, and
-    an explicit *formatter* wins over the knob either way.
+    *formatter* defaults to :class:`FastBinaryFormatter`, like the
+    socket channels.
     """
 
     scheme = "loopback"
 
-    def __init__(
-        self,
-        formatter=None,  # type: ignore[no-untyped-def]
-        *,
-        fastpath: bool = True,
-    ) -> None:
-        if formatter is None:
-            formatter = FastBinaryFormatter() if fastpath else BinaryFormatter()
-        super().__init__(formatter)
+    def __init__(self, formatter=None) -> None:  # type: ignore[no-untyped-def]
+        super().__init__(
+            formatter if formatter is not None else FastBinaryFormatter()
+        )
 
     def listen(self, authority: str, handler: RequestHandler) -> ServerBinding:
         bound = _registry.bind(authority, handler)

@@ -1,10 +1,11 @@
-"""Request/response payload codec shared by the framed socket channels.
+"""Request/response payload codec shared by the framed channels.
 
-:class:`~repro.channels.tcp.TcpChannel` and
-:class:`~repro.aio.AioTcpChannel` speak the same payload language inside
-their frames — only the framing discipline differs (strictly ordered
-versus correlation-id multiplexed).  Keeping the codec here means the two
-transports stay wire-compatible by construction.
+tcp, shm and aio speak the same payload language inside their frames —
+only the pipe and the framing discipline differ (strictly ordered versus
+correlation-id multiplexed).  Requests are built by appending to a frame
+buffer (:func:`encode_request_meta`) and both directions are decoded in
+place from a ``memoryview`` of the frame; :func:`encode_request` is the
+reference encoder tests hold that path to.
 
 Request payload layout (inside one frame)::
 
@@ -26,7 +27,6 @@ from typing import Mapping
 from repro.errors import ChannelError, WireFormatError
 from repro.serialization.binary import (
     append_uvarint,
-    read_uvarint,
     uvarint_from,
     write_uvarint,
 )
@@ -52,25 +52,13 @@ def encode_request(path: str, headers: Mapping[str, str], body: bytes) -> bytes:
     return out.getvalue()
 
 
-def decode_request(payload: bytes) -> tuple[str, dict[str, str], bytes]:
-    buf = io.BytesIO(payload)
-    path = buf.read(read_uvarint(buf)).decode("utf-8")
-    header_count = read_uvarint(buf)
-    headers: dict[str, str] = {}
-    for _ in range(header_count):
-        key = buf.read(read_uvarint(buf)).decode("utf-8")
-        value = buf.read(read_uvarint(buf)).decode("utf-8")
-        headers[key] = value
-    return path, headers, buf.read()
-
-
 def encode_request_meta(out: bytearray, path: str, headers: Mapping[str, str]) -> None:
     """Append the request *metadata* (path + headers) to a buffer.
 
-    The fast path builds a frame as ``[reserved header][meta][body]`` in
-    one reusable ``bytearray``: this writes the meta section, then the
-    caller appends the body via ``formatter.dumps_into`` — no intermediate
-    ``bytes`` objects at any step.
+    A frame is built as ``[reserved header][meta][body]`` in one reusable
+    ``bytearray``: this writes the meta section, then the caller appends
+    the body via ``formatter.dumps_into`` — no intermediate ``bytes``
+    objects at any step.
     """
     path_bytes = path.encode("utf-8")
     append_uvarint(out, len(path_bytes))
@@ -94,7 +82,7 @@ def _sized_read(buf: memoryview, pos: int) -> tuple[memoryview, int]:
 
 
 def decode_request_view(payload) -> tuple[str, dict[str, str], memoryview]:
-    """Zero-copy :func:`decode_request`: the body comes back as a view.
+    """Decode a request payload; the body comes back as a view.
 
     The returned body ``memoryview`` aliases *payload* — callers that keep
     it past the underlying buffer's reuse must copy it explicitly.
@@ -112,26 +100,8 @@ def decode_request_view(payload) -> tuple[str, dict[str, str], memoryview]:
     return path, headers, buf[pos:]
 
 
-def encode_response(status: int, body: bytes) -> bytes:
-    return bytes((status,)) + body
-
-
-def decode_response(payload: bytes) -> bytes:
-    """Return the response body, raising :class:`ChannelError` on failure."""
-    if not payload:
-        raise ChannelError("empty response payload")
-    status, body = payload[0], payload[1:]
-    if status == STATUS_ERROR:
-        raise ChannelError(
-            f"remote handler failed: {body.decode('utf-8', 'replace')}"
-        )
-    if status != STATUS_OK:
-        raise ChannelError(f"unknown response status {status}")
-    return body
-
-
 def decode_response_view(payload) -> memoryview:
-    """Zero-copy :func:`decode_response`: the body comes back as a view."""
+    """Return the response body as a view; :class:`ChannelError` on failure."""
     buf = payload if isinstance(payload, memoryview) else memoryview(payload)
     if not len(buf):
         raise ChannelError("empty response payload")

@@ -1,52 +1,21 @@
-"""TCP channel: length-prefixed binary frames over real sockets.
+"""TCP channel: the framed exchange over real sockets.
 
 The analog of ``TcpChannel`` in the paper's Fig. 2 and the configuration
-behind every "Mono (Tcp)" measurement.  Requests carry a path (the
-published object URI) plus headers and a body; responses carry a status
-byte so transport-level handler failures are distinguishable from
-application-level return values.  The payload layouts live in
-:mod:`repro.channels.request`, shared with the multiplexing
-:class:`repro.aio.AioTcpChannel`.
+behind every "Mono (Tcp)" measurement.  The request/response protocol —
+frames, credits, pooling, the serve loop — is
+:mod:`repro.channels.exchange`; this module is the byte pipe under it: a
+socket wrapper, ``connect`` and the accept loop.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-import time
-from typing import Callable, Mapping
 
-from repro.channels.base import Channel, RequestHandler, ServerBinding
-from repro.channels.buffers import BufferPool
-from repro.channels.framing import (
-    FLAG_CREDIT,
-    HEADER_SIZE,
-    pack_header_into,
-    read_frame,
-    read_frame_into,
-    split_credit,
-    write_frame,
-    write_frame_parts,
-)
-from repro.channels.request import (
-    STATUS_ERROR,
-    STATUS_OK,
-    decode_request,
-    decode_request_view,
-    decode_response,
-    decode_response_view,
-    encode_request,
-    encode_request_meta,
-    encode_response,
-)
-from repro.errors import (
-    AddressError,
-    ChannelClosedError,
-    ChannelError,
-    WireFormatError,
-)
-from repro.flow import CreditGate
-from repro.serialization import BinaryFormatter, FastBinaryFormatter
+from repro.channels.base import RequestHandler, ServerBinding
+from repro.channels.exchange import FramedChannel, serve_connection
+from repro.channels.framing import read_frame_into, sendmsg_all
+from repro.errors import AddressError, ChannelError
 
 
 def parse_host_port(authority: str) -> tuple[str, int]:
@@ -63,21 +32,56 @@ def parse_host_port(authority: str) -> tuple[str, int]:
     return host or "127.0.0.1", port
 
 
+class _TcpConnection:
+    """A connected socket as an exchange :class:`~.exchange.Connection`."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+
+    def send(self, parts: list) -> None:
+        if len(parts) == 1:
+            self.sock.sendall(parts[0])
+        else:
+            sendmsg_all(self.sock, parts)
+
+    def read_frame(self, scratch: bytearray) -> tuple[int, memoryview]:
+        return read_frame_into(self.sock, scratch)
+
+    def release_frame(self) -> None:
+        pass  # frames land in the caller's scratch buffer
+
+    def alive(self) -> bool:
+        return self.sock.fileno() >= 0
+
+    def close(self) -> None:
+        try:
+            # shutdown() before close(): closing alone does not wake a
+            # thread blocked in recv() on the same socket.
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self.sock.close()
+        except OSError:  # pragma: no cover - teardown must finish
+            pass
+
+
+def connect(authority: str) -> _TcpConnection:
+    """Dial ``host:port``; raises :class:`ChannelError` when refused."""
+    host, port = parse_host_port(authority)
+    try:
+        sock = socket.create_connection((host, port), timeout=30.0)
+    except OSError as exc:
+        raise ChannelError(f"cannot connect to {authority}: {exc}") from exc
+    return _TcpConnection(sock)
+
+
 class _TcpBinding(ServerBinding):
     """Accept loop + per-connection worker threads."""
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        handler: RequestHandler,
-        fastpath: bool = False,
-    ) -> None:
+    def __init__(self, host: str, port: int, handler: RequestHandler) -> None:
         self._handler = handler
-        self._fastpath = fastpath
-        # Hosts that do flow control hang their CreditGrantor off the
-        # handler; a plain handler means responses stay uncredited.
-        self._grantor = getattr(handler, "credit_grantor", None)
         self._closed = threading.Event()
         self._server = socket.create_server((host, port), reuse_port=False)
         self._host, self._port = self._server.getsockname()[:2]
@@ -95,90 +99,23 @@ class _TcpBinding(ServerBinding):
     def _accept_loop(self) -> None:
         while not self._closed.is_set():
             try:
-                conn, _addr = self._server.accept()
+                sock, _addr = self._server.accept()
             except OSError:
                 return  # server socket closed
             thread = threading.Thread(
                 target=self._serve_connection,
-                args=(conn,),
+                args=(sock,),
                 name=f"parc-tcp-conn-{self._port}",
                 daemon=True,
             )
             thread.start()
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if self._fastpath:
-                self._serve_fast(conn)
-                return
-            while not self._closed.is_set():
-                try:
-                    flags, payload = read_frame(conn)
-                except (ChannelError, WireFormatError, OSError):
-                    return  # client hung up or sent garbage
-                try:
-                    path, headers, body = decode_request(payload)
-                    response = self._handler(path, body, headers)
-                    status = STATUS_OK
-                except Exception as exc:  # noqa: BLE001 - wire boundary
-                    response = f"{type(exc).__name__}: {exc}".encode("utf-8")
-                    status = STATUS_ERROR
-                credit = self._grant_for(flags)
-                try:
-                    write_frame(
-                        conn, encode_response(status, response), credit=credit
-                    )
-                except OSError:
-                    return
-
-    def _serve_fast(self, conn: socket.socket) -> None:
-        """Zero-copy serve loop: one reusable receive buffer per connection.
-
-        Serving is strictly serial per connection, so the frame payload can
-        live in a buffer that is reused across requests; the handler sees
-        the request body as a ``memoryview`` into it (handlers must not
-        retain the body past their return) and the response goes out as a
-        ``[header, status, body]`` gather write with no concatenation.
-        """
-        recv_buf = bytearray()
-        while not self._closed.is_set():
-            try:
-                flags, view = read_frame_into(conn, recv_buf)
-            except (ChannelError, WireFormatError, OSError):
-                return  # client hung up or sent garbage
-            body = response = None
-            try:
-                try:
-                    path, headers, body = decode_request_view(view)
-                    response = self._handler(path, body, headers)
-                    status = STATUS_OK
-                except Exception as exc:  # noqa: BLE001 - wire boundary
-                    response = f"{type(exc).__name__}: {exc}".encode("utf-8")
-                    status = STATUS_ERROR
-                credit = self._grant_for(flags)
-                try:
-                    write_frame_parts(
-                        conn, [bytes((status,)), response], credit=credit
-                    )
-                except OSError:
-                    return
-            finally:
-                # Every view into recv_buf must be gone before the next
-                # read grows it, or bytearray.extend raises BufferError.
-                del body, response
-                view.release()
-
-    def _grant_for(self, request_flags: int) -> int | None:
-        """Window grant for one response, or ``None`` to stay uncredited.
-
-        Grants only go to peers that set :data:`FLAG_CREDIT` on the
-        request — a client that predates credits must never see the
-        extra payload bytes.
-        """
-        if self._grantor is None or not request_flags & FLAG_CREDIT:
-            return None
-        return self._grantor.grant()
+    def _serve_connection(self, sock: socket.socket) -> None:
+        conn = _TcpConnection(sock)
+        try:
+            serve_connection(conn, self._handler, self._closed)
+        finally:
+            conn.close()
 
     def close(self) -> None:
         if not self._closed.is_set():
@@ -198,129 +135,16 @@ DEFAULT_MAX_IDLE_PER_AUTHORITY = 8
 DEFAULT_MAX_IDLE_SECONDS = 30.0
 
 
-class _ConnectionPool:
-    """Bounded idle-socket pool, one list per remote authority.
-
-    ``checkin`` keeps at most *max_idle_per_authority* sockets per
-    authority (extras are closed) and ``checkout`` discards sockets that
-    sat idle longer than *max_idle_s* rather than handing back a
-    probably-dead connection.
-    """
-
-    def __init__(
-        self,
-        max_idle_per_authority: int = DEFAULT_MAX_IDLE_PER_AUTHORITY,
-        max_idle_s: float = DEFAULT_MAX_IDLE_SECONDS,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self._lock = threading.Lock()
-        self._idle: dict[str, list[tuple[socket.socket, float]]] = {}
-        # Sockets currently out on a call.  close() force-closes them so
-        # an in-flight call fails promptly with ChannelClosedError rather
-        # than blocking shutdown on a response that may never come.
-        self._checked_out: set[socket.socket] = set()
-        self._closed = False
-        self._max_idle_per_authority = max_idle_per_authority
-        self._max_idle_s = max_idle_s
-        self._clock = clock
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def checkout(self, authority: str) -> socket.socket:
-        stale: list[socket.socket] = []
-        reused: socket.socket | None = None
-        with self._lock:
-            if self._closed:
-                raise ChannelClosedError("channel is closed")
-            idle = self._idle.get(authority)
-            cutoff = self._clock() - self._max_idle_s
-            while idle:
-                conn, parked_at = idle.pop()
-                if parked_at >= cutoff:
-                    reused = conn
-                    break
-                stale.append(conn)
-            if reused is not None:
-                self._checked_out.add(reused)
-        for conn in stale:
-            conn.close()
-        if reused is not None:
-            return reused
-        host, port = parse_host_port(authority)
-        try:
-            conn = socket.create_connection((host, port), timeout=30.0)
-        except OSError as exc:
-            raise ChannelError(f"cannot connect to {authority}: {exc}") from exc
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with self._lock:
-            if self._closed:
-                conn.close()
-                raise ChannelClosedError("channel is closed")
-            self._checked_out.add(conn)
-        return conn
-
-    def checkin(self, authority: str, conn: socket.socket) -> None:
-        with self._lock:
-            self._checked_out.discard(conn)
-            if not self._closed:
-                idle = self._idle.setdefault(authority, [])
-                if len(idle) < self._max_idle_per_authority:
-                    idle.append((conn, self._clock()))
-                    return
-        conn.close()
-
-    def forget(self, conn: socket.socket) -> None:
-        """Drop a socket that errored mid-call from the checked-out set."""
-        with self._lock:
-            self._checked_out.discard(conn)
-
-    def idle_count(self, authority: str) -> int:
-        with self._lock:
-            return len(self._idle.get(authority, ()))
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            sockets = [
-                conn for conns in self._idle.values() for conn, _at in conns
-            ]
-            sockets.extend(self._checked_out)
-            self._idle.clear()
-            self._checked_out.clear()
-        for conn in sockets:
-            try:
-                # shutdown() before close(): closing alone does not wake a
-                # thread blocked in recv() on the same socket.
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - teardown must finish
-                pass
-
-
-class TcpChannel(Channel):
+class TcpChannel(FramedChannel):
     """Binary formatter over framed TCP — the fast remoting configuration.
 
-    ``fastpath=True`` (the default) selects the zero-copy wire path: the
-    formatter becomes :class:`FastBinaryFormatter` (same wire format,
-    compiled codecs), requests are built in pooled ``bytearray``\\ s with
-    the frame header patched in place, and responses are decoded from
-    ``memoryview``\\ s of a reusable receive buffer.  ``fastpath=False``
-    restores the legacy copy-per-stage path; the two interoperate on the
-    wire in either direction.
-
-    ``credits=True`` (the default) opts into credit-based backpressure
-    (:mod:`repro.flow`): requests carry :data:`FLAG_CREDIT`, responses
-    from credit-aware servers resize a per-authority in-flight window,
-    and a saturated window stalls the sender — then sheds with
-    :class:`~repro.errors.OverloadError` once the stall budget runs out.
-    Either side may predate credits; the exchange degrades to the
-    uncredited protocol.
+    Requests are built in pooled ``bytearray``\\ s with the frame header
+    patched in place and sent with one ``sendall``; responses are decoded
+    from ``memoryview``\\ s of a reusable receive buffer.  *formatter*
+    defaults to :class:`~repro.serialization.FastBinaryFormatter`; one
+    without ``dumps_into`` (RMI's ``BinaryFormatter``) speaks the same
+    wire format through ``call``.  *credits* and *metrics* are
+    :class:`~repro.channels.exchange.FramedChannel`'s.
     """
 
     scheme = "tcp"
@@ -331,151 +155,18 @@ class TcpChannel(Channel):
         *,
         max_idle_per_authority: int = DEFAULT_MAX_IDLE_PER_AUTHORITY,
         max_idle_s: float = DEFAULT_MAX_IDLE_SECONDS,
-        fastpath: bool = True,
         credits: bool = True,
         metrics=None,  # type: ignore[no-untyped-def]
     ) -> None:
-        if formatter is None:
-            formatter = FastBinaryFormatter() if fastpath else BinaryFormatter()
-        super().__init__(formatter)
-        # The zero-copy encode path needs a formatter that can append into
-        # a shared buffer; anything else silently keeps the generic path.
-        self._fastpath = fastpath and hasattr(self.formatter, "dumps_into")
-        self._pool = _ConnectionPool(max_idle_per_authority, max_idle_s)
-        self._buffers = BufferPool()
-        self._credits = credits
-        self._metrics = metrics
-        self._gates: dict[str, CreditGate] = {}
-        self._gates_lock = threading.Lock()
-
-    def _gate_for(self, authority: str) -> CreditGate | None:
-        if not self._credits:
-            return None
-        # Unlocked read on the hot path: dict lookups are atomic and
-        # gates, once created, are never replaced.
-        gate = self._gates.get(authority)
-        if gate is not None:
-            return gate
-        with self._gates_lock:
-            gate = self._gates.get(authority)
-            if gate is None:
-                gate = self._gates[authority] = CreditGate(
-                    metrics=self._metrics
-                )
-            return gate
+        super().__init__(
+            formatter,
+            connect,
+            max_idle_per_authority=max_idle_per_authority,
+            max_idle_s=max_idle_s,
+            credits=credits,
+            metrics=metrics,
+        )
 
     def listen(self, authority: str, handler: RequestHandler) -> ServerBinding:
         host, port = parse_host_port(authority)
-        return _TcpBinding(host, port, handler, fastpath=self._fastpath)
-
-    def call(
-        self,
-        authority: str,
-        path: str,
-        body: bytes,
-        headers: Mapping[str, str] | None = None,
-    ) -> bytes:
-        request = encode_request(path, dict(headers or {}), body)
-        gate = self._gate_for(authority)
-        if gate is not None:
-            gate.acquire()
-        try:
-            conn = self._pool.checkout(authority)
-            try:
-                write_frame(
-                    conn, request, flags=FLAG_CREDIT if gate else 0
-                )
-                flags, payload = read_frame(conn)
-            except (OSError, ChannelError) as exc:
-                self._handle_call_error(conn, authority, path, exc)
-                raise
-            self._pool.checkin(authority, conn)
-        finally:
-            if gate is not None:
-                gate.release()
-        if gate is not None:
-            credit, payload = split_credit(flags, payload)
-            if credit is not None:
-                gate.observe_grant(credit)
-        return decode_response(payload)
-
-    def _handle_call_error(
-        self, conn: socket.socket, authority: str, path: str, exc: Exception
-    ) -> None:
-        """Common transport-failure cleanup for ``call``/``round_trip``."""
-        self._pool.forget(conn)
-        conn.close()
-        if self._pool.closed and not isinstance(exc, ChannelClosedError):
-            # The pool was closed under us (cluster shutdown): the
-            # socket error is a symptom, report the real cause.
-            raise ChannelClosedError(
-                f"channel closed while calling {authority}/{path}"
-            ) from exc
-
-    def round_trip(
-        self,
-        authority: str,
-        path: str,
-        message: object,
-        headers: Mapping[str, str] | None = None,
-    ):
-        """Zero-copy request/response exchange.
-
-        The whole request frame — ``[header][path+headers][body]`` — is
-        built in one pooled ``bytearray`` (the header is reserved up front
-        and patched in place once the length is known) and sent with a
-        single ``sendall``; the response frame lands in a second pooled
-        buffer and is deserialized straight from a ``memoryview``.  The
-        only per-call heap traffic left is the decoded result itself.
-        """
-        if not self._fastpath:
-            return super().round_trip(authority, path, message, headers)
-        send_buf = self._buffers.acquire()
-        recv_buf = self._buffers.acquire()
-        view = payload = body = None
-        gate = self._gate_for(authority)
-        try:
-            send_buf += b"\x00" * HEADER_SIZE
-            encode_request_meta(send_buf, path, dict(headers or {}))
-            body_start = len(send_buf)
-            self.formatter.dumps_into(send_buf, message)
-            self.last_request_bytes = len(send_buf) - body_start
-            pack_header_into(
-                send_buf,
-                0,
-                FLAG_CREDIT if gate is not None else 0,
-                len(send_buf) - HEADER_SIZE,
-            )
-            if gate is not None:
-                gate.acquire()
-            try:
-                conn = self._pool.checkout(authority)
-                try:
-                    conn.sendall(send_buf)
-                    flags, view = read_frame_into(conn, recv_buf)
-                except (OSError, ChannelError) as exc:
-                    self._handle_call_error(conn, authority, path, exc)
-                    raise
-                self._pool.checkin(authority, conn)
-            finally:
-                if gate is not None:
-                    gate.release()
-            payload = view
-            if gate is not None:
-                credit, payload = split_credit(flags, view)
-                if credit is not None:
-                    gate.observe_grant(credit)
-            body = decode_response_view(payload)
-            return self.formatter.loads(body)
-        finally:
-            if body is not None:
-                body.release()
-            if payload is not None and payload is not view:
-                payload.release()
-            if view is not None:
-                view.release()
-            self._buffers.release(recv_buf)
-            self._buffers.release(send_buf)
-
-    def close(self) -> None:
-        self._pool.close()
+        return _TcpBinding(host, port, handler)

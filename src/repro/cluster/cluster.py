@@ -50,9 +50,6 @@ ChannelKind = Literal[
 
 _BASE_KINDS = ("loopback", "tcp", "aio", "shm")
 
-#: Base kinds whose channels take the ``fastpath=`` constructor knob.
-_FASTPATH_KINDS = ("loopback", "tcp", "aio", "shm")
-
 #: Base kinds the shm same-node backplane can ride alongside (the peer
 #: must be dialled by a socket authority for the handshake-socket probe
 #: to identify it).
@@ -83,7 +80,6 @@ class Cluster:
         chaos_plan: "FaultPlan | None" = None,
         chaos_controller: "ChaosController | None" = None,
         telemetry: TelemetryConfig | None = None,
-        wire_fastpath: bool = True,
         sync_fastpath: bool = True,
         same_node_transport: str | None = None,
         mailbox_depth: int = 0,
@@ -179,17 +175,9 @@ class Cluster:
         self.priority = priority
         self.shed_policy = shed_policy
         self.elastic = elastic
-        # Zero-copy wire fast path; every bundled transport that has a
-        # codec path takes the knob (http keeps its legacy framing).
-        self.wire_fastpath = wire_fastpath
         # Inline execution of sync calls against idle mailboxes (see
         # ParcConfig.sync_fastpath); threaded into every node's IOs.
         self.sync_fastpath = sync_fastpath
-        fastpath_opts = (
-            {"fastpath": wire_fastpath}
-            if base_kind in _FASTPATH_KINDS
-            else {}
-        )
         self.metrics = MetricsRegistry()
         self.chaos_controller = chaos_controller
         self.chaos_plan = chaos_plan
@@ -253,7 +241,6 @@ class Cluster:
             chaos_controller=chaos_controller,
             breaker_policy=breaker,
             metrics=self.metrics,
-            **fastpath_opts,
         )
         self.client_channel = client
         self.services.register_channel(client)
@@ -276,7 +263,6 @@ class Cluster:
                 channel = create_channel(
                     f"chaos+{base_kind}" if chaos else base_kind,
                     metrics=self.metrics if chaos else None,
-                    **fastpath_opts,
                 )
                 node = Node(
                     index=index,
@@ -302,9 +288,7 @@ class Cluster:
                     # node URIs — remote peers never learn about it.
                     from repro.shm import ShmChannel
 
-                    backplane = ShmChannel(
-                        fastpath=wire_fastpath, metrics=self.metrics
-                    )
+                    backplane = ShmChannel(metrics=self.metrics)
                     bound = node.base_uri.split("://", 1)[1]
                     node.host.listen(backplane, bound, advertise=False)
                     self._backplane_channels.append(backplane)

@@ -76,11 +76,6 @@ class ParcConfig:
     chaos_plan: Any = None
     #: Runtime fault controller for ``chaos+*`` channels.
     chaos_controller: Any = None
-    #: Zero-copy wire fast path: compiled codecs + pooled buffers on the
-    #: socket transports and columnar ``processN`` aggregates.  ``False``
-    #: selects the legacy copy-per-stage path (same wire format — the two
-    #: interoperate, so mixed clusters are fine).
-    wire_fastpath: bool = True
     #: Synchronous-call fast path: a sync call (or sync ``call_many``
     #: batch) whose target mailbox is idle executes inline on the
     #: caller's thread, skipping the serialize→frame→mailbox round-trip.

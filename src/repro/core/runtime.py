@@ -180,10 +180,10 @@ class ParcRuntime:
         creating runtime knows the constructor arguments — so they are
         marked lost instead when their node dies.
 
-        When the grain's class is known (*spec* or *info*) the wire fast
-        path is wired up too: columnar aggregates (the user class
-        supplies method signatures for column planning) and, under an
-        adaptive grain controller, the bytes-per-call feedback loop.
+        When the grain's class is known (*spec* or *info*) aggregates go
+        columnar (the user class supplies method signatures for column
+        planning) and, under an adaptive grain controller, the
+        bytes-per-call feedback loop is wired up.
         """
         grain.spec = spec
         grain.restartable = restartable and spec is not None
@@ -192,9 +192,7 @@ class ParcRuntime:
             info = spec[0]
         if info is not None:
             grain.impl_class = info.cls
-            grain.columnar = bool(
-                getattr(self.cluster, "wire_fastpath", False)
-            )
+            grain.columnar = True
             controller = getattr(self.cluster, "grain", None)
             if isinstance(controller, AdaptiveGrainController):
                 class_name = info.wire_name
@@ -608,7 +606,6 @@ def init(
             chaos_plan=config.chaos_plan,
             chaos_controller=config.chaos_controller,
             telemetry=config.telemetry,
-            wire_fastpath=config.wire_fastpath,
             sync_fastpath=config.sync_fastpath,
             same_node_transport=config.same_node_transport,
             mailbox_depth=config.mailbox_depth,

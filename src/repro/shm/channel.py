@@ -4,9 +4,11 @@
 :mod:`repro.channels.framing` and the payload codec of
 :mod:`repro.channels.request` — but the frames travel through SPSC ring
 buffers in a ``multiprocessing.shared_memory`` segment instead of a
-socket.  Everything layered on frames therefore composes unchanged:
-tracing headers, chaos and breaker wrappers, the fast and legacy codec
-paths, ``channels.create("breaker+shm")``.
+socket.  The request/response protocol itself is
+:mod:`repro.channels.exchange`; this module is the pipe under it (the
+ring/doorbell connection, the handshake and the accept loop), so
+everything layered on frames composes unchanged: tracing headers, chaos
+and breaker wrappers, ``channels.create("breaker+shm")``.
 
 Connection anatomy (one per client/server pair, pooled client-side):
 
@@ -42,6 +44,7 @@ materialised exactly once, from ring to result object.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
@@ -52,35 +55,17 @@ import struct
 import tempfile
 import threading
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Mapping
+from typing import Callable
 
-from repro.channels.base import Channel, RequestHandler, ServerBinding
-from repro.channels.buffers import BufferPool
-from repro.channels.framing import (
-    FLAG_CREDIT,
-    HEADER_SIZE,
-    MAX_FRAME,
-    pack_credit,
-    pack_header_into,
-    parse_header_from,
-    split_credit,
-)
-from repro.channels.request import (
-    STATUS_ERROR,
-    STATUS_OK,
-    decode_request_view,
-    decode_response_view,
-    encode_request_meta,
-)
+from repro.channels.base import RequestHandler, ServerBinding
+from repro.channels.exchange import FramedChannel, serve_connection
+from repro.channels.framing import HEADER_SIZE, parse_header_from
 from repro.errors import (
     AddressError,
     ChannelClosedError,
     ChannelError,
     ShmSetupError,
-    WireFormatError,
 )
-from repro.flow import CreditGate
-from repro.serialization import BinaryFormatter, FastBinaryFormatter
 from repro.shm.doorbell import Doorbell
 from repro.shm.ring import (
     DEFAULT_RING_SIZE,
@@ -201,6 +186,22 @@ def _untrack(segment: shared_memory.SharedMemory, creator_tracker: int) -> None:
         pass
 
 
+class _Segment(shared_memory.SharedMemory):
+    """A segment that lets go of its ring views before it unmaps.
+
+    ``SharedMemory.close`` — and so its finalizer, in whatever order the
+    collector runs it — raises ``BufferError`` while any view of the
+    mapping is alive, and a connection's rings hold two for life.
+    """
+
+    rings: tuple = ()
+
+    def close(self) -> None:
+        for ring in self.rings:
+            ring.release()
+        super().close()
+
+
 class _ShmCounters:
     """Cached ``shm.*`` instruments (all ``None`` without a registry).
 
@@ -255,16 +256,17 @@ class _ShmCounters:
 class _ShmConnection:
     """One established connection: a (tx, rx) ring pair plus doorbells.
 
-    Strictly one in-flight exchange at a time per side — the client pool
-    checks a connection out exclusively and the server serves each
-    connection from a single thread — so no locking is needed on the
-    rings themselves (that is what makes them SPSC).
+    An exchange :class:`~repro.channels.exchange.Connection`.  Strictly
+    one in-flight exchange at a time per side — the client pool checks a
+    connection out exclusively and the server serves each connection
+    from a single thread — so no locking is needed on the rings
+    themselves (that is what makes them SPSC).
     """
 
     def __init__(
         self,
         sock: socket.socket,
-        segment: shared_memory.SharedMemory,
+        segment: _Segment,
         tx,
         rx,
         bell_peer: Doorbell,
@@ -277,6 +279,7 @@ class _ShmConnection:
         self._sock = sock
         self._sock_fd = sock.fileno()
         self._segment = segment
+        segment.rings = (tx, rx)
         self._tx = tx
         self._rx = rx
         self._bell_peer = bell_peer
@@ -294,8 +297,10 @@ class _ShmConnection:
             self._spin = spin
         self._counters = counters
         self._header_scratch = bytearray(HEADER_SIZE)
-        self._coalesce_scratch = bytearray(HEADER_SIZE)
+        #: Ring bytes the last read_frame lent out zero-copy.
+        self._lent = 0
         self._closed = False
+        self._close_lock = threading.Lock()
         self._poller = select.poll()
         self._poller.register(bell_self.fileno(), select.POLLIN)
         self._poller.register(self._sock_fd, select.POLLIN)
@@ -375,48 +380,19 @@ class _ShmConnection:
 
     # -- sending ------------------------------------------------------
 
-    def send_frame(self, frame) -> None:
-        """Send a prebuilt frame (header already at the front)."""
+    def send(self, parts: list) -> None:
+        """Copy one already-framed frame into the tx ring, part by part."""
         self._check_open()
         try:
-            self._write_all(frame)
-            self._flush()
-            self._note_sent(len(frame))
-        except (ValueError, TypeError):
-            # A concurrent close() released the segment views under us.
-            raise ChannelClosedError("shm connection is closed") from None
-
-    def send_frame_parts(self, parts, flags: int = 0) -> None:
-        """Frame and send the concatenation of *parts*.
-
-        The header and any leading run of small parts (request meta, a
-        response status byte) are coalesced into one scratch buffer so a
-        typical frame costs two ring writes — scratch, then the payload
-        — instead of one per part.
-        """
-        self._check_open()
-        total = sum(len(part) for part in parts)
-        if total > MAX_FRAME:
-            raise WireFormatError(
-                f"frame payload of {total} bytes exceeds {MAX_FRAME}"
-            )
-        try:
-            scratch = self._coalesce_scratch
-            del scratch[HEADER_SIZE:]
-            pack_header_into(scratch, 0, flags, total)
-            tail_parts = []
+            total = 0
             for part in parts:
-                if not tail_parts and len(part) <= 512:
-                    scratch += part
-                else:
-                    tail_parts.append(part)
-            self._write_all(scratch)
-            for part in tail_parts:
                 if len(part):
                     self._write_all(part)
+                    total += len(part)
             self._flush()
-            self._note_sent(HEADER_SIZE + total)
+            self._note_sent(total)
         except (ValueError, TypeError):
+            # A concurrent close() released the segment views under us.
             raise ChannelClosedError("shm connection is closed") from None
 
     def _note_sent(self, count: int) -> None:
@@ -459,16 +435,15 @@ class _ShmConnection:
 
     # -- receiving ----------------------------------------------------
 
-    def read_frame(self, bounce: bytearray):
-        """Read one frame; returns ``(flags, payload_view, pending)``.
+    def read_frame(self, scratch: bytearray) -> tuple[int, memoryview]:
+        """Read one frame; returns ``(flags, payload_view)``.
 
-        When the payload is contiguous in the ring, *payload_view* is a
-        window straight into shared memory and *pending* is the byte
-        count the caller must pass to :meth:`consume` **after** releasing
-        the view (and any sub-views).  Otherwise the payload is staged
-        through *bounce* (grown, never shrunk — it stabilises at the
-        connection's largest wrapped frame), the ring is already
-        consumed, and *pending* is 0.
+        When the payload is contiguous in the ring, the view is a window
+        straight into shared memory and the ring bytes under it are
+        consumed by :meth:`release_frame`.  Otherwise the payload is
+        staged through *scratch* (grown, never shrunk — it stabilises at
+        the connection's largest wrapped frame) and the ring is already
+        consumed.
         """
         try:
             self._read_exact(self._header_scratch)
@@ -481,16 +456,18 @@ class _ShmConnection:
             if rx.can_view(length):
                 if rx.used() < length:
                     self._wait(rx, lambda: rx.used() >= length)
-                return flags, rx.view(length), length
-            if len(bounce) < length:
-                bounce.extend(bytes(length - len(bounce)))
-            view = memoryview(bounce)[:length]
+                view = rx.view(length)
+                self._lent = length
+                return flags, view
+            if len(scratch) < length:
+                scratch.extend(bytes(length - len(scratch)))
+            view = memoryview(scratch)[:length]
             try:
                 self._read_exact(view)
             except BaseException:
                 view.release()
                 raise
-            return flags, view, 0
+            return flags, view
         except (ValueError, TypeError):
             raise ChannelClosedError("shm connection is closed") from None
 
@@ -508,12 +485,13 @@ class _ShmConnection:
             else:
                 self._wait(rx, lambda: rx.used() > 0)
 
-    def consume(self, length: int) -> None:
-        """Retire bytes served zero-copy by :meth:`read_frame`."""
-        if self._closed:
+    def release_frame(self) -> None:
+        """Retire the ring bytes :meth:`read_frame` served zero-copy."""
+        lent, self._lent = self._lent, 0
+        if not lent or self._closed:
             return
         try:
-            self._rx.consume(length)
+            self._rx.consume(lent)
             if self._rx.writer_waiting():
                 self._ring_peer()
         except (ValueError, TypeError):  # concurrent close() released the views
@@ -522,29 +500,30 @@ class _ShmConnection:
     # -- teardown -----------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            mark_closed(self._segment.buf)
-        except (ValueError, TypeError):  # pragma: no cover - torn segment
-            pass
-        # Wake a parked peer so it observes the closed flag promptly.
-        self._bell_peer.ring()
-        self._tx.release()
-        self._rx.release()
-        self._bell_peer.close()
-        self._bell_self.close()
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - teardown must finish
-            pass
-        try:
-            self._segment.close()
-        except (OSError, BufferError):  # pragma: no cover
-            pass
-        if self._counters.connections is not None:
-            self._counters.connections.add(-1)
+        with self._close_lock:
+            if not self._closed:
+                self._closed = True
+                try:
+                    mark_closed(self._segment.buf)
+                except (ValueError, TypeError):  # pragma: no cover - torn segment
+                    pass
+                # Wake a parked peer so it observes the closed flag promptly.
+                self._bell_peer.ring()
+                self._bell_peer.close()
+                self._bell_self.close()
+                try:
+                    self._sock.close()
+                except OSError:  # pragma: no cover - teardown must finish
+                    pass
+                if self._counters.connections is not None:
+                    self._counters.connections.add(-1)
+            try:
+                self._segment.close()
+            except BufferError:
+                # Another thread is mid-exchange on a ring view.  It calls
+                # close() again once it has handed the frame back, and
+                # that call unmaps.
+                pass
 
 
 def _connect(
@@ -566,9 +545,7 @@ def _connect(
     try:
         sock.settimeout(10.0)
         sock.connect(path)
-        segment = shared_memory.SharedMemory(
-            create=True, size=segment_size(ring_size)
-        )
+        segment = _Segment(create=True, size=segment_size(ring_size))
         init_segment(segment.buf, ring_size)
         bell_self = Doorbell.create()  # we park here; the server rings it
         bell_peer = Doorbell.create()  # the server parks; we ring it
@@ -632,9 +609,6 @@ class _ShmBinding(ServerBinding):
             authority = f"shm-{os.getpid()}-{next(_auto_authorities)}"
         self._authority = authority
         self._handler = handler
-        # Attached by RemotingHost.listen; plain handlers have none and
-        # their responses carry no credit grants.
-        self._grantor = getattr(handler, "credit_grantor", None)
         self._spin = spin
         self._counters = counters
         self._closed = threading.Event()
@@ -707,7 +681,7 @@ class _ShmBinding(ServerBinding):
             if magic != _HELLO_MAGIC or version != VERSION:
                 raise OSError(f"bad shm hello {magic!r} v{version}")
             name = msg[_HELLO.size : _HELLO.size + name_len].decode("utf-8")
-            segment = shared_memory.SharedMemory(name=name)
+            segment = _Segment(name=name)
             _untrack(segment, creator_tracker)
             if read_segment_header(segment.buf) != ring_size:
                 raise OSError("shm segment/hello ring-size mismatch")
@@ -743,61 +717,14 @@ class _ShmBinding(ServerBinding):
                 conn.close()
                 return
             self._connections.add(conn)
-        bounce = bytearray()
         try:
-            self._serve_loop(conn, bounce)
+            serve_connection(conn, self._handler, self._closed)
         finally:
             with self._lock:
                 self._connections.discard(conn)
+            # This thread held the ring views, so this close() is the one
+            # that can always finish unmapping.
             conn.close()
-
-    def _serve_loop(self, conn: _ShmConnection, bounce: bytearray) -> None:
-        """Serial request/response loop, zero-copy like TCP's fast serve.
-
-        The handler sees the request body as a ``memoryview`` — into the
-        shared ring itself in the contiguous case — and must not retain
-        it past its return; the ring bytes are consumed (and the client
-        thereby unblocked) only after the response has been written.
-        """
-        grantor = self._grantor
-        while not self._closed.is_set():
-            try:
-                flags, view, pending = conn.read_frame(bounce)
-            except (ChannelError, WireFormatError, OSError):
-                return  # peer hung up or sent garbage
-            body = response = None
-            ok = True
-            try:
-                try:
-                    path, headers, body = decode_request_view(view)
-                    response = self._handler(path, body, headers)
-                    status = STATUS_OK
-                except Exception as exc:  # noqa: BLE001 - wire boundary
-                    response = f"{type(exc).__name__}: {exc}".encode("utf-8")
-                    status = STATUS_ERROR
-                # Grants only go to peers that set FLAG_CREDIT on the
-                # request — an old client must never see extra bytes.
-                if grantor is not None and flags & FLAG_CREDIT:
-                    parts = [
-                        pack_credit(grantor.grant()),
-                        bytes((status,)),
-                        response,
-                    ]
-                    response_flags = FLAG_CREDIT
-                else:
-                    parts = [bytes((status,)), response]
-                    response_flags = 0
-                try:
-                    conn.send_frame_parts(parts, response_flags)
-                except (ChannelError, OSError):
-                    ok = False
-            finally:
-                del body, response
-                view.release()
-                if pending:
-                    conn.consume(pending)
-            if not ok:
-                return
 
     def close(self) -> None:
         if self._closed.is_set():
@@ -818,95 +745,16 @@ class _ShmBinding(ServerBinding):
             conn.close()
 
 
-class _ShmPool:
-    """Idle-connection pool, one list per authority (TCP-pool discipline)."""
-
-    def __init__(
-        self,
-        connect: Callable[[str], _ShmConnection],
-        max_idle_per_authority: int = DEFAULT_MAX_IDLE_PER_AUTHORITY,
-    ) -> None:
-        self._connect = connect
-        self._lock = threading.Lock()
-        self._idle: dict[str, list[_ShmConnection]] = {}
-        self._checked_out: set[_ShmConnection] = set()
-        self._closed = False
-        self._max_idle_per_authority = max_idle_per_authority
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def checkout(self, authority: str) -> _ShmConnection:
-        dead: list[_ShmConnection] = []
-        reused: _ShmConnection | None = None
-        with self._lock:
-            if self._closed:
-                raise ChannelClosedError("channel is closed")
-            idle = self._idle.get(authority)
-            while idle:
-                conn = idle.pop()
-                if conn.alive():
-                    reused = conn
-                    break
-                dead.append(conn)
-            if reused is not None:
-                self._checked_out.add(reused)
-        for conn in dead:
-            conn.close()
-        if reused is not None:
-            return reused
-        conn = self._connect(authority)
-        with self._lock:
-            if self._closed:
-                conn.close()
-                raise ChannelClosedError("channel is closed")
-            self._checked_out.add(conn)
-        return conn
-
-    def checkin(self, authority: str, conn: _ShmConnection) -> None:
-        with self._lock:
-            self._checked_out.discard(conn)
-            if not self._closed and conn.alive():
-                idle = self._idle.setdefault(authority, [])
-                if len(idle) < self._max_idle_per_authority:
-                    idle.append(conn)
-                    return
-        conn.close()
-
-    def forget(self, conn: _ShmConnection) -> None:
-        with self._lock:
-            self._checked_out.discard(conn)
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            connections = [
-                conn for conns in self._idle.values() for conn in conns
-            ]
-            connections.extend(self._checked_out)
-            self._idle.clear()
-            self._checked_out.clear()
-        for conn in connections:
-            # close() marks the shared closed flag and rings the peer's
-            # doorbell, so a thread parked mid-call fails promptly.
-            conn.close()
-
-
-class ShmChannel(Channel):
+class ShmChannel(FramedChannel):
     """Framed request/response over shared-memory rings (scheme ``shm``).
 
-    Same frame format and payload codec as :class:`TcpChannel`, same
-    ``fastpath`` contract (pooled encode buffers, ``memoryview`` decode)
-    — plus ring-resident response payloads: the decode views alias the
-    shared segment itself, so a 64 KiB ``bytes`` reply is copied exactly
-    once, straight from the ring into the result object.
-
-    ``credits=True`` (the default) opts into credit-based backpressure
-    (:mod:`repro.flow`), identical to the socket channels: requests carry
-    :data:`~repro.channels.framing.FLAG_CREDIT` and server grants resize
-    a per-authority in-flight window shared by every pooled connection.
+    Same frame format, payload codec and exchange engine as
+    :class:`~repro.channels.tcp.TcpChannel` — plus ring-resident reply
+    payloads: the decode views alias the shared segment itself, so a
+    64 KiB ``bytes`` reply is copied exactly once, straight from the
+    ring into the result object.  Idle connections are probed with
+    ``alive()`` instead of aged out: the closed flag in the segment says
+    for certain what a socket's age only suggests.
     """
 
     scheme = "shm"
@@ -917,192 +765,25 @@ class ShmChannel(Channel):
         *,
         ring_size: int = DEFAULT_RING_SIZE,
         spin: int = DEFAULT_SPIN,
-        fastpath: bool = True,
         max_idle_per_authority: int = DEFAULT_MAX_IDLE_PER_AUTHORITY,
         credits: bool = True,
         metrics=None,  # type: ignore[no-untyped-def]
     ) -> None:
-        if formatter is None:
-            formatter = FastBinaryFormatter() if fastpath else BinaryFormatter()
-        super().__init__(formatter)
         if ring_size < 4096:
             raise ChannelError(f"shm ring_size {ring_size} is below 4096")
-        self._fastpath = fastpath and hasattr(self.formatter, "dumps_into")
-        self._ring_size = ring_size
         self._spin = spin
         self._counters = _ShmCounters(metrics)
-        self._pool = _ShmPool(self._open_connection, max_idle_per_authority)
-        self._buffers = BufferPool()
-        # Credit-based backpressure (repro.flow): one gate per authority
-        # bounds in-flight calls across all pooled connections to the
-        # server's most recent window grant.
-        self._credits = credits
-        self._metrics = metrics
-        self._gates: dict[str, CreditGate] = {}
-        self._gates_lock = threading.Lock()
-
-    def _gate_for(self, authority: str) -> CreditGate | None:
-        if not self._credits:
-            return None
-        # Unlocked read on the hot path: dict lookups are atomic and
-        # gates, once created, are never replaced.
-        gate = self._gates.get(authority)
-        if gate is not None:
-            return gate
-        with self._gates_lock:
-            gate = self._gates.get(authority)
-            if gate is None:
-                gate = self._gates[authority] = CreditGate(
-                    metrics=self._metrics
-                )
-            return gate
-
-    def _open_connection(self, authority: str) -> _ShmConnection:
-        return _connect(
-            authority,
-            ring_size=self._ring_size,
-            spin=self._spin,
-            counters=self._counters,
+        super().__init__(
+            formatter,
+            functools.partial(
+                _connect, ring_size=ring_size, spin=spin, counters=self._counters
+            ),
+            max_idle_per_authority=max_idle_per_authority,
+            credits=credits,
+            metrics=metrics,
         )
 
     def listen(self, authority: str, handler: RequestHandler) -> ServerBinding:
         return _ShmBinding(
             authority, handler, spin=self._spin, counters=self._counters
         )
-
-    def _handle_call_error(
-        self, conn: _ShmConnection, authority: str, path: str, exc: Exception
-    ) -> None:
-        self._pool.forget(conn)
-        conn.close()
-        if self._pool.closed and not isinstance(exc, ChannelClosedError):
-            raise ChannelClosedError(
-                f"channel closed while calling {authority}/{path}"
-            ) from exc
-
-    def call(
-        self,
-        authority: str,
-        path: str,
-        body: bytes,
-        headers: Mapping[str, str] | None = None,
-    ) -> bytes:
-        # The body never touches an intermediate request buffer: the meta
-        # section (path + headers, a few dozen bytes) is built separately
-        # and the caller's own bytes go straight into the ring — the
-        # zero-copy passive-object path for raw payloads.
-        meta = bytearray()
-        encode_request_meta(meta, path, dict(headers or {}))
-        gate = self._gate_for(authority)
-        if gate is not None:
-            gate.acquire()
-        bounce = self._buffers.acquire()
-        view = payload_view = body_view = None
-        pending = 0
-        conn = None
-        conn_ok = False
-        try:
-            conn = self._pool.checkout(authority)
-            try:
-                conn.send_frame_parts(
-                    [meta, body], FLAG_CREDIT if gate is not None else 0
-                )
-                flags, view, pending = conn.read_frame(bounce)
-            except (OSError, ChannelError) as exc:
-                self._handle_call_error(conn, authority, path, exc)
-                raise
-            conn_ok = True
-            payload_view = view
-            if gate is not None:
-                credit, payload_view = split_credit(flags, view)
-                if credit is not None:
-                    gate.observe_grant(credit)
-            body_view = decode_response_view(payload_view)
-            payload = bytes(body_view)
-        finally:
-            if body_view is not None:
-                body_view.release()
-            if payload_view is not None and payload_view is not view:
-                payload_view.release()
-            if view is not None:
-                view.release()
-            if conn_ok:
-                if pending:
-                    conn.consume(pending)
-                self._pool.checkin(authority, conn)
-            self._buffers.release(bounce)
-            if gate is not None:
-                gate.release()
-        return payload
-
-    def round_trip(
-        self,
-        authority: str,
-        path: str,
-        message: object,
-        headers: Mapping[str, str] | None = None,
-    ):
-        """Zero-copy exchange: pooled encode buffer in, ring view out.
-
-        Mirrors the TCP fast path on the way out — one reusable
-        ``bytearray`` holds ``[header][meta][body]`` with the header
-        patched in place — and beats it on the way back: the response is
-        usually decoded from a ``memoryview`` directly into the shared
-        ring, so there is no receive-buffer copy at all.
-        """
-        if not self._fastpath:
-            return super().round_trip(authority, path, message, headers)
-        gate = self._gate_for(authority)
-        if gate is not None:
-            gate.acquire()
-        send_buf = self._buffers.acquire()
-        bounce = self._buffers.acquire()
-        view = payload = body = None
-        pending = 0
-        conn = None
-        conn_ok = False
-        try:
-            send_buf += b"\x00" * HEADER_SIZE
-            encode_request_meta(send_buf, path, dict(headers or {}))
-            body_start = len(send_buf)
-            self.formatter.dumps_into(send_buf, message)
-            self.last_request_bytes = len(send_buf) - body_start
-            pack_header_into(
-                send_buf,
-                0,
-                FLAG_CREDIT if gate is not None else 0,
-                len(send_buf) - HEADER_SIZE,
-            )
-            conn = self._pool.checkout(authority)
-            try:
-                conn.send_frame(send_buf)
-                flags, view, pending = conn.read_frame(bounce)
-            except (OSError, ChannelError) as exc:
-                self._handle_call_error(conn, authority, path, exc)
-                raise
-            conn_ok = True
-            payload = view
-            if gate is not None:
-                credit, payload = split_credit(flags, view)
-                if credit is not None:
-                    gate.observe_grant(credit)
-            body = decode_response_view(payload)
-            return self.formatter.loads(body)
-        finally:
-            if body is not None:
-                body.release()
-            if payload is not None and payload is not view:
-                payload.release()
-            if view is not None:
-                view.release()
-            if conn_ok:
-                if pending:
-                    conn.consume(pending)
-                self._pool.checkin(authority, conn)
-            self._buffers.release(bounce)
-            self._buffers.release(send_buf)
-            if gate is not None:
-                gate.release()
-
-    def close(self) -> None:
-        self._pool.close()

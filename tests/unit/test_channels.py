@@ -22,26 +22,34 @@ from repro.channels.framing import (
     MAGIC,
     encode_frame,
     parse_header,
-    read_frame,
-    split_correlation,
-    write_frame,
+    read_frame_into,
+    write_frame_parts,
 )
 from repro.channels.http import build_request, build_response, read_http_message
 from repro.channels.services import ChannelServices
-from repro.channels.tcp import _ConnectionPool, parse_host_port
+from repro.channels.tcp import parse_host_port
 from repro.errors import (
     AddressError,
     ChannelClosedError,
     ChannelError,
     WireFormatError,
 )
+from repro.serialization import BinaryFormatter
+from repro.shm import ShmChannel
+
+
+def read_frame(sock):
+    """One frame off *sock* as ``(flags, payload bytes)``."""
+    flags, view = read_frame_into(sock, bytearray())
+    with view:
+        return flags, bytes(view)
 
 
 class TestFraming:
     def test_frame_roundtrip_over_socketpair(self):
         left, right = socket.socketpair()
         try:
-            write_frame(left, b"payload", flags=3)
+            write_frame_parts(left, [b"pay", b"load"], flags=3)
             flags, payload = read_frame(right)
             assert flags == 3
             assert payload == b"payload"
@@ -52,7 +60,7 @@ class TestFraming:
     def test_empty_payload(self):
         left, right = socket.socketpair()
         try:
-            write_frame(left, b"")
+            write_frame_parts(left, [b""])
             _flags, payload = read_frame(right)
             assert payload == b""
         finally:
@@ -61,6 +69,35 @@ class TestFraming:
 
     def test_frame_has_magic_prefix(self):
         assert encode_frame(b"x").startswith(MAGIC)
+
+    def test_parts_writer_matches_reference_encoder(self):
+        """Gather-written frames are byte-identical to ``encode_frame``."""
+        left, right = socket.socketpair()
+        try:
+            write_frame_parts(
+                left, [b"he", b"llo"], flags=4, correlation_id=9, credit=17
+            )
+            expected = encode_frame(
+                b"hello", flags=4, correlation_id=9, credit=17
+            )
+            assert right.recv(len(expected) + 1) == expected
+        finally:
+            left.close()
+            right.close()
+
+    def test_receive_buffer_is_reused_and_grown(self):
+        left, right = socket.socketpair()
+        try:
+            buf = bytearray()
+            for body in (b"x" * 10, b"y" * 4000, b"z" * 3):
+                write_frame_parts(left, [body])
+                _flags, view = read_frame_into(right, buf)
+                with view:
+                    assert bytes(view) == body
+            assert len(buf) == 4000  # grown to the largest frame, not shrunk
+        finally:
+            left.close()
+            right.close()
 
     def test_bad_magic_rejected(self):
         left, right = socket.socketpair()
@@ -83,11 +120,33 @@ class TestFraming:
         finally:
             right.close()
 
+    def test_eof_mid_payload_reported(self):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(encode_frame(b"hello")[:-2])
+            left.close()
+            with pytest.raises(ChannelClosedError):
+                read_frame(right)
+        finally:
+            right.close()
+
     def test_oversize_frame_rejected_at_encode(self):
         from repro.channels.framing import MAX_FRAME
 
         with pytest.raises(WireFormatError):
             encode_frame(b"x" * (MAX_FRAME + 1))
+
+    def test_oversize_frame_rejected_at_write(self, monkeypatch):
+        from repro.channels import framing
+
+        monkeypatch.setattr(framing, "MAX_FRAME", 1024)
+        left, right = socket.socketpair()
+        try:
+            with pytest.raises(WireFormatError):
+                write_frame_parts(left, [b"x" * 1000, b"y" * 25])
+        finally:
+            left.close()
+            right.close()
 
     def test_oversize_length_rejected_at_parse(self):
         from repro.channels.framing import MAX_FRAME
@@ -137,109 +196,31 @@ class TestCorrelation:
     def test_round_trip_over_socketpair(self):
         left, right = socket.socketpair()
         try:
-            write_frame(left, b"req", correlation_id=0xDEADBEEF)
+            write_frame_parts(left, [b"req"], correlation_id=0xDEADBEEF)
             flags, payload = read_frame(right)
             assert flags & FLAG_CORRELATED
-            correlation_id, body = split_correlation(flags, payload)
-            assert correlation_id == 0xDEADBEEF
-            assert body == b"req"
+            assert payload[:CORRELATION_SIZE] == (0xDEADBEEF).to_bytes(8, "big")
+            assert payload[CORRELATION_SIZE:] == b"req"
         finally:
             left.close()
             right.close()
 
-    def test_uncorrelated_frame_passes_through(self):
+    def test_uncorrelated_frame_has_no_flag(self):
         flags, length = parse_header(encode_frame(b"plain")[:HEADER_SIZE])
         assert not flags & FLAG_CORRELATED
-        assert split_correlation(flags, b"plain") == (None, b"plain")
+        assert length == len(b"plain")
 
     def test_zero_length_body_with_correlation(self):
         frame = encode_frame(b"", correlation_id=7)
         flags, length = parse_header(frame[:HEADER_SIZE])
+        assert flags & FLAG_CORRELATED
         assert length == CORRELATION_SIZE  # id only, empty body
-        correlation_id, body = split_correlation(flags, frame[HEADER_SIZE:])
-        assert correlation_id == 7
-        assert body == b""
 
     def test_id_zero_is_valid(self):
         frame = encode_frame(b"b", correlation_id=0)
         flags, _length = parse_header(frame[:HEADER_SIZE])
-        assert split_correlation(flags, frame[HEADER_SIZE:]) == (0, b"b")
-
-    def test_correlated_flag_with_short_payload_rejected(self):
-        with pytest.raises(WireFormatError):
-            split_correlation(FLAG_CORRELATED, b"\x00" * (CORRELATION_SIZE - 1))
-
-
-class _FakeSocket:
-    """Stand-in for a pooled socket; records close()/shutdown()."""
-
-    def __init__(self):
-        self.closed = False
-        self.shut_down = False
-
-    def close(self):
-        self.closed = True
-
-    def shutdown(self, how):
-        self.shut_down = True
-
-
-class TestConnectionPool:
-    def test_idle_bounded_per_authority(self):
-        pool = _ConnectionPool(max_idle_per_authority=2)
-        sockets = [_FakeSocket() for _ in range(4)]
-        for fake in sockets:
-            pool.checkin("a:1", fake)
-        assert pool.idle_count("a:1") == 2
-        assert [fake.closed for fake in sockets] == [False, False, True, True]
-
-    def test_bound_is_per_authority(self):
-        pool = _ConnectionPool(max_idle_per_authority=1)
-        first, second = _FakeSocket(), _FakeSocket()
-        pool.checkin("a:1", first)
-        pool.checkin("b:2", second)
-        assert pool.idle_count("a:1") == 1
-        assert pool.idle_count("b:2") == 1
-        assert not first.closed and not second.closed
-
-    def test_stale_idle_socket_discarded_not_reused(self):
-        now = [0.0]
-        pool = _ConnectionPool(max_idle_s=10.0, clock=lambda: now[0])
-        # A real listener so checkout can open a fresh connection after
-        # rejecting the stale one.
-        server = socket.create_server(("127.0.0.1", 0))
-        try:
-            authority = "127.0.0.1:%d" % server.getsockname()[1]
-            stale = _FakeSocket()
-            pool.checkin(authority, stale)
-            now[0] = 11.0
-            fresh = pool.checkout(authority)
-            try:
-                assert stale.closed  # not handed back
-                assert isinstance(fresh, socket.socket)
-            finally:
-                fresh.close()
-        finally:
-            server.close()
-            pool.close()
-
-    def test_young_idle_socket_reused(self):
-        now = [0.0]
-        pool = _ConnectionPool(max_idle_s=10.0, clock=lambda: now[0])
-        parked = _FakeSocket()
-        pool.checkin("a:1", parked)
-        now[0] = 9.0
-        assert pool.checkout("a:1") is parked
-        assert pool.idle_count("a:1") == 0
-
-    def test_close_closes_idle_sockets(self):
-        pool = _ConnectionPool()
-        parked = _FakeSocket()
-        pool.checkin("a:1", parked)
-        pool.close()
-        assert parked.closed
-        with pytest.raises(ChannelClosedError):
-            pool.checkout("a:1")
+        assert flags & FLAG_CORRELATED
+        assert frame[HEADER_SIZE:] == bytes(CORRELATION_SIZE) + b"b"
 
 
 class TestUriParsing:
@@ -309,22 +290,26 @@ def echo_handler(path, body, headers):
     return f"{prefix}{path}:".encode() + bytes(body)
 
 
-@pytest.fixture(params=["loopback", "tcp", "http", "aio"])
+def ephemeral_authority(channel):
+    """The "pick one for me" authority of *channel*'s transport."""
+    return "auto" if channel.scheme in ("loopback", "shm") else "127.0.0.1:0"
+
+
+@pytest.fixture(params=["loopback", "tcp", "http", "aio", "shm"])
 def channel_and_binding(request):
     if request.param == "loopback":
         channel = LoopbackChannel()
-        binding = channel.listen("auto", echo_handler)
     elif request.param == "tcp":
         channel = TcpChannel()
-        binding = channel.listen("127.0.0.1:0", echo_handler)
     elif request.param == "aio":
         from repro.aio import AioTcpChannel
 
         channel = AioTcpChannel()
-        binding = channel.listen("127.0.0.1:0", echo_handler)
+    elif request.param == "shm":
+        channel = ShmChannel()
     else:
         channel = HttpChannel()
-        binding = channel.listen("127.0.0.1:0", echo_handler)
+    binding = channel.listen(ephemeral_authority(channel), echo_handler)
     yield channel, binding
     binding.close()
     channel.close()
@@ -366,19 +351,14 @@ class TestChannelsCommonBehaviour:
         def bad_handler(path, body, headers):
             raise ValueError("handler exploded")
 
-        if channel.scheme == "loopback":
-            inner = LoopbackChannel()
-            bad = inner.listen("auto", bad_handler)
-        else:
-            inner = type(channel)()
-            bad = inner.listen("127.0.0.1:0", bad_handler)
+        inner = type(channel)()
+        bad = inner.listen(ephemeral_authority(inner), bad_handler)
         try:
             with pytest.raises(ChannelError, match="handler exploded"):
                 channel.call(bad.authority, "x", b"")
         finally:
             bad.close()
-            if inner is not channel:
-                inner.close()
+            inner.close()
 
     def test_concurrent_clients(self, channel_and_binding):
         channel, binding = channel_and_binding
@@ -463,6 +443,64 @@ class TestTcpSpecifics:
         try:
             host, port = parse_host_port(binding.authority)
             assert port > 0
+        finally:
+            binding.close()
+            channel.close()
+
+
+def make_framed_channel(kind, formatter=None):
+    if kind == "tcp":
+        return TcpChannel(formatter)
+    if kind == "shm":
+        return ShmChannel(formatter)
+    from repro.aio import AioTcpChannel
+
+    return AioTcpChannel(formatter, request_timeout=5.0)
+
+
+class TestFramedChannels:
+    """What tcp, shm and aio owe their callers beyond the common contract."""
+
+    @pytest.mark.parametrize("kind", ["tcp", "shm"])
+    def test_formatter_without_dumps_into_round_trips(self, kind):
+        """RMI's ``BinaryFormatter`` cannot append into a frame buffer;
+        it reaches the same exchange through ``call``."""
+        channel = make_framed_channel(kind, BinaryFormatter())
+        assert not hasattr(channel.formatter, "dumps_into")
+
+        def doubler(path, body, headers):
+            value = channel.formatter.loads(bytes(body))
+            return channel.formatter.dumps(value * 2)
+
+        binding = channel.listen(ephemeral_authority(channel), doubler)
+        try:
+            assert channel.round_trip(binding.authority, "p", 21) == 42
+            assert channel.round_trip(binding.authority, "p", "ab") == "abab"
+        finally:
+            binding.close()
+            channel.close()
+
+    @pytest.mark.parametrize("kind", ["tcp", "shm", "aio"])
+    def test_oversize_reply_is_an_error_reply(self, kind, monkeypatch):
+        """A handler result too large to frame costs that one call, not
+        the serving side of the connection."""
+        from repro.channels import framing
+
+        monkeypatch.setattr(framing, "MAX_FRAME", 1024)
+
+        def handler(path, body, headers):
+            return bytes(4096) if path == "big" else b"ok"
+
+        channel = make_framed_channel(kind)
+        binding = channel.listen(ephemeral_authority(channel), handler)
+        try:
+            with pytest.raises(
+                ChannelError, match="response of 4096 bytes exceeds MAX_FRAME"
+            ) as excinfo:
+                channel.call(binding.authority, "big", b"")
+            # A transport error would respawn restartable grains.
+            assert not isinstance(excinfo.value, ChannelClosedError)
+            assert channel.call(binding.authority, "small", b"") == b"ok"
         finally:
             binding.close()
             channel.close()

@@ -126,6 +126,7 @@ def new_pair(transport):
     yield io, grain
     grain.dispose()
     client.close()
+    channel.close()  # hosts leave channels they share via services open
     io.dispose()
     server.close()
 
@@ -137,6 +138,7 @@ def old_pair(transport):
     yield io, grain
     grain.dispose()
     client.close()
+    channel.close()  # hosts leave channels they share via services open
     io.dispose()
     server.close()
 
@@ -218,9 +220,11 @@ class TestFallbackByteIdentity:
                 proxy.invoke("mul", args, kwargs)
             plain = list(channel_b.exchanges)
             client_b.close()
+            channel_b.close()
 
             grain.dispose()  # remote-disposes the shared IO: last
             client_a.close()
+            channel_a.close()
         finally:
             io.dispose()
             server.close()

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import select
+import sys
 import threading
+import warnings
 
 import pytest
 
 from repro.channels.buffers import BufferPool
 from repro.channels.factory import create
 from repro.channels.tcp import TcpChannel
-from repro.errors import ChannelClosedError, ChannelError, RemoteInvocationError
+from repro.errors import ChannelClosedError, ChannelError
 from repro.shm import (
     Doorbell,
     SameNodeChannel,
@@ -37,20 +40,9 @@ def shm_pair():
 
 
 class TestShmChannel:
-    def test_echo(self, shm_pair):
-        channel, binding = shm_pair
-        assert channel.call(binding.authority, "obj/1", b"hi") == b"obj/1:hi"
-
-    def test_headers_delivered(self, shm_pair):
-        channel, binding = shm_pair
-        result = channel.call(
-            binding.authority, "p", b"x", headers={"prefix": ">"}
-        )
-        assert result == b">p:x"
-
-    def test_empty_body(self, shm_pair):
-        channel, binding = shm_pair
-        assert channel.call(binding.authority, "p", b"") == b"p:"
+    """Ring-specific behaviour; the common transport contract (echo,
+    headers, reuse, concurrency, handler errors) runs over shm in
+    ``test_channels.py``."""
 
     def test_body_larger_than_ring_streams_through(self, shm_pair):
         """A payload several times the ring size must flow via wrap/park."""
@@ -58,47 +50,6 @@ class TestShmChannel:
         body = bytes(range(256)) * 512  # 128 KiB through a 16 KiB ring
         result = channel.call(binding.authority, "big", body)
         assert result == b"big:" + body
-
-    def test_sequential_reuse_pools_connection(self, shm_pair):
-        channel, binding = shm_pair
-        for index in range(20):
-            payload = str(index).encode()
-            assert channel.call(binding.authority, "n", payload) == b"n:" + payload
-
-    def test_concurrent_clients(self, shm_pair):
-        channel, binding = shm_pair
-        errors = []
-
-        def worker(tag):
-            try:
-                for index in range(10):
-                    payload = f"{tag}-{index}".encode()
-                    got = channel.call(binding.authority, "c", payload)
-                    assert got == b"c:" + payload
-            except Exception as exc:  # noqa: BLE001 - collected for assert
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(t,)) for t in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-
-    def test_handler_error_propagates(self):
-        def boom(path, body, headers):
-            raise RuntimeError("kaput")
-
-        channel = ShmChannel()
-        binding = channel.listen("auto", boom)
-        try:
-            with pytest.raises((ChannelError, RemoteInvocationError)):
-                channel.round_trip(binding.authority, "p", {"x": 1})
-        finally:
-            binding.close()
-            channel.close()
 
     def test_round_trip_structured(self, shm_pair):
         channel, binding = shm_pair
@@ -177,15 +128,86 @@ class TestShmChannel:
         assert "shm.wait.parks" in snap
         assert "shm.ring.occupancy_mean" in snap
 
-    def test_legacy_formatter_path(self):
-        """fastpath=False still interoperates over the same rings."""
-        channel = ShmChannel(fastpath=False)
+
+def mapped_segments():
+    """Shared-memory segments this process still has mapped."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        return sum("/psm_" in line for line in maps)
+
+
+class TestTeardown:
+    """Every way a connection ends must unmap its segment, ring views
+    first: ``SharedMemory``'s own finalizer raises (unraisably, in
+    whichever test the collector happens to run) while one is alive."""
+
+    @pytest.fixture
+    def unraisable(self):
+        caught = []
+        previous, sys.unraisablehook = sys.unraisablehook, caught.append
+        yield caught
+        sys.unraisablehook = previous
+
+    def test_channel_dropped_without_close(self, unraisable):
+        """What tier-1 used to trip over: the collector finalizing an
+        unclosed channel's pooled connection, segment before rings."""
+        channel = ShmChannel()
         binding = channel.listen("auto", echo_handler)
         try:
-            assert channel.call(binding.authority, "p", b"z") == b"p:z"
+            # Leaves one idle connection in the channel's pool.
+            assert channel.call(binding.authority, "p", b"x") == b"p:x"
+            del channel
+            gc.collect()
         finally:
             binding.close()
-            channel.close()
+        assert unraisable == []
+
+    def test_close_under_a_parked_call(self, unraisable):
+        """Closing both ends while the serve thread holds a ring view:
+        that thread finishes the close once it has let the view go."""
+        gc.collect()
+        before = mapped_segments()
+        entered, release = threading.Event(), threading.Event()
+        kept = []
+
+        def parked(path, body, headers):
+            # A handler that caught an exception leaves frames behind
+            # (traceback cycles) that still name the body; stand in for
+            # them by keeping it.
+            kept.append(body)
+            entered.set()
+            release.wait(10)
+            return bytes(body)
+
+        channel = ShmChannel()
+        binding = channel.listen("auto", parked)
+        errors = []
+
+        def caller():
+            try:
+                channel.call(binding.authority, "p", bytes(64))
+            except ChannelError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=caller)
+        thread.start()
+        assert entered.wait(10)
+        serving = [
+            t for t in threading.enumerate()
+            if t.name == f"parc-shm-conn-{binding.authority}"
+        ]
+        channel.close()
+        binding.close()
+        release.set()
+        for each in [thread, *serving]:
+            each.join(10)
+            assert not each.is_alive()
+        assert [type(exc) for exc in errors] == [ChannelClosedError]
+        # Unmapped by the threads themselves, not by a later collection.
+        assert mapped_segments() == before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gc.collect()
+        assert unraisable == []
 
 
 class TestFactoryComposition:
