@@ -32,9 +32,9 @@ switches — only multi-core hosts can show the shm speedup.
   work-stealing scheduler, plus the migration accounting and the 10k
   grain scale run's call accounting.
 * ``autotune``: returnN reply bytes versus per-call replies, call_many
-  versus per-call round-trip throughput over live tcp, the telemetry-fed
-  autotuner's converged ``max_calls`` against the static sweep's knee,
-  and the mixed old/new-peer farm's call accounting.
+  versus per-call round-trip throughput over live tcp, and the
+  telemetry-fed autotuner's converged ``max_calls`` against the static
+  sweep's knee.
 
 ``compare`` reads two recordings of the same suite — the committed
 artifact and a fresh one — and fails (exit 1) when a guarded ratio
@@ -234,7 +234,6 @@ def collect_autotune() -> dict:
         SWEEP_CALLS,
         WORK_S,
         convergence_run,
-        mixed_farm_accounting,
         reply_sizes,
         roundtrip_rates,
     )
@@ -242,7 +241,6 @@ def collect_autotune() -> dict:
     per_call_bytes, batched_bytes = reply_sizes()
     rates = roundtrip_rates()
     convergence = convergence_run()
-    farm = mixed_farm_accounting()
     return {
         "benchmark": "autotune",
         "python": platform.python_version(),
@@ -259,14 +257,12 @@ def collect_autotune() -> dict:
             "sweep_calls": SWEEP_CALLS,
             **convergence,
         },
-        "mixed_farm": farm,
         "guarded_ratios": {
             "returnn_reply_bytes_64_calls": per_call_bytes / batched_bytes,
             "callmany_vs_percall_tcp": (
                 rates["call_many"] / rates["per_call"]
             ),
             "autotune_vs_best_static": convergence["ratio"],
-            "mixed_farm_executed_vs_posted": farm["executed"] / farm["posted"],
         },
     }
 
@@ -298,7 +294,6 @@ HARDWARE_INDEPENDENT = {
     "columnar_size_64_calls",
     "returnn_reply_bytes_64_calls",
     "elastic_tested_vs_posted",
-    "mixed_farm_executed_vs_posted",
     "scale_10k_executed_vs_posted",
 }
 

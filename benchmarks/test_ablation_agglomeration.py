@@ -16,7 +16,12 @@ from __future__ import annotations
 
 import repro.core as parc
 from repro.benchlib.tables import format_table
-from repro.core import AdaptiveGrainController, GrainPolicy
+from repro.core import (
+    AdaptiveGrainController,
+    GrainPolicy,
+    ParcConfig,
+    SchedulerConfig,
+)
 from repro.perfmodel import MONO_117_TCP
 
 OBJECTS = 24
@@ -56,7 +61,7 @@ def agglomeration_rows():
         ("aggregation only", GrainPolicy(max_calls=8)),
         ("agglomerated", GrainPolicy(agglomerate=True)),
     ):
-        parc.init(nodes=3, grain=grain)
+        parc.init(ParcConfig(nodes=3, scheduler=SchedulerConfig(grain=grain)))
         try:
             total, local = run_generation()
             remote_ios = parc.current_runtime().cluster.total_ios()
@@ -92,7 +97,9 @@ def test_abl_aggl_adaptive_converges(benchmark):
             # measurement noise on loaded CI machines).
             agglomerate_factor=1.0,
         )
-        parc.init(nodes=3, grain=controller)
+        parc.init(
+            ParcConfig(nodes=3, scheduler=SchedulerConfig(grain=controller))
+        )
         try:
             locals_per_generation = []
             for _generation in range(4):

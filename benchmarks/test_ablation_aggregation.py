@@ -43,7 +43,7 @@ def aggregation_rows():
                 grain.post("tick", (index,), {})
             grain.drain()
             assert sink.count == CALLS  # nothing lost
-            messages = grain.batches_sent
+            messages = grain.batches + grain.singles
             modeled_s = messages * MONO_117_TCP.one_way_latency_s
             rows.append((max_calls, messages, modeled_s * 1e3))
         finally:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import repro.core as parc
 from repro.apps.primes import PrimeServer, sieve
 from repro.benchlib.tables import format_table
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.remoting.messages import CallMessage
 from repro.serialization import BinaryFormatter, SoapFormatter
 
@@ -21,7 +21,13 @@ BATCH = 25
 
 
 def run_farm_over(channel_kind: str) -> int:
-    parc.init(nodes=2, channel=channel_kind, grain=GrainPolicy(max_calls=4))
+    parc.init(
+        ParcConfig(
+            nodes=2,
+            channel=channel_kind,
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
+        )
+    )
     try:
         servers = [parc.new(PrimeServer) for _ in range(2)]
         chunk = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import repro.core as parc
 from repro.benchlib.tables import format_table
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 
 OBJECTS = 24
 NODES = 4
@@ -31,7 +31,14 @@ class Cell:
 def placement_rows():
     rows = []
     for policy in ("round_robin", "least_loaded", "random"):
-        parc.init(nodes=NODES, grain=GrainPolicy(), placement=policy)
+        parc.init(
+            ParcConfig(
+                nodes=NODES,
+                scheduler=SchedulerConfig(
+                    grain=GrainPolicy(), placement=policy
+                ),
+            )
+        )
         try:
             cells = [parc.new(Cell) for _ in range(OBJECTS)]
             for index, cell in enumerate(cells):

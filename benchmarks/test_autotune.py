@@ -1,6 +1,6 @@
 """AUTOTUNE — batched replies (returnN) and telemetry-fed grain tuning.
 
-Four claims, asserted on this machine:
+Three claims, asserted on this machine:
 
 * a 64-call synchronous aggregate's reply ships >= 1.4x fewer response
   bytes than 64 per-call replies (one status frame + one columnar result
@@ -12,9 +12,7 @@ Four claims, asserted on this machine:
   within 2x of the best static setting for the workload, where "best
   static" is the smallest power-of-two batch within 10% of the peak
   measured throughput (the knee of the batching curve — beyond it the
-  curve is flat and "best" is measurement noise);
-* a mixed-version farm (one peer without ``invoke_batch``, one with)
-  executes every posted call: the fallback negotiation loses nothing.
+  curve is flat and "best" is measurement noise).
 
 Rates are best-of-ATTEMPTS: a perf guardrail asks "can this machine
 still show the effect", so one pass under transient load does not fail
@@ -64,11 +62,11 @@ class Service:
         return value
 
 
-def serve_service(io_class=ImplementationObject, on_execution=None):
+def serve_service(on_execution=None):
     """One tcp host exposing a Service IO; returns (host, io, uri)."""
     host = RemotingHost(name="autotune-server", services=ChannelServices())
     binding = host.listen(TcpChannel(), "127.0.0.1:0")
-    io = io_class(Service(), "Service", on_execution=on_execution)
+    io = ImplementationObject(Service(), "Service", on_execution=on_execution)
     host.publish(io, "io")
     return host, io, f"tcp://{binding.authority}/io"
 
@@ -332,60 +330,3 @@ def test_autotuner_converges_near_best_static(benchmark):
         f"autotuner converged max_calls={run['adaptive']}, best static is "
         f"{run['best_static']} (need within 2x)"
     )
-
-
-# -- guardrail 4: mixed-version farm -----------------------------------------
-
-
-def mixed_farm_accounting(calls: int = CALLS) -> dict:
-    """call_many against one old and one new peer: count every call."""
-
-    class OldImplementationObject(ImplementationObject):
-        invoke_batch = None  # a peer from before the returnN change
-        invoke_columns = None
-
-    batch = [((float(index), 2.0), {}) for index in range(calls)]
-    expected = [float(index) * 2.0 for index in range(calls)]
-    executed = 0
-    fallbacks = 0
-    hosts = []
-    try:
-        for io_class in (ImplementationObject, OldImplementationObject):
-            host, io, uri = serve_service(io_class=io_class)
-            hosts.append((host, io))
-            client, grain = connect_grain(uri)
-            try:
-                assert grain.call_many("mul", batch) == expected
-                assert grain.call_many("mul", batch) == expected
-                executed += io.stats()["processed"]
-                fallbacks += 0 if grain._sync_batched else 1
-            finally:
-                grain.dispose()
-                client.close()
-    finally:
-        for host, io in hosts:
-            io.dispose()
-            host.close()
-    posted = 2 * 2 * calls
-    return {
-        "posted": posted,
-        "executed": executed,
-        "lost": posted - executed,
-        "fallback_peers": fallbacks,
-    }
-
-
-def test_mixed_farm_loses_zero_calls(benchmark):
-    stats = benchmark.pedantic(
-        mixed_farm_accounting, rounds=1, iterations=1
-    )
-    print()
-    print(
-        format_table(
-            ["counter", "value"],
-            [[name, value] for name, value in sorted(stats.items())],
-            title="AUTOTUNE — mixed old/new peer farm accounting",
-        )
-    )
-    assert stats["lost"] == 0, stats
-    assert stats["fallback_peers"] == 1, stats  # exactly the old peer

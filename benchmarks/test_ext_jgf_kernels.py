@@ -15,7 +15,7 @@ import copy
 import repro.core as parc
 from repro.benchlib import simulate_farm
 from repro.benchlib.tables import format_table
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.perfmodel import MONO_117_TCP
 from repro.perfmodel.network import transfer_time
 
@@ -116,7 +116,12 @@ def test_ext_jgf_live_validation(benchmark):
     from repro.apps.jgf.sor import make_grid
 
     def run_live():
-        parc.init(nodes=3, grain=GrainPolicy(max_calls=2))
+        parc.init(
+            ParcConfig(
+                nodes=3,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=2)),
+            )
+        )
         try:
             series_ok = parallel_fourier_coefficients(5, workers=3) == (
                 fourier_coefficients(5)

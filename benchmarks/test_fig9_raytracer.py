@@ -19,7 +19,7 @@ import repro.core as parc
 from repro.apps.raytracer import checksum, create_scene, farm_render, render
 from repro.benchlib import fig9_curve
 from repro.benchlib.tables import format_table
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.perfmodel import JAVA_RMI, MONO_117_TCP
 
 PROCESSORS = [1, 2, 3, 4, 5, 6]
@@ -100,7 +100,12 @@ def test_fig9_live_mini_farm_validates(benchmark):
     reference = checksum(render(create_scene(2), width, height))
 
     def run_farm():
-        parc.init(nodes=3, grain=GrainPolicy(max_calls=2))
+        parc.init(
+            ParcConfig(
+                nodes=3,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=2)),
+            )
+        )
         try:
             return checksum(
                 farm_render(3, width, height, grid=2, lines_per_chunk=2)

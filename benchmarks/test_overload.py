@@ -28,7 +28,7 @@ import repro.core as parc
 from repro.apps.primes import PrimeServer
 from repro.benchlib.tables import format_table
 from repro.channels.tcp import TcpChannel
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.errors import OverloadError, ParcError
 from repro.flow import CreditGrantor
 from repro.remoting.messages import CallMessage
@@ -123,10 +123,12 @@ def saturation_latencies() -> dict:
     — callers cross-check that nothing was silently dropped.
     """
     rt = parc.init(
-        nodes=1,
-        channel="tcp",
-        grain=GrainPolicy(),
-        mailbox_depth=MAILBOX_DEPTH,
+        ParcConfig(
+            nodes=1,
+            channel="tcp",
+            mailbox_depth=MAILBOX_DEPTH,
+            scheduler=SchedulerConfig(grain=GrainPolicy()),
+        )
     )
     admitted: list[float] = []
     shed: list[float] = []
@@ -192,12 +194,14 @@ def elastic_cycle_stats() -> dict:
     """
     prime = _find_big_prime()
     rt = parc.init(
-        nodes=1,
-        channel="tcp",
-        grain=GrainPolicy(),
-        worker_processes=1,
-        worker_modules=("repro.apps.primes",),
-        elastic=(1, 2),
+        ParcConfig(
+            nodes=1,
+            channel="tcp",
+            worker_processes=1,
+            worker_modules=("repro.apps.primes",),
+            elastic=(1, 2),
+            scheduler=SchedulerConfig(grain=GrainPolicy()),
+        )
     )
     try:
         cluster = rt.cluster

@@ -27,7 +27,7 @@ import repro.core as parc
 from repro.apps.primes import PrimeServer, sieve
 from repro.benchlib.tables import format_table
 from repro.channels.tcp import TcpChannel
-from repro.core import GrainPolicy, ParcConfig
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.remoting.messages import CallMessage
 from repro.shm import ShmChannel
 from repro.telemetry import MetricsRegistry
@@ -174,8 +174,8 @@ def run_farm(same_node_transport: str | None) -> int:
         ParcConfig(
             nodes=2,
             channel="tcp",
-            grain=GrainPolicy(max_calls=4),
             same_node_transport=same_node_transport,
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
         )
     )
     try:

@@ -32,7 +32,7 @@ from repro.aio import AioTcpChannel
 from repro.apps.primes import PrimeServer, sieve
 from repro.benchlib.tables import format_table
 from repro.channels.tcp import TcpChannel
-from repro.core import GrainPolicy, ParcConfig
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.remoting.messages import CallMessage
 from repro.serialization import FastBinaryFormatter
 from repro.serialization.codec import pack_columns
@@ -136,7 +136,7 @@ def run_farm(channel: str) -> int:
         ParcConfig(
             nodes=2,
             channel=channel,
-            grain=GrainPolicy(max_calls=4),
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
         )
     )
     try:

@@ -13,7 +13,7 @@ Run:  python examples/grain_adaptation.py
 """
 
 import repro.core as parc
-from repro.core import AdaptiveGrainController
+from repro.core import AdaptiveGrainController, ParcConfig, SchedulerConfig
 
 
 @parc.parallel(name="examples.TinyWorker", async_methods=["tick"], sync_methods=["count"])
@@ -37,7 +37,7 @@ def main() -> None:
         max_calls_cap=64,
         agglomerate_factor=1.0,  # robust margin for microsecond methods
     )
-    parc.init(nodes=3, grain=controller)
+    parc.init(ParcConfig(nodes=3, scheduler=SchedulerConfig(grain=controller)))
     try:
         generations = []
         for generation in range(6):

@@ -28,7 +28,7 @@ from repro.apps.jgf import (
 )
 from repro.apps.jgf.sor import make_grid
 from repro.benchlib.tables import format_table
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 
 WORKERS = 3
 
@@ -41,7 +41,12 @@ def timed(fn, *args, **kwargs):
 
 def main() -> None:
     rows = []
-    parc.init(nodes=WORKERS, grain=GrainPolicy(max_calls=2))
+    parc.init(
+        ParcConfig(
+            nodes=WORKERS,
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=2)),
+        )
+    )
     try:
         # Series: Fourier coefficients of (x+1)^x.
         seq, seq_s = timed(fourier_coefficients, 12)

@@ -20,7 +20,12 @@ import textwrap
 from pathlib import Path
 
 import repro.core as parc
-from repro.core import GrainPolicy, preprocess_module
+from repro.core import (
+    GrainPolicy,
+    ParcConfig,
+    SchedulerConfig,
+    preprocess_module,
+)
 
 WORKLOAD_SOURCE = textwrap.dedent(
     '''
@@ -83,7 +88,12 @@ def main() -> None:
         spec.loader.exec_module(module)
 
         # Step 4: the original class name is now the PO class.
-        parc.init(nodes=4, grain=GrainPolicy(max_calls=4))
+        parc.init(
+            ParcConfig(
+                nodes=4,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
+            )
+        )
         try:
             workers = [module.RowWorker(width, height) for _ in range(4)]
             for y in range(height):

@@ -15,7 +15,7 @@ import time
 
 import repro.core as parc
 from repro.apps.primes import PrimeServer, sieve
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 
 
 def sequential_count(limit: int) -> tuple[int, float]:
@@ -56,11 +56,13 @@ def main() -> None:
     # the per-node boot code: each process imports it and thereby
     # registers the PrimeServer parallel class.
     parc.init(
-        nodes=1,
-        channel="tcp",
-        grain=GrainPolicy(max_calls=2),
-        worker_processes=workers,
-        worker_modules=("repro.apps.primes",),
+        ParcConfig(
+            nodes=1,
+            channel="tcp",
+            worker_processes=workers,
+            worker_modules=("repro.apps.primes",),
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=2)),
+        )
     )
     try:
         count, farm_s = farm_count(limit, workers)
@@ -78,8 +80,15 @@ def main() -> None:
         parc.shutdown()
 
     # Same farm, single process node, for the overlap comparison.
-    parc.init(nodes=1, channel="tcp", grain=GrainPolicy(max_calls=2),
-              worker_processes=1, worker_modules=("repro.apps.primes",))
+    parc.init(
+        ParcConfig(
+            nodes=1,
+            channel="tcp",
+            worker_processes=1,
+            worker_modules=("repro.apps.primes",),
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=2)),
+        )
+    )
     try:
         count, one_s = farm_count(limit, 1)
         assert count == expected

@@ -17,11 +17,11 @@ import time
 import repro.core as parc
 from repro.apps.primes import farm_count_primes, pipeline_primes, sieve
 from repro.benchlib.tables import format_table
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 
 
 def run_with_policy(limit: int, policy: GrainPolicy, label: str) -> list:
-    parc.init(nodes=4, grain=policy)
+    parc.init(ParcConfig(nodes=4, scheduler=SchedulerConfig(grain=policy)))
     try:
         started = time.perf_counter()
         primes = pipeline_primes(limit)
@@ -40,7 +40,12 @@ def main() -> None:
     print(f"primes <= {limit}: {len(expected)} (sequential sieve)")
 
     # The farm version (the paper's Figs. 4-7 class).
-    parc.init(nodes=4, grain=GrainPolicy(max_calls=8))
+    parc.init(
+        ParcConfig(
+            nodes=4,
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=8)),
+        )
+    )
     try:
         count = farm_count_primes(limit, workers=4, batch=16)
         print(f"PrimeServer farm agrees: {count} primes")

@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 """
 
 import repro.core as parc
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 
 
 @parc.parallel
@@ -34,7 +34,12 @@ class Histogram:
 def main() -> None:
     # Boot 4 nodes; aggregate asynchronous calls 8 per message (§3.1's
     # method-call aggregation).
-    parc.init(nodes=4, grain=GrainPolicy(max_calls=8))
+    parc.init(
+        ParcConfig(
+            nodes=4,
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=8)),
+        )
+    )
     try:
         # Each PO's implementation object is placed by the object manager
         # (round-robin by default) — these four live on different nodes.

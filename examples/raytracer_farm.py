@@ -23,7 +23,7 @@ from repro.apps.raytracer import (
     rmi_farm_render,
 )
 from repro.benchlib.tables import format_table
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 
 
 def main() -> None:
@@ -41,7 +41,12 @@ def main() -> None:
 
     rows = [["sequential", 1, round(seq_s, 3), "-"]]
 
-    parc.init(nodes=4, grain=GrainPolicy(max_calls=2))
+    parc.init(
+        ParcConfig(
+            nodes=4,
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=2)),
+        )
+    )
     try:
         for workers in (1, 2, 4):
             started = time.perf_counter()

@@ -10,7 +10,7 @@ Run:  python examples/skeletons.py
 """
 
 import repro.core as parc
-from repro.core import Farm, GrainPolicy, Pipeline
+from repro.core import Farm, GrainPolicy, ParcConfig, Pipeline, SchedulerConfig
 
 TEXT = """the quick brown fox jumps over the lazy dog
 the dog barks and the fox runs
@@ -82,7 +82,12 @@ class Dedup:
 
 
 def main() -> None:
-    parc.init(nodes=4, grain=GrainPolicy(max_calls=4))
+    parc.init(
+        ParcConfig(
+            nodes=4,
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
+        )
+    )
     try:
         # --- Farm: scatter lines, merge counts -------------------------
         with Farm(WordCounter, workers=3) as farm:

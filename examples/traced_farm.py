@@ -19,7 +19,13 @@ import sys
 
 import repro.core as parc
 from repro.apps.primes.sieve import is_prime, sieve
-from repro.core import Farm, GrainPolicy, ParcConfig, TelemetryConfig
+from repro.core import (
+    Farm,
+    GrainPolicy,
+    ParcConfig,
+    SchedulerConfig,
+    TelemetryConfig,
+)
 from repro.core.model import parallel
 from repro.telemetry import get_global_tracer
 
@@ -46,8 +52,8 @@ def main() -> None:
     config = ParcConfig(
         nodes=4,
         channel="tcp",
-        grain=GrainPolicy(max_calls=4),
         telemetry=TelemetryConfig(enabled=True),
+        scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
     )
     with parc.session(config) as runtime:
         tracer = get_global_tracer()

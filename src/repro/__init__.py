@@ -33,7 +33,7 @@ Quickstart::
         def size(self):              # sync: returns a value
             return len(self.seen)
 
-    parc.init(nodes=4)
+    parc.init(parc.ParcConfig(nodes=4))
     try:
         worker = parc.new(Worker)
         worker.push(1); worker.push(2)

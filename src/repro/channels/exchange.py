@@ -211,7 +211,7 @@ def serve_connection(
             del head[HEADER_SIZE:]
             reply_flags = 0
             # Grants only go to peers that set FLAG_CREDIT on the request
-            # — a client that predates credits must never see the extra
+            # — a client without a credit gate must never see the extra
             # payload bytes.
             if grantor is not None and flags & FLAG_CREDIT:
                 reply_flags = FLAG_CREDIT

@@ -19,13 +19,12 @@ the classic strictly-ordered request/response exchange of
 :class:`repro.channels.tcp.TcpChannel`; the two interoperate on the wire.
 
 Bit 1 (:data:`FLAG_CREDIT`) carries credit-based backpressure
-(:mod:`repro.flow`) and is deliberately asymmetric so old peers keep
-working: on a *request* the flag alone says "this client understands
-credits" — the payload is unchanged, so a server that predates the flag
-just ignores the bit.  On a *response* the flag means a 4-byte
-big-endian window grant follows the optional correlation id; servers
-only ever set it when the request carried the bit, so a client that
-predates credits never sees the extra bytes.
+(:mod:`repro.flow`) and is a per-client opt-in: on a *request* the flag
+alone says "this client has a credit gate" — the payload is unchanged.
+On a *response* the flag means a 4-byte big-endian window grant follows
+the optional correlation id; servers only ever set it when the request
+carried the bit, so a client without a
+:class:`~repro.flow.CreditGate` never receives grant bytes.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ Two execution modes share all code above the channel:
 
 from repro.cluster.placement import (
     LeastLoadedPlacement,
-    LegacyPolicyAdapter,
     LocalityAwarePlacement,
     PlacementPolicy,
     RandomPlacement,
@@ -31,7 +30,6 @@ __all__ = [
     "Cluster",
     "ClusterView",
     "LeastLoadedPlacement",
-    "LegacyPolicyAdapter",
     "LocalityAwarePlacement",
     "Node",
     "NodeFactory",

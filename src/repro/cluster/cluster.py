@@ -10,16 +10,15 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from dataclasses import replace as dc_replace
 from typing import TYPE_CHECKING, Any, Literal
 
 from repro.channels.base import Channel
 from repro.channels.breaker import BreakerPolicy
 from repro.channels.factory import available_kinds, create as create_channel
 from repro.channels.services import ChannelServices
-from repro.core.grain import AdaptiveGrainController, GrainPolicy
+from repro.core.grain import GrainPolicy
 from repro.cluster.node import Node
-from repro.cluster.placement import PlacementPolicy, coerce_policy
+from repro.cluster.placement import coerce_policy
 from repro.errors import ScooppError
 from repro.sched import PlannedMove, RebalancePlanner, SchedulerConfig
 from repro.telemetry import (
@@ -70,9 +69,6 @@ class Cluster:
         self,
         num_nodes: int,
         channel_kind: ChannelKind = "loopback",
-        grain: GrainPolicy | AdaptiveGrainController | None = None,
-        placement: PlacementPolicy | str = "round_robin",
-        dispatch_pool_size: int = 16,
         worker_processes: int = 0,
         worker_modules: tuple[str, ...] = (),
         heartbeat_s: float | None = None,
@@ -80,7 +76,6 @@ class Cluster:
         chaos_plan: "FaultPlan | None" = None,
         chaos_controller: "ChaosController | None" = None,
         telemetry: TelemetryConfig | None = None,
-        sync_fastpath: bool = True,
         same_node_transport: str | None = None,
         mailbox_depth: int = 0,
         priority: dict | None = None,
@@ -119,10 +114,8 @@ class Cluster:
 
         *scheduler* is a :class:`~repro.sched.SchedulerConfig` bundling
         the grain policy, placement policy and the adaptive-rebalancing
-        knobs (work stealing, live migration).  It subsumes the flat
-        *grain*/*placement* arguments: passing a conflicting value both
-        ways is an error, while a flat value with no scheduler
-        counterpart is folded in.  When ``scheduler.work_stealing`` is
+        knobs (work stealing, live migration); ``None`` means
+        ``SchedulerConfig()``.  When ``scheduler.work_stealing`` is
         on, a daemon loop samples every node's load report each
         ``rebalance_interval_s`` seconds and live-migrates queued grains
         off overloaded nodes.
@@ -175,47 +168,14 @@ class Cluster:
         self.priority = priority
         self.shed_policy = shed_policy
         self.elastic = elastic
-        # Inline execution of sync calls against idle mailboxes (see
-        # ParcConfig.sync_fastpath); threaded into every node's IOs.
-        self.sync_fastpath = sync_fastpath
         self.metrics = MetricsRegistry()
         self.chaos_controller = chaos_controller
         self.chaos_plan = chaos_plan
         self.telemetry = (
             telemetry if telemetry is not None else TelemetryConfig()
         )
-        # Scheduling knobs: one SchedulerConfig is the source of truth.
-        # The flat grain/placement arguments remain the short spelling
-        # and fold into it; naming both with different values is a
-        # conflict, not a silent override.
         if scheduler is None:
-            scheduler = SchedulerConfig(grain=grain, placement=placement)
-        else:
-            if (
-                grain is not None
-                and scheduler.grain is not None
-                and grain is not scheduler.grain
-            ):
-                raise ScooppError(
-                    "grain given both directly and via SchedulerConfig"
-                )
-            flat_placement_set = placement != "round_robin"
-            sched_placement_set = scheduler.placement != "round_robin"
-            if (
-                flat_placement_set
-                and sched_placement_set
-                and placement != scheduler.placement
-            ):
-                raise ScooppError(
-                    "placement given both directly and via SchedulerConfig"
-                )
-            updates: dict[str, Any] = {}
-            if scheduler.grain is None and grain is not None:
-                updates["grain"] = grain
-            if flat_placement_set and not sched_placement_set:
-                updates["placement"] = placement
-            if updates:
-                scheduler = dc_replace(scheduler, **updates)
+            scheduler = SchedulerConfig()
         self.sched_config = scheduler
         self.grain = (
             scheduler.grain if scheduler.grain is not None else GrainPolicy()
@@ -271,13 +231,11 @@ class Cluster:
                     services=self.services,
                     grain=self.grain,
                     placement=self.placement,
-                    dispatch_pool_size=dispatch_pool_size,
                     metrics=self.metrics,
                     telemetry=self.telemetry,
                     mailbox_depth=mailbox_depth,
                     priority=priority,
                     shed_policy=shed_policy,
-                    sync_fastpath=sync_fastpath,
                 )
                 self.nodes.append(node)
                 if same_node_transport == "shm":
@@ -298,7 +256,6 @@ class Cluster:
         self.worker_handles = []
         # Spawn ingredients, kept for elastic scale-out re-spawns.
         self._worker_modules = tuple(worker_modules)
-        self._dispatch_pool_size = dispatch_pool_size
         self._placement_name = getattr(self.placement, "name", "round_robin")
         if worker_processes:
             from repro.cluster.proc import spawn_workers
@@ -310,13 +267,11 @@ class Cluster:
                     modules=worker_modules,
                     grain=self.grain,
                     placement_name=self._placement_name,
-                    dispatch_pool_size=dispatch_pool_size,
                     telemetry=self.telemetry,
                     same_node_transport=same_node_transport,
                     mailbox_depth=mailbox_depth,
                     priority=priority,
                     shed_policy=shed_policy,
-                    sync_fastpath=sync_fastpath,
                 )
             except Exception:
                 self.close()
@@ -488,13 +443,11 @@ class Cluster:
             modules=self._worker_modules,
             grain=self.grain,
             placement_name=self._placement_name,
-            dispatch_pool_size=self._dispatch_pool_size,
             telemetry=self.telemetry,
             same_node_transport=self.same_node_transport,
             mailbox_depth=self.mailbox_depth,
             priority=self.priority,
             shed_policy=self.shed_policy,
-            sync_fastpath=self.sync_fastpath,
         )
         with self._elastic_lock:
             self.worker_handles.extend(handles)

@@ -20,7 +20,13 @@ from repro.core.grain import AdaptiveGrainController, GrainDecision, GrainPolicy
 from repro.core.impl import ImplementationObject
 from repro.core.model import parallel_class_table
 from repro.cluster.placement import PlacementPolicy, coerce_policy
-from repro.errors import PlacementError, RemoteInvocationError, ScooppError
+from repro.errors import (
+    ChannelError,
+    PlacementError,
+    RemoteInvocationError,
+    RemotingError,
+    ScooppError,
+)
 from repro.flow import estimate_p99
 from repro.remoting import MarshalByRefObject, RemotingHost
 from repro.remoting.proxy import RemoteProxy
@@ -50,10 +56,10 @@ DECISION_LOG_SIZE = 32
 class ObjectManager(MarshalByRefObject):
     """Per-node manager: load reporting, placement, grain decisions.
 
-    The remotely callable surface (``load``, ``class_stats``, ``ping``) is
-    what peer OMs use; ``decide_and_place`` is the local entry POs go
-    through at construction (Fig. 5's "contact OM to get a (host) and tcp
-    (port) for the new object").
+    The remotely callable surface (``load_report``, ``class_stats``,
+    ``ping``) is what peer OMs use; ``decide_and_place`` is the local
+    entry POs go through at construction (Fig. 5's "contact OM to get a
+    (host) and tcp (port) for the new object").
     """
 
     def __init__(
@@ -65,9 +71,6 @@ class ObjectManager(MarshalByRefObject):
     ) -> None:
         self.node = node
         self.grain = grain
-        # Old-style Sequence[float] policies arrive wrapped in the
-        # back-compat adapter (with its DeprecationWarning) right here,
-        # so everything downstream speaks the ClusterView API.
         self.placement = coerce_policy(placement)
         self.metrics = metrics
         self._lock = threading.Lock()
@@ -92,22 +95,16 @@ class ObjectManager(MarshalByRefObject):
 
     # -- remote surface ----------------------------------------------------
 
-    def load(self) -> float:
-        """This node's load: live IOs plus queued work (remote-callable)."""
-        return self.node.current_load()
-
     def load_report(self) -> dict:
         """Structured load report: the ClusterView row peers build.
 
-        Richer than :meth:`load` (which is kept for wire compatibility
-        with older peers): mailbox queue depth joins the scalar load so
-        placement can see backlog, not just population; with telemetry
-        on, the node's ``parc.method.seconds.*`` histogram summaries
-        ride along — ``avg_service_s``/``p99_s`` price the backlog in
-        measured seconds, and the per-method ``methods`` map feeds peer
-        grain autotuners.  Peers running older surfaces simply never
-        read the extra keys (and this side tolerates their absence via
-        ``.get``), so mixed clusters keep placing.
+        The scalar load (live IOs plus queued work) travels with the
+        mailbox queue depth, so placement can see backlog, not just
+        population; with telemetry on, the node's
+        ``parc.method.seconds.*`` histogram summaries ride along —
+        ``avg_service_s``/``p99_s`` price the backlog in measured
+        seconds, and the per-method ``methods`` map feeds peer grain
+        autotuners (absent when nothing has been recorded).
         """
         report = {
             "load": self.node.current_load(),
@@ -477,9 +474,10 @@ class ObjectManager(MarshalByRefObject):
     def _current_reports(self) -> list[dict | None]:
         """Per-directory-slot load reports (None = peer unreachable).
 
-        Cached briefly like the historical loads vector; the richer
-        ``load_report`` RPC degrades to the plain ``load()`` probe for
-        peers running an older surface, so mixed clusters keep placing.
+        Cached for ``LOAD_CACHE_TTL_S``.  A peer whose ``load_report``
+        *answers* with an error is alive: it gets no row this round and
+        ``cluster.errors.load_report`` counts it.  Only a transport
+        failure marks the peer dead.
         """
         now = time.monotonic()
         with self._lock:
@@ -497,13 +495,13 @@ class ObjectManager(MarshalByRefObject):
             try:
                 reports.append(dict(self._peer_om(base_uri).load_report()))
             except RemoteInvocationError:
-                try:
-                    load = float(self._peer_om(base_uri).load())
-                    reports.append({"load": load, "ios": 0, "queued": 0})
-                except Exception:  # noqa: BLE001 - dead peer must not block
-                    reports.append(None)
-                    self.note_dead(base_uri)
-            except Exception:  # noqa: BLE001 - a dead peer must not block
+                reports.append(None)
+                if self.metrics is not None:
+                    self.metrics.counter(
+                        "cluster.errors.load_report",
+                        "load_report calls a live peer answered with an error",
+                    ).inc()
+            except (ChannelError, RemotingError, OSError):
                 reports.append(None)
                 self.note_dead(base_uri)
         with self._lock:
@@ -542,14 +540,13 @@ class ObjectManager(MarshalByRefObject):
         self._merge_peer_method_summaries()
 
     def _merge_peer_method_summaries(self) -> None:
-        """Fold peers' histogram summaries into the grain autotuner.
+        """Merge the peers' histogram summaries into the grain autotuner.
 
         Load reports carry each node's ``parc.method.seconds.*``
         summaries keyed by span name (``Short.method``); translated back
         to wire class names through the parallel-class table they become
         per-(class, method) evidence for :meth:`decide_method`, so a
-        node tunes a method it has never executed locally.  Reports from
-        old peers (no ``methods`` key) contribute nothing.
+        node tunes a method it has never executed locally.
         """
         reports = self._current_reports()
         directory = self._directory_snapshot()
@@ -610,25 +607,18 @@ class Node:
         services: ChannelServices,
         grain: GrainPolicy | AdaptiveGrainController,
         placement: PlacementPolicy,
-        dispatch_pool_size: int = 16,
         metrics: MetricsRegistry | None = None,
         telemetry: TelemetryConfig | None = None,
         mailbox_depth: int = 0,
         priority: dict | None = None,
         shed_policy: str | None = None,
-        sync_fastpath: bool = True,
     ) -> None:
         self.index = index
         self.services = services
         self.mailbox_depth = mailbox_depth
         self.priority = priority
         self.shed_policy = shed_policy
-        self.sync_fastpath = sync_fastpath
-        self.host = RemotingHost(
-            name=f"parc-node-{index}",
-            services=services,
-            dispatch_pool_size=dispatch_pool_size,
-        )
+        self.host = RemotingHost(name=f"parc-node-{index}", services=services)
         # Mailbox fill feeds the credit grantor alongside the host's
         # dispatch backlog: senders are throttled before lanes overflow.
         self.host.credit_grantor.add_source(self._mailbox_pressure)
@@ -681,11 +671,10 @@ class Node:
             mailbox_depth=self.mailbox_depth,
             priority=self.priority,
             shed_policy=self.shed_policy,
-            sync_fastpath=self.sync_fastpath,
         )
 
     def _on_execution(
-        self, class_name: str, elapsed_s: float, method: str | None = None
+        self, class_name: str, elapsed_s: float, method: str
     ) -> None:
         if isinstance(self.om.grain, AdaptiveGrainController):
             self.om.grain.observe_execution(

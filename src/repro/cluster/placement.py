@@ -5,23 +5,10 @@ the current load distribution policy)".  The paper leaves the policy
 abstract; we provide the classic three plus a locality-aware policy and
 make the choice pluggable.
 
-Redesigned API: policies now receive a :class:`repro.sched.ClusterView`
-— per-node load, mailbox queue depth, liveness, learned bytes-per-call
-and same-node reachability — instead of a bare ``Sequence[float]`` of
-loads, and return an index into ``view.nodes`` (directory order, dead
-nodes included).  Old-style policies written against the loads list are
-still usable two ways:
-
-* objects with a ``choose(loads, home_index)`` method that do not
-  subclass the new :class:`PlacementPolicy` are wrapped by
-  :func:`coerce_policy` in a :class:`LegacyPolicyAdapter` (with a
-  ``DeprecationWarning``), which rebuilds the historical contract: the
-  legacy policy sees only live nodes' loads and its pick is mapped back
-  to a directory index;
-* the built-in policies accept a plain loads sequence where a view is
-  expected (``inf`` marks a dead node), again with a
-  ``DeprecationWarning`` — and ``ClusterView`` itself duck-types as the
-  loads sequence, so most old policy *bodies* keep working unmodified.
+Policies receive a :class:`repro.sched.ClusterView` — per-node load,
+mailbox queue depth, liveness, learned bytes-per-call and same-node
+reachability — and return an index into ``view.nodes`` (directory
+order, dead nodes included).
 """
 
 from __future__ import annotations
@@ -29,28 +16,9 @@ from __future__ import annotations
 import abc
 import random
 import threading
-import warnings
-from typing import Sequence
 
 from repro.errors import PlacementError
 from repro.sched.view import ClusterView, NodeView
-
-
-def as_view(view: "ClusterView | Sequence[float]") -> ClusterView:
-    """Accept a :class:`ClusterView` or a legacy loads vector.
-
-    Lifting a bare loads sequence is deprecated: callers should build a
-    view (``inf`` entries become dead nodes).
-    """
-    if isinstance(view, ClusterView):
-        return view
-    warnings.warn(
-        "passing a bare loads sequence to PlacementPolicy.choose() is "
-        "deprecated; pass a repro.sched.ClusterView",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ClusterView.from_loads(view)
 
 
 class PlacementPolicy(abc.ABC):
@@ -73,11 +41,6 @@ class PlacementPolicy(abc.ABC):
             raise PlacementError("placement asked with no live nodes")
         return live
 
-    def _check(self, loads: Sequence[float]) -> None:
-        # Retained for old policy bodies that called the legacy helper.
-        if not len(loads):
-            raise PlacementError("placement asked with no nodes")
-
 
 class RoundRobinPlacement(PlacementPolicy):
     """Cycle through live nodes; ignores load.  The paper-era default."""
@@ -89,7 +52,7 @@ class RoundRobinPlacement(PlacementPolicy):
         self._next = 0
 
     def choose(self, view: ClusterView, home_index: int) -> int:
-        live = self._live(as_view(view))
+        live = self._live(view)
         with self._lock:
             node = live[self._next % len(live)]
             self._next += 1
@@ -102,7 +65,7 @@ class LeastLoadedPlacement(PlacementPolicy):
     name = "least_loaded"
 
     def choose(self, view: ClusterView, home_index: int) -> int:
-        live = self._live(as_view(view))
+        live = self._live(view)
         best = live[0]
         for node in live[1:]:
             if node.load < best.load:
@@ -120,7 +83,7 @@ class RandomPlacement(PlacementPolicy):
         self._lock = threading.Lock()
 
     def choose(self, view: ClusterView, home_index: int) -> int:
-        live = self._live(as_view(view))
+        live = self._live(view)
         with self._lock:
             return live[self._random.randrange(len(live))].index
 
@@ -149,8 +112,7 @@ class LocalityAwarePlacement(PlacementPolicy):
     counts — ten queued 100 µs calls are cheaper than one queued 50 ms
     call.  ``service_scale_s`` converts backlog-seconds into load units
     (one point per 10 ms of queued work by default); nodes without
-    summaries (telemetry off, old peers) contribute 0 and keep the
-    historical score exactly.
+    summaries (telemetry off) contribute 0.
     """
 
     name = "locality"
@@ -180,15 +142,14 @@ class LocalityAwarePlacement(PlacementPolicy):
             else self.wire_cost_factor
         )
         score = node.load + (node.bytes_per_call / self.bytes_scale) * factor
-        avg_service_s = getattr(node, "avg_service_s", 0.0)
-        if avg_service_s > 0.0 and node.queue_depth > 0:
+        if node.avg_service_s > 0.0 and node.queue_depth > 0:
             score += (
-                node.queue_depth * avg_service_s / self.service_scale_s
+                node.queue_depth * node.avg_service_s / self.service_scale_s
             )
         return score
 
     def choose(self, view: ClusterView, home_index: int) -> int:
-        live = self._live(as_view(view))
+        live = self._live(view)
         best = live[0]
         best_score = self._score(best)
         for node in live[1:]:
@@ -203,61 +164,20 @@ class LocalityAwarePlacement(PlacementPolicy):
         return best.index
 
 
-class LegacyPolicyAdapter(PlacementPolicy):
-    """Wraps an old-style ``choose(loads, home_index)`` policy.
-
-    Reconstructs the historical contract the ObjectManager used to
-    provide: the wrapped policy sees a loads list covering only live
-    nodes (so it never has to reason about ``inf`` entries or liveness)
-    with ``home_index`` remapped into that list, and its pick is mapped
-    back to a directory index.
-    """
-
-    def __init__(self, legacy: object) -> None:
-        if not callable(getattr(legacy, "choose", None)):
-            raise PlacementError(
-                f"{type(legacy).__qualname__} has no choose() method"
-            )
-        warnings.warn(
-            f"placement policy {type(legacy).__qualname__} uses the "
-            "legacy choose(loads, home_index) signature; migrate to "
-            "choose(view: repro.sched.ClusterView, home_index)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        self._legacy = legacy
-        self.name = getattr(legacy, "name", type(legacy).__qualname__)
-
-    def choose(self, view: ClusterView, home_index: int) -> int:
-        live = self._live(as_view(view))
-        loads = [node.load for node in live]
-        live_home = 0
-        for position, node in enumerate(live):
-            if node.index == home_index:
-                live_home = position
-                break
-        chosen = self._legacy.choose(loads, live_home)  # type: ignore[attr-defined]
-        if not isinstance(chosen, int) or not 0 <= chosen < len(live):
-            raise PlacementError(
-                f"legacy policy {self.name!r} chose {chosen!r} "
-                f"outside the {len(live)} live nodes"
-            )
-        return live[chosen].index
-
-
 def coerce_policy(policy: object) -> PlacementPolicy:
-    """Return *policy* as a new-style :class:`PlacementPolicy`.
+    """Return *policy* as a :class:`PlacementPolicy`.
 
-    Instances of the redesigned ABC pass through; anything else with a
-    ``choose`` method is wrapped in :class:`LegacyPolicyAdapter` (which
-    emits the ``DeprecationWarning``); strings go through
-    :func:`make_placement`.
+    Instances pass through; strings go through :func:`make_placement`;
+    anything else is a :class:`~repro.errors.PlacementError`.
     """
     if isinstance(policy, PlacementPolicy):
         return policy
     if isinstance(policy, str):
         return make_placement(policy)
-    return LegacyPolicyAdapter(policy)
+    raise PlacementError(
+        f"placement must be a PlacementPolicy or a policy name, got "
+        f"{type(policy).__qualname__}"
+    )
 
 
 _POLICIES = {

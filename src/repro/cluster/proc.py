@@ -76,7 +76,6 @@ class WorkerConfig:
     modules: tuple[str, ...]
     grain_spec: tuple[str, dict]
     placement_name: str
-    dispatch_pool_size: int = 16
     extra_sys_path: tuple[str, ...] = field(default_factory=tuple)
     telemetry: TelemetryConfig | None = None
     #: ``"shm"`` makes the worker dial same-node peers over shared
@@ -87,8 +86,6 @@ class WorkerConfig:
     mailbox_depth: int = 0
     priority: dict | None = None
     shed_policy: str | None = None
-    #: Inline execution of sync calls against idle mailboxes.
-    sync_fastpath: bool = True
 
 
 def _worker_main(config: WorkerConfig, ready, commands) -> None:  # type: ignore[no-untyped-def]
@@ -119,12 +116,10 @@ def _worker_main(config: WorkerConfig, ready, commands) -> None:  # type: ignore
             services=services,
             grain=grain_from_spec(config.grain_spec),
             placement=make_placement(config.placement_name),
-            dispatch_pool_size=config.dispatch_pool_size,
             telemetry=config.telemetry,
             mailbox_depth=config.mailbox_depth,
             priority=config.priority,
             shed_policy=config.shed_policy,
-            sync_fastpath=config.sync_fastpath,
         )
         if config.same_node_transport == "shm":
             # Hidden backplane (see Cluster.__init__): serve the same
@@ -253,13 +248,11 @@ def spawn_workers(
     modules: Sequence[str],
     grain: GrainPolicy | AdaptiveGrainController,
     placement_name: str,
-    dispatch_pool_size: int,
     telemetry: TelemetryConfig | None = None,
     same_node_transport: str | None = None,
     mailbox_depth: int = 0,
     priority: dict | None = None,
     shed_policy: str | None = None,
-    sync_fastpath: bool = True,
 ) -> list[ProcessNodeHandle]:
     """Spawn *count* worker nodes; returns their handles (booted)."""
     context = multiprocessing.get_context("spawn")
@@ -273,14 +266,12 @@ def spawn_workers(
                 modules=tuple(modules),
                 grain_spec=spec,
                 placement_name=placement_name,
-                dispatch_pool_size=dispatch_pool_size,
                 extra_sys_path=sys_paths,
                 telemetry=telemetry,
                 same_node_transport=same_node_transport,
                 mailbox_depth=mailbox_depth,
                 priority=priority,
                 shed_policy=shed_policy,
-                sync_fastpath=sync_fastpath,
             )
             handles.append(ProcessNodeHandle(config, context))
     except Exception:

@@ -1,9 +1,9 @@
-"""Runtime configuration: one typed object instead of eleven kwargs.
+"""Runtime configuration: the one typed value the runtime boots from.
 
-:class:`ParcConfig` gathers every knob :func:`repro.core.init` grew over
-time — cluster shape, transport, grain policy, self-healing, fault
-injection, telemetry — into a single declarative value that can be
-built once, passed around, and handed to :func:`repro.core.session`::
+:class:`ParcConfig` gathers every runtime setting — cluster shape,
+transport, scheduling, self-healing, fault injection, telemetry — into
+a single declarative value that can be built once, passed around, and
+handed to :func:`repro.core.init` or :func:`repro.core.session`::
 
     import repro.core as parc
     from repro.core import ParcConfig
@@ -17,52 +17,28 @@ built once, passed around, and handed to :func:`repro.core.session`::
     with parc.session(config) as runtime:
         ...
 
-``parc.init(**kwargs)`` still accepts the historical keyword arguments;
-it builds a :class:`ParcConfig` via :meth:`ParcConfig.from_kwargs` and
-warns about keys it does not recognize.
+Grain and placement policy live in ``scheduler=SchedulerConfig(...)``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.grain import AdaptiveGrainController, GrainPolicy
 from repro.errors import ScooppError
 from repro.sched import SchedulerConfig
 from repro.telemetry import TelemetryConfig
 
-#: The flat scheduling fields are deprecated spellings of
-#: ``scheduler=SchedulerConfig(...)``; warn once per process, not once
-#: per Cluster, so test suites that boot hundreds of runtimes stay
-#: readable.
-_warned_flat_scheduling = False
-
 
 @dataclass
 class ParcConfig:
-    """Declarative runtime configuration (see module docstring).
-
-    Field names intentionally match the keyword arguments of the
-    historical :func:`repro.core.init` signature, so
-    ``ParcConfig(**old_kwargs)`` and ``init(**old_kwargs)`` accept the
-    same spellings.
-    """
+    """Declarative runtime configuration (see module docstring)."""
 
     #: Number of in-process nodes (each gets an OM + factory).
     nodes: int = 4
     #: Channel kind string, resolved by :func:`repro.channels.create`
     #: (``"loopback"``, ``"tcp"``, ``"aio"``, or a ``"chaos+*"`` variant).
     channel: str = "loopback"
-    #: Grain policy: static knobs or the adaptive controller.
-    #: Deprecated spelling of ``scheduler=SchedulerConfig(grain=...)``.
-    grain: GrainPolicy | AdaptiveGrainController | None = None
-    #: Placement policy name (``"round_robin"``, ``"least_loaded"``, ...).
-    #: Deprecated spelling of ``scheduler=SchedulerConfig(placement=...)``.
-    placement: str = "round_robin"
-    #: Threads per node serving one-way dispatches.
-    dispatch_pool_size: int = 16
     #: Extra nodes as separate OS processes over TCP.
     worker_processes: int = 0
     #: Modules each worker process imports at boot (class registration).
@@ -76,13 +52,6 @@ class ParcConfig:
     chaos_plan: Any = None
     #: Runtime fault controller for ``chaos+*`` channels.
     chaos_controller: Any = None
-    #: Synchronous-call fast path: a sync call (or sync ``call_many``
-    #: batch) whose target mailbox is idle executes inline on the
-    #: caller's thread, skipping the serialize→frame→mailbox round-trip.
-    #: FIFO semantics are preserved (the mailbox is claimed only when
-    #: empty and the worker parks while an inline call runs).  ``False``
-    #: restores the always-queue behaviour.
-    sync_fastpath: bool = True
     #: Same-node transport negotiation: ``"shm"`` routes calls between
     #: co-located processes through shared-memory ring buffers
     #: (:mod:`repro.shm`) while remote peers stay on the socket channel;
@@ -110,9 +79,8 @@ class ParcConfig:
     #: All scheduling knobs in one place: grain policy, placement policy
     #: (name or :class:`~repro.cluster.placement.PlacementPolicy`
     #: instance), work stealing, live migration and the rebalance-loop
-    #: tuning (see :class:`~repro.sched.SchedulerConfig`).  Subsumes the
-    #: flat ``grain``/``placement`` fields above: setting a flat field
-    #: *and* its scheduler counterpart to different values is an error.
+    #: tuning (see :class:`~repro.sched.SchedulerConfig`).  ``None``
+    #: means ``SchedulerConfig()``.
     scheduler: SchedulerConfig | None = None
 
     def __post_init__(self) -> None:
@@ -177,73 +145,3 @@ class ParcConfig:
                 "scheduler must be a SchedulerConfig, got "
                 f"{type(self.scheduler).__qualname__}"
             )
-        flat_used = self.grain is not None or self.placement != "round_robin"
-        if self.scheduler is not None:
-            if (
-                self.grain is not None
-                and self.scheduler.grain is not None
-                and self.grain is not self.scheduler.grain
-            ):
-                raise ScooppError(
-                    "grain given both flat and via scheduler=SchedulerConfig"
-                )
-            if (
-                self.placement != "round_robin"
-                and self.scheduler.placement != "round_robin"
-                and self.placement != self.scheduler.placement
-            ):
-                raise ScooppError(
-                    "placement given both flat and via "
-                    "scheduler=SchedulerConfig"
-                )
-        elif flat_used:
-            global _warned_flat_scheduling
-            if not _warned_flat_scheduling:
-                _warned_flat_scheduling = True
-                warnings.warn(
-                    "flat grain=/placement= runtime options are deprecated; "
-                    "pass scheduler=SchedulerConfig(grain=..., "
-                    "placement=...) instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-
-    def effective_scheduler(self) -> SchedulerConfig:
-        """The scheduler config with any flat fields folded in.
-
-        This is what actually reaches the cluster: ``scheduler`` as
-        given, with a flat ``grain``/``placement`` filling a counterpart
-        the scheduler left at its default (conflicts were already
-        rejected by ``__post_init__``).
-        """
-        from dataclasses import replace
-
-        if self.scheduler is None:
-            return SchedulerConfig(grain=self.grain, placement=self.placement)
-        updates: dict[str, Any] = {}
-        if self.scheduler.grain is None and self.grain is not None:
-            updates["grain"] = self.grain
-        if (
-            self.scheduler.placement == "round_robin"
-            and self.placement != "round_robin"
-        ):
-            updates["placement"] = self.placement
-        return replace(self.scheduler, **updates) if updates else self.scheduler
-
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "ParcConfig":
-        """Build a config from legacy ``init(...)``-style kwargs.
-
-        Unknown keys are dropped with a :class:`UserWarning` (they were
-        silently fatal ``TypeError``\\ s before; a warning keeps old
-        scripts running while flagging the typo).
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            warnings.warn(
-                f"ignoring unknown runtime option(s): {', '.join(unknown)}",
-                UserWarning,
-                stacklevel=3,
-            )
-        return cls(**{k: v for k, v in kwargs.items() if k in known})

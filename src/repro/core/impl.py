@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import logging
 import threading
 import time
 import traceback
@@ -39,6 +40,8 @@ from repro.remoting.messages import ReturnBatch
 from repro.serialization.codec import pack_result_column, unpack_columns
 from repro.telemetry.context import current_context
 from repro.telemetry.tracer import current_tracer_var, get_global_tracer
+
+logger = logging.getLogger("repro.core")
 
 #: The node whose implementation object is executing on this thread.
 #: Parallel objects created *inside* a parallel method are placed by the
@@ -398,12 +401,11 @@ class ImplementationObject(MarshalByRefObject):
         self,
         instance: Any,
         class_name: str,
-        on_execution: Callable[[str, float], None] | None = None,
+        on_execution: Callable[[str, float, str], None] | None = None,
         node: Any = None,
         mailbox_depth: int = 0,
         priority: Mapping[str, str] | None = None,
         shed_policy: "str | ShedPolicy | None" = None,
-        sync_fastpath: bool = True,
     ) -> None:
         self.instance = instance
         self.class_name = class_name
@@ -411,12 +413,10 @@ class ImplementationObject(MarshalByRefObject):
         # Proxy to the grain's new home after a migrate-out; while set,
         # this object is a forwarding shell for straggler callers.
         self._forward: Any = None
+        # Observer called as (class_name, elapsed_s, method) after each
+        # execution; feeds the grain controller's per-method statistics.
         self._on_execution = on_execution
-        # Newer observers take (class_name, elapsed_s, method) so the
-        # autotuner can keep per-method statistics; older two-argument
-        # callbacks are detected on first TypeError and kept working.
-        self._on_execution_with_method = on_execution is not None
-        self._sync_fastpath = sync_fastpath
+        self._on_execution_failed = False
         self._shed_policy = ShedPolicy.parse(shed_policy)
         self._mailbox = _IOMailbox(
             depth=mailbox_depth,
@@ -547,11 +547,6 @@ class ImplementationObject(MarshalByRefObject):
         :class:`~repro.remoting.messages.ReturnBatch` instead of N
         response frames.  Per-call failures land in the batch's error
         slots; they never abort the remaining calls.
-
-        Old peers simply do not have this method, so a new client
-        calling an old server gets the standard "has no remote method"
-        error and falls back to per-call :meth:`invoke` — that is the
-        whole version negotiation.
         """
         trace = current_context.get()
         posted_at = time.monotonic()
@@ -616,7 +611,7 @@ class ImplementationObject(MarshalByRefObject):
         inline slot parks the worker plus any drain/migration until
         the inline call finishes.
         """
-        if not self._sync_fastpath or not self._mailbox.try_claim_idle():
+        if not self._mailbox.try_claim_idle():
             return False
         try:
             telemetry, tracer = self._tracing()
@@ -934,18 +929,19 @@ class ImplementationObject(MarshalByRefObject):
         if self._on_execution is None:
             return
         try:
-            if self._on_execution_with_method:
-                try:
-                    self._on_execution(self.class_name, elapsed, method)
-                except TypeError:
-                    # Legacy two-argument observer; remember and
-                    # retry without the method name.
-                    self._on_execution_with_method = False
-                    self._on_execution(self.class_name, elapsed)
-            else:
-                self._on_execution(self.class_name, elapsed)
+            self._on_execution(self.class_name, elapsed, method)
         except Exception:  # noqa: BLE001 - stats must never kill work
-            pass
+            telemetry = getattr(self.node, "telemetry", None)
+            if telemetry is not None:
+                telemetry.metrics.counter(
+                    "parc.errors.on_execution",
+                    "on_execution observer calls that raised",
+                ).inc()
+            if not self._on_execution_failed:
+                self._on_execution_failed = True
+                logger.exception(
+                    "on_execution observer of %s failed", self.class_name
+                )
 
     @property
     def queue_length(self) -> int:

@@ -42,7 +42,7 @@ from repro.errors import (
     ScooppError,
 )
 from repro.remoting.objref import ObjRef
-from repro.remoting.proxy import RemoteProxy, is_missing_method
+from repro.remoting.proxy import RemoteProxy
 from repro.serialization.codec import (
     method_column_plan,
     pack_columns,
@@ -168,31 +168,20 @@ class RemoteGrain:
             flush_after_s if flush_after_s is not None else self.FLUSH_AFTER_S
         )
         self.grain_id = next(_grain_ids)
-        # Messages shipped, split by kind.  ``batches_sent`` remains the
-        # historical total (singles + batches) for back-compat; the split
-        # counters are what metrics_snapshot exposes.
-        self.batches_sent = 0
+        # Outbox items queued, split by kind (what metrics_snapshot
+        # exposes as po.batches / po.singles).
         self.batches = 0
         self.singles = 0
         self.calls_posted = 0
         # Calls refused with OverloadError (shed remotely or stalled out
         # at the credit gate) — never retried, never treated as a crash.
         self.sheds = 0
-        # Columnar aggregates: enabled by the runtime when the wire fast
-        # path is on.  *impl_class* (the user class, set by the runtime)
-        # supplies method signatures for column planning.
+        # Columnar aggregates: enabled by the runtime once it knows the
+        # grain's class.  *impl_class* (the user class, set by the
+        # runtime) supplies method signatures for column planning.
         self.columnar = False
         self.impl_class: type | None = None
         self._column_plans: dict[str, Any] = {}
-        # Batched replies (returnN): on until the peer proves too old —
-        # an IO without ``invoke_batch`` answers "has no remote method"
-        # and this grain silently drops to per-call invokes, exactly the
-        # columnar-fallback negotiation.  ``_sync_columnar`` gates only
-        # the columnar *request* form of the sync aggregate, so an old
-        # peer that still speaks ``enqueue_columns`` keeps its async
-        # columnar path.
-        self._sync_batched = True
-        self._sync_columnar = True
         # Telemetry-fed autotuning: set by the runtime under an adaptive
         # grain controller.  ``decide_method`` is consulted (rate-limited
         # by RETUNE_PERIOD_S) when a new aggregation buffer opens, so
@@ -323,12 +312,6 @@ class RemoteGrain:
         batch's error slots and are re-raised here as a
         :class:`~repro.errors.BatchCallError` that still carries every
         successful result.
-
-        Old peers without ``invoke_batch`` refuse the first attempt with
-        the standard missing-method error; the grain then falls back —
-        permanently, for its lifetime — to a loop of plain per-call
-        ``invoke`` round-trips that are byte-identical to hand-written
-        singles, so mixed-version clusters lose nothing but the speedup.
         """
         normalized = [
             (tuple(args), dict(kwargs)) for args, kwargs in batch
@@ -351,49 +334,12 @@ class RemoteGrain:
             return self._call_many_inner(method, batch)
 
     def _call_many_inner(self, method: str, batch: list) -> list:
-        if self._sync_batched:
-            try:
-                reply = self._invoke_batched(method, batch)
-            except RemoteInvocationError as exc:
-                if not is_missing_method(exc):
-                    raise
-                # Peer predates invoke_batch: negotiate down for good.
-                self._sync_batched = False
-            else:
-                return self._unpack_returnn(method, reply, len(batch))
-        results: list = []
-        failures: dict[int, BaseException] = {}
-        for index, (args, kwargs) in enumerate(batch):
-            try:
-                results.append(self.impl.invoke(method, args, kwargs))
-            except (OverloadError, RemoteInvocationError) as exc:
-                results.append(None)
-                failures[index] = exc
-        if failures:
-            raise BatchCallError(
-                f"{len(failures)}/{len(batch)} calls of {method!r} "
-                f"failed in a call_many batch",
-                results,
-                failures,
-            )
-        return results
-
-    def _invoke_batched(self, method: str, batch: list):  # type: ignore[no-untyped-def]
-        if self.columnar and self._sync_columnar:
-            columns = pack_columns(batch, self._plan_for(method))
-            if columns is not None:
-                try:
-                    return self.impl.invoke_columns(
-                        method, len(batch), list(columns)
-                    )
-                except RemoteInvocationError as exc:
-                    if not is_missing_method(exc):
-                        raise
-                    # Only the sync columnar surface is missing; the
-                    # row-form invoke_batch below decides whether the
-                    # peer speaks returnN at all.
-                    self._sync_columnar = False
-        return self.impl.invoke_batch(method, batch)
+        columns = self._columns_for(method, batch)
+        if columns is not None:
+            reply = self.impl.invoke_columns(method, len(batch), columns)
+        else:
+            reply = self.impl.invoke_batch(method, batch)
+        return self._unpack_returnn(method, reply, len(batch))
 
     def _unpack_returnn(self, method: str, reply, count: int) -> list:  # type: ignore[no-untyped-def]
         if reply is None or getattr(reply, "count", None) != count:
@@ -595,7 +541,6 @@ class RemoteGrain:
         ``enqueue``), anything longer an aggregate.
         """
         self._outbox.append(item)
-        self.batches_sent += 1
         calls = len(item[1])
         if calls > 1:
             self.batches += 1
@@ -689,8 +634,8 @@ class RemoteGrain:
         cost is paid once per run instead of once per aggregate; a slow
         caller never has more than one item queued and sees no change.
         Only items posted under the same trace context merge (the run is
-        sent under that context), only towards a columnar-speaking peer,
-        and only up to the RUN_MAX_* caps.
+        sent under that context), only for a grain whose class is known
+        (``columnar``), and only up to the RUN_MAX_* caps.
         """
         outbox = self._outbox
         method, calls, ctx = outbox[0]
@@ -714,11 +659,10 @@ class RemoteGrain:
     def _send_run(self, run: list) -> int:
         """Ship *run* in one request; returns the number of calls sent.
 
-        A run of one item travels exactly as it always has (``enqueue``
-        / ``enqueue_columns`` / ``enqueue_batch``).  A longer run is one
-        ``enqueue_run`` and is never re-sent in another form: the IO
-        admits entry by entry, so a failure may have left a prefix
-        enqueued.
+        A run of one item travels as ``enqueue`` / ``enqueue_columns``
+        / ``enqueue_batch``.  A longer run is one ``enqueue_run`` and is
+        never re-sent in another form: the IO admits entry by entry, so
+        a failure may have left a prefix enqueued.
         """
         if len(run) == 1:
             method, calls, _ctx = run[0]
@@ -730,9 +674,9 @@ class RemoteGrain:
         entries = []
         total = 0
         for method, calls, _ctx in run:
-            columns = pack_columns(calls, self._plan_for(method))
+            columns = self._columns_for(method, calls)
             if columns is not None:
-                entries.append((method, len(calls), list(columns), None))
+                entries.append((method, len(calls), columns, None))
             else:
                 entries.append((method, len(calls), None, calls))
             total += len(calls)
@@ -745,25 +689,22 @@ class RemoteGrain:
         Columnar packing encodes the method name, trace header and
         argument schema once and each parameter as one contiguous column
         (Fig. 7's parameter array, transposed).  Heterogeneous batches —
-        kwargs, mixed arity — fall back to the row form transparently.  An
-        older peer without ``enqueue_columns`` refuses the method before
-        anything runs; only that refusal falls back and disables columnar
-        for this grain, because only then is it certain that re-sending
-        as rows cannot duplicate work.  Any other remote failure surfaces.
+        kwargs, mixed arity — travel in the row form.  Either way the
+        aggregate is sent once: a remote failure surfaces, it is never
+        re-sent in the other form.
         """
-        if self.columnar:
-            columns = pack_columns(batch, self._plan_for(method))
-            if columns is not None:
-                try:
-                    self.impl.enqueue_columns(
-                        method, len(batch), list(columns)
-                    )
-                    return
-                except RemoteInvocationError as exc:
-                    if not is_missing_method(exc):
-                        raise
-                    self.columnar = False
-        self.impl.enqueue_batch(method, batch)
+        columns = self._columns_for(method, batch)
+        if columns is not None:
+            self.impl.enqueue_columns(method, len(batch), columns)
+        else:
+            self.impl.enqueue_batch(method, batch)
+
+    def _columns_for(self, method: str, calls: list) -> list | None:
+        """*calls* as argument columns, or None when they travel as rows."""
+        if not self.columnar:
+            return None
+        columns = pack_columns(calls, self._plan_for(method))
+        return list(columns) if columns is not None else None
 
     def _plan_for(self, method: str):  # type: ignore[no-untyped-def]
         try:
@@ -867,9 +808,7 @@ class ProxyObject:
         aggregated ``returnN`` reply — N results for two wire frames
         instead of 2N.  Returns the results in order; if any individual
         call failed, raises :class:`~repro.errors.BatchCallError`
-        carrying the successes and a per-index failure map.  Against an
-        old peer the batch transparently degrades to per-call
-        round-trips with identical semantics.
+        carrying the successes and a per-index failure map.
         """
         info = type(self)._parc_info
         if info is None or method_name not in info.method_kinds:

@@ -11,7 +11,7 @@ Typical use (the paper's programming model, in Python)::
         def count(self):                  # sync (returns a value)
             return ...
 
-    parc.init(nodes=4)
+    parc.init(parc.ParcConfig(nodes=4))
     try:
         server = parc.new(PrimeServer)    # PO; IO placed by the OM
         server.process([2, 3, 5])         # asynchronous, may be aggregated
@@ -465,7 +465,7 @@ class ParcRuntime:
         merged = merge_exports(exports)
         # PO aggregation counters, summed over the grains this runtime
         # tracks: how many aggregate messages left versus unbatched
-        # singles (the split behind the historical batches_sent total).
+        # singles.
         grains = list(self._grains)
         merged["po.batches"] = {
             "type": "counter",
@@ -551,44 +551,26 @@ _runtime_lock = threading.Lock()
 _runtime: ParcRuntime | None = None
 
 
-def init(
-    config: ParcConfig | int | None = None, **kwargs: Any
-) -> ParcRuntime:
-    """Boot the runtime from a :class:`ParcConfig` (or legacy kwargs).
-
-    Preferred form::
+def init(config: ParcConfig | None = None) -> ParcRuntime:
+    """Boot the runtime from a :class:`ParcConfig` (defaults if omitted)::
 
         parc.init(ParcConfig(nodes=4, channel="tcp"))
 
-    Every historical keyword spelling still works —
-    ``parc.init(nodes=4, channel="tcp", heartbeat_s=0.5, ...)`` — and a
-    bare integer first argument is read as ``nodes`` (the old first
-    positional).  Keyword options are folded into a config via
-    :meth:`ParcConfig.from_kwargs`, which warns on unknown keys instead
-    of raising.
-
-    *channel* is ``"loopback"`` (in-process, deterministic), ``"tcp"``
-    (real sockets), ``"aio"`` (multiplexed asyncio sockets), or a
-    ``"chaos+*"`` variant routing every call through the fault-injection
-    layer.  *grain* defaults to no adaptation (:class:`GrainPolicy` with
-    ``max_calls=1``); pass an :class:`AdaptiveGrainController` for
-    run-time grain packing.  *worker_processes* adds nodes running as
-    separate OS processes over TCP; *heartbeat_s*, *breaker*,
-    *chaos_plan* and *chaos_controller* are the self-healing knobs; a
-    ``telemetry=TelemetryConfig(enabled=True)`` turns on distributed
-    tracing and metrics.
+    ``config.channel`` is ``"loopback"`` (in-process, deterministic),
+    ``"tcp"`` (real sockets), ``"aio"`` (multiplexed asyncio sockets),
+    ``"shm"``, or a ``"chaos+*"`` variant routing every call through the
+    fault-injection layer.  Grain and placement policy come from
+    ``config.scheduler`` (:class:`~repro.sched.SchedulerConfig`): the
+    default is no adaptation (:class:`GrainPolicy` with ``max_calls=1``)
+    and round-robin placement.  See :class:`ParcConfig` for the rest.
     """
     global _runtime
-    if isinstance(config, int):
-        # Legacy positional: init(4) meant nodes=4.
-        kwargs.setdefault("nodes", config)
-        config = None
-    if config is not None and kwargs:
-        raise ScooppError(
-            "pass either a ParcConfig or keyword options, not both"
-        )
     if config is None:
-        config = ParcConfig.from_kwargs(**kwargs)
+        config = ParcConfig()
+    elif not isinstance(config, ParcConfig):
+        raise TypeError(
+            f"init() takes a ParcConfig, got {type(config).__qualname__}"
+        )
     with _runtime_lock:
         if _runtime is not None and not _runtime._closed:
             raise ScooppError("runtime already initialized; call shutdown()")
@@ -597,8 +579,7 @@ def init(
         cluster = Cluster(
             num_nodes=config.nodes,
             channel_kind=config.channel,  # type: ignore[arg-type]
-            scheduler=config.effective_scheduler(),
-            dispatch_pool_size=config.dispatch_pool_size,
+            scheduler=config.scheduler,
             worker_processes=config.worker_processes,
             worker_modules=config.worker_modules,
             heartbeat_s=config.heartbeat_s,
@@ -606,7 +587,6 @@ def init(
             chaos_plan=config.chaos_plan,
             chaos_controller=config.chaos_controller,
             telemetry=config.telemetry,
-            sync_fastpath=config.sync_fastpath,
             same_node_transport=config.same_node_transport,
             mailbox_depth=config.mailbox_depth,
             priority=config.priority,
@@ -618,9 +598,7 @@ def init(
 
 
 @contextlib.contextmanager
-def session(
-    config: ParcConfig | int | None = None, **kwargs: Any
-) -> Iterator[ParcRuntime]:
+def session(config: ParcConfig | None = None) -> Iterator[ParcRuntime]:
     """Run a block under a booted runtime, guaranteeing shutdown::
 
         with parc.session(ParcConfig(nodes=4, channel="tcp")) as runtime:
@@ -630,7 +608,7 @@ def session(
 
     Accepts exactly what :func:`init` accepts.
     """
-    runtime = init(config, **kwargs)
+    runtime = init(config)
     try:
         yield runtime
     finally:

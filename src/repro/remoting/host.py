@@ -47,11 +47,7 @@ from repro.remoting.objref import (
     ObjRef,
     current_host,
 )
-from repro.remoting.proxy import (
-    MISSING_METHOD_TEXT,
-    RemoteProxy,
-    make_typed_proxy_class,
-)
+from repro.remoting.proxy import RemoteProxy, make_typed_proxy_class
 from repro.serialization import default_registry
 from repro.telemetry.context import TRACE_HEADER, current_context, from_header
 from repro.telemetry.tracer import current_tracer_var
@@ -81,6 +77,9 @@ class _Entry:
 
 #: Well-known path of the client-activation service on every host.
 ACTIVATION_PATH = "__activation__"
+
+#: Threads per host serving one-way dispatches.
+DISPATCH_POOL_SIZE = 16
 
 
 class ActivationService(MarshalByRefObject):
@@ -126,7 +125,6 @@ class RemotingHost:
         name: str = "",
         services: ChannelServices | None = None,
         clock: Clock | None = None,
-        dispatch_pool_size: int = 16,
     ) -> None:
         self.host_id = name or f"host-{uuid.uuid4().hex[:12]}"
         self.services = services if services is not None else default_services()
@@ -138,10 +136,9 @@ class RemotingHost:
         self._channels: dict[str, Channel] = {}
         self._auto_counter = itertools.count(1)
         self._pool = ThreadPoolExecutor(
-            max_workers=dispatch_pool_size,
+            max_workers=DISPATCH_POOL_SIZE,
             thread_name_prefix=f"parc-dispatch-{self.host_id}",
         )
-        self._dispatch_pool_size = dispatch_pool_size
         # Window grants advertised to credit-aware peers (repro.flow).
         # The dispatch backlog is the host-level pressure signal; the
         # owning cluster node adds a mailbox-fill source on top.
@@ -472,7 +469,7 @@ class RemotingHost:
         should be throttled toward the minimum grant.
         """
         backlog = self._pool._work_queue.qsize()
-        return backlog / float(4 * self._dispatch_pool_size)
+        return backlog / float(4 * DISPATCH_POOL_SIZE)
 
     def _run_call(self, message: CallMessage) -> ReturnMessage:
         telemetry = self.telemetry
@@ -565,7 +562,7 @@ class RemotingHost:
         method = getattr(target, name, None)
         if method is None or not callable(method):
             raise RemotingError(
-                f"{type(target).__qualname__} {MISSING_METHOD_TEXT} {name!r}"
+                f"{type(target).__qualname__} has no remote method {name!r}"
             )
         return method
 

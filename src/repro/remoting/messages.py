@@ -90,10 +90,8 @@ class ReturnBatch:
     failures ride in ``errors`` as ``(index, type_name, message,
     traceback_text)`` tuples so one bad call does not poison its batch.
 
-    Travels inside the ordinary ``ReturnMessage.value`` over the existing
-    STATUS_OK path — old peers never see it (they lack ``invoke_batch``
-    and the client falls back to per-call invokes), so no new status byte
-    or header flag is needed on the wire.
+    Travels inside the ordinary ``ReturnMessage.value`` over the
+    STATUS_OK path, so it needs no status byte or header flag of its own.
     """
 
     count: int = 0

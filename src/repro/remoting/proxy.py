@@ -38,27 +38,6 @@ from repro.remoting.objref import ObjRef, current_host
 from repro.telemetry.context import TRACE_HEADER, current_context, to_header
 from repro.telemetry.tracer import active_tracer
 
-#: How a host words its refusal of a method the target does not have
-#: (``RemotingHost._resolve_method``).  Peers that predate a remote
-#: method answer with exactly this, before anything has executed.
-MISSING_METHOD_TEXT = "has no remote method"
-
-
-def is_missing_method(exc: BaseException) -> bool:
-    """True when *exc* is the remote host refusing an unknown method.
-
-    The one signal version negotiation may act on: the call reached a
-    live peer and did not run.  Every other
-    :class:`~repro.errors.RemoteInvocationError` means the method exists
-    and failed — possibly after side effects — so callers must neither
-    fall back to an older surface nor re-send.
-    """
-    if not isinstance(exc, RemoteInvocationError):
-        return False
-    text = str(exc)
-    return "failed with RemotingError:" in text and MISSING_METHOD_TEXT in text
-
-
 class RemoteProxy:
     """Dynamic transparent proxy bound to an :class:`ObjRef`.
 

@@ -1,10 +1,7 @@
 """SchedulerConfig: every scheduling knob in one typed value.
 
-Scheduling options used to be scattered across flat :class:`ParcConfig`
-fields (``grain``, ``placement``) with no home for the rebalancer's
-thresholds.  ``ParcConfig(scheduler=SchedulerConfig(...))`` gathers them;
-the old flat fields are still accepted (with a once-per-process
-``DeprecationWarning``) so ``init(**old_kwargs)`` keeps working.
+``ParcConfig(scheduler=SchedulerConfig(...))`` is the only home of the
+grain policy, the placement policy and the rebalancer's thresholds.
 """
 
 from __future__ import annotations
@@ -20,9 +17,8 @@ class SchedulerConfig:
     """Placement, grain adaptation, and rebalancing knobs.
 
     ``placement`` accepts a policy name (``"round_robin"``,
-    ``"least_loaded"``, ``"random"``, ``"locality"``) or a policy
-    instance (old-style ``Sequence[float]`` policies are wrapped by a
-    back-compat adapter with a ``DeprecationWarning``).
+    ``"least_loaded"``, ``"random"``, ``"locality"``) or a
+    :class:`~repro.cluster.placement.PlacementPolicy` instance.
 
     ``work_stealing`` enables idle-node pulls: a node whose mailbox
     backlog is below ``idle_threshold`` queued calls steals a grain —

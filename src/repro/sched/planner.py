@@ -79,7 +79,7 @@ class RebalancePlanner:
         self._expire_cooldowns(now)
 
         # Service-time weighting: when EVERY live report carries a
-        # measured avg_service_s (telemetry on, no old peers), a node's
+        # measured avg_service_s (telemetry on everywhere), a node's
         # backlog is priced in seconds of work normalized to the cluster
         # mean — 100 queued 100 µs calls weigh less than 10 queued 50 ms
         # calls.  One missing/zero figure disables weighting entirely:

@@ -1,23 +1,17 @@
 """Cluster views: the structured load snapshot placement policies see.
 
-The historical placement API handed policies a bare ``Sequence[float]``
-of per-node loads — enough for round-robin, blind to everything the
-runtime has since learned: queue depths (flow control), liveness (the
-failure detector), learned bytes-per-call (the adaptive grain
+A :class:`ClusterView` carries what the runtime knows about each node
+when a grain is placed: load and queue depths (flow control), liveness
+(the failure detector), learned bytes-per-call (the adaptive grain
 controller) and transport cost asymmetry (the shm backplane makes
-same-node peers ~3x cheaper than wire peers).  :class:`ClusterView`
-carries all of it, one :class:`NodeView` per directory entry.
-
-Back-compat: a ``ClusterView`` also *is* a read-only sequence of floats
-(``len``/``[]``/iteration yield per-node effective loads, ``inf`` for
-dead nodes), so old-style policy bodies written against the loads list
-keep working when handed a view.
+same-node peers cheaper than wire peers) — one :class:`NodeView` per
+directory entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 _INF = float("inf")
 
@@ -37,8 +31,8 @@ class NodeView:
 
     ``avg_service_s``/``p99_s`` summarize the node's
     ``parc.method.seconds.*`` latency histograms (mean and conservative
-    p99 across its hosted methods, 0.0 when telemetry is off or the peer
-    predates the reply-path rework) — the signal that lets placement
+    p99 across its hosted methods, 0.0 when telemetry is off) — the
+    signal that lets placement
     price *service time* rather than assume every queued task costs the
     same.
     """
@@ -53,11 +47,6 @@ class NodeView:
     bytes_per_call: float = 0.0
     avg_service_s: float = 0.0
     p99_s: float = 0.0
-
-    @property
-    def effective_load(self) -> float:
-        """The legacy scalar: the load, or ``inf`` for a dead node."""
-        return self.load if self.alive else _INF
 
 
 @dataclass(frozen=True)
@@ -78,7 +67,7 @@ class ClusterView:
         loads: Sequence[float],
         class_name: str | None = None,
     ) -> "ClusterView":
-        """Lift a legacy loads vector into a view (``inf`` = dead)."""
+        """Build a view from per-node loads (``inf`` marks a dead node)."""
         return cls(
             nodes=tuple(
                 NodeView(
@@ -95,20 +84,3 @@ class ClusterView:
     def live(self) -> list[NodeView]:
         """Nodes the failure detector considers reachable."""
         return [node for node in self.nodes if node.alive]
-
-    def loads(self) -> list[float]:
-        """The legacy per-node loads vector (``inf`` for dead nodes)."""
-        return [node.effective_load for node in self.nodes]
-
-    # -- Sequence[float] duck typing (legacy policy bodies) ---------------
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __getitem__(self, index):  # type: ignore[no-untyped-def]
-        if isinstance(index, slice):
-            return self.loads()[index]
-        return self.nodes[index].effective_load
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.loads())

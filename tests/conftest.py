@@ -8,7 +8,12 @@ import signal
 import pytest
 
 import repro.core as parc
-from repro.core import AdaptiveGrainController, GrainPolicy
+from repro.core import (
+    AdaptiveGrainController,
+    GrainPolicy,
+    ParcConfig,
+    SchedulerConfig,
+)
 
 #: Optional per-test watchdog (seconds), enabled by PARC_TEST_TIMEOUT.
 #: The chaos CI job uses it so a hung fault-injection test fails loudly
@@ -38,7 +43,12 @@ def pytest_runtest_call(item):
 @pytest.fixture
 def runtime():
     """A 3-node loopback runtime with light aggregation; always torn down."""
-    rt = parc.init(nodes=3, grain=GrainPolicy(max_calls=4))
+    rt = parc.init(
+        ParcConfig(
+            nodes=3,
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
+        )
+    )
     try:
         yield rt
     finally:
@@ -48,7 +58,12 @@ def runtime():
 @pytest.fixture
 def plain_runtime():
     """A 2-node runtime with no aggregation (max_calls=1)."""
-    rt = parc.init(nodes=2, grain=GrainPolicy(max_calls=1))
+    rt = parc.init(
+        ParcConfig(
+            nodes=2,
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=1)),
+        )
+    )
     try:
         yield rt
     finally:
@@ -61,7 +76,9 @@ def adaptive_runtime():
     controller = AdaptiveGrainController(
         overhead_s=500e-6, min_samples=4, max_calls_cap=32
     )
-    rt = parc.init(nodes=3, grain=controller)
+    rt = parc.init(
+        ParcConfig(nodes=3, scheduler=SchedulerConfig(grain=controller))
+    )
     try:
         yield rt, controller
     finally:

@@ -27,7 +27,7 @@ from repro.apps.raytracer import (
     rmi_farm_render,
 )
 from repro.apps.raytracer.parallel import make_chunks
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 
 WIDTH = HEIGHT = 20
 GRID = 2
@@ -94,7 +94,12 @@ class TestParcFarm:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_checksum_matches_sequential(self, reference_image, workers):
         _image, reference = reference_image
-        parc.init(nodes=3, grain=GrainPolicy(max_calls=2))
+        parc.init(
+            ParcConfig(
+                nodes=3,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=2)),
+            )
+        )
         try:
             image = farm_render(workers, WIDTH, HEIGHT, grid=GRID, lines_per_chunk=3)
             assert checksum(image) == reference
@@ -103,7 +108,12 @@ class TestParcFarm:
 
     def test_aggregated_farm_matches(self, reference_image):
         _image, reference = reference_image
-        parc.init(nodes=2, grain=GrainPolicy(max_calls=16))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=16)),
+            )
+        )
         try:
             image = farm_render(2, WIDTH, HEIGHT, grid=GRID, lines_per_chunk=2)
             assert checksum(image) == reference
@@ -112,7 +122,12 @@ class TestParcFarm:
 
     def test_agglomerated_farm_matches(self, reference_image):
         _image, reference = reference_image
-        parc.init(nodes=2, grain=GrainPolicy(agglomerate=True))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(agglomerate=True)),
+            )
+        )
         try:
             image = farm_render(2, WIDTH, HEIGHT, grid=GRID)
             assert checksum(image) == reference
@@ -161,7 +176,12 @@ class TestMpiFarm:
         from repro.apps.raytracer import mpi_farm_render
 
         _image, reference = reference_image
-        parc.init(nodes=2, grain=GrainPolicy(max_calls=2))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=2)),
+            )
+        )
         try:
             parc_image = farm_render(2, WIDTH, HEIGHT, grid=GRID)
         finally:
@@ -210,14 +230,24 @@ class TestPrimes:
         assert pipeline_primes(limit) == sieve(limit)
 
     def test_pipeline_with_aggregation(self):
-        parc.init(nodes=2, grain=GrainPolicy(max_calls=8))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=8)),
+            )
+        )
         try:
             assert pipeline_primes(80) == sieve(80)
         finally:
             parc.shutdown()
 
     def test_pipeline_agglomerated(self):
-        parc.init(nodes=2, grain=GrainPolicy(agglomerate=True))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(agglomerate=True)),
+            )
+        )
         try:
             assert pipeline_primes(80) == sieve(80)
         finally:

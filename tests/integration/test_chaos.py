@@ -20,7 +20,7 @@ import pytest
 import repro.core as parc
 from repro.channels.breaker import BreakerPolicy
 from repro.chaos import ChaosController, plan_from_percentages
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.errors import (
     ChannelClosedError,
     NodeLostError,
@@ -74,12 +74,14 @@ def _authority_of(node):
 def chaos_runtime():
     controller = ChaosController(seed=7)
     rt = parc.init(
-        nodes=3,
-        channel="chaos+tcp",
-        grain=GrainPolicy(),
-        heartbeat_s=0.05,
-        breaker=BreakerPolicy(failure_threshold=2, reset_timeout_s=0.3),
-        chaos_controller=controller,
+        ParcConfig(
+            nodes=3,
+            channel="chaos+tcp",
+            heartbeat_s=0.05,
+            breaker=BreakerPolicy(failure_threshold=2, reset_timeout_s=0.3),
+            chaos_controller=controller,
+            scheduler=SchedulerConfig(grain=GrainPolicy()),
+        )
     )
     try:
         yield rt, controller
@@ -222,7 +224,13 @@ class TestClusterCloseOrdering:
                 time.sleep(seconds)
                 return "rested"
 
-        rt = parc.init(nodes=2, channel=kind, grain=GrainPolicy())
+        rt = parc.init(
+            ParcConfig(
+                nodes=2,
+                channel=kind,
+                scheduler=SchedulerConfig(grain=GrainPolicy()),
+            )
+        )
         outcome = {}
         try:
             remote_authority = _authority_of(rt.cluster.nodes[1])
@@ -253,7 +261,13 @@ class TestClusterCloseOrdering:
         assert outcome["elapsed"] < 10.0
 
     def test_new_calls_after_close_raise_channel_closed(self):
-        rt = parc.init(nodes=2, channel="tcp", grain=GrainPolicy())
+        rt = parc.init(
+            ParcConfig(
+                nodes=2,
+                channel="tcp",
+                scheduler=SchedulerConfig(grain=GrainPolicy()),
+            )
+        )
         channel = rt.cluster.client_channel
         authority = _authority_of(rt.cluster.nodes[1])
         parc.shutdown()
@@ -274,10 +288,12 @@ def _chaos_workload(seed, channel="chaos+loopback"):
         latency_s=(0.0005, 0.002),
     )
     parc.init(
-        nodes=2,
-        channel=channel,
-        grain=GrainPolicy(),
-        chaos_plan=plan,
+        ParcConfig(
+            nodes=2,
+            channel=channel,
+            chaos_plan=plan,
+            scheduler=SchedulerConfig(grain=GrainPolicy()),
+        )
     )
     completed = faulted = 0
     try:

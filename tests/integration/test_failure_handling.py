@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro.core as parc
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.errors import ChannelError, PlacementError, ScooppError
 from repro.remoting.resilience import (
     RetryPolicy,
@@ -32,7 +32,13 @@ def tcp_runtime(request):
     # Socket-backed cluster so "killing" a node leaves real dead sockets
     # behind; parametrized over both socket transports so failover works
     # identically on the threaded and the multiplexed channel.
-    rt = parc.init(nodes=3, channel=request.param, grain=GrainPolicy())
+    rt = parc.init(
+        ParcConfig(
+            nodes=3,
+            channel=request.param,
+            scheduler=SchedulerConfig(grain=GrainPolicy()),
+        )
+    )
     try:
         yield rt
     finally:
@@ -65,6 +71,25 @@ class TestPlacementFailover:
         home_om = tcp_runtime.cluster.home_node.om
         assert dead.base_uri in home_om.dead_nodes()
 
+    def test_load_report_error_from_a_live_peer_is_not_death(
+        self, tcp_runtime
+    ):
+        cluster = tcp_runtime.cluster
+        peer = cluster.nodes[1]
+
+        def broken():
+            raise RuntimeError("histogram export failed")
+
+        peer.om.load_report = broken
+        home_om = cluster.home_node.om
+        view = home_om.cluster_view()
+        # No row this round, so nothing is placed there — but the peer
+        # answered, so it is not declared dead.
+        assert [node.alive for node in view.nodes] == [True, False, True]
+        assert home_om.dead_nodes() == []
+        counter = cluster.metrics.export()["cluster.errors.load_report"]
+        assert counter["value"] == 1
+
     def test_probe_peers_detects_death(self, tcp_runtime):
         dead = kill_node(tcp_runtime, 2)
         home_om = tcp_runtime.cluster.home_node.om
@@ -74,7 +99,7 @@ class TestPlacementFailover:
         assert len(live) == 2
 
     def test_all_nodes_dead_is_clear_error(self):
-        rt = parc.init(nodes=2, channel="tcp")
+        rt = parc.init(ParcConfig(nodes=2, channel="tcp"))
         try:
             for node in rt.cluster.nodes:
                 rt.cluster.home_node.om.note_dead(node.base_uri)

@@ -30,7 +30,7 @@ from repro.apps.jgf.crypt import (
     invert_key,
 )
 from repro.apps.jgf.sor import make_grid
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 
 
 class TestSeriesSequential:
@@ -160,7 +160,12 @@ class TestSparseSequential:
 
 @pytest.fixture
 def jgf_runtime():
-    parc.init(nodes=3, grain=GrainPolicy(max_calls=2))
+    parc.init(
+        ParcConfig(
+            nodes=3,
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=2)),
+        )
+    )
     try:
         yield
     finally:
@@ -215,7 +220,12 @@ class TestParallelKernelsExact:
         )
 
     def test_kernels_under_aggregation(self):
-        parc.init(nodes=2, grain=GrainPolicy(max_calls=16))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=16)),
+            )
+        )
         try:
             grid = make_grid(9)
             reference = copy.deepcopy(grid)
@@ -225,7 +235,12 @@ class TestParallelKernelsExact:
             parc.shutdown()
 
     def test_kernels_agglomerated(self):
-        parc.init(nodes=2, grain=GrainPolicy(agglomerate=True))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(agglomerate=True)),
+            )
+        )
         try:
             assert parallel_fourier_coefficients(5, workers=2) == (
                 fourier_coefficients(5)

@@ -88,7 +88,7 @@ class TestParallelMonteCarlo:
 
         results = []
         for nodes in (1, 3):
-            parc.init(nodes=nodes)
+            parc.init(parc.ParcConfig(nodes=nodes))
             try:
                 results.append(parallel_monte_carlo(25, steps=15, workers=3))
             finally:

@@ -12,7 +12,12 @@ import pytest
 import repro.core as parc
 from repro.apps.primes import PrimeServer, sieve
 from repro.cluster.proc import grain_from_spec, grain_to_spec
-from repro.core import AdaptiveGrainController, GrainPolicy
+from repro.core import (
+    AdaptiveGrainController,
+    GrainPolicy,
+    ParcConfig,
+    SchedulerConfig,
+)
 from repro.errors import ScooppError
 
 
@@ -22,11 +27,13 @@ WORKER_MODULES = ("repro.apps.primes",)
 @pytest.fixture
 def process_runtime():
     rt = parc.init(
-        nodes=1,
-        channel="tcp",
-        grain=GrainPolicy(max_calls=4),
-        worker_processes=2,
-        worker_modules=WORKER_MODULES,
+        ParcConfig(
+            nodes=1,
+            channel="tcp",
+            worker_processes=2,
+            worker_modules=WORKER_MODULES,
+            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
+        )
     )
     try:
         yield rt
@@ -61,11 +68,13 @@ class TestGrainSpecs:
 class TestClusterValidation:
     def test_process_workers_need_tcp(self):
         with pytest.raises(ScooppError, match="TCP"):
-            parc.init(nodes=1, channel="loopback", worker_processes=1)
+            parc.init(
+                ParcConfig(nodes=1, channel="loopback", worker_processes=1)
+            )
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ScooppError):
-            parc.init(nodes=1, channel="tcp", worker_processes=-1)
+            parc.init(ParcConfig(nodes=1, channel="tcp", worker_processes=-1))
 
 
 class TestProcessCluster:

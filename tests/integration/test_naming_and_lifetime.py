@@ -9,7 +9,7 @@ import pytest
 import repro.core as parc
 from repro.channels import LoopbackChannel
 from repro.channels.services import ChannelServices
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.errors import RemotingError, ScooppError
 from repro.perfmodel import VirtualClock
 from repro.remoting import MarshalByRefObject, RemotingHost
@@ -96,7 +96,12 @@ class TestNameService:
         board.parc_release()
 
     def test_agglomerated_po_promoted_on_bind(self):
-        parc.init(nodes=2, grain=GrainPolicy(agglomerate=True))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(agglomerate=True)),
+            )
+        )
         try:
             board = parc.new(Board)
             assert board.parc_is_local
@@ -110,13 +115,13 @@ class TestNameService:
             parc.shutdown()
 
     def test_names_are_per_runtime(self):
-        parc.init(nodes=2)
+        parc.init(ParcConfig(nodes=2))
         try:
             board = parc.new(Board)
             parc.bind("ephemeral", board)
         finally:
             parc.shutdown()
-        parc.init(nodes=2)
+        parc.init(ParcConfig(nodes=2))
         try:
             assert parc.names() == []
         finally:

@@ -18,7 +18,7 @@ import pytest
 import repro.core as parc
 from repro.channels.breaker import BreakerPolicy
 from repro.chaos import plan_from_percentages
-from repro.core import GrainPolicy
+from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.errors import OverloadError, ParcError
 
 
@@ -86,10 +86,12 @@ def _total_shed(cluster) -> int:
 class TestBoundedMailboxShedding:
     def test_saturation_sheds_typed_and_counters_agree(self):
         rt = parc.init(
-            nodes=1,
-            channel="tcp",
-            grain=GrainPolicy(),
-            mailbox_depth=2,
+            ParcConfig(
+                nodes=1,
+                channel="tcp",
+                mailbox_depth=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy()),
+            )
         )
         try:
             po = parc.new(Slow)
@@ -114,7 +116,13 @@ class TestBoundedMailboxShedding:
             parc.shutdown()
 
     def test_unbounded_default_never_sheds(self):
-        rt = parc.init(nodes=1, channel="tcp", grain=GrainPolicy())
+        rt = parc.init(
+            ParcConfig(
+                nodes=1,
+                channel="tcp",
+                scheduler=SchedulerConfig(grain=GrainPolicy()),
+            )
+        )
         try:
             po = parc.new(Slow)
             results, errors = _hammer(po, calls=12, delay=0.01)
@@ -128,10 +136,12 @@ class TestBoundedMailboxShedding:
     def test_async_sender_surfaces_overload(self):
         """Sheds on the async path surface on the next synchronous rendezvous."""
         parc.init(
-            nodes=1,
-            channel="tcp",
-            grain=GrainPolicy(),
-            mailbox_depth=1,
+            ParcConfig(
+                nodes=1,
+                channel="tcp",
+                mailbox_depth=1,
+                scheduler=SchedulerConfig(grain=GrainPolicy()),
+            )
         )
         try:
             po = parc.new(Sleeper)
@@ -157,12 +167,16 @@ class TestChaosTimesOverload:
             latency_s=(0.0005, 0.002),
         )
         rt = parc.init(
-            nodes=2,
-            channel="chaos+tcp",
-            grain=GrainPolicy(),
-            mailbox_depth=2,
-            breaker=BreakerPolicy(failure_threshold=50, reset_timeout_s=0.2),
-            chaos_plan=plan,
+            ParcConfig(
+                nodes=2,
+                channel="chaos+tcp",
+                mailbox_depth=2,
+                breaker=BreakerPolicy(
+                    failure_threshold=50, reset_timeout_s=0.2
+                ),
+                chaos_plan=plan,
+                scheduler=SchedulerConfig(grain=GrainPolicy()),
+            )
         )
         try:
             po = parc.new(Slow)
@@ -192,12 +206,14 @@ class TestChaosTimesOverload:
 class TestElasticWorkers:
     def test_scale_out_under_pressure_then_back_in(self):
         rt = parc.init(
-            nodes=1,
-            channel="tcp",
-            grain=GrainPolicy(),
-            worker_processes=1,
-            worker_modules=("tests.integration.test_overload",),
-            elastic=(1, 2),
+            ParcConfig(
+                nodes=1,
+                channel="tcp",
+                worker_processes=1,
+                worker_modules=("tests.integration.test_overload",),
+                elastic=(1, 2),
+                scheduler=SchedulerConfig(grain=GrainPolicy()),
+            )
         )
         try:
             cluster = rt.cluster
@@ -250,4 +266,4 @@ class TestElasticWorkers:
 
     def test_elastic_requires_process_workers(self):
         with pytest.raises(ParcError):
-            parc.init(nodes=1, channel="tcp", elastic=(1, 2))
+            parc.init(ParcConfig(nodes=1, channel="tcp", elastic=(1, 2)))

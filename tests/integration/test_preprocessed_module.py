@@ -14,7 +14,13 @@ import textwrap
 import pytest
 
 import repro.core as parc
-from repro.core import GrainPolicy, make_parallel_class, preprocess_module
+from repro.core import (
+    GrainPolicy,
+    ParcConfig,
+    SchedulerConfig,
+    make_parallel_class,
+    preprocess_module,
+)
 
 MODULE_SOURCE = textwrap.dedent(
     '''
@@ -65,7 +71,12 @@ class TestGeneratedModule:
 
     def test_end_to_end(self, tmp_path):
         module = load_generated(tmp_path, "collectors_b")
-        parc.init(nodes=2, grain=GrainPolicy(max_calls=3))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=3)),
+            )
+        )
         try:
             collector = module.Collector("demo")
             collector.add(3)
@@ -86,7 +97,12 @@ class TestGeneratedModule:
         """The DESIGN.md equivalence claim, executed."""
         module = load_generated(tmp_path, "collectors_d")
         runtime_po_class = make_parallel_class(module.CollectorImpl)
-        parc.init(nodes=2, grain=GrainPolicy(max_calls=2))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=2)),
+            )
+        )
         try:
             from_source = module.Collector("s")
             from_runtime = runtime_po_class("r")
@@ -110,7 +126,7 @@ class TestGeneratedModule:
     def test_generated_module_reusable_across_runtimes(self, tmp_path):
         module = load_generated(tmp_path, "collectors_e")
         for _round in range(2):
-            parc.init(nodes=2)
+            parc.init(ParcConfig(nodes=2))
             try:
                 collector = module.Collector("again")
                 collector.add(1)

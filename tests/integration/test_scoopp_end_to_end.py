@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 import repro.core as parc
-from repro.core import AdaptiveGrainController, GrainPolicy
+from repro.core import (
+    AdaptiveGrainController,
+    GrainPolicy,
+    ParcConfig,
+    SchedulerConfig,
+)
 from repro.errors import NotRunningError, RemoteInvocationError, ScooppError
 
 
@@ -50,24 +55,24 @@ class Spawner:
 class TestLifecycle:
     def test_init_twice_rejected(self, plain_runtime):
         with pytest.raises(ScooppError, match="already initialized"):
-            parc.init(nodes=1)
+            parc.init(ParcConfig(nodes=1))
 
     def test_new_before_init_rejected(self):
         with pytest.raises(NotRunningError):
             parc.new(Mailbox)
 
     def test_shutdown_idempotent(self):
-        parc.init(nodes=1)
+        parc.init(ParcConfig(nodes=1))
         parc.shutdown()
         parc.shutdown()
 
     def test_runtime_restart(self):
-        parc.init(nodes=2)
+        parc.init(ParcConfig(nodes=2))
         first = parc.new(Mailbox)
         first.deliver("x")
         assert first.messages() == ["x"]
         parc.shutdown()
-        parc.init(nodes=2)
+        parc.init(ParcConfig(nodes=2))
         try:
             second = parc.new(Mailbox)
             second.deliver("y")
@@ -149,7 +154,12 @@ class TestReferencePassing:
     def test_fully_local_reference_passing(self):
         # When both grains are agglomerated, a PO argument is just a
         # Python reference — no promotion needed, calls work directly.
-        parc.init(nodes=2, grain=GrainPolicy(agglomerate=True))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(agglomerate=True)),
+            )
+        )
         try:
             local = parc.new(Mailbox, "local")
             assert local.parc_is_local
@@ -161,7 +171,12 @@ class TestReferencePassing:
             parc.shutdown()
 
     def test_promote_grain_converts_local_to_remote(self):
-        parc.init(nodes=2, grain=GrainPolicy(agglomerate=True))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(agglomerate=True)),
+            )
+        )
         try:
             local = parc.new(Mailbox, "local")
             local.deliver("before")
@@ -193,7 +208,13 @@ class TestNestedCreation:
 
 class TestChannelsAndPolicies:
     def test_tcp_cluster(self):
-        parc.init(nodes=2, channel="tcp", grain=GrainPolicy(max_calls=2))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                channel="tcp",
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=2)),
+            )
+        )
         try:
             mailbox = parc.new(Mailbox)
             for index in range(8):
@@ -204,7 +225,12 @@ class TestChannelsAndPolicies:
             parc.shutdown()
 
     def test_least_loaded_placement(self):
-        parc.init(nodes=3, placement="least_loaded")
+        parc.init(
+            ParcConfig(
+                nodes=3,
+                scheduler=SchedulerConfig(placement="least_loaded"),
+            )
+        )
         try:
             mailboxes = [parc.new(Mailbox) for _ in range(6)]
             counts = [node["ios"] for node in parc.current_runtime().stats()]
@@ -216,7 +242,9 @@ class TestChannelsAndPolicies:
             parc.shutdown()
 
     def test_random_placement(self):
-        parc.init(nodes=3, placement="random")
+        parc.init(
+            ParcConfig(nodes=3, scheduler=SchedulerConfig(placement="random"))
+        )
         try:
             for _ in range(6):
                 parc.new(Mailbox)

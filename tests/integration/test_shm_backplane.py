@@ -12,7 +12,12 @@ from __future__ import annotations
 import pytest
 
 import repro.core as parc
-from repro.core import GrainPolicy, ParcConfig, TelemetryConfig
+from repro.core import (
+    GrainPolicy,
+    ParcConfig,
+    SchedulerConfig,
+    TelemetryConfig,
+)
 from repro.channels.breaker import BreakerPolicy
 from repro.cluster.cluster import Cluster
 from repro.errors import ScooppError
@@ -45,10 +50,12 @@ class TestFarmOverBackplane:
     @pytest.mark.parametrize("base", ["tcp", "aio"])
     def test_farm_routes_over_shm(self, base):
         rt = parc.init(
-            nodes=3,
-            channel=base,
-            grain=GrainPolicy(),
-            same_node_transport="shm",
+            ParcConfig(
+                nodes=3,
+                channel=base,
+                same_node_transport="shm",
+                scheduler=SchedulerConfig(grain=GrainPolicy()),
+            )
         )
         try:
             counters = [parc.new(Counter) for _ in range(6)]
@@ -67,7 +74,7 @@ class TestFarmOverBackplane:
 
     def test_large_payloads_cross_the_rings(self):
         rt = parc.init(
-            nodes=2, channel="tcp", same_node_transport="shm"
+            ParcConfig(nodes=2, channel="tcp", same_node_transport="shm")
         )
         try:
             counter = parc.new(Counter)
@@ -123,12 +130,16 @@ class TestChaosAndBreakerOverBackplane:
 
         controller = ChaosController(seed=11)
         rt = parc.init(
-            nodes=2,
-            channel="chaos+tcp",
-            grain=GrainPolicy(),
-            breaker=BreakerPolicy(failure_threshold=3, reset_timeout_s=0.2),
-            chaos_controller=controller,
-            same_node_transport="shm",
+            ParcConfig(
+                nodes=2,
+                channel="chaos+tcp",
+                breaker=BreakerPolicy(
+                    failure_threshold=3, reset_timeout_s=0.2
+                ),
+                chaos_controller=controller,
+                same_node_transport="shm",
+                scheduler=SchedulerConfig(grain=GrainPolicy()),
+            )
         )
         try:
             counters = [parc.new(Counter) for _ in range(4)]
@@ -145,11 +156,13 @@ class TestMultiProcessBackplane:
     def test_worker_processes_negotiate_shm(self):
         """Parent ↔ worker calls cross process boundaries over rings."""
         rt = parc.init(
-            nodes=1,
-            channel="tcp",
-            worker_processes=1,
-            worker_modules=("tests.integration.test_shm_backplane",),
-            same_node_transport="shm",
+            ParcConfig(
+                nodes=1,
+                channel="tcp",
+                worker_processes=1,
+                worker_modules=("tests.integration.test_shm_backplane",),
+                same_node_transport="shm",
+            )
         )
         try:
             counters = [parc.new(Counter) for _ in range(4)]
@@ -167,7 +180,7 @@ class TestFallbackAndValidation:
     def test_remote_like_peer_stays_on_wire(self):
         """An authority with no handshake socket rides the wire."""
         rt = parc.init(
-            nodes=2, channel="tcp", same_node_transport="shm"
+            ParcConfig(nodes=2, channel="tcp", same_node_transport="shm")
         )
         try:
             from repro.channels.tcp import TcpChannel
@@ -191,7 +204,7 @@ class TestFallbackAndValidation:
 
     def test_rejects_unknown_transport(self):
         with pytest.raises(ScooppError, match="same_node_transport"):
-            parc.init(nodes=1, same_node_transport="rdma")
+            parc.init(ParcConfig(nodes=1, same_node_transport="rdma"))
         parc.shutdown()
 
     def test_rejects_non_socket_base(self):
@@ -203,7 +216,9 @@ class TestFallbackAndValidation:
         """Handshake sockets disappear with the cluster."""
         from repro.shm import shm_available
 
-        rt = parc.init(nodes=2, channel="tcp", same_node_transport="shm")
+        rt = parc.init(
+            ParcConfig(nodes=2, channel="tcp", same_node_transport="shm")
+        )
         authorities = [
             node.base_uri.split("://", 1)[1] for node in rt.cluster.nodes
         ]

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 import repro.core as parc
-from repro.core import Farm, GrainPolicy
+from repro.core import Farm, GrainPolicy, ParcConfig, SchedulerConfig
 
 
 @parc.parallel(
@@ -129,7 +129,12 @@ class TestChurn:
 
 class TestHeavyAggregation:
     def test_large_burst_through_small_buffers(self):
-        parc.init(nodes=2, grain=GrainPolicy(max_calls=3))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=3)),
+            )
+        )
         try:
             counter = parc.new(Counter)
             for _ in range(500):
@@ -140,7 +145,12 @@ class TestHeavyAggregation:
             parc.shutdown()
 
     def test_alternating_sync_async_under_aggregation(self):
-        parc.init(nodes=2, grain=GrainPolicy(max_calls=7))
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=7)),
+            )
+        )
         try:
             counter = parc.new(Counter)
             expected = 0
@@ -156,7 +166,12 @@ class TestHeavyAggregation:
 
     @pytest.mark.parametrize("nodes", [1, 4])
     def test_wide_fanout(self, nodes):
-        parc.init(nodes=nodes, grain=GrainPolicy(max_calls=4))
+        parc.init(
+            ParcConfig(
+                nodes=nodes,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
+            )
+        )
         try:
             counters = [parc.new(Counter) for _ in range(24)]
             for counter in counters:

@@ -12,7 +12,12 @@ from __future__ import annotations
 import pytest
 
 import repro.core as parc
-from repro.core import GrainPolicy, ParcConfig, TelemetryConfig
+from repro.core import (
+    GrainPolicy,
+    ParcConfig,
+    SchedulerConfig,
+    TelemetryConfig,
+)
 from repro.telemetry import get_global_tracer
 
 CHANNEL_KINDS = ["tcp", "aio", "shm", "chaos+tcp", "chaos+aio", "chaos+shm"]
@@ -41,8 +46,8 @@ def _run_traced_farm(channel_kind: str) -> tuple[dict, dict]:
     config = ParcConfig(
         nodes=2,
         channel=channel_kind,
-        grain=GrainPolicy(max_calls=4),
         telemetry=TelemetryConfig(enabled=True),
+        scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
     )
     with parc.session(config) as runtime:
         tracer = get_global_tracer()
@@ -160,8 +165,8 @@ def test_unsampled_runs_record_nothing():
     config = ParcConfig(
         nodes=2,
         channel="tcp",
-        grain=GrainPolicy(max_calls=4),
         telemetry=TelemetryConfig(enabled=True, sample_rate=0.0),
+        scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
     )
     with parc.session(config) as runtime:
         tracer = get_global_tracer()

@@ -247,7 +247,7 @@ class TestFlushDeadline:
             time.sleep(0.1)
             # The wire has been free for 0.1 s, not 0.8 s: still buffered,
             # so the aggregate can fill up instead of leaving as a stub.
-            assert grain.batches_sent == 1
+            assert (grain.batches, grain.singles) == (1, 0)
             post_steps(grain, MAX_CALLS + 2, 2)
             grain.drain()
             assert (grain.batches, grain.singles) == (2, 0)
@@ -560,7 +560,7 @@ class GatedRecordingChannel(RecordingChannel):
 
 
 class FailingColumnsIO(ImplementationObject):
-    """A current peer whose ``enqueue_columns`` fails *after* enqueueing."""
+    """An IO whose ``enqueue_columns`` fails *after* enqueueing."""
 
     def enqueue_columns(self, method, count, columns=()):
         super().enqueue_columns(method, count, columns)
@@ -684,7 +684,7 @@ class TestOverTheWire:
         assert [e.span_id for e in flushes] == [poster.span_id] * 4
         grain.dispose()
 
-    def test_remote_failure_is_not_an_old_peer(self, wire):
+    def test_remote_failure_is_never_resent_as_rows(self, wire):
         serve, connect = wire
         target = Target()
         uri = serve(FailingColumnsIO(target, "test.Target"))
@@ -692,8 +692,8 @@ class TestOverTheWire:
         post_steps(grain, 0, MAX_CALLS)
         with pytest.raises(ScooppError, match="disk full"):
             grain.drain()
-        # The method exists and failed: columnar stays on, and the batch
-        # was not re-sent as rows — nothing ran twice.
+        # The failure surfaced once: columnar stays on, and the batch was
+        # not re-sent as rows — nothing ran twice.
         assert grain.columnar
         grain.drain()
         assert target.snapshot() == [

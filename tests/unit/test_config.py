@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -12,13 +14,11 @@ from repro.errors import NotRunningError, ScooppError
 
 
 class TestParcConfig:
-    def test_defaults_mirror_init_defaults(self):
+    def test_defaults(self):
         config = ParcConfig()
         assert config.nodes == 4
         assert config.channel == "loopback"
-        assert config.grain is None
-        assert config.placement == "round_robin"
-        assert config.dispatch_pool_size == 16
+        assert config.scheduler is None
         assert config.worker_processes == 0
         assert config.worker_modules == ()
         assert config.heartbeat_s is None
@@ -44,30 +44,31 @@ class TestParcConfig:
         config = ParcConfig(worker_modules=["a", "b"])
         assert config.worker_modules == ("a", "b")
 
-    def test_from_kwargs_accepts_every_documented_init_kwarg(self):
-        config = ParcConfig.from_kwargs(
-            nodes=2,
-            channel="tcp",
-            grain=GrainPolicy(max_calls=4),
-            placement="least_loaded",
-            dispatch_pool_size=8,
-            worker_processes=0,
-            worker_modules=("mod",),
-            heartbeat_s=0.5,
-            breaker=None,
-            chaos_plan=None,
-            chaos_controller=None,
-        )
-        assert config.nodes == 2
-        assert config.channel == "tcp"
-        assert config.placement == "least_loaded"
-        assert config.heartbeat_s == 0.5
+    def test_field_census(self):
+        """Every settable value, by name: a new knob is a diff here."""
+        assert {f.name for f in fields(ParcConfig)} == {
+            "nodes",
+            "channel",
+            "worker_processes",
+            "worker_modules",
+            "heartbeat_s",
+            "breaker",
+            "chaos_plan",
+            "chaos_controller",
+            "same_node_transport",
+            "telemetry",
+            "mailbox_depth",
+            "priority",
+            "shed_policy",
+            "elastic",
+            "scheduler",
+        }
 
-    def test_from_kwargs_warns_and_drops_unknown_keys(self):
-        with pytest.warns(UserWarning, match="max_nodes"):
-            config = ParcConfig.from_kwargs(nodes=3, max_nodes=9)
-        assert config.nodes == 3
-        assert not hasattr(config, "max_nodes")
+    def test_flat_scheduling_fields_are_gone(self):
+        with pytest.raises(TypeError):
+            ParcConfig(grain=GrainPolicy(max_calls=4))  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            ParcConfig(placement="least_loaded")  # type: ignore[call-arg]
 
     def test_picklable_for_worker_spawn(self):
         config = ParcConfig(telemetry=TelemetryConfig(enabled=True))
@@ -83,23 +84,20 @@ class TestInitForms:
         finally:
             parc.shutdown()
 
-    def test_init_legacy_positional_int_is_nodes(self):
-        runtime = parc.init(2)
-        try:
-            assert runtime.cluster.num_nodes == 2
-        finally:
-            parc.shutdown()
+    def test_init_and_session_take_one_config(self):
+        for entry in (parc.init, parc.session):
+            assert list(inspect.signature(entry).parameters) == ["config"]
 
-    def test_init_rejects_config_plus_kwargs(self):
-        with pytest.raises(ScooppError, match="not both"):
-            parc.init(ParcConfig(), channel="tcp")
-
-    def test_init_legacy_kwargs(self):
-        runtime = parc.init(nodes=2, channel="loopback", heartbeat_s=None)
-        try:
-            assert runtime.cluster.num_nodes == 2
-        finally:
-            parc.shutdown()
+    def test_init_rejects_everything_but_a_config(self):
+        with pytest.raises(TypeError):
+            parc.init(nodes=4)  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            parc.init(4)  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            with parc.session(nodes=1):  # type: ignore[call-arg]
+                pass
+        with pytest.raises(NotRunningError):
+            parc.current_runtime()
 
 
 class TestSession:
@@ -111,7 +109,7 @@ class TestSession:
 
     def test_session_shuts_down_on_error(self):
         with pytest.raises(RuntimeError, match="boom"):
-            with parc.session(nodes=1):
+            with parc.session(ParcConfig(nodes=1)):
                 raise RuntimeError("boom")
         with pytest.raises(NotRunningError):
             parc.current_runtime()

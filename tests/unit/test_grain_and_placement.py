@@ -125,7 +125,7 @@ class TestAdaptiveController:
 
 
 def view_of(loads):
-    """Shorthand: lift a plain loads vector into a ClusterView."""
+    """Shorthand: a ClusterView from per-node loads."""
     from repro.sched import ClusterView
 
     return ClusterView.from_loads(loads)
@@ -177,11 +177,6 @@ class TestPlacement:
         ):
             with pytest.raises(PlacementError):
                 policy.choose(view_of([]), 0)
-
-    def test_bare_loads_still_work_with_warning(self):
-        policy = LeastLoadedPlacement()
-        with pytest.warns(DeprecationWarning, match="bare loads"):
-            assert policy.choose([3.0, 1.0, 2.0], 0) == 1
 
     def test_factory(self):
         assert isinstance(make_placement("round_robin"), RoundRobinPlacement)

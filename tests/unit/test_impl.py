@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.core.impl import ImplementationObject
 from repro.errors import ScooppError
+from repro.telemetry.node import NodeTelemetry
 
 
 class Recorder:
@@ -174,11 +176,11 @@ class TestLifecycle:
 
 
 class TestExecutionCallback:
-    def test_callback_receives_class_and_duration(self):
+    def test_callback_receives_class_duration_and_method(self):
         seen = []
 
-        def on_execution(class_name, elapsed):
-            seen.append((class_name, elapsed))
+        def on_execution(class_name, elapsed, method):
+            seen.append((class_name, elapsed, method))
 
         container = ImplementationObject(
             Recorder(), "test.Recorder", on_execution=on_execution
@@ -188,11 +190,12 @@ class TestExecutionCallback:
             assert seen
             assert seen[0][0] == "test.Recorder"
             assert seen[0][1] >= 0.0
+            assert seen[0][2] == "record"
         finally:
             container.dispose()
 
     def test_callback_errors_do_not_break_work(self):
-        def broken_callback(class_name, elapsed):
+        def broken_callback(class_name, elapsed, method):
             raise RuntimeError("stats backend down")
 
         container = ImplementationObject(
@@ -200,6 +203,33 @@ class TestExecutionCallback:
         )
         try:
             assert container.invoke("get_log") == []
+        finally:
+            container.dispose()
+
+    def test_failing_observer_is_counted_and_logged_once(self, caplog):
+        class _Node:
+            telemetry = NodeTelemetry("test-node")
+
+        def wrong_arity(class_name, elapsed):
+            raise AssertionError("never reached: the call itself fails")
+
+        container = ImplementationObject(
+            Recorder(), "test.Recorder", on_execution=wrong_arity, node=_Node
+        )
+        try:
+            with caplog.at_level(logging.ERROR, logger="repro.core"):
+                for value in range(3):
+                    container.invoke("record", (value,))
+            assert container.invoke("get_log") == [0, 1, 2]
+            counter = _Node.telemetry.metrics.export()[
+                "parc.errors.on_execution"
+            ]
+            assert counter["value"] == 4
+            records = [
+                r for r in caplog.records if "on_execution" in r.getMessage()
+            ]
+            assert len(records) == 1
+            assert "TypeError" in records[0].exc_text
         finally:
             container.dispose()
 

@@ -72,11 +72,11 @@ class TestRemoteGrainAggregation:
         grain, sink = remote_grain
         for index in range(3):
             grain.post("push", (index,), {})
-        grain_batches_before = grain.batches_sent
+        assert (grain.batches, grain.singles) == (0, 0)
         grain.post("push", (3,), {})  # 4th call: batch ships
         grain.drain()
         assert sink.snapshot() == [("push", index) for index in range(4)]
-        assert grain.batches_sent == grain_batches_before + 1
+        assert (grain.batches, grain.singles) == (1, 0)
 
     def test_method_switch_flushes_previous_run(self, remote_grain):
         grain, sink = remote_grain
@@ -108,7 +108,7 @@ class TestRemoteGrainAggregation:
                 grain.post("push", (index,), {})
             grain.drain()
             assert len(sink.snapshot()) == 5
-            assert grain.batches_sent == 5
+            assert grain.singles == 5
         finally:
             grain.dispose()
 
@@ -156,7 +156,7 @@ class TestAutoFlush:
             for index in range(16):  # two full batches, no timer needed
                 grain.post("push", (index,), {})
             grain.drain()
-            assert grain.batches_sent == 2
+            assert grain.batches == 2
             assert len(sink.snapshot()) == 16
         finally:
             grain.dispose()
@@ -172,8 +172,6 @@ class TestMessageCounters:
         grain.drain()
         assert grain.batches == 1
         assert grain.singles == 1
-        # Historical meaning preserved: total messages, either kind.
-        assert grain.batches_sent == grain.batches + grain.singles == 2
 
     def test_singles_only_when_unaggregated(self):
         sink = Sink()
@@ -185,7 +183,6 @@ class TestMessageCounters:
             grain.drain()
             assert grain.singles == 5
             assert grain.batches == 0
-            assert grain.batches_sent == 5
         finally:
             grain.dispose()
 
@@ -293,14 +290,14 @@ class TestColumnarAggregates:
         finally:
             grain.dispose()
 
-    def test_remote_refusal_disables_columnar_and_resends_rows(self):
+    def test_remote_refusal_surfaces_and_is_not_resent_as_rows(self):
         from repro.errors import RemoteInvocationError
 
         class _RefusingImpl(_RecordingImpl):
             def enqueue_columns(self, method, count, columns=()):
                 self.calls.append(("columns-refused", method, count))
-                # The wording of a real old peer's host (RemotingHost.
-                # _resolve_method through the proxy's error mapping).
+                # The wording of RemotingHost._resolve_method through
+                # the proxy's error mapping.
                 raise RemoteInvocationError(
                     "remote call enqueue_columns failed with "
                     "RemotingError: ImplementationObject has no remote "
@@ -313,12 +310,12 @@ class TestColumnarAggregates:
         try:
             for index in range(4):
                 grain.post("step", (float(index), index), {})
-            grain.drain()
-            assert not grain.columnar  # switched off after the refusal
-            assert ("batch", "step", 4) in impl.calls
-            assert target.snapshot() == [
-                (float(index), index) for index in range(4)
-            ]
+            with pytest.raises(ScooppError, match="no remote method") as info:
+                grain.drain()
+            assert isinstance(info.value.__cause__, RemoteInvocationError)
+            assert grain.columnar
+            assert impl.calls == [("columns-refused", "step", 4)]
+            assert target.snapshot() == []
         finally:
             grain.dispose()
 

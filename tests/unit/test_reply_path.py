@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro.core.config import ParcConfig
 from repro.core.grain import AdaptiveGrainController
 from repro.core.impl import ImplementationObject, _IOMailbox
 from repro.remoting.messages import ReturnBatch
@@ -64,14 +63,6 @@ class TestSyncFastPath:
             for value in range(4):
                 assert impl.invoke("double", (float(value),)) == value * 2.0
             assert impl.stats()["sync_inline"] == 4
-        finally:
-            impl.dispose()
-
-    def test_fastpath_off_always_queues(self):
-        impl = ImplementationObject(Recorder(), "t.R", sync_fastpath=False)
-        try:
-            assert impl.invoke("double", (2.0,)) == 4.0
-            assert impl.stats()["sync_inline"] == 0
         finally:
             impl.dispose()
 
@@ -372,10 +363,6 @@ class TestServiceWeightedPlanner:
 
 
 class TestConfigKnobs:
-    def test_sync_fastpath_defaults_on(self):
-        assert ParcConfig().sync_fastpath is True
-        assert ParcConfig(sync_fastpath=False).sync_fastpath is False
-
     def test_autotune_defaults_on(self):
         assert SchedulerConfig().autotune is True
         assert SchedulerConfig(autotune=False).autotune is False

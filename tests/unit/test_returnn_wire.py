@@ -1,13 +1,11 @@
-"""Wire-interop tests for batched replies (returnN).
+"""Wire tests for batched replies (returnN) and for refused methods.
 
-The returnN negotiation is one-sided and silent: a new client first tries
-the aggregate ``invoke_batch`` surface and, when the peer predates it,
-drops — permanently, per grain — to a loop of plain per-call ``invoke``
-round-trips.  These tests pin that matrix across the tcp, aio and shm
-transports (plus the chaos wrapper): a new↔new pairing batches, a
-new↔old pairing loses zero calls, and the fallback's per-call responses
-are *byte-identical* to a hand-written per-call client, so an old peer
-cannot tell a falling-back caller from a genuinely old one.
+Over the tcp, aio and shm transports (plus the chaos wrapper): a sync
+aggregate round-trips as one ``ReturnBatch`` with per-call error slots,
+and a host that refuses an aggregate method — every node of a cluster
+runs one source tree, so this is a bug, not a version to negotiate
+with — surfaces its ``RemoteInvocationError`` after exactly one request,
+with nothing executed and nothing re-sent in another form.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from repro.channels.tcp import TcpChannel
 from repro.chaos import FaultyChannel
 from repro.core.impl import ImplementationObject
 from repro.core.proxy_object import RemoteGrain
-from repro.errors import BatchCallError, RemoteInvocationError
+from repro.errors import BatchCallError, RemoteInvocationError, ScooppError
 from repro.remoting import RemotingHost
 from repro.shm import ShmChannel
 
@@ -36,6 +34,9 @@ class Calc:
         self.seen += 1
         return a * b
 
+    def note(self, a, b):
+        self.seen += 1
+
     def pick(self, value):
         self.seen += 1
         if value < 0:
@@ -43,16 +44,16 @@ class Calc:
         return value * 2.0
 
 
-class OldImplementationObject(ImplementationObject):
-    """An IO from before the returnN change.
+class RefusingImplementationObject(ImplementationObject):
+    """An IO whose host refuses every aggregate method.
 
     ``None`` class attributes make the host's method resolution answer
-    "has no remote method", exactly what a genuinely old peer says, so
-    the client-side negotiation sees the real wire-level refusal.
+    "has no remote method" before anything runs.
     """
 
     invoke_batch = None
     invoke_columns = None
+    enqueue_columns = None
 
 
 class RecordingChannel(Channel):
@@ -120,7 +121,7 @@ def connect(kind, uri, record=False):
 
 
 @pytest.fixture
-def new_pair(transport):
+def pair(transport):
     server, io, uri = serve_io(transport)
     client, channel, proxy, grain = connect(transport, uri)
     yield io, grain
@@ -132,10 +133,12 @@ def new_pair(transport):
 
 
 @pytest.fixture
-def old_pair(transport):
-    server, io, uri = serve_io(transport, io_class=OldImplementationObject)
-    client, channel, proxy, grain = connect(transport, uri)
-    yield io, grain
+def refusing_pair(transport):
+    server, io, uri = serve_io(
+        transport, io_class=RefusingImplementationObject
+    )
+    client, channel, proxy, grain = connect(transport, uri, record=True)
+    yield io, grain, channel
     grain.dispose()
     client.close()
     channel.close()  # hosts leave channels they share via services open
@@ -147,16 +150,15 @@ BATCH = [((float(i), 3.0), {}) for i in range(8)]
 EXPECTED = [float(i) * 3.0 for i in range(8)]
 
 
-class TestNewPeerBatching:
-    def test_call_many_round_trips_one_returnn(self, new_pair):
-        io, grain = new_pair
+class TestBatching:
+    def test_call_many_round_trips_one_returnn(self, pair):
+        io, grain = pair
         assert grain.call_many("mul", BATCH) == EXPECTED
-        assert grain._sync_batched is True
         # One mailbox entry server-side, not eight.
         assert io.stats()["processed"] == len(BATCH)
 
-    def test_error_slots_survive_the_wire(self, new_pair):
-        _io, grain = new_pair
+    def test_error_slots_survive_the_wire(self, pair):
+        _io, grain = pair
         batch = [((1.0,), {}), ((-2.0,), {}), ((3.0,), {})]
         with pytest.raises(BatchCallError) as excinfo:
             grain.call_many("pick", batch)
@@ -165,72 +167,34 @@ class TestNewPeerBatching:
         assert set(error.failures) == {1}
         assert isinstance(error.failures[1], RemoteInvocationError)
         assert "no negatives" in str(error.failures[1])
-        # The grain stays batched: an application error is not a
-        # negotiation signal.
-        assert grain._sync_batched is True
 
 
-class TestOldPeerFallback:
-    def test_fallback_loses_zero_calls(self, old_pair):
-        io, grain = old_pair
-        assert grain.call_many("mul", BATCH) == EXPECTED
-        assert grain._sync_batched is False  # negotiated down for good
-        assert io.stats()["processed"] == len(BATCH)
-        # Second aggregate goes straight to per-call invokes — no
-        # renewed invoke_batch probe, still no losses.
-        assert grain.call_many("mul", BATCH) == EXPECTED
-        assert io.stats()["processed"] == 2 * len(BATCH)
+class TestRefusedMethod:
+    """The refusal surfaces once: nothing ran, nothing was re-sent."""
 
-    def test_fallback_error_slots_match_batched_contract(self, old_pair):
-        _io, grain = old_pair
-        batch = [((1.0,), {}), ((-2.0,), {}), ((3.0,), {})]
-        with pytest.raises(BatchCallError) as excinfo:
-            grain.call_many("pick", batch)
-        error = excinfo.value
-        assert error.results == [2.0, None, 6.0]
-        assert set(error.failures) == {1}
-        assert isinstance(error.failures[1], RemoteInvocationError)
+    def test_refused_invoke_batch(self, refusing_pair):
+        io, grain, channel = refusing_pair
+        with pytest.raises(RemoteInvocationError, match="invoke_batch"):
+            grain.call_many("mul", BATCH)
+        assert io.stats()["processed"] == 0
+        assert len(channel.exchanges) == 1
 
+    def test_refused_invoke_columns(self, refusing_pair):
+        io, grain, channel = refusing_pair
+        grain.columnar, grain.impl_class = True, Calc
+        with pytest.raises(RemoteInvocationError, match="invoke_columns"):
+            grain.call_many("mul", BATCH)
+        assert io.stats()["processed"] == 0
+        assert len(channel.exchanges) == 1
 
-class TestFallbackByteIdentity:
-    def test_fallback_requests_and_replies_match_plain_per_call(
-        self, transport
-    ):
-        """An old server cannot distinguish a falling-back new client.
-
-        Record the fallback's wire traffic, then replay the same batch
-        as hand-written per-call invokes from a fresh client: after the
-        one refused invoke_batch probe, every request and response byte
-        must match.
-        """
-        server, io, uri = serve_io(
-            transport, io_class=OldImplementationObject
-        )
-        try:
-            client_a, channel_a, _proxy, grain = connect(
-                transport, uri, record=True
-            )
-            assert grain.call_many("mul", BATCH) == EXPECTED
-            fallback = list(channel_a.exchanges)
-
-            client_b, channel_b, proxy, _grain = connect(
-                transport, uri, record=True
-            )
-            for args, kwargs in BATCH:
-                proxy.invoke("mul", args, kwargs)
-            plain = list(channel_b.exchanges)
-            client_b.close()
-            channel_b.close()
-
-            grain.dispose()  # remote-disposes the shared IO: last
-            client_a.close()
-            channel_a.close()
-        finally:
-            io.dispose()
-            server.close()
-
-        # fallback[0] is the refused invoke_batch probe; everything
-        # after it is the per-call fallback loop.
-        per_call = fallback[1 : 1 + len(BATCH)]
-        assert len(per_call) == len(BATCH)
-        assert per_call == plain[: len(BATCH)]
+    def test_refused_enqueue_columns(self, refusing_pair):
+        io, grain, channel = refusing_pair
+        grain.columnar, grain.impl_class = True, Calc
+        for args, kwargs in BATCH[: grain.max_calls]:
+            grain.post("note", args, kwargs)
+        with pytest.raises(ScooppError, match="enqueue_columns") as excinfo:
+            grain.drain()
+        assert isinstance(excinfo.value.__cause__, RemoteInvocationError)
+        assert io.stats()["processed"] == 0
+        assert len(channel.exchanges) == 1
+        assert grain.columnar

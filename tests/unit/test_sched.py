@@ -1,5 +1,5 @@
 """Unit tests for the adaptive scheduler: views, policies, planner,
-config consolidation and the mailbox migration primitives."""
+scheduler config and the mailbox migration primitives."""
 
 from __future__ import annotations
 
@@ -7,18 +7,14 @@ import time
 
 import pytest
 
-import repro.core.config as config_module
 from repro.cluster.placement import (
     LeastLoadedPlacement,
-    LegacyPolicyAdapter,
     LocalityAwarePlacement,
     PlacementPolicy,
     RoundRobinPlacement,
     coerce_policy,
     make_placement,
 )
-from repro.core.config import ParcConfig
-from repro.core.grain import GrainPolicy
 from repro.core.impl import ImplementationObject
 from repro.errors import PlacementError, ScooppError
 from repro.sched import (
@@ -40,18 +36,6 @@ class TestClusterView:
         view = ClusterView.from_loads([1.0, INF, 3.0])
         assert [n.alive for n in view.nodes] == [True, False, True]
         assert [n.index for n in view.live()] == [0, 2]
-
-    def test_effective_load_of_dead_node_is_inf(self):
-        node = NodeView(index=0, base_uri="node://0", alive=False, load=7.0)
-        assert node.effective_load == INF
-
-    def test_duck_types_as_loads_sequence(self):
-        view = ClusterView.from_loads([1.0, INF, 3.0])
-        assert len(view) == 3
-        assert view[0] == 1.0
-        assert view[1] == INF
-        assert list(view) == [1.0, INF, 3.0]
-        assert view[1:] == [INF, 3.0]
 
 
 # -- policies on the new view API ---------------------------------------------
@@ -123,57 +107,28 @@ class TestRoundRobinSkipsDead:
         assert [policy.choose(view, 0) for _ in range(4)] == [0, 2, 0, 2]
 
 
-# -- legacy adapter -----------------------------------------------------------
+# -- coercion ------------------------------------------------------------------
 
 
-class OldStylePolicy:
-    """Pre-redesign shape: choose(loads, home_index) over live loads."""
-
-    name = "old_min"
-
-    def __init__(self):
-        self.seen = []
-
-    def choose(self, loads, home_index):
-        self.seen.append((list(loads), home_index))
-        return min(range(len(loads)), key=loads.__getitem__)
-
-
-class TestLegacyPolicyAdapter:
-    def test_wrap_warns_and_maps_back_to_directory_index(self):
-        legacy = OldStylePolicy()
-        with pytest.warns(DeprecationWarning, match="legacy choose"):
-            adapter = coerce_policy(legacy)
-        assert isinstance(adapter, LegacyPolicyAdapter)
-        assert adapter.name == "old_min"
-        view = make_view(
-            NodeView(index=0, base_uri="n0", alive=False),
-            NodeView(index=1, base_uri="n1", load=5.0),
-            NodeView(index=2, base_uri="n2", load=1.0),
-        )
-        # The legacy policy sees only live loads [5.0, 1.0] and its pick
-        # (position 1) maps back to directory index 2.
-        assert adapter.choose(view, 1) == 2
-        assert legacy.seen == [([5.0, 1.0], 0)]
-
-    def test_out_of_range_pick_rejected(self):
-        class Bad:
-            def choose(self, loads, home_index):
-                return len(loads)  # one past the end
-
-        with pytest.warns(DeprecationWarning):
-            adapter = coerce_policy(Bad())
-        with pytest.raises(PlacementError, match="outside"):
-            adapter.choose(ClusterView.from_loads([0.0, 0.0]), 0)
-
-    def test_coerce_passthrough_and_names(self):
+class TestCoercePolicy:
+    def test_passthrough_and_names(self):
         policy = LeastLoadedPlacement()
         assert coerce_policy(policy) is policy
         assert isinstance(coerce_policy("locality"), LocalityAwarePlacement)
-        with pytest.raises(PlacementError, match="no choose"):
-            coerce_policy(object())
 
-    def test_new_style_subclass_needs_no_adapter(self):
+    def test_anything_else_is_a_placement_error(self):
+        class ChoosesButIsNoPolicy:
+            def choose(self, loads, home_index):
+                return 0
+
+        with pytest.raises(PlacementError, match="PlacementPolicy"):
+            coerce_policy(object())
+        with pytest.raises(PlacementError, match="PlacementPolicy"):
+            coerce_policy(ChoosesButIsNoPolicy())
+        with pytest.raises(PlacementError, match="unknown placement"):
+            coerce_policy("no_such_policy")
+
+    def test_subclass_passes_through(self):
         class Pinned(PlacementPolicy):
             name = "pinned"
 
@@ -303,7 +258,7 @@ class TestRebalancePlanner:
         assert planner().plan([report("n0", 100)], 0.0) == []
 
 
-# -- config consolidation -----------------------------------------------------
+# -- scheduler config --------------------------------------------------------
 
 
 class TestSchedulerConfig:
@@ -322,57 +277,6 @@ class TestSchedulerConfig:
         assert config.migration is True
         assert config.rebalancing_enabled is True
         assert SchedulerConfig().rebalancing_enabled is False
-
-    def test_parc_config_folds_flat_fields_in(self):
-        grain_policy = GrainPolicy(max_calls=4)
-        config = ParcConfig(
-            grain=grain_policy,
-            scheduler=SchedulerConfig(work_stealing=True),
-        )
-        effective = config.effective_scheduler()
-        assert effective.grain is grain_policy
-        assert effective.work_stealing is True
-
-    def test_parc_config_flat_placement_folds_in(self):
-        config = ParcConfig(
-            placement="least_loaded",
-            scheduler=SchedulerConfig(migration=True),
-        )
-        assert config.effective_scheduler().placement == "least_loaded"
-
-    def test_conflicting_grain_rejected(self):
-        with pytest.raises(ScooppError, match="grain given both"):
-            ParcConfig(
-                grain=GrainPolicy(),
-                scheduler=SchedulerConfig(grain=GrainPolicy()),
-            )
-
-    def test_conflicting_placement_rejected(self):
-        with pytest.raises(ScooppError, match="placement given both"):
-            ParcConfig(
-                placement="least_loaded",
-                scheduler=SchedulerConfig(placement="random"),
-            )
-
-    def test_flat_scheduling_warns_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(
-            config_module, "_warned_flat_scheduling", False
-        )
-        with pytest.warns(DeprecationWarning, match="scheduler="):
-            ParcConfig(placement="least_loaded")
-        # The second config must stay silent (once per process).
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", DeprecationWarning)
-            ParcConfig(placement="least_loaded")
-
-    def test_scheduler_only_config_does_not_warn(self):
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", DeprecationWarning)
-            ParcConfig(scheduler=SchedulerConfig(placement="least_loaded"))
 
 
 # -- mailbox migration primitives ---------------------------------------------
