@@ -28,9 +28,11 @@ import repro.core as parc
 from repro.apps.primes import PrimeServer
 from repro.benchlib.tables import format_table
 from repro.channels.tcp import TcpChannel
+from repro.cluster.control import ELASTIC_INTERVAL_S, ControlPlane
 from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.errors import OverloadError, ParcError
 from repro.flow import CreditGrantor
+from repro.perfmodel.clock import VirtualClock
 from repro.remoting.messages import CallMessage
 
 PAYLOAD_BYTES = 1024
@@ -205,7 +207,18 @@ def elastic_cycle_stats() -> dict:
     )
     try:
         cluster = rt.cluster
-        cluster._elastic_interval_s = 0.05  # re-read on every loop wait
+        # Step the elastic duty on a virtual clock rather than waiting
+        # out its one-second samples.
+        cluster.control.stop()
+        clock = VirtualClock()
+        control = ControlPlane(
+            cluster, elastic=cluster.control.elastic, clock=clock
+        )
+
+        def sample():
+            clock.advance(ELASTIC_INTERVAL_S)
+            control.tick()
+
         servers = [parc.new(PrimeServer) for _ in range(4)]
         posted = 0
         deadline = time.monotonic() + 60.0
@@ -218,12 +231,13 @@ def elastic_cycle_stats() -> dict:
             # Top the queues up instead of flooding: deep enough to read
             # as sustained pressure, shallow enough to drain promptly
             # once the load stops (each candidate is ~ms of division).
-            if cluster.home_node.stats()["queued"] < 50:
+            if cluster.home_node.report()["queued"] < 50:
                 for server in servers:
                     server.process([prime, prime])
                     posted += 2
             else:
                 time.sleep(0.01)
+            sample()
         workers_peak = len(cluster.worker_handles)
 
         deadline = time.monotonic() + 60.0
@@ -233,6 +247,7 @@ def elastic_cycle_stats() -> dict:
             if time.monotonic() > deadline:
                 raise AssertionError("elastic loop never scaled back in")
             time.sleep(0.05)
+            sample()
         workers_settled = len(cluster.worker_handles)
 
         for server in servers:

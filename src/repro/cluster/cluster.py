@@ -8,44 +8,28 @@ directory so they can exchange loads and statistics.
 from __future__ import annotations
 
 import threading
-import time
 import uuid
-from typing import TYPE_CHECKING, Any, Literal
+from typing import Any
 
 from repro.channels.base import Channel
-from repro.channels.breaker import BreakerPolicy
 from repro.channels.factory import available_kinds, create as create_channel
 from repro.channels.services import ChannelServices
-from repro.core.grain import GrainPolicy
+from repro.cluster.control import ControlPlane, ErrorCounter, Observed
 from repro.cluster.node import Node
 from repro.cluster.placement import coerce_policy
+from repro.cluster.proc import ProcessNodeHandle, spawn_workers
+from repro.core.config import ParcConfig
+from repro.core.grain import GrainPolicy
 from repro.errors import ScooppError
+from repro.flow import ElasticController, ElasticPolicy
 from repro.sched import PlannedMove, RebalancePlanner, SchedulerConfig
 from repro.telemetry import (
     MetricsRegistry,
-    TelemetryConfig,
     get_global_tracer,
     get_sample_rate,
     set_global_tracer,
     set_sample_rate,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.chaos import ChaosController, FaultPlan
-
-#: ``chaos+<base>`` routes every call through a
-#: :class:`~repro.chaos.FaultyChannel` fed by the cluster's fault plan
-#: and controller — the fault-injection configuration of the test suite.
-ChannelKind = Literal[
-    "loopback",
-    "tcp",
-    "aio",
-    "shm",
-    "chaos+loopback",
-    "chaos+tcp",
-    "chaos+aio",
-    "chaos+shm",
-]
 
 _BASE_KINDS = ("loopback", "tcp", "aio", "shm")
 
@@ -65,122 +49,63 @@ class Cluster:
     through the executing node's OM).
     """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        channel_kind: ChannelKind = "loopback",
-        worker_processes: int = 0,
-        worker_modules: tuple[str, ...] = (),
-        heartbeat_s: float | None = None,
-        breaker: BreakerPolicy | None = None,
-        chaos_plan: "FaultPlan | None" = None,
-        chaos_controller: "ChaosController | None" = None,
-        telemetry: TelemetryConfig | None = None,
-        same_node_transport: str | None = None,
-        mailbox_depth: int = 0,
-        priority: dict | None = None,
-        shed_policy: str | None = None,
-        elastic: tuple | None = None,
-        elastic_interval_s: float = 1.0,
-        scheduler: SchedulerConfig | None = None,
-    ) -> None:
-        """*worker_processes* additional nodes run as separate OS
-        processes over TCP (see :mod:`repro.cluster.proc`); they import
-        *worker_modules* at boot to register the application's parallel
-        classes.  Process workers force ``channel_kind="tcp"``.
+    def __init__(self, config: ParcConfig) -> None:
+        """Boot the cluster *config* describes (field meanings are
+        :class:`~repro.core.config.ParcConfig`'s, which also validates
+        each value on its own; what is checked here is how they combine).
 
-        *heartbeat_s* starts a failure-detector loop on every node's
-        object manager.  *breaker* wraps the shared client channel in a
-        per-authority circuit breaker.  *chaos_plan* /
-        *chaos_controller* feed the fault-injection layer and require a
-        ``chaos+*`` channel kind.  *telemetry* enables distributed
-        tracing and per-node metrics (see
-        :class:`~repro.telemetry.TelemetryConfig`).
-
-        *same_node_transport* = ``"shm"`` gives every node a hidden
+        ``config.channel`` may be ``chaos+<base>``: every call then
+        routes through a :class:`~repro.chaos.FaultyChannel` fed by
+        ``chaos_plan`` / ``chaos_controller``.  ``worker_processes``
+        extra nodes run as separate OS processes over TCP (see
+        :mod:`repro.cluster.proc`), importing ``worker_modules`` at boot;
+        with ``elastic`` bounds the initial count is clamped into them.
+        ``same_node_transport="shm"`` gives every node a hidden
         shared-memory listener on its socket authority and wraps the
         client channel in a :class:`~repro.shm.SameNodeChannel`, so
         calls between co-located processes ride ring buffers while
         remote peers stay on the wire — no URI or directory changes.
 
-        *mailbox_depth*, *priority* and *shed_policy* are the flow-control
-        knobs, threaded verbatim into every node (in-process and worker
-        alike); see :class:`~repro.core.config.ParcConfig`.  *elastic*
-        = ``(min, max)`` starts a control loop that samples cluster
-        queue depth and method-latency p99 every *elastic_interval_s*
-        seconds and spawns or retires worker processes within those
-        bounds (requires ``worker_processes >= 1``); the initial worker
-        count is clamped into the bounds.
-
-        *scheduler* is a :class:`~repro.sched.SchedulerConfig` bundling
-        the grain policy, placement policy and the adaptive-rebalancing
-        knobs (work stealing, live migration); ``None`` means
-        ``SchedulerConfig()``.  When ``scheduler.work_stealing`` is
-        on, a daemon loop samples every node's load report each
-        ``rebalance_interval_s`` seconds and live-migrates queued grains
-        off overloaded nodes.
+        ``heartbeat_s``, ``elastic`` and ``scheduler.work_stealing`` are
+        the duties of the one :class:`~repro.cluster.control.ControlPlane`
+        (``self.control``); its thread exists only when one is set.
         """
-        if num_nodes < 1:
-            raise ScooppError(f"cluster needs >= 1 node, got {num_nodes}")
+        channel_kind = config.channel
         chaos = channel_kind.startswith("chaos+")
         base_kind = channel_kind.split("+", 1)[1] if chaos else channel_kind
         if base_kind not in _BASE_KINDS or base_kind not in available_kinds():
             raise ScooppError(f"unknown channel kind {channel_kind!r}")
-        if (chaos_plan is not None or chaos_controller is not None) and not chaos:
+        if (
+            config.chaos_plan is not None
+            or config.chaos_controller is not None
+        ) and not chaos:
             raise ScooppError(
                 "chaos_plan/chaos_controller need a chaos+* channel kind"
             )
-        if worker_processes < 0:
-            raise ScooppError("worker_processes cannot be negative")
+        worker_processes = config.worker_processes
         if worker_processes and channel_kind != "tcp":
             raise ScooppError(
                 "process workers speak TCP; use channel_kind='tcp'"
             )
-        if same_node_transport not in (None, "shm"):
-            raise ScooppError(
-                "same_node_transport must be None or 'shm', got "
-                f"{same_node_transport!r}"
-            )
-        if same_node_transport and base_kind not in _SAMENODE_BASE_KINDS:
+        same_node = config.same_node_transport
+        if same_node and base_kind not in _SAMENODE_BASE_KINDS:
             raise ScooppError(
                 "same_node_transport='shm' needs a socket channel kind "
                 f"({', '.join(_SAMENODE_BASE_KINDS)}); "
                 f"got {channel_kind!r}"
             )
-        if elastic is not None:
-            elastic = tuple(elastic)
-            if len(elastic) != 2 or elastic[0] < 1 or elastic[1] < elastic[0]:
-                raise ScooppError(
-                    f"elastic bounds need 1 <= min <= max, got {elastic!r}"
-                )
-            if worker_processes < 1:
-                raise ScooppError(
-                    "elastic scaling needs worker_processes >= 1"
-                )
-            # The initial population must respect the bounds it will be
-            # scaled within.
-            worker_processes = max(elastic[0], min(worker_processes, elastic[1]))
-        self.num_nodes = num_nodes
-        self.channel_kind = channel_kind
-        self.heartbeat_s = heartbeat_s
-        self.same_node_transport = same_node_transport
-        self.mailbox_depth = mailbox_depth
-        self.priority = priority
-        self.shed_policy = shed_policy
-        self.elastic = elastic
+        self.num_nodes = config.nodes
         self.metrics = MetricsRegistry()
-        self.chaos_controller = chaos_controller
-        self.chaos_plan = chaos_plan
-        self.telemetry = (
-            telemetry if telemetry is not None else TelemetryConfig()
-        )
-        if scheduler is None:
-            scheduler = SchedulerConfig()
-        self.sched_config = scheduler
+        self.errors = ErrorCounter(self.metrics)
+        self.chaos_controller = config.chaos_controller
+        self.telemetry = config.telemetry
+        self.sched_config = config.scheduler or SchedulerConfig()
         self.grain = (
-            scheduler.grain if scheduler.grain is not None else GrainPolicy()
+            self.sched_config.grain
+            if self.sched_config.grain is not None
+            else GrainPolicy()
         )
-        self.placement = coerce_policy(scheduler.placement)
+        self.placement = coerce_policy(self.sched_config.placement)
         self.services = ChannelServices()
         # The shared client channel every proxy dials through, built from
         # the scheme registry.  Stacking order matters: the breaker sits
@@ -189,28 +114,58 @@ class Cluster:
         # sits innermost so chaos and breaker apply to shm-routed calls
         # exactly as they do to wire calls.
         client_kind = base_kind
-        if same_node_transport:
+        if same_node:
             client_kind = f"samenode+{client_kind}"
         if chaos:
             client_kind = f"chaos+{client_kind}"
-        if breaker is not None:
+        if config.breaker is not None:
             client_kind = f"breaker+{client_kind}"
         client: Channel = create_channel(
             client_kind,
-            chaos_plan=chaos_plan,
-            chaos_controller=chaos_controller,
-            breaker_policy=breaker,
+            chaos_plan=config.chaos_plan,
+            chaos_controller=config.chaos_controller,
+            breaker_policy=config.breaker,
             metrics=self.metrics,
         )
         self.client_channel = client
         self.services.register_channel(client)
         run_id = uuid.uuid4().hex[:8]
         self.nodes: list[Node] = []
+        # worker_handles and the next worker index are guarded by
+        # _workers_lock: the control thread scales while application
+        # threads read.
+        self.worker_handles: list[ProcessNodeHandle] = []
+        self._workers_lock = threading.Lock()
         self._backplane_channels: list[Channel] = []
         self._installed_tracer = None
         self._prev_sample_rate: float | None = None
+        settings = config.node_settings()
+        # What every worker boots with, kept for elastic re-spawns.
+        self._spawn = dict(
+            modules=config.worker_modules,
+            grain=self.grain,
+            placement_name=getattr(self.placement, "name", "round_robin"),
+            settings=settings,
+        )
+        elastic = None
+        if config.elastic is not None:
+            low, high = config.elastic
+            elastic = ElasticController(
+                ElasticPolicy(min_workers=low, max_workers=high)
+            )
+            # The initial population must respect the bounds it will be
+            # scaled within.
+            worker_processes = max(low, min(worker_processes, high))
+        stealing = self.sched_config.work_stealing
+        self.control = ControlPlane(
+            self,
+            heartbeat_s=config.heartbeat_s,
+            elastic=elastic,
+            planner=RebalancePlanner(self.sched_config) if stealing else None,
+        )
+        self._closed = False
         try:
-            for index in range(num_nodes):
+            for index in range(config.nodes):
                 if base_kind == "loopback":
                     authority = f"parc-{run_id}-n{index}"
                 elif base_kind == "shm":
@@ -231,14 +186,11 @@ class Cluster:
                     services=self.services,
                     grain=self.grain,
                     placement=self.placement,
+                    settings=settings,
                     metrics=self.metrics,
-                    telemetry=self.telemetry,
-                    mailbox_depth=mailbox_depth,
-                    priority=priority,
-                    shed_policy=shed_policy,
                 )
                 self.nodes.append(node)
-                if same_node_transport == "shm":
+                if same_node == "shm":
                     # Hidden backplane: a second listener serving the
                     # same host under the node's *socket* authority, so
                     # the SameNodeChannel's handshake-socket probe finds
@@ -250,42 +202,17 @@ class Cluster:
                     bound = node.base_uri.split("://", 1)[1]
                     node.host.listen(backplane, bound, advertise=False)
                     self._backplane_channels.append(backplane)
+            if worker_processes:
+                self.worker_handles = spawn_workers(
+                    count=worker_processes,
+                    first_index=config.nodes,
+                    **self._spawn,
+                )
         except Exception:
             self.close()
             raise
-        self.worker_handles = []
-        # Spawn ingredients, kept for elastic scale-out re-spawns.
-        self._worker_modules = tuple(worker_modules)
-        self._placement_name = getattr(self.placement, "name", "round_robin")
-        if worker_processes:
-            from repro.cluster.proc import spawn_workers
-
-            try:
-                self.worker_handles = spawn_workers(
-                    count=worker_processes,
-                    first_index=num_nodes,
-                    modules=worker_modules,
-                    grain=self.grain,
-                    placement_name=self._placement_name,
-                    telemetry=self.telemetry,
-                    same_node_transport=same_node_transport,
-                    mailbox_depth=mailbox_depth,
-                    priority=priority,
-                    shed_policy=shed_policy,
-                )
-            except Exception:
-                self.close()
-                raise
-        directory = [node.base_uri for node in self.nodes] + [
-            handle.base_uri for handle in self.worker_handles
-        ]
-        for node in self.nodes:
-            node.om.set_directory(directory)
-        for handle in self.worker_handles:
-            handle.set_directory(directory)
-        if heartbeat_s is not None:
-            for node in self.nodes:
-                node.om.start_heartbeat(heartbeat_s)
+        self._next_worker_index = config.nodes + len(self.worker_handles)
+        self._redistribute_directory()
         if self.telemetry.enabled:
             # The application's main thread records against the home
             # node's tracer (its spans show in the home node's lane).
@@ -294,32 +221,8 @@ class Cluster:
             set_sample_rate(self.telemetry.sample_rate)
             self._installed_tracer = self.home_node.telemetry.tracer
             set_global_tracer(self._installed_tracer)
-        # Elastic worker scaling: a daemon loop samples cluster pressure
-        # and spawns/retires worker processes within the elastic bounds.
-        self._elastic_lock = threading.Lock()
-        self._elastic_stop = threading.Event()
-        self._elastic_thread: threading.Thread | None = None
-        self._next_worker_index = num_nodes + len(self.worker_handles)
-        if elastic is not None:
-            from repro.flow import ElasticController, ElasticPolicy
-
-            self._elastic_controller = ElasticController(
-                ElasticPolicy(min_workers=elastic[0], max_workers=elastic[1])
-            )
-            self._elastic_interval_s = elastic_interval_s
-            self.metrics.gauge(
-                "cluster.elastic.workers", "worker processes currently live"
-            ).set(len(self.worker_handles))
-            self._elastic_thread = threading.Thread(
-                target=self._elastic_loop, name="parc-elastic", daemon=True
-            )
-            self._elastic_thread.start()
-        # Adaptive rebalancing: a daemon loop gathers per-node scheduler
-        # reports, asks the planner for moves, and executes each as a
-        # live grain migration (see repro.sched).
+        # Migration bookkeeping (explicit moves and the planner's).
         self._sched_lock = threading.Lock()
-        self._sched_stop = threading.Event()
-        self._sched_thread: threading.Thread | None = None
         self._sched_counters = {
             "cycles": 0,
             "steals": 0,
@@ -330,13 +233,9 @@ class Cluster:
         }
         self._migration_callbacks: list[Any] = []
         self._inflight_migrations: set[str] = set()
-        self._planner = RebalancePlanner(self.sched_config)
-        if self.sched_config.work_stealing:
-            self._sched_thread = threading.Thread(
-                target=self._sched_loop, name="parc-sched", daemon=True
-            )
-            self._sched_thread.start()
-        self._closed = False
+        if elastic is not None:
+            self._set_workers_gauge(len(self.worker_handles))
+        self.control.start()
 
     @property
     def home_node(self) -> Node:
@@ -348,20 +247,23 @@ class Cluster:
                 return node
         return None
 
-    def total_ios(self) -> int:
-        local = sum(node.io_count() for node in self.nodes)
-        remote = sum(
-            handle.stats()["ios"]
-            for handle in getattr(self, "worker_handles", [])
-        )
-        return local + remote
-
     def stats(self) -> list[dict]:
-        rows = [node.stats() for node in self.nodes]
-        rows.extend(
-            handle.stats() for handle in getattr(self, "worker_handles", [])
-        )
+        """One row per node (see :meth:`Node.report`).
+
+        In-process nodes are read directly, process workers through
+        their ``/om``; an unreachable worker has no row
+        (``cluster.errors.stats`` counts it).
+        """
+        rows = [node.report() for node in self.nodes]
+        for handle in self._handles():
+            try:
+                rows.append(dict(self._worker_om(handle).report()))
+            except Exception:  # noqa: BLE001 - a dead worker has no row
+                self.errors("stats")
         return rows
+
+    def total_ios(self) -> int:
+        return sum(row["ios"] for row in self.stats())
 
     def collect_telemetry(self) -> dict[str, dict[str, Any]]:
         """Pull every node's trace buffer and metrics into one mapping.
@@ -381,7 +283,7 @@ class Cluster:
                 "metrics": tel.metrics_export(),
                 "dropped": tel.dropped_events(),
             }
-        for handle in getattr(self, "worker_handles", []):
+        for handle in self._handles():
             try:
                 proxy = self.home_node.make_proxy(
                     f"{handle.base_uri}/telemetry"
@@ -392,82 +294,71 @@ class Cluster:
                     "dropped": proxy.dropped_events(),
                 }
             except Exception:  # noqa: BLE001 - collection is best-effort
-                continue
+                self.errors("collect_telemetry")
         return out
 
-    # -- elastic workers ---------------------------------------------------
+    # -- what the control plane acts on ------------------------------------
 
-    def _elastic_loop(self) -> None:
-        """Sampling thread: pressure in, scale decisions out.
+    def observe(self) -> list[Observed]:
+        """One fresh row fetch per directory entry, from the home node.
 
-        Every error is swallowed — a failed sample (a worker mid-death,
-        a stats timeout) must never kill the control loop, only skip the
-        tick.
+        Every other node — in-process ones too — is asked over the wire,
+        through the shared client channel: that is what makes a closed
+        or blackholed node *observably* dead, and what feeds the circuit
+        breaker.
         """
-        while not self._elastic_stop.wait(self._elastic_interval_s):
+        return self.home_node.om.observe()
+
+    def deliver_verdicts(
+        self, verdicts: dict[str, bool], news: dict[str, bool]
+    ) -> None:
+        """Apply the detector's verdicts everywhere.
+
+        Every in-process OM gets every verdict (a no-op unless it is a
+        transition for that OM); each reachable worker is sent *news*
+        (the verdicts that changed since the last round) through its
+        ``report_dead``/``report_alive``.
+        """
+        for node in self.nodes:
+            for base_uri, alive in verdicts.items():
+                if alive:
+                    node.om.report_alive(base_uri)
+                else:
+                    node.om.report_dead(base_uri)
+        if not news:
+            return
+        for handle in self._handles():
+            if not verdicts.get(handle.base_uri, False):
+                continue
             try:
-                self._elastic_tick()
-            except Exception:  # noqa: BLE001 - the loop must survive
-                pass
+                om = self._worker_om(handle)
+                for base_uri, alive in news.items():
+                    if base_uri == handle.base_uri:
+                        continue
+                    if alive:
+                        om.report_alive(base_uri)
+                    else:
+                        om.report_dead(base_uri)
+            except Exception:  # noqa: BLE001 - it will hear the next news
+                self.errors("deliver_verdicts")
 
-    def _elastic_tick(self) -> None:
-        """One control-loop sample: observe pressure, maybe act."""
-        queued = 0
-        p99: float | None = None
-        for row in self.stats():
-            queued += row.get("queued", 0)
-            row_p99 = row.get("p99_s")
-            if row_p99 is not None and (p99 is None or row_p99 > p99):
-                p99 = row_p99
-        with self._elastic_lock:
-            workers = len(self.worker_handles)
-        self.metrics.gauge(
-            "cluster.elastic.workers", "worker processes currently live"
-        ).set(workers)
-        decision = self._elastic_controller.observe(workers, queued, p99)
-        if decision == "out":
-            self._scale_out(queued, p99)
-        elif decision == "in":
-            self._scale_in(queued, p99)
+    def worker_count(self) -> int:
+        with self._workers_lock:
+            return len(self.worker_handles)
 
-    def _scale_out(self, queued: int, p99: float | None) -> None:
+    def scale_out(self, queued: int, p99: float) -> None:
         """Spawn one more worker process and publish it to the cluster."""
-        from repro.cluster.proc import spawn_workers
-
-        with self._elastic_lock:
+        with self._workers_lock:
             index = self._next_worker_index
             self._next_worker_index += 1  # indices are never reused
-        handles = spawn_workers(
-            count=1,
-            first_index=index,
-            modules=self._worker_modules,
-            grain=self.grain,
-            placement_name=self._placement_name,
-            telemetry=self.telemetry,
-            same_node_transport=self.same_node_transport,
-            mailbox_depth=self.mailbox_depth,
-            priority=self.priority,
-            shed_policy=self.shed_policy,
-        )
-        with self._elastic_lock:
+        handles = spawn_workers(count=1, first_index=index, **self._spawn)
+        with self._workers_lock:
             self.worker_handles.extend(handles)
             workers = len(self.worker_handles)
         self._redistribute_directory()
-        self.metrics.counter(
-            "cluster.elastic.scale_out", "elastic scale-out actions"
-        ).inc()
-        self.metrics.gauge(
-            "cluster.elastic.workers", "worker processes currently live"
-        ).set(workers)
-        self._elastic_instant(
-            "cluster.elastic.scale_out",
-            worker=handles[0].base_uri,
-            workers=workers,
-            queued=queued,
-            p99_s=p99,
-        )
+        self._note_scaled("scale_out", handles[0], workers, queued, p99)
 
-    def _scale_in(self, queued: int, p99: float | None) -> None:
+    def scale_in(self, queued: int, p99: float) -> None:
         """Retire the newest worker process.
 
         The directory is republished *before* the worker is told to shut
@@ -476,7 +367,7 @@ class Cluster:
         node-down machinery — restartable grains stranded on the retiree
         respawn on the remaining nodes.
         """
-        with self._elastic_lock:
+        with self._workers_lock:
             if not self.worker_handles:
                 return
             handle = self.worker_handles.pop()
@@ -485,27 +376,58 @@ class Cluster:
         try:
             handle.shutdown()
         except Exception:  # noqa: BLE001 - retirement is best-effort
-            pass
+            self.errors("retire")
         for node in self.nodes:
             node.om.note_dead(handle.base_uri)
-        self.metrics.counter(
-            "cluster.elastic.scale_in", "elastic scale-in actions"
-        ).inc()
-        self.metrics.gauge(
-            "cluster.elastic.workers", "worker processes currently live"
-        ).set(workers)
-        self._elastic_instant(
-            "cluster.elastic.scale_in",
-            worker=handle.base_uri,
-            workers=workers,
-            queued=queued,
-            p99_s=p99,
-        )
+        self._note_scaled("scale_in", handle, workers, queued, p99)
+
+    def start_moves(self, moves: list[PlannedMove]) -> None:
+        """One rebalance cycle's output: fire the planned migrations.
+
+        Planned moves have distinct victims and targets, so each runs
+        on its own thread.  Nothing joins them: a migration's pause time
+        (waiting out the victim grain's executing batch) can dwarf the
+        rebalance interval under load, and blocking the control plane on
+        it would starve the planner of fresh rows exactly when the
+        cluster is most imbalanced.  In-flight grains are tracked so a
+        path is never migrated twice concurrently, and
+        ``max_migrations_per_cycle`` caps the total in flight.
+        """
+        with self._sched_lock:
+            self._sched_counters["cycles"] += 1
+            budget = (
+                self.sched_config.max_migrations_per_cycle
+                - len(self._inflight_migrations)
+            )
+            runnable = []
+            for move in moves:
+                if budget <= 0:
+                    break
+                if move.path in self._inflight_migrations:
+                    continue
+                self._inflight_migrations.add(move.path)
+                runnable.append(move)
+                budget -= 1
+        for move in runnable:
+            threading.Thread(
+                target=self._execute_move,
+                args=(move,),
+                name="parc-migrate",
+                daemon=True,
+            ).start()
+
+    # -- worker bookkeeping ------------------------------------------------
+
+    def _handles(self) -> list[ProcessNodeHandle]:
+        with self._workers_lock:
+            return list(self.worker_handles)
+
+    def _worker_om(self, handle: ProcessNodeHandle) -> Any:
+        return self.home_node.make_proxy(f"{handle.base_uri}/om")
 
     def _redistribute_directory(self) -> None:
         """Push the current node+worker directory to every object manager."""
-        with self._elastic_lock:
-            handles = list(self.worker_handles)
+        handles = self._handles()
         directory = [node.base_uri for node in self.nodes] + [
             handle.base_uri for handle in handles
         ]
@@ -515,15 +437,40 @@ class Cluster:
             try:
                 handle.set_directory(directory)
             except Exception:  # noqa: BLE001 - worker may be mid-death
-                pass
+                self.errors("redistribute_directory")
 
-    def _elastic_instant(self, name: str, **args: Any) -> None:
+    def _set_workers_gauge(self, workers: int) -> None:
+        self.metrics.gauge(
+            "cluster.elastic.workers", "worker processes currently live"
+        ).set(workers)
+
+    def _note_scaled(
+        self,
+        action: str,
+        handle: ProcessNodeHandle,
+        workers: int,
+        queued: int,
+        p99: float,
+    ) -> None:
+        self.metrics.counter(
+            f"cluster.elastic.{action}", f"elastic {action} actions"
+        ).inc()
+        self._set_workers_gauge(workers)
+        self._instant(
+            f"cluster.elastic.{action}",
+            worker=handle.base_uri,
+            workers=workers,
+            queued=queued,
+            p99_s=p99,
+        )
+
+    def _instant(self, name: str, **args: Any) -> None:
         if not self.telemetry.enabled:
             return
         try:
             self.home_node.telemetry.tracer.instant("cluster", name, **args)
         except Exception:  # noqa: BLE001 - tracing is best-effort
-            pass
+            self.errors("trace")
 
     # -- adaptive scheduler ------------------------------------------------
 
@@ -558,30 +505,28 @@ class Cluster:
         """Snapshot of where grains live and what the scheduler did.
 
         Returns the active policy name, per-node rows (grain counts,
-        stealable backlog, load, per-node migration counters), the
-        cluster-level steal/migration counters, and the most recent
-        placement decisions merged from every object manager's log.
+        queued and stealable backlog, load, per-node migration
+        counters), the cluster-level steal/migration counters, and the
+        most recent placement decisions merged from every object
+        manager's log.
         """
-        node_rows = []
-        for report in self._scheduler_reports():
-            node_rows.append(
-                {
-                    "base_uri": report.get("base_uri"),
-                    "index": report.get("index"),
-                    "grains": report.get("ios", 0),
-                    "queued": report.get("queued", 0),
-                    "load": report.get("load", 0.0),
-                    "migrations_out": report.get("migrations_out", 0),
-                    "migrations_in": report.get("migrations_in", 0),
-                    "steals": report.get("steals", 0),
-                }
-            )
+        node_rows = [
+            {
+                "base_uri": row["base_uri"],
+                "index": row["index"],
+                "grains": row["ios"],
+                "queued": row["queued"],
+                "stealable": row["stealable"],
+                "load": row["load"],
+                "migrations_out": row["migrations_out"],
+                "migrations_in": row["migrations_in"],
+                "steals": row["steals"],
+            }
+            for row in self.stats()
+        ]
         decisions: list[dict] = []
         for node in self.nodes:
-            try:
-                decisions.extend(node.om.recent_decisions())
-            except Exception:  # noqa: BLE001 - reporting is best-effort
-                pass
+            decisions.extend(node.om.recent_decisions())
         decisions.sort(key=lambda d: d.get("ts", 0.0))
         with self._sched_lock:
             counters = dict(self._sched_counters)
@@ -596,82 +541,13 @@ class Cluster:
             **counters,
         }
 
-    def _scheduler_reports(self) -> list[dict]:
-        """One load report per reachable node, in-process and worker."""
-        reports: list[dict] = []
-        for node in self.nodes:
-            try:
-                reports.append(node.sched.report())
-            except Exception:  # noqa: BLE001 - a node mid-teardown
-                pass
-        with self._elastic_lock:
-            handles = list(self.worker_handles)
-        for handle in handles:
-            try:
-                proxy = self.home_node.make_proxy(f"{handle.base_uri}/sched")
-                reports.append(dict(proxy.report()))
-            except Exception:  # noqa: BLE001 - a dead worker just skips
-                pass
-        return reports
-
-    def _sched_loop(self) -> None:
-        """Rebalance thread: reports in, migrations out.
-
-        Mirrors the elastic loop's survival rule — a failed tick (a
-        worker dying mid-report, a migration racing teardown) skips the
-        cycle, never kills the loop.
-        """
-        interval = self.sched_config.rebalance_interval_s
-        while not self._sched_stop.wait(interval):
-            try:
-                self._sched_tick()
-            except Exception:  # noqa: BLE001 - the loop must survive
-                pass
-
-    def _sched_tick(self) -> None:
-        """One rebalance cycle: gather, plan, fire migrations.
-
-        Planned moves have distinct victims and targets, so each runs
-        on its own thread.  The tick never joins them: a migration's
-        pause time (waiting out the victim grain's executing batch)
-        can dwarf the rebalance interval under load, and blocking the
-        loop on it would starve the planner of fresh reports exactly
-        when the cluster is most imbalanced.  In-flight grains are
-        tracked so a path is never migrated twice concurrently, and
-        ``max_migrations_per_cycle`` caps the total in flight.
-        """
-        reports = self._scheduler_reports()
-        moves = self._planner.plan(reports, time.monotonic())
-        with self._sched_lock:
-            self._sched_counters["cycles"] += 1
-            budget = (
-                self.sched_config.max_migrations_per_cycle
-                - len(self._inflight_migrations)
-            )
-            runnable = []
-            for move in moves:
-                if budget <= 0:
-                    break
-                if move.path in self._inflight_migrations:
-                    continue
-                self._inflight_migrations.add(move.path)
-                runnable.append(move)
-                budget -= 1
-        for move in runnable:
-            threading.Thread(
-                target=self._execute_move,
-                args=(move,),
-                name="parc-migrate",
-                daemon=True,
-            ).start()
-
     def _execute_move(self, move: PlannedMove) -> None:
         try:
             self._execute_migration(
                 move.victim_uri, move.path, move.target_uri, move.kind
             )
-        except Exception:  # noqa: BLE001 - counted in _execute_migration
-            pass
+        except Exception:  # noqa: BLE001 - a planned move may lose its race
+            self.errors("planned_move")
         finally:
             with self._sched_lock:
                 self._inflight_migrations.discard(move.path)
@@ -707,7 +583,7 @@ class Cluster:
             self.metrics.counter(
                 "cluster.sched.steals", "idle-node work steals"
             ).inc()
-        self._elastic_instant(
+        self._instant(
             "cluster.sched.migration",
             kind=kind,
             victim=victim_uri,
@@ -719,40 +595,27 @@ class Cluster:
             try:
                 callback(result)
             except Exception:  # noqa: BLE001 - listeners must not break moves
-                pass
+                self.errors("migration_listener")
         return result
 
     def close(self) -> None:
         """Shut the cluster down without hanging on in-flight calls.
 
-        Order matters: worker processes first (their shutdown rides
-        multiprocessing queues, not our channels), then the failure
-        detectors (so a vanishing peer is not gossip-worthy news), then
-        the *client* channels — force-closing pooled sockets makes any
-        in-flight or late call fail fast with
+        Order matters: the control plane first (it spawns and retires
+        the very workers the rest of teardown is about to shut down, a
+        vanishing peer must not become a verdict, and a migration
+        mid-flight would race node teardown), then worker processes
+        (their shutdown rides multiprocessing queues, not our channels),
+        then the *client* channels — force-closing pooled sockets makes
+        any in-flight or late call fail fast with
         :class:`~repro.errors.ChannelClosedError` instead of blocking
         node teardown — and only then the nodes themselves.
         """
-        if getattr(self, "_closed", False):
+        if self._closed:
             return
         self._closed = True
-        # The control loops first: the elastic loop spawns and retires
-        # the very workers the rest of teardown is about to shut down,
-        # and a migration mid-flight would race node teardown.
-        for stop_attr, thread_attr in (
-            ("_sched_stop", "_sched_thread"),
-            ("_elastic_stop", "_elastic_thread"),
-        ):
-            stop = getattr(self, stop_attr, None)
-            if stop is not None:
-                stop.set()
-            thread = getattr(self, thread_attr, None)
-            if thread is not None:
-                # A tick blocked on a dying worker's stats() can hold
-                # the thread; it is a daemon, so a bounded join is
-                # enough.
-                thread.join(timeout=10.0)
-        if getattr(self, "_installed_tracer", None) is not None:
+        self.control.stop()
+        if self._installed_tracer is not None:
             # Only undo our own installs: a nested cluster created after
             # us may have re-pointed the globals, and its close() will
             # restore them itself.
@@ -764,34 +627,21 @@ class Cluster:
             ):
                 set_sample_rate(self._prev_sample_rate)
             self._installed_tracer = None
-        for handle in getattr(self, "worker_handles", []):
-            try:
-                handle.shutdown()
-            except Exception:  # noqa: BLE001 - teardown must finish
-                pass
-        for node in self.nodes:
-            try:
-                node.om.stop_heartbeat()
-            except Exception:  # noqa: BLE001 - teardown must finish
-                pass
-        self.services.close_all()
+        closers = [handle.shutdown for handle in self._handles()]
+        closers.append(self.services.close_all)
         # Hidden backplane listeners: ChannelServices only adopts the
         # first channel per scheme, so every node's shm listener past
         # the first needs an explicit close to unlink its handshake
         # socket and release the ring segments.
-        for backplane in getattr(self, "_backplane_channels", []):
+        closers.extend(ch.close for ch in self._backplane_channels)
+        closers.extend(node.close for node in self.nodes)
+        for closer in closers:
             try:
-                backplane.close()
+                closer()
             except Exception:  # noqa: BLE001 - teardown must finish
-                pass
-        for node in self.nodes:
-            try:
-                node.close()
-            except Exception:  # noqa: BLE001 - teardown must finish
-                pass
-        controller = getattr(self, "chaos_controller", None)
-        if controller is not None:
-            controller.close()
+                self.errors("teardown")
+        if self.chaos_controller is not None:
+            self.chaos_controller.close()
 
     def __enter__(self) -> "Cluster":
         return self

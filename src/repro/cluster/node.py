@@ -16,6 +16,8 @@ from typing import Any, Sequence
 
 from repro.channels.base import Channel
 from repro.channels.services import ChannelServices
+from repro.cluster.control import ErrorCounter, Observed
+from repro.core.config import NodeSettings
 from repro.core.grain import AdaptiveGrainController, GrainDecision, GrainPolicy
 from repro.core.impl import ImplementationObject
 from repro.core.model import parallel_class_table
@@ -27,18 +29,13 @@ from repro.errors import (
     RemotingError,
     ScooppError,
 )
-from repro.flow import estimate_p99
 from repro.remoting import MarshalByRefObject, RemotingHost
 from repro.remoting.proxy import RemoteProxy
 from repro.sched.engine import NodeScheduler
 from repro.sched.view import ClusterView, NodeView
-from repro.telemetry import (
-    MetricsRegistry,
-    TelemetryConfig,
-    summarize_method_histograms,
-)
+from repro.telemetry import MetricsRegistry, summarize_method_histograms
 from repro.telemetry.node import NodeTelemetry
-from repro.telemetry.tracer import Tracer, current_tracer_var
+from repro.telemetry.tracer import Tracer
 
 #: How long a sampled peer-load vector stays fresh (seconds).  Placement
 #: is latency-sensitive: one remote load query per peer per creation would
@@ -52,14 +49,18 @@ STATS_REFRESH_PERIOD = 32
 #: Placement decisions kept for ``placement_report()`` introspection.
 DECISION_LOG_SIZE = 32
 
+#: Grains listed in a node's row (deepest stealable backlogs first).
+REPORT_TOP_GRAINS = 16
+
 
 class ObjectManager(MarshalByRefObject):
     """Per-node manager: load reporting, placement, grain decisions.
 
-    The remotely callable surface (``load_report``, ``class_stats``,
-    ``ping``) is what peer OMs use; ``decide_and_place`` is the local
-    entry POs go through at construction (Fig. 5's "contact OM to get a
-    (host) and tcp (port) for the new object").
+    The remotely callable surface (``report``, ``class_stats``,
+    ``recent_decisions``, ``report_dead``/``report_alive``) is what peer
+    OMs and the cluster's control plane use; ``decide_and_place`` is the
+    local entry POs go through at construction (Fig. 5's "contact OM to
+    get a (host) and tcp (port) for the new object").
     """
 
     def __init__(
@@ -73,6 +74,7 @@ class ObjectManager(MarshalByRefObject):
         self.grain = grain
         self.placement = coerce_policy(placement)
         self.metrics = metrics
+        self._errors = ErrorCounter(metrics)
         self._lock = threading.Lock()
         self._directory: list[str] = []  # node base URIs, cluster order
         self._peer_oms: dict[str, RemoteProxy] = {}
@@ -86,52 +88,15 @@ class ObjectManager(MarshalByRefObject):
         # Nodes observed unreachable; excluded from placement until a
         # later probe sees them again.
         self._dead: set[str] = set()
-        # Failure-detector state: heartbeat thread + liveness listeners.
+        # Liveness listeners, fired on alive<->dead transitions.
         self._down_callbacks: list = []
         self._up_callbacks: list = []
-        self._hb_thread: threading.Thread | None = None
-        self._hb_stop = threading.Event()
-        self._hb_interval = 0.0
 
     # -- remote surface ----------------------------------------------------
 
-    def load_report(self) -> dict:
-        """Structured load report: the ClusterView row peers build.
-
-        The scalar load (live IOs plus queued work) travels with the
-        mailbox queue depth, so placement can see backlog, not just
-        population; with telemetry on, the node's
-        ``parc.method.seconds.*`` histogram summaries ride along —
-        ``avg_service_s``/``p99_s`` price the backlog in measured
-        seconds, and the per-method ``methods`` map feeds peer grain
-        autotuners (absent when nothing has been recorded).
-        """
-        report = {
-            "load": self.node.current_load(),
-            "ios": self.node.io_count(),
-            "queued": self.node.queued_count(),
-            "avg_service_s": 0.0,
-            "p99_s": 0.0,
-        }
-        summaries = self.node.method_summaries()
-        if summaries:
-            total = sum(s["count"] for s in summaries.values())
-            if total > 0:
-                report["avg_service_s"] = (
-                    sum(
-                        s["avg_s"] * s["count"]
-                        for s in summaries.values()
-                    )
-                    / total
-                )
-                report["p99_s"] = max(
-                    s["p99_s"] for s in summaries.values()
-                )
-            report["methods"] = {
-                span: [s["avg_s"], int(s["count"])]
-                for span, s in summaries.items()
-            }
-        return report
+    def report(self) -> dict:
+        """This node's row (see :meth:`Node.report`)."""
+        return self.node.report()
 
     def recent_decisions(self) -> list:
         """The last placement decisions this manager made (newest last)."""
@@ -144,22 +109,17 @@ class ObjectManager(MarshalByRefObject):
             return self.grain.stats_for(class_name)
         return (0.0, 0)
 
-    def ping(self) -> str:
-        """Liveness probe; returns the node's base URI."""
-        return self.node.base_uri
-
     def report_dead(self, base_uri: str) -> None:
-        """Gossip receiver: a peer's detector declared *base_uri* dead.
+        """Verdict receiver: the control plane declared *base_uri* dead.
 
-        Adopt the verdict (one hop, no re-gossip: the reporting detector
-        already told every live peer).  A verdict about ourselves is
-        ignored — we are demonstrably alive to be handling this call.
+        A verdict about ourselves is ignored — we are demonstrably alive
+        to be handling this call.
         """
         if base_uri != self.node.base_uri:
             self.note_dead(base_uri)
 
     def report_alive(self, base_uri: str) -> None:
-        """Gossip receiver: a peer's detector saw *base_uri* recover."""
+        """Verdict receiver: the control plane saw *base_uri* answer."""
         if base_uri != self.node.base_uri:
             self.note_alive(base_uri)
 
@@ -225,8 +185,8 @@ class ObjectManager(MarshalByRefObject):
     def cluster_view(self, class_name: str | None = None) -> ClusterView:
         """Snapshot the cluster as a :class:`ClusterView`.
 
-        One row per directory entry: cached peer load reports (dead
-        peers flagged rather than dropped, so policies see directory
+        One row per directory entry: cached peer rows (dead peers
+        flagged rather than dropped, so policies see directory
         indices), the adaptive controller's learned bytes-per-call for
         *class_name*, and same-node reachability (co-located peers ride
         the shm backplane at ~1/3 the wire cost).
@@ -324,7 +284,7 @@ class ObjectManager(MarshalByRefObject):
                 try:
                     callback(base_uri)
                 except Exception:  # noqa: BLE001 - listeners must not kill us
-                    pass
+                    self._errors("liveness_listener")
 
         # Detached: note_dead fires on placement/probe hot paths and a
         # listener may call back into placement (grain respawn).
@@ -333,107 +293,39 @@ class ObjectManager(MarshalByRefObject):
         )
         thread.start()
 
-    def probe_peers(self) -> dict[str, bool]:
-        """Ping every directory peer; updates liveness, returns the map."""
-        results: dict[str, bool] = {}
-        for base_uri in self._directory_snapshot():
-            if base_uri == self.node.base_uri:
-                results[base_uri] = True
-                continue
-            try:
-                self._peer_om(base_uri).ping()
-                results[base_uri] = True
-                self.note_alive(base_uri)
-            except Exception:  # noqa: BLE001 - probe failure = dead
-                results[base_uri] = False
-                self.note_dead(base_uri)
-        return results
+    def observe(self) -> list[Observed]:
+        """Fetch one fresh row per directory entry (our own directly).
 
-    # -- heartbeat failure detector ----------------------------------------
-
-    def start_heartbeat(self, interval_s: float) -> None:
-        """Probe peers every *interval_s* seconds on a daemon thread.
-
-        Each round updates liveness (feeding the circuit breaker through
-        the shared client channel) and gossips any *transition* to every
-        still-live peer via their ``report_dead``/``report_alive`` remote
-        surface, so a verdict reaches nodes that have not probed yet.
+        Changes no liveness state — callers decide what the observation
+        means.  A peer whose ``report`` *answers* with an error is
+        reachable but has no row this round (``cluster.errors.report``
+        counts it); only a transport failure makes it unreachable.
         """
-        if interval_s <= 0:
-            raise ValueError("heartbeat interval must be > 0")
-        with self._lock:
-            if self._hb_thread is not None:
-                return
-            self._hb_interval = interval_s
-            self._hb_stop.clear()
-            self._hb_thread = threading.Thread(
-                target=self._heartbeat_loop,
-                name=f"parc-heartbeat-{self.node.index}",
-                daemon=True,
-            )
-        self._hb_thread.start()
-
-    def stop_heartbeat(self) -> None:
-        with self._lock:
-            thread, self._hb_thread = self._hb_thread, None
-        if thread is not None:
-            self._hb_stop.set()
-            thread.join(timeout=2.0)
-
-    def _heartbeat_loop(self) -> None:
-        last: dict[str, bool] = {}
-        while not self._hb_stop.wait(self._hb_interval):
+        observed = []
+        for base_uri in self._directory_snapshot():
+            row, reachable = None, True
             try:
-                last = self._heartbeat_round(last)
-            except Exception:  # noqa: BLE001 - detector must outlive errors
-                pass
+                if base_uri == self.node.base_uri:
+                    row = self.node.report()
+                else:
+                    row = dict(self._peer_om(base_uri).report())
+            except RemoteInvocationError:
+                self._errors("report")
+            except (ChannelError, RemotingError, OSError):
+                reachable = False
+            observed.append(Observed(base_uri, row, reachable))
+        return observed
 
-    def _heartbeat_round(self, last: dict[str, bool]) -> dict[str, bool]:
-        tracer = self._tracer()
-        if tracer is None:
-            return self._heartbeat_round_inner(last)
-        # Bind this node's tracer on the detector thread so the probe
-        # rpc spans land in this node's lane, under one round span.
-        token = current_tracer_var.set(tracer)
-        try:
-            with tracer.span(
-                "cluster", "heartbeat.round", node=self.node.base_uri
-            ):
-                return self._heartbeat_round_inner(last)
-        finally:
-            current_tracer_var.reset(token)
-
-    def _heartbeat_round_inner(self, last: dict[str, bool]) -> dict[str, bool]:
-        results = self.probe_peers()
-        transitions = {
-            base_uri: alive
-            for base_uri, alive in results.items()
-            # Unknown peers are presumed alive, so the first round only
-            # gossips about nodes that are already down.
-            if base_uri != self.node.base_uri
-            and last.get(base_uri, True) != alive
-        }
-        if transitions:
-            self._gossip(transitions, results)
+    def probe_peers(self) -> dict[str, bool]:
+        """Observe every directory peer; updates liveness, returns the map."""
+        results: dict[str, bool] = {}
+        for base_uri, _row, reachable in self.observe():
+            results[base_uri] = reachable
+            if reachable:
+                self.report_alive(base_uri)
+            else:
+                self.report_dead(base_uri)
         return results
-
-    def _gossip(
-        self, transitions: dict[str, bool], results: dict[str, bool]
-    ) -> None:
-        for peer, peer_alive in results.items():
-            if not peer_alive or peer == self.node.base_uri:
-                continue
-            for subject, alive in transitions.items():
-                if subject == peer:
-                    continue
-                try:
-                    om = self._peer_om(peer)
-                    if alive:
-                        om.report_alive(subject)
-                    else:
-                        om.report_dead(subject)
-                except Exception:  # noqa: BLE001 - gossip is best-effort
-                    break
 
     def note_created(self) -> None:
         self.node.note_io_created()
@@ -472,13 +364,8 @@ class ObjectManager(MarshalByRefObject):
             return proxy
 
     def _current_reports(self) -> list[dict | None]:
-        """Per-directory-slot load reports (None = peer unreachable).
-
-        Cached for ``LOAD_CACHE_TTL_S``.  A peer whose ``load_report``
-        *answers* with an error is alive: it gets no row this round and
-        ``cluster.errors.load_report`` counts it.  Only a transport
-        failure marks the peer dead.
-        """
+        """Per-directory-slot rows (None = no row), cached for
+        ``LOAD_CACHE_TTL_S``; an unreachable peer is noted dead."""
         now = time.monotonic()
         with self._lock:
             if (
@@ -486,23 +373,10 @@ class ObjectManager(MarshalByRefObject):
                 and now - self._loads_stamp < LOAD_CACHE_TTL_S
             ):
                 return self._reports_cache
-        directory = self._directory_snapshot()
         reports: list[dict | None] = []
-        for base_uri in directory:
-            if base_uri == self.node.base_uri:
-                reports.append(self.load_report())
-                continue
-            try:
-                reports.append(dict(self._peer_om(base_uri).load_report()))
-            except RemoteInvocationError:
-                reports.append(None)
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "cluster.errors.load_report",
-                        "load_report calls a live peer answered with an error",
-                    ).inc()
-            except (ChannelError, RemotingError, OSError):
-                reports.append(None)
+        for base_uri, row, reachable in self.observe():
+            reports.append(row)
+            if not reachable:
                 self.note_dead(base_uri)
         with self._lock:
             self._reports_cache = reports
@@ -535,6 +409,7 @@ class ObjectManager(MarshalByRefObject):
             try:
                 avg, samples = self._peer_om(base_uri).class_stats(class_name)
             except Exception:  # noqa: BLE001 - best-effort exchange
+                self._errors("class_stats")
                 continue
             self.grain.merge_remote_stats(class_name, avg, samples)
         self._merge_peer_method_summaries()
@@ -542,7 +417,7 @@ class ObjectManager(MarshalByRefObject):
     def _merge_peer_method_summaries(self) -> None:
         """Merge the peers' histogram summaries into the grain autotuner.
 
-        Load reports carry each node's ``parc.method.seconds.*``
+        Rows carry each node's ``parc.method.seconds.*``
         summaries keyed by span name (``Short.method``); translated back
         to wire class names through the parallel-class table they become
         per-(class, method) evidence for :meth:`decide_method`, so a
@@ -570,6 +445,7 @@ class ObjectManager(MarshalByRefObject):
                 try:
                     avg_s, count = float(summary[0]), int(summary[1])
                 except (TypeError, ValueError, IndexError):
+                    self._errors("peer_methods")
                     continue
                 self.grain.merge_remote_method_stats(
                     wire_name, method, avg_s, count
@@ -607,17 +483,13 @@ class Node:
         services: ChannelServices,
         grain: GrainPolicy | AdaptiveGrainController,
         placement: PlacementPolicy,
+        settings: NodeSettings,
         metrics: MetricsRegistry | None = None,
-        telemetry: TelemetryConfig | None = None,
-        mailbox_depth: int = 0,
-        priority: dict | None = None,
-        shed_policy: str | None = None,
     ) -> None:
         self.index = index
         self.services = services
-        self.mailbox_depth = mailbox_depth
-        self.priority = priority
-        self.shed_policy = shed_policy
+        self.settings = settings
+        self._errors = ErrorCounter(metrics)
         self.host = RemotingHost(name=f"parc-node-{index}", services=services)
         # Mailbox fill feeds the credit grantor alongside the host's
         # dispatch backlog: senders are throttled before lanes overflow.
@@ -626,7 +498,9 @@ class Node:
         self.base_uri = f"{channel.scheme}://{binding.authority}"
         # Per-node observability state, published like om/factory so any
         # peer (or the runtime's collector) can pull it over the wire.
-        self.telemetry = NodeTelemetry(label=self.base_uri, config=telemetry)
+        self.telemetry = NodeTelemetry(
+            label=self.base_uri, config=settings.telemetry
+        )
         self.host.telemetry = self.telemetry
         self.om = ObjectManager(self, grain, placement, metrics=metrics)
         self.factory = NodeFactory(self)
@@ -668,9 +542,9 @@ class Node:
             class_name,
             on_execution=self._on_execution,
             node=self,
-            mailbox_depth=self.mailbox_depth,
-            priority=self.priority,
-            shed_policy=self.shed_policy,
+            mailbox_depth=self.settings.mailbox_depth,
+            priority=self.settings.priority,
+            shed_policy=self.settings.shed_policy,
         )
 
     def _on_execution(
@@ -736,18 +610,6 @@ class Node:
         if path is not None and impl._parc_home is self.host:
             self.host.unpublish(path)
 
-    def queued_count(self) -> int:
-        """Queued (not yet executing) calls across hosted mailboxes."""
-        with self._lock:
-            impls = list(self._impls)
-        return sum(sum(impl.stealable_backlog()) for impl in impls)
-
-    def current_load(self) -> float:
-        """Live IOs plus their queued tasks (the OM's load metric)."""
-        with self._lock:
-            impls = list(self._impls)
-        return float(len(impls) + sum(impl.queue_length for impl in impls))
-
     def make_proxy(self, uri: str) -> RemoteProxy:
         return self.host.get_object(uri)
 
@@ -761,58 +623,95 @@ class Node:
         """
         with self._lock:
             impls = list(self._impls)
+        depth = self.settings.mailbox_depth
         worst = 0.0
         for impl in impls:
             queued = impl.queue_length
-            if self.mailbox_depth > 0:
-                value = queued / float(3 * self.mailbox_depth)
+            if depth > 0:
+                value = queued / float(3 * depth)
             else:
                 value = queued / 1000.0
             if value > worst:
                 worst = value
         return min(1.0, worst)
 
-    def stats(self) -> dict:
+    def report(self) -> dict:
+        """This node's row: the one answer to "how loaded is node X?".
+
+        Published at ``/om`` (:meth:`ObjectManager.report`) and read by
+        placement, the control plane's detector / elastic / rebalance
+        duties, ``runtime.stats()`` and ``placement_report()``.
+        ``load`` is live IOs plus queued and executing calls; ``queued``
+        counts every queued call, ``stealable`` only the normal/low-lane
+        ones a migration may move (``grains`` lists the deepest such
+        backlogs, a queued high-priority call pinning its grain);
+        ``processed``/``shed``/``created_total`` are cumulative.
+        ``avg_service_s``/``p99_s``/``methods`` summarize the
+        ``parc.method.seconds.*`` histograms (0.0 / empty with telemetry
+        off) and price backlog in measured seconds.
+        """
         with self._lock:
             impls = list(self._impls)
             processed = self._retired_processed
             shed = self._retired_shed
-        impl_stats = [impl.stats() for impl in impls]
+            created_total = self._created_total
+        load = float(len(impls))
+        queued = stealable = 0
+        grains = []
+        for impl in impls:
+            stats = impl.stats()
+            processed += stats["processed"]
+            shed += stats["shed"]
+            load += impl.queue_length
+            queued += stats["queued"]
+            lanes = stats["lanes"]
+            backlog = lanes["normal"] + lanes["low"]
+            stealable += backlog
+            path = getattr(impl, "_parc_path", None)
+            if backlog and path is not None:  # unpublished = unreachable
+                grains.append(
+                    {
+                        "path": path,
+                        "class_name": impl.class_name,
+                        "backlog": backlog,
+                        "high": lanes["high"],
+                    }
+                )
+        grains.sort(key=lambda g: g["backlog"], reverse=True)
+        if self.telemetry.enabled:
+            self.telemetry.metrics.gauge(
+                "flow.mailbox.depth", "queued calls across hosted mailboxes"
+            ).set(float(queued))
+        summaries = summarize_method_histograms(
+            self.telemetry.metrics.export()
+        )
+        calls = sum(s["count"] for s in summaries.values())
         return {
             "index": self.index,
             "base_uri": self.base_uri,
+            "load": load,
             "ios": len(impls),
-            "created_total": self._created_total,
-            "queued": sum(s["queued"] for s in impl_stats),
-            "processed": processed + sum(s["processed"] for s in impl_stats),
-            "shed": shed + sum(s["shed"] for s in impl_stats),
-            "p99_s": self.method_p99(),
+            "created_total": created_total,
+            "queued": queued,
+            "stealable": stealable,
+            "processed": processed,
+            "shed": shed,
+            "avg_service_s": (
+                sum(s["avg_s"] * s["count"] for s in summaries.values())
+                / calls
+                if calls
+                else 0.0
+            ),
+            "p99_s": max(
+                (s["p99_s"] for s in summaries.values()), default=0.0
+            ),
+            "methods": {
+                span: [s["avg_s"], int(s["count"])]
+                for span, s in summaries.items()
+            },
+            "grains": grains[:REPORT_TOP_GRAINS],
+            **self.sched._counters(),
         }
-
-    def method_summaries(self) -> dict:
-        """Per-method service-time summaries from this node's histograms.
-
-        ``{"<Short>.<method>": {"count", "avg_s", "p99_s"}}`` via
-        :func:`repro.telemetry.summarize_method_histograms`; empty with
-        telemetry off (the histograms are never recorded then).
-        """
-        return summarize_method_histograms(self.telemetry.metrics.export())
-
-    def method_p99(self) -> float | None:
-        """Worst per-method p99 on this node, or None with no samples.
-
-        Read from the ``parc.method.seconds.*`` histograms the IO worker
-        records (telemetry must be enabled for those to exist) — the
-        latency signal of the elastic scaling loop.
-        """
-        worst: float | None = None
-        for name, metric in self.telemetry.metrics.export().items():
-            if not name.startswith("parc.method.seconds"):
-                continue
-            estimate = estimate_p99(metric["buckets"], metric["count"])
-            if estimate is not None and (worst is None or estimate > worst):
-                worst = estimate
-        return worst
 
     def close(self) -> None:
         with self._lock:
@@ -820,10 +719,9 @@ class Node:
                 return
             self._closed = True
             impls, self._impls = self._impls, []
-        self.om.stop_heartbeat()
         for impl in impls:
             try:
                 impl.dispose()
             except Exception:  # noqa: BLE001 - teardown must finish
-                pass
+                self._errors("teardown")
         self.host.close()

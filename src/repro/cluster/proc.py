@@ -23,12 +23,13 @@ from __future__ import annotations
 import importlib
 import multiprocessing
 import sys
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
+from repro.core.config import NodeSettings
 from repro.core.grain import AdaptiveGrainController, GrainPolicy
 from repro.errors import ScooppError
-from repro.telemetry import TelemetryConfig
 
 #: Seconds to wait for a worker to boot / shut down before escalating.
 WORKER_BOOT_TIMEOUT_S = 30.0
@@ -76,16 +77,11 @@ class WorkerConfig:
     modules: tuple[str, ...]
     grain_spec: tuple[str, dict]
     placement_name: str
+    #: ``same_node_transport="shm"`` makes the worker dial same-node
+    #: peers over shared memory and serve a hidden shm listener next to
+    #: its TCP port; the rest goes verbatim into the worker's Node.
+    settings: NodeSettings
     extra_sys_path: tuple[str, ...] = field(default_factory=tuple)
-    telemetry: TelemetryConfig | None = None
-    #: ``"shm"`` makes the worker dial same-node peers over shared
-    #: memory and serve a hidden shm listener next to its TCP port.
-    same_node_transport: str | None = None
-    #: Flow-control knobs, threaded verbatim into the worker's Node
-    #: (see :class:`~repro.core.config.ParcConfig`).
-    mailbox_depth: int = 0
-    priority: dict | None = None
-    shed_policy: str | None = None
 
 
 def _worker_main(config: WorkerConfig, ready, commands) -> None:  # type: ignore[no-untyped-def]
@@ -105,9 +101,8 @@ def _worker_main(config: WorkerConfig, ready, commands) -> None:  # type: ignore
         from repro.cluster.placement import make_placement
 
         services = ChannelServices()
-        client_kind = (
-            "samenode+tcp" if config.same_node_transport == "shm" else "tcp"
-        )
+        backplane = config.settings.same_node_transport == "shm"
+        client_kind = "samenode+tcp" if backplane else "tcp"
         services.register_channel(create_channel(client_kind))
         node = Node(
             index=config.index,
@@ -116,12 +111,9 @@ def _worker_main(config: WorkerConfig, ready, commands) -> None:  # type: ignore
             services=services,
             grain=grain_from_spec(config.grain_spec),
             placement=make_placement(config.placement_name),
-            telemetry=config.telemetry,
-            mailbox_depth=config.mailbox_depth,
-            priority=config.priority,
-            shed_policy=config.shed_policy,
+            settings=config.settings,
         )
-        if config.same_node_transport == "shm":
+        if backplane:
             # Hidden backplane (see Cluster.__init__): serve the same
             # host over shm under the worker's TCP authority so the
             # parent and sibling processes on this machine skip the
@@ -150,8 +142,6 @@ def _worker_main(config: WorkerConfig, ready, commands) -> None:  # type: ignore
         if command[0] == "set_directory":
             node.om.set_directory(command[1])
             ready.put(("ok", "directory"))
-        elif command[0] == "stats":
-            ready.put(("ok", node.stats()))
         else:  # pragma: no cover - defensive
             ready.put(("error", f"unknown command {command[0]!r}"))
     node.close()
@@ -173,11 +163,8 @@ class _WorkerCluster:
         node = self.nodes[0]
         return node if node.base_uri == base_uri else None
 
-    def total_ios(self) -> int:
-        return self.nodes[0].io_count()
-
     def stats(self) -> list[dict]:
-        return [self.nodes[0].stats()]
+        return [self.nodes[0].report()]
 
     def collect_telemetry(self) -> dict:
         tel = self.nodes[0].telemetry
@@ -202,6 +189,9 @@ class ProcessNodeHandle:
         context: multiprocessing.context.BaseContext,
     ) -> None:
         self.index = config.index
+        # One command round trip at a time: the reply queue carries no
+        # correlation, so interleaved callers would cross replies.
+        self._round_trip = threading.Lock()
         self._ready = context.Queue()
         self._commands = context.Queue()
         self.process = context.Process(
@@ -218,17 +208,11 @@ class ProcessNodeHandle:
         self.base_uri: str = payload
 
     def set_directory(self, directory: Sequence[str]) -> None:
-        self._commands.put(("set_directory", list(directory)))
-        status, payload = self._ready.get(timeout=WORKER_BOOT_TIMEOUT_S)
+        with self._round_trip:
+            self._commands.put(("set_directory", list(directory)))
+            status, payload = self._ready.get(timeout=WORKER_BOOT_TIMEOUT_S)
         if status != "ok":  # pragma: no cover - defensive
             raise ScooppError(f"worker {self.index}: {payload}")
-
-    def stats(self) -> dict:
-        self._commands.put(("stats",))
-        status, payload = self._ready.get(timeout=WORKER_BOOT_TIMEOUT_S)
-        if status != "ok":  # pragma: no cover - defensive
-            raise ScooppError(f"worker {self.index}: {payload}")
-        return payload
 
     def shutdown(self) -> None:
         if not self.process.is_alive():
@@ -248,11 +232,7 @@ def spawn_workers(
     modules: Sequence[str],
     grain: GrainPolicy | AdaptiveGrainController,
     placement_name: str,
-    telemetry: TelemetryConfig | None = None,
-    same_node_transport: str | None = None,
-    mailbox_depth: int = 0,
-    priority: dict | None = None,
-    shed_policy: str | None = None,
+    settings: NodeSettings,
 ) -> list[ProcessNodeHandle]:
     """Spawn *count* worker nodes; returns their handles (booted)."""
     context = multiprocessing.get_context("spawn")
@@ -266,12 +246,8 @@ def spawn_workers(
                 modules=tuple(modules),
                 grain_spec=spec,
                 placement_name=placement_name,
+                settings=settings,
                 extra_sys_path=sys_paths,
-                telemetry=telemetry,
-                same_node_transport=same_node_transport,
-                mailbox_depth=mailbox_depth,
-                priority=priority,
-                shed_policy=shed_policy,
             )
             handles.append(ProcessNodeHandle(config, context))
     except Exception:

@@ -30,6 +30,21 @@ from repro.sched import SchedulerConfig
 from repro.telemetry import TelemetryConfig
 
 
+@dataclass(frozen=True)
+class NodeSettings:
+    """The per-node subset of :class:`ParcConfig`, as one picklable value.
+
+    What every node — in-process or a spawned worker — needs to know
+    beyond its identity; field meanings are :class:`ParcConfig`'s.
+    """
+
+    telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
+    same_node_transport: str | None = None
+    mailbox_depth: int = 0
+    priority: dict | None = None
+    shed_policy: str | None = None
+
+
 @dataclass
 class ParcConfig:
     """Declarative runtime configuration (see module docstring)."""
@@ -145,3 +160,13 @@ class ParcConfig:
                 "scheduler must be a SchedulerConfig, got "
                 f"{type(self.scheduler).__qualname__}"
             )
+
+    def node_settings(self) -> NodeSettings:
+        """The settings every node of this runtime boots with."""
+        return NodeSettings(
+            telemetry=self.telemetry,
+            same_node_transport=self.same_node_transport,
+            mailbox_depth=self.mailbox_depth,
+            priority=self.priority,
+            shed_policy=self.shed_policy,
+        )

@@ -576,23 +576,7 @@ def init(config: ParcConfig | None = None) -> ParcRuntime:
             raise ScooppError("runtime already initialized; call shutdown()")
         from repro.cluster.cluster import Cluster
 
-        cluster = Cluster(
-            num_nodes=config.nodes,
-            channel_kind=config.channel,  # type: ignore[arg-type]
-            scheduler=config.scheduler,
-            worker_processes=config.worker_processes,
-            worker_modules=config.worker_modules,
-            heartbeat_s=config.heartbeat_s,
-            breaker=config.breaker,
-            chaos_plan=config.chaos_plan,
-            chaos_controller=config.chaos_controller,
-            telemetry=config.telemetry,
-            same_node_transport=config.same_node_transport,
-            mailbox_depth=config.mailbox_depth,
-            priority=config.priority,
-            shed_policy=config.shed_policy,
-            elastic=config.elastic,
-        )
+        cluster = Cluster(config)
         _runtime = ParcRuntime(cluster)
         return _runtime
 

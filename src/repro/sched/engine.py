@@ -1,10 +1,10 @@
 """NodeScheduler: the per-node migration engine, published at ``/sched``.
 
 Each node publishes one :class:`NodeScheduler` next to its ``/om`` and
-``/factory`` objects.  The cluster's rebalance loop calls ``report()``
-for load accounting and ``migrate_out()`` to execute planned moves;
-``adopt()`` is the receiving half, invoked victim→target over the
-ordinary remoting channel.
+``/factory`` objects.  The cluster calls ``migrate_out()`` to execute
+planned (or explicit) moves; ``adopt()`` is the receiving half, invoked
+victim→target over the ordinary remoting channel.  Its counters ride in
+the node's row (:meth:`repro.cluster.node.Node.report`).
 
 The migration protocol (zero lost calls):
 
@@ -46,12 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: nor degrades into per-call round trips.
 REPLAY_BATCH = 64
 
-#: Grains reported to the planner per node (deepest backlogs first).
-REPORT_TOP_GRAINS = 16
-
 
 class NodeScheduler(MarshalByRefObject):
-    """Load accounting + live grain migration for one node."""
+    """Live grain migration for one node."""
 
     def __init__(self, node: "Node") -> None:
         self.node = node
@@ -63,67 +60,6 @@ class NodeScheduler(MarshalByRefObject):
         self._steals = 0
 
     # -- remote surface ----------------------------------------------------
-
-    def report(self) -> dict:
-        """Load report for the rebalance planner.
-
-        ``queued`` counts only stealable (normal/low-lane) backlog;
-        grains with queued high-priority work appear with their ``high``
-        count so the planner can pin them.  Also exports the
-        ``flow.mailbox.depth`` gauge so the mailbox backlog is
-        scrapeable alongside the existing ``flow.*`` counters.
-        """
-        impls = self.node.impl_snapshot()
-        grains = []
-        stealable_total = 0
-        depth_total = 0
-        for impl in impls:
-            stealable, high = impl.stealable_backlog()
-            stealable_total += stealable
-            depth_total += stealable + high
-            path = getattr(impl, "_parc_path", None)
-            if path is None:
-                continue  # never marshaled: unreachable by peers, pinned
-            grains.append(
-                {
-                    "path": path,
-                    "class_name": impl.class_name,
-                    "backlog": stealable,
-                    "high": high,
-                }
-            )
-        grains.sort(key=lambda g: g["backlog"], reverse=True)
-        telemetry = self.node.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.metrics.gauge(
-                "flow.mailbox.depth", "queued calls across hosted mailboxes"
-            ).set(float(depth_total))
-        with self._lock:
-            counters = self._counters_locked()
-        summaries = self.node.method_summaries()
-        avg_service_s = 0.0
-        if summaries:
-            count_total = sum(s["count"] for s in summaries.values())
-            if count_total > 0:
-                avg_service_s = (
-                    sum(s["avg_s"] * s["count"] for s in summaries.values())
-                    / count_total
-                )
-        return {
-            "base_uri": self.node.base_uri,
-            "index": self.node.index,
-            "alive": True,
-            "load": self.node.current_load(),
-            "ios": len(impls),
-            "queued": stealable_total,
-            "queued_total": depth_total,
-            # Measured mean service time across this node's method
-            # histograms (0.0 with telemetry off): lets the planner
-            # weigh backlog in seconds of work rather than task counts.
-            "avg_service_s": avg_service_s,
-            "grains": grains[:REPORT_TOP_GRAINS],
-            **counters,
-        }
 
     def adopt(self, class_name: str, state: dict) -> ImplementationObject:
         """Receiving half of a migration: rebuild the grain here.
@@ -224,20 +160,19 @@ class NodeScheduler(MarshalByRefObject):
             "host_id": new_ref.host_id if new_ref is not None else None,
         }
 
-    def counters(self) -> dict:
-        with self._lock:
-            return self._counters_locked()
-
     # -- internals ---------------------------------------------------------
 
-    def _counters_locked(self) -> dict:
-        return {
-            "migrations_out": self._migrations_out,
-            "migrations_in": self._migrations_in,
-            "migration_failures": self._migration_failures,
-            "calls_moved": self._calls_moved,
-            "steals": self._steals,
-        }
+    def _counters(self) -> dict:
+        """Migration counters for the node's row (underscored: ``/sched``
+        exposes ``adopt`` and ``migrate_out`` only)."""
+        with self._lock:
+            return {
+                "migrations_out": self._migrations_out,
+                "migrations_in": self._migrations_in,
+                "migration_failures": self._migration_failures,
+                "calls_moved": self._calls_moved,
+                "steals": self._steals,
+            }
 
     @staticmethod
     def _ref_of(new_impl: Any):  # type: ignore[no-untyped-def]

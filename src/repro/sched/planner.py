@@ -49,9 +49,9 @@ MIN_STEAL_BACKLOG = 2
 class RebalancePlanner:
     """Plans grain moves from per-node scheduler reports.
 
-    ``plan`` takes the latest reports (one dict per node, shaped like
-    :meth:`repro.sched.engine.NodeScheduler.report`) and a monotonic
-    timestamp, and returns at most ``max_migrations_per_cycle``
+    ``plan`` takes the latest rows (one dict per node, shaped like
+    :meth:`repro.cluster.node.Node.report`; it reads their ``stealable``
+    backlog, never the all-lanes ``queued``) and a monotonic timestamp, and returns at most ``max_migrations_per_cycle``
     :class:`PlannedMove`\\ s.  A move is accepted only when it shrinks
     the victim/target makespan gap: grain ``b`` may go from victim
     ``v`` to target ``t`` iff ``depth[t] + b <= depth[v] - b``, so the
@@ -96,7 +96,7 @@ class RebalancePlanner:
         else:
             weight = {uri: 1.0 for uri in service}
         backlog = {
-            r["base_uri"]: int(r.get("queued", 0)) * weight[r["base_uri"]]
+            r["base_uri"]: int(r.get("stealable", 0)) * weight[r["base_uri"]]
             for r in live
         }
         mean = sum(backlog.values()) / len(live)

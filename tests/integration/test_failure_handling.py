@@ -71,7 +71,7 @@ class TestPlacementFailover:
         home_om = tcp_runtime.cluster.home_node.om
         assert dead.base_uri in home_om.dead_nodes()
 
-    def test_load_report_error_from_a_live_peer_is_not_death(
+    def test_report_error_from_a_live_peer_is_not_death(
         self, tcp_runtime
     ):
         cluster = tcp_runtime.cluster
@@ -80,14 +80,14 @@ class TestPlacementFailover:
         def broken():
             raise RuntimeError("histogram export failed")
 
-        peer.om.load_report = broken
+        peer.om.report = broken
         home_om = cluster.home_node.om
         view = home_om.cluster_view()
         # No row this round, so nothing is placed there — but the peer
         # answered, so it is not declared dead.
         assert [node.alive for node in view.nodes] == [True, False, True]
         assert home_om.dead_nodes() == []
-        counter = cluster.metrics.export()["cluster.errors.load_report"]
+        counter = cluster.metrics.export()["cluster.errors.report"]
         assert counter["value"] == 1
 
     def test_probe_peers_detects_death(self, tcp_runtime):

@@ -7,6 +7,9 @@ creation inside a worker process, and clean shutdown.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 import repro.core as parc
@@ -109,3 +112,44 @@ class TestProcessCluster:
         assert process_runtime.cluster.total_ios() == 3
         for server in servers:
             server.parc_release()
+
+    def test_stats_and_directory_pushes_do_not_cross_replies(
+        self, process_runtime
+    ):
+        """A directory push (the control thread's) racing ``stats()``
+        (the application's): every caller gets its own answer."""
+        cluster = process_runtime.cluster
+        handle = cluster.worker_handles[0]
+        directory = cluster.home_node.om.directory()
+        failures: list[BaseException] = []
+
+        def run(step):
+            try:
+                for _ in range(150):
+                    step()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        def read_stats():
+            rows = cluster.stats()
+            assert [row["ios"] for row in rows] == [0, 0, 0], rows
+
+        threads = [
+            threading.Thread(target=run, args=(step,), daemon=True)
+            for step in (
+                read_stats,
+                lambda: handle.set_directory(directory),
+                lambda: handle.set_directory(directory),
+            )
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

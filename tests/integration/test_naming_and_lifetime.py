@@ -182,7 +182,7 @@ class TestReleasedGrainsLeaveTheirNode:
             nodes = rt.cluster.nodes
             before_ios = [row["ios"] for row in rt.stats()]
             before_paths = [node.host.published_paths() for node in nodes]
-            before_load = [node.current_load() for node in nodes]
+            before_load = [node.report()["load"] for node in nodes]
             for _round in range(4):
                 boards = [parc.new(Board) for _ in range(50)]
                 for index, board in enumerate(boards):
@@ -200,7 +200,7 @@ class TestReleasedGrainsLeaveTheirNode:
             assert [
                 node.host.published_paths() for node in nodes
             ] == before_paths
-            assert [node.current_load() for node in nodes] == before_load
+            assert [node.report()["load"] for node in nodes] == before_load
             # The cumulative figures keep what the released grains did:
             # 4 posts and 1 posts() per grain.
             assert sum(row["created_total"] for row in rows) == 200

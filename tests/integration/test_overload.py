@@ -18,8 +18,10 @@ import pytest
 import repro.core as parc
 from repro.channels.breaker import BreakerPolicy
 from repro.chaos import plan_from_percentages
+from repro.cluster.control import ELASTIC_INTERVAL_S, ControlPlane
 from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.errors import OverloadError, ParcError
+from repro.perfmodel.clock import VirtualClock
 
 
 @parc.parallel(name="overload.Slow", sync_methods=["slow", "ping"])
@@ -217,9 +219,18 @@ class TestElasticWorkers:
         )
         try:
             cluster = rt.cluster
-            # Speed the control loop up for the test; the running thread
-            # re-reads the interval on every wait.
-            cluster._elastic_interval_s = 0.05
+            # Step the elastic duty on a virtual clock instead of waiting
+            # out its one-second samples: same controller, same cluster.
+            cluster.control.stop()
+            clock = VirtualClock()
+            control = ControlPlane(
+                cluster, elastic=cluster.control.elastic, clock=clock
+            )
+
+            def sample():
+                clock.advance(ELASTIC_INTERVAL_S)
+                control.tick()
+
             assert len(cluster.worker_handles) == 1
 
             # Sleepers everywhere; pressure goes only through those on
@@ -238,6 +249,7 @@ class TestElasticWorkers:
                     sleeper.work(0.05)
                     posted += 1
                 time.sleep(0.02)
+                sample()
             assert len(cluster.worker_handles) == 2
 
             # Load off: the long idle run (plus cooldown) retires the
@@ -249,6 +261,7 @@ class TestElasticWorkers:
             ):
                 assert time.monotonic() < deadline, "never scaled back in"
                 time.sleep(0.05)
+                sample()
             assert len(cluster.worker_handles) == 1
 
             # Zero lost calls through the scale-out/in cycle: every

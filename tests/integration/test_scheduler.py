@@ -233,9 +233,11 @@ class TestNodeDownPlacement:
         if kind not in available_kinds():
             pytest.skip(f"channel kind {kind!r} unavailable")
         cluster = Cluster(
-            num_nodes=3,
-            channel_kind=kind,
-            scheduler=SchedulerConfig(placement=policy),
+            ParcConfig(
+                nodes=3,
+                channel=kind,
+                scheduler=SchedulerConfig(placement=policy),
+            )
         )
         try:
             dead = cluster.nodes[1]

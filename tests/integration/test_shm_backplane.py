@@ -209,8 +209,11 @@ class TestFallbackAndValidation:
 
     def test_rejects_non_socket_base(self):
         with pytest.raises(ScooppError, match="socket channel kind"):
-            Cluster(num_nodes=1, channel_kind="loopback",
-                    same_node_transport="shm")
+            Cluster(
+                ParcConfig(
+                    nodes=1, channel="loopback", same_node_transport="shm"
+                )
+            )
 
     def test_backplane_closes_cleanly(self):
         """Handshake sockets disappear with the cluster."""

@@ -64,6 +64,39 @@ class TestParcConfig:
             "scheduler",
         }
 
+    def test_node_row_census(self):
+        """Every key of the one per-node row (``Node.report``), by name.
+
+        ``queued`` is every queued call, ``stealable`` the normal/low-lane
+        part of it; no other key means either.
+        """
+        runtime = parc.init(ParcConfig(nodes=1))
+        try:
+            (row,) = runtime.stats()
+            assert row == runtime.cluster.home_node.om.report()
+        finally:
+            parc.shutdown()
+        assert set(row) == {
+            "index",
+            "base_uri",
+            "load",
+            "ios",
+            "created_total",
+            "queued",
+            "stealable",
+            "processed",
+            "shed",
+            "avg_service_s",
+            "p99_s",
+            "methods",
+            "grains",
+            "migrations_out",
+            "migrations_in",
+            "migration_failures",
+            "calls_moved",
+            "steals",
+        }
+
     def test_flat_scheduling_fields_are_gone(self):
         with pytest.raises(TypeError):
             ParcConfig(grain=GrainPolicy(max_calls=4))  # type: ignore[call-arg]

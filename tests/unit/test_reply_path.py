@@ -289,11 +289,11 @@ class TestServiceAwareView:
         assert policy.choose(view, 0) == 1
 
 
-def _report(uri, queued, grains=(), avg_service_s=None):
+def _report(uri, stealable, grains=(), avg_service_s=None):
     data = {
         "base_uri": uri,
         "alive": True,
-        "queued": queued,
+        "stealable": stealable,
         "grains": list(grains),
     }
     if avg_service_s is not None:

@@ -143,11 +143,11 @@ class TestCoercePolicy:
 # -- planner ------------------------------------------------------------------
 
 
-def report(uri, queued, grains=(), alive=True):
+def report(uri, stealable, grains=(), alive=True):
     return {
         "base_uri": uri,
         "alive": alive,
-        "queued": queued,
+        "stealable": stealable,
         "grains": list(grains),
     }
 
