@@ -2,7 +2,8 @@
 """True parallelism: SCOOPP nodes as separate OS processes over TCP.
 
 The paper's cluster ran one node per machine; this example runs one node
-per *process* — each a fresh interpreter with its own GIL — and farms a
+per *process* — each forked from a preloaded fork server, with its own
+GIL — and farms a
 CPU-bound prime count across them.  Compare wall-clock time against the
 same work done sequentially: unlike the thread-backed clusters, process
 workers actually overlap compute.

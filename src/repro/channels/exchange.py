@@ -74,11 +74,15 @@ class Connection(Protocol):
         parts there are.
         """
 
-    def read_frame(self, scratch: bytearray) -> tuple[int, memoryview]:
+    def read_frame(self) -> tuple[int, memoryview]:
         """Block for the next frame; returns ``(flags, payload_view)``.
 
-        The view aliases *scratch* or memory the pipe itself lends; it
-        stays valid until :meth:`release_frame`.
+        The view aliases the connection's own receive buffer or memory
+        the pipe lends; it stays valid until :meth:`release_frame`.  The
+        receive buffer lives as long as the connection and is grown,
+        never shrunk: freeing a large frame's buffer after every call
+        has the allocator hand the pages back and fault them in again on
+        the next one.
         """
 
     def release_frame(self) -> None:
@@ -191,19 +195,17 @@ def serve_connection(
 ) -> None:
     """Serve *conn* until the peer hangs up or *closed* is set.
 
-    Serving is strictly serial per connection, so one receive buffer and
-    one reply head are reused across requests, and the frame is handed
-    back to the pipe after the reply has been sent.  The caller closes
-    *conn* afterwards.
+    Serving is strictly serial per connection, so one reply head is
+    reused across requests, and the frame is handed back to the pipe
+    after the reply has been sent.  The caller closes *conn* afterwards.
     """
     # Hosts that do flow control hang their CreditGrantor off the
     # handler; a plain handler means replies stay uncredited.
     grantor = getattr(handler, "credit_grantor", None)
-    scratch = bytearray()
     head = bytearray(HEADER_SIZE)
     while not closed.is_set():
         try:
-            flags, view = conn.read_frame(scratch)
+            flags, view = conn.read_frame()
         except (ChannelError, WireFormatError, OSError):
             return  # peer hung up or sent garbage
         try:
@@ -412,7 +414,6 @@ class FramedChannel(Channel):
     def _exchange(self, authority, path, headers, body, dumps_into, decode):  # type: ignore[no-untyped-def]
         gate = self._gate_for(authority)
         frame = self._buffers.acquire()
-        scratch = self._buffers.acquire()
         conn = view = payload = reply = None
         credit_held = False
         try:
@@ -437,7 +438,7 @@ class FramedChannel(Channel):
             conn = self._pool.checkout(authority)
             try:
                 conn.send(parts)
-                flags, view = conn.read_frame(scratch)
+                flags, view = conn.read_frame()
             except BaseException as exc:
                 # A half-done exchange leaves the stream unusable.
                 conn.close()
@@ -469,7 +470,6 @@ class FramedChannel(Channel):
                 # checkin closes a connection that is no longer alive —
                 # including one close() could not finish under our view.
                 self._pool.checkin(authority, conn)
-            self._buffers.release(scratch)
             self._buffers.release(frame)
             if credit_held:
                 gate.release()

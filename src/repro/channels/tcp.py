@@ -38,6 +38,7 @@ class _TcpConnection:
     def __init__(self, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
+        self._received = bytearray()  # grows to the largest frame read
 
     def send(self, parts: list) -> None:
         if len(parts) == 1:
@@ -45,11 +46,11 @@ class _TcpConnection:
         else:
             sendmsg_all(self.sock, parts)
 
-    def read_frame(self, scratch: bytearray) -> tuple[int, memoryview]:
-        return read_frame_into(self.sock, scratch)
+    def read_frame(self) -> tuple[int, memoryview]:
+        return read_frame_into(self.sock, self._received)
 
     def release_frame(self) -> None:
-        pass  # frames land in the caller's scratch buffer
+        pass  # the frame's buffer is the connection's, reused as is
 
     def alive(self) -> bool:
         return self.sock.fileno() >= 0

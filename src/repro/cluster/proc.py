@@ -7,11 +7,19 @@ full node (remoting host + object manager + factory) on an ephemeral TCP
 port.  Everything crosses real sockets with real serialization; compute
 runs truly in parallel.
 
-Worker lifecycle: the parent spawns ``_worker_main`` (spawn context, so
-each worker is a fresh interpreter), the worker imports the application's
-modules (registering its ``@parallel`` and ``@serializable`` classes —
-the per-node "boot code" of §3.2), boots the node, reports its base URI,
-receives the cluster directory, and serves until told to shut down.
+Worker lifecycle: the parent starts ``_worker_main`` from a
+``forkserver`` context.  The fork server is a single-threaded
+interpreter, started once per parent, that has already imported the
+runtime (:data:`PRELOAD_MODULES`) and the application modules the
+parent has imported; each worker is a fork of it, so it begins with
+those modules in memory and inherits no thread or lock of the parent.
+Like a spawned child it re-imports the parent's ``__main__``.  The
+worker then imports the application's modules (registering its
+``@parallel`` and ``@serializable`` classes — the per-node "boot code"
+of §3.2; a preloaded module is already there, one the server could not
+import fails here with its own error), boots the node, reports its base
+URI, receives the cluster directory, and serves until told to shut
+down.
 
 Grain policies travel as specs (the adaptive controller holds locks and
 cannot be pickled); each process builds its own controller, and the
@@ -22,9 +30,11 @@ from __future__ import annotations
 
 import importlib
 import multiprocessing
+import os
 import sys
 import threading
 from dataclasses import dataclass, field
+from multiprocessing import forkserver
 from typing import Sequence
 
 from repro.core.config import NodeSettings
@@ -34,6 +44,17 @@ from repro.errors import ScooppError
 #: Seconds to wait for a worker to boot / shut down before escalating.
 WORKER_BOOT_TIMEOUT_S = 30.0
 WORKER_SHUTDOWN_TIMEOUT_S = 10.0
+
+#: What ``_worker_main`` imports to boot a node.  The fork server
+#: imports them once; importing them starts no thread, so the server
+#: stays single-threaded and every fork of it is safe.
+PRELOAD_MODULES = (
+    "repro.cluster.node",
+    "repro.channels",
+    "repro.cluster.placement",
+)
+
+_server_start = threading.Lock()
 
 
 def grain_to_spec(grain: GrainPolicy | AdaptiveGrainController) -> tuple[str, dict]:
@@ -82,10 +103,15 @@ class WorkerConfig:
     #: its TCP port; the rest goes verbatim into the worker's Node.
     settings: NodeSettings
     extra_sys_path: tuple[str, ...] = field(default_factory=tuple)
+    #: The starting thread's CPU affinity: a spawned child inherited it,
+    #: a fork of the fork server would have the server's instead.
+    cpus: tuple[int, ...] = ()
 
 
 def _worker_main(config: WorkerConfig, ready, commands) -> None:  # type: ignore[no-untyped-def]
-    """Entry point of one worker process (top-level: spawn-importable)."""
+    """Entry point of one worker process (top-level: importable by name)."""
+    if config.cpus:
+        os.sched_setaffinity(0, config.cpus)
     # Make the parent's application modules importable, then import them:
     # this is the node "boot code" that registers factories/classes (§3.2).
     for path in config.extra_sys_path:
@@ -181,7 +207,7 @@ class _WorkerCluster:
 
 
 class ProcessNodeHandle:
-    """Parent-side handle to one spawned worker node."""
+    """Parent-side handle to one worker node process."""
 
     def __init__(
         self,
@@ -234,10 +260,12 @@ def spawn_workers(
     placement_name: str,
     settings: NodeSettings,
 ) -> list[ProcessNodeHandle]:
-    """Spawn *count* worker nodes; returns their handles (booted)."""
-    context = multiprocessing.get_context("spawn")
-    spec = grain_to_spec(grain)
+    """Start *count* worker nodes; returns their handles (booted)."""
     sys_paths = tuple(path for path in sys.path if path)
+    context = _fork_server_context(modules, sys_paths)
+    spec = grain_to_spec(grain)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = tuple(sorted(affinity(0))) if affinity is not None else ()
     handles: list[ProcessNodeHandle] = []
     try:
         for offset in range(count):
@@ -248,6 +276,7 @@ def spawn_workers(
                 placement_name=placement_name,
                 settings=settings,
                 extra_sys_path=sys_paths,
+                cpus=cpus,
             )
             handles.append(ProcessNodeHandle(config, context))
     except Exception:
@@ -255,3 +284,34 @@ def spawn_workers(
             handle.shutdown()
         raise
     return handles
+
+
+def _fork_server_context(
+    modules: Sequence[str], sys_paths: tuple[str, ...]
+) -> multiprocessing.context.BaseContext:
+    """The ``forkserver`` context, its server running and preloaded.
+
+    The first call starts the server; later calls, and later sessions,
+    reuse it.  Besides :data:`PRELOAD_MODULES` it preloads the worker
+    modules this process has already imported: those are known to
+    import cleanly, whereas a preload that raises anything but
+    ``ImportError`` would take the server down.  The others are
+    imported by each worker at boot.
+    """
+    context = multiprocessing.get_context("forkserver")
+    preload = [*PRELOAD_MODULES, *(m for m in modules if m in sys.modules)]
+    with _server_start:
+        context.set_forkserver_preload(preload)
+        # The server must import the preload from this process's path.
+        # Python 3.11's server ignores the path it is handed, so it gets
+        # it through its environment for the moment of its start.
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(sys_paths)
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return context

@@ -34,7 +34,7 @@ from repro.telemetry import TelemetryConfig
 class NodeSettings:
     """The per-node subset of :class:`ParcConfig`, as one picklable value.
 
-    What every node — in-process or a spawned worker — needs to know
+    What every node — in-process or a worker process — needs to know
     beyond its identity; field meanings are :class:`ParcConfig`'s.
     """
 

@@ -70,6 +70,8 @@ class LocalGrain:
         self.class_name = class_name
         self.grain_id = next(_grain_ids)
         self.direct_calls = 0
+        #: Called once by :meth:`dispose` (set by the creating runtime).
+        self.on_release = None
 
     def post(self, method: str, args: tuple, kwargs: dict) -> None:
         # Asynchronous in the model, synchronous in the agglomerated
@@ -115,7 +117,9 @@ class LocalGrain:
         return None
 
     def dispose(self) -> None:
-        return None
+        on_release, self.on_release = self.on_release, None
+        if on_release is not None:
+            on_release()
 
 
 class RemoteGrain:
@@ -204,6 +208,8 @@ class RemoteGrain:
         self.spec: tuple | None = None
         self.restartable = False
         self.recoverer = None
+        #: Called once by :meth:`dispose` (set by the creating runtime).
+        self.on_release = None
         self._lock = threading.Lock()
         self._buffer_method: str | None = None
         self._buffer: list[tuple[tuple, dict]] = []
@@ -407,8 +413,11 @@ class RemoteGrain:
                 already = self._released
                 self._released = True
                 self._outbox_cv.notify_all()
-        if not already and self._lost is None:
-            self.impl.dispose()
+        if not already:
+            if self.on_release is not None:
+                self.on_release()
+            if self._lost is None:
+                self.impl.dispose()
         self._sender.join(timeout=30.0)
 
     # -- crash recovery ----------------------------------------------------

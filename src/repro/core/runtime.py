@@ -28,6 +28,7 @@ object classes are replaced by generated PO classes").
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import threading
 import weakref
@@ -130,8 +131,8 @@ class ParcRuntime:
                 # Object agglomeration: intra-grain creation (Fig. 3 call d).
                 instance = info.cls(*args, **kwargs)
                 grain = LocalGrain(instance, info.wire_name)
-                self.dependence.record_creation(
-                    creator, f"local:{grain.grain_id}"
+                self._record_creation(
+                    creator, grain, f"local:{grain.grain_id}"
                 )
                 return grain
             factory = node.make_proxy(factory_uri)
@@ -157,12 +158,17 @@ class ParcRuntime:
                 spec=(info, tuple(args), dict(kwargs)),
                 restartable=info.restartable,
             )
-            self.dependence.record_creation(creator, _grain_label(grain))
+            self._record_creation(creator, grain, _grain_label(grain))
             return grain
         raise ScooppError(
             f"could not place {info.wire_name} after "
             f"{self.CREATE_ATTEMPTS} attempts: {last_error}"
         ) from last_error
+
+    def _record_creation(self, creator: str, grain: Any, label: str) -> None:
+        """Add *grain* to the dependence graph until it is released."""
+        self.dependence.record_creation(creator, label)
+        grain.on_release = functools.partial(self.dependence.forget, label)
 
     # -- self-healing: respawn and loss ------------------------------------
 
@@ -369,6 +375,7 @@ class ParcRuntime:
         node.host.objref_for(impl)  # publish now so the label is its path
         new_grain = RemoteGrain(impl, max_calls=1)
         self.adopt_grain(new_grain)
+        new_grain.on_release = grain.on_release  # it keeps its graph node
         po._parc_grain = new_grain
         return new_grain
 

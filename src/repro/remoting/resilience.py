@@ -21,6 +21,7 @@ consulted before every retry, whatever ``retry_on`` matches.
 
 from __future__ import annotations
 
+import os
 import random
 import socket
 import time
@@ -37,6 +38,8 @@ from repro.errors import (
 T = TypeVar("T")
 
 _jitter_rng = random.Random()
+# Forked workers must not replay one another's jitter.
+os.register_at_fork(after_in_child=_jitter_rng.seed)
 
 
 @dataclass(frozen=True)

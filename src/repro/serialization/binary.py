@@ -27,15 +27,16 @@ from __future__ import annotations
 import array
 import io
 import struct
+import sys
 from typing import Any
 
 from repro.errors import SerializationError, WireFormatError
 from repro.serialization.base import Formatter
 
-try:  # numpy is an optional but supported payload type (int[] workloads)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
+# numpy ndarrays are a supported payload type (int[] workloads), but no
+# formatter imports numpy up front: an ndarray can only exist in a
+# process that already imported numpy, so encoders look it up in
+# sys.modules, and decoders import it when one arrives.
 
 # Tag bytes.  One printable byte per supported shape keeps hexdumps readable.
 _T_NONE = b"N"
@@ -132,6 +133,17 @@ def uvarint_from(buf: Any, pos: int) -> tuple[int, int]:
         shift += 7
         if shift > 630:  # ints are unbounded but varints here are lengths
             raise WireFormatError("varint too long")
+
+
+def import_numpy() -> Any:
+    """numpy, imported on the first ndarray a process decodes."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - numpy is installed in CI
+        raise WireFormatError(
+            "ndarray on the wire but numpy unavailable"
+        ) from None
+    return numpy
 
 
 def zigzag(value: int) -> int:
@@ -264,15 +276,16 @@ class BinaryFormatter(Formatter):
             write_uvarint(out, len(raw))
             out.write(raw)
             return
-        if _np is not None and kind is _np.ndarray:
-            self._encode_ndarray(out, obj)
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and kind is numpy.ndarray:
+            self._encode_ndarray(out, obj, numpy)
             return
         self._encode_object(out, obj, memo)
 
-    def _encode_ndarray(self, out: io.BytesIO, arr: "Any") -> None:
+    def _encode_ndarray(self, out: io.BytesIO, arr: Any, numpy: Any) -> None:
         if arr.dtype.hasobject:
             raise SerializationError("object-dtype ndarrays are not portable")
-        contiguous = _np.ascontiguousarray(arr)
+        contiguous = numpy.ascontiguousarray(arr)
         dtype = contiguous.dtype.str.encode("ascii")
         out.write(_T_NDARRAY)
         write_uvarint(out, len(dtype))
@@ -398,13 +411,12 @@ class BinaryFormatter(Formatter):
         raise WireFormatError(f"unknown tag byte {tag!r}")
 
     def _decode_ndarray(self, buf: io.BytesIO, refs: list[Any]) -> Any:
-        if _np is None:  # pragma: no cover - numpy is installed in CI
-            raise WireFormatError("ndarray on the wire but numpy unavailable")
+        numpy = import_numpy()
         dtype = self._read_exact(buf, read_uvarint(buf)).decode("ascii")
         ndim = read_uvarint(buf)
         shape = tuple(read_uvarint(buf) for _ in range(ndim))
         raw = self._read_exact(buf, read_uvarint(buf))
-        value = _np.frombuffer(raw, dtype=_np.dtype(dtype)).reshape(shape)
+        value = numpy.frombuffer(raw, dtype=numpy.dtype(dtype)).reshape(shape)
         value = value.copy()  # frombuffer returns a read-only view
         refs.append(value)
         return value

@@ -47,6 +47,7 @@ import array
 import dataclasses
 import inspect
 import struct
+import sys
 import threading
 import typing
 from operator import attrgetter
@@ -58,6 +59,7 @@ from repro.serialization.binary import (
     _Placeholder,
     BinaryFormatter,
     append_uvarint,
+    import_numpy,
     uvarint_from,
     zigzag,
 )
@@ -65,11 +67,6 @@ from repro.serialization.registry import (
     SerializationRegistry,
     default_registry,
 )
-
-try:  # numpy is an optional but supported payload type (int[] workloads)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
 
 # Integer tag values (the decode ladder indexes memoryviews, which yield
 # ints); byte values below must stay in lockstep with binary.py's tags.
@@ -606,17 +603,19 @@ class FastBinaryFormatter(BinaryFormatter):
             out.append(_O_ARRAY)
             out += obj.typecode.encode("ascii")
             append_uvarint(out, len(obj) * obj.itemsize)
-            out += obj.tobytes()
+            out += obj  # one memcpy from the array's buffer, no tobytes()
             return
-        if _np is not None and kind is _np.ndarray:
-            self._encode_ndarray_fast(out, obj)
+        numpy = sys.modules.get("numpy")  # see binary.py: never imported here
+        if numpy is not None and kind is numpy.ndarray:
+            self._encode_ndarray_fast(out, obj, numpy)
             return
         self._encode_object_fast(out, obj, memo)
 
-    def _encode_ndarray_fast(self, out: bytearray, arr: Any) -> None:
+    def _encode_ndarray_fast(self, out: bytearray, arr: Any,
+                             numpy: Any) -> None:
         if arr.dtype.hasobject:
             raise SerializationError("object-dtype ndarrays are not portable")
-        contiguous = _np.ascontiguousarray(arr)
+        contiguous = numpy.ascontiguousarray(arr)
         dtype = contiguous.dtype.str.encode("ascii")
         out.append(_O_NDARRAY)
         append_uvarint(out, len(dtype))
@@ -793,8 +792,7 @@ class FastBinaryFormatter(BinaryFormatter):
 
     def _decode_ndarray_fast(self, buf: Any, pos: int,
                              refs: list) -> tuple[Any, int]:
-        if _np is None:  # pragma: no cover - numpy is installed in CI
-            raise WireFormatError("ndarray on the wire but numpy unavailable")
+        numpy = import_numpy()
         size, pos = uvarint_from(buf, pos)
         end = pos + size
         if end > len(buf):
@@ -809,7 +807,7 @@ class FastBinaryFormatter(BinaryFormatter):
         end = pos + size
         if end > len(buf):
             raise WireFormatError("truncated ndarray payload")
-        value = _np.frombuffer(buf[pos:end], dtype=_np.dtype(dtype))
+        value = numpy.frombuffer(buf[pos:end], dtype=numpy.dtype(dtype))
         value = value.reshape(tuple(shape)).copy()  # decouple from the view
         refs.append(value)
         return value, end

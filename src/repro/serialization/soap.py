@@ -25,15 +25,12 @@ from __future__ import annotations
 import array
 import base64
 import math
+import sys
 from typing import Any
 
 from repro.errors import SerializationError, WireFormatError
 from repro.serialization.base import Formatter
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
+from repro.serialization.binary import import_numpy
 
 _PROLOG = '<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body>'
 _EPILOG = "</soap:Body></soap:Envelope>"
@@ -213,10 +210,11 @@ class SoapFormatter(Formatter):
             encoded = base64.b64encode(obj.tobytes()).decode("ascii")
             parts.append(f'<v t="array" c="{obj.typecode}">{encoded}</v>')
             return
-        if _np is not None and kind is _np.ndarray:
+        numpy = sys.modules.get("numpy")  # see binary.py: never imported here
+        if numpy is not None and kind is numpy.ndarray:
             if obj.dtype.hasobject:
                 raise SerializationError("object-dtype ndarrays are not portable")
-            contiguous = _np.ascontiguousarray(obj)
+            contiguous = numpy.ascontiguousarray(obj)
             shape = " ".join(str(dim) for dim in contiguous.shape)
             encoded = base64.b64encode(contiguous.tobytes()).decode("ascii")
             parts.append(
@@ -372,13 +370,12 @@ class _Parser:
         raise self._error(f"unknown value type {tag!r}")
 
     def _parse_ndarray(self, attrs: dict[str, str], body: str) -> Any:
-        if _np is None:  # pragma: no cover - numpy is installed in CI
-            raise self._error("ndarray on the wire but numpy unavailable")
-        dtype = _np.dtype(attrs["dtype"])
+        numpy = import_numpy()
+        dtype = numpy.dtype(attrs["dtype"])
         shape_text = attrs.get("shape", "")
         shape = tuple(int(dim) for dim in shape_text.split()) if shape_text else ()
         raw = base64.b64decode(body.encode("ascii"), validate=True)
-        value = _np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        value = numpy.frombuffer(raw, dtype=dtype).reshape(shape).copy()
         self.refs.append(value)
         return value
 

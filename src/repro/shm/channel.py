@@ -146,7 +146,7 @@ def _tracker_id() -> int:
     """Identity of this process's resource-tracker daemon (0 if unknown).
 
     The tracker is identified by the inode of its command pipe rather
-    than a pid: multiprocessing-spawned children inherit the parent's
+    than a pid: multiprocessing's worker children inherit the parent's
     tracker as a bare duplicated fd (their local ``_pid`` stays unset),
     and two processes share a daemon exactly when their fds point at
     the same live pipe.
@@ -169,7 +169,7 @@ def _untrack(segment: shared_memory.SharedMemory, creator_tracker: int) -> None:
     process would try to unlink the (already unlinked) segment at
     interpreter exit and spam KeyError warnings from the tracker.
 
-    The twist: multiprocessing-spawned workers *share* the parent's
+    The twist: multiprocessing's worker children *share* the parent's
     tracker daemon, whose cache is a plain name set — the attach-side
     register deduplicates into the creator's entry, and the creator's
     post-handshake ``unlink`` is the single unregister that entry needs.
@@ -297,6 +297,8 @@ class _ShmConnection:
             self._spin = spin
         self._counters = counters
         self._header_scratch = bytearray(HEADER_SIZE)
+        #: Where a frame that wraps around the ring is staged.
+        self._staged = bytearray()
         #: Ring bytes the last read_frame lent out zero-copy.
         self._lent = 0
         self._closed = False
@@ -435,15 +437,15 @@ class _ShmConnection:
 
     # -- receiving ----------------------------------------------------
 
-    def read_frame(self, scratch: bytearray) -> tuple[int, memoryview]:
+    def read_frame(self) -> tuple[int, memoryview]:
         """Read one frame; returns ``(flags, payload_view)``.
 
         When the payload is contiguous in the ring, the view is a window
         straight into shared memory and the ring bytes under it are
         consumed by :meth:`release_frame`.  Otherwise the payload is
-        staged through *scratch* (grown, never shrunk — it stabilises at
-        the connection's largest wrapped frame) and the ring is already
-        consumed.
+        staged through the connection's own buffer (grown, never shrunk
+        — it stabilises at the largest wrapped frame) and the ring is
+        already consumed.
         """
         try:
             self._read_exact(self._header_scratch)
@@ -459,9 +461,10 @@ class _ShmConnection:
                 view = rx.view(length)
                 self._lent = length
                 return flags, view
-            if len(scratch) < length:
-                scratch.extend(bytes(length - len(scratch)))
-            view = memoryview(scratch)[:length]
+            staged = self._staged
+            if len(staged) < length:
+                staged.extend(bytes(length - len(staged)))
+            view = memoryview(staged)[:length]
             try:
                 self._read_exact(view)
             except BaseException:

@@ -1,8 +1,7 @@
 """Telemetry configuration — the ``telemetry=`` section of ParcConfig.
 
-A plain picklable dataclass: worker processes receive it inside
-:class:`repro.cluster.proc.WorkerConfig`, so it must survive
-``multiprocessing`` spawn.
+A plain picklable dataclass: worker processes receive it pickled inside
+:class:`repro.cluster.proc.WorkerConfig`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Integration tests: worker nodes as separate OS processes over TCP.
 
-These exercise the full distribution story — spawn, boot-code module
+These exercise the full distribution story — worker start, boot-code module
 imports, cross-process placement, real-socket serialization, nested
 creation inside a worker process, and clean shutdown.
 """

@@ -10,6 +10,7 @@ import repro.core as parc
 from repro.channels import LoopbackChannel
 from repro.channels.services import ChannelServices
 from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
+from repro.core.depgraph import MAIN
 from repro.errors import RemotingError, ScooppError
 from repro.perfmodel import VirtualClock
 from repro.remoting import MarshalByRefObject, RemotingHost
@@ -205,3 +206,16 @@ class TestReleasedGrainsLeaveTheirNode:
             # 4 posts and 1 posts() per grain.
             assert sum(row["created_total"] for row in rows) == 200
             assert sum(row["processed"] for row in rows) == 200 * 5
+            assert list(rt.dependence.nodes()) == [MAIN]
+
+    @pytest.mark.parametrize("agglomerate", [False, True])
+    def test_released_grains_leave_the_dependence_graph(self, agglomerate):
+        config = ParcConfig(
+            nodes=2,
+            scheduler=SchedulerConfig(grain=GrainPolicy(agglomerate=agglomerate)),
+        )
+        with parc.session(config) as rt:
+            for _cycle in range(1000):
+                parc.new(Board).parc_release()
+            assert list(rt.dependence.nodes()) == [MAIN]
+            assert rt.dependence.edges() == []

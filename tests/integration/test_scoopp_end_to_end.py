@@ -40,7 +40,11 @@ class Mailbox:
         return len(self.inbox)
 
 
-@parc.parallel(name="itest.Spawner", async_methods=[], sync_methods=["spawn_and_fill"])
+@parc.parallel(
+    name="itest.Spawner",
+    async_methods=[],
+    sync_methods=["spawn_and_fill", "keep_child"],
+)
 class Spawner:
     def spawn_and_fill(self, count):
         """Creates parallel objects from inside a parallel method."""
@@ -50,6 +54,11 @@ class Spawner:
         result = child.messages()
         child.parc_release()
         return result
+
+    def keep_child(self):
+        """Creates a parallel object and keeps it alive."""
+        self.child = parc.new(Mailbox, "kept")
+        return True
 
 
 class TestLifecycle:
@@ -198,11 +207,14 @@ class TestNestedCreation:
 
     def test_nested_creation_recorded_in_dependence_graph(self, runtime):
         spawner = parc.new(Spawner)
-        spawner.spawn_and_fill(1)
+        spawner.keep_child()
         creation_edges = runtime.dependence.edges(kind="creation")
         parents = {parent for parent, _child in creation_edges}
         assert "main" in parents
         assert len(parents) >= 2  # some creation did NOT come from main
+        # The graph holds live grains: a released nested child leaves it.
+        spawner.spawn_and_fill(1)
+        assert runtime.dependence.edges(kind="creation") == creation_edges
         spawner.parc_release()
 
 

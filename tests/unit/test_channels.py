@@ -34,7 +34,7 @@ from repro.errors import (
     ChannelError,
     WireFormatError,
 )
-from repro.serialization import BinaryFormatter
+from repro.serialization import BinaryFormatter, FastBinaryFormatter
 from repro.shm import ShmChannel
 
 
@@ -479,6 +479,32 @@ class TestFramedChannels:
         finally:
             binding.close()
             channel.close()
+
+    def test_tcp_client_keeps_one_receive_buffer_per_connection(self):
+        """Replies land in the connection's buffer, which keeps its size
+        between calls: emptying it would hand a large reply's pages back
+        to the allocator only to fault them in on the next call."""
+        buffers = []
+
+        class Recording(FastBinaryFormatter):
+            def loads(self, data):
+                buffers.append(data.obj)
+                return super().loads(data)
+
+        channel = TcpChannel(Recording())
+        binding = channel.listen(
+            "127.0.0.1:0", lambda path, body, headers: bytes(body)
+        )
+        try:
+            for size in (300_000, 10, 200_000):
+                payload = bytes(size)
+                reply = channel.round_trip(binding.authority, "p", payload)
+                assert reply == payload
+        finally:
+            binding.close()
+            channel.close()
+        assert all(buffer is buffers[0] for buffer in buffers)
+        assert len(buffers[0]) >= 300_000
 
     @pytest.mark.parametrize("kind", ["tcp", "shm", "aio"])
     def test_oversize_reply_is_an_error_reply(self, kind, monkeypatch):

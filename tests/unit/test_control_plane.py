@@ -20,7 +20,9 @@ Invariants, checked after **every** tick of every scenario
 
 Scenario-specific bounds (convergence, scale-out/in latency) are stated
 in the tests.  Seeds follow the chaos suite: three fixed ones plus
-``PARC_CHAOS_SEED`` (or a random one, echoed for reruns).
+``PARC_CHAOS_SEED``.  Unset, the fourth is :data:`DEFAULT_EXTRA_SEED`,
+so a plain run collects the same test ids every time; CI's random-seed
+job sets ``PARC_CHAOS_SEED`` to explore new schedules.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.sched import RebalancePlanner
 from repro.telemetry import MetricsRegistry
 
 FIXED_SEEDS = (7, 1337, 20260806)
+DEFAULT_EXTRA_SEED = 2594377432
 HEARTBEAT_S = 0.5
 STEP_S = 0.25  # the rebalance interval: every duty's period is a multiple
 
@@ -59,7 +62,7 @@ BOUNDS = (1, 4)
 
 def _seeds():
     env = os.environ.get("PARC_CHAOS_SEED")
-    extra = int(env) if env else random.SystemRandom().randrange(2**32)
+    extra = int(env) if env else DEFAULT_EXTRA_SEED
     return [*FIXED_SEEDS, pytest.param(extra, id=f"seed-{extra}")]
 
 

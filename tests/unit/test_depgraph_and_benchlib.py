@@ -61,6 +61,47 @@ class TestDependenceTracker:
     def test_nodes_include_main(self):
         assert MAIN in DependenceTracker().nodes()
 
+    def test_deep_creation_chain_is_dag(self):
+        tracker = DependenceTracker()
+        parent = MAIN
+        for index in range(50_000):  # far past the recursion limit
+            tracker.record_creation(parent, f"g{index}")
+            parent = f"g{index}"
+        assert tracker.is_dag()
+        assert tracker.cycles() == []
+        tracker.record_reference(parent, "g0")
+        assert not tracker.is_dag()
+        assert len(tracker.cycles()[0]) == 50_000
+
+    def test_one_cycle_per_back_edge(self):
+        tracker = DependenceTracker()
+        tracker.record_creation(MAIN, "a")
+        tracker.record_creation("a", "b")
+        tracker.record_reference("b", "a")
+        tracker.record_reference("b", "b")
+        assert sorted(tracker.cycles()) == [["a", "b"], ["b"]]
+
+    def test_forget_drops_the_node_and_its_edges(self):
+        tracker = DependenceTracker()
+        tracker.record_creation(MAIN, "a")
+        tracker.record_creation("a", "b")
+        tracker.record_reference("b", "a")
+        tracker.forget("b")
+        assert tracker.is_dag()
+        assert list(tracker.nodes()) == [MAIN, "a"]
+        assert tracker.edges() == [(MAIN, "a")]
+        tracker.forget("b")  # already gone
+        tracker.forget(MAIN)  # the entry thread is never released
+        assert list(tracker.nodes()) == [MAIN, "a"]
+        assert len(tracker) == 1
+        tracker.record_reference("a", "a")
+        tracker.record_creation("a", "c")
+        tracker.forget("a")  # with a self-reference and a live child
+        assert list(tracker.nodes()) == [MAIN, "c"]
+        assert tracker.edges() == [] and tracker.is_dag()
+        tracker.record_creation("c", "a")  # a label may come back
+        assert tracker.edges() == [("c", "a")]
+
 
 class TestMessageBytes:
     @pytest.mark.parametrize("n_ints", [0, 1, 256, 65536])

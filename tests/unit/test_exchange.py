@@ -68,8 +68,8 @@ class FakeConnection:
             reply_flags, reply = FLAG_CREDIT, pack_credit(self.grant) + reply
         self._reply = (reply_flags, reply)
 
-    def read_frame(self, scratch):
-        # Lends its own memory, like a ring: not *scratch*.
+    def read_frame(self):
+        # Lends its own memory, like a ring.
         flags, reply = self._reply
         self._memory = bytearray(reply)
         self.lent = memoryview(self._memory)
@@ -285,7 +285,7 @@ class TestExchange:
         def park_in_read(conn):
             woken = threading.Event()
 
-            def read_frame(scratch):
+            def read_frame():
                 parked.set()
                 assert woken.wait(10)
                 raise OSError("connection reset")
@@ -322,7 +322,7 @@ class ServerEnd:
         self.events = []
         self.replies = []
 
-    def read_frame(self, scratch):
+    def read_frame(self):
         if not self.frames:
             raise ChannelClosedError("peer hung up")
         frame = self.frames.pop(0)
