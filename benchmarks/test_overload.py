@@ -7,8 +7,8 @@ Three claims, asserted on this machine:
   credits-off rate (the exchange adds one flag bit on requests, four
   bytes on responses, and an uncontended gate acquire/release);
 * a bounded mailbox keeps latency bounded under saturating load: the
-  p99 of *admitted* calls stays within the budget implied by the lane
-  depth and service time, and shed calls fail fast instead of queueing
+  p99 of *admitted* calls stays within the budget implied by the
+  mailbox depth and service time, and shed calls fail fast instead of queueing
   (an unbounded mailbox would stretch every caller's latency with the
   full backlog);
 * the elastic worker loop loses nothing: a saturating prime-farm burst
@@ -40,7 +40,7 @@ ROUNDS = 400
 TRIALS = 5
 ATTEMPTS = 3
 
-#: Admission-control scenario: service time, lane bound, concurrency.
+#: Admission-control scenario: service time, mailbox bound, concurrency.
 SERVICE_S = 0.02
 MAILBOX_DEPTH = 4
 CALLERS = 24
@@ -300,7 +300,7 @@ class TestBoundedLatency:
         admitted, shed = stats["admitted"], stats["shed"]
         assert admitted, "saturation must still admit work"
         assert shed, (
-            f"{CALLERS} callers into a depth-{MAILBOX_DEPTH} lane must shed"
+            f"{CALLERS} callers into a depth-{MAILBOX_DEPTH} mailbox must shed"
         )
         # Nothing lost, and the server counted every shed the clients saw.
         assert len(admitted) + len(shed) == CALLERS

@@ -13,9 +13,7 @@ with a formatter:
 
 :class:`ChannelServices` is the scheme registry (``tcp://``, ``http://``,
 ``loopback://``) mirroring ``ChannelServices.RegisterChannel`` in the
-paper's Fig. 2, and :class:`MeteredChannel` wraps any channel to count the
-real bytes a protocol exchange puts on the wire (the benchmarks feed those
-byte counts to the platform cost models).
+paper's Fig. 2.
 
 :func:`create` builds whole channel *stacks* from a kind string
 (``create("breaker+chaos+tcp", ...)``); see
@@ -32,28 +30,15 @@ from repro.channels.factory import (
 from repro.channels.loopback import LoopbackChannel
 from repro.channels.tcp import TcpChannel
 from repro.channels.http import HttpChannel
-from repro.channels.meter import ChannelMeter, MeteredChannel
 from repro.channels.services import ChannelServices, RemotingUri, parse_uri
-from repro.channels.sinks import (
-    ChannelSink,
-    CompressionSink,
-    SinkChannel,
-    TraceSink,
-)
 
 __all__ = [
     "Channel",
-    "ChannelMeter",
     "ChannelServices",
-    "ChannelSink",
-    "CompressionSink",
     "HttpChannel",
     "LoopbackChannel",
-    "MeteredChannel",
     "RemotingUri",
     "ServerBinding",
-    "SinkChannel",
-    "TraceSink",
     "available_kinds",
     "create",
     "parse_uri",

@@ -79,13 +79,12 @@ class Channel(abc.ABC):
         """Serialize *message*, exchange it, deserialize the response.
 
         The default composes ``formatter.dumps`` → :meth:`call` →
-        ``formatter.loads``, so wrapper channels (chaos, breaker, metering,
-        sinks) inherit correct behaviour through their ``call`` overrides
-        automatically.  The framed transports (tcp, shm, aio) override it
-        to encode into the frame buffer and decode from a view of the
-        reply frame, never materialising the intermediate ``bytes``; both
-        routes end in the same exchange
-        (:mod:`repro.channels.exchange`).
+        ``formatter.loads``, so wrapper channels (chaos, breaker) inherit
+        correct behaviour through their ``call`` overrides automatically.
+        The framed transports (tcp, shm, aio) override it to encode into
+        the frame buffer and decode from a view of the reply frame, never
+        materialising the intermediate ``bytes``; both routes end in the
+        same exchange (:mod:`repro.channels.exchange`).
         """
         body = self.formatter.dumps(message)
         self.last_request_bytes = len(body)

@@ -18,9 +18,9 @@ retry policies treat a rejected call like any other transport failure —
 with jittered backoff, retries naturally span the reset timeout and
 ride through a half-open recovery.
 
-The :class:`BreakerChannel` wrapper keeps the inner channel's scheme
-(like ``MeteredChannel``), so ObjRef URIs are unchanged and it can be
-layered under or over the chaos channel freely.
+The :class:`BreakerChannel` wrapper keeps the inner channel's scheme,
+so ObjRef URIs are unchanged and it can be layered under or over the
+chaos channel freely.
 """
 
 from __future__ import annotations

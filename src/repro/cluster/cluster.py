@@ -505,7 +505,7 @@ class Cluster:
         """Snapshot of where grains live and what the scheduler did.
 
         Returns the active policy name, per-node rows (grain counts,
-        queued and stealable backlog, load, per-node migration
+        queued backlog, load, per-node migration
         counters), the cluster-level steal/migration counters, and the
         most recent placement decisions merged from every object
         manager's log.
@@ -516,7 +516,6 @@ class Cluster:
                 "index": row["index"],
                 "grains": row["ios"],
                 "queued": row["queued"],
-                "stealable": row["stealable"],
                 "load": row["load"],
                 "migrations_out": row["migrations_out"],
                 "migrations_in": row["migrations_in"],
@@ -535,7 +534,6 @@ class Cluster:
                 self.placement, "name", type(self.placement).__name__
             ),
             "work_stealing": self.sched_config.work_stealing,
-            "migration": self.sched_config.migration,
             "nodes": node_rows,
             "last_decisions": decisions[-32:],
             **counters,

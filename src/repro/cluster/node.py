@@ -49,7 +49,7 @@ STATS_REFRESH_PERIOD = 32
 #: Placement decisions kept for ``placement_report()`` introspection.
 DECISION_LOG_SIZE = 32
 
-#: Grains listed in a node's row (deepest stealable backlogs first).
+#: Grains listed in a node's row (deepest backlogs first).
 REPORT_TOP_GRAINS = 16
 
 
@@ -492,7 +492,7 @@ class Node:
         self._errors = ErrorCounter(metrics)
         self.host = RemotingHost(name=f"parc-node-{index}", services=services)
         # Mailbox fill feeds the credit grantor alongside the host's
-        # dispatch backlog: senders are throttled before lanes overflow.
+        # dispatch backlog: senders are throttled before mailboxes overflow.
         self.host.credit_grantor.add_source(self._mailbox_pressure)
         binding = self.host.listen(channel, authority)
         self.base_uri = f"{channel.scheme}://{binding.authority}"
@@ -543,8 +543,6 @@ class Node:
             on_execution=self._on_execution,
             node=self,
             mailbox_depth=self.settings.mailbox_depth,
-            priority=self.settings.priority,
-            shed_policy=self.settings.shed_policy,
         )
 
     def _on_execution(
@@ -617,7 +615,7 @@ class Node:
         """Worst mailbox fill fraction across hosted IOs, in ``[0, 1]``.
 
         With bounded mailboxes this is the literal fill ratio of the
-        fullest lane set; unbounded mailboxes report a soft signal (1000
+        fullest mailbox; unbounded mailboxes report a soft signal (1000
         queued calls reads as saturated) so credits still throttle
         senders even when admission control is off.
         """
@@ -628,7 +626,7 @@ class Node:
         for impl in impls:
             queued = impl.queue_length
             if depth > 0:
-                value = queued / float(3 * depth)
+                value = queued / float(depth)
             else:
                 value = queued / 1000.0
             if value > worst:
@@ -642,9 +640,8 @@ class Node:
         placement, the control plane's detector / elastic / rebalance
         duties, ``runtime.stats()`` and ``placement_report()``.
         ``load`` is live IOs plus queued and executing calls; ``queued``
-        counts every queued call, ``stealable`` only the normal/low-lane
-        ones a migration may move (``grains`` lists the deepest such
-        backlogs, a queued high-priority call pinning its grain);
+        counts every queued call, all of which a migration may move
+        (``grains`` lists the deepest per-grain backlogs);
         ``processed``/``shed``/``created_total`` are cumulative.
         ``avg_service_s``/``p99_s``/``methods`` summarize the
         ``parc.method.seconds.*`` histograms (0.0 / empty with telemetry
@@ -656,17 +653,15 @@ class Node:
             shed = self._retired_shed
             created_total = self._created_total
         load = float(len(impls))
-        queued = stealable = 0
+        queued = 0
         grains = []
         for impl in impls:
             stats = impl.stats()
             processed += stats["processed"]
             shed += stats["shed"]
             load += impl.queue_length
-            queued += stats["queued"]
-            lanes = stats["lanes"]
-            backlog = lanes["normal"] + lanes["low"]
-            stealable += backlog
+            backlog = stats["queued"]
+            queued += backlog
             path = getattr(impl, "_parc_path", None)
             if backlog and path is not None:  # unpublished = unreachable
                 grains.append(
@@ -674,7 +669,6 @@ class Node:
                         "path": path,
                         "class_name": impl.class_name,
                         "backlog": backlog,
-                        "high": lanes["high"],
                     }
                 )
         grains.sort(key=lambda g: g["backlog"], reverse=True)
@@ -693,7 +687,6 @@ class Node:
             "ios": len(impls),
             "created_total": created_total,
             "queued": queued,
-            "stealable": stealable,
             "processed": processed,
             "shed": shed,
             "avg_service_s": (

@@ -41,8 +41,6 @@ class NodeSettings:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     same_node_transport: str | None = None
     mailbox_depth: int = 0
-    priority: dict | None = None
-    shed_policy: str | None = None
 
 
 @dataclass
@@ -74,18 +72,10 @@ class ParcConfig:
     same_node_transport: str | None = None
     #: Distributed tracing and metrics (disabled by default).
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    #: Bound on each IO mailbox priority lane, in queued calls; 0 keeps
-    #: the paper's unbounded FIFO.  A full lane sheds new calls with
-    #: :class:`~repro.errors.OverloadError` (see :mod:`repro.flow`).
+    #: Bound on each IO mailbox (one FIFO per grain), in queued calls; 0
+    #: keeps the paper's unbounded FIFO.  A call that would overfill it
+    #: is shed with :class:`~repro.errors.OverloadError`.
     mailbox_depth: int = 0
-    #: Method-name → lane mapping (``"high"``/``"normal"``/``"low"``);
-    #: keys may be bare method names or ``Class.method``.  Mailboxes
-    #: drain high before normal before low, FIFO within a lane.
-    priority: dict | None = None
-    #: What a bounded mailbox does with excess work: ``"fail_fast"``
-    #: (default) or ``"deadline:<seconds>"`` — see
-    #: :class:`repro.flow.ShedPolicy`.
-    shed_policy: str | None = None
     #: ``(min, max)`` worker-process bounds for elastic scaling; ``None``
     #: keeps the worker count fixed.  Requires ``worker_processes >= 1``
     #: (the initial count, clamped into the bounds); retirement announces
@@ -116,23 +106,6 @@ class ParcConfig:
             )
         if self.mailbox_depth < 0:
             raise ScooppError("mailbox_depth cannot be negative")
-        if self.priority is not None:
-            bad = sorted(
-                lane
-                for lane in set(self.priority.values())
-                if lane not in ("high", "normal", "low")
-            )
-            if bad:
-                raise ScooppError(
-                    f"priority lanes must be high/normal/low, got {bad}"
-                )
-        if self.shed_policy is not None:
-            from repro.flow.policy import ShedPolicy
-
-            try:
-                ShedPolicy.parse(self.shed_policy)
-            except ValueError as exc:
-                raise ScooppError(str(exc)) from exc
         if self.elastic is not None:
             self.elastic = tuple(self.elastic)
             if (
@@ -167,6 +140,4 @@ class ParcConfig:
             telemetry=self.telemetry,
             same_node_transport=self.same_node_transport,
             mailbox_depth=self.mailbox_depth,
-            priority=self.priority,
-            shed_policy=self.shed_policy,
         )

@@ -13,12 +13,10 @@ loop" for the *transport*, and the container supplies only the
 active-object queue (§3.2: "The ParC# implementation no longer requires
 SO objects").
 
-The mailbox itself (:class:`_IOMailbox`) is where admission control
-lives: an optional depth bound per priority lane, fail-fast rejection
-with :class:`~repro.errors.OverloadError` when a lane saturates, and an
-optional deadline shed that drops queued work already past its latency
-budget (see :mod:`repro.flow`).  Unbounded FIFO — the paper's model —
-remains the default.
+The mailbox itself (:class:`_IOMailbox`) is one FIFO per grain and where
+admission control lives: an optional depth bound with fail-fast
+rejection (:class:`~repro.errors.OverloadError`) once it is full.
+Unbounded FIFO — the paper's model — remains the default.
 """
 
 from __future__ import annotations
@@ -31,10 +29,9 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 from repro.errors import OverloadError, ScooppError
-from repro.flow.policy import DEADLINE, ShedPolicy
 from repro.remoting import MarshalByRefObject
 from repro.remoting.messages import ReturnBatch
 from repro.serialization.codec import pack_result_column, unpack_columns
@@ -55,9 +52,6 @@ current_node: contextvars.ContextVar[Any] = contextvars.ContextVar(
 executing_impl: contextvars.ContextVar[Any] = contextvars.ContextVar(
     "parc_executing_impl", default=None
 )
-
-#: Priority lanes in drain order.
-LANES = ("high", "normal", "low")
 
 
 class MailboxMigratedError(ScooppError):
@@ -83,32 +77,26 @@ class _Task:
     # thread serving the remote call, or the local caller).  Re-activated
     # on the worker thread so the io span chains to its remote parent.
     trace: Any = None
-    # When the task entered the mailbox (monotonic seconds); the
-    # deadline shed policy compares queue age against its budget.
-    posted_at: float = 0.0
 
 
 class _Aggregate:
     """One asynchronous mailbox entry: the ``processN`` parameter array.
 
     *calls* is the ``[(args, kwargs), ...]`` list of one method's
-    consecutive asynchronous invocations, sharing one trace context and
-    one admission time.  No caller waits on any of them, so the worker
-    can run the list as a plain loop (:meth:`ImplementationObject.
-    _execute_aggregate`); iterating the entry yields equivalent
-    :class:`_Task` objects for the paths that need one per call — traced
-    execution, migration replay, forwarding.
+    consecutive asynchronous invocations, sharing one trace context.  No
+    caller waits on any of them, so the worker can run the list as a
+    plain loop (:meth:`ImplementationObject._execute_aggregate`);
+    iterating the entry yields equivalent :class:`_Task` objects for the
+    paths that need one per call — traced execution, migration replay,
+    forwarding.
     """
 
-    __slots__ = ("method", "calls", "trace", "posted_at")
+    __slots__ = ("method", "calls", "trace")
 
-    def __init__(
-        self, method: str, calls: list, trace: Any, posted_at: float
-    ) -> None:
+    def __init__(self, method: str, calls: list, trace: Any) -> None:
         self.method = method
         self.calls = calls
         self.trace = trace
-        self.posted_at = posted_at
 
     def __len__(self) -> int:
         return len(self.calls)
@@ -116,11 +104,7 @@ class _Aggregate:
     def __iter__(self) -> Iterator[_Task]:
         for args, kwargs in self.calls:
             yield _Task(
-                method=self.method,
-                args=args,
-                kwargs=kwargs,
-                trace=self.trace,
-                posted_at=self.posted_at,
+                method=self.method, args=args, kwargs=kwargs, trace=self.trace
             )
 
 
@@ -130,53 +114,49 @@ _Entry = _Aggregate | list[_Task]
 
 
 class _IOMailbox:
-    """Bounded, priority-laned mailbox feeding one worker thread.
+    """One FIFO per grain, optionally bounded, feeding one worker thread.
 
     Entries are *batches* (an :class:`_Aggregate` or a list of
     :class:`_Task`): an aggregated ``processN`` message stays one entry,
-    so its calls execute back-to-back exactly as Fig. 7 requires.  Drain
-    order is high → normal → low, FIFO within a lane.
+    so its calls execute back-to-back exactly as Fig. 7 requires.
+    Entries drain in arrival order, which is what lets a synchronous
+    call posted after asynchronous ones observe their effects.
 
-    ``depth`` bounds each lane in *tasks* (0 = unbounded, the paper's
-    semantics).  A full lane rejects new work with
+    ``depth`` bounds the queue in *tasks* (0 = unbounded, the paper's
+    semantics).  An entry that would overfill it is rejected with
     :class:`OverloadError` — admission control happens here, on the
     dispatch thread serving the remote ``enqueue``, so the typed error
-    travels back to the caller synchronously.
+    travels back to the caller synchronously.  An empty queue admits one
+    entry of any size, so an aggregate larger than ``depth`` is served
+    rather than shed forever; the bound is therefore ``depth`` plus one
+    entry.
 
     Accounting invariant: ``_active`` covers every task of a dequeued
     batch from the moment :meth:`pop` hands it out (incremented under
     the same lock that pops the entry) until :meth:`batch_done` returns
-    it.  ``drain()`` waits for lanes empty *and* ``_active == 0``, so it
-    can never return while a dequeued batch is still executing.
+    it.  ``drain()`` waits for the queue empty *and* ``_active == 0``, so
+    it can never return while a dequeued batch is still executing.
     """
 
-    def __init__(self, depth: int = 0, lane_of: Mapping[str, str] | None = None) -> None:
+    def __init__(self, depth: int = 0) -> None:
         self.depth = depth
-        self._lane_of = dict(lane_of or {})
         self._lock = threading.Lock()
         self._work_available = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
-        self._lanes: dict[str, deque[_Entry]] = {
-            lane: deque() for lane in LANES
-        }
-        self._queued: dict[str, int] = {lane: 0 for lane in LANES}
+        self._entries: deque[_Entry] = deque()
+        self._queued = 0  # tasks across queued entries
         self._active = 0  # tasks dequeued but not yet finished
         self._inline_claims = 0  # sync fast-path calls executing inline
         self._stopped = False
         self._migrating = False  # paused for state extraction
         self._migrated = False  # grain lives elsewhere now
 
-    def lane_for(self, method: str) -> str:
-        lane = self._lane_of.get(method, "normal")
-        return lane if lane in self._lanes else "normal"
-
     def put(self, method: str, tasks: _Entry) -> None:
         """Admit one entry (single call or aggregate batch).
 
-        Raises :class:`OverloadError` when the target lane cannot hold
+        Raises :class:`OverloadError` when the bounded queue cannot hold
         the entry, :class:`ScooppError` after :meth:`stop`.
         """
-        lane = self.lane_for(method)
         with self._work_available:
             # A migration in progress parks admitters until the grain's
             # fate is known: resumed here (abort) or forwarded to its
@@ -187,18 +167,21 @@ class _IOMailbox:
                 raise MailboxMigratedError("mailbox migrated away")
             if self._stopped:
                 raise ScooppError("mailbox is disposed")
-            if self.depth and self._queued[lane] + len(tasks) > self.depth:
+            if (
+                self.depth
+                and self._queued
+                and self._queued + len(tasks) > self.depth
+            ):
                 raise OverloadError(
-                    f"mailbox lane {lane!r} is full "
-                    f"({self._queued[lane]}/{self.depth} queued); "
-                    f"call to {method!r} shed"
+                    f"mailbox is full ({self._queued}/{self.depth} "
+                    f"queued); call to {method!r} shed"
                 )
-            self._lanes[lane].append(tasks)
-            self._queued[lane] += len(tasks)
+            self._entries.append(tasks)
+            self._queued += len(tasks)
             self._work_available.notify()
 
     def pop(self) -> _Entry | None:
-        """Next entry in priority order; ``None`` once stopped and empty.
+        """Next entry in arrival order; ``None`` once stopped and empty.
 
         The batch's tasks are added to ``_active`` *before* the lock is
         released — the window where work is neither queued nor active is
@@ -211,13 +194,11 @@ class _IOMailbox:
                 # the caller's thread — popping here would break the one-
                 # at-a-time execution guarantee of the active object.
                 if not self._migrating and not self._inline_claims:
-                    for lane in LANES:
-                        entries = self._lanes[lane]
-                        if entries:
-                            batch = entries.popleft()
-                            self._queued[lane] -= len(batch)
-                            self._active += len(batch)
-                            return batch
+                    if self._entries:
+                        batch = self._entries.popleft()
+                        self._queued -= len(batch)
+                        self._active += len(batch)
+                        return batch
                     if self._stopped:
                         self._idle.notify_all()
                         return None
@@ -227,8 +208,8 @@ class _IOMailbox:
         """Claim the execution slot iff the mailbox is completely idle.
 
         The sync fast path runs a call inline on the caller's thread;
-        that preserves FIFO order only when nothing is queued in any
-        lane *and* nothing is executing.  The claim has its own counter
+        that preserves FIFO order only when nothing is queued *and*
+        nothing is executing.  The claim has its own counter
         (``_inline_claims``) rather than riding ``_active``: it parks
         the worker in :meth:`pop` and stalls drain/migration exactly
         like a dequeued batch, without changing pop's own contract
@@ -242,7 +223,7 @@ class _IOMailbox:
                 or self._migrated
                 or self._active
                 or self._inline_claims
-                or any(self._queued.values())
+                or self._queued
             ):
                 return False
             self._inline_claims += 1
@@ -256,15 +237,13 @@ class _IOMailbox:
                 # Work may have queued behind the inline call; the
                 # worker is parked on the _inline_claims gate in pop().
                 self._work_available.notify()
-                if self._migrating or not any(self._queued.values()):
+                if self._migrating or not self._queued:
                     self._idle.notify_all()
 
     def batch_done(self, count: int) -> None:
         with self._lock:
             self._active -= count
-            if self._active == 0 and (
-                self._migrating or not any(self._queued.values())
-            ):
+            if self._active == 0 and (self._migrating or not self._queued):
                 self._idle.notify_all()
 
     def drain(self) -> None:
@@ -272,7 +251,7 @@ class _IOMailbox:
             while (
                 self._active
                 or self._inline_claims
-                or any(self._queued.values())
+                or self._queued
                 or self._migrating
             ):
                 self._idle.wait()
@@ -290,10 +269,9 @@ class _IOMailbox:
 
         Blocks new admissions, waits out the batch executing right now
         (it always finishes on this node — executing work is never
-        stolen), then removes all queued entries in drain order
-        (high → normal → low, FIFO within a lane) and returns them.
-        Once this returns, the worker is idle and the hosted instance's
-        state is stable, so it is safe to serialize.
+        stolen), then removes all queued entries in arrival order and
+        returns them.  Once this returns, the worker is idle and the
+        hosted instance's state is stable, so it is safe to serialize.
 
         The caller must finish with :meth:`complete_migration` or
         :meth:`abort_migration`.
@@ -306,28 +284,20 @@ class _IOMailbox:
             self._migrating = True
             while self._active or self._inline_claims:
                 self._idle.wait()
-            entries: list[_Entry] = []
-            for lane in LANES:
-                while self._lanes[lane]:
-                    batch = self._lanes[lane].popleft()
-                    self._queued[lane] -= len(batch)
-                    entries.append(batch)
+            entries = list(self._entries)
+            self._entries.clear()
+            self._queued = 0
             return entries
 
     def abort_migration(self, entries: list[_Entry]) -> None:
-        """Requeue the extracted entries and resume normal service."""
+        """Requeue the extracted entries and resume normal service.
+
+        Admissions were parked since :meth:`begin_migration`, so the
+        queue is still empty and *entries* keep their original order.
+        """
         with self._work_available:
-            for batch in entries:
-                if not batch:
-                    continue
-                method = (
-                    batch.method
-                    if type(batch) is _Aggregate
-                    else batch[0].method
-                )
-                lane = self.lane_for(method)
-                self._lanes[lane].append(batch)
-                self._queued[lane] += len(batch)
+            self._entries.extend(entries)
+            self._queued += sum(len(batch) for batch in entries)
             self._migrating = False
             self._work_available.notify_all()
             self._idle.notify_all()
@@ -358,15 +328,11 @@ class _IOMailbox:
 
     def queued_count(self) -> int:
         with self._lock:
-            return sum(self._queued.values())
+            return self._queued
 
     def queue_length(self) -> int:
         with self._lock:
-            return sum(self._queued.values()) + self._active + self._inline_claims
-
-    def lane_depths(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._queued)
+            return self._queued + self._active + self._inline_claims
 
 
 class ImplementationObject(MarshalByRefObject):
@@ -390,11 +356,9 @@ class ImplementationObject(MarshalByRefObject):
     * ``dispose()`` — drain and stop the worker;
     * ``stats()`` — counters for the object manager.
 
-    Flow-control knobs (all off by default, threaded from
-    ``ParcConfig``): *mailbox_depth* bounds each priority lane;
-    *priority* maps method names (optionally ``Class.method``) to lanes
-    ``high``/``normal``/``low``; *shed_policy* picks what happens to
-    excess work (see :class:`repro.flow.ShedPolicy`).
+    *mailbox_depth* (threaded from ``ParcConfig``, off by default)
+    bounds the mailbox; a call that would overfill it fails fast with
+    :class:`~repro.errors.OverloadError`.
     """
 
     def __init__(
@@ -404,8 +368,6 @@ class ImplementationObject(MarshalByRefObject):
         on_execution: Callable[[str, float, str], None] | None = None,
         node: Any = None,
         mailbox_depth: int = 0,
-        priority: Mapping[str, str] | None = None,
-        shed_policy: "str | ShedPolicy | None" = None,
     ) -> None:
         self.instance = instance
         self.class_name = class_name
@@ -417,16 +379,12 @@ class ImplementationObject(MarshalByRefObject):
         # execution; feeds the grain controller's per-method statistics.
         self._on_execution = on_execution
         self._on_execution_failed = False
-        self._shed_policy = ShedPolicy.parse(shed_policy)
-        self._mailbox = _IOMailbox(
-            depth=mailbox_depth,
-            lane_of=self._method_lanes(class_name, priority),
-        )
+        self._mailbox = _IOMailbox(depth=mailbox_depth)
         self._stats_lock = threading.Lock()
         self._processed = 0
         self._inline = 0  # sync calls served via the fast path
         self._busy_s = 0.0
-        self._shed = {"overflow": 0, "deadline": 0}
+        self._shed = 0
         self._async_failures: list[tuple[str, str]] = []
         self._worker = threading.Thread(
             target=self._run,
@@ -434,29 +392,6 @@ class ImplementationObject(MarshalByRefObject):
             daemon=True,
         )
         self._worker.start()
-
-    @staticmethod
-    def _method_lanes(
-        class_name: str, priority: Mapping[str, str] | None
-    ) -> dict[str, str]:
-        """Normalize a priority mapping to plain method names.
-
-        Accepts bare method names and ``Class.method`` keys (matched
-        against the short or fully qualified class name); entries scoped
-        to other classes are ignored, so one cluster-wide mapping works.
-        """
-        if not priority:
-            return {}
-        short = class_name.rsplit(".", 1)[-1]
-        lanes: dict[str, str] = {}
-        for key, lane in priority.items():
-            if "." in key:
-                cls_part, _, method = key.rpartition(".")
-                if cls_part in (short, class_name):
-                    lanes[method] = lane
-            else:
-                lanes[key] = lane
-        return lanes
 
     # -- remote surface ----------------------------------------------------
 
@@ -472,13 +407,7 @@ class ImplementationObject(MarshalByRefObject):
         """
         if batch:
             self._post(
-                method,
-                _Aggregate(
-                    method,
-                    list(batch),
-                    current_context.get(),
-                    time.monotonic(),
-                ),
+                method, _Aggregate(method, list(batch), current_context.get())
             )
 
     def enqueue_columns(
@@ -500,12 +429,12 @@ class ImplementationObject(MarshalByRefObject):
         single in caller order, ``(method, count, columns | None, rows |
         None)`` — columns as for :meth:`enqueue_columns`, rows as for
         :meth:`enqueue_batch`.  Every entry is admitted on its own
-        through those methods, so it is its own mailbox entry and lanes,
-        the depth bound, migration forwarding and FIFO order behave as
+        through those methods, so it is its own mailbox entry and the
+        depth bound, migration forwarding and FIFO order behave as
         if the entries had arrived in separate requests.
 
         Admission is partial on failure: the entries before the first
-        one that raises (``OverloadError`` from a full lane, a disposed
+        one that raises (``OverloadError`` from a full mailbox, a disposed
         mailbox) are enqueued exactly once, that entry and all later
         ones are not, and the error travels back to the sender — which
         therefore must never re-send a refused run.
@@ -528,7 +457,6 @@ class ImplementationObject(MarshalByRefObject):
             kwargs=dict(kwargs or {}),
             done=threading.Event(),
             trace=current_context.get(),
-            posted_at=time.monotonic(),
         )
         if not self._run_inline([task]):
             self._post(method, [task])
@@ -549,7 +477,6 @@ class ImplementationObject(MarshalByRefObject):
         slots; they never abort the remaining calls.
         """
         trace = current_context.get()
-        posted_at = time.monotonic()
         tasks = [
             _Task(
                 method=method,
@@ -557,7 +484,6 @@ class ImplementationObject(MarshalByRefObject):
                 kwargs=dict(kwargs),
                 done=threading.Event(),
                 trace=trace,
-                posted_at=posted_at,
             )
             for args, kwargs in batch
         ]
@@ -567,8 +493,8 @@ class ImplementationObject(MarshalByRefObject):
             self._post(method, tasks)
             # One wait suffices: the batch is a single mailbox entry and
             # executes serially, so the last task finishes last — and
-            # every completion path (_execute, _shed_task, forwarding)
-            # sets each task's event in order.
+            # every completion path (_execute, forwarding) sets each
+            # task's event in order.
             tasks[-1].done.wait()
         results: list = []
         errors: list[tuple] = []
@@ -604,8 +530,8 @@ class ImplementationObject(MarshalByRefObject):
     def _run_inline(self, tasks: list[_Task]) -> bool:
         """Sync fast path: execute *tasks* on the caller's thread.
 
-        Succeeds only when the mailbox is provably idle (nothing queued
-        in any lane, nothing executing), which makes inline execution
+        Succeeds only when the mailbox is provably idle (nothing queued,
+        nothing executing), which makes inline execution
         indistinguishable from the post→worker→wait round-trip except
         for the latency: FIFO order holds trivially, and the claimed
         inline slot parks the worker plus any drain/migration until
@@ -641,7 +567,7 @@ class ImplementationObject(MarshalByRefObject):
 
     def stats(self) -> dict:
         with self._stats_lock:
-            shed = dict(self._shed)
+            shed = self._shed
             processed = self._processed
             inline = self._inline
             busy_s = self._busy_s
@@ -649,13 +575,10 @@ class ImplementationObject(MarshalByRefObject):
         return {
             "class_name": self.class_name,
             "queued": self._mailbox.queued_count(),
-            "lanes": self._mailbox.lane_depths(),
             "processed": processed,
             "sync_inline": inline,
             "busy_s": busy_s,
-            "shed": shed["overflow"] + shed["deadline"],
-            "shed_overflow": shed["overflow"],
-            "shed_deadline": shed["deadline"],
+            "shed": shed,
             "async_failures": failures,
             "migrated": self._mailbox.migrated,
         }
@@ -689,22 +612,13 @@ class ImplementationObject(MarshalByRefObject):
     def migrated(self) -> bool:
         return self._mailbox.migrated
 
-    def stealable_backlog(self) -> tuple[int, int]:
-        """(queued normal+low tasks, queued high tasks).
-
-        The first figure is what the rebalancer may move; a nonzero
-        second pins the grain (high-priority work is never stolen).
-        """
-        lanes = self._mailbox.lane_depths()
-        return lanes["normal"] + lanes["low"], lanes["high"]
-
     # -- worker --------------------------------------------------------------
 
     def _post(self, method: str, entry: _Entry) -> None:
         try:
             self._mailbox.put(method, entry)
         except OverloadError:
-            self._note_shed("overflow", len(entry), method)
+            self._note_shed(len(entry), method)
             raise
         except MailboxMigratedError:
             self._forward_entry(method, entry)
@@ -734,47 +648,21 @@ class ImplementationObject(MarshalByRefObject):
                 task.error = exc
             task.done.set()
 
-    def _note_shed(self, reason: str, count: int, method: str) -> None:
+    def _note_shed(self, count: int, method: str) -> None:
         with self._stats_lock:
-            self._shed[reason] += count
+            self._shed += count
         telemetry = getattr(self.node, "telemetry", None)
         if telemetry is not None and telemetry.enabled:
             telemetry.metrics.counter(
                 "flow.shed", "calls shed by mailbox admission control"
             ).inc(count)
-            telemetry.metrics.counter(
-                f"flow.shed.{reason}", f"calls shed ({reason})"
-            ).inc(count)
             telemetry.tracer.instant(
                 "flow",
-                f"flow.shed.{reason}",
+                "flow.shed",
                 class_name=self.class_name,
                 method=method,
                 count=count,
             )
-
-    def _past_deadline(self, task: _Task) -> bool:
-        policy = self._shed_policy
-        return (
-            policy.kind == DEADLINE
-            and policy.budget_s is not None
-            and time.monotonic() - task.posted_at > policy.budget_s
-        )
-
-    def _shed_task(self, task: _Task) -> None:
-        """Drop a queued task whose caller has already given up on it."""
-        age = time.monotonic() - task.posted_at
-        task.error = OverloadError(
-            f"call to {task.method!r} shed after {age:.3f}s in the "
-            f"mailbox (deadline budget {self._shed_policy.budget_s:.3g}s)"
-        )
-        self._note_shed("deadline", 1, task.method)
-        if task.done is None:
-            with self._stats_lock:
-                self._async_failures.append((task.method, repr(task.error)))
-                del self._async_failures[:-32]
-        else:
-            task.done.set()
 
     def _run(self) -> None:
         while True:
@@ -790,10 +678,7 @@ class ImplementationObject(MarshalByRefObject):
                     # each event) and traced aggregates (each call gets
                     # its own io span and histogram sample).
                     for task in entry:
-                        if self._past_deadline(task):
-                            self._shed_task(task)
-                        else:
-                            self._execute(task, telemetry, tracer)
+                        self._execute(task, telemetry, tracer)
                         with self._stats_lock:
                             self._processed += 1
             finally:
@@ -817,15 +702,10 @@ class ImplementationObject(MarshalByRefObject):
         Node, executing-impl and trace context are set once, the bound
         method is resolved once, and the batch pays one clock pair and
         one ``_stats_lock`` round.  Each call keeps its own ``try``: a
-        failure is recorded and the rest of the batch still runs.  The
-        deadline shed stays a per-call check — a long batch can cross
-        its budget halfway through.
+        failure is recorded and the rest of the batch still runs.
         """
         method = aggregate.method
-        policy = self._shed_policy
-        budget_s = policy.budget_s if policy.kind == DEADLINE else None
         failures: list[tuple[str, str]] = []
-        executed = 0
         func = None
         node_token = current_node.set(self.node)
         impl_token = executing_impl.set(self)
@@ -837,18 +717,6 @@ class ImplementationObject(MarshalByRefObject):
         started = time.perf_counter()
         try:
             for args, kwargs in aggregate.calls:
-                if (
-                    budget_s is not None
-                    and time.monotonic() - aggregate.posted_at > budget_s
-                ):
-                    self._shed_task(
-                        _Task(
-                            method, args, kwargs,
-                            posted_at=aggregate.posted_at,
-                        )
-                    )
-                    continue
-                executed += 1
                 try:
                     if func is None:
                         func = getattr(self.instance, method)
@@ -867,9 +735,8 @@ class ImplementationObject(MarshalByRefObject):
                 if failures:
                     self._async_failures.extend(failures)
                     del self._async_failures[:-32]
-            if executed:
-                # One sample per batch, carrying the batch mean.
-                self._report_execution(elapsed / executed, method)
+            # One sample per batch, carrying the batch mean.
+            self._report_execution(elapsed / len(aggregate.calls), method)
 
     def _execute(self, task: _Task, telemetry: Any, tracer: Any) -> None:
         started = time.perf_counter()

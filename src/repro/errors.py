@@ -55,9 +55,9 @@ class CircuitOpenError(ChannelError):
 class OverloadError(ChannelError):
     """A call was shed because the target (or the send path) is saturated.
 
-    Raised either server-side — a bounded IO mailbox refused admission, or
-    a deadline-aware shed dropped a request already past its budget — or
-    client-side, when no send credit arrived within the stall budget.  A
+    Raised either server-side, when a bounded IO mailbox refused
+    admission, or client-side, when no send credit arrived within the
+    stall budget.  A
     sibling of :class:`CircuitOpenError` on purpose: both are *typed*
     fail-fast signals that must not be retried (retries amplify overload)
     and both count as failures for the circuit breaker, so sustained

@@ -1,10 +1,12 @@
-"""End-to-end flow control: credits, admission control, elasticity.
+"""End-to-end flow control: credits and elasticity.
 
-Under the ROADMAP's millions-of-users framing an overloaded node must
-not simply grow its queues until memory or latency collapses.  This
-package supplies the three mechanisms that bound work between a caller's
-PO and the serving IO, plus the controller that adds capacity when
-bounding is not enough:
+An overloaded node must not simply grow its queues until memory or
+latency collapses.  This package supplies the credit window that bounds
+work between a caller's PO and the serving IO, plus the controller that
+adds capacity when bounding is not enough.  Admission control itself
+lives in the IO mailbox (``ParcConfig.mailbox_depth``): a bounded
+mailbox rejects a call that would overfill it with
+:class:`~repro.errors.OverloadError`.
 
 * :class:`CreditGate` / :class:`CreditGrantor` — credit-based
   backpressure on the wire.  Servers advertise how many requests a peer
@@ -13,10 +15,6 @@ bounding is not enough:
   instead of flooding a saturated peer, and fail fast with
   :class:`~repro.errors.OverloadError` when no credit arrives within the
   stall budget.
-* :class:`ShedPolicy` — admission control at the IO mailbox: fail-fast
-  rejection when a bounded lane is full, and a deadline-aware variant
-  that drops queued requests already past their latency budget (work a
-  caller has long since timed out on is pure waste).
 * :class:`ElasticController` — scale-out/scale-in decisions from
   queue-depth and ``parc.method.seconds`` histogram signals; the
   :class:`~repro.cluster.cluster.Cluster` applies them by spawning or
@@ -33,8 +31,7 @@ from repro.flow.credit import (
     CreditGate,
     CreditGrantor,
 )
-from repro.flow.elastic import ElasticController, ElasticPolicy, estimate_p99
-from repro.flow.policy import ShedPolicy
+from repro.flow.elastic import ElasticController, ElasticPolicy
 
 __all__ = [
     "CreditGate",
@@ -44,6 +41,4 @@ __all__ = [
     "MIN_GRANT",
     "ElasticController",
     "ElasticPolicy",
-    "ShedPolicy",
-    "estimate_p99",
 ]

@@ -25,27 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def estimate_p99(buckets: list, total_count: int) -> float | None:
-    """p99 estimate from per-bucket histogram counts.
-
-    *buckets* is ``[(upper_bound_s, count), ...]`` as produced by
-    :meth:`~repro.telemetry.metrics.Histogram.bucket_counts` or a merged
-    ``MetricsRegistry.export``; returns the upper bound of the bucket
-    containing the 99th percentile, or ``None`` when there are no
-    observations.  Coarse on purpose — the controller only compares it
-    against a threshold.
-    """
-    if total_count <= 0:
-        return None
-    target = 0.99 * total_count
-    cumulative = 0
-    for upper, count in buckets:
-        cumulative += count
-        if cumulative >= target:
-            return upper
-    return float("inf")
-
-
 @dataclass(frozen=True)
 class ElasticPolicy:
     """Thresholds and hysteresis for the scaling loop."""

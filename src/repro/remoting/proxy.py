@@ -131,11 +131,10 @@ class RemoteProxy:
         if result.is_error:
             error = result.error
             if error.type_name == "OverloadError":
-                # Server-side shedding (a full mailbox lane, a blown
-                # deadline budget) surfaces as the same typed error a
-                # local credit stall raises: counted by circuit breakers,
-                # never retried, and distinguishable from application
-                # failures — the call never ran.
+                # Server-side shedding (a full mailbox) surfaces as the
+                # same typed error a local credit stall raises: counted
+                # by circuit breakers, never retried, and distinguishable
+                # from application failures — the call never ran.
                 raise OverloadError(
                     f"remote call {method} shed by {authority}: "
                     f"{error.message}"

@@ -22,13 +22,11 @@ class SchedulerConfig:
 
     ``work_stealing`` enables idle-node pulls: a node whose mailbox
     backlog is below ``idle_threshold`` queued calls steals a grain —
-    the grain's state plus its queued normal/low-lane backlog — from the
-    node with the deepest backlog, provided the victim's backlog exceeds
+    the grain's state plus its queued backlog — from the node with the
+    deepest backlog, provided the victim's backlog exceeds
     ``steal_threshold`` and the imbalance ratio (victim backlog / mean
-    backlog) exceeds ``imbalance_ratio``.  ``migration`` enables the
-    same live-migration machinery for explicit
-    ``Cluster.migrate_grain`` calls and push-based rebalancing; stealing
-    implies migration.
+    backlog) exceeds ``imbalance_ratio``.  Explicit
+    ``Cluster.migrate_grain`` calls need no switch.
     """
 
     #: Grain policy (static knobs or the adaptive controller); ``None``
@@ -45,12 +43,10 @@ class SchedulerConfig:
     placement: Any = "round_robin"
     #: Enable the idle-node work-stealing loop.
     work_stealing: bool = False
-    #: Enable live grain migration (implied by ``work_stealing``).
-    migration: bool = False
     #: Rebalance loop period in seconds.
     rebalance_interval_s: float = 0.25
-    #: Minimum victim backlog (queued normal/low calls) before anything
-    #: is stolen from it.
+    #: Minimum victim backlog (queued calls) before anything is stolen
+    #: from it.
     steal_threshold: int = 8
     #: A thief must have at most this many queued calls to pull work.
     idle_threshold: int = 2
@@ -92,12 +88,3 @@ class SchedulerConfig:
                 "migration_cooldown_s cannot be negative, got "
                 f"{self.migration_cooldown_s}"
             )
-        if self.work_stealing:
-            # Stealing is migration initiated by the idle side; the
-            # mechanism must be on for the trigger to mean anything.
-            self.migration = True
-
-    @property
-    def rebalancing_enabled(self) -> bool:
-        """Whether the cluster should run the rebalance loop at all."""
-        return self.work_stealing or self.migration

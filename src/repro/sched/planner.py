@@ -10,10 +10,9 @@ Semantics honored here (the active-object contract):
 * a grain's calls execute serially on its single instance, so "stealing
   queued PO calls" means moving the *grain* — state plus queued backlog
   — never splitting a grain's queue across nodes;
-* only normal/low-lane backlog is stealable: a grain with queued
-  high-priority work is pinned (``high > 0`` filters it out), and the
-  batch executing right now always finishes on the victim (the
-  migration engine waits it out before touching state);
+* every queued call moves with its grain, while the batch executing
+  right now always finishes on the victim (the migration engine waits
+  it out before touching state);
 * a grain that just moved is pinned for ``migration_cooldown_s`` so a
   hot grain cannot ping-pong between nodes.
 """
@@ -50,8 +49,9 @@ class RebalancePlanner:
     """Plans grain moves from per-node scheduler reports.
 
     ``plan`` takes the latest rows (one dict per node, shaped like
-    :meth:`repro.cluster.node.Node.report`; it reads their ``stealable``
-    backlog, never the all-lanes ``queued``) and a monotonic timestamp, and returns at most ``max_migrations_per_cycle``
+    :meth:`repro.cluster.node.Node.report`; it reads their ``queued``
+    backlog) and a monotonic timestamp, and returns at most
+    ``max_migrations_per_cycle``
     :class:`PlannedMove`\\ s.  A move is accepted only when it shrinks
     the victim/target makespan gap: grain ``b`` may go from victim
     ``v`` to target ``t`` iff ``depth[t] + b <= depth[v] - b``, so the
@@ -96,7 +96,7 @@ class RebalancePlanner:
         else:
             weight = {uri: 1.0 for uri in service}
         backlog = {
-            r["base_uri"]: int(r.get("stealable", 0)) * weight[r["base_uri"]]
+            r["base_uri"]: int(r.get("queued", 0)) * weight[r["base_uri"]]
             for r in live
         }
         mean = sum(backlog.values()) / len(live)
@@ -136,7 +136,6 @@ class RebalancePlanner:
                     g
                     for g in victim.get("grains", ())
                     if int(g.get("backlog", 0)) >= MIN_STEAL_BACKLOG
-                    and int(g.get("high", 0)) == 0
                     and g["path"] not in self._cooldowns
                 ),
                 key=lambda g: int(g["backlog"]),

@@ -23,7 +23,7 @@ class NodeView:
     ``load`` is the classic OM metric (live IOs plus queued tasks,
     adjusted for placements made since the last refresh);
     ``queue_depth`` is the mailbox backlog alone (tasks queued across
-    all hosted IOs' lanes); ``bytes_per_call`` is the adaptive grain
+    all hosted IOs' mailboxes); ``bytes_per_call`` is the adaptive grain
     controller's learned average serialized request size for the class
     being placed (0.0 when unknown); ``same_node`` marks peers
     co-located with the choosing node, i.e. reachable over the

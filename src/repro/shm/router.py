@@ -10,7 +10,7 @@ peers keep riding the wrapped channel untouched.
 
 The wrapper presents the *inner* channel's scheme, so it slots into an
 existing stack invisibly: the cluster builds ``chaos+samenode+tcp`` and
-chaos faults, breaker state, tracing headers and metering all apply to
+chaos faults, breaker state and tracing headers all apply to
 shm-routed calls exactly as to wire calls.
 
 Fallback is safe by construction: establishment failures raise

@@ -49,10 +49,7 @@ def grain_uri_on(node):
 
 class TestLiveMigration:
     def test_migration_mid_traffic_loses_nothing(self):
-        config = ParcConfig(
-            nodes=3,
-            scheduler=SchedulerConfig(migration=True),
-        )
+        config = ParcConfig(nodes=3)
         with parc.session(config) as runtime:
             tally = parc.new(Tally)
             for i in range(100):
@@ -97,9 +94,7 @@ class TestLiveMigration:
             del posted
 
     def test_sync_call_parked_during_migration_completes(self):
-        config = ParcConfig(
-            nodes=2, scheduler=SchedulerConfig(migration=True)
-        )
+        config = ParcConfig(nodes=2)
         with parc.session(config) as runtime:
             tally = parc.new(Tally)
             for i in range(50):
@@ -131,9 +126,7 @@ class TestLiveMigration:
             assert tally.total() == 100
 
     def test_migrating_to_own_node_fails_cleanly(self):
-        config = ParcConfig(
-            nodes=2, scheduler=SchedulerConfig(migration=True)
-        )
+        config = ParcConfig(nodes=2)
         with parc.session(config) as runtime:
             tally = parc.new(Tally)
             tally.add(1)

@@ -8,10 +8,8 @@ import threading
 import pytest
 
 from repro.channels import (
-    ChannelMeter,
     HttpChannel,
     LoopbackChannel,
-    MeteredChannel,
     TcpChannel,
     parse_uri,
 )
@@ -572,33 +570,3 @@ class TestHttpCodec:
         finally:
             binding.close()
             channel.close()
-
-
-class TestMeter:
-    def test_counts_calls_and_bytes(self):
-        inner = LoopbackChannel()
-        metered = MeteredChannel(inner)
-        binding = metered.listen("meter-test-x", echo_handler)
-        try:
-            metered.call("meter-test-x", "p", b"12345")
-            metered.call("meter-test-x", "p", b"67")
-            assert metered.meter.calls == 2
-            assert metered.meter.request_bytes == 7
-            assert metered.meter.response_bytes == len(b"p:12345") + len(b"p:67")
-            assert metered.meter.total_bytes > 0
-            metered.meter.reset()
-            assert metered.meter.calls == 0
-        finally:
-            binding.close()
-
-    def test_shared_meter(self):
-        meter = ChannelMeter()
-        first = MeteredChannel(LoopbackChannel(), meter)
-        second = MeteredChannel(LoopbackChannel(), meter)
-        binding = first.listen("meter-shared-x", echo_handler)
-        try:
-            first.call("meter-shared-x", "p", b"a")
-            second.call("meter-shared-x", "p", b"b")
-            assert meter.calls == 2
-        finally:
-            binding.close()

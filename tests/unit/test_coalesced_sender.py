@@ -454,7 +454,7 @@ class TestPartialAdmission:
             assert target.snapshot() == [
                 ("step", x, n) for x, n in steps(0, 3 * MAX_CALLS)
             ] + [("mark", 7)]
-            assert io.stats()["shed_overflow"] == MAX_CALLS
+            assert io.stats()["shed"] == MAX_CALLS
             shed = node.telemetry.metrics.export()["flow.shed"]
             assert shed["value"] == MAX_CALLS
         finally:

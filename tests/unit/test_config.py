@@ -9,7 +9,13 @@ from dataclasses import fields
 import pytest
 
 import repro.core as parc
-from repro.core import GrainPolicy, ParcConfig, TelemetryConfig
+from repro.core import (
+    GrainPolicy,
+    ParcConfig,
+    SchedulerConfig,
+    TelemetryConfig,
+)
+from repro.core.config import NodeSettings
 from repro.errors import NotRunningError, ScooppError
 
 
@@ -58,17 +64,38 @@ class TestParcConfig:
             "same_node_transport",
             "telemetry",
             "mailbox_depth",
-            "priority",
-            "shed_policy",
             "elastic",
             "scheduler",
+        }
+
+    def test_scheduler_field_census(self):
+        """Every scheduling knob, by name: a new one is a diff here."""
+        assert {f.name for f in fields(SchedulerConfig)} == {
+            "grain",
+            "autotune",
+            "placement",
+            "work_stealing",
+            "rebalance_interval_s",
+            "steal_threshold",
+            "idle_threshold",
+            "imbalance_ratio",
+            "max_migrations_per_cycle",
+            "migration_cooldown_s",
+        }
+
+    def test_node_settings_census(self):
+        """What every node boots with beyond its identity, by name."""
+        assert {f.name for f in fields(NodeSettings)} == {
+            "telemetry",
+            "same_node_transport",
+            "mailbox_depth",
         }
 
     def test_node_row_census(self):
         """Every key of the one per-node row (``Node.report``), by name.
 
-        ``queued`` is every queued call, ``stealable`` the normal/low-lane
-        part of it; no other key means either.
+        ``queued`` is every queued call (each mailbox is one FIFO, so all
+        of it can move with its grain); no other key means it.
         """
         runtime = parc.init(ParcConfig(nodes=1))
         try:
@@ -83,7 +110,6 @@ class TestParcConfig:
             "ios",
             "created_total",
             "queued",
-            "stealable",
             "processed",
             "shed",
             "avg_service_s",

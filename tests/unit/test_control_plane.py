@@ -101,7 +101,7 @@ class FakeNode:
         queued = sum(self.backlogs.values())
         grains = sorted(
             (
-                {"path": path, "class_name": "C", "backlog": n, "high": 0}
+                {"path": path, "class_name": "C", "backlog": n}
                 for path, n in self.backlogs.items()
                 if n
             ),
@@ -115,7 +115,6 @@ class FakeNode:
             "ios": len(self.backlogs),
             "created_total": len(self.backlogs),
             "queued": queued,
-            "stealable": queued,
             "processed": 0,
             "shed": 0,
             "avg_service_s": 0.0,

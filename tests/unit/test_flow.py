@@ -1,9 +1,9 @@
 """Unit tests for the flow-control package and its integration points.
 
-Covers the credit gate/grantor pair, shed-policy parsing, the elastic
-controller's hysteresis, the bounded priority mailbox (including the
-drain-vs-active accounting regression), and the retry policy's overload
-veto.
+Covers the credit gate/grantor pair (including the pressure a full
+bounded mailbox feeds it), the elastic controller's hysteresis, the
+bounded FIFO mailbox (including the drain-vs-active accounting
+regression), and the retry policy's overload veto.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from repro.cluster.cluster import Cluster
+from repro.core import ParcConfig
 from repro.core.impl import ImplementationObject, _IOMailbox, _Task
 from repro.errors import ChannelError, CircuitOpenError, OverloadError
 from repro.flow import (
@@ -21,8 +23,6 @@ from repro.flow import (
     CreditGrantor,
     ElasticController,
     ElasticPolicy,
-    ShedPolicy,
-    estimate_p99,
 )
 from repro.remoting.resilience import RetryPolicy, call_with_retry
 from repro.telemetry import MetricsRegistry
@@ -131,23 +131,33 @@ class TestCreditGrantor:
         grantor.add_source(lambda: 1 / 0)
         assert grantor.grant() == 8
 
+    def test_full_bounded_mailbox_floors_the_grant(self):
+        # The node's mailbox pressure is the fill ratio of one FIFO, so a
+        # mailbox holding ``mailbox_depth`` calls reads as saturated.
+        entered, gate = threading.Event(), threading.Event()
 
-class TestShedPolicy:
-    def test_defaults_to_fail_fast(self):
-        assert ShedPolicy.parse(None).kind == "fail_fast"
-        assert ShedPolicy.parse("fail_fast").budget_s is None
+        class Blocker:
+            def block(self):
+                entered.set()
+                gate.wait(timeout=5.0)
 
-    def test_deadline_with_budget(self):
-        policy = ShedPolicy.parse("deadline:0.25")
-        assert policy.kind == "deadline"
-        assert policy.budget_s == 0.25
+            def record(self, value):
+                pass
 
-    @pytest.mark.parametrize(
-        "spec", ["deadline", "deadline:", "deadline:nope", "deadline:-1", "lifo"]
-    )
-    def test_bad_specs_rejected(self, spec):
-        with pytest.raises(ValueError):
-            ShedPolicy.parse(spec)
+        cluster = Cluster(ParcConfig(nodes=1, mailbox_depth=4))
+        try:
+            node = cluster.home_node
+            impl = node.build_impl(Blocker(), "test.Blocker")
+            node.adopt_impl(impl)
+            impl.enqueue("block")
+            assert entered.wait(timeout=5.0)
+            for value in range(4):
+                impl.enqueue("record", (value,))
+            assert impl.stats()["queued"] == 4
+            assert node.host.credit_grantor.grant() == MIN_GRANT
+        finally:
+            gate.set()
+            cluster.close()
 
 
 class TestElasticController:
@@ -205,52 +215,50 @@ class TestElasticController:
         )
 
 
-class TestEstimateP99:
-    def test_no_observations(self):
-        assert estimate_p99([(0.1, 0)], 0) is None
-
-    def test_picks_bucket_holding_percentile(self):
-        buckets = [(0.01, 90), (0.1, 8), (1.0, 2)]
-        assert estimate_p99(buckets, 100) == 1.0
-
-    def test_all_fast(self):
-        assert estimate_p99([(0.01, 100), (0.1, 0)], 100) == 0.01
-
-    def test_past_last_bucket_is_inf(self):
-        assert estimate_p99([(0.01, 0)], 100) == float("inf")
-
-
 def _task(method="record", args=()):
-    return _Task(
-        method=method, args=args, kwargs={}, posted_at=time.monotonic()
-    )
+    return _Task(method=method, args=args, kwargs={})
 
 
 class TestIOMailbox:
-    def test_priority_drain_order(self):
-        box = _IOMailbox(lane_of={"urgent": "high", "bulk": "low"})
-        box.put("bulk", [_task("bulk")])
-        box.put("record", [_task("record")])
-        box.put("urgent", [_task("urgent")])
+    def test_entries_drain_in_arrival_order(self):
+        box = _IOMailbox()
+        for method in ("bulk", "record", "urgent"):
+            box.put(method, [_task(method)])
         order = [box.pop()[0].method for _ in range(3)]
-        assert order == ["urgent", "record", "bulk"]
-
-    def test_unknown_lane_falls_back_to_normal(self):
-        box = _IOMailbox(lane_of={"odd": "express"})
-        assert box.lane_for("odd") == "normal"
+        assert order == ["bulk", "record", "urgent"]
 
     def test_depth_bound_sheds_with_overload_error(self):
         box = _IOMailbox(depth=2)
         box.put("record", [_task(), _task()])
-        with pytest.raises(OverloadError):
+        with pytest.raises(OverloadError, match="mailbox is full"):
             box.put("record", [_task()])
+        assert box.queued_count() == 2
 
-    def test_lanes_are_bounded_independently(self):
-        box = _IOMailbox(depth=1, lane_of={"urgent": "high"})
-        box.put("record", [_task()])
-        box.put("urgent", [_task("urgent")])  # different lane: admitted
+    def test_empty_mailbox_admits_one_entry_larger_than_depth(self):
+        # An aggregate bigger than the bound would otherwise be shed
+        # forever; the idle mailbox takes it, the next one is refused.
+        box = _IOMailbox(depth=4)
+        box.put("record", [_task() for _ in range(8)])
+        assert box.queued_count() == 8
         with pytest.raises(OverloadError):
-            box.put("record", [_task()])
+            box.put("record", [_task() for _ in range(8)])
+        assert box.queued_count() == 8
+
+    def test_oversize_aggregate_runs_on_an_idle_bounded_io(self):
+        seen = []
+
+        class Adder:
+            def add(self, value):
+                seen.append(value)
+
+        impl = ImplementationObject(Adder(), "test.Adder", mailbox_depth=4)
+        try:
+            impl.enqueue_batch("add", [((1,), {})] * 8)
+            impl.drain()
+            assert seen == [1] * 8
+            assert impl.stats()["shed"] == 0
+        finally:
+            impl.dispose()
 
     def test_drain_waits_for_active_batch(self):
         # Regression: drain() must not return while a dequeued batch is
@@ -300,38 +308,6 @@ class TestIOMailbox:
             assert seen == impl.stats()["processed"]
             assert impl.stats()["queued"] == 0
         finally:
-            impl.dispose()
-
-
-class TestDeadlineShed:
-    def test_stale_queued_work_is_dropped_at_dequeue(self):
-        gate = threading.Event()
-
-        class Slow:
-            def __init__(self):
-                self.ran = []
-
-            def block(self):
-                gate.wait(timeout=5.0)
-
-            def record(self, value):
-                self.ran.append(value)
-
-        instance = Slow()
-        impl = ImplementationObject(
-            instance, "test.Slow", shed_policy="deadline:0.05"
-        )
-        try:
-            impl.enqueue("block")
-            time.sleep(0.02)  # let the worker pick up the blocker
-            impl.enqueue("record", (1,))
-            time.sleep(0.2)  # the queued record ages past its budget
-            gate.set()
-            impl.drain()
-            assert instance.ran == []
-            assert impl.stats()["shed_deadline"] == 1
-        finally:
-            gate.set()
             impl.dispose()
 
 

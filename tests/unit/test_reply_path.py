@@ -289,11 +289,11 @@ class TestServiceAwareView:
         assert policy.choose(view, 0) == 1
 
 
-def _report(uri, stealable, grains=(), avg_service_s=None):
+def _report(uri, queued, grains=(), avg_service_s=None):
     data = {
         "base_uri": uri,
         "alive": True,
-        "stealable": stealable,
+        "queued": queued,
         "grains": list(grains),
     }
     if avg_service_s is not None:
@@ -302,7 +302,7 @@ def _report(uri, stealable, grains=(), avg_service_s=None):
 
 
 def _grain(path, backlog):
-    return {"path": path, "class_name": "C", "backlog": backlog, "high": 0}
+    return {"path": path, "class_name": "C", "backlog": backlog}
 
 
 class TestServiceWeightedPlanner:

@@ -143,17 +143,17 @@ class TestCoercePolicy:
 # -- planner ------------------------------------------------------------------
 
 
-def report(uri, stealable, grains=(), alive=True):
+def report(uri, queued, grains=(), alive=True):
     return {
         "base_uri": uri,
         "alive": alive,
-        "stealable": stealable,
+        "queued": queued,
         "grains": list(grains),
     }
 
 
-def grain(path, backlog, high=0):
-    return {"path": path, "class_name": "C", "backlog": backlog, "high": high}
+def grain(path, backlog):
+    return {"path": path, "class_name": "C", "backlog": backlog}
 
 
 def planner(**kwargs) -> RebalancePlanner:
@@ -210,15 +210,6 @@ class TestRebalancePlanner:
         ]
         assert p.plan(reports, 0.0) == []
 
-    def test_high_priority_backlog_pins_the_grain(self):
-        p = planner()
-        reports = [
-            report("n0", 12, [grain("a", 5, high=1), grain("b", 4)]),
-            report("n1", 0),
-        ]
-        moves = p.plan(reports, 0.0)
-        assert [m.path for m in moves] == ["b"]
-
     def test_cooldown_prevents_ping_pong(self):
         p = planner()
         reports = [
@@ -272,12 +263,6 @@ class TestSchedulerConfig:
         with pytest.raises(ScooppError):
             SchedulerConfig(max_migrations_per_cycle=0)
 
-    def test_stealing_implies_migration(self):
-        config = SchedulerConfig(work_stealing=True)
-        assert config.migration is True
-        assert config.rebalancing_enabled is True
-        assert SchedulerConfig().rebalancing_enabled is False
-
 
 # -- mailbox migration primitives ---------------------------------------------
 
@@ -306,7 +291,7 @@ class TestMailboxMigration:
             # The executing batch finished on the victim; the rest were
             # extracted — nothing is both, nothing is neither.
             assert extracted + executed == 20
-            assert impl.stealable_backlog() == (0, 0)
+            assert impl.stats()["queued"] == 0
             impl.abort_migration(entries)
             impl.drain()
             assert impl.instance.seen == list(range(20))
