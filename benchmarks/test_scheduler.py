@@ -279,9 +279,9 @@ def run_scenario(scheduler: SchedulerConfig) -> dict:
 def run_scale() -> dict:
     """10k-grain Zipf stress under the adaptive scheduler.
 
-    Ten times the guarded population: ~20k OS threads (one IO worker
-    and one PO sender per grain), ~21.6k calls, live stealing
-    throughout.  The makespan is recorded for trend-watching but not
+    Ten times the guarded population: ~10k PO sender threads (one per
+    grain; IO mailboxes share the process executor), ~21.6k calls,
+    live stealing throughout.  The makespan is recorded for trend-watching but not
     guarded — at this scale thread scheduling, not placement, bounds
     the wall clock on small hosts.  What must hold at any scale is the
     accounting: every posted call executes exactly once and migrations

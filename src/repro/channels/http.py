@@ -103,12 +103,12 @@ class _HttpBinding(ServerBinding):
         self._closed = threading.Event()
         self._server = socket.create_server((host, port))
         self._host, self._port = self._server.getsockname()[:2]
-        thread = threading.Thread(
+        self._accept_thread = threading.Thread(
             target=self._accept_loop,
             name=f"parc-http-accept-{self._port}",
             daemon=True,
         )
-        thread.start()
+        self._accept_thread.start()
 
     @property
     def authority(self) -> str:
@@ -164,9 +164,16 @@ class _HttpBinding(ServerBinding):
         if not self._closed.is_set():
             self._closed.set()
             try:
-                self._server.close()
+                # shutdown() before close(): on Linux, closing alone does
+                # not wake the thread blocked in accept().
+                try:
+                    self._server.shutdown(socket.SHUT_RDWR)
+                finally:
+                    self._server.close()
             except OSError:
                 pass
+            if self._accept_thread is not threading.current_thread():
+                self._accept_thread.join()
 
 
 class HttpChannel(Channel):

@@ -64,6 +64,11 @@ class ChannelServices:
             self._channels[channel.scheme] = channel
         return channel
 
+    def register_channel_if_absent(self, channel: Channel) -> Channel:
+        """Register *channel* unless its scheme has one; returns the one in use."""
+        with self._lock:
+            return self._channels.setdefault(channel.scheme, channel)
+
     def unregister_channel(self, scheme: str) -> None:
         with self._lock:
             self._channels.pop(scheme, None)

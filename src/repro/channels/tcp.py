@@ -122,9 +122,16 @@ class _TcpBinding(ServerBinding):
         if not self._closed.is_set():
             self._closed.set()
             try:
-                self._server.close()
+                # shutdown() before close(): on Linux, closing alone does
+                # not wake the thread blocked in accept().
+                try:
+                    self._server.shutdown(socket.SHUT_RDWR)
+                finally:
+                    self._server.close()
             except OSError:
                 pass
+            if self._accept_thread is not threading.current_thread():
+                self._accept_thread.join()
 
 
 #: Idle sockets kept per remote authority; overflow closes immediately.

@@ -2,10 +2,17 @@
 
 §3.1: parallel objects are "active objects ... having its own thread of
 control".  An :class:`ImplementationObject` hosts one user instance (the
-IO of Fig. 3) behind a mailbox drained by a dedicated worker thread:
-calls — single or aggregated — execute strictly in arrival order, one at a
-time, which is what makes SCOOPP's asynchronous invocations safe without
-user locking.
+IO of Fig. 3) behind a mailbox: calls — single or aggregated — execute
+strictly in arrival order, one at a time, which is what makes SCOOPP's
+asynchronous invocations safe without user locking.
+
+The thread of control is *logical*.  A mailbox owns no OS thread; when
+work arrives it schedules one *run* on the process's executor
+(:class:`_Executor`), and the run executes entries until the mailbox is
+empty.  Every grain of the process is multiplexed onto that one pool,
+which starts a thread whenever a run finds none idle (so a grain blocked
+in user code or a nested call never holds up another) and sheds idle
+threads once it holds more than there are live mailboxes.
 
 In ParC++ this role needed an explicit server object (SO) with a message
 loop; in ParC#/here "the C# remoting [the remoting host] implements this
@@ -23,7 +30,9 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import logging
+import os
 import threading
 import time
 import traceback
@@ -75,7 +84,7 @@ class _Task:
     error: BaseException | None = None
     # Trace context captured where the task was posted (the dispatch
     # thread serving the remote call, or the local caller).  Re-activated
-    # on the worker thread so the io span chains to its remote parent.
+    # on the executing thread so the io span chains to its remote parent.
     trace: Any = None
 
 
@@ -84,7 +93,7 @@ class _Aggregate:
 
     *calls* is the ``[(args, kwargs), ...]`` list of one method's
     consecutive asynchronous invocations, sharing one trace context.  No
-    caller waits on any of them, so the worker can run the list as a
+    caller waits on any of them, so the run can execute the list as a
     plain loop (:meth:`ImplementationObject._execute_aggregate`);
     iterating the entry yields equivalent :class:`_Task` objects for the
     paths that need one per call — traced execution, migration replay,
@@ -113,14 +122,141 @@ class _Aggregate:
 _Entry = _Aggregate | list[_Task]
 
 
+class _Executor:
+    """The process's pool of threads for mailbox runs and one-way calls.
+
+    Sized by demand, with no cap and no idle timeout:
+
+    * a submit that finds no idle thread starts one, so queued work
+      never waits for a thread to free up — a grain blocked in user code
+      or in a nested synchronous call holds up no other grain;
+    * clients :meth:`attach` (a live mailbox; a one-way call while it
+      runs) and :meth:`detach`; a thread with no work exits once the
+      pool holds more threads than there are attached clients.
+
+    A mailbox has at most one run in flight, so the threads track the
+    grains that are running or blocked at once, and never outnumber the
+    live grains for long.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._work = threading.Condition(self._lock)
+        self._exited = threading.Condition(self._lock)
+        self._runs: deque = deque()  # (callable, attached) not yet taken
+        self._threads = 0
+        self._idle = 0  # threads parked in _work.wait()
+        self._attached = 0
+        self._detaching = 0  # detach() calls waiting for idle threads
+        self._leaving: list = []  # exited threads those calls will join
+
+    def attach(self) -> None:
+        with self._lock:
+            self._attached += 1
+
+    def detach(self) -> None:
+        """Drop one client; wait until the idle threads it left over exit.
+
+        Only *idle* surplus threads are waited for: a busy one exits by
+        itself when its work is done, and may be the caller's own.
+        """
+        with self._lock:
+            self._attached -= 1
+            if not (self._idle and self._threads > self._attached):
+                return
+            self._detaching += 1
+            self._work.notify_all()
+            while self._idle and self._threads > self._attached:
+                self._exited.wait()
+            self._detaching -= 1
+            leaving, self._leaving = self._leaving, []
+        me = threading.current_thread()
+        for thread in leaving:
+            if thread is not me:
+                thread.join()
+
+    def submit(self, run: Callable[[], None], attach: bool = False) -> None:
+        """Run *run* on a pool thread; *attach* it as a client until done."""
+        with self._lock:
+            if attach:
+                self._attached += 1
+            self._runs.append((run, attach))
+            # Parked threads outnumbering the runs not yet taken means
+            # one of them is free for this run.
+            if self._idle >= len(self._runs):
+                self._work.notify()
+                return
+            self._threads += 1
+        threading.Thread(
+            target=self._serve, name="parc-exec", daemon=True
+        ).start()
+
+    def load(self) -> tuple[int, int]:
+        """(runs submitted but not yet taken by a thread, threads)."""
+        with self._lock:
+            return len(self._runs), self._threads
+
+    def _serve(self) -> None:
+        with self._lock:
+            while True:
+                if self._runs:
+                    run, attached = self._runs.popleft()
+                    self._lock.release()
+                    try:
+                        run()
+                    except Exception:  # noqa: BLE001 - the thread outlives its work
+                        logger.exception("executor run %r failed", run)
+                    finally:
+                        self._lock.acquire()
+                    if attached:
+                        self._attached -= 1
+                    continue
+                if self._threads > self._attached:
+                    self._threads -= 1
+                    if self._detaching:
+                        self._leaving.append(threading.current_thread())
+                        self._exited.notify_all()
+                    return
+                self._idle += 1
+                self._work.wait()
+                self._idle -= 1
+                if self._detaching:
+                    # Taking a run leaves no idle thread to wait for either.
+                    self._exited.notify_all()
+
+
+_executor: _Executor | None = None
+_executor_lock = threading.Lock()
+
+
+def executor() -> _Executor:
+    """The process's executor, created at first use."""
+    global _executor
+    if _executor is None:
+        with _executor_lock:
+            if _executor is None:
+                _executor = _Executor()
+    return _executor
+
+
+def _forget_executor() -> None:
+    global _executor
+    _executor = None
+
+
+# A forked child inherits the executor's counters but none of its threads.
+os.register_at_fork(after_in_child=_forget_executor)
+
+
 class _IOMailbox:
-    """One FIFO per grain, optionally bounded, feeding one worker thread.
+    """One FIFO per grain, optionally bounded, served by executor runs.
 
     Entries are *batches* (an :class:`_Aggregate` or a list of
     :class:`_Task`): an aggregated ``processN`` message stays one entry,
     so its calls execute back-to-back exactly as Fig. 7 requires.
     Entries drain in arrival order, which is what lets a synchronous
     call posted after asynchronous ones observe their effects.
+    *execute* runs one entry; it is called on an executor thread.
 
     ``depth`` bounds the queue in *tasks* (0 = unbounded, the paper's
     semantics).  An entry that would overfill it is rejected with
@@ -131,25 +267,34 @@ class _IOMailbox:
     rather than shed forever; the bound is therefore ``depth`` plus one
     entry.
 
-    Accounting invariant: ``_active`` covers every task of a dequeued
-    batch from the moment :meth:`pop` hands it out (incremented under
-    the same lock that pops the entry) until :meth:`batch_done` returns
-    it.  ``drain()`` waits for the queue empty *and* ``_active == 0``, so
-    it can never return while a dequeued batch is still executing.
+    ``_scheduled`` means a run is queued on, or running in, the
+    executor.  Whoever finds work waiting and the flag clear sets it and
+    submits the run (:meth:`put`, :meth:`release_claim`,
+    :meth:`abort_migration`); the run clears it under the same lock as
+    its last emptiness check, so work is never left without a run and no
+    mailbox ever has two.  ``_active`` covers every task of the entry the
+    run is executing, so ``drain()`` — queue empty, nothing active,
+    nothing scheduled — never returns while a dequeued batch still runs.
     """
 
-    def __init__(self, depth: int = 0) -> None:
+    def __init__(
+        self, execute: Callable[[_Entry], None], depth: int = 0
+    ) -> None:
         self.depth = depth
+        self._execute = execute
         self._lock = threading.Lock()
-        self._work_available = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
+        self._resumed = threading.Condition(self._lock)  # migration ended
         self._entries: deque[_Entry] = deque()
         self._queued = 0  # tasks across queued entries
         self._active = 0  # tasks dequeued but not yet finished
         self._inline_claims = 0  # sync fast-path calls executing inline
+        self._scheduled = False
         self._stopped = False
         self._migrating = False  # paused for state extraction
         self._migrated = False  # grain lives elsewhere now
+        self._attached = True
+        executor().attach()
 
     def put(self, method: str, tasks: _Entry) -> None:
         """Admit one entry (single call or aggregate batch).
@@ -157,12 +302,12 @@ class _IOMailbox:
         Raises :class:`OverloadError` when the bounded queue cannot hold
         the entry, :class:`ScooppError` after :meth:`stop`.
         """
-        with self._work_available:
+        with self._lock:
             # A migration in progress parks admitters until the grain's
             # fate is known: resumed here (abort) or forwarded to its
             # new home (complete).
             while self._migrating:
-                self._work_available.wait()
+                self._resumed.wait()
             if self._migrated:
                 raise MailboxMigratedError("mailbox migrated away")
             if self._stopped:
@@ -178,50 +323,54 @@ class _IOMailbox:
                 )
             self._entries.append(tasks)
             self._queued += len(tasks)
-            self._work_available.notify()
+            # An inline claim schedules the run when it releases.
+            if self._scheduled or self._inline_claims:
+                return
+            self._scheduled = True
+        self._submit_run()
 
-    def pop(self) -> _Entry | None:
-        """Next entry in arrival order; ``None`` once stopped and empty.
+    def _submit_run(self) -> None:
+        # A fresh context per run: context variables one grain sets stay
+        # with that grain, as they did when each grain had its own thread.
+        executor().submit(
+            functools.partial(contextvars.Context().run, self._run)
+        )
 
-        The batch's tasks are added to ``_active`` *before* the lock is
-        released — the window where work is neither queued nor active is
-        exactly what would let ``drain()`` return early.
+    def _run(self) -> None:
+        """Execute entries in arrival order until none is left.
+
+        A migration pause ends the run after the entry in hand: the
+        entries stay queued for :meth:`begin_migration` to extract.
         """
-        with self._work_available:
-            while True:
-                # The ``not self._inline_claims`` gate keeps the worker
-                # parked while a sync fast-path claim executes inline on
-                # the caller's thread — popping here would break the one-
-                # at-a-time execution guarantee of the active object.
-                if not self._migrating and not self._inline_claims:
-                    if self._entries:
-                        batch = self._entries.popleft()
-                        self._queued -= len(batch)
-                        self._active += len(batch)
-                        return batch
-                    if self._stopped:
-                        self._idle.notify_all()
-                        return None
-                self._work_available.wait()
+        count = 0
+        while True:
+            with self._lock:
+                self._active -= count  # the entry just executed
+                if self._migrating or not self._entries:
+                    self._scheduled = False
+                    self._idle.notify_all()
+                    return
+                batch = self._entries.popleft()
+                count = len(batch)
+                self._queued -= count
+                self._active += count
+            self._execute(batch)
 
     def try_claim_idle(self) -> bool:
         """Claim the execution slot iff the mailbox is completely idle.
 
         The sync fast path runs a call inline on the caller's thread;
-        that preserves FIFO order only when nothing is queued *and*
-        nothing is executing.  The claim has its own counter
-        (``_inline_claims``) rather than riding ``_active``: it parks
-        the worker in :meth:`pop` and stalls drain/migration exactly
-        like a dequeued batch, without changing pop's own contract
-        (consecutive pops need no intervening :meth:`batch_done`).
-        Balance with :meth:`release_claim`.
+        that preserves FIFO order only when nothing is queued, nothing
+        is executing and no run is scheduled.  While the claim is held,
+        :meth:`put` queues without scheduling, and drain/migration wait
+        exactly as for a run.  Balance with :meth:`release_claim`.
         """
         with self._lock:
             if (
                 self._stopped
                 or self._migrating
                 or self._migrated
-                or self._active
+                or self._scheduled
                 or self._inline_claims
                 or self._queued
             ):
@@ -230,21 +379,14 @@ class _IOMailbox:
             return True
 
     def release_claim(self) -> None:
-        """Release a :meth:`try_claim_idle` slot and wake the worker."""
-        with self._work_available:
-            self._inline_claims -= 1
-            if self._inline_claims == 0:
-                # Work may have queued behind the inline call; the
-                # worker is parked on the _inline_claims gate in pop().
-                self._work_available.notify()
-                if self._migrating or not self._queued:
-                    self._idle.notify_all()
-
-    def batch_done(self, count: int) -> None:
+        """Release a :meth:`try_claim_idle` slot; serve what queued behind it."""
         with self._lock:
-            self._active -= count
-            if self._active == 0 and (self._migrating or not self._queued):
+            self._inline_claims -= 1
+            if self._inline_claims or self._migrating or not self._entries:
                 self._idle.notify_all()
+                return
+            self._scheduled = True
+        self._submit_run()
 
     def drain(self) -> None:
         with self._idle:
@@ -252,37 +394,51 @@ class _IOMailbox:
                 self._active
                 or self._inline_claims
                 or self._queued
+                or self._scheduled
                 or self._migrating
             ):
                 self._idle.wait()
 
     def stop(self) -> None:
-        """Refuse new work; the worker drains what is queued, then exits."""
-        with self._work_available:
+        """Refuse new work; what is already queued still runs."""
+        with self._lock:
             self._stopped = True
-            self._work_available.notify()
+
+    def dispose(self, wait: bool = True) -> None:
+        """Stop, wait for the queued work (if *wait*), leave the executor."""
+        self.stop()
+        if wait:
+            self.drain()
+        self._detach()
+
+    def _detach(self) -> None:
+        with self._lock:
+            attached, self._attached = self._attached, False
+        if attached:
+            executor().detach()
 
     # -- live migration ----------------------------------------------------
 
     def begin_migration(self) -> list[_Entry]:
         """Pause the mailbox and extract every queued entry.
 
-        Blocks new admissions, waits out the batch executing right now
-        (it always finishes on this node — executing work is never
-        stolen), then removes all queued entries in arrival order and
-        returns them.  Once this returns, the worker is idle and the
-        hosted instance's state is stable, so it is safe to serialize.
+        Blocks new admissions, waits out the run executing right now (it
+        finishes its entry on this node — executing work is never
+        stolen — and returns), then removes all queued entries in
+        arrival order and returns them.  Once this returns, nothing
+        executes and the hosted instance's state is stable, so it is
+        safe to serialize.
 
         The caller must finish with :meth:`complete_migration` or
         :meth:`abort_migration`.
         """
-        with self._work_available:
+        with self._lock:
             if self._stopped or self._migrated:
                 raise ScooppError("mailbox is disposed")
             if self._migrating:
                 raise ScooppError("migration already in progress")
             self._migrating = True
-            while self._active or self._inline_claims:
+            while self._scheduled or self._inline_claims:
                 self._idle.wait()
             entries = list(self._entries)
             self._entries.clear()
@@ -295,26 +451,31 @@ class _IOMailbox:
         Admissions were parked since :meth:`begin_migration`, so the
         queue is still empty and *entries* keep their original order.
         """
-        with self._work_available:
+        with self._lock:
             self._entries.extend(entries)
             self._queued += sum(len(batch) for batch in entries)
             self._migrating = False
-            self._work_available.notify_all()
+            self._resumed.notify_all()
             self._idle.notify_all()
+            if not self._entries:
+                return
+            self._scheduled = True
+        self._submit_run()
 
     def complete_migration(self) -> None:
         """The grain lives elsewhere now: unblock everyone.
 
         Parked admitters raise :class:`MailboxMigratedError` (the
-        implementation object forwards their work), the worker thread
-        exits, and drain waiters fall through to the forward path.
+        implementation object forwards their work), drain waiters fall
+        through to the forward path, and the mailbox leaves the executor.
         """
-        with self._work_available:
+        with self._lock:
             self._migrated = True
             self._migrating = False
             self._stopped = True
-            self._work_available.notify_all()
+            self._resumed.notify_all()
             self._idle.notify_all()
+        self._detach()
 
     @property
     def migrated(self) -> bool:
@@ -353,7 +514,7 @@ class ImplementationObject(MarshalByRefObject):
     * ``invoke(method, args, kwargs)`` — synchronous call: queued behind
       pending work, result returned (program order is preserved);
     * ``drain()`` — block until the mailbox is empty;
-    * ``dispose()`` — drain and stop the worker;
+    * ``dispose()`` — refuse new work and drain what is queued;
     * ``stats()`` — counters for the object manager.
 
     *mailbox_depth* (threaded from ``ParcConfig``, off by default)
@@ -379,19 +540,13 @@ class ImplementationObject(MarshalByRefObject):
         # execution; feeds the grain controller's per-method statistics.
         self._on_execution = on_execution
         self._on_execution_failed = False
-        self._mailbox = _IOMailbox(depth=mailbox_depth)
         self._stats_lock = threading.Lock()
         self._processed = 0
         self._inline = 0  # sync calls served via the fast path
         self._busy_s = 0.0
         self._shed = 0
         self._async_failures: list[tuple[str, str]] = []
-        self._worker = threading.Thread(
-            target=self._run,
-            name=f"parc-io-{class_name.rsplit('.', 1)[-1]}",
-            daemon=True,
-        )
-        self._worker.start()
+        self._mailbox = _IOMailbox(self._execute_entry, depth=mailbox_depth)
 
     # -- remote surface ----------------------------------------------------
 
@@ -531,11 +686,11 @@ class ImplementationObject(MarshalByRefObject):
         """Sync fast path: execute *tasks* on the caller's thread.
 
         Succeeds only when the mailbox is provably idle (nothing queued,
-        nothing executing), which makes inline execution
-        indistinguishable from the post→worker→wait round-trip except
-        for the latency: FIFO order holds trivially, and the claimed
-        inline slot parks the worker plus any drain/migration until
-        the inline call finishes.
+        nothing executing, no run scheduled), which makes inline
+        execution indistinguishable from the post→run→wait round-trip
+        except for the latency: FIFO order holds trivially, and the
+        claimed inline slot holds back new runs plus any
+        drain/migration until the inline call finishes.
         """
         if not self._mailbox.try_claim_idle():
             return False
@@ -557,8 +712,9 @@ class ImplementationObject(MarshalByRefObject):
             forward.drain()
 
     def dispose(self) -> None:
-        self._mailbox.stop()
-        self._worker.join(timeout=30.0)
+        # From inside one of its own methods the queued work cannot be
+        # waited for: the run executing it is this very call.
+        self._mailbox.dispose(wait=executing_impl.get() is not self)
         # A released IO leaves its node: unlisted (no placement load, no
         # stats/pressure walk) and unpublished.  Idempotent.
         release = getattr(self.node, "release_impl", None)
@@ -612,7 +768,7 @@ class ImplementationObject(MarshalByRefObject):
     def migrated(self) -> bool:
         return self._mailbox.migrated
 
-    # -- worker --------------------------------------------------------------
+    # -- execution -----------------------------------------------------------
 
     def _post(self, method: str, entry: _Entry) -> None:
         try:
@@ -664,25 +820,19 @@ class ImplementationObject(MarshalByRefObject):
                 count=count,
             )
 
-    def _run(self) -> None:
-        while True:
-            entry = self._mailbox.pop()
-            if entry is None:
-                return
-            try:
-                telemetry, tracer = self._tracing()
-                if type(entry) is _Aggregate and tracer is None:
-                    self._execute_aggregate(entry)
-                else:
-                    # Per call: synchronous tasks (a caller waits on
-                    # each event) and traced aggregates (each call gets
-                    # its own io span and histogram sample).
-                    for task in entry:
-                        self._execute(task, telemetry, tracer)
-                        with self._stats_lock:
-                            self._processed += 1
-            finally:
-                self._mailbox.batch_done(len(entry))
+    def _execute_entry(self, entry: _Entry) -> None:
+        """Execute one mailbox entry (called by the mailbox's run)."""
+        telemetry, tracer = self._tracing()
+        if type(entry) is _Aggregate and tracer is None:
+            self._execute_aggregate(entry)
+        else:
+            # Per call: synchronous tasks (a caller waits on each event)
+            # and traced aggregates (each call gets its own io span and
+            # histogram sample).
+            for task in entry:
+                self._execute(task, telemetry, tracer)
+                with self._stats_lock:
+                    self._processed += 1
 
     def _tracing(self) -> tuple[Any, Any]:
         """(node telemetry or None, tracer or None) for executing work.

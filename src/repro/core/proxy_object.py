@@ -25,6 +25,7 @@ per user method — async methods post, sync methods flush-then-call.
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 import time as _time
 from collections import deque
@@ -51,6 +52,8 @@ from repro.serialization.codec import (
 from repro.serialization.registry import Surrogate, default_registry
 from repro.telemetry.context import activate, current_context
 from repro.telemetry.tracer import active_tracer
+
+logger = logging.getLogger("repro.core")
 
 _grain_ids = itertools.count(1)
 
@@ -197,6 +200,7 @@ class RemoteGrain:
         # each successful send — the adaptive grain controller's
         # bytes-per-call input.
         self.wire_observer = None
+        self.observer_errors = 0  # parc.errors.wire_observer
         # Serialized bytes per call of each method's last unmixed send:
         # the size estimate behind the run byte cap.  A method not seen
         # yet travels alone, so every estimate starts from a real frame.
@@ -625,7 +629,11 @@ class RemoteGrain:
                 try:
                     self.wire_observer(nbytes, calls)
                 except Exception:  # noqa: BLE001 - stats must never kill work
-                    pass
+                    self.observer_errors += 1
+                    if self.observer_errors == 1:
+                        logger.exception(
+                            "wire observer of grain %d failed", self.grain_id
+                        )
             with self._outbox_cv:
                 # Pop exactly the items sent; a rebind or mark_lost in
                 # the meantime has already emptied the outbox.

@@ -489,6 +489,11 @@ class ParcRuntime:
             "value": sum(getattr(g, "sheds", 0) for g in grains),
             "help": "PO calls refused with OverloadError (flow control)",
         }
+        merged["parc.errors.wire_observer"] = {
+            "type": "counter",
+            "value": sum(getattr(g, "observer_errors", 0) for g in grains),
+            "help": "PO wire-observer calls that raised",
+        }
         return {"nodes": nodes, "cluster": merged}
 
     def placement_report(self) -> dict:

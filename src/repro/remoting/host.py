@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import contextvars
 import enum
+import functools
 import itertools
+import logging
 import threading
 import traceback
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -78,8 +79,17 @@ class _Entry:
 #: Well-known path of the client-activation service on every host.
 ACTIVATION_PATH = "__activation__"
 
-#: Threads per host serving one-way dispatches.
-DISPATCH_POOL_SIZE = 16
+logger = logging.getLogger("repro.remoting")
+
+
+def _executor():  # type: ignore[no-untyped-def]
+    """The process's executor, which one-way dispatches share with grains.
+
+    Imported at use: :mod:`repro.core.impl` imports this package.
+    """
+    from repro.core.impl import executor
+
+    return executor()
 
 
 class ActivationService(MarshalByRefObject):
@@ -135,10 +145,6 @@ class RemotingHost:
         self._bindings: dict[str, ServerBinding] = {}
         self._channels: dict[str, Channel] = {}
         self._auto_counter = itertools.count(1)
-        self._pool = ThreadPoolExecutor(
-            max_workers=DISPATCH_POOL_SIZE,
-            thread_name_prefix=f"parc-dispatch-{self.host_id}",
-        )
         # Window grants advertised to credit-aware peers (repro.flow).
         # The dispatch backlog is the host-level pressure signal; the
         # owning cluster node adds a mailbox-fill source on top.
@@ -191,12 +197,9 @@ class RemotingHost:
             self._channels[channel.scheme] = channel
             if not advertise:
                 self._hidden_schemes.add(channel.scheme)
-            try:
-                self.services.register_channel(channel)
-            except Exception:
-                # A channel for this scheme is already registered for
-                # client use; serving still works through our binding.
-                pass
+            # A channel already registered for this scheme keeps serving
+            # client calls; serving works through our binding either way.
+            self.services.register_channel_if_absent(channel)
             return binding
 
     @property
@@ -339,11 +342,22 @@ class RemotingHost:
             stop = self._sweeper_stop = threading.Event()
 
         def sweep() -> None:
+            failed = False
             while not stop.wait(interval_s):
                 try:
                     self.collect_expired()
                 except Exception:  # noqa: BLE001 - sweeper must survive
-                    pass
+                    telemetry = self.telemetry
+                    if telemetry is not None:
+                        telemetry.metrics.counter(
+                            "parc.errors.lease_sweep",
+                            "lease sweeps that raised",
+                        ).inc()
+                    if not failed:
+                        failed = True
+                        logger.exception(
+                            "lease sweep of host %s failed", self.host_id
+                        )
 
         self._sweeper_thread = threading.Thread(
             target=sweep,
@@ -439,10 +453,13 @@ class RemotingHost:
                     )
                 if message.one_way:
                     # copy_context() carries the trace context (and node
-                    # tracer) onto the pool thread that runs the call.
+                    # tracer) onto the executor thread that runs the call.
                     dispatch_ctx = contextvars.copy_context()
-                    self._pool.submit(
-                        dispatch_ctx.run, self._run_call_silently, message
+                    _executor().submit(
+                        functools.partial(
+                            dispatch_ctx.run, self._run_call_silently, message
+                        ),
+                        attach=True,
                     )
                     result = ReturnMessage(value=None)
                 else:
@@ -462,14 +479,16 @@ class RemotingHost:
             current_host.reset(token)
 
     def _dispatch_pressure(self) -> float:
-        """Dispatch backlog as a 0..1 pressure fraction.
+        """Executor backlog as a 0..1 pressure fraction.
 
-        The one-way pool's queue is unbounded; a backlog of a few times
-        the pool size means dispatch threads cannot keep up and peers
-        should be throttled toward the minimum grant.
+        The executor starts a thread for every run that finds none idle,
+        so a run waits only until its thread gets going; a backlog of a
+        few times the thread count means threads cannot start as fast as
+        work arrives, and peers should be throttled toward the minimum
+        grant.
         """
-        backlog = self._pool._work_queue.qsize()
-        return backlog / float(4 * DISPATCH_POOL_SIZE)
+        backlog, threads = _executor().load()
+        return backlog / float(4 * max(1, threads))
 
     def _run_call(self, message: CallMessage) -> ReturnMessage:
         telemetry = self.telemetry
@@ -581,7 +600,6 @@ class RemotingHost:
             sweeper_stop.set()
         for binding in bindings:
             binding.close()
-        self._pool.shutdown(wait=False)
 
     def __enter__(self) -> "RemotingHost":
         return self

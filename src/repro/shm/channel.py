@@ -734,7 +734,12 @@ class _ShmBinding(ServerBinding):
             return
         self._closed.set()
         try:
-            self._server.close()
+            # shutdown() before close(): on Linux, closing alone does not
+            # wake the thread blocked in accept().
+            try:
+                self._server.shutdown(socket.SHUT_RDWR)
+            finally:
+                self._server.close()
         except OSError:
             pass
         try:
@@ -746,6 +751,8 @@ class _ShmBinding(ServerBinding):
             self._connections.clear()
         for conn in connections:
             conn.close()
+        if self._accept_thread is not threading.current_thread():
+            self._accept_thread.join()
 
 
 class ShmChannel(FramedChannel):

@@ -219,30 +219,46 @@ def _task(method="record", args=()):
     return _Task(method=method, args=args, kwargs={})
 
 
+def _ignore(entry):
+    return None
+
+
 class TestIOMailbox:
+    # A held inline claim keeps the mailbox from scheduling a run, so
+    # puts stay queued until release_claim() hands them to the executor.
+
     def test_entries_drain_in_arrival_order(self):
-        box = _IOMailbox()
+        order = []
+        box = _IOMailbox(lambda entry: order.append(entry[0].method))
+        assert box.try_claim_idle()
         for method in ("bulk", "record", "urgent"):
             box.put(method, [_task(method)])
-        order = [box.pop()[0].method for _ in range(3)]
+        box.release_claim()
+        box.dispose()
         assert order == ["bulk", "record", "urgent"]
 
     def test_depth_bound_sheds_with_overload_error(self):
-        box = _IOMailbox(depth=2)
+        box = _IOMailbox(_ignore, depth=2)
+        assert box.try_claim_idle()
         box.put("record", [_task(), _task()])
         with pytest.raises(OverloadError, match="mailbox is full"):
             box.put("record", [_task()])
         assert box.queued_count() == 2
+        box.release_claim()
+        box.dispose()
 
     def test_empty_mailbox_admits_one_entry_larger_than_depth(self):
         # An aggregate bigger than the bound would otherwise be shed
         # forever; the idle mailbox takes it, the next one is refused.
-        box = _IOMailbox(depth=4)
+        box = _IOMailbox(_ignore, depth=4)
+        assert box.try_claim_idle()
         box.put("record", [_task() for _ in range(8)])
         assert box.queued_count() == 8
         with pytest.raises(OverloadError):
             box.put("record", [_task() for _ in range(8)])
         assert box.queued_count() == 8
+        box.release_claim()
+        box.dispose()
 
     def test_oversize_aggregate_runs_on_an_idle_bounded_io(self):
         seen = []
@@ -263,9 +279,16 @@ class TestIOMailbox:
     def test_drain_waits_for_active_batch(self):
         # Regression: drain() must not return while a dequeued batch is
         # still executing (queued counters alone read as empty then).
-        box = _IOMailbox()
+        entered, gate = threading.Event(), threading.Event()
+
+        def execute(entry):
+            entered.set()
+            gate.wait(timeout=5.0)
+
+        box = _IOMailbox(execute)
         box.put("record", [_task(), _task()])
-        batch = box.pop()
+        assert entered.wait(timeout=5.0)
+        assert box.queued_count() == 0
         drained = threading.Event()
 
         def drain():
@@ -275,8 +298,9 @@ class TestIOMailbox:
         threading.Thread(target=drain, daemon=True).start()
         time.sleep(0.05)
         assert not drained.is_set()
-        box.batch_done(len(batch))
+        gate.set()
         assert drained.wait(timeout=2.0)
+        box.dispose()
 
     def test_drain_under_concurrent_enqueue_sees_all_work(self):
         recorder = []

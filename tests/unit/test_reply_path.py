@@ -92,25 +92,45 @@ class TestSyncFastPath:
             impl.dispose()
 
 
+def _ignore(entry):
+    return None
+
+
 class TestMailboxClaim:
     def test_claim_requires_fully_idle(self):
-        box = _IOMailbox()
+        box = _IOMailbox(_ignore)
         assert box.try_claim_idle()
         # Already claimed: a concurrent sync caller must queue.
         assert not box.try_claim_idle()
         box.release_claim()
         assert box.try_claim_idle()
         box.release_claim()
+        box.dispose()
 
     def test_queued_work_blocks_the_claim(self):
-        box = _IOMailbox()
+        entered, gate = threading.Event(), threading.Event()
+
+        def execute(entry):
+            entered.set()
+            gate.wait(timeout=5.0)
+
+        box = _IOMailbox(execute)
+        box.put("m", [object()])
+        assert entered.wait(timeout=5.0)
         box.put("m", [object()])
         assert not box.try_claim_idle()
+        gate.set()
+        box.drain()
+        # Served and idle again: the next sync caller wins the slot.
+        assert box.try_claim_idle()
+        box.release_claim()
+        box.dispose()
 
     def test_stopped_mailbox_refuses_the_claim(self):
-        box = _IOMailbox()
+        box = _IOMailbox(_ignore)
         box.stop()
         assert not box.try_claim_idle()
+        box.dispose()
 
 
 # -- batched replies ----------------------------------------------------------

@@ -30,11 +30,9 @@ EXPECTED = {
     "channels/tcp.py": 3,
     "core/naming.py": 1,
     "core/patterns.py": 2,
-    "core/proxy_object.py": 1,
     "core/runtime.py": 2,
     "flow/credit.py": 1,
     "nio/channels.py": 2,
-    "remoting/host.py": 2,
     "serialization/registry.py": 1,
     "shm/channel.py": 11,
     "shm/doorbell.py": 3,
