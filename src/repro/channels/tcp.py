@@ -79,11 +79,17 @@ def connect(authority: str) -> _TcpConnection:
 
 
 class _TcpBinding(ServerBinding):
-    """Accept loop + per-connection worker threads."""
+    """Accept loop + per-connection worker threads.
+
+    :meth:`close` hangs up every live connection and joins its thread,
+    so a closed binding leaves no thread behind.
+    """
 
     def __init__(self, host: str, port: int, handler: RequestHandler) -> None:
         self._handler = handler
         self._closed = threading.Event()
+        self._lock = threading.Lock()
+        self._live: dict[threading.Thread, _TcpConnection] = {}
         self._server = socket.create_server((host, port), reuse_port=False)
         self._host, self._port = self._server.getsockname()[:2]
         self._accept_thread = threading.Thread(
@@ -103,20 +109,24 @@ class _TcpBinding(ServerBinding):
                 sock, _addr = self._server.accept()
             except OSError:
                 return  # server socket closed
+            conn = _TcpConnection(sock)
             thread = threading.Thread(
                 target=self._serve_connection,
-                args=(sock,),
+                args=(conn,),
                 name=f"parc-tcp-conn-{self._port}",
                 daemon=True,
             )
+            with self._lock:
+                self._live[thread] = conn
             thread.start()
 
-    def _serve_connection(self, sock: socket.socket) -> None:
-        conn = _TcpConnection(sock)
+    def _serve_connection(self, conn: _TcpConnection) -> None:
         try:
             serve_connection(conn, self._handler, self._closed)
         finally:
             conn.close()
+            with self._lock:
+                self._live.pop(threading.current_thread(), None)
 
     def close(self) -> None:
         if not self._closed.is_set():
@@ -132,6 +142,16 @@ class _TcpBinding(ServerBinding):
                 pass
             if self._accept_thread is not threading.current_thread():
                 self._accept_thread.join()
+            # The accept loop has ended, so no connection joins the list
+            # from here on.  Hanging up wakes a thread blocked in recv();
+            # one inside a handler leaves once its reply fails to send.
+            with self._lock:
+                live = list(self._live.items())
+            me = threading.current_thread()
+            for thread, conn in live:
+                conn.close()
+                if thread is not me:
+                    thread.join()
 
 
 #: Idle sockets kept per remote authority; overflow closes immediately.

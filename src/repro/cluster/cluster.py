@@ -7,6 +7,7 @@ directory so they can exchange loads and statistics.
 
 from __future__ import annotations
 
+import functools
 import threading
 import uuid
 from typing import Any
@@ -20,6 +21,7 @@ from repro.cluster.placement import coerce_policy
 from repro.cluster.proc import ProcessNodeHandle, spawn_workers
 from repro.core.config import ParcConfig
 from repro.core.grain import GrainPolicy
+from repro.core.impl import executor
 from repro.errors import ScooppError
 from repro.flow import ElasticController, ElasticPolicy
 from repro.sched import PlannedMove, RebalancePlanner, SchedulerConfig
@@ -384,13 +386,13 @@ class Cluster:
     def start_moves(self, moves: list[PlannedMove]) -> None:
         """One rebalance cycle's output: fire the planned migrations.
 
-        Planned moves have distinct victims and targets, so each runs
-        on its own thread.  Nothing joins them: a migration's pause time
-        (waiting out the victim grain's executing batch) can dwarf the
-        rebalance interval under load, and blocking the control plane on
-        it would starve the planner of fresh rows exactly when the
-        cluster is most imbalanced.  In-flight grains are tracked so a
-        path is never migrated twice concurrently, and
+        Planned moves have distinct victims and targets, so each is its
+        own run on the process executor.  Nothing waits for them: a
+        migration's pause time (waiting out the victim grain's executing
+        batch) can dwarf the rebalance interval under load, and blocking
+        the control plane on it would starve the planner of fresh rows
+        exactly when the cluster is most imbalanced.  In-flight grains
+        are tracked so a path is never migrated twice concurrently, and
         ``max_migrations_per_cycle`` caps the total in flight.
         """
         with self._sched_lock:
@@ -409,12 +411,11 @@ class Cluster:
                 runnable.append(move)
                 budget -= 1
         for move in runnable:
-            threading.Thread(
-                target=self._execute_move,
-                args=(move,),
-                name="parc-migrate",
-                daemon=True,
-            ).start()
+            # Attached while it runs, as a one-way dispatch is: a move
+            # blocks on the victim's pause, and holds its thread for it.
+            executor().submit(
+                functools.partial(self._execute_move, move), attach=True
+            )
 
     # -- worker bookkeeping ------------------------------------------------
 
@@ -603,7 +604,7 @@ class Cluster:
         the very workers the rest of teardown is about to shut down, a
         vanishing peer must not become a verdict, and a migration
         mid-flight would race node teardown), then worker processes
-        (their shutdown rides multiprocessing queues, not our channels),
+        (their shutdown rides a pipe per worker, not our channels),
         then the *client* channels — force-closing pooled sockets makes
         any in-flight or late call fail fast with
         :class:`~repro.errors.ChannelClosedError` instead of blocking

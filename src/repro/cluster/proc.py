@@ -108,8 +108,13 @@ class WorkerConfig:
     cpus: tuple[int, ...] = ()
 
 
-def _worker_main(config: WorkerConfig, ready, commands) -> None:  # type: ignore[no-untyped-def]
-    """Entry point of one worker process (top-level: importable by name)."""
+def _worker_main(config: WorkerConfig, conn) -> None:  # type: ignore[no-untyped-def]
+    """Entry point of one worker process (top-level: importable by name).
+
+    *conn* is the worker's end of its duplex command pipe: it answers
+    each command with one ``(status, payload)`` reply, and end of file —
+    the parent closed its end, or exited — means shut down.
+    """
     if config.cpus:
         os.sched_setaffinity(0, config.cpus)
     # Make the parent's application modules importable, then import them:
@@ -150,9 +155,9 @@ def _worker_main(config: WorkerConfig, ready, commands) -> None:  # type: ignore
                 advertise=False,
             )
     except BaseException as exc:  # noqa: BLE001 - boot failure report
-        ready.put(("error", f"{type(exc).__name__}: {exc}"))
+        conn.send(("error", f"{type(exc).__name__}: {exc}"))
         return
-    ready.put(("ok", node.base_uri))
+    conn.send(("ok", node.base_uri))
 
     # Install a worker-side runtime so nested creations and PO-reference
     # decoding work inside this process.
@@ -162,14 +167,17 @@ def _worker_main(config: WorkerConfig, ready, commands) -> None:  # type: ignore
     runtime_module._runtime = ParcRuntime(_WorkerCluster(node, services))
 
     while True:
-        command = commands.get()
-        if command is None or command[0] == "shutdown":
+        try:
+            command = conn.recv()
+        except EOFError:
+            command = None  # the parent closed its end: not a failure
+        if command is None:
             break
         if command[0] == "set_directory":
             node.om.set_directory(command[1])
-            ready.put(("ok", "directory"))
+            conn.send(("ok", "directory"))
         else:  # pragma: no cover - defensive
-            ready.put(("error", f"unknown command {command[0]!r}"))
+            conn.send(("error", f"unknown command {command[0]!r}"))
     node.close()
     services.close_all()
 
@@ -215,41 +223,52 @@ class ProcessNodeHandle:
         context: multiprocessing.context.BaseContext,
     ) -> None:
         self.index = config.index
-        # One command round trip at a time: the reply queue carries no
-        # correlation, so interleaved callers would cross replies.
+        # One command round trip at a time: replies carry no
+        # correlation, so interleaved callers would cross them.  A pipe,
+        # unlike a multiprocessing queue, starts no feeder thread.
         self._round_trip = threading.Lock()
-        self._ready = context.Queue()
-        self._commands = context.Queue()
+        self._conn, child_conn = context.Pipe()
         self.process = context.Process(
             target=_worker_main,
-            args=(config, self._ready, self._commands),
+            args=(config, child_conn),
             name=f"parc-worker-{config.index}",
             daemon=True,
         )
-        self.process.start()
-        status, payload = self._ready.get(timeout=WORKER_BOOT_TIMEOUT_S)
+        try:
+            self.process.start()
+        finally:
+            child_conn.close()  # the worker holds the only other end
+        status, payload = self._reply()
         if status != "ok":
             self.process.join(timeout=WORKER_SHUTDOWN_TIMEOUT_S)
+            self._conn.close()
             raise ScooppError(f"worker {config.index} failed to boot: {payload}")
         self.base_uri: str = payload
 
+    def _reply(self) -> tuple[str, str]:
+        """The worker's next reply, or ``("error", why)`` if none comes."""
+        if not self._conn.poll(WORKER_BOOT_TIMEOUT_S):
+            self.process.terminate()
+            return "error", f"no reply in {WORKER_BOOT_TIMEOUT_S:g}s"
+        try:
+            return self._conn.recv()
+        except EOFError:
+            return "error", "the worker exited"
+
     def set_directory(self, directory: Sequence[str]) -> None:
         with self._round_trip:
-            self._commands.put(("set_directory", list(directory)))
-            status, payload = self._ready.get(timeout=WORKER_BOOT_TIMEOUT_S)
+            self._conn.send(("set_directory", list(directory)))
+            status, payload = self._reply()
         if status != "ok":  # pragma: no cover - defensive
             raise ScooppError(f"worker {self.index}: {payload}")
 
     def shutdown(self) -> None:
-        if not self.process.is_alive():
-            return
-        try:
-            self._commands.put(("shutdown",))
-            self.process.join(timeout=WORKER_SHUTDOWN_TIMEOUT_S)
-        finally:
-            if self.process.is_alive():  # pragma: no cover - stuck worker
-                self.process.terminate()
-                self.process.join(timeout=5.0)
+        # The worker reads end of file on its pipe as its shutdown command.
+        self._conn.close()
+        self.process.join(timeout=WORKER_SHUTDOWN_TIMEOUT_S)
+        if self.process.is_alive():  # pragma: no cover - stuck worker
+            self.process.terminate()
+            self.process.join(timeout=5.0)
 
 
 def spawn_workers(

@@ -127,9 +127,16 @@ class _Executor:
 
     Sized by demand, with no cap and no idle timeout:
 
-    * a submit that finds no idle thread starts one, so queued work
-      never waits for a thread to free up — a grain blocked in user code
-      or in a nested synchronous call holds up no other grain;
+    * queued work never waits for a thread to free up — a grain blocked
+      in user code or in a nested synchronous call holds up no other
+      grain: while more runs wait than threads are idle, a thread is
+      being started.  One at a time: a submit that finds no idle thread
+      starts one unless a start is under way, and a thread that takes a
+      run while more wait than threads are idle starts the next before
+      it runs.  Under the GIL a busy thread is usually one waiting for
+      the interpreter, not one that is blocked, so starting a thread
+      per waiting run would grow the pool to every burst a poster
+      makes;
     * clients :meth:`attach` (a live mailbox; a one-way call while it
       runs) and :meth:`detach`; a thread with no work exits once the
       pool holds more threads than there are attached clients.
@@ -145,6 +152,7 @@ class _Executor:
         self._exited = threading.Condition(self._lock)
         self._runs: deque = deque()  # (callable, attached) not yet taken
         self._threads = 0
+        self._starting = False  # a thread is started but not serving yet
         self._idle = 0  # threads parked in _work.wait()
         self._attached = 0
         self._detaching = 0  # detach() calls waiting for idle threads
@@ -165,8 +173,10 @@ class _Executor:
             if not (self._idle and self._threads > self._attached):
                 return
             self._detaching += 1
-            self._work.notify_all()
             while self._idle and self._threads > self._attached:
+                # Wake the surplus only: waking every idle thread on each
+                # detach made releasing n grains cost O(n^2) wake-ups.
+                self._work.notify(self._threads - self._attached)
                 self._exited.wait()
             self._detaching -= 1
             leaving, self._leaving = self._leaving, []
@@ -186,7 +196,13 @@ class _Executor:
             if self._idle >= len(self._runs):
                 self._work.notify()
                 return
+            if self._starting:
+                return  # the thread on its way starts the next one
+            self._starting = True
             self._threads += 1
+        self._start_thread()
+
+    def _start_thread(self) -> None:
         threading.Thread(
             target=self._serve, name="parc-exec", daemon=True
         ).start()
@@ -198,11 +214,18 @@ class _Executor:
 
     def _serve(self) -> None:
         with self._lock:
+            self._starting = False
             while True:
                 if self._runs:
                     run, attached = self._runs.popleft()
+                    more = self._idle < len(self._runs) and not self._starting
+                    if more:
+                        self._starting = True
+                        self._threads += 1
                     self._lock.release()
                     try:
+                        if more:
+                            self._start_thread()
                         run()
                     except Exception:  # noqa: BLE001 - the thread outlives its work
                         logger.exception("executor run %r failed", run)

@@ -206,8 +206,8 @@ class Pipeline:
             runtime = _runtime_module._runtime
             if runtime is not None:
                 # Without this, a forwarded item parked in a stage's
-                # sender thread for a few ms outlives the stability
-                # window and the barrier returns early.
+                # outbox for a few ms outlives the stability window and
+                # the barrier returns early.
                 runtime.quiesce_outboxes()
             for stage in self.stages:
                 stage.parc_wait()

@@ -9,9 +9,10 @@ A PO owns one *grain*:
 
 * :class:`RemoteGrain` — the parallel case: a transparent proxy to the
   remote :class:`~repro.core.impl.ImplementationObject`, plus the PO-side
-  grain-size machinery — aggregation buffers (Fig. 7) and a dedicated
-  sender thread so asynchronous calls return immediately to the caller
-  while staying in program order on the wire;
+  grain-size machinery — aggregation buffers (Fig. 7) and an outbox
+  whose sends run on the process executor
+  (:func:`repro.core.impl.executor`), so asynchronous calls return
+  immediately to the caller while staying in program order on the wire;
 * :class:`LocalGrain` — the agglomerated case (Fig. 5's ``if
   aglomerateObj``): the IO lives in-place and "its subsequent
   (asynchronous parallel) method invocations are actually executed
@@ -24,13 +25,16 @@ per user method — async methods post, sync methods flush-then-call.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
+import os
 import threading
 import time as _time
 from collections import deque
 from typing import Any
 
+from repro.core.impl import executor
 from repro.core.model import MethodKind, ParallelClassInfo, parallel_class_table
 from repro.errors import (
     BatchCallError,
@@ -125,14 +129,78 @@ class LocalGrain:
             on_release()
 
 
-class RemoteGrain:
-    """Parallel grain: aggregation buffers + ordered sender + remote IO.
+class _FlushClock:
+    """The process's one clock for partial-buffer deadlines.
 
-    Aggregation is "(delay and) combine" (§3.1): a partial batch is never
-    held indefinitely — the sender thread auto-flushes any buffer that
-    has waited *flush_after_s* behind a free wire, so asynchronous calls
-    always make progress even when the program stops short of
-    ``max_calls``.
+    A grain arms it (at most once at a time) when a buffer opens behind a
+    free wire; at the deadline the clock calls
+    :meth:`RemoteGrain._flush_due`.  Its one thread, ``parc-flush``,
+    starts at the first deadline armed in the process and sleeps until
+    the earliest one.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._wake = threading.Condition(self._lock)
+        self._heap: list = []  # (deadline, seq, grain)
+        self._seq = itertools.count()
+        self._started = False
+
+    def arm(self, deadline: float, grain: RemoteGrain) -> None:
+        with self._lock:
+            heapq.heappush(self._heap, (deadline, next(self._seq), grain))
+            if not self._started:
+                self._started = True
+                threading.Thread(
+                    target=self._run, name="parc-flush", daemon=True
+                ).start()
+            elif self._heap[0][2] is grain:
+                self._wake.notify()
+
+    def _run(self) -> None:
+        with self._lock:
+            while True:
+                if not self._heap:
+                    self._wake.wait()
+                    continue
+                wait = self._heap[0][0] - _time.monotonic()
+                if wait > 0:
+                    self._wake.wait(wait)
+                    continue
+                grain = heapq.heappop(self._heap)[2]
+                self._lock.release()
+                try:
+                    grain._flush_due()
+                except Exception:  # noqa: BLE001 - the clock serves every grain
+                    logger.exception(
+                        "auto-flush of grain %d failed", grain.grain_id
+                    )
+                finally:
+                    self._lock.acquire()
+
+
+_flush_clock = _FlushClock()
+
+
+def _forget_flush_clock() -> None:
+    global _flush_clock
+    _flush_clock = _FlushClock()
+
+
+# A forked child inherits the clock's heap but not its thread.
+os.register_at_fork(after_in_child=_forget_flush_clock)
+
+
+class RemoteGrain:
+    """Parallel grain: aggregation buffers + ordered outbox + remote IO.
+
+    The grain owns no thread.  Flushed calls queue in its outbox, and at
+    most one *send run* at a time ships them from an executor thread, in
+    order.  Aggregation is "(delay and) combine" (§3.1): a partial batch
+    is never held indefinitely — the process's flush clock auto-flushes
+    any buffer that has waited *flush_after_s* behind a free wire, so
+    asynchronous calls always make progress even when the program stops
+    short of ``max_calls``.
     """
 
     is_local = False
@@ -151,9 +219,9 @@ class RemoteGrain:
     RUN_MAX_CALLS = 4096
     RUN_MAX_BYTES = 1 << 20
 
-    #: How far a caller may get ahead of the sender, in flushed calls the
-    #: sender has not taken yet: the post that reaches it waits — at most
-    #: YIELD_TIMEOUT_S, once — for the sender to take them
+    #: How far a caller may get ahead of the sender, in flushed calls no
+    #: send run has taken yet: the post that reaches it waits — at most
+    #: YIELD_TIMEOUT_S, once — for the send run to take them
     #: (:meth:`_post_once`).  Without the wait a caller that never blocks
     #: keeps the interpreter until CPython's 5 ms switch interval expires,
     #: so when requests left and how many aggregates each carried was
@@ -201,6 +269,7 @@ class RemoteGrain:
         # bytes-per-call input.
         self.wire_observer = None
         self.observer_errors = 0  # parc.errors.wire_observer
+        self.retune_errors = 0  # parc.errors.retune
         # Serialized bytes per call of each method's last unmixed send:
         # the size estimate behind the run byte cap.  A method not seen
         # yet travels alone, so every estimate starts from a real frame.
@@ -221,15 +290,18 @@ class RemoteGrain:
         self._buffer_ctx = None  # trace context of the first buffered call
         self._outbox: deque = deque()
         self._outbox_cv = threading.Condition(self._lock)
-        # Calls in outbox items the sender has not taken yet.
+        # Calls in outbox items no send run has taken yet.
         self._unsent_calls = 0
+        # A send run is queued on, or running in, the executor.
+        self._sending = False
+        # When the last send run ended: the flush deadline runs from here.
+        self._idle_since = 0.0
+        # This grain has a deadline on the flush clock.
+        self._flush_armed = False
         self._sender_error: BaseException | None = None
         self._lost: NodeLostError | None = None
         self._released = False
-        self._sender = threading.Thread(
-            target=self._send_loop, name="parc-po-sender", daemon=True
-        )
-        self._sender.start()
+        executor().attach()
 
     # -- async path -----------------------------------------------------
 
@@ -241,16 +313,16 @@ class RemoteGrain:
         order is preserved (batches and singles leave in caller order).
 
         Returns at once unless this call leaves the caller
-        ``YIELD_AT_CALLS`` ahead of the sender; then it first lets the
-        sender take what is queued (see ``YIELD_AT_CALLS``).
+        ``YIELD_AT_CALLS`` ahead of the send run; then it first lets the
+        run take what is queued (see ``YIELD_AT_CALLS``).
         """
         self._with_recovery(self._post_once, method, args, kwargs)
 
     def _post_once(self, method: str, args: tuple, kwargs: dict) -> None:
         # The PO call site: capture the caller's trace context here so the
-        # sender thread can re-activate it when the (possibly batched)
-        # call actually leaves — the remote io span chains to the span
-        # that was active at post time, not to the sender thread.
+        # send run can re-activate it when the (possibly batched) call
+        # actually leaves — the remote io span chains to the span that
+        # was active at post time, not to the executor thread.
         ctx = current_context.get()
         with self._lock:
             self._ensure_usable()
@@ -268,15 +340,19 @@ class RemoteGrain:
                 if not self._buffer:
                     self._buffer_since = _time.monotonic()
                     self._buffer_ctx = ctx
-                    # Wake the sender so it can arm the auto-flush timer.
-                    self._outbox_cv.notify_all()
+                    if not self._sending:
+                        # A send run in flight arms the deadline when it
+                        # ends: until then the wire is not free.
+                        self._arm_flush_locked(
+                            self._buffer_since + self.flush_after_s
+                        )
                 self._buffer_method = method
                 self._buffer.append((tuple(args), dict(kwargs)))
                 if len(self._buffer) >= self.max_calls:
                     self._flush_locked()
             if unsent < self.YIELD_AT_CALLS <= self._unsent_calls:
                 # This call put the caller YIELD_AT_CALLS ahead of the
-                # wire: let the sender have the interpreter now.  Bounded,
+                # wire: let the send run have the interpreter now.  Bounded,
                 # and once per crossing, so a slow wire delays the caller
                 # by one timeout per run rather than throttling it.
                 self._outbox_cv.wait_for(
@@ -417,12 +493,13 @@ class RemoteGrain:
                 already = self._released
                 self._released = True
                 self._outbox_cv.notify_all()
+            if not already:
+                executor().detach()
         if not already:
             if self.on_release is not None:
                 self.on_release()
             if self._lost is None:
                 self.impl.dispose()
-        self._sender.join(timeout=30.0)
 
     # -- crash recovery ----------------------------------------------------
 
@@ -463,7 +540,6 @@ class RemoteGrain:
             if self._lost is not None:
                 return
             self.impl = new_impl
-            self._outbox_cv.notify_all()
 
     def mark_lost(self, error: NodeLostError) -> None:
         """Poison the grain: every subsequent use raises *error*.
@@ -548,10 +624,11 @@ class RemoteGrain:
         self._enqueue_locked((method, batch, ctx))
 
     def _enqueue_locked(self, item: tuple) -> None:
-        """Queue one ``(method, calls, trace context)`` item for the sender.
+        """Queue one ``(method, calls, trace context)`` item to be sent.
 
         An item of one call is a *single* (it travels as a plain
-        ``enqueue``), anything longer an aggregate.
+        ``enqueue``), anything longer an aggregate.  Submits a send run
+        unless one is already queued or running: it will reach the item.
         """
         self._outbox.append(item)
         calls = len(item[1])
@@ -560,7 +637,9 @@ class RemoteGrain:
         else:
             self.singles += 1
         self._unsent_calls += calls
-        self._outbox_cv.notify_all()
+        if not self._sending:
+            self._sending = True
+            executor().submit(self._send_some)
 
     def _sender_caught_up(self) -> bool:
         return self._unsent_calls < self.YIELD_AT_CALLS
@@ -580,30 +659,35 @@ class RemoteGrain:
                 self._outbox_cv.wait()
             self._ensure_usable()
 
-    def _send_loop(self) -> None:
+    def _send_some(self) -> None:
+        """One executor run: ship the outbox, run by run, until it is empty.
+
+        The run ends with ``_sending`` cleared under the same lock as its
+        last emptiness check, so queued work is never left without a run
+        and a grain never has two.
+        """
+        sent: list = []
         while True:
             with self._outbox_cv:
-                # The flush deadline runs while the wire is free.  Time
-                # this thread spent shipping, or waiting for its turn to
-                # run, is not held against the buffer: those calls could
-                # not have left any sooner, and a caller that is merely
-                # being starved of the interpreter would otherwise have
-                # its aggregates cut short at every busy spell.
-                idle_since = _time.monotonic()
-                while not self._outbox and not self._released:
-                    if self._buffer:
-                        # Auto-flush: a partial batch may only be
-                        # *delayed*, never parked indefinitely.
-                        age = _time.monotonic() - max(
-                            self._buffer_since, idle_since
+                # Pop exactly the items sent; a rebind or mark_lost in
+                # the meantime has already emptied the outbox.
+                for item in sent:
+                    if self._outbox and self._outbox[0] is item:
+                        self._outbox.popleft()
+                if not self._outbox:
+                    self._sending = False
+                    # The flush deadline runs while the wire is free.  Time
+                    # spent shipping, or waiting for a thread, is not held
+                    # against the buffer: those calls could not have left
+                    # any sooner, and a caller merely starved of the
+                    # interpreter would otherwise have its aggregates cut
+                    # short at every busy spell.
+                    self._idle_since = _time.monotonic()
+                    if self._buffer and not self._released:
+                        self._arm_flush_locked(
+                            self._idle_since + self.flush_after_s
                         )
-                        if age >= self.flush_after_s:
-                            self._flush_locked()
-                            continue
-                        self._outbox_cv.wait(self.flush_after_s - age)
-                    else:
-                        self._outbox_cv.wait()
-                if not self._outbox and self._released:
+                    self._outbox_cv.notify_all()
                     return
                 run = self._take_run_locked()
                 self._unsent_calls -= sum(len(item[1]) for item in run)
@@ -611,7 +695,7 @@ class RemoteGrain:
             try:
                 # Re-activate the post-time trace context so the enqueue
                 # rpc (and the remote io span behind it) chains to the
-                # caller's span rather than to this sender thread.
+                # caller's span rather than to the executor thread.
                 with activate(run[0][2]):
                     calls = self._send_run(run)
             except BaseException as exc:  # noqa: BLE001 - surfaced on next use
@@ -620,6 +704,7 @@ class RemoteGrain:
                         self.sheds += 1
                     self._sender_error = exc
                     self._clear_outbox_locked()
+                sent = []
                 continue
             nbytes = getattr(self.impl, "_parc_last_wire_bytes", 0)
             method = run[0][0]
@@ -634,14 +719,30 @@ class RemoteGrain:
                         logger.exception(
                             "wire observer of grain %d failed", self.grain_id
                         )
-            with self._outbox_cv:
-                # Pop exactly the items sent; a rebind or mark_lost in
-                # the meantime has already emptied the outbox.
-                for item in run:
-                    if self._outbox and self._outbox[0] is item:
-                        self._outbox.popleft()
-                if not self._outbox:
-                    self._outbox_cv.notify_all()
+            sent = run
+
+    def _arm_flush_locked(self, deadline: float) -> None:
+        if not self._flush_armed:
+            self._flush_armed = True
+            _flush_clock.arm(deadline, self)
+
+    def _flush_due(self) -> None:
+        """The flush clock's call at this grain's deadline.
+
+        Auto-flush: a partial batch may only be *delayed*, never parked
+        indefinitely.  The buffer ships once it has waited
+        ``flush_after_s`` behind a free wire; a send run in flight arms
+        the next deadline itself when it ends.
+        """
+        with self._lock:
+            self._flush_armed = False
+            if self._released or self._sending or not self._buffer:
+                return
+            due = max(self._buffer_since, self._idle_since) + self.flush_after_s
+            if _time.monotonic() >= due:
+                self._flush_locked()
+            else:
+                self._arm_flush_locked(due)
 
     def _take_run_locked(self) -> list:
         """The outbox prefix the next request carries (left in place).
@@ -750,6 +851,11 @@ class RemoteGrain:
         try:
             tuning = tuner.decide_method(self.tuner_class or "", method)
         except Exception:  # noqa: BLE001 - tuning must never break posts
+            self.retune_errors += 1
+            if self.retune_errors == 1:
+                logger.exception(
+                    "autotuner of grain %d failed", self.grain_id
+                )
             return
         if tuning is None:
             return

@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import logging
 import threading
 import weakref
 from typing import Any, Iterator
@@ -53,6 +54,8 @@ from repro.remoting.objref import ObjRef, current_host
 # — a module-level import here would be circular when a worker process's
 # first import is a repro.cluster module.
 
+logger = logging.getLogger("repro.core")
+
 if False:  # pragma: no cover - static typing aid only
     from repro.cluster.cluster import Cluster  # noqa: F401
     from repro.cluster.node import Node  # noqa: F401
@@ -73,6 +76,7 @@ class ParcRuntime:
         # call) — funnels into _handle_node_down.
         self._grains: "weakref.WeakSet[RemoteGrain]" = weakref.WeakSet()
         self._respawn_lock = threading.Lock()
+        self._quiesce_errors = 0  # parc.errors.quiesce
         for node in getattr(cluster, "nodes", []):
             node.om.on_node_down(self._handle_node_down)
         # Live migration: when the scheduler moves a grain, repoint the
@@ -383,12 +387,13 @@ class ParcRuntime:
         """Deliver every tracked grain's buffered/posted calls.
 
         Flushes each adopted grain's aggregation buffer and waits until
-        its sender thread has shipped everything (each call is in its
-        IO's mailbox).  This covers POs held *inside* grain instances —
+        its send runs have shipped everything (each call is in its IO's
+        mailbox).  This covers POs held *inside* grain instances —
         decoded references are adopted too — so barriers like
         :meth:`repro.core.patterns.Pipeline.drain` can close the window
         where a forwarded call sits in an invisible outbox.  Best-effort:
-        a grain mid-teardown or already lost is skipped.
+        a grain that fails (mid-teardown, lost, a failed send) is
+        skipped, counted as ``parc.errors.quiesce`` and logged once.
         """
         for grain in list(self._grains):
             sync = getattr(grain, "sync_outbox", None)
@@ -397,7 +402,12 @@ class ParcRuntime:
             try:
                 sync()
             except Exception:  # noqa: BLE001 - barrier is best-effort
-                continue
+                self._quiesce_errors += 1
+                if self._quiesce_errors == 1:
+                    logger.exception(
+                        "quiescing the outbox of grain %d failed",
+                        grain.grain_id,
+                    )
 
     def objref_for_impl(self, impl: ImplementationObject) -> ObjRef:
         from repro.cluster.node import Node
@@ -493,6 +503,16 @@ class ParcRuntime:
             "type": "counter",
             "value": sum(getattr(g, "observer_errors", 0) for g in grains),
             "help": "PO wire-observer calls that raised",
+        }
+        merged["parc.errors.retune"] = {
+            "type": "counter",
+            "value": sum(getattr(g, "retune_errors", 0) for g in grains),
+            "help": "PO autotuner consultations that raised",
+        }
+        merged["parc.errors.quiesce"] = {
+            "type": "counter",
+            "value": self._quiesce_errors,
+            "help": "grains whose outbox a quiesce barrier skipped",
         }
         return {"nodes": nodes, "cluster": merged}
 

@@ -9,8 +9,8 @@ and a response without the flag simply carries no grant.
 
 Client side, one :class:`CreditGate` per authority bounds in-flight
 requests to the most recent grant.  A full gate makes the sender *stall*
-(the PO's sender thread blocks inside the channel, so aggregation
-buffers absorb the wait); a stall longer than the budget becomes a typed
+(the PO's send run blocks inside the channel on its executor thread, so
+aggregation buffers absorb the wait); a stall longer than the budget becomes a typed
 :class:`~repro.errors.OverloadError` — which is a
 :class:`~repro.errors.ChannelError`, so a wrapping circuit breaker
 counts sustained shedding as failures and eventually quarantines the

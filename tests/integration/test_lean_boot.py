@@ -170,6 +170,28 @@ class TestForkServer:
                 for probe in probes:
                     probe.parc_release()
 
+    def test_sessions_leave_no_thread_behind(self):
+        # A worker's command pipe starts no thread in the driver, and
+        # every thread a session starts is gone once it shuts down.
+        counts = run_python(
+            "import json, threading\n"
+            "import repro.core as parc\n"
+            f"from {THIS_MODULE} import Probe, worker_config\n"
+            "counts = []\n"
+            "for _session in range(3):\n"
+            "    before = threading.active_count()\n"
+            "    with parc.session(worker_config(2)):\n"
+            "        probes = [parc.new(Probe) for _ in range(3)]\n"
+            "        for probe in probes:\n"
+            "            probe.post(2)\n"
+            "        assert [probe.posted() for probe in probes] == [2] * 3\n"
+            "        for probe in probes:\n"
+            "            probe.parc_release()\n"
+            "    counts.append([before, threading.active_count()])\n"
+            "print(json.dumps(counts))\n"
+        )
+        assert [after - before for before, after in counts] == [0, 0, 0]
+
     def test_unimportable_module_fails_the_boot_with_its_own_error(self):
         with pytest.raises(
             ScooppError,

@@ -393,6 +393,68 @@ class TestRemoteGrainLifecycle:
             pytest.fail("sender error never surfaced")
 
 
+class FailingTuner:
+    def decide_method(self, class_name, method):
+        raise RuntimeError("controller state corrupt")
+
+
+class RefusingImpl:
+    """An IO proxy whose every asynchronous send fails."""
+
+    def enqueue(self, *args):
+        raise ValueError("refused")
+
+    def dispose(self):
+        return None
+
+
+class TestFailuresCount:
+    def test_failing_tuner_is_counted_and_logged_once(
+        self, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(RemoteGrain, "RETUNE_PERIOD_S", 0.0)
+        sink = Sink()
+        grain = RemoteGrain(ImplementationObject(sink, "test.Sink"), max_calls=1)
+        grain.tuner = FailingTuner()
+        try:
+            with caplog.at_level("ERROR", logger="repro.core"):
+                for value in range(3):
+                    grain.post("push", (value,), {})
+                grain.drain()
+        finally:
+            grain.dispose()
+        # The posts went through on the grain's own policy.
+        assert sink.snapshot() == [("push", value) for value in range(3)]
+        assert grain.retune_errors == 3
+        logged = [r for r in caplog.records if "autotuner" in r.getMessage()]
+        assert len(logged) == 1
+
+    def test_snapshot_merges_retune_and_quiesce_errors(
+        self, plain_runtime, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(RemoteGrain, "RETUNE_PERIOD_S", 0.0)
+        tuned = RemoteGrain(
+            ImplementationObject(Sink(), "test.Sink"), max_calls=1
+        )
+        tuned.tuner = FailingTuner()
+        refused = RemoteGrain(RefusingImpl(), max_calls=1)
+        try:
+            plain_runtime.adopt_grain(tuned)
+            plain_runtime.adopt_grain(refused)
+            tuned.post("push", (1,), {})
+            refused.post("push", (1,), {})
+            with caplog.at_level("ERROR", logger="repro.core"):
+                plain_runtime.quiesce_outboxes()  # refused's send failed
+            merged = plain_runtime.metrics_snapshot()["cluster"]
+            assert merged["parc.errors.retune"]["value"] == 1
+            assert merged["parc.errors.quiesce"]["value"] == 1
+            logged = [r for r in caplog.records if "quiescing" in r.getMessage()]
+            assert len(logged) == 1
+        finally:
+            tuned.dispose()
+            refused.dispose()
+
+
 @parallel(
     name="test.proxy.Tally",
     async_methods=["bump"],

@@ -30,7 +30,7 @@ EXPECTED = {
     "channels/tcp.py": 3,
     "core/naming.py": 1,
     "core/patterns.py": 2,
-    "core/runtime.py": 2,
+    "core/runtime.py": 1,
     "flow/credit.py": 1,
     "nio/channels.py": 2,
     "serialization/registry.py": 1,
