@@ -9,7 +9,7 @@ integration test or demo speaks:
     controller.kill_after(1.0, node.base_uri)        # node 2 dies at t=1s
     controller.drop_for(0.5, rate=0.3)               # 30% drop window
     ...
-    controller.close()                               # cancel timers
+    controller.close()                               # cancel scripted actions
 
 One controller is shared by every :class:`~repro.chaos.FaultyChannel` of
 a cluster, so a kill verdict applies no matter which node's channel
@@ -23,8 +23,10 @@ import random
 import threading
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.chaos.faults import FaultDecision, FaultKind
+from repro.executor import TimerCall, executor, timer
 
 
 def strip_scheme(authority_or_uri: str) -> str:
@@ -49,8 +51,8 @@ class ChaosController:
     """Scripted, time-targeted fault injection shared across channels.
 
     Thread-safe; scripted actions scheduled with :meth:`at` /
-    :meth:`kill_after` run on daemon timer threads and must be cancelled
-    with :meth:`close` when the scenario ends.
+    :meth:`kill_after` are armed on the process timer, and the pending
+    ones must be cancelled with :meth:`close` when the scenario ends.
     """
 
     def __init__(
@@ -63,7 +65,7 @@ class ChaosController:
         self._clock = clock
         self._killed: set[str] = set()
         self._windows: list[_Window] = []
-        self._timers: list[threading.Timer] = []
+        self._timers: set[TimerCall] = set()  # armed, not yet fired
         self._closed = False
 
     # -- verdicts ----------------------------------------------------------
@@ -106,23 +108,35 @@ class ChaosController:
 
     # -- scripting ---------------------------------------------------------
 
-    def at(self, delay_s: float, action, *args) -> threading.Timer:  # type: ignore[no-untyped-def]
-        """Run *action(args)* after *delay_s* (daemon timer, see close)."""
-        timer = threading.Timer(delay_s, action, args=args)
-        timer.daemon = True
+    def at(self, delay_s: float, action, *args) -> TimerCall:  # type: ignore[no-untyped-def]
+        """Run *action(args)* on the process executor after *delay_s*."""
+        return self._script(
+            delay_s, lambda: executor().submit(lambda: action(*args))
+        )
+
+    def kill_after(self, delay_s: float, authority_or_uri: str) -> TimerCall:
+        """Scenario verb: "kill node X at t=delay_s"."""
+        return self._script(delay_s, lambda: self.kill(authority_or_uri))
+
+    def revive_after(self, delay_s: float, authority_or_uri: str) -> TimerCall:
+        return self._script(delay_s, lambda: self.revive(authority_or_uri))
+
+    def _script(self, delay_s: float, fire: Callable[[], None]) -> TimerCall:
+        # *fire* runs on the timer thread, so it must not block: kill and
+        # revive take only our lock; any other action goes to the executor.
+        def due() -> None:
+            with self._lock:
+                if self._closed:
+                    return
+                self._timers.discard(call)
+            fire()
+
         with self._lock:
             if self._closed:
                 raise RuntimeError("controller is closed")
-            self._timers.append(timer)
-        timer.start()
-        return timer
-
-    def kill_after(self, delay_s: float, authority_or_uri: str) -> threading.Timer:
-        """Scenario verb: "kill node X at t=delay_s"."""
-        return self.at(delay_s, self.kill, authority_or_uri)
-
-    def revive_after(self, delay_s: float, authority_or_uri: str) -> threading.Timer:
-        return self.at(delay_s, self.revive, authority_or_uri)
+            call = timer().call_later(delay_s, due)
+            self._timers.add(call)
+        return call
 
     # -- the channel-facing surface ---------------------------------------
 
@@ -149,9 +163,9 @@ class ChaosController:
         """Cancel pending scripted actions (idempotent)."""
         with self._lock:
             self._closed = True
-            timers, self._timers = self._timers, []
-        for timer in timers:
-            timer.cancel()
+            pending, self._timers = self._timers, set()
+        for call in pending:
+            call.cancel()
 
     def __enter__(self) -> "ChaosController":
         return self

@@ -21,8 +21,8 @@ from repro.cluster.placement import coerce_policy
 from repro.cluster.proc import ProcessNodeHandle, spawn_workers
 from repro.core.config import ParcConfig
 from repro.core.grain import GrainPolicy
-from repro.core.impl import executor
 from repro.errors import ScooppError
+from repro.executor import executor
 from repro.flow import ElasticController, ElasticPolicy
 from repro.sched import PlannedMove, RebalancePlanner, SchedulerConfig
 from repro.telemetry import (
@@ -70,7 +70,8 @@ class Cluster:
 
         ``heartbeat_s``, ``elastic`` and ``scheduler.work_stealing`` are
         the duties of the one :class:`~repro.cluster.control.ControlPlane`
-        (``self.control``); its thread exists only when one is set.
+        (``self.control``); it arms the process timer only when one is
+        set.
         """
         channel_kind = config.channel
         chaos = channel_kind.startswith("chaos+")
@@ -134,7 +135,7 @@ class Cluster:
         run_id = uuid.uuid4().hex[:8]
         self.nodes: list[Node] = []
         # worker_handles and the next worker index are guarded by
-        # _workers_lock: the control thread scales while application
+        # _workers_lock: the control tick scales while application
         # threads read.
         self.worker_handles: list[ProcessNodeHandle] = []
         self._workers_lock = threading.Lock()

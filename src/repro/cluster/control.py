@@ -19,6 +19,7 @@ import logging
 import threading
 from typing import Any, Callable, NamedTuple, Sequence
 
+from repro.executor import executor, timer
 from repro.perfmodel.clock import Clock, WallClock
 
 _log = logging.getLogger("repro.cluster")
@@ -125,38 +126,46 @@ class ControlPlane:
             self._duties.append(
                 _Duty("rebalance", interval_s, self._rebalance, now)
             )
-        self._tick_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        self._tick_lock = threading.RLock()  # also guards _next
+        self._next = None  # the timer call of the next tick, while started
 
     # -- the loop ----------------------------------------------------------
 
     def start(self) -> None:
-        """Run :meth:`tick` on the ``parc-control`` daemon thread.
+        """Run :meth:`tick` at each next due time, on the process executor.
 
-        A no-op without duties: a cluster that configures none runs no
-        control thread at all.
+        The process timer wakes the plane and the tick runs as an
+        executor run; the plane re-arms when it ends, so one tick at a
+        time is in flight.  A no-op without duties.
         """
-        if not self._duties or self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self._run, name="parc-control", daemon=True
-        )
-        self._thread.start()
+        with self._tick_lock:
+            if self._duties and self._next is None:
+                self._arm_locked()
 
     def stop(self) -> None:
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            # A tick blocked on a dying peer can hold the thread; it is a
-            # daemon, so a bounded join is enough.
-            thread.join(timeout=10.0)
+        """Cancel the next tick; wait (at most 10 s) for one in flight."""
+        # A tick blocked on a dying peer can hold the lock; the bounded
+        # wait keeps teardown from hanging on it.
+        locked = self._tick_lock.acquire(timeout=10.0)
+        call, self._next = self._next, None
+        if locked:
+            self._tick_lock.release()
+        if call is not None:
+            call.cancel()
+
+    def _arm_locked(self) -> None:
+        delay = max(0.0, min(d.due for d in self._duties) - self.clock.now())
+        # The timer thread must not block: it only hands the tick over.
+        self._next = timer().call_later(
+            delay, lambda: executor().submit(self._run, attach=True)
+        )
 
     def _run(self) -> None:
-        while not self._stop.wait(
-            max(0.0, min(d.due for d in self._duties) - self.clock.now())
-        ):
-            self.tick()
+        with self._tick_lock:
+            if self._next is not None:  # not stopped since the timer fired
+                self.tick()
+            if self._next is not None:
+                self._arm_locked()
 
     def tick(self) -> None:
         """Run every duty that is due, on one shared observation.

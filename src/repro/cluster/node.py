@@ -29,6 +29,7 @@ from repro.errors import (
     RemotingError,
     ScooppError,
 )
+from repro.executor import executor
 from repro.remoting import MarshalByRefObject, RemotingHost
 from repro.remoting.proxy import RemoteProxy
 from repro.sched.engine import NodeScheduler
@@ -235,9 +236,9 @@ class ObjectManager(MarshalByRefObject):
         """Record *base_uri* as unreachable (excluded from placement).
 
         On the alive→dead *transition* (not steady state) this emits the
-        ``cluster.node_down`` counter and invokes registered listeners on
-        a detached thread — listeners respawn grains, which places new
-        IOs, which may re-enter this manager.
+        ``cluster.node_down`` counter and invokes registered listeners in
+        a detached executor run — listeners respawn grains, which places
+        new IOs, which may re-enter this manager.
         """
         with self._lock:
             transition = base_uri not in self._dead
@@ -288,10 +289,7 @@ class ObjectManager(MarshalByRefObject):
 
         # Detached: note_dead fires on placement/probe hot paths and a
         # listener may call back into placement (grain respawn).
-        thread = threading.Thread(
-            target=run, name="parc-liveness-event", daemon=True
-        )
-        thread.start()
+        executor().submit(run, attach=True)
 
     def observe(self) -> list[Observed]:
         """Fetch one fresh row per directory entry (our own directly).

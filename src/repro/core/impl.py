@@ -8,11 +8,10 @@ asynchronous invocations safe without user locking.
 
 The thread of control is *logical*.  A mailbox owns no OS thread; when
 work arrives it schedules one *run* on the process's executor
-(:class:`_Executor`), and the run executes entries until the mailbox is
-empty.  Every grain of the process is multiplexed onto that one pool,
-which starts a thread whenever a run finds none idle (so a grain blocked
-in user code or a nested call never holds up another) and sheds idle
-threads once it holds more than there are live mailboxes.
+(:func:`repro.executor.executor`), and the run executes entries until
+the mailbox is empty.  Every grain of the process is multiplexed onto
+that one pool, so a grain blocked in user code or a nested call never
+holds up another.
 
 In ParC++ this role needed an explicit server object (SO) with a message
 loop; in ParC#/here "the C# remoting [the remoting host] implements this
@@ -32,7 +31,6 @@ import contextlib
 import contextvars
 import functools
 import logging
-import os
 import threading
 import time
 import traceback
@@ -41,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.errors import OverloadError, ScooppError
+from repro.executor import executor
 from repro.remoting import MarshalByRefObject
 from repro.remoting.messages import ReturnBatch
 from repro.serialization.codec import pack_result_column, unpack_columns
@@ -120,155 +119,6 @@ class _Aggregate:
 #: A mailbox entry: an asynchronous aggregate, or the task list of a
 #: synchronous call / ``invoke_batch`` whose callers wait on the events.
 _Entry = _Aggregate | list[_Task]
-
-
-class _Executor:
-    """The process's pool of threads for mailbox runs and one-way calls.
-
-    Sized by demand, with no cap and no idle timeout:
-
-    * queued work never waits for a thread to free up — a grain blocked
-      in user code or in a nested synchronous call holds up no other
-      grain: while more runs wait than threads are idle, a thread is
-      being started.  One at a time: a submit that finds no idle thread
-      starts one unless a start is under way, and a thread that takes a
-      run while more wait than threads are idle starts the next before
-      it runs.  Under the GIL a busy thread is usually one waiting for
-      the interpreter, not one that is blocked, so starting a thread
-      per waiting run would grow the pool to every burst a poster
-      makes;
-    * clients :meth:`attach` (a live mailbox; a one-way call while it
-      runs) and :meth:`detach`; a thread with no work exits once the
-      pool holds more threads than there are attached clients.
-
-    A mailbox has at most one run in flight, so the threads track the
-    grains that are running or blocked at once, and never outnumber the
-    live grains for long.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._exited = threading.Condition(self._lock)
-        self._runs: deque = deque()  # (callable, attached) not yet taken
-        self._threads = 0
-        self._starting = False  # a thread is started but not serving yet
-        self._idle = 0  # threads parked in _work.wait()
-        self._attached = 0
-        self._detaching = 0  # detach() calls waiting for idle threads
-        self._leaving: list = []  # exited threads those calls will join
-
-    def attach(self) -> None:
-        with self._lock:
-            self._attached += 1
-
-    def detach(self) -> None:
-        """Drop one client; wait until the idle threads it left over exit.
-
-        Only *idle* surplus threads are waited for: a busy one exits by
-        itself when its work is done, and may be the caller's own.
-        """
-        with self._lock:
-            self._attached -= 1
-            if not (self._idle and self._threads > self._attached):
-                return
-            self._detaching += 1
-            while self._idle and self._threads > self._attached:
-                # Wake the surplus only: waking every idle thread on each
-                # detach made releasing n grains cost O(n^2) wake-ups.
-                self._work.notify(self._threads - self._attached)
-                self._exited.wait()
-            self._detaching -= 1
-            leaving, self._leaving = self._leaving, []
-        me = threading.current_thread()
-        for thread in leaving:
-            if thread is not me:
-                thread.join()
-
-    def submit(self, run: Callable[[], None], attach: bool = False) -> None:
-        """Run *run* on a pool thread; *attach* it as a client until done."""
-        with self._lock:
-            if attach:
-                self._attached += 1
-            self._runs.append((run, attach))
-            # Parked threads outnumbering the runs not yet taken means
-            # one of them is free for this run.
-            if self._idle >= len(self._runs):
-                self._work.notify()
-                return
-            if self._starting:
-                return  # the thread on its way starts the next one
-            self._starting = True
-            self._threads += 1
-        self._start_thread()
-
-    def _start_thread(self) -> None:
-        threading.Thread(
-            target=self._serve, name="parc-exec", daemon=True
-        ).start()
-
-    def load(self) -> tuple[int, int]:
-        """(runs submitted but not yet taken by a thread, threads)."""
-        with self._lock:
-            return len(self._runs), self._threads
-
-    def _serve(self) -> None:
-        with self._lock:
-            self._starting = False
-            while True:
-                if self._runs:
-                    run, attached = self._runs.popleft()
-                    more = self._idle < len(self._runs) and not self._starting
-                    if more:
-                        self._starting = True
-                        self._threads += 1
-                    self._lock.release()
-                    try:
-                        if more:
-                            self._start_thread()
-                        run()
-                    except Exception:  # noqa: BLE001 - the thread outlives its work
-                        logger.exception("executor run %r failed", run)
-                    finally:
-                        self._lock.acquire()
-                    if attached:
-                        self._attached -= 1
-                    continue
-                if self._threads > self._attached:
-                    self._threads -= 1
-                    if self._detaching:
-                        self._leaving.append(threading.current_thread())
-                        self._exited.notify_all()
-                    return
-                self._idle += 1
-                self._work.wait()
-                self._idle -= 1
-                if self._detaching:
-                    # Taking a run leaves no idle thread to wait for either.
-                    self._exited.notify_all()
-
-
-_executor: _Executor | None = None
-_executor_lock = threading.Lock()
-
-
-def executor() -> _Executor:
-    """The process's executor, created at first use."""
-    global _executor
-    if _executor is None:
-        with _executor_lock:
-            if _executor is None:
-                _executor = _Executor()
-    return _executor
-
-
-def _forget_executor() -> None:
-    global _executor
-    _executor = None
-
-
-# A forked child inherits the executor's counters but none of its threads.
-os.register_at_fork(after_in_child=_forget_executor)
 
 
 class _IOMailbox:

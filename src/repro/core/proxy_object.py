@@ -11,7 +11,7 @@ A PO owns one *grain*:
   remote :class:`~repro.core.impl.ImplementationObject`, plus the PO-side
   grain-size machinery — aggregation buffers (Fig. 7) and an outbox
   whose sends run on the process executor
-  (:func:`repro.core.impl.executor`), so asynchronous calls return
+  (:func:`repro.executor.executor`), so asynchronous calls return
   immediately to the caller while staying in program order on the wire;
 * :class:`LocalGrain` — the agglomerated case (Fig. 5's ``if
   aglomerateObj``): the IO lives in-place and "its subsequent
@@ -25,16 +25,13 @@ per user method — async methods post, sync methods flush-then-call.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
-import os
 import threading
 import time as _time
 from collections import deque
 from typing import Any
 
-from repro.core.impl import executor
 from repro.core.model import MethodKind, ParallelClassInfo, parallel_class_table
 from repro.errors import (
     BatchCallError,
@@ -46,6 +43,7 @@ from repro.errors import (
     RemotingError,
     ScooppError,
 )
+from repro.executor import executor, timer
 from repro.remoting.objref import ObjRef
 from repro.remoting.proxy import RemoteProxy
 from repro.serialization.codec import (
@@ -129,75 +127,13 @@ class LocalGrain:
             on_release()
 
 
-class _FlushClock:
-    """The process's one clock for partial-buffer deadlines.
-
-    A grain arms it (at most once at a time) when a buffer opens behind a
-    free wire; at the deadline the clock calls
-    :meth:`RemoteGrain._flush_due`.  Its one thread, ``parc-flush``,
-    starts at the first deadline armed in the process and sleeps until
-    the earliest one.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
-        self._heap: list = []  # (deadline, seq, grain)
-        self._seq = itertools.count()
-        self._started = False
-
-    def arm(self, deadline: float, grain: RemoteGrain) -> None:
-        with self._lock:
-            heapq.heappush(self._heap, (deadline, next(self._seq), grain))
-            if not self._started:
-                self._started = True
-                threading.Thread(
-                    target=self._run, name="parc-flush", daemon=True
-                ).start()
-            elif self._heap[0][2] is grain:
-                self._wake.notify()
-
-    def _run(self) -> None:
-        with self._lock:
-            while True:
-                if not self._heap:
-                    self._wake.wait()
-                    continue
-                wait = self._heap[0][0] - _time.monotonic()
-                if wait > 0:
-                    self._wake.wait(wait)
-                    continue
-                grain = heapq.heappop(self._heap)[2]
-                self._lock.release()
-                try:
-                    grain._flush_due()
-                except Exception:  # noqa: BLE001 - the clock serves every grain
-                    logger.exception(
-                        "auto-flush of grain %d failed", grain.grain_id
-                    )
-                finally:
-                    self._lock.acquire()
-
-
-_flush_clock = _FlushClock()
-
-
-def _forget_flush_clock() -> None:
-    global _flush_clock
-    _flush_clock = _FlushClock()
-
-
-# A forked child inherits the clock's heap but not its thread.
-os.register_at_fork(after_in_child=_forget_flush_clock)
-
-
 class RemoteGrain:
     """Parallel grain: aggregation buffers + ordered outbox + remote IO.
 
     The grain owns no thread.  Flushed calls queue in its outbox, and at
     most one *send run* at a time ships them from an executor thread, in
     order.  Aggregation is "(delay and) combine" (§3.1): a partial batch
-    is never held indefinitely — the process's flush clock auto-flushes
+    is never held indefinitely — the process timer auto-flushes
     any buffer that has waited *flush_after_s* behind a free wire, so
     asynchronous calls always make progress even when the program stops
     short of ``max_calls``.
@@ -296,7 +232,7 @@ class RemoteGrain:
         self._sending = False
         # When the last send run ended: the flush deadline runs from here.
         self._idle_since = 0.0
-        # This grain has a deadline on the flush clock.
+        # This grain has a deadline on the process timer.
         self._flush_armed = False
         self._sender_error: BaseException | None = None
         self._lost: NodeLostError | None = None
@@ -724,10 +660,10 @@ class RemoteGrain:
     def _arm_flush_locked(self, deadline: float) -> None:
         if not self._flush_armed:
             self._flush_armed = True
-            _flush_clock.arm(deadline, self)
+            timer().call_at(deadline, self._flush_due)
 
     def _flush_due(self) -> None:
-        """The flush clock's call at this grain's deadline.
+        """The process timer's call at this grain's deadline.
 
         Auto-flush: a partial batch may only be *delayed*, never parked
         indefinitely.  The buffer ships once it has waited

@@ -8,48 +8,28 @@ programmed using threads."
 
 A :class:`Delegate` wraps any callable — typically a
 :class:`~repro.remoting.proxy.RemoteMethod` — and ``begin_invoke`` runs it
-on a client-side worker pool, returning an :class:`AsyncResult` whose
-``end_invoke`` joins and yields the value (or re-raises).  This is exactly
-the .Net split: the remote call itself is synchronous on the wire; the
-*client* offloads the wait.
+on the process executor (:func:`repro.executor.executor`), returning an
+:class:`AsyncResult` whose ``end_invoke`` joins and yields the value (or
+re-raises).  This is exactly the .Net split: the remote call itself is
+synchronous on the wire; the *client* offloads the wait.
+
+The paper blames part of ParC#'s slowdown on Mono's *too small* thread
+pool (§4): "limiting the number of running threads ... produces
+starvation".  Delegate invocations mostly block on the network, and one
+may wait on another, so they share the executor that runs every grain of
+the process, which has no cap: a run that finds no idle thread starts
+one, so no invocation waits behind a blocked one.
 """
 
 from __future__ import annotations
 
 import contextvars
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Any, Callable
 
 from repro.errors import RemotingError
-
-_pool_lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
-
-#: Size of the shared client-side delegate pool.  Deliberately generous:
-#: delegate threads mostly block on the network, and the paper blames part
-#: of ParC#'s slowdown on Mono's *too small* pool (§4).
-DELEGATE_POOL_SIZE = 32
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max_workers=DELEGATE_POOL_SIZE,
-                thread_name_prefix="parc-delegate",
-            )
-        return _pool
-
-
-def shutdown_delegate_pool() -> None:
-    """Tear the shared pool down (tests / interpreter exit); recreated lazily."""
-    global _pool
-    with _pool_lock:
-        pool, _pool = _pool, None
-    if pool is not None:
-        pool.shutdown(wait=True)
+from repro.executor import executor
 
 
 class AsyncResult:
@@ -95,15 +75,10 @@ class Delegate:
         remote_del.end_invoke(rem_ar)      # if the value is needed
     """
 
-    def __init__(
-        self,
-        target: Callable[..., Any],
-        pool: ThreadPoolExecutor | None = None,
-    ) -> None:
+    def __init__(self, target: Callable[..., Any]) -> None:
         if not callable(target):
             raise RemotingError(f"delegate target {target!r} is not callable")
         self.target = target
-        self._pool = pool
 
     def invoke(self, *args: Any, **kwargs: Any) -> Any:
         """Synchronous invocation (the plain ``Invoke``)."""
@@ -124,12 +99,21 @@ class Delegate:
         with the AsyncResult (the .Net AsyncCallback convention); *state*
         is stored on the result as ``async_state``.
         """
-        pool = self._pool if self._pool is not None else _shared_pool()
         # Run under a copy of the caller's context: the active trace
-        # context (and node tracer) follow the call onto the pool thread,
-        # so spans made by the background invocation chain to the caller.
+        # context (and node tracer) follow the call onto the executor
+        # thread, so spans made by the background invocation chain to
+        # the caller.
         ctx = contextvars.copy_context()
-        future = pool.submit(ctx.run, self.target, *args, **kwargs)
+        future: Future = Future()
+
+        def run() -> None:
+            future.set_running_or_notify_cancel()
+            try:
+                future.set_result(ctx.run(self.target, *args, **kwargs))
+            except Exception as exc:  # noqa: BLE001 - end_invoke re-raises it
+                future.set_exception(exc)
+
+        executor().submit(run, attach=True)
         async_result = AsyncResult(future, async_state=state)
         if callback is not None:
             future.add_done_callback(lambda _f: callback(async_result))

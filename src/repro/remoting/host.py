@@ -38,6 +38,7 @@ from repro.errors import (
     RemotingError,
     UnknownObjectError,
 )
+from repro.executor import executor, timer
 from repro.flow import CreditGrantor
 from repro.perfmodel.clock import Clock, WallClock
 from repro.remoting.lifetime import DEFAULT_TTL_SECONDS, LeaseManager
@@ -80,16 +81,6 @@ class _Entry:
 ACTIVATION_PATH = "__activation__"
 
 logger = logging.getLogger("repro.remoting")
-
-
-def _executor():  # type: ignore[no-untyped-def]
-    """The process's executor, which one-way dispatches share with grains.
-
-    Imported at use: :mod:`repro.core.impl` imports this package.
-    """
-    from repro.core.impl import executor
-
-    return executor()
 
 
 class ActivationService(MarshalByRefObject):
@@ -151,6 +142,8 @@ class RemotingHost:
         self.credit_grantor = CreditGrantor()
         self.credit_grantor.add_source(self._dispatch_pressure)
         self._closed = False
+        self._sweep = None  # the lease sweep armed on the process timer
+        self._sweep_failed = False
         self._activated_types: dict[str, type] = {}
         # Schemes bound with advertise=False: served, but kept out of
         # published URIs (e.g. the same-node shm backplane, which peers
@@ -329,42 +322,38 @@ class RemotingHost:
         """Collect expired leases periodically in the background.
 
         The .Net lease manager runs a poll thread with a default 10 s
-        period; this is its analog.  Idempotent; the sweeper stops when
-        the host closes.
+        period; this is its analog, a sweep every *interval_s* on the
+        process timer.  Idempotent; :meth:`close` cancels the sweep.
         """
         if interval_s <= 0:
             raise RemotingError("sweeper interval must be positive")
         with self._lock:
             if self._closed:
                 raise RemotingError("host is closed")
-            if getattr(self, "_sweeper_stop", None) is not None:
-                return
-            stop = self._sweeper_stop = threading.Event()
+            if self._sweep is None:
+                self._arm_sweep_locked(interval_s)
 
-        def sweep() -> None:
-            failed = False
-            while not stop.wait(interval_s):
-                try:
-                    self.collect_expired()
-                except Exception:  # noqa: BLE001 - sweeper must survive
-                    telemetry = self.telemetry
-                    if telemetry is not None:
-                        telemetry.metrics.counter(
-                            "parc.errors.lease_sweep",
-                            "lease sweeps that raised",
-                        ).inc()
-                    if not failed:
-                        failed = True
-                        logger.exception(
-                            "lease sweep of host %s failed", self.host_id
-                        )
-
-        self._sweeper_thread = threading.Thread(
-            target=sweep,
-            name=f"parc-lease-sweeper-{self.host_id}",
-            daemon=True,
+    def _arm_sweep_locked(self, interval_s: float) -> None:
+        self._sweep = timer().call_later(
+            interval_s, functools.partial(self._sweep_due, interval_s)
         )
-        self._sweeper_thread.start()
+
+    def _sweep_due(self, interval_s: float) -> None:
+        # On the timer thread: collect_expired only takes short locks.
+        try:
+            self.collect_expired()
+        except Exception:  # noqa: BLE001 - the sweep must survive
+            telemetry = self.telemetry
+            if telemetry is not None:
+                telemetry.metrics.counter(
+                    "parc.errors.lease_sweep", "lease sweeps that raised"
+                ).inc()
+            if not self._sweep_failed:
+                self._sweep_failed = True
+                logger.exception("lease sweep of host %s failed", self.host_id)
+        with self._lock:
+            if not self._closed:
+                self._arm_sweep_locked(interval_s)
 
     def published_paths(self) -> list[str]:
         with self._lock:
@@ -455,7 +444,7 @@ class RemotingHost:
                     # copy_context() carries the trace context (and node
                     # tracer) onto the executor thread that runs the call.
                     dispatch_ctx = contextvars.copy_context()
-                    _executor().submit(
+                    executor().submit(
                         functools.partial(
                             dispatch_ctx.run, self._run_call_silently, message
                         ),
@@ -487,7 +476,7 @@ class RemotingHost:
         work arrives, and peers should be throttled toward the minimum
         grant.
         """
-        backlog, threads = _executor().load()
+        backlog, threads = executor().load()
         return backlog / float(4 * max(1, threads))
 
     def _run_call(self, message: CallMessage) -> ReturnMessage:
@@ -595,9 +584,10 @@ class RemotingHost:
             self._closed = True
             bindings = list(self._bindings.values())
             self._bindings.clear()
-            sweeper_stop = getattr(self, "_sweeper_stop", None)
-        if sweeper_stop is not None:
-            sweeper_stop.set()
+            sweep = self._sweep
+        if sweep is not None:
+            # Waits out a sweep in flight: none runs once close returns.
+            sweep.cancel()
         for binding in bindings:
             binding.close()
 

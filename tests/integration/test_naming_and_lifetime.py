@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import time
+import threading
 
 import pytest
 
@@ -12,6 +12,7 @@ from repro.channels.services import ChannelServices
 from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.core.depgraph import MAIN
 from repro.errors import RemotingError, ScooppError
+from repro.executor import timer
 from repro.perfmodel import VirtualClock
 from repro.remoting import MarshalByRefObject, RemotingHost
 
@@ -145,15 +146,57 @@ class TestLeaseSweeper:
             ephemeral = Ephemeral()
             host.objref_for(ephemeral)  # implicit publish, finite lease
             path = ephemeral._parc_path
+            swept = threading.Event()
+            collect_expired = host.collect_expired
+
+            def collect_and_signal():
+                expired = collect_expired()
+                swept.set()
+                return expired
+
+            host.collect_expired = collect_and_signal
+            clock.advance(10_000.0)  # lease long expired in virtual time
             host.start_lease_sweeper(interval_s=0.02)
             host.start_lease_sweeper(interval_s=0.02)  # idempotent
-            clock.advance(10_000.0)  # lease long expired in virtual time
-            deadline = time.time() + 5
-            while path in host.published_paths() and time.time() < deadline:
-                time.sleep(0.01)
+            assert swept.wait(5)
             assert path not in host.published_paths()
         finally:
             host.close()
+
+    def test_no_sweep_runs_after_close_returns(self):
+        host = RemotingHost(name="sweep-close", services=ChannelServices())
+        log = []
+        entered, leave = threading.Event(), threading.Event()
+
+        def collect_expired():
+            log.append("sweep")
+            entered.set()
+            leave.wait(10)
+            log.append("swept")
+            return []
+
+        host.collect_expired = collect_expired
+        host.start_lease_sweeper(interval_s=0.01)
+        assert entered.wait(5)
+
+        def close():
+            host.close()
+            log.append("closed")
+
+        closer = threading.Thread(target=close)
+        closer.start()
+        # Long enough for a close() that does not wait out the sweep in
+        # flight to return before the sweep ends.
+        closer.join(0.2)
+        leave.set()
+        closer.join(10)
+        assert not closer.is_alive()
+        # Callbacks run in deadline order: once this one has run, any
+        # sweep the closed host still had armed would have run too.
+        later = threading.Event()
+        timer().call_later(0.05, later.set)
+        assert later.wait(5)
+        assert log == ["sweep", "swept", "closed"]
 
     def test_sweeper_validation(self):
         services = ChannelServices()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.channels import LoopbackChannel
@@ -26,6 +28,7 @@ from repro.errors import (
     CircuitOpenError,
     FaultInjectedError,
 )
+from repro.executor import timer
 from repro.telemetry import MetricsRegistry
 
 
@@ -139,6 +142,19 @@ class TestChaosController:
         controller.kill_after(0.01, "n:1")
         assert fired.wait(2.0)
         assert controller.is_killed("n:1")
+        controller.close()
+
+    def test_fired_actions_are_not_retained(self):
+        controller = ChaosController()
+        for index in range(50):
+            controller.kill_after(0.0, f"n:{index}")
+        # Callbacks run in deadline order, ties in arm order: once this
+        # one has run, every kill armed before it has fired.
+        fired = threading.Event()
+        timer().call_later(0.0, fired.set)
+        assert fired.wait(5)
+        assert len(controller.killed_authorities()) == 50
+        assert not controller._timers
         controller.close()
 
     def test_close_cancels_timers(self):

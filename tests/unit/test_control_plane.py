@@ -34,6 +34,7 @@ import threading
 import pytest
 
 import repro.core as parc
+from repro.chaos import ChaosController
 from repro.cluster.control import ELASTIC_INTERVAL_S, ControlPlane, ErrorCounter
 from repro.cluster.node import REPORT_TOP_GRAINS, ObjectManager
 from repro.cluster.placement import make_placement
@@ -41,6 +42,7 @@ from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.errors import ChannelError
 from repro.flow import ElasticController, ElasticPolicy
 from repro.perfmodel.clock import VirtualClock
+from repro.remoting import Delegate
 from repro.sched import RebalancePlanner
 from repro.telemetry import MetricsRegistry
 
@@ -481,8 +483,54 @@ class TestThreadCensus:
         )
         with parc.session(config):
             names = [t.name for t in threading.enumerate()]
-        assert names.count("parc-control") == 1
+        assert names.count("parc-timer") == 1
+        assert "parc-control" not in names
         assert not [n for n in names if n.startswith(self.OLD)]
+
+    def test_every_timer_and_background_call_shares_two_pools(self):
+        """Duties, a lease sweep, a chaos script, a delegate and a liveness
+        listener, all live at once: one ``parc-timer`` thread keeps their
+        time, and what blocks runs on ``parc-exec`` threads."""
+        config = ParcConfig(
+            nodes=2,
+            channel="tcp",
+            worker_processes=1,
+            heartbeat_s=5.0,
+            elastic=(1, 2),
+            scheduler=SchedulerConfig(work_stealing=True),
+        )
+        release = threading.Event()
+        listening = threading.Event()
+
+        def listener(_uri):
+            listening.set()
+            release.wait(10)
+
+        chaos = ChaosController()
+        with parc.session(config) as runtime:
+            home = runtime.cluster.home_node
+            home.host.start_lease_sweeper(interval_s=30.0)
+            chaos.kill_after(30.0, "never:1")
+            pending = Delegate(release.wait).begin_invoke(10)
+            home.om.on_node_down(listener)
+            home.om.note_dead("tcp://127.0.0.1:1")
+            try:
+                assert listening.wait(10)
+                threads = threading.enumerate()
+            finally:
+                release.set()
+                chaos.close()
+            assert pending.result(10) is True
+        names = [t.name for t in threads]
+        assert names.count("parc-timer") == 1
+        gone = (
+            "parc-control",
+            "parc-delegate",
+            "parc-lease-sweeper",
+            "parc-liveness-event",
+        )
+        assert not [n for n in names if n.startswith(gone)]
+        assert not [t for t in threads if isinstance(t, threading.Timer)]
 
     def test_a_default_cluster_runs_no_control_thread(self):
         with parc.session(ParcConfig(nodes=2)):

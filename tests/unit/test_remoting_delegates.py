@@ -102,14 +102,19 @@ class TestConcurrency:
         values = [delegate.end_invoke(result) for result in results]
         assert values == [index * index for index in range(50)]
 
-    def test_custom_pool(self):
-        from concurrent.futures import ThreadPoolExecutor
+    def test_blocked_invocations_all_run_on_the_process_executor(self):
+        # More invocations blocked at once than a 32-thread pool holds:
+        # each still gets a thread (the paper's §4 starvation claim).
+        barrier = threading.Barrier(40, timeout=10)
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            delegate = Delegate(lambda: threading.current_thread().name, pool=pool)
-            first = delegate.end_invoke(delegate.begin_invoke())
-            second = delegate.end_invoke(delegate.begin_invoke())
-            assert first == second  # single worker thread
+        def meet():
+            barrier.wait()
+            return threading.current_thread().name
+
+        delegate = Delegate(meet)
+        results = [delegate.begin_invoke() for _ in range(40)]
+        names = {delegate.end_invoke(result, timeout=20) for result in results}
+        assert names == {"parc-exec"}
 
 
 class TestOneWayDelegate:
