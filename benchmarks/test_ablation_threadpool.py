@@ -8,12 +8,23 @@ also produces starvation in some application threads."
 The farm simulator sweeps the pool cap for the Fig. 9 ray-tracer farm at
 6 processors: an uncapped pool reaches all 6 workers immediately; small
 caps serialize dispatch until thread injection catches up.
+
+The live half runs the real process executor's pool (``_Executor``) at
+its cap.  Runs that wait where the runtime can see it — a nested
+synchronous call, inside ``blocking()`` — all finish promptly; runs
+blocked where it cannot — a user barrier — finish only through the
+starvation check's thread starts, one per ``STARVATION_CHECK_S``: the
+paper's §4 starvation, measured, and its bound.
 """
 
 from __future__ import annotations
 
+import threading
+import time
+
 from repro.benchlib import simulate_farm
 from repro.benchlib.tables import format_table
+from repro.executor import STARVATION_CHECK_S, _Executor
 from repro.perfmodel import MONO_117_TCP
 
 WORKERS = 6
@@ -72,3 +83,92 @@ def test_abl_pool_print_table(benchmark):
             ),
         )
     )
+
+
+# -- live: the real executor at its cap -------------------------------------
+
+#: Runs per live scenario: several times any cap a test host gives.
+LIVE_RUNS = 24
+
+
+def nested_calls(managed: bool) -> tuple[float, dict]:
+    """LIVE_RUNS runs, each waiting for an inner run it submits — a
+    grain's nested synchronous call; inside ``blocking()`` if *managed*.
+    Returns (seconds until all finished, the pool's stats)."""
+    pool = _Executor()
+    finished = threading.Semaphore(0)
+
+    def outer() -> None:
+        replied = threading.Event()
+        pool.submit(replied.set)
+        if managed:
+            with pool.blocking():
+                assert replied.wait(timeout=60.0)
+        else:
+            assert replied.wait(timeout=60.0)
+        finished.release()
+
+    started = time.perf_counter()
+    for _ in range(LIVE_RUNS):
+        pool.submit(outer)
+    for _ in range(LIVE_RUNS):
+        assert finished.acquire(timeout=60.0)
+    return time.perf_counter() - started, pool.stats()
+
+
+def barrier_runs() -> tuple[float, dict]:
+    """LIVE_RUNS runs blocked at one user barrier, which the runtime
+    cannot see.  Returns (seconds until all passed, the pool's stats)."""
+    pool = _Executor()
+    barrier = threading.Barrier(LIVE_RUNS, timeout=60.0)
+    finished = threading.Semaphore(0)
+
+    def meet() -> None:
+        barrier.wait()
+        finished.release()
+
+    started = time.perf_counter()
+    for _ in range(LIVE_RUNS):
+        pool.submit(meet)
+    for _ in range(LIVE_RUNS):
+        assert finished.acquire(timeout=60.0)
+    return time.perf_counter() - started, pool.stats()
+
+
+def test_abl_pool_live_nested_calls_through_blocking_finish_promptly():
+    elapsed, stats = nested_calls(managed=True)
+    print(
+        f"\nABL-POOL live: {LIVE_RUNS} nested sync calls through blocking() "
+        f"at cap {stats['cap']}: {elapsed * 1000:.1f} ms, starvation starts "
+        f"{stats['starvation_starts']}"
+    )
+    assert stats["starvation_starts"] == 0
+    # Well inside what the starvation check alone would take.
+    assert elapsed < (LIVE_RUNS - stats["cap"]) * STARVATION_CHECK_S / 2
+
+
+def test_abl_pool_live_uncompensated_waits_starve_until_the_check():
+    elapsed, stats = nested_calls(managed=False)
+    starts = stats["starvation_starts"]
+    print(
+        f"\nABL-POOL live: {LIVE_RUNS} nested sync calls without blocking() "
+        f"at cap {stats['cap']}: {elapsed * 1000:.1f} ms, starvation starts "
+        f"{starts}"
+    )
+    # Every outer run holds its thread while its inner run queues behind
+    # the other outer runs: only the check's starts get them through.
+    assert starts >= LIVE_RUNS - stats["cap"]
+    assert elapsed >= (LIVE_RUNS - stats["cap"]) * STARVATION_CHECK_S * 0.9
+
+
+def test_abl_pool_live_barrier_finishes_through_starvation_starts():
+    elapsed, stats = barrier_runs()
+    expected = (LIVE_RUNS - stats["cap"]) * STARVATION_CHECK_S
+    print(
+        f"\nABL-POOL live: {LIVE_RUNS} runs at a user barrier, cap "
+        f"{stats['cap']}: {elapsed * 1000:.1f} ms against (N - cap) x "
+        f"interval = {expected * 1000:.0f} ms, starvation starts "
+        f"{stats['starvation_starts']}"
+    )
+    assert stats["starvation_starts"] == LIVE_RUNS - stats["cap"]
+    assert expected * 0.9 <= elapsed <= expected * 3 + 1.0

@@ -11,6 +11,7 @@ small enough to reason about.
 from __future__ import annotations
 
 import abc
+import threading
 from typing import Callable, Mapping
 
 #: Server-side request handler: (path, body, headers) -> response body.
@@ -42,14 +43,25 @@ class Channel(abc.ABC):
     #: URI scheme this channel serves (``tcp``, ``http``, ``loopback``).
     scheme: str
 
-    #: Serialized size of the most recent :meth:`round_trip` request body.
-    #: A best-effort statistic (unsynchronised under concurrent callers) —
-    #: the adaptive grain controller reads it to estimate bytes-per-call;
-    #: it must never be used for correctness.
-    last_request_bytes: int = 0
-
     def __init__(self, formatter) -> None:  # type: ignore[no-untyped-def]
         self.formatter = formatter
+        self._sent = threading.local()
+
+    @property
+    def last_request_bytes(self) -> int:
+        """Serialized size of the last :meth:`round_trip` request the
+        calling thread sent through this channel.
+
+        Per thread, so concurrent callers sharing the channel each read
+        their own request's size.  The adaptive grain controller reads
+        it to estimate bytes-per-call; it must never be used for
+        correctness.
+        """
+        return getattr(self._sent, "nbytes", 0)
+
+    @last_request_bytes.setter
+    def last_request_bytes(self, nbytes: int) -> None:
+        self._sent.nbytes = nbytes
 
     @abc.abstractmethod
     def listen(self, authority: str, handler: RequestHandler) -> ServerBinding:

@@ -10,8 +10,9 @@ The thread of control is *logical*.  A mailbox owns no OS thread; when
 work arrives it schedules one *run* on the process's executor
 (:func:`repro.executor.executor`), and the run executes entries until
 the mailbox is empty.  Every grain of the process is multiplexed onto
-that one pool, so a grain blocked in user code or a nested call never
-holds up another.
+that one pool, whose threads are capped by cores: a run that waits for
+a nested call or a migration pause does so in the executor's
+``blocking()``, so another thread may take the next grain's run.
 
 In ParC++ this role needed an explicit server object (SO) with a message
 loop; in ParC#/here "the C# remoting [the remoting host] implements this
@@ -180,7 +181,8 @@ class _IOMailbox:
             # fate is known: resumed here (abort) or forwarded to its
             # new home (complete).
             while self._migrating:
-                self._resumed.wait()
+                with executor().blocking():
+                    self._resumed.wait()
             if self._migrated:
                 raise MailboxMigratedError("mailbox migrated away")
             if self._stopped:
@@ -270,7 +272,8 @@ class _IOMailbox:
                 or self._scheduled
                 or self._migrating
             ):
-                self._idle.wait()
+                with executor().blocking():
+                    self._idle.wait()
 
     def stop(self) -> None:
         """Refuse new work; what is already queued still runs."""
@@ -312,7 +315,8 @@ class _IOMailbox:
                 raise ScooppError("migration already in progress")
             self._migrating = True
             while self._scheduled or self._inline_claims:
-                self._idle.wait()
+                with executor().blocking():
+                    self._idle.wait()
             entries = list(self._entries)
             self._entries.clear()
             self._queued = 0
@@ -488,7 +492,8 @@ class ImplementationObject(MarshalByRefObject):
         )
         if not self._run_inline([task]):
             self._post(method, [task])
-            task.done.wait()
+            with executor().blocking():
+                task.done.wait()
         if task.error is not None:
             raise task.error
         return task.result
@@ -523,7 +528,8 @@ class ImplementationObject(MarshalByRefObject):
             # executes serially, so the last task finishes last — and
             # every completion path (_execute, forwarding) sets each
             # task's event in order.
-            tasks[-1].done.wait()
+            with executor().blocking():
+                tasks[-1].done.wait()
         results: list = []
         errors: list[tuple] = []
         for index, task in enumerate(tasks):

@@ -592,7 +592,10 @@ class RemoteGrain:
                 and self._sender_error is None
                 and self._lost is None
             ):
-                self._outbox_cv.wait()
+                # Managed blocking, as is the IO's reply wait behind
+                # every sync call, drain and dispose of this grain.
+                with executor().blocking():
+                    self._outbox_cv.wait()
             self._ensure_usable()
 
     def _send_some(self) -> None:
@@ -721,7 +724,7 @@ class RemoteGrain:
         if len(run) == 1:
             method, calls, _ctx = run[0]
             if len(calls) == 1:
-                self.impl.enqueue(method, *calls[0])
+                self._admit("enqueue", method, *calls[0])
             else:
                 self._send_batch(method, calls)
             return len(calls)
@@ -734,8 +737,23 @@ class RemoteGrain:
             else:
                 entries.append((method, len(calls), None, calls))
             total += len(calls)
-        self.impl.enqueue_run(entries)
+        self._admit("enqueue_run", entries)
         return total
+
+    def _admit(self, name: str, *args: Any) -> None:
+        """Call the IO's admission method *name* from a send run.
+
+        A remote IO is reached through the proxy's ``_parc_invoke``, not
+        through a :class:`~repro.remoting.proxy.RemoteMethod`: the
+        admission round trip waits only for the peer's mailbox put, which
+        needs no run of this process, so it stays outside the executor's
+        managed blocking and the send runs stay within its cap.
+        """
+        invoke = getattr(self.impl, "_parc_invoke", None)
+        if invoke is None:
+            getattr(self.impl, name)(*args)
+        else:
+            invoke(name, args, {})
 
     def _send_batch(self, method: str, batch: list) -> None:
         """Ship one aggregate, columnar when the batch shape allows it.
@@ -749,9 +767,9 @@ class RemoteGrain:
         """
         columns = self._columns_for(method, batch)
         if columns is not None:
-            self.impl.enqueue_columns(method, len(batch), columns)
+            self._admit("enqueue_columns", method, len(batch), columns)
         else:
-            self.impl.enqueue_batch(method, batch)
+            self._admit("enqueue_batch", method, batch)
 
     def _columns_for(self, method: str, calls: list) -> list | None:
         """*calls* as argument columns, or None when they travel as rows."""

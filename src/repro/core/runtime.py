@@ -47,6 +47,7 @@ from repro.core.proxy_object import (
     make_parallel_class,
 )
 from repro.errors import NodeLostError, NotRunningError, ScooppError
+from repro.executor import executor
 from repro.remoting.objref import ObjRef, current_host
 
 # NOTE: repro.cluster modules import repro.core (grain, impl, model), so
@@ -55,6 +56,20 @@ from repro.remoting.objref import ObjRef, current_host
 # first import is a repro.cluster module.
 
 logger = logging.getLogger("repro.core")
+
+#: ``metrics_snapshot()``'s executor row: (stats field, type, help).
+_EXECUTOR_ROW = (
+    ("cap", "gauge", "runnable executor threads allowed"),
+    ("threads", "gauge", "executor threads alive"),
+    ("idle", "gauge", "executor threads waiting for a run"),
+    ("waiting", "gauge", "runs waiting for an executor thread"),
+    ("blocked", "gauge", "executor threads inside managed blocking"),
+    (
+        "starvation_starts",
+        "counter",
+        "executor threads the starvation check started",
+    ),
+)
 
 if False:  # pragma: no cover - static typing aid only
     from repro.cluster.cluster import Cluster  # noqa: F401
@@ -514,6 +529,14 @@ class ParcRuntime:
             "value": self._quiesce_errors,
             "help": "grains whose outbox a quiesce barrier skipped",
         }
+        # The executor row: this process's pool, read now.
+        pool = executor().stats()
+        for field, kind, help_text in _EXECUTOR_ROW:
+            merged[f"executor.{field}"] = {
+                "type": kind,
+                "value": pool[field],
+                "help": help_text,
+            }
         return {"nodes": nodes, "cluster": merged}
 
     def placement_report(self) -> dict:

@@ -10,7 +10,9 @@ and a response without the flag simply carries no grant.
 Client side, one :class:`CreditGate` per authority bounds in-flight
 requests to the most recent grant.  A full gate makes the sender *stall*
 (the PO's send run blocks inside the channel on its executor thread, so
-aggregation buffers absorb the wait); a stall longer than the budget becomes a typed
+aggregation buffers absorb the wait; the stall is the executor's managed
+blocking, so the thread leaves the pool's runnable count meanwhile); a
+stall longer than the budget becomes a typed
 :class:`~repro.errors.OverloadError` — which is a
 :class:`~repro.errors.ChannelError`, so a wrapping circuit breaker
 counts sustained shedding as failures and eventually quarantines the
@@ -28,6 +30,7 @@ import time
 from typing import Callable
 
 from repro.errors import OverloadError
+from repro.executor import executor
 
 #: Default in-flight window per peer, both the gate's starting point
 #: (before any grant arrives) and the grantor's unloaded advertisement.
@@ -112,17 +115,19 @@ class CreditGate:
             started = time.monotonic()
             self._waiters += 1
             try:
-                while self._in_flight >= self._window:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        if self._sheds is not None:
-                            self._sheds.inc()
-                        raise OverloadError(
-                            f"no send credit after "
-                            f"{self._stall_timeout_s:.3g}s (window "
-                            f"{self._window}, in flight {self._in_flight})"
-                        )
-                    self._available.wait(remaining)
+                with executor().blocking():
+                    while self._in_flight >= self._window:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            if self._sheds is not None:
+                                self._sheds.inc()
+                            raise OverloadError(
+                                f"no send credit after "
+                                f"{self._stall_timeout_s:.3g}s (window "
+                                f"{self._window}, in flight "
+                                f"{self._in_flight})"
+                            )
+                        self._available.wait(remaining)
             finally:
                 self._waiters -= 1
             self._in_flight += 1

@@ -15,10 +15,15 @@ synchronous on the wire; the *client* offloads the wait.
 
 The paper blames part of ParC#'s slowdown on Mono's *too small* thread
 pool (§4): "limiting the number of running threads ... produces
-starvation".  Delegate invocations mostly block on the network, and one
-may wait on another, so they share the executor that runs every grain of
-the process, which has no cap: a run that finds no idle thread starts
-one, so no invocation waits behind a blocked one.
+starvation".  Delegate invocations share the executor that runs every
+grain of the process.  Its threads are capped by cores, but a wait the
+runtime can name does not count against the cap: a remote call's reply
+(:class:`~repro.remoting.proxy.RemoteMethod`) and a wait on another
+invocation (:meth:`AsyncResult.wait`, :meth:`Delegate.end_invoke`) are
+managed blocking, so one more thread may start meanwhile and the
+invocations keep overlapping.  A wait it cannot see (a user lock or
+barrier) is caught by the executor's starvation check, which adds a
+thread at a time while queued runs make no progress.
 """
 
 from __future__ import annotations
@@ -52,11 +57,13 @@ class AsyncResult:
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until completion; True if completed within *timeout*."""
-        return self._wait_handle.wait(timeout)
+        with executor().blocking():
+            return self._wait_handle.wait(timeout)
 
     def result(self, timeout: float | None = None) -> Any:
         """Alias for :meth:`end_invoke` with a timeout, future-style."""
-        return self._future.result(timeout)
+        with executor().blocking():
+            return self._future.result(timeout)
 
 
 class Delegate:

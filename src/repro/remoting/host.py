@@ -470,14 +470,14 @@ class RemotingHost:
     def _dispatch_pressure(self) -> float:
         """Executor backlog as a 0..1 pressure fraction.
 
-        The executor starts a thread for every run that finds none idle,
-        so a run waits only until its thread gets going; a backlog of a
-        few times the thread count means threads cannot start as fast as
-        work arrives, and peers should be throttled toward the minimum
-        grant.
+        Runs wait for a thread only once the executor is at its cap, so
+        the backlog is read against the cap: a queue four times the cap
+        means work arrives faster than the pool can take it, and peers
+        are throttled toward the minimum grant, while a burst that only
+        waits for its threads to start reads as light pressure.
         """
-        backlog, threads = executor().load()
-        return backlog / float(4 * max(1, threads))
+        stats = executor().stats()
+        return stats["waiting"] / float(4 * stats["cap"])
 
     def _run_call(self, message: CallMessage) -> ReturnMessage:
         telemetry = self.telemetry

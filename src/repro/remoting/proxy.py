@@ -33,6 +33,7 @@ from repro.errors import (
     RemoteInvocationError,
     RemotingError,
 )
+from repro.executor import executor
 from repro.remoting.messages import CallMessage, ReturnMessage
 from repro.remoting.objref import ObjRef, current_host
 from repro.telemetry.context import TRACE_HEADER, current_context, to_header
@@ -56,9 +57,13 @@ class RemoteProxy:
         self._parc_host = host
         self._parc_lock = threading.Lock()
         self._parc_route = None  # cached (channel, authority, path)
-        # Serialized size of the last request body sent through this proxy
-        # (best-effort statistic; feeds the adaptive grain controller).
-        self._parc_last_wire_bytes = 0
+
+    @property
+    def _parc_last_wire_bytes(self) -> int:
+        """Serialized size of the last request this thread sent through
+        this proxy's channel (feeds the adaptive grain controller)."""
+        route = self._parc_route
+        return route[0].last_request_bytes if route is not None else 0
 
     # -- plumbing ------------------------------------------------------------
 
@@ -117,9 +122,6 @@ class RemoteProxy:
                 # dumps -> call -> loads composition automatically.
                 result = channel.round_trip(
                     authority, path, call, headers=headers
-                )
-                self._parc_last_wire_bytes = getattr(
-                    channel, "last_request_bytes", 0
                 )
         finally:
             current_host.reset(token)
@@ -187,7 +189,10 @@ class RemoteMethod:
         return self._name
 
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
-        return self._proxy._parc_invoke(self._name, args, kwargs)
+        # The reply's wait is managed blocking: on an executor thread a
+        # delegate's remote call keeps its overlap with other runs.
+        with executor().blocking():
+            return self._proxy._parc_invoke(self._name, args, kwargs)
 
     def one_way(self, *args: Any, **kwargs: Any) -> None:
         """Invoke without waiting for the method to run (ack only)."""
@@ -246,7 +251,8 @@ def make_typed_proxy_class(interface: type) -> type:
 
 def _make_forwarder(name: str, template: Any) -> Any:
     def forwarder(self: RemoteProxy, *args: Any, **kwargs: Any) -> Any:
-        return self._parc_invoke(name, args, kwargs)
+        with executor().blocking():
+            return self._parc_invoke(name, args, kwargs)
 
     forwarder.__name__ = name
     forwarder.__qualname__ = name

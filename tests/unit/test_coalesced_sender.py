@@ -700,3 +700,51 @@ class TestOverTheWire:
             ("step", x, n) for x, n in steps(0, MAX_CALLS)
         ]
         grain.dispose()
+
+
+class HeldIO(ImplementationObject):
+    """An IO whose admission waits until the test lets it through."""
+
+    def __init__(self, instance, class_name):
+        super().__init__(instance, class_name)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def enqueue(self, method, args=(), kwargs=None):
+        self.entered.set()
+        assert self.release.wait(timeout=10.0)
+        super().enqueue(method, args, kwargs)
+
+
+class TestWireBytesPerGrain:
+    def test_concurrent_sends_each_record_their_own_request_size(self):
+        # Two grains share the client's one tcp channel.  A's admission
+        # is held on the server while B's whole round trip completes, so
+        # B's request is the channel's last one when A's reply arrives.
+        server = RemotingHost(name="bytes-server", services=ChannelServices())
+        held = HeldIO(Target(), "test.Target")
+        free = ImplementationObject(Target(), "test.Target")
+        binding = server.listen(TcpChannel(), "127.0.0.1:0")
+        server.publish(held, "held")
+        server.publish(free, "free")
+        services = ChannelServices()
+        services.register_channel(TcpChannel())
+        client = RemotingHost(name="bytes-client", services=services)
+        base = f"tcp://{binding.authority}"
+        big = RemoteGrain(client.get_object(f"{base}/held"), max_calls=1)
+        small = RemoteGrain(client.get_object(f"{base}/free"), max_calls=1)
+        try:
+            big.post("mark", ("x" * 4000,), {})
+            assert held.entered.wait(timeout=5.0)
+            small.post("mark", (1,), {})
+            small.drain()
+            held.release.set()
+            big.drain()
+            assert big._wire_bytes_per_call["mark"] > 4000
+            assert small._wire_bytes_per_call["mark"] < 1000
+        finally:
+            held.release.set()
+            big.dispose()
+            small.dispose()
+            client.close()
+            server.close()

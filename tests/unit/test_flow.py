@@ -26,6 +26,7 @@ from repro.flow import (
 )
 from repro.remoting.resilience import RetryPolicy, call_with_retry
 from repro.telemetry import MetricsRegistry
+from tests.unit.test_executor import wait_until
 
 
 class TestCreditGate:
@@ -56,7 +57,7 @@ class TestCreditGate:
 
         thread = threading.Thread(target=second, daemon=True)
         thread.start()
-        time.sleep(0.05)
+        assert wait_until(lambda: gate._waiters == 1, timeout=5.0)
         assert not acquired.is_set()
         gate.release()
         assert acquired.wait(timeout=2.0)
@@ -71,7 +72,8 @@ class TestCreditGate:
             acquired.set()
 
         threading.Thread(target=second, daemon=True).start()
-        time.sleep(0.05)
+        assert wait_until(lambda: gate._waiters == 1, timeout=5.0)
+        assert not acquired.is_set()
         gate.observe_grant(8)
         assert acquired.wait(timeout=2.0)
         assert gate.window == 8
