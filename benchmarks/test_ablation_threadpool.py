@@ -9,7 +9,7 @@ The farm simulator sweeps the pool cap for the Fig. 9 ray-tracer farm at
 6 processors: an uncapped pool reaches all 6 workers immediately; small
 caps serialize dispatch until thread injection catches up.
 
-The live half runs the real process executor's pool (``_Executor``) at
+The live half runs a real executor pool (``Executor``) at
 its cap.  Runs that wait where the runtime can see it — a nested
 synchronous call, inside ``blocking()`` — all finish promptly; runs
 blocked where it cannot — a user barrier — finish only through the
@@ -24,7 +24,7 @@ import time
 
 from repro.benchlib import simulate_farm
 from repro.benchlib.tables import format_table
-from repro.executor import STARVATION_CHECK_S, _Executor
+from repro.executor import STARVATION_CHECK_S, Executor, blocking
 from repro.perfmodel import MONO_117_TCP
 
 WORKERS = 6
@@ -95,14 +95,14 @@ def nested_calls(managed: bool) -> tuple[float, dict]:
     """LIVE_RUNS runs, each waiting for an inner run it submits — a
     grain's nested synchronous call; inside ``blocking()`` if *managed*.
     Returns (seconds until all finished, the pool's stats)."""
-    pool = _Executor()
+    pool = Executor()
     finished = threading.Semaphore(0)
 
     def outer() -> None:
         replied = threading.Event()
         pool.submit(replied.set)
         if managed:
-            with pool.blocking():
+            with blocking():
                 assert replied.wait(timeout=60.0)
         else:
             assert replied.wait(timeout=60.0)
@@ -119,7 +119,7 @@ def nested_calls(managed: bool) -> tuple[float, dict]:
 def barrier_runs() -> tuple[float, dict]:
     """LIVE_RUNS runs blocked at one user barrier, which the runtime
     cannot see.  Returns (seconds until all passed, the pool's stats)."""
-    pool = _Executor()
+    pool = Executor()
     barrier = threading.Barrier(LIVE_RUNS, timeout=60.0)
     finished = threading.Semaphore(0)
 

@@ -37,15 +37,23 @@ class ServerBinding(abc.ABC):
         self.close()
 
 
+class _Sent(threading.local):
+    nbytes = 0  # before a thread's first request
+
+
 class Channel(abc.ABC):
     """One wire protocol (framing + formatter) usable as client and server."""
 
     #: URI scheme this channel serves (``tcp``, ``http``, ``loopback``).
     scheme: str
 
+    #: Whether :meth:`round_trip` runs the server's handler on the
+    #: calling thread, so the call is work on that thread, not a wait.
+    serves_inline = False
+
     def __init__(self, formatter) -> None:  # type: ignore[no-untyped-def]
         self.formatter = formatter
-        self._sent = threading.local()
+        self._sent = _Sent()
 
     @property
     def last_request_bytes(self) -> int:
@@ -57,7 +65,7 @@ class Channel(abc.ABC):
         it to estimate bytes-per-call; it must never be used for
         correctness.
         """
-        return getattr(self._sent, "nbytes", 0)
+        return self._sent.nbytes
 
     @last_request_bytes.setter
     def last_request_bytes(self, nbytes: int) -> None:

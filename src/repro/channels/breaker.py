@@ -165,6 +165,7 @@ class BreakerChannel(Channel):
         super().__init__(inner.formatter)
         self.inner = inner
         self.scheme = inner.scheme
+        self.serves_inline = inner.serves_inline
         self.policy = policy if policy is not None else BreakerPolicy()
         self._clock = clock
         self._lock = threading.Lock()

@@ -77,6 +77,7 @@ class LoopbackChannel(Channel):
     """
 
     scheme = "loopback"
+    serves_inline = True
 
     def __init__(self, formatter=None) -> None:  # type: ignore[no-untyped-def]
         super().__init__(

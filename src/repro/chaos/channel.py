@@ -56,6 +56,7 @@ class FaultyChannel(Channel):
         super().__init__(inner.formatter)
         self.inner = inner
         self.scheme = f"chaos+{inner.scheme}"
+        self.serves_inline = inner.serves_inline
         self.plan = plan if plan is not None else FaultPlan()
         self.controller = controller
         self._counters = None

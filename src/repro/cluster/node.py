@@ -29,7 +29,7 @@ from repro.errors import (
     RemotingError,
     ScooppError,
 )
-from repro.executor import executor
+from repro.executor import Executor, executor
 from repro.remoting import MarshalByRefObject, RemotingHost
 from repro.remoting.proxy import RemoteProxy
 from repro.sched.engine import NodeScheduler
@@ -488,10 +488,16 @@ class Node:
         self.services = services
         self.settings = settings
         self._errors = ErrorCounter(metrics)
+        # The node's hosted IOs run on a pool of its own, capped by cores
+        # as the machine it stands for would be: in-process nodes share
+        # the CPU but not each other's threads.
+        self.executor = Executor()
         self.host = RemotingHost(name=f"parc-node-{index}", services=services)
-        # Mailbox fill feeds the credit grantor alongside the host's
-        # dispatch backlog: senders are throttled before mailboxes overflow.
+        # Mailbox fill and the pool's backlog feed the credit grantor
+        # alongside the host's dispatch backlog: senders are throttled
+        # before mailboxes overflow.
         self.host.credit_grantor.add_source(self._mailbox_pressure)
+        self.host.credit_grantor.add_source(self.executor.pressure)
         binding = self.host.listen(channel, authority)
         self.base_uri = f"{channel.scheme}://{binding.authority}"
         # Per-node observability state, published like om/factory so any

@@ -7,12 +7,13 @@ strictly in arrival order, one at a time, which is what makes SCOOPP's
 asynchronous invocations safe without user locking.
 
 The thread of control is *logical*.  A mailbox owns no OS thread; when
-work arrives it schedules one *run* on the process's executor
-(:func:`repro.executor.executor`), and the run executes entries until
-the mailbox is empty.  Every grain of the process is multiplexed onto
-that one pool, whose threads are capped by cores: a run that waits for
-a nested call or a migration pause does so in the executor's
-``blocking()``, so another thread may take the next grain's run.
+work arrives it schedules one *run* on its node's executor
+(``Node.executor``; the process's :func:`repro.executor.executor` for
+an IO built outside a node), and the run executes entries until the
+mailbox is empty.  Every grain of a node is multiplexed onto that one
+pool, whose threads are capped by cores: a run that waits for a nested
+call or a migration pause does so in :func:`repro.executor.blocking`,
+so another thread may take the next grain's run.
 
 In ParC++ this role needed an explicit server object (SO) with a message
 loop; in ParC#/here "the C# remoting [the remoting host] implements this
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.errors import OverloadError, ScooppError
-from repro.executor import executor
+from repro.executor import Executor, blocking, executor
 from repro.remoting import MarshalByRefObject
 from repro.remoting.messages import ReturnBatch
 from repro.serialization.codec import pack_result_column, unpack_columns
@@ -130,7 +131,8 @@ class _IOMailbox:
     so its calls execute back-to-back exactly as Fig. 7 requires.
     Entries drain in arrival order, which is what lets a synchronous
     call posted after asynchronous ones observe their effects.
-    *execute* runs one entry; it is called on an executor thread.
+    *execute* runs one entry; it is called on a thread of *pool* (the
+    process's executor unless the IO's node gives its own).
 
     ``depth`` bounds the queue in *tasks* (0 = unbounded, the paper's
     semantics).  An entry that would overfill it is rejected with
@@ -152,10 +154,14 @@ class _IOMailbox:
     """
 
     def __init__(
-        self, execute: Callable[[_Entry], None], depth: int = 0
+        self,
+        execute: Callable[[_Entry], None],
+        depth: int = 0,
+        pool: Executor | None = None,
     ) -> None:
         self.depth = depth
         self._execute = execute
+        self._pool = pool if pool is not None else executor()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._resumed = threading.Condition(self._lock)  # migration ended
@@ -168,7 +174,7 @@ class _IOMailbox:
         self._migrating = False  # paused for state extraction
         self._migrated = False  # grain lives elsewhere now
         self._attached = True
-        executor().attach()
+        self._pool.attach()
 
     def put(self, method: str, tasks: _Entry) -> None:
         """Admit one entry (single call or aggregate batch).
@@ -181,7 +187,7 @@ class _IOMailbox:
             # fate is known: resumed here (abort) or forwarded to its
             # new home (complete).
             while self._migrating:
-                with executor().blocking():
+                with blocking():
                     self._resumed.wait()
             if self._migrated:
                 raise MailboxMigratedError("mailbox migrated away")
@@ -207,7 +213,7 @@ class _IOMailbox:
     def _submit_run(self) -> None:
         # A fresh context per run: context variables one grain sets stay
         # with that grain, as they did when each grain had its own thread.
-        executor().submit(
+        self._pool.submit(
             functools.partial(contextvars.Context().run, self._run)
         )
 
@@ -216,6 +222,10 @@ class _IOMailbox:
 
         A migration pause ends the run after the entry in hand: the
         entries stay queued for :meth:`begin_migration` to extract.
+        While other runs wait at the pool's cap, the run takes one
+        entry and goes to the back of the queue, so a grain with a long
+        backlog does not hold a thread the others (or a migration
+        waiting for this run to end) need.
         """
         count = 0
         while True:
@@ -225,11 +235,14 @@ class _IOMailbox:
                     self._scheduled = False
                     self._idle.notify_all()
                     return
+                if count and self._pool.crowded():
+                    break  # still scheduled: the resubmitted run goes on
                 batch = self._entries.popleft()
                 count = len(batch)
                 self._queued -= count
                 self._active += count
             self._execute(batch)
+        self._submit_run()
 
     def try_claim_idle(self) -> bool:
         """Claim the execution slot iff the mailbox is completely idle.
@@ -272,7 +285,7 @@ class _IOMailbox:
                 or self._scheduled
                 or self._migrating
             ):
-                with executor().blocking():
+                with blocking():
                     self._idle.wait()
 
     def stop(self) -> None:
@@ -291,7 +304,7 @@ class _IOMailbox:
         with self._lock:
             attached, self._attached = self._attached, False
         if attached:
-            executor().detach()
+            self._pool.detach()
 
     # -- live migration ----------------------------------------------------
 
@@ -315,7 +328,7 @@ class _IOMailbox:
                 raise ScooppError("migration already in progress")
             self._migrating = True
             while self._scheduled or self._inline_claims:
-                with executor().blocking():
+                with blocking():
                     self._idle.wait()
             entries = list(self._entries)
             self._entries.clear()
@@ -423,7 +436,11 @@ class ImplementationObject(MarshalByRefObject):
         self._busy_s = 0.0
         self._shed = 0
         self._async_failures: list[tuple[str, str]] = []
-        self._mailbox = _IOMailbox(self._execute_entry, depth=mailbox_depth)
+        self._mailbox = _IOMailbox(
+            self._execute_entry,
+            depth=mailbox_depth,
+            pool=getattr(node, "executor", None),
+        )
 
     # -- remote surface ----------------------------------------------------
 
@@ -492,7 +509,7 @@ class ImplementationObject(MarshalByRefObject):
         )
         if not self._run_inline([task]):
             self._post(method, [task])
-            with executor().blocking():
+            with blocking():
                 task.done.wait()
         if task.error is not None:
             raise task.error
@@ -528,7 +545,7 @@ class ImplementationObject(MarshalByRefObject):
             # executes serially, so the last task finishes last — and
             # every completion path (_execute, forwarding) sets each
             # task's event in order.
-            with executor().blocking():
+            with blocking():
                 tasks[-1].done.wait()
         results: list = []
         errors: list[tuple] = []

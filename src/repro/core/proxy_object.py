@@ -43,7 +43,7 @@ from repro.errors import (
     RemotingError,
     ScooppError,
 )
-from repro.executor import executor, timer
+from repro.executor import blocking, executor, timer
 from repro.remoting.objref import ObjRef
 from repro.remoting.proxy import RemoteProxy
 from repro.serialization.codec import (
@@ -594,7 +594,7 @@ class RemoteGrain:
             ):
                 # Managed blocking, as is the IO's reply wait behind
                 # every sync call, drain and dispose of this grain.
-                with executor().blocking():
+                with blocking():
                     self._outbox_cv.wait()
             self._ensure_usable()
 

@@ -529,12 +529,15 @@ class ParcRuntime:
             "value": self._quiesce_errors,
             "help": "grains whose outbox a quiesce barrier skipped",
         }
-        # The executor row: this process's pool, read now.
-        pool = executor().stats()
+        # The executor row: this process's pools (its own and one per
+        # in-process node), read now and summed.
+        pools = [executor().stats()] + [
+            node.executor.stats() for node in self.cluster.nodes
+        ]
         for field, kind, help_text in _EXECUTOR_ROW:
             merged[f"executor.{field}"] = {
                 "type": kind,
-                "value": pool[field],
+                "value": sum(pool[field] for pool in pools),
                 "help": help_text,
             }
         return {"nodes": nodes, "cluster": merged}

@@ -1,15 +1,19 @@
-"""The process's executor and timer: its only runtime threads.
+"""The process's executors and timer: its only runtime threads.
 
 Objects are logical processes multiplexed onto a few OS threads, not one
-thread per mechanism.  :func:`executor` (threads ``parc-exec``) runs
-mailbox and send runs, one-way dispatches, migrations, control ticks,
-delegate invocations and liveness listeners, on a pool capped by cores
-(:class:`_Executor`).  :func:`timer` (one thread, ``parc-timer``, while
-any call is armed) calls each armed callback at its deadline: buffer
-flushes, lease sweeps, chaos scripts, the control plane's next tick.  A
-timer callback must not block; an owner whose work can block submits it
-to the executor from the callback.  A forked child, which inherits
-none of their threads, starts with a fresh pair.
+thread per mechanism.  An :class:`Executor` is a pool of ``parc-exec``
+threads capped by cores.  Each node runs its mailbox runs on a pool of
+its own (``Node.executor``), as the machine it stands for would; the
+process's pool, :func:`executor`, runs everything else: send runs,
+one-way dispatches, migrations, control ticks, delegate invocations and
+liveness listeners, and the mailbox runs of an IO built outside a node.
+:func:`blocking` marks a wait on whichever pool's thread makes it.
+:func:`timer` (one thread, ``parc-timer``, while any call is armed)
+calls each armed callback at its deadline: buffer flushes, lease
+sweeps, chaos scripts, the control plane's next tick, the pools'
+starvation checks.  A timer callback must not block; an owner whose
+work can block submits it to an executor from the callback.  A forked
+child, which inherits none of their threads, starts with a fresh pair.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ from repro.perfmodel.clock import Clock, WallClock
 logger = logging.getLogger("repro.core")
 
 
-#: Runnable executor threads per core: the pool's cap is this times the
-#: cores the process may run on, read when its executor is created.
-#: Measured (EXPERIMENTS.md §EXT-CAP): below 4, runs blocked on the busy
-#: sleep-simulated cores of ``benchmarks/test_scheduler.py`` leave its
-#: other cores idle; above 4, ``grain_churn`` holds more threads and the
-#: scheduler benchmark gains nothing.
-THREADS_PER_CORE = 4
+#: Runnable threads per core in each executor: a pool's cap is this
+#: times the cores the process may run on, read when the pool is
+#: created.  Measured (EXPERIMENTS.md §EXT-CAP): at 2 the sleep-simulated
+#: cores of ``benchmarks/test_scheduler.py`` stay busy, since each node
+#: has its own pool, and ``grain_churn`` holds half the parent's
+#: threads; 4 holds more threads and the scheduler benchmark gains
+#: nothing.
+THREADS_PER_CORE = 2
 
 #: How long runs may wait at the cap with none finishing before the
 #: starvation check starts one more thread: short enough that 64 runs
@@ -43,17 +48,25 @@ THREADS_PER_CORE = 4
 #: of the benchmark sees a start.
 STARVATION_CHECK_S = 0.05
 
-#: Which executor's thread this is, and how deep in ``blocking()``.
-_here = threading.local()
+
+class _Here(threading.local):
+    """Which executor's thread this is, and how deep in ``blocking()``.
+    Class defaults: a thread of no pool reads them without a miss."""
+
+    executor: Executor | None = None
+    depth = 0
 
 
-class _Executor:
-    """The process's pool of threads for mailbox and send runs.
+_here = _Here()
+
+
+class Executor:
+    """A pool of threads for mailbox and send runs.
 
     Sized by cores, with managed blocking:
 
     * at most *cap* threads are *runnable* — serving a run outside
-      :meth:`blocking`, or idle.  A submit that finds no idle thread
+      :func:`blocking`, or idle.  A submit that finds no idle thread
       starts one while the pool is below the cap; at the cap the run
       queues.  One start at a time: a submit starts none while a start
       is under way, and a thread that takes a run while more wait than
@@ -63,7 +76,7 @@ class _Executor:
       pool with every burst a poster makes;
     * a run that waits on something the runtime can name — a
       synchronous call's reply, a credit stall, a migration pause —
-      does so inside :meth:`blocking`, which takes its thread out of
+      does so inside :func:`blocking`, which takes its thread out of
       the runnable count, so one more thread may start while runs wait;
     * blocking the runtime cannot see (a user barrier, a sleep) is
       caught by the starvation check: a run that queues at the cap arms
@@ -75,11 +88,15 @@ class _Executor:
     * clients :meth:`attach` (a live mailbox; a one-way call while it
       runs) and :meth:`detach`; a thread with no work exits once the
       pool holds more threads than there are attached clients, and a
-      thread that ends a run or idles above the cap exits.
+      thread that ends a run or idles above the cap exits;
+    * while runs wait at the cap, a run that serves many items (a
+      mailbox with a backlog) hands its thread on after each one
+      (:meth:`crowded`), so every queued run gets its turn.
 
-    *cap* and *timer* are test seams: by default the cap is
-    ``THREADS_PER_CORE`` times the cores, and the check arms the process
-    timer.
+    A process has one pool of its own (:func:`executor`) and one per
+    node it hosts.  *cap* and *timer* are test seams: by default the
+    cap is ``THREADS_PER_CORE`` times the cores, and the check arms the
+    process timer.
     """
 
     def __init__(
@@ -149,21 +166,9 @@ class _Executor:
                 return
         self._start_thread()
 
-    def blocking(self) -> contextlib.AbstractContextManager:
-        """Context for a wait whose length another run or user code sets.
-
-        On one of this executor's threads it takes the thread out of
-        the runnable count while the block lasts, so a run waiting for a
-        thread need not wait for this one; nested uses count once.  On
-        any other thread it does nothing.
-        """
-        if getattr(_here, "executor", None) is self:
-            return self._blocking
-        return _NOT_OURS
-
     def stats(self) -> dict:
         """The pool now: cap, threads, idle, runs waiting, threads inside
-        :meth:`blocking`, and the threads the starvation check started."""
+        :func:`blocking`, and the threads the starvation check started."""
         with self._lock:
             return {
                 "cap": self.cap,
@@ -173,6 +178,16 @@ class _Executor:
                 "blocked": self._blocked,
                 "starvation_starts": self._starvation_starts,
             }
+
+    def pressure(self) -> float:
+        """The backlog read against the cap, for a credit grantor: 1.0
+        at four times the cap.  Unlocked: a gauge read per response."""
+        return len(self._runs) / (4 * self.cap)
+
+    def crowded(self) -> bool:
+        """Whether runs wait at the cap, so a long run should hand its
+        thread on.  Unlocked: read once per mailbox entry."""
+        return bool(self._runs) and self._threads - self._blocked >= self.cap
 
     def _may_start_locked(self) -> bool:
         """Claim the start of a thread for waiting runs, if one may start.
@@ -285,12 +300,24 @@ class _Executor:
         self._start_thread()
 
 
+def blocking() -> contextlib.AbstractContextManager:
+    """Context for a wait whose length another run or user code sets.
+
+    On an executor's thread it takes the thread out of its pool's
+    runnable count while the block lasts, so a run waiting for a thread
+    need not wait for this one; nested uses count once.  On any other
+    thread it does nothing.
+    """
+    pool = _here.executor
+    return _NOT_OURS if pool is None else pool._blocking
+
+
 class _Blocking:
-    """:meth:`_Executor.blocking` on one of that executor's threads."""
+    """:func:`blocking` on one of an executor's threads."""
 
     __slots__ = ("executor",)
 
-    def __init__(self, executor: _Executor) -> None:
+    def __init__(self, executor: Executor) -> None:
         self.executor = executor
 
     def __enter__(self) -> None:
@@ -319,14 +346,12 @@ class TimerCall:
         retired = None
         with timer._lock:
             if self.fn is not None:
-                self.fn = None
-                heap = timer._heap
-                heap[:] = [entry for entry in heap if entry[2] is not self]
-                heapq.heapify(heap)
+                self.fn = None  # its heap entry is skipped when due
+                timer._armed -= 1
             while timer._running is self and timer._runner is not me:
                 timer._ran.wait()
             thread = timer._thread
-            if thread and timer._parked is thread and not timer._heap:
+            if thread and timer._parked is thread and not timer._armed:
                 retired, timer._thread, timer._parked = thread, None, None
                 timer._wake.notify()
         if retired is not None:
@@ -356,7 +381,8 @@ class Timer:
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._ran = threading.Condition(self._lock)
-        self._heap: list = []  # (deadline, seq, call)
+        self._heap: list = []  # (deadline, seq, call), cancelled ones too
+        self._armed = 0  # calls in the heap not cancelled
         self._seq = itertools.count()
         self._running: TimerCall | None = None
         self._runner: threading.Thread | None = None
@@ -366,6 +392,7 @@ class Timer:
         call = TimerCall(self, fn)
         with self._lock:
             heapq.heappush(self._heap, (deadline, next(self._seq), call))
+            self._armed += 1
             if self._threaded and self._thread is None:
                 self._thread = threading.Thread(
                     target=self._serve, name="parc-timer", daemon=True
@@ -386,7 +413,10 @@ class Timer:
     def _run_due_locked(self) -> None:
         while self._heap and self._heap[0][0] <= self.clock.now():
             call = heapq.heappop(self._heap)[2]
-            fn = call.fn
+            fn, call.fn = call.fn, None
+            if fn is None:
+                continue  # cancelled
+            self._armed -= 1
             self._running, self._runner = call, threading.current_thread()
             self._lock.release()
             try:
@@ -402,7 +432,8 @@ class Timer:
         me = threading.current_thread()
         with self._lock:
             while self._thread is me:  # a cancel may retire the thread
-                if not self._heap:
+                if not self._armed:
+                    self._heap.clear()  # cancelled calls only
                     self._thread = None
                     return
                 delay = self._heap[0][0] - self.clock.now()
@@ -416,11 +447,11 @@ class Timer:
 
 
 # Neither starts a thread until it is first given work.
-_executor = _Executor()
+_executor = Executor()
 _timer = Timer()
 
 
-def executor() -> _Executor:
+def executor() -> Executor:
     """The process's executor."""
     return _executor
 
@@ -432,7 +463,7 @@ def timer() -> Timer:
 
 def _forget() -> None:
     global _executor, _timer
-    _executor, _timer = _Executor(), Timer()
+    _executor, _timer = Executor(), Timer()
 
 
 os.register_at_fork(after_in_child=_forget)

@@ -30,7 +30,7 @@ import time
 from typing import Callable
 
 from repro.errors import OverloadError
-from repro.executor import executor
+from repro.executor import blocking
 
 #: Default in-flight window per peer, both the gate's starting point
 #: (before any grant arrives) and the grantor's unloaded advertisement.
@@ -115,7 +115,7 @@ class CreditGate:
             started = time.monotonic()
             self._waiters += 1
             try:
-                with executor().blocking():
+                with blocking():
                     while self._in_flight >= self._window:
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:

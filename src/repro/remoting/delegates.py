@@ -15,13 +15,14 @@ synchronous on the wire; the *client* offloads the wait.
 
 The paper blames part of ParC#'s slowdown on Mono's *too small* thread
 pool (§4): "limiting the number of running threads ... produces
-starvation".  Delegate invocations share the executor that runs every
-grain of the process.  Its threads are capped by cores, but a wait the
-runtime can name does not count against the cap: a remote call's reply
-(:class:`~repro.remoting.proxy.RemoteMethod`) and a wait on another
-invocation (:meth:`AsyncResult.wait`, :meth:`Delegate.end_invoke`) are
-managed blocking, so one more thread may start meanwhile and the
-invocations keep overlapping.  A wait it cannot see (a user lock or
+starvation".  Delegate invocations share the process's executor with
+its send runs and one-way dispatches.  Its threads are capped by cores,
+but a wait the runtime can name does not count against the cap: a
+remote call's reply (:class:`~repro.remoting.proxy.RemoteMethod`) and a
+wait on another invocation (:meth:`AsyncResult.wait`,
+:meth:`Delegate.end_invoke`) are managed blocking
+(:func:`repro.executor.blocking`), so one more thread may start
+meanwhile and the invocations keep overlapping.  A wait it cannot see (a user lock or
 barrier) is caught by the executor's starvation check, which adds a
 thread at a time while queued runs make no progress.
 """
@@ -34,7 +35,7 @@ from concurrent.futures import Future
 from typing import Any, Callable
 
 from repro.errors import RemotingError
-from repro.executor import executor
+from repro.executor import blocking, executor
 
 
 class AsyncResult:
@@ -57,12 +58,12 @@ class AsyncResult:
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until completion; True if completed within *timeout*."""
-        with executor().blocking():
+        with blocking():
             return self._wait_handle.wait(timeout)
 
     def result(self, timeout: float | None = None) -> Any:
         """Alias for :meth:`end_invoke` with a timeout, future-style."""
-        with executor().blocking():
+        with blocking():
             return self._future.result(timeout)
 
 

@@ -468,7 +468,8 @@ class RemotingHost:
             current_host.reset(token)
 
     def _dispatch_pressure(self) -> float:
-        """Executor backlog as a 0..1 pressure fraction.
+        """The backlog of the executor one-way dispatches run on, as a
+        0..1 pressure fraction.
 
         Runs wait for a thread only once the executor is at its cap, so
         the backlog is read against the cap: a queue four times the cap
@@ -476,8 +477,7 @@ class RemotingHost:
         are throttled toward the minimum grant, while a burst that only
         waits for its threads to start reads as light pressure.
         """
-        stats = executor().stats()
-        return stats["waiting"] / float(4 * stats["cap"])
+        return executor().pressure()
 
     def _run_call(self, message: CallMessage) -> ReturnMessage:
         telemetry = self.telemetry

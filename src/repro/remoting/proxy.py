@@ -33,7 +33,7 @@ from repro.errors import (
     RemoteInvocationError,
     RemotingError,
 )
-from repro.executor import executor
+from repro.executor import blocking
 from repro.remoting.messages import CallMessage, ReturnMessage
 from repro.remoting.objref import ObjRef, current_host
 from repro.telemetry.context import TRACE_HEADER, current_context, to_header
@@ -168,6 +168,20 @@ class RemoteProxy:
         return hash(self._parc_objref.uris)
 
 
+def _invoke_waiting(
+    proxy: RemoteProxy, method: str, args: tuple, kwargs: Mapping[str, Any]
+) -> Any:
+    """A synchronous call whose reply is waited for in managed blocking,
+    so on an executor thread a delegate's remote call keeps its overlap
+    with other runs.  A route served inline (loopback) runs the handler,
+    user code included, on this thread: that is work, not a wait."""
+    route = proxy._parc_route or proxy._parc_resolve_route()
+    if route[0].serves_inline:
+        return proxy._parc_invoke(method, args, kwargs)
+    with blocking():
+        return proxy._parc_invoke(method, args, kwargs)
+
+
 class RemoteMethod:
     """One remotely invocable method, bound to its proxy.
 
@@ -189,10 +203,7 @@ class RemoteMethod:
         return self._name
 
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
-        # The reply's wait is managed blocking: on an executor thread a
-        # delegate's remote call keeps its overlap with other runs.
-        with executor().blocking():
-            return self._proxy._parc_invoke(self._name, args, kwargs)
+        return _invoke_waiting(self._proxy, self._name, args, kwargs)
 
     def one_way(self, *args: Any, **kwargs: Any) -> None:
         """Invoke without waiting for the method to run (ack only)."""
@@ -251,8 +262,7 @@ def make_typed_proxy_class(interface: type) -> type:
 
 def _make_forwarder(name: str, template: Any) -> Any:
     def forwarder(self: RemoteProxy, *args: Any, **kwargs: Any) -> Any:
-        with executor().blocking():
-            return self._parc_invoke(name, args, kwargs)
+        return _invoke_waiting(self, name, args, kwargs)
 
     forwarder.__name__ = name
     forwarder.__qualname__ = name

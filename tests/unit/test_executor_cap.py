@@ -1,13 +1,13 @@
 """The executor's cap, its managed blocking and its starvation check.
 
-The process executor runs at most ``cap`` runnable threads — a small
-multiple of the cores.  A run that waits on something the runtime can
-name does so inside ``executor().blocking()``, which takes its thread
-out of that count; blocking the runtime cannot see is caught by a
-timer-driven starvation check that starts one thread at a time.  The
-check is stepped here on a :class:`~repro.perfmodel.clock.VirtualClock`
-timer, as ``test_timer.py`` steps the timer itself: an ``_Executor``
-given its own cap and timer is a test seam, like ``Timer(clock)``.
+An executor runs at most ``cap`` runnable threads — a small multiple of
+the cores.  A run that waits on something the runtime can name does so
+inside ``blocking()``, which takes its thread out of that count;
+blocking the runtime cannot see is caught by a timer-driven starvation
+check that starts one thread at a time.  The check is stepped here on a
+:class:`~repro.perfmodel.clock.VirtualClock` timer, as ``test_timer.py``
+steps the timer itself: an ``Executor`` given its own cap and timer is
+a test seam, like ``Timer(clock)``.
 
 Counts that must be exact run in a fresh interpreter.
 """
@@ -16,28 +16,44 @@ from __future__ import annotations
 
 import os
 import threading
+from types import SimpleNamespace
 
-from repro.executor import STARVATION_CHECK_S, THREADS_PER_CORE, Timer, _Executor
+import pytest
+
+import repro.core as parc
+from repro.channels import LoopbackChannel, TcpChannel
+from repro.channels.services import ChannelServices
+from repro.core import ParcConfig, session
+from repro.core.impl import ImplementationObject
+from repro.core.model import parallel
+from repro.executor import (
+    STARVATION_CHECK_S,
+    THREADS_PER_CORE,
+    Executor,
+    Timer,
+    blocking,
+    executor,
+)
 from repro.perfmodel.clock import VirtualClock
-from repro.remoting import RemotingHost
+from repro.remoting import MarshalByRefObject, RemotingHost
 from tests.unit.test_executor import run_python, wait_until
 
 
-def stepped(cap: int) -> tuple[_Executor, Timer, VirtualClock]:
+def stepped(cap: int) -> tuple[Executor, Timer, VirtualClock]:
     """An executor whose starvation check only fires when stepped."""
     clock = VirtualClock()
     timer = Timer(clock=clock)
-    return _Executor(cap=cap, timer=timer), timer, clock
+    return Executor(cap=cap, timer=timer), timer, clock
 
 
-def hold(pool: _Executor, gate: threading.Event, managed: bool) -> list:
+def hold(pool: Executor, gate: threading.Event, managed: bool) -> list:
     """Submit a run that waits on *gate*, inside ``blocking()`` if
     *managed*; the returned list gets True once it ran to the end."""
     done: list = []
 
     def run() -> None:
         if managed:
-            with pool.blocking():
+            with blocking():
                 assert gate.wait(timeout=10.0)
         else:
             assert gate.wait(timeout=10.0)
@@ -54,11 +70,11 @@ class TestCap:
             "import repro.executor\n"
             "from repro.core.impl import ImplementationObject\n"
             "from repro.core.proxy_object import RemoteGrain\n"
-            "from repro.executor import Timer, _Executor, executor\n"
+            "from repro.executor import Timer, Executor, executor\n"
             "from repro.perfmodel.clock import VirtualClock\n"
             "# The process executor, its starvation check on a clock that\n"
             "# never moves: a descheduled host cannot add a thread here.\n"
-            "repro.executor._executor = _Executor(timer=Timer(VirtualClock()))\n"
+            "repro.executor._executor = Executor(timer=Timer(VirtualClock()))\n"
             "class Counter:\n"
             "    def __init__(self):\n"
             "        self.n = 0\n"
@@ -135,7 +151,7 @@ class TestManagedBlocking:
 
     def test_outside_a_pool_thread_it_does_nothing(self):
         pool, _timer, _clock = stepped(cap=1)
-        with pool.blocking():
+        with blocking():
             assert pool.stats()["blocked"] == 0
 
     def test_nested_blocking_counts_once(self):
@@ -143,8 +159,8 @@ class TestManagedBlocking:
         inside, leave = threading.Event(), threading.Event()
 
         def run() -> None:
-            with pool.blocking():
-                with pool.blocking():
+            with blocking():
+                with blocking():
                     inside.set()
                     assert leave.wait(timeout=10.0)
 
@@ -155,6 +171,147 @@ class TestManagedBlocking:
         finally:
             leave.set()
         assert wait_until(lambda: pool.stats()["blocked"] == 0, timeout=5.0)
+
+
+class Probe(MarshalByRefObject):
+    def __init__(self, pool: Executor) -> None:
+        self.pool = pool
+
+    def blocked(self) -> int:
+        return self.pool.stats()["blocked"]
+
+
+class TestRemoteCalls:
+    @pytest.mark.parametrize(
+        "make, authority, blocked",
+        [(LoopbackChannel, "auto", 0), (TcpChannel, "127.0.0.1:0", 1)],
+    )
+    def test_only_a_call_that_waits_is_managed_blocking(
+        self, make, authority, blocked
+    ):
+        # Loopback runs the handler, user code included, on the calling
+        # pool thread: that thread must stay runnable.  Over tcp the
+        # handler runs on the server's thread while the caller waits.
+        pool, _timer, _clock = stepped(cap=1)
+        server = RemotingHost(name="probe-server", services=ChannelServices())
+        binding = server.listen(make(), authority)
+        server.publish(Probe(pool), "probe")
+        services = ChannelServices()
+        services.register_channel(make())
+        client = RemotingHost(name="probe-client", services=services)
+        proxy = client.get_object(f"{make.scheme}://{binding.authority}/probe")
+        seen: list = []
+        done = threading.Event()
+
+        def run() -> None:
+            seen.append(proxy.blocked())
+            done.set()
+
+        try:
+            pool.submit(run)
+            assert done.wait(timeout=10.0)
+        finally:
+            client.close()
+            server.close()
+        assert seen == [blocked]
+
+
+class Waiter:
+    def __init__(self, gate: threading.Event) -> None:
+        self.gate = gate
+        self.done = 0
+
+    def wait(self) -> None:
+        assert self.gate.wait(timeout=10.0)
+        self.done += 1
+
+
+class Recorder:
+    def __init__(self, log: list, name: str) -> None:
+        self.log, self.name = log, name
+
+    def note(self, n: int) -> None:
+        self.log.append(f"{self.name}{n}")
+
+
+class TestTurns:
+    def test_a_backlog_takes_turns_with_runs_waiting_at_the_cap(self):
+        # One thread: grain A's three queued calls would hold it until
+        # all ran; while B's run waits at the cap, A's run hands the
+        # thread on after each entry.
+        pool, _timer, _clock = stepped(cap=1)
+        node = SimpleNamespace(executor=pool)
+        log: list = []
+        a = ImplementationObject(Recorder(log, "a"), "t.Recorder", node=node)
+        b = ImplementationObject(Recorder(log, "b"), "t.Recorder", node=node)
+        gate = threading.Event()
+        try:
+            hold(pool, gate, managed=False)
+            assert wait_until(lambda: pool.stats()["threads"] == 1, timeout=5.0)
+            for n in (1, 2, 3):
+                a.enqueue("note", (n,))
+            b.enqueue("note", (1,))
+            assert pool.stats()["waiting"] == 2
+        finally:
+            gate.set()
+        a.drain()
+        b.drain()
+        a.dispose()
+        b.dispose()
+        assert log == ["a1", "b1", "a2", "a3"]
+
+
+@parallel(name="test.cap.Idle", async_methods=["touch"])
+class Idle:
+    def touch(self) -> None:
+        pass
+
+
+class TestNodePools:
+    def test_a_node_whose_runs_all_block_does_not_hold_up_another(self):
+        # Two nodes' pools, each at cap 1, their checks never stepped:
+        # node A's one thread blocks where the runtime cannot see, and
+        # node B's grain still runs at once.
+        (pool_a, _, _), (pool_b, _, _) = stepped(cap=1), stepped(cap=1)
+        node_a = SimpleNamespace(executor=pool_a)
+        node_b = SimpleNamespace(executor=pool_b)
+        gate = threading.Event()
+        blocked = [
+            ImplementationObject(Waiter(gate), "t.Waiter", node=node_a)
+            for _ in range(2)
+        ]
+        free = ImplementationObject(Waiter(gate), "t.Waiter", node=node_b)
+        try:
+            for impl in blocked:
+                impl.enqueue("wait")
+            assert wait_until(lambda: pool_a.stats()["waiting"] == 1, timeout=5.0)
+            gate_b = threading.Event()
+            free.instance.gate = gate_b
+            gate_b.set()
+            free.enqueue("wait")
+            free.drain()
+            assert free.instance.done == 1
+            assert pool_a.stats()["threads"] == 1
+            assert pool_a.stats()["waiting"] == 1
+        finally:
+            gate.set()
+        for impl in blocked + [free]:
+            impl.dispose()
+        assert [impl.instance.done for impl in blocked] == [1, 1]
+
+    def test_each_node_hosts_its_grains_on_its_own_pool(self):
+        with session(ParcConfig(nodes=2)) as rt:
+            nodes = rt.cluster.nodes
+            grains = [parc.new(Idle) for _ in range(4)]
+            pools = {
+                id(impl._mailbox._pool)
+                for node in nodes
+                for impl in node._impls
+            }
+            assert pools == {id(node.executor) for node in nodes}
+            assert executor() not in [node.executor for node in nodes]
+            for grain in grains:
+                grain.parc_release()
 
 
 class TestStarvationCheck:
@@ -243,7 +400,7 @@ class TestExecutorRow:
         rows = run_python(
             "import json, threading\n"
             "from repro.core import ParcConfig, session\n"
-            "from repro.executor import executor\n"
+            "from repro.executor import blocking, executor\n"
             "from tests.unit.test_executor import wait_until\n"
             "def row(rt):\n"
             "    merged = rt.metrics_snapshot()['cluster']\n"
@@ -252,7 +409,7 @@ class TestExecutorRow:
             "pool = executor()\n"
             "managed, invisible = threading.Event(), threading.Event()\n"
             "def blocked():\n"
-            "    with pool.blocking():\n"
+            "    with blocking():\n"
             "        managed.wait(30)\n"
             "rows = []\n"
             "pool.attach()  # a client: one thread stays idle for it\n"
@@ -274,11 +431,15 @@ class TestExecutorRow:
             "    assert wait_until(lambda: pool.stats()['blocked'] == 0"
             " and pool.stats()['idle'], 10)\n"
             "    rows.append(row(rt))\n"
+            "    nodes = len(rt.cluster.nodes)\n"
             "pool.detach()\n"
-            "print(json.dumps(rows))\n"
+            "print(json.dumps([pool.cap, nodes] + rows))\n"
         )
-        start, managed, queued, starved, settled = rows
-        cap = start["cap"]
+        cap, nodes, start, managed, queued, starved, settled = rows
+        # The row sums the process's pool and one per in-process node;
+        # only the process's pool gets runs here.
+        assert start["cap"] == cap * (1 + nodes)
+        assert start["threads"] == 0
         assert start["blocked"] == 0 and start["starvation_starts"] == 0
         assert managed["blocked"] == cap
         assert managed["threads"] >= cap
