@@ -20,7 +20,7 @@ switches — only multi-core hosts can show the shm speedup.
   several payload sizes (``tcp_fast_rt_s`` / ``aio_fast_rt_s``: the
   names predate the removal of the legacy path and are kept so old
   recordings stay comparable), the same payloads over the shm
-  backplane, the columnar-versus-row aggregate encoding sizes, and the
+  channel, the columnar-versus-row aggregate encoding sizes, and the
   TAB-LAT latency table (modeled one-way latencies and live localhost
   round trips per stack).
 * ``overload``: the credits-on/off ping-pong rates (the flow-control
@@ -53,7 +53,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from test_shm_backplane import pingpong_rate as backplane_pingpong_rate
+from test_shm_backplane import pingpong_rate as shm_pingpong_rate
 from test_wire_fastpath import PAYLOAD_BYTES, columnar_sizes, pingpong_rate
 
 from repro.aio import AioTcpChannel
@@ -107,7 +107,7 @@ def collect() -> dict:
         pingpong[str(size)] = {
             "tcp_fast_rt_s": pingpong_rate(TcpChannel, size),
             "aio_fast_rt_s": pingpong_rate(AioTcpChannel, size),
-            "shm_rt_s": backplane_pingpong_rate(ShmChannel, "auto", size),
+            "shm_rt_s": shm_pingpong_rate(ShmChannel, "auto", size),
         }
     row_bytes, columnar_bytes = columnar_sizes()
     guarded = pingpong[str(PAYLOAD_BYTES)]

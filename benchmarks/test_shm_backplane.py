@@ -1,4 +1,4 @@
-"""SHM-BENCH — shared-memory backplane versus the tcp wire.
+"""SHM-BENCH — the shared-memory channel versus the tcp wire.
 
 Claims, asserted on this machine:
 
@@ -11,8 +11,6 @@ Claims, asserted on this machine:
   kernel charges the same for a doorbell wake as for a socket wake), so
   the 3x target is physically unreachable there and shm gets a
   no-regression floor instead.
-* the ``same_node_transport="shm"`` cluster produces identical farm
-  results to the plain tcp cluster while routing over the rings.
 
 Telemetry sanity rides along: a measured run must report ring
 occupancy, doorbell wakeups and park counts under ``shm.*``.
@@ -23,11 +21,8 @@ from __future__ import annotations
 import os
 import time
 
-import repro.core as parc
-from repro.apps.primes import PrimeServer, sieve
 from repro.benchlib.tables import format_table
 from repro.channels.tcp import TcpChannel
-from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.remoting.messages import CallMessage
 from repro.shm import ShmChannel
 from repro.telemetry import MetricsRegistry
@@ -79,7 +74,7 @@ def pingpong_rate(
         server.close()
 
 
-def backplane_rates() -> dict[str, float]:
+def interleaved_rates() -> dict[str, float]:
     """Best-of-TRIALS rates, shm/tcp trials interleaved so machine-level
     drift degrades both configurations equally."""
     configs = {
@@ -103,7 +98,7 @@ def _best_rates() -> dict[str, float]:
     target = SHM_SPEEDUP if MULTI_CORE else SHM_FLOOR
     best: dict[str, float] = {}
     for _ in range(ATTEMPTS):
-        rates = backplane_rates()
+        rates = interleaved_rates()
         if not best or rates["shm"] / rates["tcp"] > best["shm"] / best["tcp"]:
             best = rates
         if best["shm"] / best["tcp"] >= target:
@@ -163,48 +158,3 @@ def test_shm_run_reports_telemetry():
     ):
         assert key in snap, f"missing {key}"
 
-
-LIMIT = 400
-BATCH = 25
-
-
-def run_farm(same_node_transport: str | None) -> int:
-    """The ABL-CHAN prime farm with and without the backplane."""
-    parc.init(
-        ParcConfig(
-            nodes=2,
-            channel="tcp",
-            same_node_transport=same_node_transport,
-            scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
-        )
-    )
-    try:
-        servers = [parc.new(PrimeServer) for _ in range(2)]
-        chunk: list[int] = []
-        target = 0
-        for candidate in range(2, LIMIT):
-            chunk.append(candidate)
-            if len(chunk) >= BATCH:
-                servers[target % 2].process(chunk)
-                chunk = []
-                target += 1
-        if chunk:
-            servers[target % 2].process(chunk)
-        total = sum(server.count() for server in servers)
-        for server in servers:
-            server.parc_release()
-        return total
-    finally:
-        parc.shutdown()
-
-
-def test_farm_identical_with_and_without_backplane(benchmark):
-    expected = len(sieve(LIMIT - 1))
-
-    def run_both():
-        return {
-            transport: run_farm(transport) for transport in (None, "shm")
-        }
-
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    assert all(total == expected for total in results.values()), results

@@ -79,12 +79,6 @@ def _wrap_breaker(
     return BreakerChannel(inner, policy=breaker_policy, metrics=metrics)
 
 
-def _wrap_samenode(inner: Channel, *, metrics: Any = None) -> Channel:
-    from repro.shm import SameNodeChannel
-
-    return SameNodeChannel(inner, metrics=metrics)
-
-
 _SCHEMES: dict[str, Callable[..., Channel]] = {
     "loopback": _make_loopback,
     "tcp": _make_tcp,
@@ -97,13 +91,11 @@ _SCHEMES: dict[str, Callable[..., Channel]] = {
 _WRAPPER_OPTS = {
     "chaos": ("chaos_plan", "chaos_controller", "metrics"),
     "breaker": ("breaker_policy", "metrics"),
-    "samenode": ("metrics",),
 }
 
 _WRAPPERS: dict[str, Callable[..., Channel]] = {
     "chaos": _wrap_chaos,
     "breaker": _wrap_breaker,
-    "samenode": _wrap_samenode,
 }
 
 

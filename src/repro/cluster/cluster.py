@@ -35,11 +35,6 @@ from repro.telemetry import (
 
 _BASE_KINDS = ("loopback", "tcp", "aio", "shm")
 
-#: Base kinds the shm same-node backplane can ride alongside (the peer
-#: must be dialled by a socket authority for the handshake-socket probe
-#: to identify it).
-_SAMENODE_BASE_KINDS = ("tcp", "aio")
-
 
 class Cluster:
     """N in-process nodes talking over loopback or real TCP.
@@ -62,11 +57,6 @@ class Cluster:
         extra nodes run as separate OS processes over TCP (see
         :mod:`repro.cluster.proc`), importing ``worker_modules`` at boot;
         with ``elastic`` bounds the initial count is clamped into them.
-        ``same_node_transport="shm"`` gives every node a hidden
-        shared-memory listener on its socket authority and wraps the
-        client channel in a :class:`~repro.shm.SameNodeChannel`, so
-        calls between co-located processes ride ring buffers while
-        remote peers stay on the wire — no URI or directory changes.
 
         ``heartbeat_s``, ``elastic`` and ``scheduler.work_stealing`` are
         the duties of the one :class:`~repro.cluster.control.ControlPlane`
@@ -90,13 +80,6 @@ class Cluster:
             raise ScooppError(
                 "process workers speak TCP; use channel_kind='tcp'"
             )
-        same_node = config.same_node_transport
-        if same_node and base_kind not in _SAMENODE_BASE_KINDS:
-            raise ScooppError(
-                "same_node_transport='shm' needs a socket channel kind "
-                f"({', '.join(_SAMENODE_BASE_KINDS)}); "
-                f"got {channel_kind!r}"
-            )
         self.num_nodes = config.nodes
         self.metrics = MetricsRegistry()
         self.errors = ErrorCounter(self.metrics)
@@ -113,12 +96,8 @@ class Cluster:
         # The shared client channel every proxy dials through, built from
         # the scheme registry.  Stacking order matters: the breaker sits
         # outside the chaos layer so injected faults count toward
-        # tripping it, exactly like organic ones; the same-node router
-        # sits innermost so chaos and breaker apply to shm-routed calls
-        # exactly as they do to wire calls.
+        # tripping it, exactly like organic ones.
         client_kind = base_kind
-        if same_node:
-            client_kind = f"samenode+{client_kind}"
         if chaos:
             client_kind = f"chaos+{client_kind}"
         if config.breaker is not None:
@@ -139,7 +118,6 @@ class Cluster:
         # threads read.
         self.worker_handles: list[ProcessNodeHandle] = []
         self._workers_lock = threading.Lock()
-        self._backplane_channels: list[Channel] = []
         self._installed_tracer = None
         self._prev_sample_rate: float | None = None
         settings = config.node_settings()
@@ -193,18 +171,6 @@ class Cluster:
                     metrics=self.metrics,
                 )
                 self.nodes.append(node)
-                if same_node == "shm":
-                    # Hidden backplane: a second listener serving the
-                    # same host under the node's *socket* authority, so
-                    # the SameNodeChannel's handshake-socket probe finds
-                    # it.  advertise=False keeps the shm scheme out of
-                    # node URIs — remote peers never learn about it.
-                    from repro.shm import ShmChannel
-
-                    backplane = ShmChannel(metrics=self.metrics)
-                    bound = node.base_uri.split("://", 1)[1]
-                    node.host.listen(backplane, bound, advertise=False)
-                    self._backplane_channels.append(backplane)
             if worker_processes:
                 self.worker_handles = spawn_workers(
                     count=worker_processes,
@@ -629,11 +595,6 @@ class Cluster:
             self._installed_tracer = None
         closers = [handle.shutdown for handle in self._handles()]
         closers.append(self.services.close_all)
-        # Hidden backplane listeners: ChannelServices only adopts the
-        # first channel per scheme, so every node's shm listener past
-        # the first needs an explicit close to unlink its handshake
-        # socket and release the ring segments.
-        closers.extend(ch.close for ch in self._backplane_channels)
         closers.extend(node.close for node in self.nodes)
         for closer in closers:
             try:

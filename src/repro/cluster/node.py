@@ -188,17 +188,11 @@ class ObjectManager(MarshalByRefObject):
 
         One row per directory entry: cached peer rows (dead peers
         flagged rather than dropped, so policies see directory
-        indices), the adaptive controller's learned bytes-per-call for
-        *class_name*, and same-node reachability (co-located peers ride
-        the shm backplane at ~1/3 the wire cost).
+        indices), with the load, queue and service-time figures each
+        node last reported.
         """
         directory = self._directory_snapshot()
         reports = self._current_reports()
-        bytes_per_call = 0.0
-        if class_name is not None and isinstance(
-            self.grain, AdaptiveGrainController
-        ):
-            bytes_per_call = self.grain.call_bytes_for(class_name)[0]
         with self._lock:
             dead = set(self._dead)
             placed = dict(self._placed_since_refresh)
@@ -218,8 +212,6 @@ class ObjectManager(MarshalByRefObject):
                     ),
                     queue_depth=int(report["queued"]) if alive else 0,
                     ios=int(report["ios"]) if alive else 0,
-                    same_node=self._same_host(base_uri),
-                    bytes_per_call=bytes_per_call,
                     avg_service_s=(
                         float(report.get("avg_service_s", 0.0))
                         if alive
@@ -381,22 +373,6 @@ class ObjectManager(MarshalByRefObject):
             self._loads_stamp = now
             self._placed_since_refresh.clear()
         return reports
-
-    def _same_host(self, base_uri: str) -> bool:
-        """Whether *base_uri* is co-located with this node.
-
-        Loopback authorities live in this very process; socket
-        authorities compare host parts (workers spawned by this cluster
-        all bind the same interface, which is exactly the population the
-        shm backplane can reach).
-        """
-        if base_uri == self.node.base_uri:
-            return True
-        scheme, _, rest = base_uri.partition("://")
-        if scheme == "loopback":
-            return True
-        own = self.node.base_uri.partition("://")[2]
-        return rest.rsplit(":", 1)[0] == own.rsplit(":", 1)[0]
 
     def _merge_peer_stats(self, class_name: str) -> None:
         if not isinstance(self.grain, AdaptiveGrainController):

@@ -2,13 +2,12 @@
 
 §3.2: "the OM selects a processing node to create a new IO (according to
 the current load distribution policy)".  The paper leaves the policy
-abstract; we provide the classic three plus a locality-aware policy and
-make the choice pluggable.
+abstract; we provide the classic three plus ``locality``, which prices
+queued service time, and make the choice pluggable.
 
 Policies receive a :class:`repro.sched.ClusterView` — per-node load,
-mailbox queue depth, liveness, learned bytes-per-call and same-node
-reachability — and return an index into ``view.nodes`` (directory
-order, dead nodes included).
+mailbox queue depth, liveness and measured service times — and return
+an index into ``view.nodes`` (directory order, dead nodes included).
 """
 
 from __future__ import annotations
@@ -89,59 +88,28 @@ class RandomPlacement(PlacementPolicy):
 
 
 class LocalityAwarePlacement(PlacementPolicy):
-    """Load plus transfer cost, priced with learned bytes-per-call.
+    """Load plus queued service time (ties: lowest index).
 
-    Each live node is scored ``load + transfer``, where ``transfer``
-    charges the class's learned average serialized request size
-    (``AdaptiveGrainController.observe_call_bytes`` feeds it) scaled by
-    the transport: wire peers pay ``wire_cost_factor`` x what a
-    same-node peer pays, matching the measured ~3x shm-vs-tcp asymmetry
-    of the shared-memory backplane.  With no byte observations yet the
-    policy degenerates to least-loaded; as evidence accumulates,
-    heavy-argument classes gravitate to co-located nodes unless the
-    load gap outweighs the wire penalty.
-
-    ``bytes_scale`` converts bytes-per-call into load units: one
-    ``bytes_scale``-byte call costs one load point when shipped over
-    the wire at factor 1.
-
-    When the view carries telemetry histogram summaries
-    (``NodeView.avg_service_s`` > 0) the score adds a service-time term:
-    ``queue_depth * avg_service_s / service_scale_s``, i.e. the node's
-    backlog priced in *measured seconds of work* rather than task
-    counts — ten queued 100 µs calls are cheaper than one queued 50 ms
-    call.  ``service_scale_s`` converts backlog-seconds into load units
-    (one point per 10 ms of queued work by default); nodes without
-    summaries (telemetry off) contribute 0.
+    Each live node is scored ``load`` plus, when the view carries
+    telemetry histogram summaries (``NodeView.avg_service_s`` > 0), a
+    service-time term ``queue_depth * avg_service_s / service_scale_s``:
+    the node's backlog priced in *measured seconds of work* rather than
+    task counts — ten queued 100 µs calls are cheaper than one queued
+    50 ms call.  ``service_scale_s`` converts backlog-seconds into load
+    units (one point per 10 ms of queued work by default); nodes without
+    summaries (telemetry off) contribute 0, so the policy is then
+    least-loaded.
     """
 
     name = "locality"
 
-    def __init__(
-        self,
-        wire_cost_factor: float = 3.0,
-        same_node_cost_factor: float = 1.0,
-        bytes_scale: float = 64 * 1024.0,
-        service_scale_s: float = 0.01,
-    ) -> None:
-        if wire_cost_factor <= 0 or same_node_cost_factor <= 0:
-            raise PlacementError("cost factors must be positive")
-        if bytes_scale <= 0:
-            raise PlacementError("bytes_scale must be positive")
+    def __init__(self, service_scale_s: float = 0.01) -> None:
         if service_scale_s <= 0:
             raise PlacementError("service_scale_s must be positive")
-        self.wire_cost_factor = wire_cost_factor
-        self.same_node_cost_factor = same_node_cost_factor
-        self.bytes_scale = bytes_scale
         self.service_scale_s = service_scale_s
 
     def _score(self, node: NodeView) -> float:
-        factor = (
-            self.same_node_cost_factor
-            if node.same_node
-            else self.wire_cost_factor
-        )
-        score = node.load + (node.bytes_per_call / self.bytes_scale) * factor
+        score = node.load
         if node.avg_service_s > 0.0 and node.queue_depth > 0:
             score += (
                 node.queue_depth * node.avg_service_s / self.service_scale_s
@@ -154,12 +122,7 @@ class LocalityAwarePlacement(PlacementPolicy):
         best_score = self._score(best)
         for node in live[1:]:
             score = self._score(node)
-            # Strict < keeps ties on the lowest index; among equal
-            # scores a same-node peer wins (cheaper to reach even when
-            # the learned size is still zero).
-            if score < best_score or (
-                score == best_score and node.same_node and not best.same_node
-            ):
+            if score < best_score:
                 best, best_score = node, score
         return best.index
 

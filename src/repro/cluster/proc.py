@@ -98,9 +98,7 @@ class WorkerConfig:
     modules: tuple[str, ...]
     grain_spec: tuple[str, dict]
     placement_name: str
-    #: ``same_node_transport="shm"`` makes the worker dial same-node
-    #: peers over shared memory and serve a hidden shm listener next to
-    #: its TCP port; the rest goes verbatim into the worker's Node.
+    #: The per-node settings, passed verbatim to the worker's Node.
     settings: NodeSettings
     extra_sys_path: tuple[str, ...] = field(default_factory=tuple)
     #: The starting thread's CPU affinity: a spawned child inherited it,
@@ -132,9 +130,7 @@ def _worker_main(config: WorkerConfig, conn) -> None:  # type: ignore[no-untyped
         from repro.cluster.placement import make_placement
 
         services = ChannelServices()
-        backplane = config.settings.same_node_transport == "shm"
-        client_kind = "samenode+tcp" if backplane else "tcp"
-        services.register_channel(create_channel(client_kind))
+        services.register_channel(create_channel("tcp"))
         node = Node(
             index=config.index,
             channel=create_channel("tcp"),
@@ -144,16 +140,6 @@ def _worker_main(config: WorkerConfig, conn) -> None:  # type: ignore[no-untyped
             placement=make_placement(config.placement_name),
             settings=config.settings,
         )
-        if backplane:
-            # Hidden backplane (see Cluster.__init__): serve the same
-            # host over shm under the worker's TCP authority so the
-            # parent and sibling processes on this machine skip the
-            # wire; the shm scheme never appears in the worker's URIs.
-            node.host.listen(
-                create_channel("shm"),
-                node.base_uri.split("://", 1)[1],
-                advertise=False,
-            )
     except BaseException as exc:  # noqa: BLE001 - boot failure report
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
         return

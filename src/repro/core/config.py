@@ -39,7 +39,6 @@ class NodeSettings:
     """
 
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    same_node_transport: str | None = None
     mailbox_depth: int = 0
 
 
@@ -65,11 +64,6 @@ class ParcConfig:
     chaos_plan: Any = None
     #: Runtime fault controller for ``chaos+*`` channels.
     chaos_controller: Any = None
-    #: Same-node transport negotiation: ``"shm"`` routes calls between
-    #: co-located processes through shared-memory ring buffers
-    #: (:mod:`repro.shm`) while remote peers stay on the socket channel;
-    #: ``None`` (default) keeps everything on the wire.
-    same_node_transport: str | None = None
     #: Distributed tracing and metrics (disabled by default).
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     #: Bound on each IO mailbox (one FIFO per grain), in queued calls; 0
@@ -94,11 +88,6 @@ class ParcConfig:
         if self.worker_processes < 0:
             raise ScooppError("worker_processes cannot be negative")
         self.worker_modules = tuple(self.worker_modules)
-        if self.same_node_transport not in (None, "shm"):
-            raise ScooppError(
-                "same_node_transport must be None or 'shm', got "
-                f"{self.same_node_transport!r}"
-            )
         if not isinstance(self.telemetry, TelemetryConfig):
             raise ScooppError(
                 "telemetry must be a TelemetryConfig, got "
@@ -138,6 +127,5 @@ class ParcConfig:
         """The settings every node of this runtime boots with."""
         return NodeSettings(
             telemetry=self.telemetry,
-            same_node_transport=self.same_node_transport,
             mailbox_depth=self.mailbox_depth,
         )

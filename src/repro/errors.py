@@ -81,9 +81,8 @@ class AddressError(ChannelError):
 class ShmSetupError(ChannelError):
     """A shared-memory handshake or segment attach failed.
 
-    Raised strictly *before* any request bytes were sent, so the
-    same-node router may retry the call over the wire without risking
-    double execution (see :mod:`repro.shm.router`).
+    Raised strictly *before* any request bytes were sent, so the call
+    never reached a handler and is safe to retry.
     """
 
 

@@ -145,29 +145,18 @@ class RemotingHost:
         self._sweep = None  # the lease sweep armed on the process timer
         self._sweep_failed = False
         self._activated_types: dict[str, type] = {}
-        # Schemes bound with advertise=False: served, but kept out of
-        # published URIs (e.g. the same-node shm backplane, which peers
-        # discover by handshake socket rather than by directory entry).
-        self._hidden_schemes: set[str] = set()
         # Set by the owning cluster node: a NodeTelemetry whose tracer
         # records dispatch spans in this node's lane of the merged trace.
         self.telemetry = None
 
     # -- serving ---------------------------------------------------------
 
-    def listen(
-        self, channel: Channel, authority: str, advertise: bool = True
-    ) -> ServerBinding:
+    def listen(self, channel: Channel, authority: str) -> ServerBinding:
         """Serve this host's objects over *channel* at *authority*.
 
         The channel is also registered with the host's ChannelServices (if
         its scheme is free) so locally created proxies can dial peers over
         the same scheme.  One binding per scheme per host.
-
-        ``advertise=False`` serves the binding but keeps its scheme out
-        of :attr:`uris` (and therefore out of every ObjRef minted here):
-        used for the shm backplane, which same-node peers find through
-        its handshake socket, never through the directory.
         """
         with self._lock:
             if self._closed:
@@ -188,8 +177,6 @@ class RemotingHost:
             binding = channel.listen(authority, handler)
             self._bindings[channel.scheme] = binding
             self._channels[channel.scheme] = channel
-            if not advertise:
-                self._hidden_schemes.add(channel.scheme)
             # A channel already registered for this scheme keeps serving
             # client calls; serving works through our binding either way.
             self.services.register_channel_if_absent(channel)
@@ -202,7 +189,6 @@ class RemotingHost:
             return tuple(
                 f"{scheme}://{binding.authority}"
                 for scheme, binding in sorted(self._bindings.items())
-                if scheme not in self._hidden_schemes
             )
 
     # -- publication -------------------------------------------------------

@@ -2,10 +2,8 @@
 
 A :class:`ClusterView` carries what the runtime knows about each node
 when a grain is placed: load and queue depths (flow control), liveness
-(the failure detector), learned bytes-per-call (the adaptive grain
-controller) and transport cost asymmetry (the shm backplane makes
-same-node peers cheaper than wire peers) — one :class:`NodeView` per
-directory entry.
+(the failure detector) and measured service times (the telemetry
+histograms) — one :class:`NodeView` per directory entry.
 """
 
 from __future__ import annotations
@@ -23,11 +21,7 @@ class NodeView:
     ``load`` is the classic OM metric (live IOs plus queued tasks,
     adjusted for placements made since the last refresh);
     ``queue_depth`` is the mailbox backlog alone (tasks queued across
-    all hosted IOs' mailboxes); ``bytes_per_call`` is the adaptive grain
-    controller's learned average serialized request size for the class
-    being placed (0.0 when unknown); ``same_node`` marks peers
-    co-located with the choosing node, i.e. reachable over the
-    shared-memory backplane rather than the wire.
+    all hosted IOs' mailboxes).
 
     ``avg_service_s``/``p99_s`` summarize the node's
     ``parc.method.seconds.*`` latency histograms (mean and conservative
@@ -43,8 +37,6 @@ class NodeView:
     load: float = 0.0
     queue_depth: int = 0
     ios: int = 0
-    same_node: bool = False
-    bytes_per_call: float = 0.0
     avg_service_s: float = 0.0
     p99_s: float = 0.0
 

@@ -1,27 +1,22 @@
-"""Same-node shared-memory backplane.
+"""Shared-memory channel transport.
 
 The ``shm`` channel scheme moves the existing frame format through SPSC
 ring buffers in ``multiprocessing.shared_memory`` instead of sockets —
 same payload codec, same wrapper composition
-(``channels.create("breaker+shm")``), no wire.  ``SameNodeChannel``
-makes adoption automatic: wrapped around tcp/aio it detects co-located
-peers by their handshake socket and routes their calls through shm
-while remote peers stay on the wire.  The cluster enables it with
-``ParcConfig(same_node_transport="shm")``.
+(``channels.create("breaker+shm")``), no wire.  A cluster uses it when
+its channel kind is ``"shm"`` (or a wrapped ``"chaos+shm"``).
 
 Layers:
 
 * :mod:`repro.shm.ring` — segment layout and the SPSC ring halves;
 * :mod:`repro.shm.doorbell` — eventfd/pipe wakeups for the park side of
   the busy/park hybrid wait;
-* :mod:`repro.shm.channel` — the :class:`ShmChannel` transport;
-* :mod:`repro.shm.router` — :class:`SameNodeChannel` auto-negotiation.
+* :mod:`repro.shm.channel` — the :class:`ShmChannel` transport.
 """
 
 from repro.shm.channel import (
     DEFAULT_SPIN,
     ShmChannel,
-    shm_available,
     shm_socket_dir,
     socket_path_for,
 )
@@ -36,7 +31,6 @@ from repro.shm.ring import (
     segment_size,
     server_rings,
 )
-from repro.shm.router import SameNodeChannel
 
 __all__ = [
     "DEFAULT_RING_SIZE",
@@ -44,14 +38,12 @@ __all__ = [
     "Doorbell",
     "RingReader",
     "RingWriter",
-    "SameNodeChannel",
     "ShmChannel",
     "client_rings",
     "init_segment",
     "read_segment_header",
     "segment_size",
     "server_rings",
-    "shm_available",
     "shm_socket_dir",
     "socket_path_for",
 ]

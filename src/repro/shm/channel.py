@@ -101,8 +101,7 @@ _auto_authorities = itertools.count(1)
 def shm_socket_dir() -> str:
     """Directory holding the handshake sockets (``PARC_SHM_DIR`` overrides).
 
-    The socket file doubles as the same-node advertisement: a peer whose
-    authority has a socket here is co-located and reachable over shm.
+    A listener's socket file lives here for as long as it is bound.
     """
     base = os.environ.get("PARC_SHM_DIR") or os.path.join(
         tempfile.gettempdir(), f"parc-shm-{os.getuid()}"
@@ -116,18 +115,13 @@ def socket_path_for(authority: str) -> str:
 
     Both sides derive the path independently — the listener from the
     authority it binds, the connector from the authority in the object
-    URI — which is the entire same-node negotiation protocol.  Long or
+    URI — so a connector needs no lookup to find its listener.  Long or
     exotic authorities are digested to stay inside ``sun_path`` limits.
     """
     token = _SAFE_AUTHORITY.sub("_", authority)
     if not token or len(token) > 64:
         token = hashlib.sha1(authority.encode("utf-8")).hexdigest()[:24]
     return os.path.join(shm_socket_dir(), f"{token}.sock")
-
-
-def shm_available(authority: str) -> bool:
-    """True when a co-located shm listener advertises *authority*."""
-    return os.path.exists(socket_path_for(authority))
 
 
 def _same_process_peer(sock: socket.socket) -> bool:
@@ -537,9 +531,8 @@ def _connect(
     The connector creates everything (segment + both doorbells) so the
     listener only ever attaches; the segment is unlinked the moment the
     ack arrives, leaving nothing named behind even on a later crash.
-    All failures before the ack raise :class:`ShmSetupError` — the
-    router treats those as "no usable shm here" and falls back to the
-    wire, which is safe precisely because no request was sent yet.
+    All failures before the ack raise :class:`ShmSetupError`, so a
+    caller knows no request was sent yet.
     """
     path = socket_path_for(authority)
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)

@@ -11,7 +11,7 @@ import pytest
 import repro.core as parc
 from repro.cluster.cluster import Cluster
 from repro.cluster.placement import PlacementPolicy
-from repro.core import ParcConfig, SchedulerConfig
+from repro.core import AdaptiveGrainController, ParcConfig, SchedulerConfig
 from repro.errors import MigrationError
 
 
@@ -244,5 +244,32 @@ class TestNodeDownPlacement:
                 assert not factory_uri.startswith(dead.base_uri)
             view = cluster.home_node.om.cluster_view("sched.Tally")
             assert [n.alive for n in view.nodes] == [True, False, True]
+        finally:
+            cluster.close()
+
+
+class TestLocalityPlacement:
+    def test_home_node_gets_no_transfer_discount(self):
+        """Every node of a chaos+loopback cluster is in this process, so
+        a class's call size must not tilt the choice towards home: the
+        less loaded peer wins."""
+        controller = AdaptiveGrainController()
+        controller.observe_call_bytes("sched.Tally", 64 * 1024, 1)
+        cluster = Cluster(
+            ParcConfig(
+                nodes=2,
+                channel="chaos+loopback",
+                scheduler=SchedulerConfig(
+                    grain=controller, placement="locality"
+                ),
+            )
+        )
+        try:
+            home, peer = cluster.nodes
+            home.create_impl("sched.Tally", (), {})
+            view = home.om.cluster_view("sched.Tally")
+            assert [n.load for n in view.nodes] == [1.0, 0.0]
+            _decision, factory_uri = home.om.decide_and_place("sched.Tally")
+            assert factory_uri == f"{peer.base_uri}/factory"
         finally:
             cluster.close()

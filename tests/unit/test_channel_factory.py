@@ -75,29 +75,16 @@ class TestWrappers:
         assert isinstance(channel.inner, FaultyChannel)
         assert isinstance(channel.inner.inner, LoopbackChannel)
 
-    def test_samenode_wraps_socket_base(self):
-        from repro.shm import SameNodeChannel
-
-        channel = channels.create("samenode+tcp")
-        try:
-            assert isinstance(channel, SameNodeChannel)
-            # Presents the inner scheme: slots into tcp URI routing.
-            assert channel.scheme == "tcp"
-        finally:
-            channel.close()
-
-    def test_full_backplane_stack(self):
-        from repro.shm import SameNodeChannel
-
+    def test_full_cluster_stack(self):
         channel = channels.create(
-            "breaker+chaos+samenode+tcp",
+            "breaker+chaos+tcp",
             chaos_plan=FaultPlan(seed=1),
             breaker_policy=BreakerPolicy(),
         )
         try:
             assert isinstance(channel, BreakerChannel)
             assert isinstance(channel.inner, FaultyChannel)
-            assert isinstance(channel.inner.inner, SameNodeChannel)
+            assert isinstance(channel.inner.inner, TcpChannel)
         finally:
             channel.close()
 

@@ -31,7 +31,6 @@ class TestParcConfig:
         assert config.breaker is None
         assert config.chaos_plan is None
         assert config.chaos_controller is None
-        assert config.same_node_transport is None
         assert config.telemetry == TelemetryConfig()
         assert config.telemetry.enabled is False
 
@@ -42,9 +41,6 @@ class TestParcConfig:
             ParcConfig(worker_processes=-1)
         with pytest.raises(ScooppError, match="telemetry"):
             ParcConfig(telemetry=True)  # type: ignore[arg-type]
-        with pytest.raises(ScooppError, match="same_node_transport"):
-            ParcConfig(same_node_transport="smoke-signals")
-        assert ParcConfig(same_node_transport="shm").same_node_transport == "shm"
 
     def test_worker_modules_normalized_to_tuple(self):
         config = ParcConfig(worker_modules=["a", "b"])
@@ -61,7 +57,6 @@ class TestParcConfig:
             "breaker",
             "chaos_plan",
             "chaos_controller",
-            "same_node_transport",
             "telemetry",
             "mailbox_depth",
             "elastic",
@@ -87,7 +82,6 @@ class TestParcConfig:
         """What every node boots with beyond its identity, by name."""
         assert {f.name for f in fields(NodeSettings)} == {
             "telemetry",
-            "same_node_transport",
             "mailbox_depth",
         }
 

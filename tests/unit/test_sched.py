@@ -51,37 +51,6 @@ class TestLocalityAwarePlacement:
         view = ClusterView.from_loads([3.0, 1.0, 2.0])
         assert policy.choose(view, 0) == 1
 
-    def test_wire_penalty_pulls_heavy_classes_home(self):
-        # Same-node peer is slightly more loaded, but the class ships
-        # 64 KiB per call: the 3x wire factor outweighs the load gap.
-        policy = LocalityAwarePlacement()
-        view = make_view(
-            NodeView(
-                index=0,
-                base_uri="n0",
-                load=1.5,
-                same_node=True,
-                bytes_per_call=64 * 1024.0,
-            ),
-            NodeView(
-                index=1,
-                base_uri="n1",
-                load=1.0,
-                same_node=False,
-                bytes_per_call=64 * 1024.0,
-            ),
-        )
-        # n0: 1.5 + 1*1 = 2.5; n1: 1.0 + 1*3 = 4.0
-        assert policy.choose(view, 0) == 0
-
-    def test_same_node_wins_score_ties(self):
-        policy = LocalityAwarePlacement()
-        view = make_view(
-            NodeView(index=0, base_uri="n0", load=1.0),
-            NodeView(index=1, base_uri="n1", load=1.0, same_node=True),
-        )
-        assert policy.choose(view, 1) == 1
-
     def test_skips_dead_nodes(self):
         policy = LocalityAwarePlacement()
         view = make_view(
@@ -95,9 +64,7 @@ class TestLocalityAwarePlacement:
 
     def test_bad_factors_rejected(self):
         with pytest.raises(PlacementError):
-            LocalityAwarePlacement(wire_cost_factor=0)
-        with pytest.raises(PlacementError):
-            LocalityAwarePlacement(bytes_scale=-1)
+            LocalityAwarePlacement(service_scale_s=0)
 
 
 class TestRoundRobinSkipsDead:

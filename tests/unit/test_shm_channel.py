@@ -1,4 +1,4 @@
-"""Unit tests for the shm channel, doorbells, and same-node routing."""
+"""Unit tests for the shm channel and doorbells."""
 
 from __future__ import annotations
 
@@ -13,15 +13,8 @@ import pytest
 
 from repro.channels.buffers import BufferPool
 from repro.channels.factory import create
-from repro.channels.tcp import TcpChannel
 from repro.errors import ChannelClosedError, ChannelError
-from repro.shm import (
-    Doorbell,
-    SameNodeChannel,
-    ShmChannel,
-    shm_available,
-    socket_path_for,
-)
+from repro.shm import DEFAULT_RING_SIZE, Doorbell, ShmChannel, socket_path_for
 from repro.telemetry import MetricsRegistry
 
 
@@ -103,14 +96,14 @@ class TestShmChannel:
         with pytest.raises(ChannelError, match="ring_size"):
             ShmChannel(ring_size=128)
 
-    def test_shm_available_tracks_listener(self):
+    def test_handshake_socket_tracks_listener(self):
         channel = ShmChannel()
         binding = channel.listen("auto", echo_handler)
-        authority = binding.authority
-        assert shm_available(authority)
+        path = socket_path_for(binding.authority)
+        assert os.path.exists(path)
         binding.close()
         channel.close()
-        assert not shm_available(authority)
+        assert not os.path.exists(path)
 
     def test_metrics_exposed(self):
         registry = MetricsRegistry()
@@ -236,80 +229,30 @@ class TestFactoryComposition:
             binding.close()
             channel.close()
 
-    def test_samenode_tcp_stack(self):
-        channel = create("samenode+tcp")
-        try:
-            assert isinstance(channel, SameNodeChannel)
-            assert channel.scheme == "tcp"  # presents the inner scheme
-        finally:
-            channel.close()
 
+class TestShmCluster:
+    def test_large_payloads_cross_the_rings(self):
+        """A payload bigger than the ring streams through wrap/park."""
+        import repro.core as parc
+        from repro.core import ParcConfig
 
-class TestSameNodeRouting:
-    def test_remote_authority_stays_on_wire(self):
-        registry = MetricsRegistry()
-        tcp = TcpChannel()
-        binding = tcp.listen("127.0.0.1:0", echo_handler)
-        router = SameNodeChannel(tcp, metrics=registry)
-        try:
-            # No shm handshake socket for this authority: wire route.
-            assert router.call(binding.authority, "p", b"w") == b"p:w"
-            snap = registry.snapshot()
-            assert snap["shm.router.wire_calls"] == 1
-            assert snap["shm.router.shm_calls"] == 0
-        finally:
-            binding.close()
-            router.close()
+        @parc.parallel(name="shmtest.Echo", sync_methods=["echo"])
+        class Echo:
+            def echo(self, blob):
+                return blob
 
-    def test_colocated_authority_routes_shm(self):
-        registry = MetricsRegistry()
-        tcp = TcpChannel()
-        binding = tcp.listen("127.0.0.1:0", echo_handler)
-        router = SameNodeChannel(tcp, metrics=registry)
-        shm_binding = router.shm.listen(binding.authority, echo_handler)
+        runtime = parc.init(ParcConfig(nodes=2, channel="shm"))
         try:
-            assert router.call(binding.authority, "p", b"s") == b"p:s"
-            snap = registry.snapshot()
-            assert snap["shm.router.shm_calls"] == 1
-            assert snap["shm.router.wire_calls"] == 0
+            # Round robin puts one on each node; node 1's is reached
+            # through the client channel's rings.
+            echoes = [parc.new(Echo) for _ in range(2)]
+            assert runtime.cluster.nodes[1].impl_snapshot()
+            blob = bytes(range(256)) * (DEFAULT_RING_SIZE // 256 + 1024)
+            assert len(blob) > DEFAULT_RING_SIZE
+            for echo in echoes:
+                assert echo.echo(blob) == blob
         finally:
-            shm_binding.close()
-            binding.close()
-            router.close()
-
-    def test_setup_failure_demotes_to_wire(self, tmp_path):
-        """A stale handshake socket file must not strand the authority."""
-        registry = MetricsRegistry()
-        tcp = TcpChannel()
-        binding = tcp.listen("127.0.0.1:0", echo_handler)
-        router = SameNodeChannel(tcp, metrics=registry)
-        # Fake a dead co-located peer: the path exists but nothing
-        # accepts, so shm establishment fails before any bytes move.
-        path = socket_path_for(binding.authority)
-        with open(path, "w"):
-            pass
-        try:
-            assert router.call(binding.authority, "p", b"f") == b"p:f"
-            snap = registry.snapshot()
-            assert snap["shm.router.fallbacks"] == 1
-            assert snap["shm.router.wire_calls"] == 1
-            # Demoted: later calls skip the probe entirely.
-            assert router.call(binding.authority, "p", b"g") == b"p:g"
-            assert registry.snapshot()["shm.router.wire_calls"] == 2
-        finally:
-            os.unlink(path)
-            binding.close()
-            router.close()
-
-    def test_listen_delegates_to_inner(self):
-        tcp = TcpChannel()
-        router = SameNodeChannel(tcp)
-        binding = router.listen("127.0.0.1:0", echo_handler)
-        try:
-            assert ":" in binding.authority  # a real socket authority
-        finally:
-            binding.close()
-            router.close()
+            parc.shutdown()
 
 
 class TestDoorbell:
