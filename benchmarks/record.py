@@ -23,9 +23,8 @@ switches — only multi-core hosts can show the shm speedup.
   channel, the columnar-versus-row aggregate encoding sizes, and the
   TAB-LAT latency table (modeled one-way latencies and live localhost
   round trips per stack).
-* ``overload``: the credits-on/off ping-pong rates (the flow-control
-  overhead guardrail), admitted/shed latency percentiles for a
-  saturated bounded mailbox, and the elastic scale-out/in cycle's call
+* ``overload``: admitted/shed latency percentiles for a saturated
+  bounded mailbox, and the elastic scale-out/in cycle's call
   accounting.
 * ``sched``: makespans for the Zipf-skewed placement bench under static
   round-robin, the perfect-knowledge LPT oracle, and the adaptive
@@ -138,12 +137,10 @@ def collect_overload() -> dict:
         MAILBOX_DEPTH,
         SERVICE_S,
         _percentile,
-        credit_rates,
         elastic_cycle_stats,
         saturation_latencies,
     )
 
-    rates = credit_rates()
     saturation = saturation_latencies()
     elastic = elastic_cycle_stats()
     admitted = saturation["admitted"]
@@ -153,7 +150,6 @@ def collect_overload() -> dict:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "credit_pingpong": rates,
         "saturation": {
             "service_s": SERVICE_S,
             "mailbox_depth": MAILBOX_DEPTH,
@@ -167,9 +163,6 @@ def collect_overload() -> dict:
         },
         "elastic_cycle": elastic,
         "guarded_ratios": {
-            "credits_on_vs_off": (
-                rates["credits-on"] / rates["credits-off"]
-            ),
             "elastic_tested_vs_posted": (
                 elastic["tested"] / elastic["posted"]
             ),

@@ -1,11 +1,7 @@
-"""OVERLOAD — flow-control guardrails: credit overhead, shed latency, elasticity.
+"""OVERLOAD — flow-control guardrails: shed latency, elasticity.
 
-Three claims, asserted on this machine:
+Two claims, asserted on this machine:
 
-* credit-based backpressure is close to free when the cluster is NOT
-  saturated: ping-pong throughput with credits on is >= 0.95x the
-  credits-off rate (the exchange adds one flag bit on requests, four
-  bytes on responses, and an uncontended gate acquire/release);
 * a bounded mailbox keeps latency bounded under saturating load: the
   p99 of *admitted* calls stays within the budget implied by the
   mailbox depth and service time, and shed calls fail fast instead of queueing
@@ -27,80 +23,15 @@ import time
 import repro.core as parc
 from repro.apps.primes import PrimeServer
 from repro.benchlib.tables import format_table
-from repro.channels.tcp import TcpChannel
 from repro.cluster.control import ELASTIC_INTERVAL_S, ControlPlane
 from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.errors import OverloadError, ParcError
-from repro.flow import CreditGrantor
 from repro.perfmodel.clock import VirtualClock
-from repro.remoting.messages import CallMessage
-
-PAYLOAD_BYTES = 1024
-ROUNDS = 400
-TRIALS = 5
-ATTEMPTS = 3
 
 #: Admission-control scenario: service time, mailbox bound, concurrency.
 SERVICE_S = 0.02
 MAILBOX_DEPTH = 4
 CALLERS = 24
-
-
-def _granting_echo():
-    """Echo handler advertising credits, as a real remoting host does."""
-
-    def handler(path, body, headers):  # type: ignore[no-untyped-def]
-        return bytes(body)
-
-    handler.credit_grantor = CreditGrantor()
-    return handler
-
-
-def credit_pingpong_rate(
-    credits: bool, payload_size: int = PAYLOAD_BYTES, trials: int = TRIALS
-) -> float:
-    """Round trips/second with the credit exchange on or off.
-
-    The server always has a grantor (the deployed configuration); only
-    the client side toggles, so the comparison prices exactly what a
-    credit-aware client adds: the request flag, the gate bookkeeping,
-    and the four-byte grant parsed off every response.
-    """
-    server = TcpChannel(credits=credits)
-    client = TcpChannel(credits=credits)
-    binding = server.listen("127.0.0.1:0", _granting_echo())
-    message = CallMessage(
-        uri="pingpong", method="echo", args=(bytes(payload_size),)
-    )
-    try:
-        client.round_trip(binding.authority, "pingpong", message)  # warm up
-        best = float("inf")
-        for _ in range(trials):
-            started = time.perf_counter()
-            for _ in range(ROUNDS):
-                result = client.round_trip(
-                    binding.authority, "pingpong", message
-                )
-            best = min(best, time.perf_counter() - started)
-        assert result.args == message.args
-        return ROUNDS / best
-    finally:
-        client.close()
-        binding.close()
-        server.close()
-
-
-def credit_rates() -> dict[str, float]:
-    """Best-of-TRIALS rates, credits-on/off trials interleaved."""
-    rates = {"credits-on": 0.0, "credits-off": 0.0}
-    for _ in range(TRIALS):
-        rates["credits-on"] = max(
-            rates["credits-on"], credit_pingpong_rate(True, trials=1)
-        )
-        rates["credits-off"] = max(
-            rates["credits-off"], credit_pingpong_rate(False, trials=1)
-        )
-    return rates
 
 
 @parc.parallel(name="bench.overload.Slow", sync_methods=["slow"])
@@ -266,31 +197,6 @@ def elastic_cycle_stats() -> dict:
         "scale_out": snapshot.get("cluster.elastic.scale_out", 0),
         "scale_in": snapshot.get("cluster.elastic.scale_in", 0),
     }
-
-
-class TestCreditOverhead:
-    def test_unsaturated_credit_overhead_under_5_percent(self):
-        ratio = 0.0
-        for _ in range(ATTEMPTS):
-            rates = credit_rates()
-            ratio = rates["credits-on"] / rates["credits-off"]
-            if ratio >= 0.95:
-                break
-        print()
-        print(
-            format_table(
-                ["config", "round trips/s"],
-                [
-                    [name, f"{rate:,.0f}"]
-                    for name, rate in sorted(rates.items())
-                ],
-            )
-        )
-        print(f"credits-on / credits-off: {ratio:.3f}")
-        assert ratio >= 0.95, (
-            f"credit exchange cost {1 - ratio:.1%} unsaturated "
-            f"(budget 5%): {rates}"
-        )
 
 
 class TestBoundedLatency:

@@ -56,12 +56,10 @@ from repro.channels.exchange import build_request_frame, run_handler
 from repro.channels.framing import (
     CORRELATION_SIZE,
     FLAG_CORRELATED,
-    FLAG_CREDIT,
     HEADER_SIZE,
     append_frame,
     pack_correlation_into,
     parse_header_from,
-    split_credit,
 )
 from repro.channels.request import (
     STATUS_ERROR,
@@ -161,7 +159,7 @@ class _FrameReceiver(asyncio.Protocol):
                     correlation_id = None
                     body = bytes(buffer[start:end])
                 offset = end
-                self.frame_received(correlation_id, body, flags)
+                self.frame_received(correlation_id, body)
         except WireFormatError:
             if self.transport is not None:
                 self.transport.close()
@@ -170,9 +168,7 @@ class _FrameReceiver(asyncio.Protocol):
             if offset:
                 del buffer[:offset]
 
-    def frame_received(
-        self, correlation_id: int | None, body: bytes, flags: int
-    ) -> None:
+    def frame_received(self, correlation_id: int | None, body: bytes) -> None:
         raise NotImplementedError
 
 
@@ -198,10 +194,8 @@ class _ClientProtocol(_FrameReceiver):
         super().__init__()
         self._connection = connection
 
-    def frame_received(
-        self, correlation_id: int | None, body: bytes, flags: int
-    ) -> None:
-        self._connection._on_frame(correlation_id, body, flags)
+    def frame_received(self, correlation_id: int | None, body: bytes) -> None:
+        self._connection._on_frame(correlation_id, body)
 
     def connection_lost(self, exc: Exception | None) -> None:
         self._connection._on_lost(exc)
@@ -226,9 +220,6 @@ class _AioConnection:
         self.broken: ChannelError | None = None
         self._transport: asyncio.Transport | None = None
         self._loop = asyncio.get_running_loop()
-        # The configured window is only the starting value: replies to
-        # credited requests carry the server's grants (repro.flow) — a
-        # loaded server shrinks it, an idle one restores it.
         self._window = window
         self._metrics = metrics
         self._in_flight = 0
@@ -345,16 +336,7 @@ class _AioConnection:
 
     # -- receive ---------------------------------------------------------
 
-    def _on_frame(
-        self, correlation_id: int | None, body: bytes, flags: int = 0
-    ) -> None:
-        if flags & FLAG_CREDIT:
-            credit, body = split_credit(flags, body)
-            if credit is not None:
-                # The server's grant *is* the window; a grown window is
-                # applied before the pump below so backlog entries can
-                # ride the freed slots immediately.
-                self._window = max(1, credit)
+    def _on_frame(self, correlation_id: int | None, body: bytes) -> None:
         future = self._pending.pop(correlation_id, None)
         if future is None:
             return  # response to an abandoned request
@@ -460,9 +442,7 @@ class _ServerProtocol(_FrameReceiver):
     def __init__(self, binding: "_AioBinding") -> None:
         super().__init__()
         self._binding = binding
-        self._ordered: collections.deque[tuple[bytes, bool]] = (
-            collections.deque()
-        )
+        self._ordered: collections.deque[bytes] = collections.deque()
         self._ordered_busy = False
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -472,62 +452,45 @@ class _ServerProtocol(_FrameReceiver):
     def connection_lost(self, exc: Exception | None) -> None:
         self._binding._transports.discard(self.transport)
 
-    def frame_received(
-        self, correlation_id: int | None, body: bytes, flags: int
-    ) -> None:
+    def frame_received(self, correlation_id: int | None, body: bytes) -> None:
         binding = self._binding
         binding._in_flight.add(1)
-        # The client opted into credit grants (repro.flow); responses to
-        # it carry a window grant when the binding has a grantor.
-        wants_credit = bool(flags & FLAG_CREDIT) and binding._grantor is not None
         if correlation_id is None:
-            self._ordered.append((body, wants_credit))
+            self._ordered.append(body)
             if not self._ordered_busy:
                 self._ordered_busy = True
                 self._next_ordered()
             return
         accepted = binding._pool.submit(
             body,
-            lambda status, response, cid=correlation_id, wc=wants_credit:
-                binding._respond_later(
-                    self.transport, cid, status, response, wc
-                ),
+            lambda status, response, cid=correlation_id:
+                binding._respond_later(self.transport, cid, status, response),
         )
         if not accepted:  # pool shut down: binding is closing
             binding._in_flight.add(-1)
             self.transport.close()
 
     def _next_ordered(self) -> None:
-        body, wants_credit = self._ordered.popleft()
         accepted = self._binding._pool.submit(
-            body,
-            lambda status, response, wc=wants_credit:
-                self._ordered_done(status, response, wc),
+            self._ordered.popleft(), self._ordered_done
         )
         if not accepted:
             self._binding._in_flight.add(-1)
             self.transport.close()
 
-    def _ordered_done(
-        self, status: int, response: bytes, wants_credit: bool
-    ) -> None:
+    def _ordered_done(self, status: int, response: bytes) -> None:
         # Runs on a dispatch worker; hop to the loop to write in order.
         try:
             self._binding._loop.call_soon_threadsafe(
-                self._ordered_complete, status, response, wants_credit
+                self._ordered_complete, status, response
             )
         except RuntimeError:
             pass  # loop already closed
 
-    def _ordered_complete(
-        self, status: int, response: bytes, wants_credit: bool
-    ) -> None:
+    def _ordered_complete(self, status: int, response: bytes) -> None:
         binding = self._binding
         binding._in_flight.add(-1)
-        credit = binding._grantor.grant() if wants_credit else None
-        binding._write_response(
-            self.transport, None, status, response, credit
-        )
+        binding._write_response(self.transport, None, status, response)
         if self._ordered:
             self._next_ordered()
         else:
@@ -551,9 +514,6 @@ class _AioBinding(ServerBinding):
         handler: RequestHandler,
     ) -> None:
         self._handler = handler
-        # Attached by RemotingHost.listen; plain handlers have none and
-        # their responses carry no credit grants.
-        self._grantor = getattr(handler, "credit_grantor", None)
         self._loop_thread = channel._ensure_loop()
         self._loop = self._loop_thread.loop
         self._in_flight = channel.metrics.gauge(
@@ -592,16 +552,13 @@ class _AioBinding(ServerBinding):
         correlation_id: int,
         status: int,
         response: bytes,
-        wants_credit: bool = False,
     ) -> None:
         """Dispatch-pool completion (worker thread): queue the response.
 
         Scheduling is coalesced: the first completion after a drain wakes
         the loop, completions racing in behind it ride the same wake-up.
         """
-        self._responses.append(
-            (transport, correlation_id, status, response, wants_credit)
-        )
+        self._responses.append((transport, correlation_id, status, response))
         if not self._responses_scheduled:
             self._responses_scheduled = True
             try:
@@ -613,12 +570,9 @@ class _AioBinding(ServerBinding):
         self._responses_scheduled = False
         buffers: dict[asyncio.Transport, bytearray] = {}
         drained = 0
-        # One grant covers every credited response in this drain cycle:
-        # pressure does not move faster than a loop wake-up.
-        grant: int | None = None
         while True:
             try:
-                transport, correlation_id, status, response, wants_credit = (
+                transport, correlation_id, status, response = (
                     self._responses.popleft()
                 )
             except IndexError:
@@ -626,11 +580,6 @@ class _AioBinding(ServerBinding):
             drained += 1
             if transport.is_closing():
                 continue
-            credit = None
-            if wants_credit:
-                if grant is None:
-                    grant = self._grantor.grant()
-                credit = grant
             # Frames are appended straight into one buffer per connection
             # — no per-response bytes objects, no final join.
             frames = buffers.get(transport)
@@ -640,7 +589,6 @@ class _AioBinding(ServerBinding):
                 frames,
                 (_STATUS_BYTES[status], response),
                 correlation_id=correlation_id,
-                credit=credit,
             )
         if drained:
             self._in_flight.add(-drained)
@@ -657,7 +605,6 @@ class _AioBinding(ServerBinding):
         correlation_id: int | None,
         status: int,
         response: bytes,
-        credit: int | None = None,
     ) -> None:
         if transport.is_closing():
             return
@@ -666,7 +613,6 @@ class _AioBinding(ServerBinding):
             frame,
             (_STATUS_BYTES[status], response),
             correlation_id=correlation_id,
-            credit=credit,
         )
         try:
             transport.write(frame)
@@ -706,15 +652,7 @@ class AioTcpChannel(Channel):
     window:
         Max concurrent in-flight requests per client connection; further
         requests queue in a backlog (backpressure) and the wait counts
-        toward their deadline.  With *credits* enabled this is only the
-        starting value — server grants resize it per connection.
-    credits:
-        Credit-based backpressure (:mod:`repro.flow`): requests advertise
-        :data:`~repro.channels.framing.FLAG_CREDIT` and the in-flight
-        window follows the server's response grants, so a loaded server
-        throttles this client without dropping anything.  Responses from
-        servers that predate credits (or have no grantor) leave the
-        window at its configured value.
+        toward their deadline.
     request_timeout:
         Per-request deadline in seconds, covering backlog wait + send +
         response (and connection establishment when one must be opened).
@@ -739,7 +677,6 @@ class AioTcpChannel(Channel):
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         dispatch_workers: int = DEFAULT_DISPATCH_WORKERS,
         metrics: MetricsRegistry | None = None,
-        credits: bool = True,
     ) -> None:
         super().__init__(
             formatter if formatter is not None else FastBinaryFormatter()
@@ -748,10 +685,6 @@ class AioTcpChannel(Channel):
         if window < 1:
             raise ChannelError("window must be at least 1")
         self.window = window
-        self.credits = credits
-        self._request_flags = FLAG_CORRELATED | (
-            FLAG_CREDIT if credits else 0
-        )
         self.request_timeout = request_timeout
         self.connect_timeout = connect_timeout
         self.dispatch_workers = dispatch_workers
@@ -822,7 +755,7 @@ class AioTcpChannel(Channel):
         request = bytearray()
         size = build_request_frame(
             request,
-            self._request_flags,
+            FLAG_CORRELATED,
             path,
             headers or {},
             body,

@@ -8,17 +8,16 @@ pipes underneath it.
 
 The engine owns everything that is protocol:
 
-* the per-authority :class:`~repro.flow.CreditGate` map;
 * building the request frame in a pooled buffer, header patched in place
   (:func:`build_request_frame`);
 * the idle / checked-out :class:`ConnectionPool`, force-closing on
   ``close()`` and reporting a call cut down by that close as
   :class:`~repro.errors.ChannelClosedError`;
-* splitting the credit grant off the reply and decoding its status;
-* the one ``finally`` that releases the reply views, retires the frame,
-  checks the connection back in and returns the credit — in that order;
+* decoding the reply's status;
+* the one ``finally`` that releases the reply views, retires the frame
+  and checks the connection back in — in that order;
 * the server loop (:func:`serve_connection`): decode → handler → status
-  → optional grant → reply → release.
+  → reply → release.
 
 A transport supplies a :class:`Connection` per peer (client side through
 the ``connect`` callable it hands :class:`FramedChannel`, server side
@@ -39,12 +38,8 @@ from repro.channels.base import Channel, RequestHandler
 from repro.channels.buffers import BufferPool
 from repro.channels.framing import (
     CORRELATION_SIZE,
-    CREDIT_SIZE,
-    FLAG_CREDIT,
     HEADER_SIZE,
-    pack_credit,
     pack_header_into,
-    split_credit,
 )
 from repro.channels.request import (
     STATUS_ERROR,
@@ -54,7 +49,6 @@ from repro.channels.request import (
     encode_request_meta,
 )
 from repro.errors import ChannelClosedError, ChannelError, WireFormatError
-from repro.flow import CreditGate
 from repro.serialization import FastBinaryFormatter
 
 
@@ -150,9 +144,9 @@ def _head_and_body(head: bytearray, body) -> list:  # type: ignore[no-untyped-de
     return [head, body]
 
 
-#: Reply payload bytes that are not the handler's: correlation id, credit
-#: grant and status byte, whichever of them a transport adds.
-_REPLY_OVERHEAD = CORRELATION_SIZE + CREDIT_SIZE + 1
+#: Reply payload bytes that are not the handler's: correlation id and
+#: status byte, whichever of them a transport adds.
+_REPLY_OVERHEAD = CORRELATION_SIZE + 1
 
 
 def run_handler(handler: RequestHandler, payload) -> tuple[int, bytes]:  # type: ignore[no-untyped-def]
@@ -199,28 +193,18 @@ def serve_connection(
     reused across requests, and the frame is handed back to the pipe
     after the reply has been sent.  The caller closes *conn* afterwards.
     """
-    # Hosts that do flow control hang their CreditGrantor off the
-    # handler; a plain handler means replies stay uncredited.
-    grantor = getattr(handler, "credit_grantor", None)
     head = bytearray(HEADER_SIZE)
     while not closed.is_set():
         try:
-            flags, view = conn.read_frame()
+            _flags, view = conn.read_frame()
         except (ChannelError, WireFormatError, OSError):
             return  # peer hung up or sent garbage
         try:
             status, response = run_handler(handler, view)
             del head[HEADER_SIZE:]
-            reply_flags = 0
-            # Grants only go to peers that set FLAG_CREDIT on the request
-            # — a client without a credit gate must never see the extra
-            # payload bytes.
-            if grantor is not None and flags & FLAG_CREDIT:
-                reply_flags = FLAG_CREDIT
-                head += pack_credit(grantor.grant())
             head.append(status)
             pack_header_into(
-                head, 0, reply_flags, len(head) - HEADER_SIZE + len(response)
+                head, 0, 0, len(head) - HEADER_SIZE + len(response)
             )
             conn.send(_head_and_body(head, response))
         except (ChannelError, OSError):
@@ -331,14 +315,6 @@ class FramedChannel(Channel):
 
     A transport subclasses this, hands over its *connect* callable and
     implements ``listen``; ``call`` and ``round_trip`` are here.
-
-    ``credits=True`` (the default) opts into credit-based backpressure
-    (:mod:`repro.flow`): requests carry :data:`FLAG_CREDIT`, replies
-    from credit-aware servers resize a per-authority in-flight window
-    shared by every pooled connection, and a saturated window stalls the
-    sender — then sheds with :class:`~repro.errors.OverloadError` once
-    the stall budget runs out.  Either side may predate credits; the
-    exchange degrades to the uncredited protocol.
     """
 
     def __init__(
@@ -348,8 +324,6 @@ class FramedChannel(Channel):
         *,
         max_idle_per_authority: int,
         max_idle_s: float = math.inf,
-        credits: bool = True,
-        metrics=None,  # type: ignore[no-untyped-def]
     ) -> None:
         super().__init__(
             formatter if formatter is not None else FastBinaryFormatter()
@@ -359,26 +333,6 @@ class FramedChannel(Channel):
         self._dumps_into = getattr(self.formatter, "dumps_into", None)
         self._pool = ConnectionPool(connect, max_idle_per_authority, max_idle_s)
         self._buffers = BufferPool()
-        self._credits = credits
-        self._metrics = metrics
-        self._gates: dict[str, CreditGate] = {}
-        self._gates_lock = threading.Lock()
-
-    def _gate_for(self, authority: str) -> CreditGate | None:
-        if not self._credits:
-            return None
-        # Unlocked read on the hot path: dict lookups are atomic and
-        # gates, once created, are never replaced.
-        gate = self._gates.get(authority)
-        if gate is not None:
-            return gate
-        with self._gates_lock:
-            gate = self._gates.get(authority)
-            if gate is None:
-                gate = self._gates[authority] = CreditGate(
-                    metrics=self._metrics
-                )
-            return gate
 
     def call(
         self,
@@ -412,33 +366,21 @@ class FramedChannel(Channel):
         )
 
     def _exchange(self, authority, path, headers, body, dumps_into, decode):  # type: ignore[no-untyped-def]
-        gate = self._gate_for(authority)
         frame = self._buffers.acquire()
-        conn = view = payload = reply = None
-        credit_held = False
+        conn = view = reply = None
         try:
             size = build_request_frame(
-                frame,
-                FLAG_CREDIT if gate is not None else 0,
-                path,
-                headers or {},
-                body,
-                dumps_into,
+                frame, 0, path, headers or {}, body, dumps_into
             )
             if dumps_into is not None:
                 self.last_request_bytes = size
                 parts = [frame]
             else:
                 parts = _head_and_body(frame, body)
-            # The credit is taken after encoding, so a message that
-            # cannot be serialized never holds one.
-            if gate is not None:
-                gate.acquire()
-                credit_held = True
             conn = self._pool.checkout(authority)
             try:
                 conn.send(parts)
-                flags, view = conn.read_frame()
+                _flags, view = conn.read_frame()
             except BaseException as exc:
                 # A half-done exchange leaves the stream unusable.
                 conn.close()
@@ -453,15 +395,10 @@ class FramedChannel(Channel):
                         f"channel closed while calling {authority}/{path}"
                     ) from exc
                 raise
-            payload = view
-            if gate is not None:
-                credit, payload = split_credit(flags, view)
-                if credit is not None:
-                    gate.observe_grant(credit)
-            reply = decode_response_view(payload)
+            reply = decode_response_view(view)
             return decode(reply)
         finally:
-            for lent in (reply, payload, view):
+            for lent in (reply, view):
                 if lent is not None:
                     lent.release()
             if conn is not None:
@@ -471,8 +408,6 @@ class FramedChannel(Channel):
                 # including one close() could not finish under our view.
                 self._pool.checkin(authority, conn)
             self._buffers.release(frame)
-            if credit_held:
-                gate.release()
 
     def close(self) -> None:
         self._pool.close()

@@ -18,13 +18,9 @@ socket and accept the responses out of order.  Frames without the flag are
 the classic strictly-ordered request/response exchange of
 :class:`repro.channels.tcp.TcpChannel`; the two interoperate on the wire.
 
-Bit 1 (:data:`FLAG_CREDIT`) carries credit-based backpressure
-(:mod:`repro.flow`) and is a per-client opt-in: on a *request* the flag
-alone says "this client has a credit gate" — the payload is unchanged.
-On a *response* the flag means a 4-byte big-endian window grant follows
-the optional correlation id; servers only ever set it when the request
-carried the bit, so a client without a
-:class:`~repro.flow.CreditGate` never receives grant bytes.
+Bit 1 is unassigned: no peer sets it, and a server ignores it on a
+request.  The wire has no flow control of its own; overload is shed by
+the serving IO's bounded mailbox (:class:`~repro.errors.OverloadError`).
 """
 
 from __future__ import annotations
@@ -47,15 +43,6 @@ CORRELATION_SIZE = _CORRELATION.size
 #: Flag bit: payload is prefixed with an 8-byte correlation id.
 FLAG_CORRELATED = 0x01
 
-#: Flag bit: credit-based backpressure.  Requests: flag only (the client
-#: opts in).  Responses: a 4-byte window grant follows the correlation id.
-FLAG_CREDIT = 0x02
-
-_CREDIT = struct.Struct(">I")
-
-#: Byte size of the optional response credit grant.
-CREDIT_SIZE = _CREDIT.size
-
 #: Refuse absurd frames rather than allocating gigabytes on a bad length.
 MAX_FRAME = 256 * 1024 * 1024
 
@@ -64,7 +51,6 @@ def encode_frame(
     payload: bytes,
     flags: int = 0,
     correlation_id: int | None = None,
-    credit: int | None = None,
 ) -> bytes:
     """Build a complete frame for *payload*.
 
@@ -73,13 +59,8 @@ def encode_frame(
     :func:`write_frame_parts`) and tests hold them to this one's bytes.
 
     Passing *correlation_id* sets :data:`FLAG_CORRELATED` and prepends the
-    id to the payload.  Passing *credit* sets :data:`FLAG_CREDIT` and
-    inserts the grant after the correlation id (response frames only; see
-    module docstring).
+    id to the payload.
     """
-    if credit is not None:
-        flags |= FLAG_CREDIT
-        payload = _CREDIT.pack(credit) + payload
     if correlation_id is not None:
         flags |= FLAG_CORRELATED
         payload = _CORRELATION.pack(correlation_id) + payload
@@ -103,30 +84,6 @@ def parse_header(header: bytes) -> tuple[int, int]:
     if length > MAX_FRAME:
         raise WireFormatError(f"frame length {length} exceeds {MAX_FRAME}")
     return flags, length
-
-
-def split_credit(flags: int, payload):  # type: ignore[no-untyped-def]
-    """Extract ``(credit_grant, body)`` from a *response* payload.
-
-    The grant sits between the correlation id and the body, so strip the
-    id first.  Returns ``(None, payload)`` when the
-    response carries no grant — an old server, or one without a grantor.
-    Accepts ``bytes`` or ``memoryview`` and slices without copying.
-    """
-    if not flags & FLAG_CREDIT:
-        return None, payload
-    if len(payload) < CREDIT_SIZE:
-        raise WireFormatError(
-            f"credited frame payload of {len(payload)} bytes is shorter "
-            f"than the {CREDIT_SIZE}-byte grant"
-        )
-    (credit,) = _CREDIT.unpack_from(payload)
-    return credit, payload[CREDIT_SIZE:]
-
-
-def pack_credit(credit: int) -> bytes:
-    """The 4-byte grant field a credited response prepends to its body."""
-    return _CREDIT.pack(credit)
 
 
 def parse_header_from(buf, offset: int = 0) -> tuple[int, int]:
@@ -172,7 +129,6 @@ def append_frame(
     parts,
     flags: int = 0,
     correlation_id: int | None = None,
-    credit: int | None = None,
 ) -> None:
     """Append one complete frame for *parts* to a shared output buffer.
 
@@ -184,9 +140,6 @@ def append_frame(
     if correlation_id is not None:
         flags |= FLAG_CORRELATED
         length += CORRELATION_SIZE
-    if credit is not None:
-        flags |= FLAG_CREDIT
-        length += CREDIT_SIZE
     if length > MAX_FRAME:
         raise WireFormatError(
             f"frame payload of {length} bytes exceeds {MAX_FRAME}"
@@ -194,8 +147,6 @@ def append_frame(
     out += _HEADER.pack(MAGIC, flags, length)
     if correlation_id is not None:
         out += _CORRELATION.pack(correlation_id)
-    if credit is not None:
-        out += _CREDIT.pack(credit)
     for part in parts:
         out += part
 
@@ -285,11 +236,10 @@ def write_frame_parts(
     parts: list,
     flags: int = 0,
     correlation_id: int | None = None,
-    credit: int | None = None,
 ) -> None:
     """Send one frame whose payload is the concatenation of *parts*.
 
-    The header (and optional correlation id / credit grant) is built once
+    The header (and optional correlation id) is built once
     into a small scratch buffer and the payload parts are handed to the
     kernel as-is.
     """
@@ -298,9 +248,6 @@ def write_frame_parts(
     if correlation_id is not None:
         flags |= FLAG_CORRELATED
         length += CORRELATION_SIZE
-    if credit is not None:
-        flags |= FLAG_CREDIT
-        length += CREDIT_SIZE
     if length > MAX_FRAME:
         raise WireFormatError(
             f"frame payload of {length} bytes exceeds {MAX_FRAME}"
@@ -308,6 +255,4 @@ def write_frame_parts(
     head += _HEADER.pack(MAGIC, flags, length)
     if correlation_id is not None:
         head += _CORRELATION.pack(correlation_id)
-    if credit is not None:
-        head += _CREDIT.pack(credit)
     sendmsg_all(sock, [head, *parts])

@@ -2,7 +2,7 @@
 
 The analog of ``TcpChannel`` in the paper's Fig. 2 and the configuration
 behind every "Mono (Tcp)" measurement.  The request/response protocol —
-frames, credits, pooling, the serve loop — is
+frames, pooling, the serve loop — is
 :mod:`repro.channels.exchange`; this module is the byte pipe under it: a
 socket wrapper, ``connect`` and the accept loop.
 """
@@ -75,6 +75,9 @@ def connect(authority: str) -> _TcpConnection:
         sock = socket.create_connection((host, port), timeout=30.0)
     except OSError as exc:
         raise ChannelError(f"cannot connect to {authority}: {exc}") from exc
+    # The bound is on the dial only: a reply may take as long as the
+    # method behind it runs.
+    sock.settimeout(None)
     return _TcpConnection(sock)
 
 
@@ -171,8 +174,7 @@ class TcpChannel(FramedChannel):
     from ``memoryview``\\ s of a reusable receive buffer.  *formatter*
     defaults to :class:`~repro.serialization.FastBinaryFormatter`; one
     without ``dumps_into`` (RMI's ``BinaryFormatter``) speaks the same
-    wire format through ``call``.  *credits* and *metrics* are
-    :class:`~repro.channels.exchange.FramedChannel`'s.
+    wire format through ``call``.
     """
 
     scheme = "tcp"
@@ -183,16 +185,12 @@ class TcpChannel(FramedChannel):
         *,
         max_idle_per_authority: int = DEFAULT_MAX_IDLE_PER_AUTHORITY,
         max_idle_s: float = DEFAULT_MAX_IDLE_SECONDS,
-        credits: bool = True,
-        metrics=None,  # type: ignore[no-untyped-def]
     ) -> None:
         super().__init__(
             formatter,
             connect,
             max_idle_per_authority=max_idle_per_authority,
             max_idle_s=max_idle_s,
-            credits=credits,
-            metrics=metrics,
         )
 
     def listen(self, authority: str, handler: RequestHandler) -> ServerBinding:

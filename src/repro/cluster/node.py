@@ -469,11 +469,6 @@ class Node:
         # the CPU but not each other's threads.
         self.executor = Executor()
         self.host = RemotingHost(name=f"parc-node-{index}", services=services)
-        # Mailbox fill and the pool's backlog feed the credit grantor
-        # alongside the host's dispatch backlog: senders are throttled
-        # before mailboxes overflow.
-        self.host.credit_grantor.add_source(self._mailbox_pressure)
-        self.host.credit_grantor.add_source(self.executor.pressure)
         binding = self.host.listen(channel, authority)
         self.base_uri = f"{channel.scheme}://{binding.authority}"
         # Per-node observability state, published like om/factory so any
@@ -590,28 +585,6 @@ class Node:
 
     def make_proxy(self, uri: str) -> RemoteProxy:
         return self.host.get_object(uri)
-
-    def _mailbox_pressure(self) -> float:
-        """Worst mailbox fill fraction across hosted IOs, in ``[0, 1]``.
-
-        With bounded mailboxes this is the literal fill ratio of the
-        fullest mailbox; unbounded mailboxes report a soft signal (1000
-        queued calls reads as saturated) so credits still throttle
-        senders even when admission control is off.
-        """
-        with self._lock:
-            impls = list(self._impls)
-        depth = self.settings.mailbox_depth
-        worst = 0.0
-        for impl in impls:
-            queued = impl.queue_length
-            if depth > 0:
-                value = queued / float(depth)
-            else:
-                value = queued / 1000.0
-            if value > worst:
-                worst = value
-        return min(1.0, worst)
 
     def report(self) -> dict:
         """This node's row: the one answer to "how loaded is node X?".

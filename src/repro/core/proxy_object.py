@@ -184,8 +184,8 @@ class RemoteGrain:
         self.batches = 0
         self.singles = 0
         self.calls_posted = 0
-        # Calls refused with OverloadError (shed remotely or stalled out
-        # at the credit gate) — never retried, never treated as a crash.
+        # Calls refused with OverloadError (shed by a full mailbox) —
+        # never retried, never treated as a crash.
         self.sheds = 0
         # Columnar aggregates: enabled by the runtime once it knows the
         # grain's class.  *impl_class* (the user class, set by the

@@ -229,11 +229,9 @@ class ParcRuntime:
                 # Online per-method retuning: the proxy consults the
                 # controller's decide_method() between flushes, fed by
                 # the parc.method.seconds.* histograms the nodes merge
-                # cluster-wide.  Gated by SchedulerConfig.autotune.
-                sched_cfg = getattr(self.cluster, "sched_config", None)
-                if getattr(sched_cfg, "autotune", True):
-                    grain.tuner = controller
-                    grain.tuner_class = class_name
+                # cluster-wide.
+                grain.tuner = controller
+                grain.tuner_class = class_name
         self._grains.add(grain)
 
     def recover_grain(self, grain: RemoteGrain, cause: BaseException) -> bool:

@@ -53,12 +53,11 @@ class CircuitOpenError(ChannelError):
 
 
 class OverloadError(ChannelError):
-    """A call was shed because the target (or the send path) is saturated.
+    """A call was shed because the target is saturated.
 
-    Raised either server-side, when a bounded IO mailbox refused
-    admission, or client-side, when no send credit arrived within the
-    stall budget.  A
-    sibling of :class:`CircuitOpenError` on purpose: both are *typed*
+    Raised when a bounded IO mailbox (``ParcConfig.mailbox_depth``)
+    refuses admission; a remote caller sees it re-raised by its proxy.
+    A sibling of :class:`CircuitOpenError` on purpose: both are *typed*
     fail-fast signals that must not be retried (retries amplify overload)
     and both count as failures for the circuit breaker, so sustained
     shedding trips the circuit and quarantines the hot peer.

@@ -75,7 +75,7 @@ class Executor:
       that is blocked, so a thread per waiting run would only grow the
       pool with every burst a poster makes;
     * a run that waits on something the runtime can name — a
-      synchronous call's reply, a credit stall, a migration pause —
+      synchronous call's reply, a migration pause —
       does so inside :func:`blocking`, which takes its thread out of
       the runnable count, so one more thread may start while runs wait;
     * blocking the runtime cannot see (a user barrier, a sleep) is
@@ -178,11 +178,6 @@ class Executor:
                 "blocked": self._blocked,
                 "starvation_starts": self._starvation_starts,
             }
-
-    def pressure(self) -> float:
-        """The backlog read against the cap, for a credit grantor: 1.0
-        at four times the cap.  Unlocked: a gauge read per response."""
-        return len(self._runs) / (4 * self.cap)
 
     def crowded(self) -> bool:
         """Whether runs wait at the cap, so a long run should hand its

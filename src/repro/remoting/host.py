@@ -39,7 +39,6 @@ from repro.errors import (
     UnknownObjectError,
 )
 from repro.executor import executor, timer
-from repro.flow import CreditGrantor
 from repro.perfmodel.clock import Clock, WallClock
 from repro.remoting.lifetime import DEFAULT_TTL_SECONDS, LeaseManager
 from repro.remoting.messages import CallMessage, RemoteErrorInfo, ReturnMessage
@@ -136,11 +135,6 @@ class RemotingHost:
         self._bindings: dict[str, ServerBinding] = {}
         self._channels: dict[str, Channel] = {}
         self._auto_counter = itertools.count(1)
-        # Window grants advertised to credit-aware peers (repro.flow).
-        # The dispatch backlog is the host-level pressure signal; the
-        # owning cluster node adds a mailbox-fill source on top.
-        self.credit_grantor = CreditGrantor()
-        self.credit_grantor.add_source(self._dispatch_pressure)
         self._closed = False
         self._sweep = None  # the lease sweep armed on the process timer
         self._sweep_failed = False
@@ -170,10 +164,6 @@ class RemotingHost:
             def handler(path: str, body: bytes, headers: Mapping[str, str]) -> bytes:
                 return self._handle_request(formatter, path, body, headers)
 
-            # Bindings that understand credit-based backpressure pick the
-            # grantor off the handler; plain handlers (tests, pingpong
-            # servers) simply have none and responses stay uncredited.
-            handler.credit_grantor = self.credit_grantor
             binding = channel.listen(authority, handler)
             self._bindings[channel.scheme] = binding
             self._channels[channel.scheme] = channel
@@ -452,18 +442,6 @@ class RemotingHost:
             if trace_token is not None:
                 current_context.reset(trace_token)
             current_host.reset(token)
-
-    def _dispatch_pressure(self) -> float:
-        """The backlog of the executor one-way dispatches run on, as a
-        0..1 pressure fraction.
-
-        Runs wait for a thread only once the executor is at its cap, so
-        the backlog is read against the cap: a queue four times the cap
-        means work arrives faster than the pool can take it, and peers
-        are throttled toward the minimum grant, while a burst that only
-        waits for its threads to start reads as light pressure.
-        """
-        return executor().pressure()
 
     def _run_call(self, message: CallMessage) -> ReturnMessage:
         telemetry = self.telemetry

@@ -134,7 +134,7 @@ class RemoteProxy:
             error = result.error
             if error.type_name == "OverloadError":
                 # Server-side shedding (a full mailbox) surfaces as the
-                # same typed error a local credit stall raises: counted
+                # same typed error a local full mailbox raises: counted
                 # by circuit breakers, never retried, and distinguishable
                 # from application failures — the call never ran.
                 raise OverloadError(

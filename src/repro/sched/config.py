@@ -32,13 +32,6 @@ class SchedulerConfig:
     #: Grain policy (static knobs or the adaptive controller); ``None``
     #: keeps the runtime default.
     grain: Any = None
-    #: Online per-method grain autotuning: proxies consult the adaptive
-    #: grain controller's ``decide_method`` (fed by the
-    #: ``parc.method.seconds.*`` histograms and learned bytes-per-call)
-    #: to retune ``max_calls``/``flush_after_s`` per (class, method)
-    #: while running.  Only takes effect when the effective grain policy
-    #: is an :class:`~repro.core.grain.AdaptiveGrainController`.
-    autotune: bool = True
     #: Placement policy name or instance.
     placement: Any = "round_robin"
     #: Enable the idle-node work-stealing loop.

@@ -769,7 +769,6 @@ class ShmChannel(FramedChannel):
         ring_size: int = DEFAULT_RING_SIZE,
         spin: int = DEFAULT_SPIN,
         max_idle_per_authority: int = DEFAULT_MAX_IDLE_PER_AUTHORITY,
-        credits: bool = True,
         metrics=None,  # type: ignore[no-untyped-def]
     ) -> None:
         if ring_size < 4096:
@@ -782,8 +781,6 @@ class ShmChannel(FramedChannel):
                 _connect, ring_size=ring_size, spin=spin, counters=self._counters
             ),
             max_idle_per_authority=max_idle_per_authority,
-            credits=credits,
-            metrics=metrics,
         )
 
     def listen(self, authority: str, handler: RequestHandler) -> ServerBinding:

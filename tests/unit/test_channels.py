@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -72,12 +73,8 @@ class TestFraming:
         """Gather-written frames are byte-identical to ``encode_frame``."""
         left, right = socket.socketpair()
         try:
-            write_frame_parts(
-                left, [b"he", b"llo"], flags=4, correlation_id=9, credit=17
-            )
-            expected = encode_frame(
-                b"hello", flags=4, correlation_id=9, credit=17
-            )
+            write_frame_parts(left, [b"he", b"llo"], flags=4, correlation_id=9)
+            expected = encode_frame(b"hello", flags=4, correlation_id=9)
             assert right.recv(len(expected) + 1) == expected
         finally:
             left.close()
@@ -441,6 +438,28 @@ class TestTcpSpecifics:
         try:
             host, port = parse_host_port(binding.authority)
             assert port > 0
+        finally:
+            binding.close()
+            channel.close()
+
+    @pytest.mark.parametrize("kind", ["tcp", "http"])
+    def test_reply_slower_than_the_dial_timeout(self, kind, monkeypatch):
+        """The dial's timeout bounds the dial, not the wait for a reply."""
+        dial = socket.create_connection
+
+        def quick_dial(address, timeout=None, *args, **kwargs):
+            return dial(address, 0.2, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", quick_dial)
+
+        def slow_echo(path, body, headers):
+            time.sleep(0.5)
+            return echo_handler(path, body, headers)
+
+        channel = TcpChannel() if kind == "tcp" else HttpChannel()
+        binding = channel.listen("127.0.0.1:0", slow_echo)
+        try:
+            assert channel.call(binding.authority, "slow", b"x") == b"slow:x"
         finally:
             binding.close()
             channel.close()

@@ -67,7 +67,6 @@ class TestParcConfig:
         """Every scheduling knob, by name: a new one is a diff here."""
         assert {f.name for f in fields(SchedulerConfig)} == {
             "grain",
-            "autotune",
             "placement",
             "work_stealing",
             "rebalance_interval_s",

@@ -16,13 +16,7 @@ from repro.channels.exchange import (
     FramedChannel,
     serve_connection,
 )
-from repro.channels.framing import (
-    FLAG_CREDIT,
-    HEADER_SIZE,
-    encode_frame,
-    pack_credit,
-    parse_header,
-)
+from repro.channels.framing import HEADER_SIZE, encode_frame, parse_header
 from repro.channels.request import (
     STATUS_ERROR,
     STATUS_OK,
@@ -30,7 +24,6 @@ from repro.channels.request import (
     encode_request,
 )
 from repro.errors import ChannelClosedError, ChannelError
-from repro.flow import CreditGrantor
 from repro.remoting.messages import CallMessage
 from repro.serialization import FastBinaryFormatter
 
@@ -43,9 +36,8 @@ class FakeConnection:
     """Client end of an in-memory pipe: ``send`` runs *handler* at once
     and ``read_frame`` hands back the reply it produced."""
 
-    def __init__(self, handler=echo, grant=None, events=None):
+    def __init__(self, handler=echo, events=None):
         self.handler = handler
-        self.grant = grant
         self.events = events if events is not None else []
         self.sent = []  # one bytes object per frame, parts joined
         self.closed = False
@@ -56,25 +48,21 @@ class FakeConnection:
         frame = b"".join(bytes(part) for part in parts)
         self.sent.append(frame)
         self.events.append("send")
-        flags, length = parse_header(frame[:HEADER_SIZE])
+        _flags, length = parse_header(frame[:HEADER_SIZE])
         assert length == len(frame) - HEADER_SIZE
         path, headers, body = decode_request_view(frame[HEADER_SIZE:])
         try:
             reply = bytes((STATUS_OK,)) + self.handler(path, body, headers)
         except Exception as exc:  # noqa: BLE001 - mirrors run_handler
             reply = bytes((STATUS_ERROR,)) + str(exc).encode()
-        reply_flags = 0
-        if self.grant is not None and flags & FLAG_CREDIT:
-            reply_flags, reply = FLAG_CREDIT, pack_credit(self.grant) + reply
-        self._reply = (reply_flags, reply)
+        self._reply = reply
 
     def read_frame(self):
         # Lends its own memory, like a ring.
-        flags, reply = self._reply
-        self._memory = bytearray(reply)
+        self._memory = bytearray(self._reply)
         self.lent = memoryview(self._memory)
         self.events.append("read_frame")
-        return flags, self.lent
+        return 0, self.lent
 
     def release_frame(self):
         self.lent.release()
@@ -92,7 +80,7 @@ class FakeConnection:
 class FakeChannel(FramedChannel):
     scheme = "fake"
 
-    def __init__(self, formatter=None, credits=True, rig=None, **fake_opts):
+    def __init__(self, formatter=None, rig=None, **fake_opts):
         """*rig*, if given, doctors each new connection before use."""
         self.connections = []
 
@@ -103,9 +91,7 @@ class FakeChannel(FramedChannel):
             self.connections.append(conn)
             return conn
 
-        super().__init__(
-            formatter, connect, max_idle_per_authority=2, credits=credits
-        )
+        super().__init__(formatter, connect, max_idle_per_authority=2)
 
     def listen(self, authority, handler):
         raise NotImplementedError
@@ -180,39 +166,19 @@ HEADERS = {"parc-trace": "00-abc-def-01"}
 class TestRequestBytes:
     """The frame the engine builds is the reference encoders' output."""
 
-    @pytest.mark.parametrize("credits", [True, False])
-    def test_round_trip_frame_matches_reference(self, credits):
-        channel = FakeChannel(credits=credits)
+    def test_round_trip_frame_matches_reference(self):
+        channel = FakeChannel()
         body = FastBinaryFormatter().dumps(MESSAGE)
         channel.round_trip("a:1", "auto/io-1", MESSAGE, HEADERS)
-        expected = encode_frame(
-            encode_request("auto/io-1", HEADERS, body),
-            flags=FLAG_CREDIT if credits else 0,
-        )
+        expected = encode_frame(encode_request("auto/io-1", HEADERS, body))
         assert channel.connections[0].sent == [expected]
         assert channel.last_request_bytes == len(body)
 
     def test_call_frame_matches_reference(self):
         channel = FakeChannel()
         assert channel.call("a:1", "p", b"raw body") == b"raw body"
-        expected = encode_frame(
-            encode_request("p", {}, b"raw body"), flags=FLAG_CREDIT
-        )
+        expected = encode_frame(encode_request("p", {}, b"raw body"))
         assert channel.connections[0].sent == [expected]
-
-
-class SpyFormatter(FastBinaryFormatter):
-    """Checks the credit is not yet held while the message encodes."""
-
-    def __init__(self, channel_ref, fail=False):
-        super().__init__()
-        self.channel_ref, self.fail = channel_ref, fail
-
-    def dumps_into(self, out, message):
-        assert self.channel_ref[0]._gate_for("a:1").in_flight == 0
-        if self.fail:
-            raise TypeError("cannot serialize that")
-        super().dumps_into(out, message)
 
 
 class TestExchange:
@@ -236,36 +202,18 @@ class TestExchange:
             channel.call("a:1", "p", b"")
         assert events[-1] == "release_frame"
         assert channel._pool.idle_count("a:1") == 1
-        assert channel._gate_for("a:1").in_flight == 0
 
-    def test_credit_taken_after_encode_and_returned(self):
-        ref = []
-        in_flight_at_send = []
+    def test_failing_encode_dials_nothing(self):
+        class FailingFormatter(FastBinaryFormatter):
+            def dumps_into(self, out, message):
+                raise TypeError("cannot serialize that")
 
-        def spy_on_send(conn):
-            send = conn.send
-            conn.send = lambda parts: (
-                in_flight_at_send.append(gate.in_flight), send(parts)
-            )
-
-        channel = FakeChannel(SpyFormatter(ref), grant=5, rig=spy_on_send)
-        ref.append(channel)
-        gate = channel._gate_for("a:1")
-        assert channel.round_trip("a:1", "p", "hello") == "hello"
-        assert in_flight_at_send == [1]
-        assert gate.in_flight == 0
-        assert gate.window == 5  # the grant on the reply was observed
-
-    def test_failing_encode_never_touches_the_gate(self):
-        ref = []
-        channel = FakeChannel(SpyFormatter(ref, fail=True))
-        ref.append(channel)
+        channel = FakeChannel(FailingFormatter())
         with pytest.raises(TypeError, match="cannot serialize"):
             channel.round_trip("a:1", "p", "hello")
-        assert channel._gate_for("a:1").in_flight == 0
-        assert channel.connections == []  # nothing was dialled either
+        assert channel.connections == []
 
-    def test_failing_send_returns_credit_and_drops_connection(self):
+    def test_failing_send_drops_connection(self):
         def break_send(conn):
             def send(parts):
                 raise OSError("pipe burst")
@@ -275,7 +223,6 @@ class TestExchange:
         channel = FakeChannel(rig=break_send)
         with pytest.raises(OSError, match="pipe burst"):
             channel.call("a:1", "p", b"")
-        assert channel._gate_for("a:1").in_flight == 0
         assert channel.connections[0].closed
         assert channel._pool.idle_count("a:1") == 0
 
@@ -311,7 +258,6 @@ class TestExchange:
         assert not thread.is_alive()
         assert [type(exc) for exc in errors] == [ChannelClosedError]
         assert "closed while calling a:1/p" in str(errors[0])
-        assert channel._gate_for("a:1").in_flight == 0
 
 
 class ServerEnd:
@@ -343,8 +289,8 @@ class ServerEnd:
 
 
 class TestServeConnection:
-    def request(self, path, body, flags=0):
-        return encode_frame(encode_request(path, {}, body), flags=flags)
+    def request(self, path, body):
+        return encode_frame(encode_request(path, {}, body))
 
     def test_replies_in_order_and_releases_after_each_send(self):
         def handler(path, body, headers):
@@ -374,21 +320,6 @@ class TestServeConnection:
         assert end.replies == [encode_frame(bytes((STATUS_OK,)) + b"ab")]
         with pytest.raises(ValueError, match="released"):
             kept[0].tobytes()
-
-    def test_grants_only_to_clients_that_asked(self):
-        def handler(path, body, headers):
-            return b"r"
-
-        grantor = CreditGrantor(window=9)
-        handler.credit_grantor = grantor
-        end = ServerEnd(
-            [self.request("p", b"", FLAG_CREDIT), self.request("p", b"")]
-        )
-        serve_connection(end, handler, threading.Event())
-        assert end.replies == [
-            encode_frame(bytes((STATUS_OK,)) + b"r", credit=grantor.grant()),
-            encode_frame(bytes((STATUS_OK,)) + b"r"),
-        ]
 
     def test_stops_when_closed_is_set(self):
         closed = threading.Event()

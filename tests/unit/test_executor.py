@@ -24,7 +24,7 @@ import time
 
 from repro.core.impl import ImplementationObject
 from repro.core.proxy_object import RemoteGrain
-from repro.flow.credit import CreditGate
+from repro.executor import blocking
 
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -299,18 +299,19 @@ class TestFlushClock:
 
 
 class GatedIO:
-    """Forwards ``enqueue`` to an IO once the credit gate admits it."""
+    """Forwards ``enqueue`` to an IO once *admit* is set; until then the
+    send run waits in managed blocking, as one waiting on a reply does."""
 
-    def __init__(self, io, gate):
+    def __init__(self, io, admit):
         self.io = io
-        self.gate = gate
+        self.admit = admit
+        self.waiting = threading.Event()
 
     def enqueue(self, method, args=(), kwargs=None):
-        self.gate.acquire()
-        try:
-            self.io.enqueue(method, args, kwargs)
-        finally:
-            self.gate.release()
+        self.waiting.set()
+        with blocking():
+            assert self.admit.wait(10.0)
+        self.io.enqueue(method, args, kwargs)
 
     def drain(self):
         self.io.drain()
@@ -320,25 +321,25 @@ class GatedIO:
 
 
 class TestProxyNoStarvation:
-    def test_send_stalled_on_credit_does_not_delay_another_grain(self):
-        gate = CreditGate(window=1, stall_timeout_s=10.0)
-        gate.acquire()  # the only credit is in flight: zero left
+    def test_send_blocked_in_admission_does_not_delay_another_grain(self):
+        admit = threading.Event()
         stalled_io = ImplementationObject(Counter(), "t.Counter")
-        stalled = RemoteGrain(GatedIO(stalled_io, gate), max_calls=1)
+        gated = GatedIO(stalled_io, admit)
+        stalled = RemoteGrain(gated, max_calls=1)
         free_io = ImplementationObject(Counter(), "t.Counter")
         free = RemoteGrain(free_io, max_calls=1)
         try:
             stalled.post("add", (), {})
-            assert wait_until(lambda: gate._waiters == 1, timeout=5.0)
+            assert gated.waiting.wait(5.0)
             free.post("add", (), {})
             free.drain()
             assert free_io.instance.n == 1
-            assert stalled_io.instance.n == 0  # still waiting for credit
-            gate.release()
+            assert stalled_io.instance.n == 0  # still waiting for admission
+            admit.set()
             stalled.drain()
             assert stalled_io.instance.n == 1
         finally:
-            gate.release()
+            admit.set()
             stalled.dispose()
             free.dispose()
 

@@ -372,29 +372,6 @@ class TestStarvationCheck:
         assert pool.stats()["starvation_starts"] == 0
 
 
-class TestDispatchPressure:
-    def test_backlog_is_read_against_the_cap(self, monkeypatch):
-        pool, _timer, _clock = stepped(cap=2)
-        monkeypatch.setattr("repro.remoting.host.executor", lambda: pool)
-        host = RemotingHost(name="pressure")
-        gate = threading.Event()
-        try:
-            for _ in range(2):
-                hold(pool, gate, managed=False)
-            assert wait_until(lambda: pool.stats()["threads"] == 2, timeout=5.0)
-            assert host._dispatch_pressure() == 0.0
-            for _ in range(2):  # one cap's worth queued
-                pool.submit(lambda: None)
-            assert host._dispatch_pressure() <= 0.25
-            for _ in range(6):  # four caps' worth queued
-                pool.submit(lambda: None)
-            assert host._dispatch_pressure() == 1.0
-        finally:
-            gate.set()
-            host.close()
-        assert wait_until(lambda: pool.stats()["waiting"] == 0, timeout=5.0)
-
-
 class TestExecutorRow:
     def test_metrics_snapshot_fields_move(self):
         rows = run_python(

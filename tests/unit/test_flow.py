@@ -1,9 +1,8 @@
 """Unit tests for the flow-control package and its integration points.
 
-Covers the credit gate/grantor pair (including the pressure a full
-bounded mailbox feeds it), the elastic controller's hysteresis, the
-bounded FIFO mailbox (including the drain-vs-active accounting
-regression), and the retry policy's overload veto.
+Covers the elastic controller's hysteresis, the bounded FIFO mailbox
+(including the drain-vs-active accounting regression), and the retry
+policy's overload veto.
 """
 
 from __future__ import annotations
@@ -13,153 +12,10 @@ import time
 
 import pytest
 
-from repro.cluster.cluster import Cluster
-from repro.core import ParcConfig
 from repro.core.impl import ImplementationObject, _IOMailbox, _Task
 from repro.errors import ChannelError, CircuitOpenError, OverloadError
-from repro.flow import (
-    MIN_GRANT,
-    CreditGate,
-    CreditGrantor,
-    ElasticController,
-    ElasticPolicy,
-)
+from repro.flow import ElasticController, ElasticPolicy
 from repro.remoting.resilience import RetryPolicy, call_with_retry
-from repro.telemetry import MetricsRegistry
-from tests.unit.test_executor import wait_until
-
-
-class TestCreditGate:
-    def test_acquire_release_counts(self):
-        gate = CreditGate(window=2)
-        gate.acquire()
-        gate.acquire()
-        assert gate.in_flight == 2
-        gate.release()
-        assert gate.in_flight == 1
-
-    def test_full_gate_sheds_after_stall_budget(self):
-        gate = CreditGate(window=1, stall_timeout_s=0.05)
-        gate.acquire()
-        started = time.monotonic()
-        with pytest.raises(OverloadError):
-            gate.acquire()
-        assert time.monotonic() - started >= 0.04
-
-    def test_release_unblocks_stalled_sender(self):
-        gate = CreditGate(window=1, stall_timeout_s=5.0)
-        gate.acquire()
-        acquired = threading.Event()
-
-        def second():
-            gate.acquire()
-            acquired.set()
-
-        thread = threading.Thread(target=second, daemon=True)
-        thread.start()
-        assert wait_until(lambda: gate._waiters == 1, timeout=5.0)
-        assert not acquired.is_set()
-        gate.release()
-        assert acquired.wait(timeout=2.0)
-
-    def test_grant_growth_wakes_stalled_sender(self):
-        gate = CreditGate(window=1, stall_timeout_s=5.0)
-        gate.acquire()
-        acquired = threading.Event()
-
-        def second():
-            gate.acquire()
-            acquired.set()
-
-        threading.Thread(target=second, daemon=True).start()
-        assert wait_until(lambda: gate._waiters == 1, timeout=5.0)
-        assert not acquired.is_set()
-        gate.observe_grant(8)
-        assert acquired.wait(timeout=2.0)
-        assert gate.window == 8
-
-    def test_grant_clamped_to_min(self):
-        gate = CreditGate(window=4)
-        gate.observe_grant(0)
-        assert gate.window == MIN_GRANT
-
-    def test_shrink_below_in_flight_blocks_new_sends(self):
-        gate = CreditGate(window=4, stall_timeout_s=0.05)
-        gate.acquire()
-        gate.acquire()
-        gate.observe_grant(1)
-        with pytest.raises(OverloadError):
-            gate.acquire()
-        # Draining below the new window re-admits senders.
-        gate.release()
-        gate.release()
-        gate.acquire()
-
-    def test_metrics_emitted(self):
-        metrics = MetricsRegistry()
-        gate = CreditGate(window=1, stall_timeout_s=0.01, metrics=metrics)
-        gate.acquire()
-        with pytest.raises(OverloadError):
-            gate.acquire()
-        exported = metrics.export()
-        assert exported["flow.credit.stalls"]["value"] == 1
-        assert exported["flow.credit.sheds"]["value"] == 1
-        assert exported["flow.credit.window"]["value"] == 1
-
-
-class TestCreditGrantor:
-    def test_idle_grantor_advertises_full_window(self):
-        grantor = CreditGrantor(window=32)
-        assert grantor.grant() == 32
-
-    def test_pressure_shrinks_grant(self):
-        grantor = CreditGrantor(window=32)
-        grantor.add_source(lambda: 0.5)
-        assert grantor.grant() == 16
-
-    def test_saturation_floors_at_min_grant(self):
-        grantor = CreditGrantor(window=32)
-        grantor.add_source(lambda: 1.0)
-        assert grantor.grant() == MIN_GRANT
-
-    def test_worst_source_wins(self):
-        grantor = CreditGrantor(window=100)
-        grantor.add_source(lambda: 0.1)
-        grantor.add_source(lambda: 0.75)
-        assert grantor.grant() == 25
-
-    def test_failing_source_reads_as_idle(self):
-        grantor = CreditGrantor(window=8)
-        grantor.add_source(lambda: 1 / 0)
-        assert grantor.grant() == 8
-
-    def test_full_bounded_mailbox_floors_the_grant(self):
-        # The node's mailbox pressure is the fill ratio of one FIFO, so a
-        # mailbox holding ``mailbox_depth`` calls reads as saturated.
-        entered, gate = threading.Event(), threading.Event()
-
-        class Blocker:
-            def block(self):
-                entered.set()
-                gate.wait(timeout=5.0)
-
-            def record(self, value):
-                pass
-
-        cluster = Cluster(ParcConfig(nodes=1, mailbox_depth=4))
-        try:
-            node = cluster.home_node
-            impl = node.build_impl(Blocker(), "test.Blocker")
-            node.adopt_impl(impl)
-            impl.enqueue("block")
-            assert entered.wait(timeout=5.0)
-            for value in range(4):
-                impl.enqueue("record", (value,))
-            assert impl.stats()["queued"] == 4
-            assert node.host.credit_grantor.grant() == MIN_GRANT
-        finally:
-            gate.set()
-            cluster.close()
 
 
 class TestElasticController:

@@ -378,11 +378,3 @@ class TestServiceWeightedPlanner:
         ]
         assert p.plan(reports, 0.0) == []
 
-
-# -- config knobs -------------------------------------------------------------
-
-
-class TestConfigKnobs:
-    def test_autotune_defaults_on(self):
-        assert SchedulerConfig().autotune is True
-        assert SchedulerConfig(autotune=False).autotune is False

@@ -31,7 +31,6 @@ EXPECTED = {
     "core/naming.py": 1,
     "core/patterns.py": 2,
     "core/runtime.py": 1,
-    "flow/credit.py": 1,
     "nio/channels.py": 2,
     "serialization/registry.py": 1,
     "shm/channel.py": 11,
