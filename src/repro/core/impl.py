@@ -80,7 +80,10 @@ class _Task:
     method: str
     args: tuple
     kwargs: dict
-    done: threading.Event | None = None  # set for synchronous waits
+    # What a synchronous caller whose task queued waits on.  Every queued
+    # synchronous task has one (migration replay and forwarding tell sync
+    # from async by it); a task executed inline needs none.
+    done: threading.Event | None = None
     result: Any = None
     error: BaseException | None = None
     # Trace context captured where the task was posted (the dispatch
@@ -151,6 +154,11 @@ class _IOMailbox:
     mailbox ever has two.  ``_active`` covers every task of the entry the
     run is executing, so ``drain()`` — queue empty, nothing active,
     nothing scheduled — never returns while a dequeued batch still runs.
+
+    ``_idle`` is notified only when someone waits on it: every wait
+    (:meth:`drain`, :meth:`begin_migration`) counts itself in
+    ``_idle_waiters`` under the lock the notifiers hold, so a claim
+    release or a run end with no waiter skips the notify.
     """
 
     def __init__(
@@ -164,6 +172,7 @@ class _IOMailbox:
         self._pool = pool if pool is not None else executor()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
+        self._idle_waiters = 0  # threads parked in _wait_idle_locked
         self._resumed = threading.Condition(self._lock)  # migration ended
         self._entries: deque[_Entry] = deque()
         self._queued = 0  # tasks across queued entries
@@ -232,8 +241,11 @@ class _IOMailbox:
             with self._lock:
                 self._active -= count  # the entry just executed
                 if self._migrating or not self._entries:
+                    # Before a drain can see the run over: a dispose()
+                    # that follows waits for this thread's way back.
+                    self._pool.run_ends()
                     self._scheduled = False
-                    self._idle.notify_all()
+                    self._notify_idle_locked()
                     return
                 if count and self._pool.crowded():
                     break  # still scheduled: the resubmitted run goes on
@@ -271,13 +283,13 @@ class _IOMailbox:
         with self._lock:
             self._inline_claims -= 1
             if self._inline_claims or self._migrating or not self._entries:
-                self._idle.notify_all()
+                self._notify_idle_locked()
                 return
             self._scheduled = True
         self._submit_run()
 
     def drain(self) -> None:
-        with self._idle:
+        with self._lock:
             while (
                 self._active
                 or self._inline_claims
@@ -285,8 +297,19 @@ class _IOMailbox:
                 or self._scheduled
                 or self._migrating
             ):
-                with blocking():
-                    self._idle.wait()
+                self._wait_idle_locked()
+
+    def _wait_idle_locked(self) -> None:
+        self._idle_waiters += 1
+        try:
+            with blocking():
+                self._idle.wait()
+        finally:
+            self._idle_waiters -= 1
+
+    def _notify_idle_locked(self) -> None:
+        if self._idle_waiters:
+            self._idle.notify_all()
 
     def stop(self) -> None:
         """Refuse new work; what is already queued still runs."""
@@ -328,8 +351,7 @@ class _IOMailbox:
                 raise ScooppError("migration already in progress")
             self._migrating = True
             while self._scheduled or self._inline_claims:
-                with blocking():
-                    self._idle.wait()
+                self._wait_idle_locked()
             entries = list(self._entries)
             self._entries.clear()
             self._queued = 0
@@ -346,7 +368,7 @@ class _IOMailbox:
             self._queued += sum(len(batch) for batch in entries)
             self._migrating = False
             self._resumed.notify_all()
-            self._idle.notify_all()
+            self._notify_idle_locked()
             if not self._entries:
                 return
             self._scheduled = True
@@ -364,7 +386,7 @@ class _IOMailbox:
             self._migrating = False
             self._stopped = True
             self._resumed.notify_all()
-            self._idle.notify_all()
+            self._notify_idle_locked()
         self._detach()
 
     @property
@@ -504,10 +526,10 @@ class ImplementationObject(MarshalByRefObject):
             method=method,
             args=tuple(args),
             kwargs=dict(kwargs or {}),
-            done=threading.Event(),
             trace=current_context.get(),
         )
         if not self._run_inline([task]):
+            task.done = threading.Event()
             self._post(method, [task])
             with blocking():
                 task.done.wait()
@@ -532,7 +554,6 @@ class ImplementationObject(MarshalByRefObject):
                 method=method,
                 args=tuple(args),
                 kwargs=dict(kwargs),
-                done=threading.Event(),
                 trace=trace,
             )
             for args, kwargs in batch
@@ -540,6 +561,8 @@ class ImplementationObject(MarshalByRefObject):
         if not tasks:
             return ReturnBatch(count=0, results=[], errors=())
         if not self._run_inline(tasks):
+            for task in tasks:
+                task.done = threading.Event()
             self._post(method, tasks)
             # One wait suffices: the batch is a single mailbox entry and
             # executes serially, so the last task finishes last — and
@@ -586,14 +609,15 @@ class ImplementationObject(MarshalByRefObject):
         execution indistinguishable from the post→run→wait round-trip
         except for the latency: FIFO order holds trivially, and the
         claimed inline slot holds back new runs plus any
-        drain/migration until the inline call finishes.
+        drain/migration until the inline call finishes.  No caller
+        waits, so the tasks carry no completion event.
         """
         if not self._mailbox.try_claim_idle():
             return False
         try:
             telemetry, tracer = self._tracing()
             for task in tasks:
-                self._execute(task, telemetry, tracer)
+                self._execute(task, telemetry, tracer, sync=True)
                 with self._stats_lock:
                     self._processed += 1
                     self._inline += 1
@@ -726,7 +750,9 @@ class ImplementationObject(MarshalByRefObject):
             # and traced aggregates (each call gets its own io span and
             # histogram sample).
             for task in entry:
-                self._execute(task, telemetry, tracer)
+                self._execute(
+                    task, telemetry, tracer, sync=task.done is not None
+                )
                 with self._stats_lock:
                     self._processed += 1
 
@@ -784,7 +810,9 @@ class ImplementationObject(MarshalByRefObject):
             # One sample per batch, carrying the batch mean.
             self._report_execution(elapsed / len(aggregate.calls), method)
 
-    def _execute(self, task: _Task, telemetry: Any, tracer: Any) -> None:
+    def _execute(
+        self, task: _Task, telemetry: Any, tracer: Any, sync: bool
+    ) -> None:
         started = time.perf_counter()
         span_name = f"{self.class_name.rsplit('.', 1)[-1]}.{task.method}"
         token = current_node.set(self.node)
@@ -801,7 +829,7 @@ class ImplementationObject(MarshalByRefObject):
             current_tracer_var.set(tracer) if tracer is not None else None
         )
         span = (
-            tracer.span("io", span_name, sync=task.done is not None)
+            tracer.span("io", span_name, sync=sync)
             if tracer is not None
             else contextlib.nullcontext()
         )
@@ -812,7 +840,7 @@ class ImplementationObject(MarshalByRefObject):
                     task.result = method(*task.args, **task.kwargs)
                 except BaseException as exc:  # noqa: BLE001 - active-object boundary
                     task.error = exc
-                    if task.done is None:
+                    if not sync:
                         with self._stats_lock:
                             self._async_failures.append(
                                 (task.method, repr(exc))

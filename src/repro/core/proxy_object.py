@@ -314,9 +314,7 @@ class RemoteGrain:
 
     def _call_once(self, method: str, args: tuple, kwargs: dict) -> Any:
         with self._lock:
-            self._ensure_usable()
-            self._flush_locked()
-        self._wait_outbox_empty()
+            self._flush_and_wait_locked()
         tracer = active_tracer()
         if tracer is None:
             return self.impl.invoke(method, tuple(args), dict(kwargs))
@@ -344,9 +342,7 @@ class RemoteGrain:
 
     def _call_many_once(self, method: str, batch: list) -> list:
         with self._lock:
-            self._ensure_usable()
-            self._flush_locked()
-        self._wait_outbox_empty()
+            self._flush_and_wait_locked()
         tracer = active_tracer()
         if tracer is None:
             return self._call_many_inner(method, batch)
@@ -406,13 +402,13 @@ class RemoteGrain:
         receiver makes through it is ordered after the sender's earlier
         asynchronous calls (the IO mailbox is FIFO).
         """
-        self.flush()
-        self._wait_outbox_empty()
+        with self._lock:
+            self._flush_and_wait_locked()
 
     def drain(self) -> None:
         """Flush and block until the IO has executed everything."""
-        self.flush()
-        self._wait_outbox_empty()
+        with self._lock:
+            self._flush_and_wait_locked()
         self.impl.drain()
 
     def dispose(self) -> None:
@@ -422,8 +418,7 @@ class RemoteGrain:
                     return
                 if self._lost is None:
                     self._flush_locked()
-            if self._lost is None:
-                self._wait_outbox_empty()
+                    self._wait_outbox_empty_locked()
         finally:
             with self._lock:
                 already = self._released
@@ -585,18 +580,26 @@ class RemoteGrain:
         self._unsent_calls = 0
         self._outbox_cv.notify_all()
 
-    def _wait_outbox_empty(self) -> None:
-        with self._outbox_cv:
-            while (
-                self._outbox
-                and self._sender_error is None
-                and self._lost is None
-            ):
-                # Managed blocking, as is the IO's reply wait behind
-                # every sync call, drain and dispose of this grain.
-                with blocking():
-                    self._outbox_cv.wait()
-            self._ensure_usable()
+    def _flush_and_wait_locked(self) -> None:
+        """Ship the buffer and wait until the outbox is empty, in the one
+        hold of the grain lock the caller already has (``_outbox_cv``
+        shares it): what a sync call, ``sync_outbox`` and ``drain`` do
+        before their next step."""
+        self._ensure_usable()
+        self._flush_locked()
+        self._wait_outbox_empty_locked()
+
+    def _wait_outbox_empty_locked(self) -> None:
+        while (
+            self._outbox
+            and self._sender_error is None
+            and self._lost is None
+        ):
+            # Managed blocking, as is the IO's reply wait behind every
+            # sync call, drain and dispose of this grain.
+            with blocking():
+                self._outbox_cv.wait()
+        self._ensure_usable()
 
     def _send_some(self) -> None:
         """One executor run: ship the outbox, run by run, until it is empty.

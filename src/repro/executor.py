@@ -55,6 +55,7 @@ class _Here(threading.local):
 
     executor: Executor | None = None
     depth = 0
+    returning = False  # between run_ends() and the pool lock
 
 
 _here = _Here()
@@ -116,6 +117,7 @@ class Executor:
         self._blocked = 0  # threads inside blocking()
         self._attached = 0
         self._detaching = 0  # detach() calls waiting for idle threads
+        self._returning = 0  # threads between run_ends() and the pool lock
         self._leaving: list = []  # exited threads those calls will join
         self._finished = 0  # runs done, ever
         self._check: TimerCall | None = None  # the armed starvation check
@@ -131,15 +133,22 @@ class Executor:
     def detach(self) -> None:
         """Drop one client; wait until the idle threads it left over exit.
 
-        Only *idle* surplus threads are waited for: a busy one exits by
-        itself when its work is done, and may be the caller's own.
+        Only *idle* surplus threads are waited for, and threads on their
+        way back from a run that called :meth:`run_ends`: a busy one
+        exits by itself when its work is done, and may be the caller's
+        own.
         """
         with self._lock:
             self._attached -= 1
-            if not (self._idle and self._threads > self._attached):
+            if not (
+                (self._idle or self._returning)
+                and self._threads > self._attached
+            ):
                 return
             self._detaching += 1
-            while self._idle and self._threads > self._attached:
+            while (
+                self._idle or self._returning
+            ) and self._threads > self._attached:
                 # Wake the surplus only: waking every idle thread on each
                 # detach made releasing n grains cost O(n^2) wake-ups.
                 self._work.notify(self._threads - self._attached)
@@ -178,6 +187,18 @@ class Executor:
                 "blocked": self._blocked,
                 "starvation_starts": self._starvation_starts,
             }
+
+    def run_ends(self) -> None:
+        """Called by a run, on its thread, as its last step.
+
+        Until the thread is back in the pool, :meth:`detach` waits for
+        it as for an idle one.  A mailbox calls this before a drain can
+        see its run over, so a detach that follows the drain never
+        returns while the thread is still on its way out.
+        """
+        with self._lock:
+            self._returning += 1
+        _here.returning = True
 
     def crowded(self) -> bool:
         """Whether runs wait at the cap, so a long run should hand its
@@ -225,6 +246,11 @@ class Executor:
                         logger.exception("executor run %r failed", run)
                     finally:
                         self._lock.acquire()
+                    if _here.returning:
+                        _here.returning = False
+                        self._returning -= 1
+                        if self._detaching:
+                            self._exited.notify_all()
                     self._finished += 1
                     if attached:
                         self._attached -= 1
@@ -336,7 +362,8 @@ class TimerCall:
     def cancel(self) -> None:
         """Keep the callback from starting; if it is running on another
         thread, wait until it returns.  A cancel that leaves nothing
-        armed also waits for the timer's idle thread to end."""
+        armed also waits for the timer's idle thread to end: parked, or
+        started and not yet serving."""
         timer, me = self.timer, threading.current_thread()
         retired = None
         with timer._lock:
@@ -346,7 +373,12 @@ class TimerCall:
             while timer._running is self and timer._runner is not me:
                 timer._ran.wait()
             thread = timer._thread
-            if thread and timer._parked is thread and not timer._armed:
+            if (
+                thread
+                and thread is not me
+                and timer._running is None
+                and not timer._armed
+            ):
                 retired, timer._thread, timer._parked = thread, None, None
                 timer._wake.notify()
         if retired is not None:

@@ -101,10 +101,12 @@ class RemoteProxy:
             kwargs=dict(kwargs),
             one_way=one_way,
         )
-        headers = {"content-type": channel.formatter.content_type}
         # Client span + context propagation.  With no tracer installed and
         # no active context this costs two lookups — the tracing-off path
-        # must stay inside the pingpong overhead guardrail.
+        # must stay inside the pingpong overhead guardrail.  The trace
+        # context is the only request header: the host decodes with its
+        # serving channel's formatter, so no content type travels.
+        headers = None
         tracer = active_tracer()
         span = (
             tracer.span("rpc", f"call.{method}", uri=path, one_way=one_way)
@@ -116,7 +118,7 @@ class RemoteProxy:
             with span:
                 ctx = current_context.get()
                 if ctx is not None:
-                    headers[TRACE_HEADER] = to_header(ctx)
+                    headers = {TRACE_HEADER: to_header(ctx)}
                 # round_trip lets socket transports use their zero-copy
                 # encode/decode path; wrapper channels fall back to the
                 # dumps -> call -> loads composition automatically.

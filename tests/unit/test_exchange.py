@@ -24,8 +24,17 @@ from repro.channels.request import (
     encode_request,
 )
 from repro.errors import ChannelClosedError, ChannelError
-from repro.remoting.messages import CallMessage
+from repro.channels.services import ChannelServices
+from repro.remoting.messages import CallMessage, ReturnMessage
+from repro.remoting.objref import ObjRef
+from repro.remoting.proxy import RemoteProxy
 from repro.serialization import FastBinaryFormatter
+from repro.telemetry.context import (
+    TRACE_HEADER,
+    TraceContext,
+    current_context,
+    to_header,
+)
 
 
 def echo(path, body, headers):
@@ -179,6 +188,37 @@ class TestRequestBytes:
         assert channel.call("a:1", "p", b"raw body") == b"raw body"
         expected = encode_frame(encode_request("p", {}, b"raw body"))
         assert channel.connections[0].sent == [expected]
+
+
+def reply_seven(path, body, headers):
+    return FastBinaryFormatter().dumps(ReturnMessage(value=7))
+
+
+class TestRequestHeaders:
+    """A remote sync call's request frame carries only ``parc-trace``."""
+
+    def call_and_decode(self):
+        channel = FakeChannel(handler=reply_seven)
+        services = ChannelServices()
+        services.register_channel(channel)
+        proxy = RemoteProxy(ObjRef(uris=("fake://a:1/auto/io-1",)), services)
+        assert proxy.invoke("step", (1,), {}) == 7
+        [frame] = channel.connections[0].sent
+        path, headers, _body = decode_request_view(frame[HEADER_SIZE:])
+        assert path == "auto/io-1"
+        return headers
+
+    def test_untraced_call_sends_no_headers(self):
+        assert self.call_and_decode() == {}
+
+    def test_traced_call_sends_only_the_trace_header(self):
+        ctx = TraceContext(trace_id="ab" * 8, span_id="cd" * 8)
+        token = current_context.set(ctx)
+        try:
+            headers = self.call_and_decode()
+        finally:
+            current_context.reset(token)
+        assert headers == {TRACE_HEADER: to_header(ctx)}
 
 
 class TestExchange:

@@ -24,7 +24,7 @@ import time
 
 from repro.core.impl import ImplementationObject
 from repro.core.proxy_object import RemoteGrain
-from repro.executor import blocking
+from repro.executor import Executor, Timer, blocking
 
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -95,6 +95,42 @@ class TestThreadCensus:
         )
         assert live - before <= 32
         assert after == before
+
+
+class TestThreadsLeaveWithTheirLastClient:
+    """What the census above needs: no thread outlives the last detach
+    or the last cancel, even one still on its way out."""
+
+    def test_detach_waits_for_a_thread_on_its_way_back_from_a_run(self):
+        pool = Executor(cap=2)
+        before = threading.active_count()
+        pool.attach()
+        ended, back = threading.Event(), threading.Event()
+
+        def run():
+            pool.run_ends()
+            ended.set()
+            back.wait(10)  # the way back to the pool, held open
+
+        pool.submit(run)
+        assert ended.wait(10)
+        detacher = threading.Thread(target=pool.detach, daemon=True)
+        detacher.start()
+        detacher.join(0.05)
+        assert detacher.is_alive()  # the run's thread is not back yet
+        back.set()
+        detacher.join(10)
+        assert not detacher.is_alive()
+        assert pool.stats()["threads"] == 0
+        assert threading.active_count() == before
+
+    def test_cancel_right_after_arming_ends_the_timer_thread(self):
+        timer = Timer()
+        before = threading.active_count()
+        for _ in range(50):
+            # The thread the call started may not be parked yet.
+            timer.call_later(10.0, lambda: None).cancel()
+            assert threading.active_count() == before
 
 
 class TestOrdering:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.channels import LoopbackChannel
+import repro.channels.http as http_module
+from repro.channels import HttpChannel, LoopbackChannel
 from repro.channels.services import ChannelServices
 from repro.errors import (
     RemoteInvocationError,
@@ -316,3 +317,35 @@ class TestLifecycle:
         services = ChannelServices()
         with RemotingHost(name="cm", services=services) as cm_host:
             assert cm_host.published_paths() == []
+
+
+class TestHttpRequestHeaders:
+    def test_request_carries_its_own_content_type_and_no_user_header(
+        self, monkeypatch
+    ):
+        seen = []
+        read = http_module.read_http_message
+
+        def spy(sock):
+            start_line, headers, body = read(sock)
+            if start_line.startswith("POST "):
+                seen.append(headers)
+            return start_line, headers, body
+
+        monkeypatch.setattr(http_module, "read_http_message", spy)
+        services = ChannelServices()
+        services.register_channel(HttpChannel())
+        server = RemotingHost(name="http-server", services=ChannelServices())
+        client = RemotingHost(name="http-client", services=services)
+        try:
+            binding = server.listen(HttpChannel(), "127.0.0.1:0")
+            server.register_well_known(Greeter, "greeter")
+            proxy = client.get_object(f"http://{binding.authority}/greeter")
+            assert proxy.greet("web") == "hello web"
+        finally:
+            client.close()
+            server.close()
+            services.close_all()
+        [headers] = seen
+        assert headers["content-type"].startswith("text/xml")
+        assert not [key for key in headers if key.startswith("x-parc-")]

@@ -7,12 +7,15 @@ the same surfaces lives in test_returnn_wire.py.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 import threading
 import time
 
 import pytest
 
+import repro.core.impl as impl_module
 from repro.core.grain import AdaptiveGrainController
 from repro.core.impl import ImplementationObject, _IOMailbox
 from repro.remoting.messages import ReturnBatch
@@ -131,6 +134,187 @@ class TestMailboxClaim:
         box.stop()
         assert not box.try_claim_idle()
         box.dispose()
+
+
+class _CountingThreading:
+    """Stands in for ``repro.core.impl``'s ``threading``: counts the
+    events the module builds and flags when a caller waits on one."""
+
+    def __init__(self):
+        self.events = 0
+        self.waiting = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(threading, name)
+
+    def Event(self):  # noqa: N802 - mirrors threading.Event
+        self.events += 1
+        waiting = self.waiting
+
+        class _SpyEvent(threading.Event):
+            def wait(self, timeout=None):
+                waiting.set()
+                return super().wait(timeout)
+
+        return _SpyEvent()
+
+
+@pytest.fixture
+def counting_threading(monkeypatch):
+    shim = _CountingThreading()
+    monkeypatch.setattr(impl_module, "threading", shim)
+    return shim
+
+
+@pytest.fixture
+def parked(monkeypatch):
+    """Set once a mailbox wait is about to park (the lock still held)."""
+    event = threading.Event()
+
+    @contextlib.contextmanager
+    def blocking():
+        event.set()
+        yield
+
+    monkeypatch.setattr(impl_module, "blocking", blocking)
+    return event
+
+
+class TestInlineBookkeeping:
+    """What an inline call does not pay for, and who still gets woken."""
+
+    def test_inline_calls_build_no_event(self, counting_threading):
+        impl = ImplementationObject(Recorder(), "t.R")
+        try:
+            assert impl.invoke("double", (2.0,)) == 4.0
+            reply = impl.invoke_batch("double", [((1.0,), {}), ((3.0,), {})])
+            assert list(reply.results) == [2.0, 6.0]
+            assert impl.stats()["sync_inline"] == 3
+            assert counting_threading.events == 0
+        finally:
+            impl.dispose()
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_a_queued_call_still_waits_on_events(
+        self, counting_threading, batch
+    ):
+        impl = ImplementationObject(Recorder(), "t.R")
+        box = impl._mailbox
+        results = []
+
+        def call():
+            if batch:
+                reply = impl.invoke_batch(
+                    "double", [((1.0,), {}), ((3.0,), {})]
+                )
+                results.extend(reply.results)
+            else:
+                results.append(impl.invoke("double", (2.0,)))
+
+        try:
+            assert box.try_claim_idle()  # the slot is taken: the call queues
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            assert counting_threading.waiting.wait(timeout=5.0)
+            box.release_claim()  # schedules the run for the queued call
+            caller.join(timeout=5.0)
+            assert not caller.is_alive()
+            assert results == ([2.0, 6.0] if batch else [4.0])
+            assert counting_threading.events == (2 if batch else 1)
+            assert impl.stats()["sync_inline"] == 0
+        finally:
+            box.dispose(wait=False)  # a claim left held must not hang here
+
+    def test_inline_failure_is_not_an_async_failure(self):
+        impl = ImplementationObject(Recorder(), "t.R")
+        try:
+            with pytest.raises(ValueError):
+                impl.invoke("pick", (-1.0,))
+            assert impl.async_failures() == []
+        finally:
+            impl.dispose()
+
+    def test_drain_parked_behind_a_claim_wakes_on_release(self, parked):
+        box = _IOMailbox(_ignore)
+        assert box.try_claim_idle()
+        drainer = threading.Thread(target=box.drain, daemon=True)
+        drainer.start()
+        assert parked.wait(timeout=5.0)
+        # release_claim takes the lock only once the drainer is inside
+        # wait(), so this release is the wake-up the drainer needs.
+        box.release_claim()
+        drainer.join(timeout=5.0)
+        assert not drainer.is_alive()
+        box.dispose()
+
+    def test_migration_parked_behind_a_claim_starts_on_release(self, parked):
+        impl = ImplementationObject(Recorder(), "t.R")
+        box = impl._mailbox
+        extracted = []
+        try:
+            assert box.try_claim_idle()
+            migrator = threading.Thread(
+                target=lambda: extracted.append(impl.begin_migration()),
+                daemon=True,
+            )
+            migrator.start()
+            assert parked.wait(timeout=5.0)
+            box.release_claim()
+            migrator.join(timeout=5.0)
+            assert not migrator.is_alive()
+            assert extracted == [[]]
+            impl.abort_migration([])
+            assert impl.invoke("double", (1.5,)) == 3.0
+        finally:
+            # No waiting: after a lost wake-up the mailbox stays paused.
+            box.dispose(wait=False)
+
+    def test_waits_racing_inline_calls_all_return(self):
+        """Drains and migrations racing inline calls and async posts, with
+        a short switch interval: a wake-up lost by the waiter count would
+        leave a waiter parked for good."""
+        impl = ImplementationObject(Recorder(), "t.R")
+        callers, calls = 4, 150
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def caller(index):
+            for value in range(calls):
+                assert impl.invoke("double", (1.0,)) == 2.0
+                impl.enqueue("record", ((index, value),))
+
+        def drainer():
+            for _ in range(100):
+                impl.drain()
+
+        def migrator():
+            for _ in range(50):
+                impl.abort_migration(impl.begin_migration())
+
+        threads = [
+            threading.Thread(target=caller, args=(index,), daemon=True)
+            for index in range(callers)
+        ]
+        threads += [
+            threading.Thread(target=drainer, daemon=True),
+            threading.Thread(target=migrator, daemon=True),
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 20.0
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(thread.is_alive() for thread in threads)
+            impl.drain()
+            log = impl.invoke("get_log")
+            assert len(log) == callers * calls
+            for index in range(callers):
+                mine = [value for who, value in log if who == index]
+                assert mine == list(range(calls))  # per-poster FIFO
+        finally:
+            sys.setswitchinterval(interval)
+            impl._mailbox.dispose(wait=False)
 
 
 # -- batched replies ----------------------------------------------------------
