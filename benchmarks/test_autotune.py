@@ -32,7 +32,7 @@ from repro.core.proxy_object import RemoteGrain
 from repro.benchlib.tables import format_table
 from repro.remoting import RemotingHost
 from repro.remoting.messages import ReturnBatch, ReturnMessage
-from repro.serialization import FastBinaryFormatter
+from repro.serialization import BinaryFormatter
 from repro.serialization.codec import pack_result_column
 
 CALLS = 64
@@ -92,7 +92,7 @@ def reply_sizes(calls: int = CALLS) -> tuple[int, int]:
     Both forms are priced as framed STATUS_OK responses — body bytes
     plus one frame header each — exactly what crosses the socket.
     """
-    formatter = FastBinaryFormatter()
+    formatter = BinaryFormatter()
     results = [index * 0.5 for index in range(calls)]
     per_call = sum(
         HEADER_SIZE + len(formatter.dumps(ReturnMessage(value=value)))

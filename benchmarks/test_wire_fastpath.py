@@ -34,7 +34,7 @@ from repro.benchlib.tables import format_table
 from repro.channels.tcp import TcpChannel
 from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
 from repro.remoting.messages import CallMessage
-from repro.serialization import FastBinaryFormatter
+from repro.serialization import BinaryFormatter
 from repro.serialization.codec import pack_columns
 
 PAYLOAD_BYTES = 64 * 1024
@@ -88,7 +88,7 @@ def test_pingpong_round_trips_over_tcp_and_aio():
 
 def columnar_sizes(calls: int = 64) -> tuple[int, int]:
     """Encoded request-body bytes: row batch versus columnar aggregate."""
-    formatter = FastBinaryFormatter()
+    formatter = BinaryFormatter()
     batch = [((index * 0.5, index), {}) for index in range(calls)]
     row_message = CallMessage(
         uri="auto/x", method="enqueue_batch", args=("step", batch)

@@ -69,7 +69,7 @@ from repro.channels.request import (
 from repro.channels.tcp import parse_host_port
 from repro.errors import ChannelClosedError, ChannelError, WireFormatError
 from repro.aio.loop import LoopThread
-from repro.serialization import FastBinaryFormatter
+from repro.serialization import BinaryFormatter
 from repro.telemetry import MetricsRegistry
 
 #: Default bound on concurrent in-flight requests per client connection.
@@ -679,9 +679,8 @@ class AioTcpChannel(Channel):
         metrics: MetricsRegistry | None = None,
     ) -> None:
         super().__init__(
-            formatter if formatter is not None else FastBinaryFormatter()
+            formatter if formatter is not None else BinaryFormatter()
         )
-        self._dumps_into = getattr(self.formatter, "dumps_into", None)
         if window < 1:
             raise ChannelError("window must be at least 1")
         self.window = window
@@ -745,9 +744,7 @@ class AioTcpChannel(Channel):
         loop only stamps the correlation id and hands the buffer to the
         transport.  The response body deserializes from a ``memoryview``.
         """
-        if self._dumps_into is None:
-            return super().round_trip(authority, path, message, headers)
-        request = self._frame(path, headers, message, self._dumps_into)
+        request = self._frame(path, headers, message, self.formatter.dumps_into)
         payload = self._exchange(authority, request)
         return self.formatter.loads(decode_response_view(payload))
 

@@ -1,8 +1,8 @@
 """Reusable byte buffers for the wire fast path.
 
-The legacy encode path allocates a fresh ``BytesIO`` + ``bytes`` for every
-request; at high call rates the allocator churn dominates small-message
-latency.  A :class:`BufferPool` hands out ``bytearray``\\ s that are reused
+Encoding every request into a fresh ``bytes`` object would make the
+allocator churn dominate small-message latency at high call rates.  A
+:class:`BufferPool` hands out ``bytearray``\\ s that are reused
 across calls: encoders append into them (``dumps_into``), the socket layer
 sends straight from them, and the pool reclaims them afterwards.
 

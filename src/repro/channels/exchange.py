@@ -49,7 +49,7 @@ from repro.channels.request import (
     encode_request_meta,
 )
 from repro.errors import ChannelClosedError, ChannelError, WireFormatError
-from repro.serialization import FastBinaryFormatter
+from repro.serialization import BinaryFormatter
 
 
 class Connection(Protocol):
@@ -326,11 +326,8 @@ class FramedChannel(Channel):
         max_idle_s: float = math.inf,
     ) -> None:
         super().__init__(
-            formatter if formatter is not None else FastBinaryFormatter()
+            formatter if formatter is not None else BinaryFormatter()
         )
-        # A formatter that can append into a shared buffer is encoded in
-        # place; any other reaches the same exchange through ``call``.
-        self._dumps_into = getattr(self.formatter, "dumps_into", None)
         self._pool = ConnectionPool(connect, max_idle_per_authority, max_idle_s)
         self._buffers = BufferPool()
 
@@ -358,10 +355,8 @@ class FramedChannel(Channel):
         straight from a ``memoryview`` of the frame the pipe read.  The
         only per-call heap traffic left is the decoded result itself.
         """
-        if self._dumps_into is None:
-            return super().round_trip(authority, path, message, headers)
         return self._exchange(
-            authority, path, headers, message, self._dumps_into,
+            authority, path, headers, message, self.formatter.dumps_into,
             self.formatter.loads,
         )
 

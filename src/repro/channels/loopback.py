@@ -15,7 +15,7 @@ from typing import Mapping
 
 from repro.channels.base import Channel, RequestHandler, ServerBinding
 from repro.errors import AddressError, ChannelClosedError, ChannelError
-from repro.serialization import FastBinaryFormatter
+from repro.serialization import BinaryFormatter
 
 
 class _LoopbackRegistry:
@@ -72,7 +72,7 @@ class _LoopbackBinding(ServerBinding):
 class LoopbackChannel(Channel):
     """Same-process channel with real serialized payloads.
 
-    *formatter* defaults to :class:`FastBinaryFormatter`, like the
+    *formatter* defaults to :class:`BinaryFormatter`, like the
     socket channels.
     """
 
@@ -81,7 +81,7 @@ class LoopbackChannel(Channel):
 
     def __init__(self, formatter=None) -> None:  # type: ignore[no-untyped-def]
         super().__init__(
-            formatter if formatter is not None else FastBinaryFormatter()
+            formatter if formatter is not None else BinaryFormatter()
         )
 
     def listen(self, authority: str, handler: RequestHandler) -> ServerBinding:

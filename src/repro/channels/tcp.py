@@ -172,9 +172,9 @@ class TcpChannel(FramedChannel):
     Requests are built in pooled ``bytearray``\\ s with the frame header
     patched in place and sent with one ``sendall``; responses are decoded
     from ``memoryview``\\ s of a reusable receive buffer.  *formatter*
-    defaults to :class:`~repro.serialization.FastBinaryFormatter`; one
-    without ``dumps_into`` (RMI's ``BinaryFormatter``) speaks the same
-    wire format through ``call``.
+    defaults to :class:`~repro.serialization.BinaryFormatter`; any other
+    :class:`~repro.serialization.Formatter` (SOAP, say) rides the same
+    exchange through its ``dumps_into``.
     """
 
     scheme = "tcp"

@@ -22,9 +22,13 @@ from repro.mpi.p2p import (
     Status,
     as_payload,
 )
+from repro.serialization import BinaryFormatter
 
 #: Tag space reserved for collective internals, above user tags.
 _COLLECTIVE_TAG_BASE = 1 << 24
+
+#: Encodes collective values; formatters are stateless and thread-safe.
+_FORMATTER = BinaryFormatter()
 
 
 class World:
@@ -129,18 +133,14 @@ class Comm:
     def _send_obj(self, obj: Any, dest: int, tag: int) -> None:
         # Collectives move small control values; encode with the shared
         # binary formatter (user payloads in p2p stay raw buffers).
-        from repro.serialization import BinaryFormatter
-
-        payload = BinaryFormatter().dumps(obj)
+        payload = _FORMATTER.dumps(obj)
         self.world.mailbox(dest).deposit(
             Envelope(source=self.rank, tag=tag, payload=payload)
         )
 
     def _recv_obj(self, source: int, tag: int) -> Any:
-        from repro.serialization import BinaryFormatter
-
         envelope = self.world.mailbox(self.rank).collect(source, tag, None)
-        return BinaryFormatter().loads(envelope.payload)
+        return _FORMATTER.loads(envelope.payload)
 
     def bcast(self, value: Any, root: int = 0) -> Any:
         """Broadcast *value* from *root* to every rank (binomial tree)."""
@@ -203,10 +203,7 @@ class Comm:
         for rank in range(self.size):
             if rank == root:
                 continue
-            envelope = self.world.mailbox(self.rank).collect(rank, tag, None)
-            from repro.serialization import BinaryFormatter
-
-            values[rank] = BinaryFormatter().loads(envelope.payload)
+            values[rank] = self._recv_obj(rank, tag)
         return values
 
     def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Any:

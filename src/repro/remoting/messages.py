@@ -85,7 +85,7 @@ class ReturnBatch:
     N status+payload response frames, the server ships one status frame
     whose body is this message — ``count`` results packed either as a
     contiguous ``array('d')`` column (all-float results, the common
-    numeric-kernel case; the fast formatter encodes arrays as a typecode +
+    numeric-kernel case; the binary formatter encodes arrays as a typecode +
     one memcpy) or a plain list with ``None`` at error slots.  Per-call
     failures ride in ``errors`` as ``(index, type_name, message,
     traceback_text)`` tuples so one bad call does not poison its batch.
@@ -101,7 +101,7 @@ class ReturnBatch:
 
 # The protocol messages dominate the wire hot path, so all three get
 # compiled codecs: encode skips the per-value type ladder, decode installs
-# fields directly.  Payloads stay byte-identical to the generic formatter.
+# fields directly.  Payloads stay byte-identical to the generic object path.
 register_codec(CallMessage)
 register_codec(RemoteErrorInfo)
 register_codec(ReturnMessage)

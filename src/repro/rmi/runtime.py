@@ -42,7 +42,7 @@ from repro.rmi.interfaces import (
     remote_method_names,
     verify_remote_interface,
 )
-from repro.serialization import BinaryFormatter, serializable
+from repro.serialization import serializable
 from repro.serialization.registry import Surrogate, default_registry
 
 
@@ -120,7 +120,7 @@ def _shared_client_channel() -> TcpChannel:
     global _client_channel
     with _client_lock:
         if _client_channel is None:
-            _client_channel = TcpChannel(BinaryFormatter())
+            _client_channel = TcpChannel()
         return _client_channel
 
 
@@ -202,7 +202,7 @@ class RmiRuntime:
         self._lock = threading.Lock()
         self._exports: dict[str, tuple[Any, type, frozenset[str]]] = {}
         self._counter = itertools.count(1)
-        self._channel = TcpChannel(BinaryFormatter())
+        self._channel = TcpChannel()
         self._binding = self._channel.listen(authority, self._handle)
         self._closed = False
 

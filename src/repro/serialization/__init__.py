@@ -8,7 +8,11 @@ mechanism, built from scratch:
 
 * :class:`BinaryFormatter` — compact tagged binary encoding with full
   object-graph support (shared references and cycles), the analog of the
-  .Net binary formatter used by the TCP channel.
+  .Net binary formatter used by the TCP channel.  It encodes into a
+  ``bytearray`` (``dumps_into`` appends to a frame buffer), decodes from a
+  ``memoryview``, and runs compiled codecs (:func:`register_codec`) for the
+  fixed-shape protocol messages.  ``FastBinaryFormatter`` is an alias of
+  it.
 * :class:`SoapFormatter` — verbose, self-describing textual encoding, the
   analog of the SOAP formatter used by the HTTP channel (the slow curve of
   the paper's Fig. 8b).
@@ -17,7 +21,8 @@ mechanism, built from scratch:
   the paper's Fig. 7.  Nothing is ever deserialized into arbitrary code.
 
 Both formatters share the registry and round-trip the same value domain;
-property-based tests assert they agree.
+property-based tests assert they agree.  The binary wire format is frozen as
+golden bytes in ``tests/unit/test_wire_golden.py``.
 """
 
 from repro.serialization.registry import (
@@ -26,17 +31,19 @@ from repro.serialization.registry import (
     default_registry,
     serializable,
 )
-from repro.serialization.binary import BinaryFormatter
 from repro.serialization.codec import (
+    BinaryFormatter,
     CodecRegistry,
     CompiledCodec,
-    FastBinaryFormatter,
     compile_codec,
     default_codec_registry,
     register_codec,
 )
 from repro.serialization.soap import SoapFormatter
 from repro.serialization.base import Formatter
+
+#: The formatter's former name; ``benchmarks/parcbench/ladder.py`` imports it.
+FastBinaryFormatter = BinaryFormatter
 
 __all__ = [
     "BinaryFormatter",

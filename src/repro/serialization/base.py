@@ -28,6 +28,19 @@ class Formatter(abc.ABC):
     def dumps(self, obj: Any) -> bytes:
         """Encode *obj* (an arbitrary supported object graph) to bytes."""
 
+    def dumps_into(self, out: bytearray, obj: Any) -> None:
+        """Append the encoding of *obj* to *out*.
+
+        The framed channels build each request in one pooled buffer
+        through this method.  The default copies :meth:`dumps`'s bytes;
+        a formatter that can append in place overrides it.
+        """
+        out += self.dumps(obj)
+
     @abc.abstractmethod
-    def loads(self, data: bytes) -> Any:
-        """Decode bytes produced by :meth:`dumps` back into an object graph."""
+    def loads(self, data: Any) -> Any:
+        """Decode what :meth:`dumps` produced back into an object graph.
+
+        *data* is any bytes-like object: the framed channels hand over a
+        ``memoryview`` of the reply frame.
+        """

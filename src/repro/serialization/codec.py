@@ -1,9 +1,15 @@
-"""Compiled per-class codecs and the zero-copy binary fast path.
+"""The binary formatter and the compiled per-class codecs it dispatches to.
 
-The generic :class:`~repro.serialization.binary.BinaryFormatter` walks a
-per-value type ladder into a fresh ``BytesIO`` for every encode and copies
-every slice on decode.  That is fine for arbitrary object graphs, but the
-wire hot path (remoting call/return messages, aggregated ``processN``
+:class:`BinaryFormatter` is the .Net binary formatter analog, the formatter
+behind the tcp, shm, aio and loopback channels, RMI and the MPI
+collectives.  It encodes by appending to a ``bytearray`` (reusable via
+:meth:`BinaryFormatter.dumps_into`, which builds a request straight into a
+frame buffer) and decodes from a ``memoryview`` with explicit positions:
+no stream object and no slice copies for scalars.  The wire format is
+described in :mod:`repro.serialization.binary` and frozen as golden bytes
+in ``tests/unit/test_wire_golden.py``.
+
+The wire hot path (remoting call/return messages, aggregated ``processN``
 batches) is dominated by a handful of *fixed-shape* registered classes
 whose field layout is known ahead of time.  This module compiles those
 classes once:
@@ -14,24 +20,18 @@ classes once:
   a specialized encoder/decoder picked from its annotation (zigzag-varint
   ints, ``struct``-packed floats, raw utf-8 strings), so encoding an
   instance is a handful of ``bytearray`` appends with **no per-value type
-  ladder** and no state-dict allocation.
-* :class:`FastBinaryFormatter` emits and accepts the *same* tagged wire
-  format as :class:`BinaryFormatter` — byte-for-byte — but encodes into a
-  caller-supplied ``bytearray`` (:meth:`FastBinaryFormatter.dumps_into`)
-  and decodes from a ``memoryview`` with no intermediate ``BytesIO`` or
-  slice copies.  Old and new payloads interoperate on the wire in both
-  directions (fuzz-tested in ``tests/unit/test_codec.py``).
+  ladder** and no state-dict allocation.  Its output is byte-for-byte what
+  the generic object path emits for the same instance.
 * :class:`CodecRegistry` keys codecs by class (encode) and wire name
-  (decode); unregistered classes fall back transparently to the generic
-  object path, so the fast formatter never rejects what the generic one
-  accepts.
+  (decode); unregistered classes take the generic object path, so a
+  compiled codec never changes what the formatter accepts.
 
-Identity semantics are preserved: the reference memo is maintained in the
-same pre-order as the generic encoder (a compiled object still occupies a
-memo slot), so shared sub-objects and back-references decode identically
-whichever side compiled the class.  A class whose instances are expected
-to form reference-heavy graphs can be registered with ``graph=True`` to
-skip compilation and keep the fully general memoized object path.
+Identity semantics are preserved: a compiled object still occupies a slot
+of the pre-order reference memo, so shared sub-objects and back-references
+decode identically whichever side compiled the class.  A class whose
+instances are expected to form reference-heavy graphs can be registered
+with ``graph=True`` to skip compilation and keep the fully general
+memoized object path.
 
 The module also hosts the *method-signature* half of the fast path:
 :func:`method_column_plan` derives per-argument column kinds from a
@@ -54,22 +54,20 @@ from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from repro.errors import SerializationError, WireFormatError
+from repro.serialization.base import Formatter
 from repro.serialization.binary import (
     _ARRAY_TYPECODES,
-    _Placeholder,
-    BinaryFormatter,
     append_uvarint,
     import_numpy,
     uvarint_from,
-    zigzag,
 )
 from repro.serialization.registry import (
     SerializationRegistry,
     default_registry,
 )
 
-# Integer tag values (the decode ladder indexes memoryviews, which yield
-# ints); byte values below must stay in lockstep with binary.py's tags.
+# Tag bytes as ints (the decode ladder indexes memoryviews, which yield
+# ints).  One printable byte per supported shape keeps hexdumps readable.
 _O_NONE = ord("N")
 _O_TRUE = ord("T")
 _O_FALSE = ord("F")
@@ -100,6 +98,12 @@ _TAGGED_COMPLEX = struct.Struct(">cdd")
 _OBJECT_GETSTATE = getattr(object, "__getstate__", None)
 
 
+class _Placeholder:
+    """Sentinel occupying a ref slot while an immutable container decodes."""
+
+    __slots__ = ()
+
+
 def _uvarint_bytes(value: int) -> bytes:
     out = bytearray()
     append_uvarint(out, value)
@@ -111,15 +115,15 @@ def _uvarint_bytes(value: int) -> bytes:
 # One pair per annotation kind.  Encoders verify the runtime type before
 # taking the specialized path — an ``int``-annotated field holding a float
 # (Python does not enforce annotations) falls back to the generic ladder,
-# so compiled output is always exactly what the generic encoder would emit.
+# so compiled output is always exactly what the generic object path emits.
 
 
-def _enc_any(fmt: "FastBinaryFormatter", out: bytearray, value: Any,
+def _enc_any(fmt: "BinaryFormatter", out: bytearray, value: Any,
              memo: dict) -> None:
-    fmt._encode_fast(out, value, memo)
+    fmt._encode(out, value, memo)
 
 
-def _enc_int(fmt: "FastBinaryFormatter", out: bytearray, value: Any,
+def _enc_int(fmt: "BinaryFormatter", out: bytearray, value: Any,
              memo: dict) -> None:
     if type(value) is int and _I64_MIN <= value <= _I64_MAX:
         out.append(_O_INT)
@@ -129,28 +133,28 @@ def _enc_int(fmt: "FastBinaryFormatter", out: bytearray, value: Any,
             value >>= 7
         out.append(value)
     else:
-        fmt._encode_fast(out, value, memo)
+        fmt._encode(out, value, memo)
 
 
-def _enc_float(fmt: "FastBinaryFormatter", out: bytearray, value: Any,
+def _enc_float(fmt: "BinaryFormatter", out: bytearray, value: Any,
                memo: dict) -> None:
     if type(value) is float:
         out += _TAGGED_DOUBLE.pack(b"d", value)
     else:
-        fmt._encode_fast(out, value, memo)
+        fmt._encode(out, value, memo)
 
 
-def _enc_bool(fmt: "FastBinaryFormatter", out: bytearray, value: Any,
+def _enc_bool(fmt: "BinaryFormatter", out: bytearray, value: Any,
               memo: dict) -> None:
     if value is True:
         out.append(_O_TRUE)
     elif value is False:
         out.append(_O_FALSE)
     else:
-        fmt._encode_fast(out, value, memo)
+        fmt._encode(out, value, memo)
 
 
-def _enc_str(fmt: "FastBinaryFormatter", out: bytearray, value: Any,
+def _enc_str(fmt: "BinaryFormatter", out: bytearray, value: Any,
              memo: dict) -> None:
     if type(value) is str:
         encoded = value.encode("utf-8")
@@ -158,50 +162,50 @@ def _enc_str(fmt: "FastBinaryFormatter", out: bytearray, value: Any,
         append_uvarint(out, len(encoded))
         out += encoded
     else:
-        fmt._encode_fast(out, value, memo)
+        fmt._encode(out, value, memo)
 
 
-def _enc_bytes(fmt: "FastBinaryFormatter", out: bytearray, value: Any,
+def _enc_bytes(fmt: "BinaryFormatter", out: bytearray, value: Any,
                memo: dict) -> None:
     if type(value) is bytes:
         out.append(_O_BYTES)
         append_uvarint(out, len(value))
         out += value
     else:
-        fmt._encode_fast(out, value, memo)
+        fmt._encode(out, value, memo)
 
 
-def _dec_any(fmt: "FastBinaryFormatter", buf: Any, pos: int,
+def _dec_any(fmt: "BinaryFormatter", buf: Any, pos: int,
              refs: list) -> tuple[Any, int]:
-    return fmt._decode_fast(buf, pos, refs)
+    return fmt._decode(buf, pos, refs)
 
 
-def _dec_int(fmt: "FastBinaryFormatter", buf: Any, pos: int,
+def _dec_int(fmt: "BinaryFormatter", buf: Any, pos: int,
              refs: list) -> tuple[Any, int]:
     if buf[pos] == _O_INT:
         value, pos = uvarint_from(buf, pos + 1)
         return (value >> 1) ^ -(value & 1), pos
-    return fmt._decode_fast(buf, pos, refs)
+    return fmt._decode(buf, pos, refs)
 
 
-def _dec_float(fmt: "FastBinaryFormatter", buf: Any, pos: int,
+def _dec_float(fmt: "BinaryFormatter", buf: Any, pos: int,
                refs: list) -> tuple[Any, int]:
     if buf[pos] == _O_FLOAT:
         return _DOUBLE.unpack_from(buf, pos + 1)[0], pos + 9
-    return fmt._decode_fast(buf, pos, refs)
+    return fmt._decode(buf, pos, refs)
 
 
-def _dec_bool(fmt: "FastBinaryFormatter", buf: Any, pos: int,
+def _dec_bool(fmt: "BinaryFormatter", buf: Any, pos: int,
               refs: list) -> tuple[Any, int]:
     tag = buf[pos]
     if tag == _O_TRUE:
         return True, pos + 1
     if tag == _O_FALSE:
         return False, pos + 1
-    return fmt._decode_fast(buf, pos, refs)
+    return fmt._decode(buf, pos, refs)
 
 
-def _dec_str(fmt: "FastBinaryFormatter", buf: Any, pos: int,
+def _dec_str(fmt: "BinaryFormatter", buf: Any, pos: int,
              refs: list) -> tuple[Any, int]:
     if buf[pos] == _O_STR:
         size, pos = uvarint_from(buf, pos + 1)
@@ -209,10 +213,10 @@ def _dec_str(fmt: "FastBinaryFormatter", buf: Any, pos: int,
         if end > len(buf):
             raise WireFormatError("truncated string payload")
         return str(buf[pos:end], "utf-8"), end
-    return fmt._decode_fast(buf, pos, refs)
+    return fmt._decode(buf, pos, refs)
 
 
-def _dec_bytes(fmt: "FastBinaryFormatter", buf: Any, pos: int,
+def _dec_bytes(fmt: "BinaryFormatter", buf: Any, pos: int,
                refs: list) -> tuple[Any, int]:
     if buf[pos] == _O_BYTES:
         size, pos = uvarint_from(buf, pos + 1)
@@ -220,7 +224,7 @@ def _dec_bytes(fmt: "FastBinaryFormatter", buf: Any, pos: int,
         if end > len(buf):
             raise WireFormatError("truncated bytes payload")
         return bytes(buf[pos:end]), end
-    return fmt._decode_fast(buf, pos, refs)
+    return fmt._decode(buf, pos, refs)
 
 
 _FIELD_CODECS: dict[type, tuple[Callable, Callable]] = {
@@ -261,7 +265,7 @@ class CompiledCodec:
     The compiled encode path appends the class's precomputed object-tag
     prefix (tag + wire name + field count) and then, per field, a constant
     name prefix plus the field's specialized value encoding — matching the
-    generic formatter byte-for-byte.  Decode walks the same layout; when a
+    generic object path byte-for-byte.  Decode walks the same layout; when a
     payload does not match the compiled shape (an old peer sent a renamed
     or missing field) it degrades to the generic state-dict path, keeping
     the registry's schema-evolution rules (`__parc_upgrade__`, defaults).
@@ -295,18 +299,18 @@ class CompiledCodec:
         # Direct field installation is only safe without restore hooks.
         self._direct = getattr(cls, "__parc_upgrade__", None) is None
 
-    def encode(self, out: bytearray, obj: Any, fmt: "FastBinaryFormatter",
+    def encode(self, out: bytearray, obj: Any, fmt: "BinaryFormatter",
                memo: dict) -> None:
         out += self.prefix
         for field, value in zip(self.fields, self._getter(obj)):
             out += field.prefix
             field.enc(fmt, out, value, memo)
 
-    def decode(self, fmt: "FastBinaryFormatter", buf: Any, pos: int,
+    def decode(self, fmt: "BinaryFormatter", buf: Any, pos: int,
                refs: list) -> tuple[Any, int]:
         cls = self.cls
         obj = cls.__new__(cls)
-        refs.append(obj)  # same pre-order slot as the generic decoder
+        refs.append(obj)  # same pre-order slot as the generic object path
         count, pos = uvarint_from(buf, pos)
         values: list[Any] = []
         matched = 0
@@ -335,7 +339,7 @@ class CompiledCodec:
             if end > len(buf):
                 raise WireFormatError("truncated field name")
             name = str(buf[pos:end], "utf-8")
-            state[name], pos = fmt._decode_fast(buf, end, refs)
+            state[name], pos = fmt._decode(buf, end, refs)
         fmt.registry.restore_state(obj, state)
         return obj, pos
 
@@ -350,7 +354,7 @@ def compile_codec(
 
     * *cls* is registered in *registry* (its wire name pins the prefix);
     * *cls* is a dataclass — the field list is the wire schema, and the
-      generic encoder serializes dataclasses in field order, so the two
+      generic object path serializes dataclasses in field order, so the two
       paths agree byte-for-byte;
     * *cls* has no custom ``__getstate__``/``__setstate__`` — those hooks
       define a dynamic wire shape the compiler cannot precompute (such
@@ -395,7 +399,7 @@ class CodecRegistry:
     """Compiled codecs keyed by class (encode) and wire name (decode).
 
     The mutable dicts are shared by reference with every
-    :class:`FastBinaryFormatter` constructed against this registry, so
+    :class:`BinaryFormatter` constructed against this registry, so
     codecs registered after a formatter exists are picked up immediately.
     Registration is idempotent per class.
     """
@@ -454,7 +458,7 @@ class CodecRegistry:
 
 
 #: Process-wide codec registry used by :func:`register_codec` and, by
-#: default, by every :class:`FastBinaryFormatter`.
+#: default, by every :class:`BinaryFormatter`.
 default_codec_registry = CodecRegistry()
 
 
@@ -472,19 +476,21 @@ def register_codec(
     return default_codec_registry.register(cls, graph=graph, registry=registry)
 
 
-class FastBinaryFormatter(BinaryFormatter):
-    """Zero-copy drop-in for :class:`BinaryFormatter` (same wire format).
+class BinaryFormatter(Formatter):
+    """Compact graph-preserving binary formatter.
 
-    * encode appends to a ``bytearray`` (reusable via :meth:`dumps_into`)
-      instead of a fresh ``BytesIO``;
-    * decode walks a ``memoryview`` with explicit positions — no stream
-      object, no slice copies for scalars;
-    * instances of codec-compiled classes skip the per-value type ladder
-      entirely.
+    The formatter behind :class:`repro.channels.tcp.TcpChannel`, matching
+    the paper's measured configuration ("Mono (Tcp)" in Fig. 8).  Instances
+    of codec-compiled classes (*codecs*, default
+    :data:`default_codec_registry`) skip the per-value type ladder; every
+    other registered class (*registry*) takes the generic object path.
 
-    ``content_type`` is inherited unchanged: both formatters speak
-    ``application/x-parc-binary`` and interoperate on the wire.
+    Malformed input raises :class:`~repro.errors.WireFormatError` and an
+    unencodable value :class:`~repro.errors.SerializationError`, including
+    a graph nested deeper than the interpreter's recursion limit.
     """
+
+    content_type = "application/x-parc-binary"
 
     def __init__(
         self,
@@ -501,14 +507,19 @@ class FastBinaryFormatter(BinaryFormatter):
 
     def dumps(self, obj: Any) -> bytes:
         out = bytearray()
-        self._encode_fast(out, obj, {})
+        self.dumps_into(out, obj)
         return bytes(out)
 
     def dumps_into(self, out: bytearray, obj: Any) -> None:
         """Append the encoding of *obj* to *out* (no intermediate bytes)."""
-        self._encode_fast(out, obj, {})
+        try:
+            self._encode(out, obj, {})
+        except RecursionError:
+            raise SerializationError(
+                "object graph nested too deeply to encode"
+            ) from None
 
-    def _encode_fast(self, out: bytearray, obj: Any, memo: dict) -> None:
+    def _encode(self, out: bytearray, obj: Any, memo: dict) -> None:
         if obj is None:
             out.append(_O_NONE)
             return
@@ -552,9 +563,8 @@ class FastBinaryFormatter(BinaryFormatter):
             append_uvarint(out, len(obj))
             out += obj
             return
-        # Everything below is identity-tracked, in the same pre-order as
-        # the generic encoder so back-reference indices line up on both
-        # sides whichever formatter produced the payload.
+        # Everything below is identity-tracked: a memo slot per value in
+        # pre-order, the index a later back-reference names.
         ref = memo.get(id(obj))
         if ref is not None:
             out.append(_O_REF)
@@ -565,20 +575,20 @@ class FastBinaryFormatter(BinaryFormatter):
             out.append(_O_TUPLE)
             append_uvarint(out, len(obj))
             for item in obj:
-                self._encode_fast(out, item, memo)
+                self._encode(out, item, memo)
             return
         if kind is list:
             out.append(_O_LIST)
             append_uvarint(out, len(obj))
             for item in obj:
-                self._encode_fast(out, item, memo)
+                self._encode(out, item, memo)
             return
         if kind is dict:
             out.append(_O_DICT)
             append_uvarint(out, len(obj))
             for key, value in obj.items():
-                self._encode_fast(out, key, memo)
-                self._encode_fast(out, value, memo)
+                self._encode(out, key, memo)
+                self._encode(out, value, memo)
             return
         codec = self._codec_by_class.get(kind)
         if codec is not None:
@@ -593,7 +603,7 @@ class FastBinaryFormatter(BinaryFormatter):
             out.append(_O_SET if kind is set else _O_FROZENSET)
             append_uvarint(out, len(obj))
             for item in obj:
-                self._encode_fast(out, item, memo)
+                self._encode(out, item, memo)
             return
         if kind is array.array:
             if obj.typecode not in _ARRAY_TYPECODES:
@@ -607,11 +617,11 @@ class FastBinaryFormatter(BinaryFormatter):
             return
         numpy = sys.modules.get("numpy")  # see binary.py: never imported here
         if numpy is not None and kind is numpy.ndarray:
-            self._encode_ndarray_fast(out, obj, numpy)
+            self._encode_ndarray(out, obj, numpy)
             return
-        self._encode_object_fast(out, obj, memo)
+        self._encode_object(out, obj, memo)
 
-    def _encode_ndarray_fast(self, out: bytearray, arr: Any,
+    def _encode_ndarray(self, out: bytearray, arr: Any,
                              numpy: Any) -> None:
         if arr.dtype.hasobject:
             raise SerializationError("object-dtype ndarrays are not portable")
@@ -626,7 +636,7 @@ class FastBinaryFormatter(BinaryFormatter):
         append_uvarint(out, contiguous.nbytes)
         out += contiguous.data.cast("B")  # one memcpy, no tobytes() copy
 
-    def _encode_object_fast(self, out: bytearray, obj: Any,
+    def _encode_object(self, out: bytearray, obj: Any,
                             memo: dict) -> None:
         surrogate = self.registry.surrogate_for(obj)
         if surrogate is not None:
@@ -644,7 +654,7 @@ class FastBinaryFormatter(BinaryFormatter):
             encoded = field.encode("utf-8")
             append_uvarint(out, len(encoded))
             out += encoded
-            self._encode_fast(out, value, memo)
+            self._encode(out, value, memo)
 
     # -- decoding -----------------------------------------------------------
 
@@ -652,7 +662,7 @@ class FastBinaryFormatter(BinaryFormatter):
         """Decode *data* (``bytes``, ``bytearray`` or ``memoryview``)."""
         buf = data if isinstance(data, memoryview) else memoryview(data)
         try:
-            value, pos = self._decode_fast(buf, 0, [])
+            value, pos = self._decode(buf, 0, [])
         except SerializationError:
             raise
         except (ValueError, TypeError, OverflowError, UnicodeDecodeError,
@@ -660,11 +670,15 @@ class FastBinaryFormatter(BinaryFormatter):
             # Corrupted payloads must surface as wire errors, never as
             # raw codec/numpy exceptions (fuzz-tested contract).
             raise WireFormatError(f"malformed payload: {exc}") from exc
+        except RecursionError:
+            # A few bytes per level nest deeper than the interpreter
+            # recurses; a peer must not be able to crash the decoder.
+            raise WireFormatError("payload nested too deeply") from None
         if pos != len(buf):
             raise WireFormatError("trailing bytes after value")
         return value
 
-    def _decode_fast(self, buf: Any, pos: int, refs: list) -> tuple[Any, int]:
+    def _decode(self, buf: Any, pos: int, refs: list) -> tuple[Any, int]:
         if pos >= len(buf):
             raise WireFormatError("truncated value (missing tag)")
         tag = buf[pos]
@@ -710,7 +724,7 @@ class FastBinaryFormatter(BinaryFormatter):
             refs.append(_Placeholder())
             items = []
             for _ in range(count):
-                value, pos = self._decode_fast(buf, pos, refs)
+                value, pos = self._decode(buf, pos, refs)
                 items.append(value)
             value = tuple(items)
             refs[slot] = value
@@ -720,7 +734,7 @@ class FastBinaryFormatter(BinaryFormatter):
             items = []
             refs.append(items)
             for _ in range(count):
-                value, pos = self._decode_fast(buf, pos, refs)
+                value, pos = self._decode(buf, pos, refs)
                 items.append(value)
             return items, pos
         if tag == _O_DICT:
@@ -728,11 +742,11 @@ class FastBinaryFormatter(BinaryFormatter):
             mapping: dict[Any, Any] = {}
             refs.append(mapping)
             for _ in range(count):
-                key, pos = self._decode_fast(buf, pos, refs)
-                mapping[key], pos = self._decode_fast(buf, pos, refs)
+                key, pos = self._decode(buf, pos, refs)
+                mapping[key], pos = self._decode(buf, pos, refs)
             return mapping, pos
         if tag == _O_OBJECT:
-            return self._decode_object_fast(buf, pos, refs)
+            return self._decode_object(buf, pos, refs)
         if tag == _O_BIGINT:
             size, pos = uvarint_from(buf, pos)
             end = pos + size
@@ -758,7 +772,7 @@ class FastBinaryFormatter(BinaryFormatter):
             result: set[Any] = set()
             refs.append(result)
             for _ in range(count):
-                value, pos = self._decode_fast(buf, pos, refs)
+                value, pos = self._decode(buf, pos, refs)
                 result.add(value)
             return result, pos
         if tag == _O_FROZENSET:
@@ -767,7 +781,7 @@ class FastBinaryFormatter(BinaryFormatter):
             refs.append(_Placeholder())
             items = []
             for _ in range(count):
-                value, pos = self._decode_fast(buf, pos, refs)
+                value, pos = self._decode(buf, pos, refs)
                 items.append(value)
             value = frozenset(items)
             refs[slot] = value
@@ -787,10 +801,10 @@ class FastBinaryFormatter(BinaryFormatter):
             refs.append(value)
             return value, end
         if tag == _O_NDARRAY:
-            return self._decode_ndarray_fast(buf, pos, refs)
+            return self._decode_ndarray(buf, pos, refs)
         raise WireFormatError(f"unknown tag byte {bytes((tag,))!r}")
 
-    def _decode_ndarray_fast(self, buf: Any, pos: int,
+    def _decode_ndarray(self, buf: Any, pos: int,
                              refs: list) -> tuple[Any, int]:
         numpy = import_numpy()
         size, pos = uvarint_from(buf, pos)
@@ -812,7 +826,7 @@ class FastBinaryFormatter(BinaryFormatter):
         refs.append(value)
         return value, end
 
-    def _decode_object_fast(self, buf: Any, pos: int,
+    def _decode_object(self, buf: Any, pos: int,
                             refs: list) -> tuple[Any, int]:
         size, pos = uvarint_from(buf, pos)
         end = pos + size
@@ -839,7 +853,7 @@ class FastBinaryFormatter(BinaryFormatter):
                 if end > len(buf):
                     raise WireFormatError("truncated field name")
                 field = str(buf[pos:end], "utf-8")
-                state[field], pos = self._decode_fast(buf, end, refs)
+                state[field], pos = self._decode(buf, end, refs)
             value = surrogate.decode(state)
             refs[slot] = value
             return value, pos
@@ -853,7 +867,7 @@ class FastBinaryFormatter(BinaryFormatter):
             if end > len(buf):
                 raise WireFormatError("truncated field name")
             field = str(buf[pos:end], "utf-8")
-            state[field], pos = self._decode_fast(buf, end, refs)
+            state[field], pos = self._decode(buf, end, refs)
         self.registry.restore_state(obj, state)
         return obj, pos
 

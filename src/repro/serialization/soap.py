@@ -7,7 +7,7 @@ heavy text format is several times larger and slower to produce than the
 tagged binary format.  This module reproduces that encoding honestly: it is
 a real, parseable XML-subset codec, not a stub, and the byte-size ratio
 between :class:`SoapFormatter` and
-:class:`~repro.serialization.binary.BinaryFormatter` output is what drives
+:class:`~repro.serialization.BinaryFormatter` output is what drives
 the Http curve in the FIG8b benchmark.
 
 Grammar (strict subset of XML, hand-parsed)::
@@ -30,7 +30,7 @@ from typing import Any
 
 from repro.errors import SerializationError, WireFormatError
 from repro.serialization.base import Formatter
-from repro.serialization.binary import import_numpy
+from repro.serialization.binary import _ARRAY_TYPECODES, import_numpy
 
 _PROLOG = '<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body>'
 _EPILOG = "</soap:Body></soap:Envelope>"
@@ -40,8 +40,6 @@ _SAFE = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
     " .,:;!?_-+*/=()[]{}@#$%^|~'`\n\t"
 )
-
-_ARRAY_TYPECODES = frozenset("bBhHiIlLqQfd")
 
 
 def escape_text(text: str) -> str:
@@ -123,13 +121,19 @@ class SoapFormatter(Formatter):
 
     def dumps(self, obj: Any) -> bytes:
         parts: list[str] = [_PROLOG]
-        self._encode(parts, obj, memo={})
+        try:
+            self._encode(parts, obj, memo={})
+        except RecursionError:
+            raise SerializationError(
+                "object graph nested too deeply to encode"
+            ) from None
         parts.append(_EPILOG)
         return "".join(parts).encode("utf-8")
 
-    def loads(self, data: bytes) -> Any:
+    def loads(self, data: Any) -> Any:
+        """Decode *data* (``bytes``, ``bytearray`` or ``memoryview``)."""
         try:
-            text = data.decode("utf-8")
+            text = str(data, "utf-8")
         except UnicodeDecodeError as exc:
             raise WireFormatError("SOAP payload is not valid UTF-8") from exc
         if not text.startswith(_PROLOG) or not text.endswith(_EPILOG):
@@ -143,6 +147,8 @@ class SoapFormatter(Formatter):
         except (ValueError, TypeError, OverflowError, KeyError) as exc:
             # Same fuzz-tested contract as the binary formatter.
             raise WireFormatError(f"malformed payload: {exc}") from exc
+        except RecursionError:
+            raise WireFormatError("payload nested too deeply") from None
         return value
 
     # -- encoding -----------------------------------------------------------

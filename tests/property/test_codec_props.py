@@ -1,9 +1,12 @@
-"""Property tests: compiled codecs vs the generic binary formatter.
+"""Property tests: compiled codecs vs the generic object path.
 
-Satellite coverage for the wire fast path — fuzzes registered-class
-round-trips and asserts *byte-level* interop in both directions (old
-encoder → new decoder, new encoder → old decoder), plus graceful fallback
-behaviour on unregistered classes and corrupted payloads.
+The formatter runs a compiled codec for every class in its
+:class:`CodecRegistry`.  Here ``fast`` carries codecs for the test classes
+and ``generic`` is the same formatter with an empty registry, so every
+value takes the generic object path.  The two must agree byte for byte and
+decode each other's output; the format itself is pinned by
+``tests/unit/test_wire_golden.py``.  Also covered: unregistered classes
+and corrupted payloads.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ import pytest
 
 from repro.errors import SerializationError, UnknownTypeError
 from repro.remoting.messages import ReturnBatch
-from repro.serialization import (
-    BinaryFormatter,
-    CodecRegistry,
-    FastBinaryFormatter,
-    serializable,
-)
+from repro.serialization import BinaryFormatter, CodecRegistry, serializable
 from repro.serialization.codec import pack_result_column, unpack_result_column
 
 
@@ -52,8 +50,8 @@ _codecs = CodecRegistry()
 _codecs.register(Record)
 _codecs.register(Pair)
 
-generic = BinaryFormatter()
-fast = FastBinaryFormatter(codecs=_codecs)
+generic = BinaryFormatter(codecs=CodecRegistry())
+fast = BinaryFormatter(codecs=_codecs)
 
 scalars = st.one_of(
     st.none(),
@@ -167,10 +165,10 @@ error_slots = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(result_slots, error_slots)
 def test_returnn_batches_are_byte_identical_across_formatters(results, errors):
-    """A ReturnBatch travels the wire identically fast or legacy.
+    """A ReturnBatch travels the wire identically compiled or generic.
 
-    This is the reply-side interop guarantee: a new server's batched
-    reply decodes on any peer running either formatter, so the returnN
+    This is the reply-side interop guarantee: a batched reply decodes on
+    any peer whether or not it compiled ``ReturnBatch``, so the returnN
     negotiation only needs to decide *whether* to batch, never how to
     encode it.
     """

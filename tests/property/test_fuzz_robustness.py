@@ -27,6 +27,7 @@ class TestBinaryFuzz:
     @example(b"O")
     @example(b"L\xff\xff\xff\xff\x0f")
     @example(b"R\x00")
+    @example(b"L\x01" * 5000 + b"N")  # nested deeper than Python recurses
     def test_random_bytes_never_crash(self, data):
         try:
             binary.loads(data)

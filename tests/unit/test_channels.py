@@ -33,7 +33,7 @@ from repro.errors import (
     ChannelError,
     WireFormatError,
 )
-from repro.serialization import BinaryFormatter, FastBinaryFormatter
+from repro.serialization import BinaryFormatter, SoapFormatter
 from repro.shm import ShmChannel
 
 
@@ -479,20 +479,23 @@ class TestFramedChannels:
     """What tcp, shm and aio owe their callers beyond the common contract."""
 
     @pytest.mark.parametrize("kind", ["tcp", "shm"])
-    def test_formatter_without_dumps_into_round_trips(self, kind):
-        """RMI's ``BinaryFormatter`` cannot append into a frame buffer;
-        it reaches the same exchange through ``call``."""
-        channel = make_framed_channel(kind, BinaryFormatter())
-        assert not hasattr(channel.formatter, "dumps_into")
+    def test_soap_formatter_round_trips(self, kind):
+        """Any formatter rides the one request path: SOAP appends its
+        bytes to the frame through ``Formatter.dumps_into`` and decodes
+        the reply from a view of the frame."""
+        channel = make_framed_channel(kind, SoapFormatter())
 
         def doubler(path, body, headers):
-            value = channel.formatter.loads(bytes(body))
+            value = channel.formatter.loads(body)
             return channel.formatter.dumps(value * 2)
 
         binding = channel.listen(ephemeral_authority(channel), doubler)
         try:
             assert channel.round_trip(binding.authority, "p", 21) == 42
             assert channel.round_trip(binding.authority, "p", "ab") == "abab"
+            assert channel.last_request_bytes == len(
+                channel.formatter.dumps("ab")
+            )
         finally:
             binding.close()
             channel.close()
@@ -503,7 +506,7 @@ class TestFramedChannels:
         to the allocator only to fault them in on the next call."""
         buffers = []
 
-        class Recording(FastBinaryFormatter):
+        class Recording(BinaryFormatter):
             def loads(self, data):
                 buffers.append(data.obj)
                 return super().loads(data)

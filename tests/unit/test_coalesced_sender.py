@@ -24,7 +24,7 @@ from repro.core.proxy_object import RemoteGrain
 from repro.errors import OverloadError, RemoteInvocationError, ScooppError
 from repro.remoting import RemotingHost
 from repro.remoting.messages import CallMessage
-from repro.serialization.binary import BinaryFormatter
+from repro.serialization import BinaryFormatter
 from repro.telemetry import TelemetryConfig, Tracer, set_global_tracer
 from repro.telemetry.node import NodeTelemetry
 from tests.unit.test_returnn_wire import RecordingChannel
@@ -604,10 +604,9 @@ class TestOverTheWire:
         grain.post("mark", (5,), {})
         grain.drain()
         grain.dispose()
-        # The generic formatter is the oracle the fast codec is held to
-        # (tests/property/test_codec_props.py); the messages below are
-        # the lone-item requests as the sender built them before runs
-        # existed.
+        # The messages below are the lone-item requests as the sender
+        # built them before runs existed; their encoding is pinned by
+        # tests/unit/test_wire_golden.py.
         oracle = BinaryFormatter()
         xs, ns = zip(*steps(0, MAX_CALLS))
         assert channel.bodies[:2] == [

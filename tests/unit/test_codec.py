@@ -11,7 +11,6 @@ from repro.errors import SerializationError, UnknownTypeError, WireFormatError
 from repro.serialization import (
     BinaryFormatter,
     CodecRegistry,
-    FastBinaryFormatter,
     SerializationRegistry,
     compile_codec,
     serializable,
@@ -73,12 +72,13 @@ def codecs():
 
 @pytest.fixture
 def fast(codecs):
-    return FastBinaryFormatter(codecs=codecs)
+    return BinaryFormatter(codecs=codecs)
 
 
 @pytest.fixture
 def generic():
-    return BinaryFormatter()
+    """The same formatter without codecs: every object takes the generic path."""
+    return BinaryFormatter(codecs=CodecRegistry())
 
 
 SAMPLES = [
@@ -173,7 +173,7 @@ def test_graph_marker_keeps_generic_path(generic):
     # Re-marking a compiled class as graph-shaped evicts its codec.
     codecs.register(Sample, graph=True)
     assert codecs.codec_for(Sample) is None
-    fmt = FastBinaryFormatter(codecs=codecs)
+    fmt = BinaryFormatter(codecs=codecs)
     cyclic = Graphish()
     cyclic.items.append(cyclic)
     decoded = fmt.loads(generic.dumps(cyclic))
@@ -182,7 +182,7 @@ def test_graph_marker_keeps_generic_path(generic):
 
 def test_codecs_registered_after_formatter_are_picked_up(generic):
     codecs = CodecRegistry()
-    fmt = FastBinaryFormatter(codecs=codecs)
+    fmt = BinaryFormatter(codecs=codecs)
     value = Sample(3, 3.0, "late")
     before = fmt.dumps(value)
     codecs.register(Sample)
@@ -214,8 +214,8 @@ def test_schema_drift_falls_back_to_state_restore():
     new_codecs = CodecRegistry()
     new_codecs.register(NewShape, registry=new_reg)
 
-    old_fmt = FastBinaryFormatter(old_reg, old_codecs)
-    new_fmt = FastBinaryFormatter(new_reg, new_codecs)
+    old_fmt = BinaryFormatter(old_reg, old_codecs)
+    new_fmt = BinaryFormatter(new_reg, new_codecs)
     decoded = new_fmt.loads(old_fmt.dumps(OldShape(a=4, b=5)))
     assert type(decoded) is NewShape
     assert decoded.a == 4

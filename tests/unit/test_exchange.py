@@ -28,7 +28,7 @@ from repro.channels.services import ChannelServices
 from repro.remoting.messages import CallMessage, ReturnMessage
 from repro.remoting.objref import ObjRef
 from repro.remoting.proxy import RemoteProxy
-from repro.serialization import FastBinaryFormatter
+from repro.serialization import BinaryFormatter
 from repro.telemetry.context import (
     TRACE_HEADER,
     TraceContext,
@@ -177,7 +177,7 @@ class TestRequestBytes:
 
     def test_round_trip_frame_matches_reference(self):
         channel = FakeChannel()
-        body = FastBinaryFormatter().dumps(MESSAGE)
+        body = BinaryFormatter().dumps(MESSAGE)
         channel.round_trip("a:1", "auto/io-1", MESSAGE, HEADERS)
         expected = encode_frame(encode_request("auto/io-1", HEADERS, body))
         assert channel.connections[0].sent == [expected]
@@ -191,7 +191,7 @@ class TestRequestBytes:
 
 
 def reply_seven(path, body, headers):
-    return FastBinaryFormatter().dumps(ReturnMessage(value=7))
+    return BinaryFormatter().dumps(ReturnMessage(value=7))
 
 
 class TestRequestHeaders:
@@ -244,7 +244,7 @@ class TestExchange:
         assert channel._pool.idle_count("a:1") == 1
 
     def test_failing_encode_dials_nothing(self):
-        class FailingFormatter(FastBinaryFormatter):
+        class FailingFormatter(BinaryFormatter):
             def dumps_into(self, out, message):
                 raise TypeError("cannot serialize that")
 

@@ -236,6 +236,19 @@ class TestWireErrors:
         with pytest.raises(WireFormatError):
             formatter.loads(b"\xff")
 
+    def test_nesting_deeper_than_the_interpreter_recurses(self, formatter):
+        """A 10 KB frame must not escape the wire-error contract, and a
+        value nested that deep fails as a serialization error."""
+        with pytest.raises(WireFormatError, match="nested too deeply"):
+            formatter.loads(b"L\x01" * 5000 + b"N")
+        deep: list = []
+        for _ in range(5000):
+            deep = [deep]
+        with pytest.raises(SerializationError, match="nested too deeply"):
+            formatter.dumps(deep)
+        # The formatter is still usable afterwards.
+        assert roundtrip(formatter, [[1]]) == [[1]]
+
     def test_bad_backreference_rejected(self, formatter):
         import io
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.errors import UnknownTypeError, WireFormatError
+from repro.errors import SerializationError, UnknownTypeError, WireFormatError
 from repro.serialization import BinaryFormatter, SoapFormatter
 from repro.serialization.registry import serializable
 from repro.serialization.soap import escape_text, unescape_text
@@ -140,6 +140,20 @@ class TestEnvelope:
         )
         with pytest.raises(WireFormatError):
             formatter.loads(payload.encode())
+
+    def test_nesting_deeper_than_the_interpreter_recurses(self, formatter):
+        body = '<v t="list" n="1">' * 5000 + '<v t="none"/>' + "</v>" * 5000
+        payload = (
+            '<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/'
+            f'envelope/"><soap:Body>{body}</soap:Body></soap:Envelope>'
+        )
+        with pytest.raises(WireFormatError, match="nested too deeply"):
+            formatter.loads(payload.encode())
+        deep: list = []
+        for _ in range(5000):
+            deep = [deep]
+        with pytest.raises(SerializationError, match="nested too deeply"):
+            formatter.dumps(deep)
 
     def test_unknown_type_tag_rejected(self, formatter):
         body = '<v t="mystery">x</v>'
