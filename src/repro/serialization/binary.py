@@ -59,29 +59,12 @@ def write_uvarint(out: io.BytesIO, value: int) -> None:
             return
 
 
-def read_uvarint(buf: io.BytesIO) -> int:
-    """Read a LEB128 varint; raises WireFormatError on truncation."""
-    shift = 0
-    result = 0
-    while True:
-        raw = buf.read(1)
-        if not raw:
-            raise WireFormatError("truncated varint")
-        byte = raw[0]
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result
-        shift += 7
-        if shift > 630:  # ints are unbounded but varints here are lengths
-            raise WireFormatError("varint too long")
-
-
 def append_uvarint(out: bytearray, value: int) -> None:
     """Append *value* (non-negative) as a LEB128 varint to a bytearray.
 
     The allocation-free sibling of :func:`write_uvarint`, used by the
     formatter (:mod:`repro.serialization.codec`).  Both emit identical
-    bytes.
+    bytes; :func:`uvarint_from` reads either.
     """
     if value < 0:
         raise SerializationError(f"uvarint cannot encode negative {value}")
@@ -123,11 +106,3 @@ def import_numpy() -> Any:
             "ndarray on the wire but numpy unavailable"
         ) from None
     return numpy
-
-
-def zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value >= 0 else (value << 1) ^ -1
-
-
-def unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
