@@ -2,8 +2,8 @@
 
 tcp, shm and aio share one framed exchange
 (:mod:`repro.channels.exchange`): compiled codecs, requests built in
-pooled buffers with the header patched in place, replies decoded from a
-view of the frame.  There is no second path to compare it with, so this
+one buffer with the header patched in place and large payloads sent
+from their own memory, replies decoded from a view of the frame.  There is no second path to compare it with, so this
 file measures rather than races:
 
 * :func:`pingpong_rate` prices a whole ``round_trip`` — encode, frame,

@@ -51,7 +51,12 @@ import socket
 import threading
 from typing import Callable, Mapping
 
-from repro.channels.base import Channel, RequestHandler, ServerBinding
+from repro.channels.base import (
+    Channel,
+    RequestHandler,
+    ServerBinding,
+    reply_bytes,
+)
 from repro.channels.exchange import build_request_frame, run_handler
 from repro.channels.framing import (
     CORRELATION_SIZE,
@@ -542,9 +547,11 @@ class _AioBinding(ServerBinding):
         """Decode + run the blocking handler (executes on the pool).
 
         The payload is an immutable per-frame bytes object, so the body
-        view stays valid for the handler's lifetime.
+        view stays valid for the handler's lifetime.  A reply given as a
+        list of buffers is joined here, before another thread sends it.
         """
-        return run_handler(self._handler, payload)
+        status, response = run_handler(self._handler, payload)
+        return status, reply_bytes(response)
 
     def _respond_later(
         self,
@@ -750,7 +757,7 @@ class AioTcpChannel(Channel):
 
     def _frame(self, path, headers, body, dumps_into) -> bytearray:  # type: ignore[no-untyped-def]
         request = bytearray()
-        size = build_request_frame(
+        size, _spills = build_request_frame(
             request,
             FLAG_CORRELATED,
             path,

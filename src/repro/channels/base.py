@@ -15,7 +15,31 @@ import threading
 from typing import Callable, Mapping
 
 #: Server-side request handler: (path, body, headers) -> response body.
-RequestHandler = Callable[[str, bytes, Mapping[str, str]], bytes]
+#: The body may also be a list of byte buffers that join to it (a reply
+#: sent from its objects' own memory); every ``memoryview`` in such a
+#: list is released once the reply has gone out.
+RequestHandler = Callable[[str, bytes, Mapping[str, str]], "bytes | list"]
+
+
+def release_views(parts: list) -> None:
+    """Release every ``memoryview`` among a reply's *parts*."""
+    for part in parts:
+        if type(part) is memoryview:
+            part.release()
+
+
+def reply_bytes(response):  # type: ignore[no-untyped-def]
+    """A handler's *response* as one bytes-like object.
+
+    For transports that send one buffer: a list of parts is joined and
+    its views released.
+    """
+    if type(response) is not list:
+        return response
+    try:
+        return b"".join(response)
+    finally:
+        release_views(response)
 
 
 class ServerBinding(abc.ABC):

@@ -8,8 +8,11 @@ pipes underneath it.
 
 The engine owns everything that is protocol:
 
-* building the request frame in a pooled buffer, header patched in place
-  (:func:`build_request_frame`);
+* building the request frame, header patched in place
+  (:func:`build_request_frame`), through the formatter's ``gather_into``:
+  a large ``bytes``, ``bytearray``, ``array`` or ndarray argument is not
+  copied into the frame but sent from its own memory as a part of the
+  gather write;
 * the idle / checked-out :class:`ConnectionPool`, force-closing on
   ``close()`` and reporting a call cut down by that close as
   :class:`~repro.errors.ChannelClosedError`;
@@ -17,7 +20,10 @@ The engine owns everything that is protocol:
 * the one ``finally`` that releases the reply views, retires the frame
   and checks the connection back in — in that order;
 * the server loop (:func:`serve_connection`): decode → handler → status
-  → reply → release.
+  → reply → release.  A handler may return its reply as a list of
+  buffers (``RemotingHost`` encodes the return value with
+  ``gather_into`` and returns its parts), so a large result, too, goes
+  to the pipe from its own memory, copied by nobody.
 
 A transport supplies a :class:`Connection` per peer (client side through
 the ``connect`` callable it hands :class:`FramedChannel`, server side
@@ -34,8 +40,7 @@ import time
 from typing import Callable, Mapping, Protocol
 
 from repro.channels import framing
-from repro.channels.base import Channel, RequestHandler
-from repro.channels.buffers import BufferPool
+from repro.channels.base import Channel, RequestHandler, release_views
 from repro.channels.framing import (
     CORRELATION_SIZE,
     HEADER_SIZE,
@@ -50,6 +55,7 @@ from repro.channels.request import (
 )
 from repro.errors import ChannelClosedError, ChannelError, WireFormatError
 from repro.serialization import BinaryFormatter
+from repro.serialization.codec import INLINE_MAX, gather_parts
 
 
 class Connection(Protocol):
@@ -104,41 +110,47 @@ def build_request_frame(
     path: str,
     headers: Mapping[str, str],
     body,  # type: ignore[no-untyped-def]
-    dumps_into: Callable[[bytearray, object], None] | None = None,
+    dumps_into: Callable[[bytearray, object], list | None] | None = None,
     reserve: int = 0,
-) -> int:
-    """Append one request frame to *out*; returns the body's byte size.
+) -> tuple[int, list | None]:
+    """Append one request frame to *out*: ``(body size, spills)``.
 
     Layout: ``[header][reserve bytes][path + headers][body]``.  *reserve*
     leaves room at the front of the payload for a prefix patched in
     later (aio's correlation id).  With *dumps_into* (a formatter's
-    append-encoder) *body* is the message and is serialized in place.
+    ``dumps_into`` or ``gather_into``) *body* is the message and is
+    serialized in place; *spills* is what it returns, and the payloads
+    ``gather_into`` referenced count in the header and the size.
     Without it *body* is bytes-like and is **not** copied: the header
     counts it and the caller sends it as the part after *out*.
     """
     out += bytes(HEADER_SIZE + reserve)
     encode_request_meta(out, path, headers)
+    spills = None
     if dumps_into is not None:
         body_start = len(out)
-        dumps_into(out, body)
+        spills = dumps_into(out, body)
         size = len(out) - body_start
-        length = len(out) - HEADER_SIZE
+        if spills:
+            size += sum(len(view) for _offset, view in spills)
+        length = body_start - HEADER_SIZE + size
     else:
         size = len(body)
         length = len(out) - HEADER_SIZE + size
     pack_header_into(out, 0, flags, length)
-    return size
-
-
-#: A body this small is copied behind the frame head rather than sent as
-#: a part of its own: one buffer costs less than a second iovec or a
-#: second ring write.
-_COALESCE_MAX = 512
+    return size, spills
 
 
 def _head_and_body(head: bytearray, body) -> list:  # type: ignore[no-untyped-def]
-    """The parts to send for a frame whose *head* is followed by *body*."""
-    if len(body) <= _COALESCE_MAX:
+    """The parts to send for a frame whose *head* is followed by *body*.
+
+    *body* is bytes-like or a list of buffers.  A body of at most
+    :data:`INLINE_MAX` bytes is copied behind the head: one buffer costs
+    less than a second iovec or a second ring write.
+    """
+    if type(body) is list:
+        return [head, *body]
+    if len(body) <= INLINE_MAX:
         head += body
         return [head]
     return [head, body]
@@ -149,7 +161,7 @@ def _head_and_body(head: bytearray, body) -> list:  # type: ignore[no-untyped-de
 _REPLY_OVERHEAD = CORRELATION_SIZE + 1
 
 
-def run_handler(handler: RequestHandler, payload) -> tuple[int, bytes]:  # type: ignore[no-untyped-def]
+def run_handler(handler: RequestHandler, payload) -> tuple[int, bytes | list]:  # type: ignore[no-untyped-def]
     """Decode one request payload and run *handler*: ``(status, body)``.
 
     This is the wire boundary: whatever the handler (or the decode)
@@ -164,20 +176,30 @@ def run_handler(handler: RequestHandler, payload) -> tuple[int, bytes]:  # type:
     exception outlive its return (traceback cycles) and would otherwise
     pin that memory until the collector runs.  A ``bytes`` payload (aio
     copies each frame out) is nobody's to take back.
+
+    A response that is a list of buffers is returned as it is; the
+    caller sends it and then releases its views
+    (:func:`~repro.channels.base.release_views`).
     """
     lent = isinstance(payload, memoryview)
-    body = None
+    body = response = None
     try:
         path, headers, body = decode_request_view(payload)
         response = handler(path, body, headers)
         if lent and isinstance(response, memoryview):
             response = bytes(response)  # may alias the body
-        if len(response) > framing.MAX_FRAME - _REPLY_OVERHEAD:
+        if type(response) is list:
+            size = sum(map(len, response))
+        else:
+            size = len(response)
+        if size > framing.MAX_FRAME - _REPLY_OVERHEAD:
             raise WireFormatError(
-                f"response of {len(response)} bytes exceeds MAX_FRAME"
+                f"response of {size} bytes exceeds MAX_FRAME"
             )
         return STATUS_OK, response
     except Exception as exc:  # noqa: BLE001 - wire boundary
+        if type(response) is list:
+            release_views(response)
         return STATUS_ERROR, f"{type(exc).__name__}: {exc}".encode("utf-8")
     finally:
         if lent and body is not None:
@@ -199,25 +221,31 @@ def serve_connection(
             _flags, view = conn.read_frame()
         except (ChannelError, WireFormatError, OSError):
             return  # peer hung up or sent garbage
+        response = None
         try:
             status, response = run_handler(handler, view)
             del head[HEADER_SIZE:]
             head.append(status)
-            pack_header_into(
-                head, 0, 0, len(head) - HEADER_SIZE + len(response)
-            )
+            if type(response) is list:
+                size = sum(map(len, response))
+            else:
+                size = len(response)
+            pack_header_into(head, 0, 0, len(head) - HEADER_SIZE + size)
             conn.send(_head_and_body(head, response))
         except (ChannelError, OSError):
             return
         finally:
-            # Every view into the frame must be gone before the pipe
-            # reuses the memory under it.  ``response`` is never one
-            # (run_handler copies a reply that is a view) and is left
-            # alive until the next reply replaces it: dropping a large
-            # reply here only to allocate its successor a moment later
-            # has glibc unmap and remap the block on every call, which
-            # costs bulk_echo a third of its rate (EXPERIMENTS.md
-            # §EXT-ENGINE).
+            # A list reply's views are released as soon as it is sent,
+            # so a grain may resize what it returned; its large parts
+            # are the grain's own objects, so no reply buffer is
+            # allocated and freed per call (EXPERIMENTS.md §EXT-GATHER).
+            # A bytes reply is left alive until the next one replaces
+            # it: dropping it only to allocate its successor has glibc
+            # unmap and remap the block every call (§EXT-ENGINE).  Every
+            # view into the frame must be gone before the pipe reuses
+            # the memory under it.
+            if type(response) is list:
+                release_views(response)
             view.release()
             conn.release_frame()
 
@@ -329,7 +357,6 @@ class FramedChannel(Channel):
             formatter if formatter is not None else BinaryFormatter()
         )
         self._pool = ConnectionPool(connect, max_idle_per_authority, max_idle_s)
-        self._buffers = BufferPool()
 
     def call(
         self,
@@ -350,26 +377,29 @@ class FramedChannel(Channel):
     ):
         """Exchange *message* without materialising request or reply bytes.
 
-        The whole request frame — ``[header][path+headers][body]`` — is
-        built in one pooled ``bytearray`` and the reply is deserialized
-        straight from a ``memoryview`` of the frame the pipe read.  The
-        only per-call heap traffic left is the decoded result itself.
+        The request frame — ``[header][path+headers][body]`` — is built
+        in one ``bytearray`` through ``formatter.gather_into``, which
+        references any payload larger than :data:`INLINE_MAX`, so the
+        frame goes to the pipe as ``[head, payload, tail...]`` with no
+        copy of the payload; the reply is deserialized straight from a
+        ``memoryview`` of the frame the pipe read.  The views onto the
+        caller's objects are released before the call returns.
         """
         return self._exchange(
-            authority, path, headers, message, self.formatter.dumps_into,
+            authority, path, headers, message, self.formatter.gather_into,
             self.formatter.loads,
         )
 
-    def _exchange(self, authority, path, headers, body, dumps_into, decode):  # type: ignore[no-untyped-def]
-        frame = self._buffers.acquire()
-        conn = view = reply = None
+    def _exchange(self, authority, path, headers, body, gather_into, decode):  # type: ignore[no-untyped-def]
+        frame = bytearray()
+        conn = view = reply = spills = None
         try:
-            size = build_request_frame(
-                frame, 0, path, headers or {}, body, dumps_into
+            size, spills = build_request_frame(
+                frame, 0, path, headers or {}, body, gather_into
             )
-            if dumps_into is not None:
+            if gather_into is not None:
                 self.last_request_bytes = size
-                parts = [frame]
+                parts = gather_parts(frame, spills)
             else:
                 parts = _head_and_body(frame, body)
             conn = self._pool.checkout(authority)
@@ -393,6 +423,8 @@ class FramedChannel(Channel):
             reply = decode_response_view(view)
             return decode(reply)
         finally:
+            if spills:
+                release_views(parts)
             for lent in (reply, view):
                 if lent is not None:
                     lent.release()
@@ -402,7 +434,6 @@ class FramedChannel(Channel):
                 # checkin closes a connection that is no longer alive —
                 # including one close() could not finish under our view.
                 self._pool.checkin(authority, conn)
-            self._buffers.release(frame)
 
     def close(self) -> None:
         self._pool.close()

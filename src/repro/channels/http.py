@@ -14,7 +14,12 @@ import socket
 import threading
 from typing import Mapping
 
-from repro.channels.base import Channel, RequestHandler, ServerBinding
+from repro.channels.base import (
+    Channel,
+    RequestHandler,
+    ServerBinding,
+    reply_bytes,
+)
 from repro.channels.exchange import ConnectionPool
 from repro.channels.framing import recv_exact
 from repro.channels.tcp import (
@@ -157,7 +162,7 @@ class _HttpBinding(ServerBinding):
             for key, value in headers.items()
             if key.startswith(_USER_HEADER_PREFIX)
         }
-        result = self._handler(path, body, user_headers)
+        result = reply_bytes(self._handler(path, body, user_headers))
         return build_response(200, "OK", result)
 
     def close(self) -> None:

@@ -13,7 +13,12 @@ import itertools
 import threading
 from typing import Mapping
 
-from repro.channels.base import Channel, RequestHandler, ServerBinding
+from repro.channels.base import (
+    Channel,
+    RequestHandler,
+    ServerBinding,
+    reply_bytes,
+)
 from repro.errors import AddressError, ChannelClosedError, ChannelError
 from repro.serialization import BinaryFormatter
 
@@ -106,4 +111,4 @@ class LoopbackChannel(Channel):
             raise ChannelError(
                 f"remote handler failed: {type(exc).__name__}: {exc}"
             ) from exc
-        return bytes(response)
+        return bytes(reply_bytes(response))

@@ -55,9 +55,9 @@ def encode_request(path: str, headers: Mapping[str, str], body: bytes) -> bytes:
 def encode_request_meta(out: bytearray, path: str, headers: Mapping[str, str]) -> None:
     """Append the request *metadata* (path + headers) to a buffer.
 
-    A frame is built as ``[reserved header][meta][body]`` in one reusable
+    A frame is built as ``[reserved header][meta][body]`` in one
     ``bytearray``: this writes the meta section, then the caller appends
-    the body via ``formatter.dumps_into`` — no intermediate ``bytes``
+    the body via ``formatter.gather_into`` — no intermediate ``bytes``
     objects at any step.
     """
     path_bytes = path.encode("utf-8")

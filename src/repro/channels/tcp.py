@@ -169,12 +169,13 @@ DEFAULT_MAX_IDLE_SECONDS = 30.0
 class TcpChannel(FramedChannel):
     """Binary formatter over framed TCP — the fast remoting configuration.
 
-    Requests are built in pooled ``bytearray``\\ s with the frame header
-    patched in place and sent with one ``sendall``; responses are decoded
-    from ``memoryview``\\ s of a reusable receive buffer.  *formatter*
-    defaults to :class:`~repro.serialization.BinaryFormatter`; any other
+    Requests are built in a ``bytearray`` with the frame header patched
+    in place and sent with one ``sendmsg``, a large payload from its own
+    memory; responses are decoded from ``memoryview``\\ s of a reusable
+    receive buffer.  *formatter* defaults to
+    :class:`~repro.serialization.BinaryFormatter`; any other
     :class:`~repro.serialization.Formatter` (SOAP, say) rides the same
-    exchange through its ``dumps_into``.
+    exchange through its ``gather_into``.
     """
 
     scheme = "tcp"

@@ -50,6 +50,7 @@ from repro.remoting.objref import (
 )
 from repro.remoting.proxy import RemoteProxy, make_typed_proxy_class
 from repro.serialization import default_registry
+from repro.serialization.codec import gather_parts
 from repro.telemetry.context import TRACE_HEADER, current_context, from_header
 from repro.telemetry.tracer import current_tracer_var
 
@@ -161,7 +162,9 @@ class RemotingHost:
                 )
             formatter = channel.formatter
 
-            def handler(path: str, body: bytes, headers: Mapping[str, str]) -> bytes:
+            def handler(
+                path: str, body: bytes, headers: Mapping[str, str]
+            ) -> bytes | list:
                 return self._handle_request(formatter, path, body, headers)
 
             binding = channel.listen(authority, handler)
@@ -394,7 +397,15 @@ class RemotingHost:
         path: str,
         body: bytes,
         headers: Mapping[str, str],
-    ) -> bytes:
+    ) -> bytes | list:
+        """Serve one request; returns the encoded ``ReturnMessage``.
+
+        The reply is encoded with ``formatter.gather_into``: a large
+        ``bytes``/``bytearray``/``array``/ndarray in the result is not
+        copied but returned by reference, as a part of a list the
+        channel sends and then releases.  Any other reply is the
+        ``bytearray`` it was encoded into.
+        """
         token = current_host.set(self)
         # Re-activate the caller's trace context so spans recorded while
         # serving this request — and any nested remote calls they make —
@@ -435,7 +446,9 @@ class RemotingHost:
                         exc, traceback.format_exc()
                     )
                 )
-            return formatter.dumps(result)
+            out = bytearray()
+            spills = formatter.gather_into(out, result)
+            return gather_parts(out, spills) if spills else out
         finally:
             if tracer_token is not None:
                 current_tracer_var.reset(tracer_token)

@@ -31,11 +31,23 @@ class Formatter(abc.ABC):
     def dumps_into(self, out: bytearray, obj: Any) -> None:
         """Append the encoding of *obj* to *out*.
 
-        The framed channels build each request in one pooled buffer
-        through this method.  The default copies :meth:`dumps`'s bytes;
-        a formatter that can append in place overrides it.
+        The default copies :meth:`dumps`'s bytes; a formatter that can
+        append in place overrides it.
         """
         out += self.dumps(obj)
+
+    def gather_into(self, out: bytearray, obj: Any) -> list:
+        """Append the encoding of *obj* to *out*, less what it references.
+
+        Returns ``[(offset, view)]``: byte-format ``memoryview``\\ s of
+        payloads the encoding holds by reference, each belonging at
+        *offset* in *out* (see
+        :func:`~repro.serialization.codec.gather_parts`).  The framed
+        channels build requests and the remoting host its replies
+        through this method.  The default references nothing.
+        """
+        self.dumps_into(out, obj)
+        return []
 
     @abc.abstractmethod
     def loads(self, data: Any) -> Any:

@@ -2,11 +2,12 @@
 
 :class:`BinaryFormatter` is the .Net binary formatter analog, the formatter
 behind the tcp, shm, aio and loopback channels, RMI and the MPI
-collectives.  It encodes by appending to a ``bytearray`` (reusable via
-:meth:`BinaryFormatter.dumps_into`, which builds a request straight into a
-frame buffer) and decodes from a ``memoryview`` with explicit positions:
-no stream object and no slice copies for scalars.  The wire format is
-described in :mod:`repro.serialization.binary` and frozen as golden bytes
+collectives.  It encodes by appending to a ``bytearray``
+(:meth:`BinaryFormatter.dumps_into` builds a request straight into a frame
+buffer; :meth:`BinaryFormatter.gather_into` references a large ``bytes``,
+``bytearray``, ``array`` or ndarray payload instead of copying it) and
+decodes from a ``memoryview`` with explicit positions: no stream object
+and no slice copies for scalars.  The wire format is described in :mod:`repro.serialization.binary` and frozen as golden bytes
 in ``tests/unit/test_wire_golden.py``.
 
 The wire hot path (remoting call/return messages, aggregated ``processN``
@@ -98,6 +99,47 @@ _TAGGED_COMPLEX = struct.Struct(">cdd")
 _OBJECT_GETSTATE = getattr(object, "__getstate__", None)
 
 
+#: A ``bytes``/``bytearray``/``array``/ndarray payload larger than this is
+#: referenced, not copied, by :meth:`BinaryFormatter.gather_into`; the
+#: framed exchange copies a body this small behind its frame head.
+INLINE_MAX = 512
+
+
+class _GatherMemo(dict):
+    """The reference memo of one :meth:`BinaryFormatter.gather_into`.
+
+    It also collects ``(offset, view)`` for each payload the encode
+    referenced instead of copying.  Only container and object values
+    touch the memo, so the subclass costs the scalar-heavy small call
+    nothing, where a ``bytearray`` subclass would slow every append.
+    """
+
+    __slots__ = ("spills",)
+
+
+def gather_parts(out: bytearray, spills: list) -> list:
+    """The buffers that join to the encoding :meth:`gather_into` wrote.
+
+    *out*'s bytes with each referenced payload at its offset, in order:
+    ``[head, payload, tail...]``.  The views of *out* and the payload
+    views are released together once the parts are sent
+    (:func:`repro.channels.base.release_views`).
+    """
+    if not spills:
+        return [out]
+    whole = memoryview(out)
+    parts = []
+    start = 0
+    for offset, view in spills:
+        if offset > start:
+            parts.append(whole[start:offset])
+        parts.append(view)
+        start = offset
+    if start < len(out):
+        parts.append(whole[start:])
+    return parts
+
+
 class _Placeholder:
     """Sentinel occupying a ref slot while an immutable container decodes."""
 
@@ -169,8 +211,12 @@ def _enc_bytes(fmt: "BinaryFormatter", out: bytearray, value: Any,
                memo: dict) -> None:
     if type(value) is bytes:
         out.append(_O_BYTES)
-        append_uvarint(out, len(value))
-        out += value
+        size = len(value)
+        append_uvarint(out, size)
+        if size > INLINE_MAX and type(memo) is _GatherMemo:
+            memo.spills.append((len(out), memoryview(value)))
+        else:
+            out += value
     else:
         fmt._encode(out, value, memo)
 
@@ -519,6 +565,30 @@ class BinaryFormatter(Formatter):
                 "object graph nested too deeply to encode"
             ) from None
 
+    def gather_into(self, out: bytearray, obj: Any) -> list:
+        """Append the encoding of *obj* to *out*, large payloads by reference.
+
+        A ``bytes``, ``bytearray``, ``array`` or ndarray payload larger
+        than :data:`INLINE_MAX` is written only up to its length prefix;
+        the returned ``[(offset, view)]`` says where in *out* a
+        byte-format ``memoryview`` of it belongs, and
+        :func:`gather_parts` joins the two.  The object cannot be resized
+        until its view is released.
+        """
+        memo = _GatherMemo()
+        memo.spills = spills = []
+        try:
+            self._encode(out, obj, memo)
+        except BaseException as exc:
+            for _offset, view in spills:
+                view.release()
+            if isinstance(exc, RecursionError):
+                raise SerializationError(
+                    "object graph nested too deeply to encode"
+                ) from None
+            raise
+        return spills
+
     def _encode(self, out: bytearray, obj: Any, memo: dict) -> None:
         if obj is None:
             out.append(_O_NONE)
@@ -560,8 +630,12 @@ class BinaryFormatter(Formatter):
             return
         if kind is bytes:
             out.append(_O_BYTES)
-            append_uvarint(out, len(obj))
-            out += obj
+            size = len(obj)
+            append_uvarint(out, size)
+            if size > INLINE_MAX and type(memo) is _GatherMemo:
+                memo.spills.append((len(out), memoryview(obj)))
+            else:
+                out += obj
             return
         # Everything below is identity-tracked: a memo slot per value in
         # pre-order, the index a later back-reference names.
@@ -596,8 +670,12 @@ class BinaryFormatter(Formatter):
             return
         if kind is bytearray:
             out.append(_O_BYTEARRAY)
-            append_uvarint(out, len(obj))
-            out += obj
+            size = len(obj)
+            append_uvarint(out, size)
+            if size > INLINE_MAX and type(memo) is _GatherMemo:
+                memo.spills.append((len(out), memoryview(obj)))
+            else:
+                out += obj
             return
         if kind is set or kind is frozenset:
             out.append(_O_SET if kind is set else _O_FROZENSET)
@@ -612,17 +690,21 @@ class BinaryFormatter(Formatter):
                 )
             out.append(_O_ARRAY)
             out += obj.typecode.encode("ascii")
-            append_uvarint(out, len(obj) * obj.itemsize)
-            out += obj  # one memcpy from the array's buffer, no tobytes()
+            size = len(obj) * obj.itemsize
+            append_uvarint(out, size)
+            if size > INLINE_MAX and type(memo) is _GatherMemo:
+                memo.spills.append((len(out), memoryview(obj).cast("B")))
+            else:
+                out += obj  # one memcpy from the array's buffer
             return
         numpy = sys.modules.get("numpy")  # see binary.py: never imported here
         if numpy is not None and kind is numpy.ndarray:
-            self._encode_ndarray(out, obj, numpy)
+            self._encode_ndarray(out, obj, numpy, memo)
             return
         self._encode_object(out, obj, memo)
 
-    def _encode_ndarray(self, out: bytearray, arr: Any,
-                             numpy: Any) -> None:
+    def _encode_ndarray(self, out: bytearray, arr: Any, numpy: Any,
+                        memo: dict) -> None:
         if arr.dtype.hasobject:
             raise SerializationError("object-dtype ndarrays are not portable")
         contiguous = numpy.ascontiguousarray(arr)
@@ -634,7 +716,10 @@ class BinaryFormatter(Formatter):
         for dim in contiguous.shape:
             append_uvarint(out, dim)
         append_uvarint(out, contiguous.nbytes)
-        out += contiguous.data.cast("B")  # one memcpy, no tobytes() copy
+        if contiguous.nbytes > INLINE_MAX and type(memo) is _GatherMemo:
+            memo.spills.append((len(out), contiguous.data.cast("B")))
+        else:
+            out += contiguous.data.cast("B")  # one memcpy, no tobytes()
 
     def _encode_object(self, out: bytearray, obj: Any,
                             memo: dict) -> None:

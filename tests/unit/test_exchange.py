@@ -245,7 +245,7 @@ class TestExchange:
 
     def test_failing_encode_dials_nothing(self):
         class FailingFormatter(BinaryFormatter):
-            def dumps_into(self, out, message):
+            def gather_into(self, out, message):
                 raise TypeError("cannot serialize that")
 
         channel = FakeChannel(FailingFormatter())

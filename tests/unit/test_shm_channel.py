@@ -11,7 +11,6 @@ import warnings
 
 import pytest
 
-from repro.channels.buffers import BufferPool
 from repro.channels.factory import create
 from repro.errors import ChannelClosedError, ChannelError
 from repro.shm import DEFAULT_RING_SIZE, Doorbell, ShmChannel, socket_path_for
@@ -283,44 +282,3 @@ class TestDoorbell:
         bell.close()
         bell.ring()  # must not raise
         bell.drain()
-
-
-class TestBufferPoolConcurrency:
-    def test_concurrent_checkout_return(self):
-        """Hammer acquire/release from many threads; every buffer the
-        pool hands out must come back empty and never be shared."""
-        pool = BufferPool(max_buffers=8)
-        errors = []
-        barrier = threading.Barrier(6)
-
-        def worker(tag):
-            try:
-                barrier.wait()
-                for index in range(300):
-                    buf = pool.acquire()
-                    assert len(buf) == 0, "pool handed out a dirty buffer"
-                    marker = f"{tag}:{index}".encode()
-                    buf += marker
-                    assert bytes(buf) == marker, "buffer shared across threads"
-                    pool.release(buf)
-            except Exception as exc:  # noqa: BLE001 - collected for assert
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(t,)) for t in range(6)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        assert len(pool) <= 8
-
-    def test_release_with_live_view_drops_buffer(self):
-        pool = BufferPool()
-        buf = pool.acquire()
-        buf += b"data"
-        view = memoryview(buf)
-        pool.release(buf)  # cannot clear: must be dropped, not pooled
-        assert len(pool) == 0
-        view.release()
