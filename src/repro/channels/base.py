@@ -14,10 +14,9 @@ import abc
 import threading
 from typing import Callable, Mapping
 
-#: Server-side request handler: (path, body, headers) -> response body.
-#: The body may also be a list of byte buffers that join to it (a reply
-#: sent from its objects' own memory); every ``memoryview`` in such a
-#: list is released once the reply has gone out.
+#: Server-side request handler: (path, body, headers) -> response body,
+#: or a list of byte buffers joining to it whose views the channel
+#: releases once the reply is sent.
 RequestHandler = Callable[[str, bytes, Mapping[str, str]], "bytes | list"]
 
 
@@ -29,11 +28,7 @@ def release_views(parts: list) -> None:
 
 
 def reply_bytes(response):  # type: ignore[no-untyped-def]
-    """A handler's *response* as one bytes-like object.
-
-    For transports that send one buffer: a list of parts is joined and
-    its views released.
-    """
+    """A handler's *response* as one buffer: a list is joined, released."""
     if type(response) is not list:
         return response
     try:

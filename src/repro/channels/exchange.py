@@ -9,21 +9,17 @@ pipes underneath it.
 The engine owns everything that is protocol:
 
 * building the request frame, header patched in place
-  (:func:`build_request_frame`), through the formatter's ``gather_into``:
-  a large ``bytes``, ``bytearray``, ``array`` or ndarray argument is not
-  copied into the frame but sent from its own memory as a part of the
-  gather write;
+  (:func:`build_request_frame`), a large argument sent from its own
+  memory (the formatter's ``gather_into``);
 * the idle / checked-out :class:`ConnectionPool`, force-closing on
   ``close()`` and reporting a call cut down by that close as
   :class:`~repro.errors.ChannelClosedError`;
 * decoding the reply's status;
-* the one ``finally`` that releases the reply views, retires the frame
-  and checks the connection back in — in that order;
+* the one ``finally`` that releases the request and reply views and
+  checks the connection back in — in that order;
 * the server loop (:func:`serve_connection`): decode → handler → status
-  → reply → release.  A handler may return its reply as a list of
-  buffers (``RemotingHost`` encodes the return value with
-  ``gather_into`` and returns its parts), so a large result, too, goes
-  to the pipe from its own memory, copied by nobody.
+  → reply → release; a reply given as a list of buffers goes out as
+  one gather write.
 
 A transport supplies a :class:`Connection` per peer (client side through
 the ``connect`` callable it hands :class:`FramedChannel`, server side
@@ -118,36 +114,31 @@ def build_request_frame(
     Layout: ``[header][reserve bytes][path + headers][body]``.  *reserve*
     leaves room at the front of the payload for a prefix patched in
     later (aio's correlation id).  With *dumps_into* (a formatter's
-    ``dumps_into`` or ``gather_into``) *body* is the message and is
-    serialized in place; *spills* is what it returns, and the payloads
-    ``gather_into`` referenced count in the header and the size.
-    Without it *body* is bytes-like and is **not** copied: the header
-    counts it and the caller sends it as the part after *out*.
+    ``dumps_into`` or ``gather_into``, whose spills count too) *body* is
+    the message and is serialized in place.  Without it *body* is
+    bytes-like and is **not** copied: the header counts it and the
+    caller sends it as the part after *out*.
     """
     out += bytes(HEADER_SIZE + reserve)
     encode_request_meta(out, path, headers)
+    body_start = len(out)
     spills = None
-    if dumps_into is not None:
-        body_start = len(out)
+    if dumps_into is None:
+        size = len(body)
+    else:
         spills = dumps_into(out, body)
         size = len(out) - body_start
         if spills:
             size += sum(len(view) for _offset, view in spills)
-        length = body_start - HEADER_SIZE + size
-    else:
-        size = len(body)
-        length = len(out) - HEADER_SIZE + size
-    pack_header_into(out, 0, flags, length)
+    pack_header_into(out, 0, flags, body_start - HEADER_SIZE + size)
     return size, spills
 
 
 def _head_and_body(head: bytearray, body) -> list:  # type: ignore[no-untyped-def]
-    """The parts to send for a frame whose *head* is followed by *body*.
-
-    *body* is bytes-like or a list of buffers.  A body of at most
+    """The parts to send for a frame whose *head* is followed by *body*
+    (bytes-like, or a list of buffers).  A body of at most
     :data:`INLINE_MAX` bytes is copied behind the head: one buffer costs
-    less than a second iovec or a second ring write.
-    """
+    less than a second iovec or a second ring write."""
     if type(body) is list:
         return [head, *body]
     if len(body) <= INLINE_MAX:
@@ -175,11 +166,8 @@ def run_handler(handler: RequestHandler, payload) -> tuple[int, bytes | list]:  
     merely dropped, because the frames of a handler that caught an
     exception outlive its return (traceback cycles) and would otherwise
     pin that memory until the collector runs.  A ``bytes`` payload (aio
-    copies each frame out) is nobody's to take back.
-
-    A response that is a list of buffers is returned as it is; the
-    caller sends it and then releases its views
-    (:func:`~repro.channels.base.release_views`).
+    copies each frame out) is nobody's to take back.  A list response
+    is returned as it is, for the caller to send and release.
     """
     lent = isinstance(payload, memoryview)
     body = response = None
@@ -226,24 +214,20 @@ def serve_connection(
             status, response = run_handler(handler, view)
             del head[HEADER_SIZE:]
             head.append(status)
-            if type(response) is list:
-                size = sum(map(len, response))
-            else:
-                size = len(response)
-            pack_header_into(head, 0, 0, len(head) - HEADER_SIZE + size)
-            conn.send(_head_and_body(head, response))
+            parts = _head_and_body(head, response)
+            pack_header_into(head, 0, 0, sum(map(len, parts)) - HEADER_SIZE)
+            conn.send(parts)
         except (ChannelError, OSError):
             return
         finally:
-            # A list reply's views are released as soon as it is sent,
-            # so a grain may resize what it returned; its large parts
-            # are the grain's own objects, so no reply buffer is
-            # allocated and freed per call (EXPERIMENTS.md §EXT-GATHER).
-            # A bytes reply is left alive until the next one replaces
-            # it: dropping it only to allocate its successor has glibc
-            # unmap and remap the block every call (§EXT-ENGINE).  Every
-            # view into the frame must be gone before the pipe reuses
-            # the memory under it.
+            # A list reply lets go of the grain's objects it was sent
+            # from, so the grain may resize them.  Every view into the
+            # frame must be gone before the pipe reuses the memory
+            # under it.  A bytes reply is left alive until the next
+            # replaces it: dropping a large one only to allocate its
+            # successor has glibc unmap and remap the block every call
+            # (EXPERIMENTS.md §EXT-ENGINE; a list reply allocates no
+            # such block, §EXT-GATHER).
             if type(response) is list:
                 release_views(response)
             view.release()
@@ -378,12 +362,10 @@ class FramedChannel(Channel):
         """Exchange *message* without materialising request or reply bytes.
 
         The request frame — ``[header][path+headers][body]`` — is built
-        in one ``bytearray`` through ``formatter.gather_into``, which
-        references any payload larger than :data:`INLINE_MAX`, so the
-        frame goes to the pipe as ``[head, payload, tail...]`` with no
-        copy of the payload; the reply is deserialized straight from a
-        ``memoryview`` of the frame the pipe read.  The views onto the
-        caller's objects are released before the call returns.
+        through ``formatter.gather_into`` and sent as ``[head, payload,
+        tail...]``, a large payload from the caller's own memory (released
+        before the call returns); the reply is deserialized straight from
+        a ``memoryview`` of the frame the pipe read.
         """
         return self._exchange(
             authority, path, headers, message, self.formatter.gather_into,

@@ -162,9 +162,7 @@ class RemotingHost:
                 )
             formatter = channel.formatter
 
-            def handler(
-                path: str, body: bytes, headers: Mapping[str, str]
-            ) -> bytes | list:
+            def handler(path: str, body: bytes, headers: Mapping[str, str]) -> bytes | list:
                 return self._handle_request(formatter, path, body, headers)
 
             binding = channel.listen(authority, handler)
@@ -398,14 +396,8 @@ class RemotingHost:
         body: bytes,
         headers: Mapping[str, str],
     ) -> bytes | list:
-        """Serve one request; returns the encoded ``ReturnMessage``.
-
-        The reply is encoded with ``formatter.gather_into``: a large
-        ``bytes``/``bytearray``/``array``/ndarray in the result is not
-        copied but returned by reference, as a part of a list the
-        channel sends and then releases.  Any other reply is the
-        ``bytearray`` it was encoded into.
-        """
+        """Serve one request: the ``ReturnMessage`` as encoded bytes, or
+        as parts (``gather_parts``) when it holds a large payload."""
         token = current_host.set(self)
         # Re-activate the caller's trace context so spans recorded while
         # serving this request — and any nested remote calls they make —

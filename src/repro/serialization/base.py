@@ -37,15 +37,9 @@ class Formatter(abc.ABC):
         out += self.dumps(obj)
 
     def gather_into(self, out: bytearray, obj: Any) -> list:
-        """Append the encoding of *obj* to *out*, less what it references.
-
-        Returns ``[(offset, view)]``: byte-format ``memoryview``\\ s of
-        payloads the encoding holds by reference, each belonging at
-        *offset* in *out* (see
-        :func:`~repro.serialization.codec.gather_parts`).  The framed
-        channels build requests and the remoting host its replies
-        through this method.  The default references nothing.
-        """
+        """:meth:`dumps_into`, but returns ``[(offset, view)]`` for the
+        payloads it referenced instead of copying: byte-format views,
+        each belonging at *offset* in *out*.  The default copies all."""
         self.dumps_into(out, obj)
         return []
 

@@ -7,8 +7,9 @@ collectives.  It encodes by appending to a ``bytearray``
 buffer; :meth:`BinaryFormatter.gather_into` references a large ``bytes``,
 ``bytearray``, ``array`` or ndarray payload instead of copying it) and
 decodes from a ``memoryview`` with explicit positions: no stream object
-and no slice copies for scalars.  The wire format is described in :mod:`repro.serialization.binary` and frozen as golden bytes
-in ``tests/unit/test_wire_golden.py``.
+and no slice copies for scalars.  The wire format is described in
+:mod:`repro.serialization.binary` and frozen as golden bytes in
+``tests/unit/test_wire_golden.py``.
 
 The wire hot path (remoting call/return messages, aggregated ``processN``
 batches) is dominated by a handful of *fixed-shape* registered classes
@@ -106,37 +107,27 @@ INLINE_MAX = 512
 
 
 class _GatherMemo(dict):
-    """The reference memo of one :meth:`BinaryFormatter.gather_into`.
+    """A reference memo that also collects ``(offset, view)`` spills.
 
-    It also collects ``(offset, view)`` for each payload the encode
-    referenced instead of copying.  Only container and object values
-    touch the memo, so the subclass costs the scalar-heavy small call
-    nothing, where a ``bytearray`` subclass would slow every append.
+    It carries them, not the output buffer: CPython specialises method
+    calls only on exact types, so a ``bytearray`` subclass would slow
+    every ``append`` of the walk; the memo sees a few calls per message.
     """
 
     __slots__ = ("spills",)
 
 
 def gather_parts(out: bytearray, spills: list) -> list:
-    """The buffers that join to the encoding :meth:`gather_into` wrote.
-
-    *out*'s bytes with each referenced payload at its offset, in order:
-    ``[head, payload, tail...]``.  The views of *out* and the payload
-    views are released together once the parts are sent
-    (:func:`repro.channels.base.release_views`).
-    """
+    """``[head, payload, tail...]``: *out* with each spill at its offset."""
     if not spills:
         return [out]
     whole = memoryview(out)
     parts = []
     start = 0
     for offset, view in spills:
-        if offset > start:
-            parts.append(whole[start:offset])
-        parts.append(view)
+        parts += (whole[start:offset], view)
         start = offset
-    if start < len(out):
-        parts.append(whole[start:])
+    parts.append(whole[start:])
     return parts
 
 
@@ -209,15 +200,11 @@ def _enc_str(fmt: "BinaryFormatter", out: bytearray, value: Any,
 
 def _enc_bytes(fmt: "BinaryFormatter", out: bytearray, value: Any,
                memo: dict) -> None:
-    if type(value) is bytes:
+    if type(value) is bytes and len(value) <= INLINE_MAX:
         out.append(_O_BYTES)
-        size = len(value)
-        append_uvarint(out, size)
-        if size > INLINE_MAX and type(memo) is _GatherMemo:
-            memo.spills.append((len(out), memoryview(value)))
-        else:
-            out += value
-    else:
+        append_uvarint(out, len(value))
+        out += value
+    else:  # a large payload may be gathered
         fmt._encode(out, value, memo)
 
 
@@ -566,15 +553,9 @@ class BinaryFormatter(Formatter):
             ) from None
 
     def gather_into(self, out: bytearray, obj: Any) -> list:
-        """Append the encoding of *obj* to *out*, large payloads by reference.
-
-        A ``bytes``, ``bytearray``, ``array`` or ndarray payload larger
-        than :data:`INLINE_MAX` is written only up to its length prefix;
-        the returned ``[(offset, view)]`` says where in *out* a
-        byte-format ``memoryview`` of it belongs, and
-        :func:`gather_parts` joins the two.  The object cannot be resized
-        until its view is released.
-        """
+        """:meth:`dumps_into`, but a ``bytes``, ``bytearray``, ``array``
+        or ndarray payload over :data:`INLINE_MAX` bytes is written only
+        up to its length prefix and returned as ``(offset, view)``."""
         memo = _GatherMemo()
         memo.spills = spills = []
         try:
@@ -695,7 +676,7 @@ class BinaryFormatter(Formatter):
             if size > INLINE_MAX and type(memo) is _GatherMemo:
                 memo.spills.append((len(out), memoryview(obj).cast("B")))
             else:
-                out += obj  # one memcpy from the array's buffer
+                out += obj  # one memcpy from the array's buffer, no tobytes()
             return
         numpy = sys.modules.get("numpy")  # see binary.py: never imported here
         if numpy is not None and kind is numpy.ndarray:
