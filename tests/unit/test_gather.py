@@ -228,7 +228,7 @@ def test_serve_loop_lets_go_of_a_reply_once_sent():
     buf = bytearray(BULK)
 
     def handler(path, body, headers):
-        spills, parts = gathered(ReturnMessage(value=buf))
+        _spills, parts = gathered(ReturnMessage(value=buf))
         return parts
 
     end = ServerEnd(encode_frame(encode_request("p", {}, b"")), buf)
