@@ -93,7 +93,10 @@ class RemoteProxy:
         kwargs: Mapping[str, Any],
         one_way: bool = False,
     ) -> Any:
-        channel, authority, path = self._parc_resolve_route()
+        # The route is written once, so a cached one is read without the lock.
+        channel, authority, path = (
+            self._parc_route or self._parc_resolve_route()
+        )
         call = CallMessage(
             uri=path,
             method=method,

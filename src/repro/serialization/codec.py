@@ -38,9 +38,13 @@ memoized object path.
 The module also hosts the *method-signature* half of the fast path:
 :func:`method_column_plan` derives per-argument column kinds from a
 ``@parallel`` method's annotations, and :func:`pack_columns` transposes a
-homogeneous aggregation batch into columns (``array('d')`` blobs for
-all-float columns) so a ``processN`` flush encodes the argument schema
-once instead of one tuple+dict wrapper per call.
+homogeneous aggregation batch into columns so a ``processN`` flush
+encodes the argument schema once instead of one tuple+dict wrapper per
+call.  An all-float column travels as an ``array('d')`` and an all-int
+column as an ``array`` of the narrowest signed typecode that holds it
+(``b``/``h``/``i``/``q``): one typecode byte and one memcpy each way
+instead of a tagged value per call.  :func:`pack_result_column` applies
+the same rule to a ``returnN`` result list.
 """
 
 from __future__ import annotations
@@ -983,14 +987,19 @@ def pack_columns(
     """Transpose a homogeneous aggregation batch into argument columns.
 
     *batch* is the proxy object's buffered ``[(args, kwargs), ...]``.
-    Returns one column per positional argument — a ``list``, or an
-    ``array('d')`` blob when every value in the column is a float (8
-    bytes/value on the wire in one memcpy, versus a 9-byte tagged double
-    each) — or ``None`` when the batch is heterogeneous (any kwargs, or
-    mixed arity) and must travel as a classic ``[(args, kwargs)]`` batch.
+    Returns one column per positional argument, typed by
+    :func:`_typed_column`: an ``array('d')`` when every value is a float
+    (8 bytes/value in one memcpy, versus a 9-byte tagged double each), an
+    ``array`` of the narrowest signed typecode (``b``/``h``/``i``/``q``)
+    when every value is an int within int64 (versus a tag and a zigzag
+    varint each), otherwise the ``list`` itself.  Returns ``None`` when
+    the batch is heterogeneous (any kwargs, or mixed arity) and must
+    travel as a classic ``[(args, kwargs)]`` batch.
 
-    *plan* is an optional :func:`method_column_plan`; a column whose
-    annotation already rules out floats skips the type scan.
+    *plan* is an optional :func:`method_column_plan`; a column annotated
+    ``float`` never becomes an int array and one annotated ``int`` never
+    an ``array('d')``, so such a column whose values disagree with its
+    annotation stays a list, exactly as the caller passed it.
     """
     if not batch:
         return None
@@ -1002,11 +1011,38 @@ def pack_columns(
     for index in range(arity):
         column = [args[index] for args, _kwargs in batch]
         kind = plan[index] if plan is not None and index < len(plan) else None
-        if kind != "int" and all(type(value) is float for value in column):
-            columns.append(array.array("d", column))
-        else:
-            columns.append(column)
+        columns.append(_typed_column(column, kind))
     return tuple(columns)
+
+
+#: Signed ``array`` typecodes, narrowest first, each with its largest value.
+_INT_TYPECODES = tuple(
+    (code, (1 << (8 * array.array(code).itemsize - 1)) - 1) for code in "bhiq"
+)
+
+
+def _typed_column(column: list, kind: str | None = None) -> Any:
+    """*column* as an ``array`` when its values allow one, else itself.
+
+    All exact floats (and *kind* not ``"int"``) give an ``array('d')``;
+    all exact ints within int64 (and *kind* not ``"float"``) give the
+    narrowest signed typecode that holds the column's min and max.  A
+    ``bool``, a mix of types, an int beyond int64 or an empty column
+    keeps the list.  Decoding an ``array`` yields the same Python
+    ``float``/``int`` values, so the callee cannot tell the forms apart.
+    """
+    types = set(map(type, column))
+    if len(types) != 1:
+        return column
+    if float in types:
+        return array.array("d", column) if kind != "int" else column
+    if int not in types or kind == "float":
+        return column
+    low, high = min(column), max(column)
+    for code, limit in _INT_TYPECODES:
+        if -limit - 1 <= low and high <= limit:
+            return array.array(code, column)
+    return column
 
 
 def unpack_columns(count: int, columns: Sequence) -> list[tuple[tuple, dict]]:
@@ -1025,15 +1061,14 @@ def unpack_columns(count: int, columns: Sequence) -> list[tuple[tuple, dict]]:
 def pack_result_column(results: Sequence) -> Any:
     """Pack an ``invoke_batch`` result list for the ``returnN`` reply.
 
-    Mirrors the request-side column trick: when every result is a float
-    the list collapses into an ``array('d')`` (one typecode byte + one
-    memcpy on the wire instead of a tagged double per value).  Any other
-    shape — mixed types, ``None`` error slots — travels as the list
-    itself.
+    The request-side column rule (:func:`_typed_column`): an all-float
+    result list travels as an ``array('d')`` and an all-int one within
+    int64 as the narrowest signed int ``array`` (one typecode byte + one
+    memcpy on the wire instead of a tagged value per result).  Any other
+    shape — mixed types, ``None`` error slots, bigints — travels as the
+    list itself.
     """
-    if results and all(type(value) is float for value in results):
-        return array.array("d", results)
-    return list(results)
+    return _typed_column(list(results))
 
 
 def unpack_result_column(count: int, results: Any) -> list:

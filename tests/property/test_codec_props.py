@@ -20,7 +20,12 @@ import pytest
 from repro.errors import SerializationError, UnknownTypeError
 from repro.remoting.messages import ReturnBatch
 from repro.serialization import BinaryFormatter, CodecRegistry, serializable
-from repro.serialization.codec import pack_result_column, unpack_result_column
+from repro.serialization.codec import (
+    pack_columns,
+    pack_result_column,
+    unpack_columns,
+    unpack_result_column,
+)
 
 
 @serializable(name="test.codecprops.Record")
@@ -139,6 +144,48 @@ def test_unregistered_class_fallback_matches_generic():
         fast.dumps(NeverRegistered())
 
 
+# -- processN argument columns ------------------------------------------------
+
+#: One column's values: all ints (int64 edges and beyond), all floats, all
+#: bools, or any scalar mix.
+column_values = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=-200, max_value=200),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    scalars.filter(lambda value: value == value),  # no NaN
+)
+
+
+@st.composite
+def column_batches(draw):
+    """``(rows, plan)``: a homogeneous batch and a plan for its arity."""
+    arity = draw(st.integers(min_value=0, max_value=3))
+    count = draw(st.integers(min_value=1, max_value=40))
+    columns = [
+        draw(st.lists(column_values, min_size=count, max_size=count))
+        for _ in range(arity)
+    ]
+    kinds = st.sampled_from(["int", "float", None])
+    plan = draw(st.none() | st.tuples(*[kinds] * arity))
+    rows = [(tuple(column[i] for column in columns), {}) for i in range(count)]
+    return rows, plan
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_batches())
+def test_columns_survive_the_wire_with_exact_types(batch):
+    rows, plan = batch
+    columns = pack_columns(rows, plan)
+    decoded = unpack_columns(len(rows), fast.loads(fast.dumps(columns)))
+    assert decoded == rows
+    for (args, _kwargs), (expected, _) in zip(decoded, rows):
+        assert [type(value) for value in args] == [
+            type(value) for value in expected
+        ]
+
+
 # -- returnN reply aggregation ------------------------------------------------
 
 result_slots = st.lists(
@@ -201,6 +248,21 @@ def test_all_float_results_pack_to_a_double_column(values):
     packed = pack_result_column(list(values))
     assert isinstance(packed, array.array) and packed.typecode == "d"
     assert unpack_result_column(len(values), packed) == list(values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(), min_size=1, max_size=32))
+def test_int_results_survive_the_wire_as_ints(values):
+    import array
+
+    packed = pack_result_column(list(values))
+    if min(values) >= -(2**63) and max(values) < 2**63:
+        assert isinstance(packed, array.array) and packed.typecode in "bhiq"
+    else:
+        assert packed == list(values)
+    decoded = unpack_result_column(len(values), fast.loads(fast.dumps(packed)))
+    assert decoded == list(values)
+    assert all(type(value) is int for value in decoded)
 
 
 def test_result_column_length_mismatch_is_a_serialization_error():

@@ -614,7 +614,11 @@ class TestOverTheWire:
                 CallMessage(
                     uri="io",
                     method="enqueue_columns",
-                    args=("step", MAX_CALLS, [array.array("d", xs), list(ns)]),
+                    args=(
+                        "step",
+                        MAX_CALLS,
+                        [array.array("d", xs), array.array("b", ns)],
+                    ),
                 )
             ),
             oracle.dumps(

@@ -249,7 +249,10 @@ def test_pack_columns_builds_float_blobs():
     columns = pack_columns(batch, method_column_plan(WithSignature.step))
     assert isinstance(columns[0], array.array)
     assert columns[0].typecode == "d"
-    assert isinstance(columns[1], list)
+    assert isinstance(columns[1], array.array)
+    assert columns[1].typecode == "b"
+    assert columns[1].tolist() == list(range(8))
+    assert isinstance(columns[2], list)
     assert unpack_columns(8, columns) == batch
 
 
@@ -262,6 +265,74 @@ def test_pack_columns_verifies_floats_despite_plan():
     assert unpack_columns(2, columns) == batch
 
 
+@pytest.mark.parametrize(
+    "low, high, typecode",
+    [
+        (-128, 127, "b"),
+        (-129, 0, "h"),
+        (0, 128, "h"),
+        (-(2**15), 2**15 - 1, "h"),
+        (-(2**15) - 1, 0, "i"),
+        (0, 2**15, "i"),
+        (-(2**31), 2**31 - 1, "i"),
+        (-(2**31) - 1, 0, "q"),
+        (0, 2**31, "q"),
+        (-(2**63), 2**63 - 1, "q"),
+    ],
+)
+def test_pack_columns_picks_the_narrowest_int_typecode(low, high, typecode):
+    batch = [((low,), {}), ((7,), {}), ((high,), {})]
+    (column,) = pack_columns(batch)
+    assert isinstance(column, array.array)
+    assert column.typecode == typecode
+    wire = BinaryFormatter()
+    decoded = unpack_columns(3, wire.loads(wire.dumps((column,))))
+    assert decoded == batch
+    assert all(type(args[0]) is int for args, _kwargs in decoded)
+
+
+@pytest.mark.parametrize("outside", [2**63, -(2**63) - 1])
+def test_pack_columns_keeps_an_int_column_beyond_int64_a_list(outside):
+    batch = [((1,), {}), ((outside,), {})]
+    assert pack_columns(batch) == ([1, outside],)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [True, False, True],  # bools are ints, but must arrive as bools
+        [1, 2.5, 3],  # an int/float mix
+        [1, True],
+        [1, "a"],
+        [1, None],
+    ],
+)
+def test_pack_columns_keeps_bool_and_mixed_columns_lists(values):
+    batch = [((value,), {}) for value in values]
+    (column,) = pack_columns(batch)
+    assert type(column) is list
+    decoded = unpack_columns(len(values), (column,))
+    assert [type(args[0]) for args, _kwargs in decoded] == [
+        type(value) for value in values
+    ]
+
+
+def test_pack_columns_keeps_a_float_annotated_int_column_a_list():
+    batch = [((1,), {}), ((2,), {})]
+    columns = pack_columns(batch, ("float",))
+    assert columns == ([1, 2],)
+    assert type(columns[0]) is list
+    assert unpack_columns(2, columns)[0][0][0] == 1
+    assert type(unpack_columns(2, columns)[0][0][0]) is int
+
+
+def test_pack_columns_keeps_an_int_annotated_float_column_a_list():
+    batch = [((1.5,), {}), ((2.5,), {})]
+    columns = pack_columns(batch, ("int",))
+    assert columns == ([1.5, 2.5],)
+    assert type(columns[0]) is list
+
+
 def test_pack_columns_rejects_heterogeneous_batches():
     assert pack_columns([]) is None
     assert pack_columns([((1,), {"k": 1})]) is None
@@ -272,6 +343,8 @@ def test_pack_columns_zero_arg_batch():
     batch = [((), {}) for _ in range(5)]
     assert pack_columns(batch) == ()
     assert unpack_columns(5, ()) == batch
+    wire = BinaryFormatter()
+    assert unpack_columns(5, wire.loads(wire.dumps(pack_columns(batch)))) == batch
 
 
 def test_unpack_columns_length_mismatch_raises():

@@ -157,6 +157,16 @@ class TestBatching:
         # One mailbox entry server-side, not eight.
         assert io.stats()["processed"] == len(BATCH)
 
+    @pytest.mark.parametrize(
+        "last", [7, 2**61], ids=["int-column", "beyond-int64-list"]
+    )
+    def test_call_many_int_results_stay_ints(self, pair, last):
+        _io, grain = pair
+        batch = [((i, -3), {}) for i in range(7)] + [((last, 8), {})]
+        results = grain.call_many("mul", batch)
+        assert results == [i * -3 for i in range(7)] + [last * 8]
+        assert all(type(value) is int for value in results)
+
     def test_error_slots_survive_the_wire(self, pair):
         _io, grain = pair
         batch = [((1.0,), {}), ((-2.0,), {}), ((3.0,), {})]

@@ -26,6 +26,7 @@ from repro.remoting.messages import (
     ReturnMessage,
 )
 from repro.serialization import serializable
+from repro.serialization.codec import pack_columns
 
 
 @serializable(name="test.golden.Point")
@@ -72,6 +73,13 @@ GOLDEN = [
      b"O\x12parc.remoting.Call\x05\x03uris\x0btcp://h:1/o\x06methods\x01m"
      b"\x04argsU\x02i\x02s\x01x\x06kwargsD\x01s\x01kd@\x00\x00\x00\x00\x00"
      b"\x00\x00\x07one_wayF"),
+    ("int-columns",
+     CallMessage(uri="io", method="enqueue_columns",
+                 args=("tick", 3, [array.array("b", [0, 1, -1]),
+                                   array.array("h", [300, -2, 7])])),
+     b"O\x12parc.remoting.Call\x05\x03uris\x02io\x06methods\x0f"
+     b"enqueue_columns\x04argsU\x03s\x04ticki\x06L\x02Ab\x03\x00\x01\xff"
+     b"Ah\x06,\x01\xfe\xff\x07\x00\x06kwargsD\x00\x07one_wayF"),
     ("return-batch",
      ReturnMessage(value=ReturnBatch(
          count=2, results=array.array("d", [1.0, 2.0]),
@@ -115,6 +123,14 @@ def test_loads_matches_golden(formatter, _id, value, wire):
     decoded = formatter.loads(wire)
     assert decoded == value
     assert type(decoded) is type(value)
+
+
+def test_int_columns_vector_is_what_pack_columns_builds():
+    value = {_id: value for _id, value, _wire in GOLDEN}["int-columns"]
+    rows = [((0, 300), {}), ((1, -2), {}), ((-1, 7), {})]
+    columns = list(pack_columns(rows))
+    assert [column.typecode for column in columns] == ["b", "h"]
+    assert columns == value.args[2]
 
 
 def test_shared_sub_object_is_one_back_reference(formatter):
