@@ -322,8 +322,6 @@ def test_pack_columns_keeps_a_float_annotated_int_column_a_list():
     columns = pack_columns(batch, ("float",))
     assert columns == ([1, 2],)
     assert type(columns[0]) is list
-    assert unpack_columns(2, columns)[0][0][0] == 1
-    assert type(unpack_columns(2, columns)[0][0][0]) is int
 
 
 def test_pack_columns_keeps_an_int_annotated_float_column_a_list():
