@@ -1,15 +1,13 @@
-"""CHAOS — happy-path overhead of the fault-injection and breaker layers.
+"""CHAOS — happy-path overhead of the fault-injection layer.
 
 The chaos substrate is meant to live in CI, wrapped around every test
 cluster; that only works if the zero-fault path is close to free.  Each
 interposed call costs one seeded RNG draw and a counter bump
-(`FaultyChannel`) or one per-authority state check (`BreakerChannel`)
-on top of a real localhost round trip, so the wrapper cost should
-vanish into transport noise.
+(`FaultyChannel`) on top of a real localhost round trip, so the wrapper
+cost should vanish into transport noise.
 
 The guardrail: single-caller remoting ping-pong through a zero-fault
-`chaos+tcp` channel and through a breaker-wrapped tcp channel must stay
-within 10% of bare tcp throughput.
+`chaos+tcp` channel must stay within 10% of bare tcp throughput.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ CALLS = 1500
 TRIALS = 3
 MAX_OVERHEAD = 0.10
 
-KINDS = ("tcp", "chaos+tcp", "breaker+tcp")
+KINDS = ("tcp", "chaos+tcp")
 
 
 def _throughput_by_kind() -> dict[str, float]:
@@ -50,9 +48,8 @@ def test_zero_fault_wrappers_cost_under_ten_percent(benchmark):
             title="CHAOS — zero-fault wrapper overhead (localhost ping-pong)",
         )
     )
-    for kind in ("chaos+tcp", "breaker+tcp"):
-        overhead = 1.0 - rates[kind] / bare
-        assert overhead < MAX_OVERHEAD, (
-            f"{kind} costs {overhead:.1%} of bare tcp throughput on the "
-            f"happy path; the guardrail is {MAX_OVERHEAD:.0%}"
-        )
+    overhead = 1.0 - rates["chaos+tcp"] / bare
+    assert overhead < MAX_OVERHEAD, (
+        f"chaos+tcp costs {overhead:.1%} of bare tcp throughput on the "
+        f"happy path; the guardrail is {MAX_OVERHEAD:.0%}"
+    )

@@ -15,8 +15,8 @@ with a formatter:
 ``loopback://``) mirroring ``ChannelServices.RegisterChannel`` in the
 paper's Fig. 2.
 
-:func:`create` builds whole channel *stacks* from a kind string
-(``create("breaker+chaos+tcp", ...)``); see
+:func:`create` builds a channel from a kind string (``create("tcp")``,
+or ``create("chaos+tcp", ...)`` inside a fault injector); see
 :mod:`repro.channels.factory`.
 """
 
@@ -25,7 +25,6 @@ from repro.channels.factory import (
     available_kinds,
     create,
     register_scheme,
-    register_wrapper,
 )
 from repro.channels.loopback import LoopbackChannel
 from repro.channels.tcp import TcpChannel
@@ -43,5 +42,4 @@ __all__ = [
     "create",
     "parse_uri",
     "register_scheme",
-    "register_wrapper",
 ]

@@ -118,8 +118,8 @@ class Channel(abc.ABC):
         """Serialize *message*, exchange it, deserialize the response.
 
         The default composes ``formatter.dumps`` → :meth:`call` →
-        ``formatter.loads``, so wrapper channels (chaos, breaker) inherit
-        correct behaviour through their ``call`` overrides automatically.
+        ``formatter.loads``, so the chaos wrapper channel inherits
+        correct behaviour through its ``call`` override automatically.
         The framed transports (tcp, shm, aio) override it to encode into
         the frame buffer and decode from a view of the reply frame, never
         materialising the intermediate ``bytes``; both routes end in the

@@ -1,16 +1,13 @@
-"""Scheme-registry channel factory: ``channels.create("chaos+aio")``.
+"""Scheme-registry channel factory: ``channels.create("chaos+tcp")``.
 
 Every subsystem that used to hand-roll a per-scheme ``if/elif`` ladder
 (the cluster, the process-worker boot code, the benchmark drivers, tests)
-builds channels here instead.  A *kind* is a ``+``-separated stack read
-right to left: the last segment names a base transport, every earlier
-segment names a wrapper applied around it — ``"breaker+chaos+tcp"`` is a
-TCP channel inside a fault injector inside a circuit breaker, the
-stacking order the cluster uses so injected faults trip the breaker like
-organic ones.
+builds channels here instead.  A *kind* is a base transport name,
+optionally prefixed by ``chaos+`` — ``"chaos+tcp"`` is a TCP channel
+inside a fault injector (:class:`~repro.chaos.FaultyChannel`).
 
-Applications can extend both tables: :func:`register_scheme` adds a base
-transport, :func:`register_wrapper` adds a wrapper prefix.
+Applications (and benchmark drivers) can add or replace a base
+transport with :func:`register_scheme`.
 """
 
 from __future__ import annotations
@@ -68,34 +65,12 @@ def _wrap_chaos(
     )
 
 
-def _wrap_breaker(
-    inner: Channel,
-    *,
-    breaker_policy: Any = None,
-    metrics: Any = None,
-) -> Channel:
-    from repro.channels.breaker import BreakerChannel
-
-    return BreakerChannel(inner, policy=breaker_policy, metrics=metrics)
-
-
 _SCHEMES: dict[str, Callable[..., Channel]] = {
     "loopback": _make_loopback,
     "tcp": _make_tcp,
     "http": _make_http,
     "aio": _make_aio,
     "shm": _make_shm,
-}
-
-#: Wrapper options each prefix consumes from ``create``'s kwargs.
-_WRAPPER_OPTS = {
-    "chaos": ("chaos_plan", "chaos_controller", "metrics"),
-    "breaker": ("breaker_policy", "metrics"),
-}
-
-_WRAPPERS: dict[str, Callable[..., Channel]] = {
-    "chaos": _wrap_chaos,
-    "breaker": _wrap_breaker,
 }
 
 
@@ -115,28 +90,8 @@ def register_scheme(
         _SCHEMES[name] = factory
 
 
-def register_wrapper(
-    name: str,
-    wrap: Callable[..., Channel],
-    opt_names: tuple[str, ...] = (),
-    replace: bool = False,
-) -> None:
-    """Register a wrapper prefix (called as ``wrap(inner, **opts)``).
-
-    *opt_names* lists the :func:`create` keyword arguments forwarded to
-    the wrapper (unknown kwargs are rejected by ``create``).
-    """
-    if "+" in name or not name:
-        raise ChannelError(f"invalid wrapper name {name!r}")
-    with _registry_lock:
-        if name in _WRAPPERS and not replace:
-            raise ChannelError(f"wrapper {name!r} is already registered")
-        _WRAPPERS[name] = wrap
-        _WRAPPER_OPTS[name] = tuple(opt_names)
-
-
 def available_kinds() -> tuple[str, ...]:
-    """Registered base schemes (wrappers compose with any of them)."""
+    """Registered base schemes (``chaos+`` wraps any of them)."""
     with _registry_lock:
         return tuple(sorted(_SCHEMES))
 
@@ -146,67 +101,41 @@ def create(
     *,
     chaos_plan: Any = None,
     chaos_controller: Any = None,
-    breaker_policy: Any = None,
     metrics: Any = None,
     **base_opts: Any,
 ) -> Channel:
-    """Build the channel stack named by *kind*.
+    """Build the channel named by *kind*: ``base`` or ``chaos+base``.
 
-    ``kind`` is ``[wrapper+[wrapper+...]]base``; wrapper-specific options
-    (``chaos_plan``, ``chaos_controller``, ``breaker_policy``,
-    ``metrics``) are routed to the wrapper that consumes them, and any
-    remaining keyword arguments go to the base-transport constructor.
-    Options for a wrapper that is not part of *kind* are an error — a
-    silently ignored ``chaos_plan`` would run a test without its faults.
+    ``chaos_plan``, ``chaos_controller`` and ``metrics`` go to the
+    ``chaos+`` wrapper; any remaining keyword arguments go to the
+    base-transport constructor.  A chaos option without the ``chaos+``
+    prefix is an error — a silently ignored ``chaos_plan`` would run a
+    test without its faults.
     """
-    parts = kind.split("+")
-    base_name, wrapper_names = parts[-1], parts[:-1]
+    chaos = kind.startswith("chaos+")
+    base_name = kind[len("chaos+"):] if chaos else kind
+    if "+" in base_name:
+        raise ChannelError(
+            f"unknown channel wrapper in kind {kind!r}; the one wrapper "
+            "is 'chaos+'"
+        )
     with _registry_lock:
         base_factory = _SCHEMES.get(base_name)
-        wrappers = []
-        for name in wrapper_names:
-            wrap = _WRAPPERS.get(name)
-            if wrap is None:
-                raise ChannelError(
-                    f"unknown channel wrapper {name!r} in kind {kind!r}"
-                )
-            wrappers.append((name, wrap, _WRAPPER_OPTS.get(name, ())))
     if base_factory is None:
         raise ChannelError(
             f"unknown channel kind {kind!r}; base schemes: "
             f"{', '.join(available_kinds())}"
         )
-    wrapper_opts = {
-        "chaos_plan": chaos_plan,
-        "chaos_controller": chaos_controller,
-        "breaker_policy": breaker_policy,
-        "metrics": metrics,
-    }
-    consumed = set()
-    for name, _wrap, opt_names in wrappers:
-        consumed.update(opt_names)
-        for opt in opt_names:
-            # Registered wrappers may declare options beyond the
-            # well-known four; those arrive through **base_opts and are
-            # claimed here so the base factory never sees them.
-            if opt not in wrapper_opts and opt in base_opts:
-                wrapper_opts[opt] = base_opts.pop(opt)
-    unused = {
-        opt
-        for opt, value in wrapper_opts.items()
-        if value is not None and opt not in consumed and opt != "metrics"
-    }
-    if unused:
-        raise ChannelError(
-            f"options {sorted(unused)} have no consumer in kind {kind!r}"
-        )
-    channel = base_factory(**base_opts)
-    # Apply wrappers right to left: the leftmost prefix is outermost.
-    for name, wrap, opt_names in reversed(wrappers):
-        opts = {
-            opt: wrapper_opts[opt]
-            for opt in opt_names
-            if wrapper_opts.get(opt) is not None
-        }
-        channel = wrap(channel, **opts)
-    return channel
+    if not chaos:
+        if chaos_plan is not None or chaos_controller is not None:
+            raise ChannelError(
+                "options chaos_plan/chaos_controller have no consumer in "
+                f"kind {kind!r}"
+            )
+        return base_factory(**base_opts)
+    return _wrap_chaos(
+        base_factory(**base_opts),
+        chaos_plan=chaos_plan,
+        chaos_controller=chaos_controller,
+        metrics=metrics,
+    )

@@ -14,8 +14,8 @@ Faults come from two sources, checked in order:
 2. the :class:`~repro.chaos.faults.FaultPlan` (seeded random schedule).
 
 Injected failures raise :class:`~repro.errors.FaultInjectedError` (a
-:class:`~repro.errors.ChannelError`), so retry policies, circuit breakers
-and dead-node bookkeeping treat them exactly like organic failures.
+:class:`~repro.errors.ChannelError`), so the failure detector and a
+grain's recovery path treat them exactly like organic failures.
 Server-side behaviour is untouched: ``listen`` delegates to the inner
 channel, and post-call faults (``recv_drop``, ``disconnect``,
 ``truncate``) deliberately let the server execute before the client-side

@@ -94,19 +94,11 @@ class Cluster:
         self.placement = coerce_policy(self.sched_config.placement)
         self.services = ChannelServices()
         # The shared client channel every proxy dials through, built from
-        # the scheme registry.  Stacking order matters: the breaker sits
-        # outside the chaos layer so injected faults count toward
-        # tripping it, exactly like organic ones.
-        client_kind = base_kind
-        if chaos:
-            client_kind = f"chaos+{client_kind}"
-        if config.breaker is not None:
-            client_kind = f"breaker+{client_kind}"
+        # the scheme registry.
         client: Channel = create_channel(
-            client_kind,
+            channel_kind,
             chaos_plan=config.chaos_plan,
             chaos_controller=config.chaos_controller,
-            breaker_policy=config.breaker,
             metrics=self.metrics,
         )
         self.client_channel = client
@@ -273,8 +265,7 @@ class Cluster:
 
         Every other node — in-process ones too — is asked over the wire,
         through the shared client channel: that is what makes a closed
-        or blackholed node *observably* dead, and what feeds the circuit
-        breaker.
+        or blackholed node *observably* dead.
         """
         return self.home_node.om.observe()
 
@@ -286,7 +277,9 @@ class Cluster:
         Every in-process OM gets every verdict (a no-op unless it is a
         transition for that OM); each reachable worker is sent *news*
         (the verdicts that changed since the last round) through its
-        ``report_dead``/``report_alive``.
+        ``report_dead``/``report_alive``.  A worker judged dead whose
+        process has exited is dropped and reaped; one whose process still
+        runs (a partition, a blackhole) keeps its handle.
         """
         for node in self.nodes:
             for base_uri, alive in verdicts.items():
@@ -294,6 +287,7 @@ class Cluster:
                     node.om.report_alive(base_uri)
                 else:
                     node.om.report_dead(base_uri)
+        self._reap_exited_workers(verdicts)
         if not news:
             return
         for handle in self._handles():
@@ -389,6 +383,25 @@ class Cluster:
     def _handles(self) -> list[ProcessNodeHandle]:
         with self._workers_lock:
             return list(self.worker_handles)
+
+    def _reap_exited_workers(self, verdicts: dict[str, bool]) -> None:
+        with self._workers_lock:
+            exited = [
+                handle
+                for handle in self.worker_handles
+                if verdicts.get(handle.base_uri) is False
+                and not handle.process.is_alive()
+            ]
+            for handle in exited:
+                self.worker_handles.remove(handle)
+            workers = len(self.worker_handles)
+        if not exited:
+            return
+        for handle in exited:
+            handle.shutdown()
+        if self.control.elastic is not None:
+            self._set_workers_gauge(workers)
+        self._redistribute_directory()
 
     def _worker_om(self, handle: ProcessNodeHandle) -> Any:
         return self.home_node.make_proxy(f"{handle.base_uri}/om")

@@ -57,9 +57,6 @@ class ParcConfig:
     worker_modules: tuple[str, ...] = ()
     #: Failure-detector period in seconds; ``None`` disables heartbeats.
     heartbeat_s: float | None = None
-    #: Per-authority circuit-breaker policy
-    #: (:class:`~repro.channels.breaker.BreakerPolicy`), or ``None``.
-    breaker: Any = None
     #: Scripted fault plan for ``chaos+*`` channels.
     chaos_plan: Any = None
     #: Runtime fault controller for ``chaos+*`` channels.

@@ -491,7 +491,7 @@ class ImplementationObject(MarshalByRefObject):
         rebuilds the ``(args, kwargs)`` pairs and joins the ordinary
         :meth:`enqueue_batch` path, so execution semantics are identical.
         """
-        self.enqueue_batch(method, unpack_columns(count, list(columns)))
+        self.enqueue_batch(method, unpack_columns(count, columns))
 
     def enqueue_run(self, entries: list) -> None:
         """Post a run of consecutive outbox items shipped as one request.
@@ -599,7 +599,7 @@ class ImplementationObject(MarshalByRefObject):
 
     def invoke_columns(self, method: str, count: int, columns: list = ()) -> Any:
         """Columnar form of :meth:`invoke_batch` (processN in, returnN out)."""
-        return self.invoke_batch(method, unpack_columns(count, list(columns)))
+        return self.invoke_batch(method, unpack_columns(count, columns))
 
     def _run_inline(self, tasks: list[_Task]) -> bool:
         """Sync fast path: execute *tasks* on the caller's thread.

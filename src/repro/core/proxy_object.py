@@ -34,6 +34,7 @@ from typing import Any
 
 from repro.core.model import MethodKind, ParallelClassInfo, parallel_class_table
 from repro.errors import (
+    AddressError,
     BatchCallError,
     ChannelError,
     GrainError,
@@ -61,8 +62,28 @@ _grain_ids = itertools.count(1)
 
 #: Errors that *may* mean "the hosting node is gone" and are worth a
 #: recovery attempt.  RemoteInvocationError is in the RemotingError tree
-#: but is filtered out downstream: the method ran, the node is alive.
+#: but is filtered out by :func:`is_transport_error`: the method ran, the
+#: node is alive.
 _TRANSPORT_ERRORS = (ChannelError, RemotingError, ConnectionError)
+
+
+def is_transport_error(error: BaseException) -> bool:
+    """True for failures meaning "the peer may be gone", not "it said no".
+
+    Classification is strictly by exception type — no message sniffing:
+
+    * :class:`~repro.errors.RemoteInvocationError` is never a transport
+      error: the remote method ran and raised, so the peer is alive;
+    * :class:`~repro.errors.AddressError` is a malformed/unresolvable
+      address — no recovery can fix it;
+    * every other :class:`~repro.errors.ChannelError` (including
+      chaos-injected faults), plus OS-level :class:`ConnectionError` and
+      :class:`TimeoutError` (``socket.timeout`` is its alias), means the
+      wire or the peer failed mid-flight.
+    """
+    if isinstance(error, (RemoteInvocationError, AddressError)):
+        return False
+    return isinstance(error, (ChannelError, ConnectionError, TimeoutError))
 
 
 class LocalGrain:
@@ -516,8 +537,6 @@ class RemoteGrain:
             and cause.__cause__ is not None
         ):
             cause = cause.__cause__
-        from repro.remoting.resilience import is_transport_error
-
         if not is_transport_error(cause):
             return False
         return bool(recoverer(self, cause))
@@ -532,9 +551,9 @@ class RemoteGrain:
         if self._sender_error is not None:
             error, self._sender_error = self._sender_error, None
             if isinstance(error, OverloadError):
-                # Keep the typed fail-fast signal: callers (and retry
-                # policies) must see shedding as shedding, not as a
-                # generic wrapped send failure.
+                # Keep the typed fail-fast signal: callers must see
+                # shedding as shedding, not as a generic wrapped send
+                # failure.
                 raise error
             raise ScooppError(
                 f"asynchronous send failed: {error}"

@@ -480,7 +480,7 @@ class ParcRuntime:
         Returns ``{"nodes": {label: export}, "cluster": merged}`` where
         each export is a :meth:`MetricsRegistry.export` document and
         ``merged`` folds every node's counters and histograms together
-        with the cluster-shared registry (breaker/chaos counters).
+        with the cluster-shared registry (chaos counters).
         """
         from repro.telemetry import merge_exports
 

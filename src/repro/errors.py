@@ -43,24 +43,14 @@ class ChannelClosedError(ChannelError):
     """Operation attempted on a channel that has been shut down."""
 
 
-class CircuitOpenError(ChannelError):
-    """A call was rejected because the target's circuit breaker is open.
-
-    Raised *before* any network activity: a peer that keeps failing is
-    quarantined so callers fail in microseconds instead of burning a
-    connect timeout per call (see :mod:`repro.channels.breaker`).
-    """
-
-
 class OverloadError(ChannelError):
     """A call was shed because the target is saturated.
 
     Raised when a bounded IO mailbox (``ParcConfig.mailbox_depth``)
     refuses admission; a remote caller sees it re-raised by its proxy.
-    A sibling of :class:`CircuitOpenError` on purpose: both are *typed*
-    fail-fast signals that must not be retried (retries amplify overload)
-    and both count as failures for the circuit breaker, so sustained
-    shedding trips the circuit and quarantines the hot peer.
+    A *typed* fail-fast signal: the node is alive but saturated, so a
+    grain's proxy surfaces it without probing or respawning the node
+    (that would add load to an overloaded cluster).
     """
 
 
@@ -68,7 +58,7 @@ class FaultInjectedError(ChannelError):
     """A failure injected on purpose by the chaos layer.
 
     Distinguishable from organic transport failures so tests can assert
-    which faults fired, while still retrying/classifying like any other
+    which faults fired, while still classified like any other
     :class:`ChannelError`.
     """
 

@@ -139,9 +139,10 @@ class RemoteProxy:
             error = result.error
             if error.type_name == "OverloadError":
                 # Server-side shedding (a full mailbox) surfaces as the
-                # same typed error a local full mailbox raises: counted
-                # by circuit breakers, never retried, and distinguishable
-                # from application failures — the call never ran.
+                # same typed error a local full mailbox raises: never a
+                # reason to probe or respawn the node, and
+                # distinguishable from application failures — the call
+                # never ran.
                 raise OverloadError(
                     f"remote call {method} shed by {authority}: "
                     f"{error.message}"

@@ -1049,7 +1049,12 @@ def unpack_columns(count: int, columns: Sequence) -> list[tuple[tuple, dict]]:
     """Rebuild the ``[(args, kwargs), ...]`` batch from columnar form."""
     if not columns:
         return [((), {}) for _ in range(count)]
-    batch = [(args, {}) for args in zip(*columns)]
+    try:
+        batch = [(args, {}) for args in zip(*columns, strict=True)]
+    except ValueError as exc:
+        raise SerializationError(
+            f"columnar batch length mismatch: {exc}"
+        ) from None
     if len(batch) != count:
         raise SerializationError(
             f"columnar batch length mismatch: header says {count} calls, "

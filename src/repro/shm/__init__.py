@@ -3,7 +3,7 @@
 The ``shm`` channel scheme moves the existing frame format through SPSC
 ring buffers in ``multiprocessing.shared_memory`` instead of sockets —
 same payload codec, same wrapper composition
-(``channels.create("breaker+shm")``), no wire.  A cluster uses it when
+(``channels.create("chaos+shm")``), no wire.  A cluster uses it when
 its channel kind is ``"shm"`` (or a wrapped ``"chaos+shm"``).
 
 Layers:

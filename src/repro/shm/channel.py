@@ -7,8 +7,8 @@ buffers in a ``multiprocessing.shared_memory`` segment instead of a
 socket.  The request/response protocol itself is
 :mod:`repro.channels.exchange`; this module is the pipe under it (the
 ring/doorbell connection, the handshake and the accept loop), so
-everything layered on frames composes unchanged: tracing headers, chaos
-and breaker wrappers, ``channels.create("breaker+shm")``.
+everything layered on frames composes unchanged: tracing headers and
+the chaos wrapper, ``channels.create("chaos+shm")``.
 
 Connection anatomy (one per client/server pair, pooled client-side):
 

@@ -24,7 +24,7 @@ from typing import Iterator
 
 #: Request-header key carrying ``trace_id:parent_span_id:sampled`` over
 #: every channel (the request codec ships headers verbatim, so tcp, aio,
-#: http, loopback, and the chaos/breaker wrappers all preserve it).
+#: http, loopback, and the chaos wrapper all preserve it).
 TRACE_HEADER = "parc-trace"
 
 _ID_BITS = 64

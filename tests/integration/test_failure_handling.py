@@ -1,4 +1,4 @@
-"""Integration tests: node failure, placement failover, call retries."""
+"""Integration tests: node failure, placement failover, call recovery."""
 
 from __future__ import annotations
 
@@ -6,13 +6,8 @@ import pytest
 
 import repro.core as parc
 from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
+from repro.core.proxy_object import is_transport_error
 from repro.errors import ChannelError, PlacementError, ScooppError
-from repro.remoting.resilience import (
-    RetryPolicy,
-    call_with_retry,
-    is_transport_error,
-    retrying,
-)
 
 
 @parc.parallel(name="fail.Echo", async_methods=["put"], sync_methods=["get"])
@@ -122,66 +117,13 @@ class TestPlacementFailover:
 
 
 class TestRetryHelpers:
-    def test_succeeds_after_transient_failures(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise ChannelError("transient")
-            return "ok"
-
-        assert call_with_retry(
-            flaky, policy=RetryPolicy(attempts=5, backoff_s=0.0)
-        ) == "ok"
-        assert len(calls) == 3
-
-    def test_exhausted_attempts_reraise(self):
-        def always_fails():
-            raise ChannelError("still down")
-
-        with pytest.raises(ChannelError, match="still down"):
-            call_with_retry(
-                always_fails, policy=RetryPolicy(attempts=2, backoff_s=0.0)
-            )
-
-    def test_non_retryable_errors_pass_through_immediately(self):
-        calls = []
-
-        def wrong_type():
-            calls.append(1)
-            raise ValueError("not transport")
-
-        with pytest.raises(ValueError):
-            call_with_retry(
-                wrong_type, policy=RetryPolicy(attempts=5, backoff_s=0.0)
-            )
-        assert len(calls) == 1
-
-    def test_decorator_form(self):
-        attempts = []
-
-        @retrying(RetryPolicy(attempts=3, backoff_s=0.0))
-        def sometimes(value):
-            attempts.append(1)
-            if len(attempts) < 2:
-                raise ChannelError("flap")
-            return value * 2
-
-        assert sometimes(21) == 42
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
+    """What makes a failed grain call worth a recovery and one retry."""
 
     def test_transport_error_classifier(self):
         import socket
 
         from repro.errors import (
             AddressError,
-            CircuitOpenError,
             FaultInjectedError,
             RemoteInvocationError,
         )
@@ -190,21 +132,11 @@ class TestRetryHelpers:
         assert is_transport_error(ConnectionRefusedError())
         assert is_transport_error(TimeoutError())
         assert is_transport_error(socket.timeout())
-        assert is_transport_error(CircuitOpenError("quarantined"))
         assert is_transport_error(FaultInjectedError("chaos"))
         assert not is_transport_error(RemoteInvocationError("app failed"))
         assert not is_transport_error(ValueError("nope"))
         # Classification is by type, not message: "connect" in the text
         # of a non-transport error must not fool it, and a structurally
-        # hopeless address error must not be retried.
+        # hopeless address error must not be recovered.
         assert not is_transport_error(ValueError("could not connect"))
         assert not is_transport_error(AddressError("bad uri: connect"))
-
-    def test_backoff_jitter_spreads_sleeps(self):
-        policy = RetryPolicy(attempts=3, backoff_s=0.1, jitter=0.5)
-        sleeps = {round(policy.sleep_for(0.1), 6) for _ in range(50)}
-        assert all(0.05 <= s <= 0.15 for s in sleeps)
-        assert len(sleeps) > 1  # actually jittered, not constant
-        assert RetryPolicy(jitter=0.0).sleep_for(0.1) == 0.1
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)

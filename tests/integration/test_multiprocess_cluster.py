@@ -7,6 +7,8 @@ creation inside a worker process, and clean shutdown.
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
 import threading
 
@@ -153,3 +155,39 @@ class TestProcessCluster:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+
+@pytest.fixture
+def one_worker_runtime():
+    rt = parc.init(ParcConfig(nodes=1, channel="tcp", worker_processes=1))
+    try:
+        yield rt
+    finally:
+        parc.shutdown()
+
+
+class TestDeadWorkerVerdict:
+    """``deliver_verdicts`` called directly: no heartbeat, no sleep."""
+
+    def test_exited_worker_is_dropped_and_reaped(self, one_worker_runtime):
+        cluster = one_worker_runtime.cluster
+        handle = cluster.worker_handles[0]
+        uri = handle.base_uri
+        os.kill(handle.process.pid, signal.SIGKILL)
+        handle.process.join(timeout=30.0)
+        assert not handle.process.is_alive()
+        cluster.deliver_verdicts({uri: False}, {uri: False})
+        assert cluster.worker_count() == 0
+        assert uri not in cluster.home_node.om.directory()
+        cluster._redistribute_directory()
+        errors = cluster.metrics.snapshot()
+        assert errors.get("cluster.errors.redistribute_directory", 0) == 0
+
+    def test_running_worker_keeps_its_handle(self, one_worker_runtime):
+        cluster = one_worker_runtime.cluster
+        handle = cluster.worker_handles[0]
+        uri = handle.base_uri
+        cluster.deliver_verdicts({uri: False}, {uri: False})
+        assert handle.process.is_alive()
+        assert cluster.worker_count() == 1
+        assert uri in cluster.home_node.om.directory()

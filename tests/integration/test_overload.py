@@ -16,7 +16,6 @@ import time
 import pytest
 
 import repro.core as parc
-from repro.channels.breaker import BreakerPolicy
 from repro.chaos import plan_from_percentages
 from repro.cluster.control import ELASTIC_INTERVAL_S, ControlPlane
 from repro.core import GrainPolicy, ParcConfig, SchedulerConfig
@@ -173,9 +172,6 @@ class TestChaosTimesOverload:
                 nodes=2,
                 channel="chaos+tcp",
                 mailbox_depth=2,
-                breaker=BreakerPolicy(
-                    failure_threshold=50, reset_timeout_s=0.2
-                ),
                 chaos_plan=plan,
                 scheduler=SchedulerConfig(grain=GrainPolicy()),
             )

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import channels
-from repro.channels.breaker import BreakerChannel, BreakerPolicy
-from repro.channels.factory import register_scheme, register_wrapper
+from repro.channels.factory import register_scheme
 from repro.channels.http import HttpChannel
 from repro.channels.loopback import LoopbackChannel
 from repro.channels.tcp import TcpChannel
@@ -57,50 +56,17 @@ class TestWrappers:
         assert isinstance(channel.inner, LoopbackChannel)
         assert channel.plan is plan
 
-    def test_breaker_wraps_base(self):
-        policy = BreakerPolicy(failure_threshold=2)
-        channel = channels.create("breaker+loopback", breaker_policy=policy)
-        assert isinstance(channel, BreakerChannel)
-        assert channel.policy is policy
-
-    def test_stacking_order_leftmost_outermost(self):
-        metrics = MetricsRegistry()
-        channel = channels.create(
-            "breaker+chaos+loopback",
-            chaos_plan=FaultPlan(seed=1),
-            breaker_policy=BreakerPolicy(),
-            metrics=metrics,
-        )
-        assert isinstance(channel, BreakerChannel)
-        assert isinstance(channel.inner, FaultyChannel)
-        assert isinstance(channel.inner.inner, LoopbackChannel)
-
-    def test_full_cluster_stack(self):
-        channel = channels.create(
-            "breaker+chaos+tcp",
-            chaos_plan=FaultPlan(seed=1),
-            breaker_policy=BreakerPolicy(),
-        )
-        try:
-            assert isinstance(channel, BreakerChannel)
-            assert isinstance(channel.inner, FaultyChannel)
-            assert isinstance(channel.inner.inner, TcpChannel)
-        finally:
-            channel.close()
-
     def test_unknown_wrapper_rejected(self):
         with pytest.raises(ChannelError, match="wrapper"):
             channels.create("teleport+loopback")
+        with pytest.raises(ChannelError, match="wrapper"):
+            channels.create("chaos+chaos+loopback")
 
     def test_unconsumed_wrapper_option_rejected(self):
         # A silently ignored chaos_plan would run a test without its
         # faults; the factory refuses instead.
         with pytest.raises(ChannelError, match="chaos_plan"):
             channels.create("loopback", chaos_plan=FaultPlan(seed=0))
-        with pytest.raises(ChannelError, match="breaker_policy"):
-            channels.create(
-                "chaos+loopback", breaker_policy=BreakerPolicy()
-            )
 
     def test_metrics_without_consumer_is_tolerated(self):
         # metrics is cross-cutting: many call sites pass it
@@ -133,25 +99,4 @@ class TestRegistration:
         with pytest.raises(ChannelError):
             register_scheme("a+b", LoopbackChannel)
         with pytest.raises(ChannelError):
-            register_wrapper("", lambda inner: inner)
-
-    def test_register_wrapper_and_create(self):
-        seen = {}
-
-        def wrap(inner, **opts):
-            seen["inner"] = inner
-            seen.update(opts)
-            return inner
-
-        register_wrapper("passthru", wrap, opt_names=("metrics",))
-        try:
-            metrics = MetricsRegistry()
-            channel = channels.create("passthru+loopback", metrics=metrics)
-            assert isinstance(channel, LoopbackChannel)
-            assert seen["inner"] is channel
-            assert seen["metrics"] is metrics
-        finally:
-            # No unregister API; replace with an identity to neutralize.
-            register_wrapper(
-                "passthru", lambda inner, **_: inner, replace=True
-            )
+            register_scheme("", LoopbackChannel)

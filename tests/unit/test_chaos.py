@@ -1,4 +1,4 @@
-"""Unit tests: fault plans, the chaos controller, FaultyChannel, breakers."""
+"""Unit tests: fault plans, the chaos controller, FaultyChannel."""
 
 from __future__ import annotations
 
@@ -7,14 +7,6 @@ import threading
 import pytest
 
 from repro.channels import LoopbackChannel
-from repro.channels.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerChannel,
-    BreakerPolicy,
-    CircuitBreaker,
-)
 from repro.chaos import (
     ChaosController,
     FaultKind,
@@ -23,11 +15,7 @@ from repro.chaos import (
     plan_from_percentages,
 )
 from repro.chaos.controller import strip_scheme
-from repro.errors import (
-    ChannelError,
-    CircuitOpenError,
-    FaultInjectedError,
-)
+from repro.errors import ChannelError, FaultInjectedError
 from repro.executor import timer
 from repro.telemetry import MetricsRegistry
 
@@ -238,103 +226,3 @@ class TestFaultyChannel:
 
     def test_fault_injected_error_is_channel_error(self):
         assert issubclass(FaultInjectedError, ChannelError)
-
-
-class TestCircuitBreaker:
-    def _breaker(self, clock, **overrides):
-        policy = BreakerPolicy(
-            failure_threshold=3, reset_timeout_s=1.0, **overrides
-        )
-        return CircuitBreaker("n:1", policy, clock=clock)
-
-    def test_opens_after_threshold(self):
-        breaker = self._breaker(lambda: 0.0)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CLOSED
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        with pytest.raises(CircuitOpenError):
-            breaker.before_call()
-
-    def test_success_resets_failure_count(self):
-        breaker = self._breaker(lambda: 0.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-
-    def test_half_open_probe_recovers(self):
-        now = [0.0]
-        breaker = self._breaker(lambda: now[0])
-        for _ in range(3):
-            breaker.record_failure()
-        now[0] = 1.5  # past the reset timeout
-        assert breaker.state == HALF_OPEN
-        breaker.before_call()  # the probe slot
-        with pytest.raises(CircuitOpenError):
-            breaker.before_call()  # second concurrent probe rejected
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        breaker.before_call()  # flows freely again
-
-    def test_half_open_failure_reopens(self):
-        now = [0.0]
-        breaker = self._breaker(lambda: now[0])
-        for _ in range(3):
-            breaker.record_failure()
-        now[0] = 1.5
-        breaker.before_call()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        now[0] = 2.0  # timeout restarted at 1.5, not elapsed yet
-        with pytest.raises(CircuitOpenError):
-            breaker.before_call()
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            BreakerPolicy(failure_threshold=0)
-        with pytest.raises(ValueError):
-            BreakerPolicy(reset_timeout_s=-1)
-
-
-class TestBreakerChannel:
-    def _failing_channel(self, metrics=None):
-        class Exploding(LoopbackChannel):
-            def call(self, authority, path, body, headers=None):
-                raise ChannelError("boom")
-
-        return BreakerChannel(
-            Exploding(),
-            policy=BreakerPolicy(failure_threshold=2, reset_timeout_s=60.0),
-            metrics=metrics,
-        )
-
-    def test_scheme_is_transparent(self):
-        channel = BreakerChannel(LoopbackChannel())
-        assert channel.scheme == "loopback"
-
-    def test_opens_per_authority_and_fails_fast(self):
-        metrics = MetricsRegistry()
-        channel = self._failing_channel(metrics)
-        for _ in range(2):
-            with pytest.raises(ChannelError, match="boom"):
-                channel.call("a:1", "p", b"x")
-        with pytest.raises(CircuitOpenError):
-            channel.call("a:1", "p", b"x")
-        # Another authority has its own breaker, still closed.
-        with pytest.raises(ChannelError, match="boom"):
-            channel.call("b:2", "p", b"x")
-        snap = metrics.snapshot()
-        assert snap["breaker.opened"] == 1
-        assert snap["breaker.rejected"] == 1
-
-    def test_happy_path_flows_through(self):
-        channel = BreakerChannel(LoopbackChannel())
-        binding = channel.listen(
-            "auto", lambda path, body, headers: body * 2
-        )
-        assert channel.call(binding.authority, "p", b"ab") == b"abab"
-        assert channel.state_of(binding.authority) == CLOSED

@@ -346,8 +346,13 @@ def test_pack_columns_zero_arg_batch():
 
 
 def test_unpack_columns_length_mismatch_raises():
-    with pytest.raises(SerializationError, match="mismatch"):
-        unpack_columns(3, ([1, 2],))
+    for count, columns in (
+        (3, ([1, 2],)),
+        # Ragged columns: zip alone would cut the batch to two calls.
+        (2, [array.array("b", [1, 2, 3]), [4, 5]]),
+    ):
+        with pytest.raises(SerializationError, match="mismatch"):
+            unpack_columns(count, columns)
 
 
 def test_columnar_aggregate_is_materially_smaller(fast):

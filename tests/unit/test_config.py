@@ -28,7 +28,6 @@ class TestParcConfig:
         assert config.worker_processes == 0
         assert config.worker_modules == ()
         assert config.heartbeat_s is None
-        assert config.breaker is None
         assert config.chaos_plan is None
         assert config.chaos_controller is None
         assert config.telemetry == TelemetryConfig()
@@ -54,7 +53,6 @@ class TestParcConfig:
             "worker_processes",
             "worker_modules",
             "heartbeat_s",
-            "breaker",
             "chaos_plan",
             "chaos_controller",
             "telemetry",

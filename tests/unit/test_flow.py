@@ -1,8 +1,7 @@
 """Unit tests for the flow-control package and its integration points.
 
-Covers the elastic controller's hysteresis, the bounded FIFO mailbox
-(including the drain-vs-active accounting regression), and the retry
-policy's overload veto.
+Covers the elastic controller's hysteresis and the bounded FIFO mailbox
+(including the drain-vs-active accounting regression).
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ import time
 import pytest
 
 from repro.core.impl import ImplementationObject, _IOMailbox, _Task
-from repro.errors import ChannelError, CircuitOpenError, OverloadError
+from repro.errors import OverloadError
 from repro.flow import ElasticController, ElasticPolicy
-from repro.remoting.resilience import RetryPolicy, call_with_retry
 
 
 class TestElasticController:
@@ -191,53 +189,3 @@ class TestIOMailbox:
             assert impl.stats()["queued"] == 0
         finally:
             impl.dispose()
-
-
-class TestRetryOverloadVeto:
-    def test_overload_is_not_retried(self):
-        calls = []
-
-        def shed():
-            calls.append(1)
-            raise OverloadError("shed")
-
-        with pytest.raises(OverloadError):
-            call_with_retry(
-                shed, policy=RetryPolicy(attempts=5, backoff_s=0.0)
-            )
-        assert len(calls) == 1
-
-    def test_circuit_open_is_not_retried(self):
-        calls = []
-
-        def quarantined():
-            calls.append(1)
-            raise CircuitOpenError("open")
-
-        with pytest.raises(CircuitOpenError):
-            call_with_retry(
-                quarantined, policy=RetryPolicy(attempts=5, backoff_s=0.0)
-            )
-        assert len(calls) == 1
-
-    def test_plain_channel_error_still_retries(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise ChannelError("transient")
-            return "ok"
-
-        assert (
-            call_with_retry(
-                flaky, policy=RetryPolicy(attempts=5, backoff_s=0.0)
-            )
-            == "ok"
-        )
-        assert len(calls) == 3
-
-    def test_default_veto_types(self):
-        policy = RetryPolicy()
-        assert OverloadError in policy.no_retry_on
-        assert CircuitOpenError in policy.no_retry_on

@@ -210,15 +210,6 @@ class TestFactoryComposition:
         finally:
             channel.close()
 
-    def test_breaker_shm_stack(self):
-        channel = create("breaker+shm")
-        binding = channel.listen("auto", echo_handler)
-        try:
-            assert channel.call(binding.authority, "p", b"b") == b"p:b"
-        finally:
-            binding.close()
-            channel.close()
-
     def test_chaos_shm_stack(self):
         channel = create("chaos+shm")
         binding = channel.listen("auto", echo_handler)
