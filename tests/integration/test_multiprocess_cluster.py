@@ -180,8 +180,8 @@ class TestDeadWorkerVerdict:
         assert cluster.worker_count() == 0
         assert uri not in cluster.home_node.om.directory()
         cluster._redistribute_directory()
-        errors = cluster.metrics.snapshot()
-        assert errors.get("cluster.errors.redistribute_directory", 0) == 0
+        snapshot = cluster.metrics.snapshot()
+        assert snapshot.get("cluster.errors.redistribute_directory", 0) == 0
 
     def test_running_worker_keeps_its_handle(self, one_worker_runtime):
         cluster = one_worker_runtime.cluster
