@@ -78,7 +78,8 @@ class ObjectManager(MarshalByRefObject):
         self._errors = ErrorCounter(metrics)
         self._lock = threading.Lock()
         self._directory: list[str] = []  # node base URIs, cluster order
-        self._peer_oms: dict[str, RemoteProxy] = {}
+        # Proxies to peer objects (om, factory), one per URI.
+        self._peers: dict[str, RemoteProxy] = {}
         self._reports_cache: list[dict | None] | None = None
         self._loads_stamp = 0.0
         self._decisions = 0
@@ -129,7 +130,7 @@ class ObjectManager(MarshalByRefObject):
     def set_directory(self, directory: Sequence[str]) -> None:
         with self._lock:
             self._directory = list(directory)
-            self._peer_oms.clear()
+            self._peers.clear()
             self._reports_cache = None
 
     def directory(self) -> list[str]:
@@ -298,7 +299,7 @@ class ObjectManager(MarshalByRefObject):
                 if base_uri == self.node.base_uri:
                     row = self.node.report()
                 else:
-                    row = dict(self._peer_om(base_uri).report())
+                    row = dict(self.peer(f"{base_uri}/om").report())
             except RemoteInvocationError:
                 self._errors("report")
             except (ChannelError, RemotingError, OSError):
@@ -345,12 +346,13 @@ class ObjectManager(MarshalByRefObject):
         except ValueError:
             return 0
 
-    def _peer_om(self, base_uri: str) -> RemoteProxy:
+    def peer(self, uri: str) -> RemoteProxy:
+        """The proxy for a peer's object at *uri*, built once per
+        directory (``set_directory`` drops them all)."""
         with self._lock:
-            proxy = self._peer_oms.get(base_uri)
+            proxy = self._peers.get(uri)
             if proxy is None:
-                proxy = self.node.make_proxy(f"{base_uri}/om")
-                self._peer_oms[base_uri] = proxy
+                proxy = self._peers[uri] = self.node.make_proxy(uri)
             return proxy
 
     def _current_reports(self) -> list[dict | None]:
@@ -381,7 +383,8 @@ class ObjectManager(MarshalByRefObject):
             if base_uri == self.node.base_uri:
                 continue
             try:
-                avg, samples = self._peer_om(base_uri).class_stats(class_name)
+                om = self.peer(f"{base_uri}/om")
+                avg, samples = om.class_stats(class_name)
             except Exception:  # noqa: BLE001 - best-effort exchange
                 self._errors("class_stats")
                 continue
@@ -470,6 +473,7 @@ class Node:
         self.executor = Executor()
         self.host = RemotingHost(name=f"parc-node-{index}", services=services)
         binding = self.host.listen(channel, authority)
+        self.formatter = channel.formatter  # copies home-created IOs' args
         self.base_uri = f"{channel.scheme}://{binding.authority}"
         # Per-node observability state, published like om/factory so any
         # peer (or the runtime's collector) can pull it over the wire.
@@ -490,6 +494,7 @@ class Node:
         # Work done by IOs that have since left (released or migrated).
         self._retired_processed = 0
         self._retired_shed = 0
+        self._retired_async_failures = 0
         self._closed = False
 
     # -- IO hosting -----------------------------------------------------------
@@ -575,6 +580,7 @@ class Node:
         with self._lock:
             self._retired_processed += stats["processed"]
             self._retired_shed += stats["shed"]
+            self._retired_async_failures += stats["async_failures"]
 
     def release_impl(self, impl: ImplementationObject) -> None:
         """A disposed IO leaves the node: unlisted and unpublished."""
@@ -604,6 +610,7 @@ class Node:
             impls = list(self._impls)
             processed = self._retired_processed
             shed = self._retired_shed
+            failures = self._retired_async_failures
             created_total = self._created_total
         load = float(len(impls))
         queued = 0
@@ -612,6 +619,7 @@ class Node:
             stats = impl.stats()
             processed += stats["processed"]
             shed += stats["shed"]
+            failures += stats["async_failures"]
             load += impl.queue_length
             backlog = stats["queued"]
             queued += backlog
@@ -642,6 +650,7 @@ class Node:
             "queued": queued,
             "processed": processed,
             "shed": shed,
+            "async_failures": failures + self.host.one_way_failure_count,
             "avg_service_s": (
                 sum(s["avg_s"] * s["count"] for s in summaries.values())
                 / calls

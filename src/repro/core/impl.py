@@ -457,7 +457,9 @@ class ImplementationObject(MarshalByRefObject):
         self._inline = 0  # sync calls served via the fast path
         self._busy_s = 0.0
         self._shed = 0
+        # The last 32 (method, repr) pairs, and how many failed in all.
         self._async_failures: list[tuple[str, str]] = []
+        self._async_failure_count = 0
         self._mailbox = _IOMailbox(
             self._execute_entry,
             depth=mailbox_depth,
@@ -647,7 +649,7 @@ class ImplementationObject(MarshalByRefObject):
             processed = self._processed
             inline = self._inline
             busy_s = self._busy_s
-            failures = len(self._async_failures)
+            failures = self._async_failure_count
         return {
             "class_name": self.class_name,
             "queued": self._mailbox.queued_count(),
@@ -807,6 +809,7 @@ class ImplementationObject(MarshalByRefObject):
                 if failures:
                     self._async_failures.extend(failures)
                     del self._async_failures[:-32]
+                    self._async_failure_count += len(failures)
             # One sample per batch, carrying the batch mean.
             self._report_execution(elapsed / len(aggregate.calls), method)
 
@@ -846,6 +849,7 @@ class ImplementationObject(MarshalByRefObject):
                                 (task.method, repr(exc))
                             )
                             del self._async_failures[:-32]
+                            self._async_failure_count += 1
         finally:
             if tracer_token is not None:
                 current_tracer_var.reset(tracer_token)

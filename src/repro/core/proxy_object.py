@@ -25,6 +25,7 @@ per user method — async methods post, sync methods flush-then-call.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import threading
@@ -84,6 +85,13 @@ def is_transport_error(error: BaseException) -> bool:
     if isinstance(error, (RemoteInvocationError, AddressError)):
         return False
     return isinstance(error, (ChannelError, ConnectionError, TimeoutError))
+
+
+@functools.cache
+def _column_plan(impl_class: type | None, method: str) -> Any:
+    """The column plan of *method*, compiled once per (class, method)."""
+    func = getattr(impl_class, method, None)
+    return method_column_plan(func) if callable(func) else None
 
 
 class LocalGrain:
@@ -213,7 +221,6 @@ class RemoteGrain:
         # runtime) supplies method signatures for column planning.
         self.columnar = False
         self.impl_class: type | None = None
-        self._column_plans: dict[str, Any] = {}
         # Telemetry-fed autotuning: set by the runtime under an adaptive
         # grain controller.  ``decide_method`` is consulted (rate-limited
         # by RETUNE_PERIOD_S) when a new aggregation buffer opens, so
@@ -797,17 +804,8 @@ class RemoteGrain:
         """*calls* as argument columns, or None when they travel as rows."""
         if not self.columnar:
             return None
-        columns = pack_columns(calls, self._plan_for(method))
+        columns = pack_columns(calls, _column_plan(self.impl_class, method))
         return list(columns) if columns is not None else None
-
-    def _plan_for(self, method: str):  # type: ignore[no-untyped-def]
-        try:
-            return self._column_plans[method]
-        except KeyError:
-            func = getattr(self.impl_class, method, None)
-            plan = method_column_plan(func) if callable(func) else None
-            self._column_plans[method] = plan
-            return plan
 
     def _maybe_retune(self, method: str) -> None:
         """Refresh max_calls/flush_after_s from the autotuner (locked).

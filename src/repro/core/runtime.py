@@ -32,6 +32,7 @@ import functools
 import json
 import logging
 import threading
+import traceback
 import weakref
 from typing import Any, Iterator
 
@@ -46,7 +47,14 @@ from repro.core.proxy_object import (
     RemoteGrain,
     make_parallel_class,
 )
-from repro.errors import NodeLostError, NotRunningError, ScooppError
+from repro.errors import (
+    ChannelError,
+    NodeLostError,
+    NotRunningError,
+    RemoteInvocationError,
+    RemotingError,
+    ScooppError,
+)
 from repro.executor import executor
 from repro.remoting.objref import ObjRef, current_host
 
@@ -128,36 +136,50 @@ class ParcRuntime:
     def create_grain(
         self, info: ParallelClassInfo, args: tuple, kwargs: dict
     ) -> Any:
-        """Fig. 5's generated constructor body: decide, place, create.
-
-        Node failures are absorbed: if the chosen node is unreachable it
-        is recorded dead with the object manager and placement retries on
-        the remaining nodes (up to :data:`CREATE_ATTEMPTS` times).
-        """
-        from repro.errors import (
-            ChannelError,
-            RemoteInvocationError,
-            RemotingError,
+        """Fig. 5's generated constructor body: decide, place, create."""
+        creator = self._creator_label()
+        decision, impl = self._place_and_create(info, args, kwargs)
+        if impl is None:
+            # Object agglomeration: intra-grain creation (Fig. 3 call d).
+            instance = info.cls(*args, **kwargs)
+            grain = LocalGrain(instance, info.wire_name)
+            self._record_creation(creator, grain, f"local:{grain.grain_id}")
+            return grain
+        grain = RemoteGrain(impl, max_calls=decision.max_calls)
+        self.adopt_grain(
+            grain,
+            spec=(info, tuple(args), dict(kwargs)),
+            restartable=info.restartable,
         )
+        self._record_creation(creator, grain, _grain_label(grain))
+        return grain
 
+    def _place_and_create(
+        self, info: ParallelClassInfo, args: tuple, kwargs: dict, respawn=False
+    ) -> tuple:
+        """Place one IO for *info* and create it: ``(decision, impl)``.
+
+        *impl* is None when the grain policy agglomerates; a respawned IO
+        must stay remotely addressable, so *respawn* uses the creating
+        node's factory instead.  Node failures are absorbed: an
+        unreachable node is recorded dead with the object manager and
+        placement retries on the rest, up to :data:`CREATE_ATTEMPTS`
+        times.
+        """
         self._ensure_open()
         node = self._creating_node()
-        creator = self._creator_label()
+        home_uri = f"{node.base_uri}/factory"
         last_error: Exception | None = None
         for _attempt in range(self.CREATE_ATTEMPTS):
             decision, factory_uri = node.om.decide_and_place(info.wire_name)
-            if factory_uri is None:
-                # Object agglomeration: intra-grain creation (Fig. 3 call d).
-                instance = info.cls(*args, **kwargs)
-                grain = LocalGrain(instance, info.wire_name)
-                self._record_creation(
-                    creator, grain, f"local:{grain.grain_id}"
-                )
-                return grain
-            factory = node.make_proxy(factory_uri)
+            if factory_uri is None and not respawn:
+                return decision, None
+            if factory_uri in (None, home_uri):
+                return decision, _create_here(node, info, args, kwargs)
             token = current_host.set(node.host)
             try:
-                impl = factory.create(
+                factory = node.om.peer(factory_uri)
+                return decision, factory.create(
                     info.wire_name, tuple(args), dict(kwargs)
                 )
             except RemoteInvocationError:
@@ -166,22 +188,12 @@ class ParcRuntime:
                 raise
             except (ChannelError, RemotingError) as exc:
                 last_error = exc
-                base_uri = factory_uri.rsplit("/", 1)[0]
-                node.om.note_dead(base_uri)
-                continue
+                node.om.note_dead(factory_uri.rsplit("/", 1)[0])
             finally:
                 current_host.reset(token)
-            grain = RemoteGrain(impl, max_calls=decision.max_calls)
-            self.adopt_grain(
-                grain,
-                spec=(info, tuple(args), dict(kwargs)),
-                restartable=info.restartable,
-            )
-            self._record_creation(creator, grain, _grain_label(grain))
-            return grain
         raise ScooppError(
-            f"could not place {info.wire_name} after "
-            f"{self.CREATE_ATTEMPTS} attempts: {last_error}"
+            f"could not {'respawn' if respawn else 'place'} {info.wire_name} "
+            f"after {self.CREATE_ATTEMPTS} attempts: {last_error}"
         ) from last_error
 
     def _record_creation(self, creator: str, grain: Any, label: str) -> None:
@@ -293,7 +305,7 @@ class ParcRuntime:
                     raise error
                 return False
             info, args, kwargs = grain.spec
-            impl = self._place_remote_impl(info, args, kwargs)
+            impl = self._place_and_create(info, args, kwargs, respawn=True)[1]
             grain.rebind(impl)
             self._count("cluster.grain_respawned")
             return True
@@ -327,42 +339,6 @@ class ParcRuntime:
                     target = host.make_proxy(new_ref)
             grain.repoint(target)
             self._count("cluster.grain_repointed")
-
-    def _place_remote_impl(
-        self, info: ParallelClassInfo, args: tuple, kwargs: dict
-    ) -> Any:
-        """Create a fresh IO for *info* on a live node (never agglomerates)."""
-        from repro.errors import (
-            ChannelError,
-            RemoteInvocationError,
-            RemotingError,
-        )
-
-        self._ensure_open()
-        node = self._creating_node()
-        last_error: Exception | None = None
-        for _attempt in range(self.CREATE_ATTEMPTS):
-            _decision, factory_uri = node.om.decide_and_place(info.wire_name)
-            if factory_uri is None:
-                # The grain policy said agglomerate, but a respawned IO
-                # must stay remotely addressable: use the local factory.
-                factory_uri = f"{node.base_uri}/factory"
-            factory = node.make_proxy(factory_uri)
-            token = current_host.set(node.host)
-            try:
-                return factory.create(info.wire_name, tuple(args), dict(kwargs))
-            except RemoteInvocationError:
-                raise
-            except (ChannelError, RemotingError) as exc:
-                last_error = exc
-                node.om.note_dead(factory_uri.rsplit("/", 1)[0])
-                continue
-            finally:
-                current_host.reset(token)
-        raise ScooppError(
-            f"could not respawn {info.wire_name} after "
-            f"{self.CREATE_ATTEMPTS} attempts: {last_error}"
-        ) from last_error
 
     def _count(self, name: str) -> None:
         metrics = getattr(self.cluster, "metrics", None)
@@ -585,6 +561,31 @@ def _impl_label(impl: ImplementationObject) -> str:
         # Auto-generated paths repeat across hosts; qualify with the host.
         return f"{home.host_id}/{path}"
     return f"impl:{id(impl):x}"
+
+
+def _create_here(
+    node: "Node", info: ParallelClassInfo, args: tuple, kwargs: dict
+) -> ImplementationObject:
+    """Create an IO on the creating node without a round trip, as the wire
+    would: arguments copied by value through the node's formatter, a
+    raising constructor as :class:`RemoteInvocationError`, the IO
+    published (the grain holds what the reference shortcut returns)."""
+    token = current_host.set(node.host)
+    try:
+        formatter = node.formatter
+        args, kwargs = formatter.loads(formatter.dumps((args, kwargs)))
+        try:
+            impl = node.factory.create(info.wire_name, args, kwargs)
+        except Exception as exc:  # noqa: BLE001 - the factory's boundary
+            raise RemoteInvocationError(
+                f"remote call create failed with "
+                f"{type(exc).__qualname__}: {exc}",
+                remote_traceback=traceback.format_exc(),
+            ) from exc
+        node.host.objref_for(impl)
+        return impl
+    finally:
+        current_host.reset(token)
 
 
 def _grain_label(grain: RemoteGrain) -> str:

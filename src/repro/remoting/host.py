@@ -140,6 +140,8 @@ class RemotingHost:
         self._sweep = None  # the lease sweep armed on the process timer
         self._sweep_failed = False
         self._activated_types: dict[str, type] = {}
+        self._one_way_failures: list[tuple[str, str, RemoteErrorInfo]] = []
+        self.one_way_failure_count = 0
         # Set by the owning cluster node: a NodeTelemetry whose tracer
         # records dispatch spans in this node's lane of the merged trace.
         self.telemetry = None
@@ -490,18 +492,17 @@ class RemotingHost:
         self, message: CallMessage, error: RemoteErrorInfo
     ) -> None:
         # One-way failures have no reply channel.  Keep the most recent
-        # few for post-mortem inspection by tests and operators.
+        # few for post-mortem inspection by tests and operators, and count
+        # them all.
         with self._lock:
-            failures = getattr(self, "_one_way_failures", None)
-            if failures is None:
-                failures = self._one_way_failures = []
-            failures.append((message.uri, message.method, error))
-            del failures[:-32]
+            self._one_way_failures.append((message.uri, message.method, error))
+            del self._one_way_failures[:-32]
+            self.one_way_failure_count += 1
 
     @property
     def one_way_failures(self) -> list[tuple[str, str, RemoteErrorInfo]]:
         with self._lock:
-            return list(getattr(self, "_one_way_failures", []))
+            return list(self._one_way_failures)
 
     def _activate(self, path: str) -> Any:
         with self._lock:

@@ -103,6 +103,7 @@ class TestParcConfig:
             "queued",
             "processed",
             "shed",
+            "async_failures",
             "avg_service_s",
             "p99_s",
             "methods",

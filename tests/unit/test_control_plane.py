@@ -119,6 +119,7 @@ class FakeNode:
             "queued": queued,
             "processed": 0,
             "shed": 0,
+            "async_failures": 0,
             "avg_service_s": 0.0,
             "p99_s": 0.0,
             "methods": {},

@@ -120,6 +120,7 @@ class TestAsyncFailures:
             impl.enqueue("boom")
         impl.drain()
         assert len(impl.async_failures()) <= 32
+        assert impl.stats()["async_failures"] == 40
 
 
 class TestLifecycle:

@@ -206,6 +206,19 @@ class TestDispatch:
         assert failures
         assert failures[0][1] == "fail"
 
+    def test_one_way_failure_count_is_cumulative(self, host):
+        import time
+
+        host.publish(Counter(), "owf")
+        proxy = proxy_to(host, "owf")
+        for _ in range(40):
+            proxy.fail.one_way()
+        deadline = time.time() + 5
+        while time.time() < deadline and host.one_way_failure_count < 40:
+            time.sleep(0.01)
+        assert host.one_way_failure_count == 40
+        assert len(host.one_way_failures) == 32
+
 
 class TestReferences:
     def test_returned_mbr_becomes_proxy_on_foreign_host(self, host):
