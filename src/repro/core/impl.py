@@ -29,18 +29,18 @@ Unbounded FIFO — the paper's model — remains the default.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import functools
+import itertools
 import logging
 import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
-from repro.errors import OverloadError, ScooppError
+from repro.errors import OverloadError, ScooppError, SerializationError
 from repro.executor import Executor, blocking, executor
 from repro.remoting import MarshalByRefObject
 from repro.remoting.messages import ReturnBatch
@@ -92,30 +92,38 @@ class _Task:
     trace: Any = None
 
 
+@dataclass(slots=True, eq=False)
 class _Aggregate:
     """One asynchronous mailbox entry: the ``processN`` parameter array.
 
-    *calls* is the ``[(args, kwargs), ...]`` list of one method's
-    consecutive asynchronous invocations, sharing one trace context.  No
-    caller waits on any of them, so the run can execute the list as a
-    plain loop (:meth:`ImplementationObject._execute_aggregate`);
-    iterating the entry yields equivalent :class:`_Task` objects for the
-    paths that need one per call — traced execution, migration replay,
-    forwarding.
+    *count* consecutive asynchronous invocations of one method sharing one
+    trace context: the decoded argument *columns*, or ``[(args, kwargs),
+    ...]`` *rows* for keyword arguments or mixed arity.  No caller waits
+    on them, so the run executes the entry as a plain loop over the
+    columns (:meth:`ImplementationObject._execute_aggregate`); rows and
+    :class:`_Task` objects are built only for the paths that need one per
+    call — traced execution, migration replay, forwarding.
     """
 
-    __slots__ = ("method", "calls", "trace")
-
-    def __init__(self, method: str, calls: list, trace: Any) -> None:
-        self.method = method
-        self.calls = calls
-        self.trace = trace
+    method: str
+    count: int
+    trace: Any
+    columns: Sequence | None = None
+    rows: list | None = None
 
     def __len__(self) -> int:
-        return len(self.calls)
+        return self.count
+
+    def calls(self) -> Iterator[tuple[tuple, dict]]:
+        """Each call's ``(args, kwargs)``, built from the columns as drawn."""
+        if self.columns is None:
+            return iter(self.rows)
+        columns = self.columns  # positional only: every kwargs is empty
+        args = zip(*columns) if columns else itertools.repeat((), self.count)
+        return zip(args, itertools.repeat({}))
 
     def __iter__(self) -> Iterator[_Task]:
-        for args, kwargs in self.calls:
+        for args, kwargs in self.calls():
             yield _Task(
                 method=self.method, args=args, kwargs=kwargs, trace=self.trace
             )
@@ -479,9 +487,10 @@ class ImplementationObject(MarshalByRefObject):
         loop over the parameter array.
         """
         if batch:
-            self._post(
-                method, _Aggregate(method, list(batch), current_context.get())
+            entry = _Aggregate(
+                method, len(batch), current_context.get(), rows=list(batch)
             )
+            self._post(method, entry)
 
     def enqueue_columns(
         self, method: str, count: int, columns: list = ()
@@ -489,11 +498,17 @@ class ImplementationObject(MarshalByRefObject):
         """Post an aggregate shipped in columnar form.
 
         The PO sender packs a homogeneous batch as per-parameter columns
-        (method name, schema and trace header encoded once); this
-        rebuilds the ``(args, kwargs)`` pairs and joins the ordinary
-        :meth:`enqueue_batch` path, so execution semantics are identical.
+        (method name, schema and trace header encoded once).  The entry
+        keeps them, so execution builds no per-call row; its semantics
+        are those of :meth:`enqueue_batch`.
         """
-        self.enqueue_batch(method, unpack_columns(count, columns))
+        if any(len(column) != count for column in columns):
+            raise SerializationError(
+                f"columnar batch length mismatch: header says {count} calls"
+            )
+        if count > 0:
+            entry = _Aggregate(method, count, current_context.get(), columns)
+            self._post(method, entry)
 
     def enqueue_run(self, entries: list) -> None:
         """Post a run of consecutive outbox items shipped as one request.
@@ -619,10 +634,7 @@ class ImplementationObject(MarshalByRefObject):
         try:
             telemetry, tracer = self._tracing()
             for task in tasks:
-                self._execute(task, telemetry, tracer, sync=True)
-                with self._stats_lock:
-                    self._processed += 1
-                    self._inline += 1
+                self._execute(task, telemetry, tracer, sync=True, inline=True)
         finally:
             self._mailbox.release_claim()
         return True
@@ -714,7 +726,7 @@ class ImplementationObject(MarshalByRefObject):
                 "away with no forwarding address"
             )
         if type(entry) is _Aggregate:
-            forward.enqueue_batch(method, entry.calls)
+            forward.enqueue_batch(method, list(entry.calls()))
             return
         for task in entry:
             # Synchronous stragglers complete inline: the caller's wait
@@ -755,8 +767,6 @@ class ImplementationObject(MarshalByRefObject):
                 self._execute(
                     task, telemetry, tracer, sync=task.done is not None
                 )
-                with self._stats_lock:
-                    self._processed += 1
 
     def _tracing(self) -> tuple[Any, Any]:
         """(node telemetry or None, tracer or None) for executing work.
@@ -779,6 +789,7 @@ class ImplementationObject(MarshalByRefObject):
         failure is recorded and the rest of the batch still runs.
         """
         method = aggregate.method
+        count = aggregate.count
         failures: list[tuple[str, str]] = []
         func = None
         node_token = current_node.set(self.node)
@@ -790,7 +801,7 @@ class ImplementationObject(MarshalByRefObject):
         )
         started = time.perf_counter()
         try:
-            for args, kwargs in aggregate.calls:
+            for args, kwargs in aggregate.calls():
                 try:
                     if func is None:
                         func = getattr(self.instance, method)
@@ -804,20 +815,20 @@ class ImplementationObject(MarshalByRefObject):
             executing_impl.reset(impl_token)
             current_node.reset(node_token)
             with self._stats_lock:
-                self._processed += len(aggregate.calls)
+                self._processed += count
                 self._busy_s += elapsed
                 if failures:
                     self._async_failures.extend(failures)
                     del self._async_failures[:-32]
                     self._async_failure_count += len(failures)
             # One sample per batch, carrying the batch mean.
-            self._report_execution(elapsed / len(aggregate.calls), method)
+            self._report_execution(elapsed / count, method)
 
     def _execute(
-        self, task: _Task, telemetry: Any, tracer: Any, sync: bool
+        self, task: _Task, telemetry: Any, tracer: Any, sync: bool,
+        inline: bool = False,
     ) -> None:
         started = time.perf_counter()
-        span_name = f"{self.class_name.rsplit('.', 1)[-1]}.{task.method}"
         token = current_node.set(self.node)
         impl_token = executing_impl.set(self)
         # Re-activate the posting site's trace context (crossed the wire
@@ -831,25 +842,18 @@ class ImplementationObject(MarshalByRefObject):
         tracer_token = (
             current_tracer_var.set(tracer) if tracer is not None else None
         )
-        span = (
-            tracer.span("io", span_name, sync=sync)
-            if tracer is not None
-            else contextlib.nullcontext()
-        )
         try:
-            with span:
-                try:
-                    method = getattr(self.instance, task.method)
-                    task.result = method(*task.args, **task.kwargs)
-                except BaseException as exc:  # noqa: BLE001 - active-object boundary
-                    task.error = exc
-                    if not sync:
-                        with self._stats_lock:
-                            self._async_failures.append(
-                                (task.method, repr(exc))
-                            )
-                            del self._async_failures[:-32]
-                            self._async_failure_count += 1
+            if tracer is None:
+                self._call(task)
+            else:
+                span_name = f"{self.class_name.rsplit('.', 1)[-1]}.{task.method}"
+                with tracer.span("io", span_name, sync=sync):
+                    self._call(task)
+                if telemetry is not None:
+                    telemetry.metrics.histogram(
+                        f"parc.method.seconds.{span_name}",
+                        help_text="method execution latency",
+                    ).observe(time.perf_counter() - started)
         finally:
             if tracer_token is not None:
                 current_tracer_var.reset(tracer_token)
@@ -858,16 +862,27 @@ class ImplementationObject(MarshalByRefObject):
             executing_impl.reset(impl_token)
             current_node.reset(token)
             elapsed = time.perf_counter() - started
-            if telemetry is not None:
-                telemetry.metrics.histogram(
-                    f"parc.method.seconds.{span_name}",
-                    help_text="method execution latency",
-                ).observe(elapsed)
             with self._stats_lock:
                 self._busy_s += elapsed
+                self._processed += 1
+                self._inline += inline
+                if not sync and task.error is not None:
+                    self._async_failures.append(
+                        (task.method, repr(task.error))
+                    )
+                    del self._async_failures[:-32]
+                    self._async_failure_count += 1
             self._report_execution(elapsed, task.method)
             if task.done is not None:
                 task.done.set()
+
+    def _call(self, task: _Task) -> None:
+        try:
+            task.result = getattr(self.instance, task.method)(
+                *task.args, **task.kwargs
+            )
+        except BaseException as exc:  # noqa: BLE001 - active-object boundary
+            task.error = exc
 
     def _report_execution(self, elapsed: float, method: str) -> None:
         """Feed the ``on_execution`` observer (the grain controller)."""

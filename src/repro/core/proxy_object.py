@@ -187,7 +187,7 @@ class RemoteGrain:
     #: How far a caller may get ahead of the sender, in flushed calls no
     #: send run has taken yet: the post that reaches it waits — at most
     #: YIELD_TIMEOUT_S, once — for the send run to take them
-    #: (:meth:`_post_once`).  Without the wait a caller that never blocks
+    #: (:meth:`post`).  Without the wait a caller that never blocks
     #: keeps the interpreter until CPython's 5 ms switch interval expires,
     #: so when requests left and how many aggregates each carried was
     #: decided by where that interval happened to fall.
@@ -212,7 +212,6 @@ class RemoteGrain:
         # exposes as po.batches / po.singles).
         self.batches = 0
         self.singles = 0
-        self.calls_posted = 0
         # Calls refused with OverloadError (shed by a full mailbox) —
         # never retried, never treated as a crash.
         self.sheds = 0
@@ -249,6 +248,9 @@ class RemoteGrain:
         self.on_release = None
         self._lock = threading.Lock()
         self._buffer_method: str | None = None
+        # The method a post may append to the open buffer unchecked: None
+        # while it is empty and while the grain is lost, released or failed.
+        self._open_method: str | None = None
         self._buffer: list[tuple[tuple, dict]] = []
         self._buffer_since = 0.0
         self._buffer_ctx = None  # trace context of the first buffered call
@@ -275,53 +277,74 @@ class RemoteGrain:
         Buffering is per *consecutive run* of one method: a call to a
         different method flushes the previous run first, so total program
         order is preserved (batches and singles leave in caller order).
+        *args* and *kwargs* are buffered as given: every generated PO
+        method hands over a fresh tuple and dict.
 
         Returns at once unless this call leaves the caller
         ``YIELD_AT_CALLS`` ahead of the send run; then it first lets the
         run take what is queued (see ``YIELD_AT_CALLS``).
         """
-        self._with_recovery(self._post_once, method, args, kwargs)
+        for attempt in (1, 2):
+            try:
+                with self._lock:
+                    if (
+                        method == self._open_method
+                        and len(self._buffer) + 1 < self.max_calls
+                    ):
+                        # The common case: a call the open buffer takes
+                        # without filling up (any fault clears the method).
+                        self._buffer.append((args, kwargs))
+                    else:
+                        self._post_locked(method, args, kwargs)
+                return
+            except NodeLostError:
+                raise
+            except OverloadError:
+                self.sheds += 1
+                raise
+            except (ScooppError, *_TRANSPORT_ERRORS) as exc:
+                if attempt == 2 or not self._try_recover(exc):
+                    raise
 
-    def _post_once(self, method: str, args: tuple, kwargs: dict) -> None:
-        # The PO call site: capture the caller's trace context here so the
-        # send run can re-activate it when the (possibly batched) call
+    def _post_locked(self, method: str, args: tuple, kwargs: dict) -> None:
+        self._ensure_usable()
+        unsent = self._unsent_calls
+        if not self._buffer:
+            self._maybe_retune(method)
+        # The PO call site: the caller's trace context is captured here so
+        # the send run can re-activate it when the (possibly batched) call
         # actually leaves — the remote io span chains to the span that
         # was active at post time, not to the executor thread.
-        ctx = current_context.get()
-        with self._lock:
-            self._ensure_usable()
-            self.calls_posted += 1
-            unsent = self._unsent_calls
+        if self.max_calls == 1:
+            self._enqueue_locked(
+                (method, [(args, kwargs)], current_context.get())
+            )
+        else:
+            if self._buffer_method not in (None, method):
+                self._flush_locked()
             if not self._buffer:
-                self._maybe_retune(method)
-            if self.max_calls == 1:
-                self._enqueue_locked(
-                    (method, [(tuple(args), dict(kwargs))], ctx)
-                )
+                self._buffer_since = _time.monotonic()
+                self._buffer_ctx = current_context.get()
+                if not self._sending:
+                    # A send run in flight arms the deadline when it
+                    # ends: until then the wire is not free.
+                    self._arm_flush_locked(
+                        self._buffer_since + self.flush_after_s
+                    )
+            self._buffer_method = method
+            self._buffer.append((args, kwargs))
+            if len(self._buffer) >= self.max_calls:
+                self._flush_locked()
             else:
-                if self._buffer_method not in (None, method):
-                    self._flush_locked()
-                if not self._buffer:
-                    self._buffer_since = _time.monotonic()
-                    self._buffer_ctx = ctx
-                    if not self._sending:
-                        # A send run in flight arms the deadline when it
-                        # ends: until then the wire is not free.
-                        self._arm_flush_locked(
-                            self._buffer_since + self.flush_after_s
-                        )
-                self._buffer_method = method
-                self._buffer.append((tuple(args), dict(kwargs)))
-                if len(self._buffer) >= self.max_calls:
-                    self._flush_locked()
-            if unsent < self.YIELD_AT_CALLS <= self._unsent_calls:
-                # This call put the caller YIELD_AT_CALLS ahead of the
-                # wire: let the send run have the interpreter now.  Bounded,
-                # and once per crossing, so a slow wire delays the caller
-                # by one timeout per run rather than throttling it.
-                self._outbox_cv.wait_for(
-                    self._sender_caught_up, self.YIELD_TIMEOUT_S
-                )
+                self._open_method = method
+        if unsent < self.YIELD_AT_CALLS <= self._unsent_calls:
+            # This call put the caller YIELD_AT_CALLS ahead of the
+            # wire: let the send run have the interpreter now.  Bounded,
+            # and once per crossing, so a slow wire delays the caller
+            # by one timeout per run rather than throttling it.
+            self._outbox_cv.wait_for(
+                self._sender_caught_up, self.YIELD_TIMEOUT_S
+            )
 
     # -- sync path ------------------------------------------------------
 
@@ -345,9 +368,9 @@ class RemoteGrain:
             self._flush_and_wait_locked()
         tracer = active_tracer()
         if tracer is None:
-            return self.impl.invoke(method, tuple(args), dict(kwargs))
+            return self.impl.invoke(method, args, kwargs)
         with tracer.span("po", f"po.{method}", grain=self.grain_id):
-            return self.impl.invoke(method, tuple(args), dict(kwargs))
+            return self.impl.invoke(method, args, kwargs)
 
     def call_many(self, method: str, batch: list) -> list:
         """N synchronous calls, one wire round-trip (processN + returnN).
@@ -451,6 +474,7 @@ class RemoteGrain:
             with self._lock:
                 already = self._released
                 self._released = True
+                self._open_method = None
                 self._outbox_cv.notify_all()
             if not already:
                 executor().detach()
@@ -511,7 +535,7 @@ class RemoteGrain:
             self._lost = error
             self._sender_error = None
             self._buffer = []
-            self._buffer_method = None
+            self._buffer_method = self._open_method = None
             self._clear_outbox_locked()
 
     def _with_recovery(self, attempt, *args):  # type: ignore[no-untyped-def]
@@ -571,6 +595,7 @@ class RemoteGrain:
             return
         batch, self._buffer = self._buffer, []
         method, self._buffer_method = self._buffer_method, None
+        self._open_method = None
         ctx, self._buffer_ctx = self._buffer_ctx, None
         tracer = active_tracer()
         if tracer is not None:
@@ -658,19 +683,25 @@ class RemoteGrain:
                     self._outbox_cv.notify_all()
                     return
                 run = self._take_run_locked()
-                self._unsent_calls -= sum(len(item[1]) for item in run)
+                for item in run:
+                    self._unsent_calls -= len(item[1])
                 self._outbox_cv.notify_all()
             try:
                 # Re-activate the post-time trace context so the enqueue
                 # rpc (and the remote io span behind it) chains to the
                 # caller's span rather than to the executor thread.
-                with activate(run[0][2]):
+                ctx = run[0][2]
+                if ctx is None and current_context.get() is None:
                     calls = self._send_run(run)
+                else:
+                    with activate(ctx):
+                        calls = self._send_run(run)
             except BaseException as exc:  # noqa: BLE001 - surfaced on next use
                 with self._outbox_cv:
                     if isinstance(exc, OverloadError):
                         self.sheds += 1
                     self._sender_error = exc
+                    self._open_method = None
                     self._clear_outbox_locked()
                 sent = []
                 continue
@@ -745,28 +776,30 @@ class RemoteGrain:
     def _send_run(self, run: list) -> int:
         """Ship *run* in one request; returns the number of calls sent.
 
-        A run of one item travels as ``enqueue`` / ``enqueue_columns``
-        / ``enqueue_batch``.  A longer run is one ``enqueue_run`` and is
-        never re-sent in another form: the IO admits entry by entry, so
-        a failure may have left a prefix enqueued.
+        A lone call travels as ``enqueue``; an aggregate as columns
+        (Fig. 7's parameter array, transposed) when its shape allows,
+        else as rows (kwargs, mixed arity), alone as ``enqueue_columns``
+        / ``enqueue_batch`` and in a longer run as an ``enqueue_run``
+        entry.  Nothing is re-sent in another form: the IO admits entry
+        by entry, so a failure may have left a prefix enqueued.
         """
-        if len(run) == 1:
-            method, calls, _ctx = run[0]
-            if len(calls) == 1:
-                self._admit("enqueue", method, *calls[0])
-            else:
-                self._send_batch(method, calls)
-            return len(calls)
+        method, calls, _ctx = run[0]
+        if len(run) == 1 and len(calls) == 1:
+            self._admit("enqueue", method, *calls[0])
+            return 1
         entries = []
         total = 0
         for method, calls, _ctx in run:
             columns = self._columns_for(method, calls)
-            if columns is not None:
-                entries.append((method, len(calls), columns, None))
-            else:
-                entries.append((method, len(calls), None, calls))
+            rows = calls if columns is None else None
+            entries.append((method, len(calls), columns, rows))
             total += len(calls)
-        self._admit("enqueue_run", entries)
+        if len(entries) > 1:
+            self._admit("enqueue_run", entries)
+        elif columns is not None:
+            self._admit("enqueue_columns", method, total, columns)
+        else:
+            self._admit("enqueue_batch", method, calls)
         return total
 
     def _admit(self, name: str, *args: Any) -> None:
@@ -783,22 +816,6 @@ class RemoteGrain:
             getattr(self.impl, name)(*args)
         else:
             invoke(name, args, {})
-
-    def _send_batch(self, method: str, batch: list) -> None:
-        """Ship one aggregate, columnar when the batch shape allows it.
-
-        Columnar packing encodes the method name, trace header and
-        argument schema once and each parameter as one contiguous column
-        (Fig. 7's parameter array, transposed).  Heterogeneous batches —
-        kwargs, mixed arity — travel in the row form.  Either way the
-        aggregate is sent once: a remote failure surfaces, it is never
-        re-sent in the other form.
-        """
-        columns = self._columns_for(method, batch)
-        if columns is not None:
-            self._admit("enqueue_columns", method, len(batch), columns)
-        else:
-            self._admit("enqueue_batch", method, batch)
 
     def _columns_for(self, method: str, calls: list) -> list | None:
         """*calls* as argument columns, or None when they travel as rows."""

@@ -27,6 +27,8 @@ class Lease:
     path: str
     ttl: float
     expires_at: float
+    #: A call arrived since the expiry was last settled.
+    touched: bool = False
 
     @property
     def is_infinite(self) -> bool:
@@ -62,12 +64,11 @@ class LeaseManager:
             return lease
 
     def renew(self, path: str) -> None:
-        """Renew on activity; unknown paths are ignored (already collected)."""
-        now = self.clock.now()
-        with self._lock:
-            lease = self._leases.get(path)
-            if lease is not None:
-                lease.renew(now)
+        """Mark *path*'s lease touched (no lock, no clock read): the next
+        :meth:`expired_paths` renews it from its own reading first."""
+        lease = self._leases.get(path)
+        if lease is not None:
+            lease.touched = True
 
     def drop(self, path: str) -> None:
         with self._lock:
@@ -76,12 +77,15 @@ class LeaseManager:
     def expired_paths(self) -> list[str]:
         """Paths whose lease has lapsed (sorted for determinism)."""
         now = self.clock.now()
+        expired = []
         with self._lock:
-            return sorted(
-                path
-                for path, lease in self._leases.items()
-                if lease.expired(now)
-            )
+            for path, lease in self._leases.items():
+                if lease.touched:
+                    lease.touched = False
+                    lease.renew(now)
+                if lease.expired(now):
+                    expired.append(path)
+        return sorted(expired)
 
     def lease_of(self, path: str) -> Lease | None:
         with self._lock:

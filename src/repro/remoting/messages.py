@@ -2,41 +2,20 @@
 
 A remote invocation is two messages: a :class:`CallMessage` (method name +
 argument graph) and a :class:`ReturnMessage` (result or error).  Both are
-plain registered serializable types, so they travel through whichever
-formatter the channel uses — binary on ``tcp://``, SOAP on ``http://`` —
-exactly the .Net channel/formatter split the paper benchmarks.
+registered serializable types, so they travel through whichever formatter
+the channel uses — binary on ``tcp://``, SOAP on ``http://`` — exactly the
+.Net channel/formatter split the paper benchmarks.  The binary formatter
+writes the call as a positional record of its own (defined with it in
+:mod:`repro.serialization.codec`) and the replies through compiled codecs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.serialization import register_codec, serializable
-
-
-@serializable(name="parc.remoting.Call")
-@dataclass
-class CallMessage:
-    """One remote method invocation request.
-
-    ``one_way`` marks fire-and-forget calls (the transport still returns an
-    acknowledgement frame, but the server dispatches the method on a worker
-    thread and acknowledges immediately) — the mechanism SCOOPP's
-    asynchronous parallel-object calls ride on.
-    """
-
-    uri: str
-    method: str
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-    one_way: bool = False
-
-    def __post_init__(self) -> None:
-        # Defensive normalisation: formatters decode sequences faithfully,
-        # but user code may hand us lists.
-        if isinstance(self.args, list):
-            self.args = tuple(self.args)
+from repro.serialization.codec import CallMessage  # noqa: F401 - exported
 
 
 @serializable(name="parc.remoting.ErrorInfo")
@@ -99,10 +78,9 @@ class ReturnBatch:
     errors: tuple = ()
 
 
-# The protocol messages dominate the wire hot path, so all three get
+# The replies dominate the wire hot path beside the call, so they get
 # compiled codecs: encode skips the per-value type ladder, decode installs
 # fields directly.  Payloads stay byte-identical to the generic object path.
-register_codec(CallMessage)
 register_codec(RemoteErrorInfo)
 register_codec(ReturnMessage)
 register_codec(ReturnBatch)

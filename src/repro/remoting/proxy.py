@@ -22,7 +22,6 @@ Two refinements the SCOOPP layer uses:
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from typing import Any, Mapping
 
@@ -106,28 +105,17 @@ class RemoteProxy:
         )
         # Client span + context propagation.  With no tracer installed and
         # no active context this costs two lookups — the tracing-off path
-        # must stay inside the pingpong overhead guardrail.  The trace
-        # context is the only request header: the host decodes with its
-        # serving channel's formatter, so no content type travels.
-        headers = None
+        # must stay inside the pingpong overhead guardrail.
         tracer = active_tracer()
-        span = (
-            tracer.span("rpc", f"call.{method}", uri=path, one_way=one_way)
-            if tracer is not None
-            else contextlib.nullcontext()
-        )
         token = current_host.set(self._parc_host)
         try:
-            with span:
-                ctx = current_context.get()
-                if ctx is not None:
-                    headers = {TRACE_HEADER: to_header(ctx)}
-                # round_trip lets socket transports use their zero-copy
-                # encode/decode path; wrapper channels fall back to the
-                # dumps -> call -> loads composition automatically.
-                result = channel.round_trip(
-                    authority, path, call, headers=headers
-                )
+            if tracer is None:
+                result = _round_trip(channel, authority, path, call)
+            else:
+                with tracer.span(
+                    "rpc", f"call.{method}", uri=path, one_way=one_way
+                ):
+                    result = _round_trip(channel, authority, path, call)
         finally:
             current_host.reset(token)
         if not isinstance(result, ReturnMessage):
@@ -159,7 +147,9 @@ class RemoteProxy:
     def __getattr__(self, name: str) -> "RemoteMethod":
         if name.startswith("_"):
             raise AttributeError(name)
-        return RemoteMethod(self, name)
+        # Kept on the instance, so a name is looked up here only once.
+        method = self.__dict__[name] = RemoteMethod(self, name)
+        return method
 
     def __repr__(self) -> str:
         hint = self._parc_objref.type_hint or "object"
@@ -172,6 +162,13 @@ class RemoteProxy:
 
     def __hash__(self) -> int:
         return hash(self._parc_objref.uris)
+
+
+def _round_trip(channel: Any, authority: str, path: str, call: CallMessage) -> Any:
+    """One exchange of *call*; the trace context is its only header."""
+    ctx = current_context.get()
+    headers = {TRACE_HEADER: to_header(ctx)} if ctx is not None else None
+    return channel.round_trip(authority, path, call, headers=headers)
 
 
 def _invoke_waiting(

@@ -11,10 +11,10 @@ and no slice copies for scalars.  The wire format is described in
 :mod:`repro.serialization.binary` and frozen as golden bytes in
 ``tests/unit/test_wire_golden.py``.
 
-The wire hot path (remoting call/return messages, aggregated ``processN``
-batches) is dominated by a handful of *fixed-shape* registered classes
-whose field layout is known ahead of time.  This module compiles those
-classes once:
+The request, :class:`CallMessage`, is a positional record of the format
+(tag ``C``: uri, method, args, kwargs or ``None``, one_way).  The replies
+are *fixed-shape* registered classes whose field layout is known ahead of
+time, and this module compiles those classes once:
 
 * :func:`compile_codec` inspects a registered dataclass and builds a
   :class:`CompiledCodec` — the object-tag prefix, wire name and per-field
@@ -70,6 +70,7 @@ from repro.serialization.binary import (
 from repro.serialization.registry import (
     SerializationRegistry,
     default_registry,
+    serializable,
 )
 
 # Tag bytes as ints (the decode ladder indexes memoryviews, which yield
@@ -93,6 +94,7 @@ _O_ARRAY = ord("A")
 _O_NDARRAY = ord("M")
 _O_OBJECT = ord("O")
 _O_REF = ord("R")
+_O_CALL = ord("C")
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -513,6 +515,31 @@ def register_codec(
     return default_codec_registry.register(cls, graph=graph, registry=registry)
 
 
+@serializable(name="parc.remoting.Call")
+@dataclasses.dataclass
+class CallMessage:
+    """One remote method invocation request.
+
+    ``one_way`` marks fire-and-forget calls (the transport still returns an
+    acknowledgement frame, but the server dispatches the method on a worker
+    thread and acknowledges immediately) — the mechanism SCOOPP's
+    asynchronous parallel-object calls ride on.  Defined here, beside the
+    formatter whose positional record it is; SOAP writes it by name.
+    """
+
+    uri: str
+    method: str
+    args: tuple = ()
+    kwargs: dict = dataclasses.field(default_factory=dict)
+    one_way: bool = False
+
+    def __post_init__(self) -> None:
+        # Defensive normalisation: formatters decode sequences faithfully,
+        # but user code may hand us lists.
+        if isinstance(self.args, list):
+            self.args = tuple(self.args)
+
+
 class BinaryFormatter(Formatter):
     """Compact graph-preserving binary formatter.
 
@@ -648,6 +675,12 @@ class BinaryFormatter(Formatter):
             for key, value in obj.items():
                 self._encode(out, key, memo)
                 self._encode(out, value, memo)
+            return
+        if kind is CallMessage:
+            out.append(_O_CALL)
+            for value in (obj.uri, obj.method, obj.args, obj.kwargs or None):
+                self._encode(out, value, memo)
+            out.append(_O_TRUE if obj.one_way else _O_FALSE)
             return
         codec = self._codec_by_class.get(kind)
         if codec is not None:
@@ -817,6 +850,8 @@ class BinaryFormatter(Formatter):
             return mapping, pos
         if tag == _O_OBJECT:
             return self._decode_object(buf, pos, refs)
+        if tag == _O_CALL:
+            return self._decode_call(buf, pos, refs)
         if tag == _O_BIGINT:
             size, pos = uvarint_from(buf, pos)
             end = pos + size
@@ -895,6 +930,20 @@ class BinaryFormatter(Formatter):
         value = value.reshape(tuple(shape)).copy()  # decouple from the view
         refs.append(value)
         return value, end
+
+    def _decode_call(self, buf: Any, pos: int,
+                     refs: list) -> tuple[CallMessage, int]:
+        call = CallMessage.__new__(CallMessage)
+        refs.append(call)  # the slot a named object would take
+        fields = call.__dict__
+        for name in ("uri", "method", "args", "kwargs"):
+            fields[name], pos = self._decode(buf, pos, refs)
+        fields["kwargs"] = fields["kwargs"] or {}
+        one_way = buf[pos]  # past the end: IndexError, a wire error
+        if one_way != _O_TRUE and one_way != _O_FALSE:
+            raise WireFormatError("call record's one_way is not a bool")
+        fields["one_way"] = one_way == _O_TRUE
+        return call, pos + 1
 
     def _decode_object(self, buf: Any, pos: int,
                             refs: list) -> tuple[Any, int]:

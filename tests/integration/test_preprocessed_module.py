@@ -48,9 +48,30 @@ MODULE_SOURCE = textwrap.dedent(
 )
 
 
-def load_generated(tmp_path, name):
+KEYWORD_SOURCE = textwrap.dedent(
+    '''
+    from repro.core import parallel
+
+
+    @parallel
+    class Ledger:
+        """Records keyword-carrying posts."""
+
+        def __init__(self):
+            self.entries = []
+
+        def note(self, key, *, weight=1, **tags):
+            self.entries.append((key, weight, tags))
+
+        def entries_so_far(self):
+            return list(self.entries)
+    '''
+)
+
+
+def load_generated(tmp_path, name, source=MODULE_SOURCE):
     source_file = tmp_path / f"{name}.py"
-    source_file.write_text(MODULE_SOURCE, encoding="utf-8")
+    source_file.write_text(source, encoding="utf-8")
     generated_path = preprocess_module(source_file)
     spec = importlib.util.spec_from_file_location(
         generated_path.stem, generated_path
@@ -133,3 +154,27 @@ class TestGeneratedModule:
                 assert collector.summary() == ("again", [1])
             finally:
                 parc.shutdown()
+
+    def test_keyword_posts_arrive_intact(self, tmp_path):
+        """The generated method's fresh kwargs dict is buffered as is."""
+        module = load_generated(tmp_path, "ledgers_a", KEYWORD_SOURCE)
+        parc.init(
+            ParcConfig(
+                nodes=2,
+                scheduler=SchedulerConfig(grain=GrainPolicy(max_calls=4)),
+            )
+        )
+        try:
+            ledgers = [module.Ledger(), module.Ledger()]  # one per node
+            expected = []
+            for index in range(10):
+                expected.append((f"k{index}", index, {"round": index % 3}))
+            for ledger in ledgers:
+                for key, weight, tags in expected:
+                    ledger.note(key, weight=weight, **tags)
+                ledger.note("plain")
+            for ledger in ledgers:
+                assert ledger.entries_so_far() == expected + [("plain", 1, {})]
+                ledger.parc_release()
+        finally:
+            parc.shutdown()

@@ -12,12 +12,20 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParcError
+import pytest
+
+from repro.errors import ParcError, WireFormatError
 from repro.mpi import INT, UnpackBuffer
+from repro.remoting.messages import CallMessage
 from repro.serialization import BinaryFormatter, SoapFormatter
 
 binary = BinaryFormatter()
 soap = SoapFormatter()
+
+#: A call record (tag C) whose last byte is its ``one_way`` flag.
+CALL_RECORD = binary.dumps(
+    CallMessage(uri="io", method="m", args=(1, "x"), kwargs={"k": 2})
+)
 
 
 class TestBinaryFuzz:
@@ -61,6 +69,28 @@ class TestBinaryFuzz:
             binary.loads(bytes(valid))
         except ParcError:
             pass
+
+
+class TestCallRecordFuzz:
+    """A damaged call record is a wire error, and only that."""
+
+    @given(st.integers(min_value=0, max_value=len(CALL_RECORD) - 1))
+    @settings(max_examples=100, deadline=None)
+    @example(len(CALL_RECORD) - 1)  # truncated: the one_way byte is gone
+    @example(1)  # truncated: only the tag is left
+    def test_truncated_call_record(self, cut):
+        with pytest.raises(WireFormatError):
+            binary.loads(CALL_RECORD[:cut])
+
+    @given(st.binary(min_size=1, max_size=9))
+    @settings(max_examples=200, deadline=None)
+    @example(b"N")  # a None where the flag belongs
+    @example(b"i\x02")  # an int where the flag belongs
+    def test_call_record_with_a_non_bool_one_way(self, flag):
+        if flag in (b"T", b"F"):
+            return
+        with pytest.raises(WireFormatError):
+            binary.loads(CALL_RECORD[:-1] + flag)
 
 
 class TestSoapFuzz:

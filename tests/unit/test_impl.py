@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import array
 import logging
 import threading
 import time
@@ -9,7 +10,7 @@ import time
 import pytest
 
 from repro.core.impl import ImplementationObject
-from repro.errors import ScooppError
+from repro.errors import ScooppError, SerializationError
 from repro.telemetry.node import NodeTelemetry
 
 
@@ -356,4 +357,118 @@ class TestProcessNLoop:
             assert len(io_spans) == 3
         finally:
             set_global_tracer(None)
+            container.dispose()
+
+
+class Gated(Recorder):
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def hold(self):
+        self.entered.set()
+        assert self.gate.wait(timeout=5.0)
+
+    def tick(self):
+        self.record("tick")
+
+
+class TestColumnRun:
+    """A columnar aggregate runs from its columns; rows only on demand."""
+
+    def test_untraced_run_builds_no_rows(self, monkeypatch):
+        import repro.core.impl as impl_module
+
+        def no_rows(count, columns):
+            raise AssertionError("rows built for an untraced aggregate")
+
+        monkeypatch.setattr(impl_module, "unpack_columns", no_rows)
+        target = Picky()
+        container = ImplementationObject(target, "test.Picky")
+        try:
+            container.enqueue_columns(
+                "record_unless_odd", 5, [array.array("b", range(5))]
+            )
+            container.drain()
+            assert target.get_log() == [0, 2, 4]
+            assert container.stats()["processed"] == 5
+            assert container.stats()["async_failures"] == 2
+        finally:
+            container.dispose()
+
+    def test_traced_run_keeps_one_io_span_per_call(self):
+        from types import SimpleNamespace
+
+        from repro.telemetry import TelemetryConfig
+
+        telemetry = NodeTelemetry("n0", TelemetryConfig(enabled=True))
+        target = Recorder()
+        container = ImplementationObject(
+            target, "test.Recorder", node=SimpleNamespace(telemetry=telemetry)
+        )
+        try:
+            container.enqueue_columns("record", 4, [[10, 11, 12, 13]])
+            container.drain()
+            spans = [
+                e for e in telemetry.tracer.events() if e.category == "io"
+            ]
+            assert [e.name for e in spans] == ["Recorder.record"] * 4
+            assert target.get_log() == [10, 11, 12, 13]
+        finally:
+            container.dispose()
+
+    def test_migrated_columnar_entry_runs_every_call_once_in_order(self):
+        from types import SimpleNamespace
+
+        from repro.sched.engine import NodeScheduler
+
+        target = Gated()
+        victim = ImplementationObject(target, "test.Gated")
+        victim.enqueue("hold")
+        assert target.entered.wait(timeout=5.0)
+        victim.enqueue_columns("record", 6, [array.array("h", range(6))])
+        victim.enqueue_columns("tick", 2, [])
+        extracted = []
+        pausing = threading.Thread(
+            target=lambda: extracted.append(victim.begin_migration())
+        )
+        pausing.start()
+        target.gate.set()
+        pausing.join(timeout=5.0)
+        assert not pausing.is_alive()
+        (entries,) = extracted
+        assert [len(entry) for entry in entries] == [6, 2]
+        home = Gated()
+        adopted = ImplementationObject(home, "test.Gated")
+        try:
+            moved, lost = NodeScheduler(SimpleNamespace())._replay(
+                entries, adopted
+            )
+            victim.complete_migration(adopted)
+            adopted.drain()
+            assert (moved, lost) == (8, 0)
+            assert home.get_log() == [0, 1, 2, 3, 4, 5, "tick", "tick"]
+            assert target.get_log() == []
+        finally:
+            adopted.dispose()
+
+    def test_ragged_columns_are_refused_before_admission(self, impl):
+        before = impl.stats()["processed"]
+        with pytest.raises(SerializationError, match="length mismatch"):
+            impl.enqueue_columns("record", 3, [[1, 2, 3], [1, 2]])
+        assert impl.queue_length == 0
+        impl.drain()
+        assert impl.stats()["processed"] == before
+        assert impl.invoke("get_log") == []
+
+    def test_zero_arity_method_runs_count_times(self):
+        target = Gated()
+        container = ImplementationObject(target, "test.Gated")
+        try:
+            container.enqueue_columns("tick", 3, [])
+            container.drain()
+            assert target.get_log() == ["tick"] * 3
+            assert container.stats()["processed"] == 3
+        finally:
             container.dispose()

@@ -33,6 +33,18 @@ class TestLease:
         lease.renew(now=0.0)  # no-op, no overflow
 
 
+class CountingClock(VirtualClock):
+    """The manager's clock seam, counting its reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def now(self):
+        self.reads += 1
+        return super().now()
+
+
 class TestLeaseManager:
     def test_register_is_idempotent(self):
         clock = VirtualClock()
@@ -67,6 +79,36 @@ class TestLeaseManager:
         assert manager.expired_paths() == []
         clock.advance(11.0)
         assert manager.expired_paths() == ["busy"]
+
+    def test_calls_keep_a_lease_alive_between_sparse_checks(self):
+        clock = CountingClock()
+        manager = LeaseManager(clock=clock)
+        manager.register("busy", ttl=10.0)
+        for _ in range(5):  # a call every 6 s, no check for 30 s
+            clock.advance(6.0)
+            manager.renew("busy")
+        assert manager.expired_paths() == []
+        clock.advance(10.5)
+        assert manager.expired_paths() == ["busy"]
+
+    def test_a_call_never_shortens_a_lease(self):
+        clock = CountingClock()
+        manager = LeaseManager(clock=clock)
+        lease = manager.register("long", ttl=10.0)
+        lease.renew(now=100.0)  # extended well past one ttl
+        clock.advance(20.0)
+        manager.renew("long")
+        assert manager.expired_paths() == []
+        assert lease.expires_at == 110.0
+
+    def test_renew_reads_no_clock(self):
+        clock = CountingClock()
+        manager = LeaseManager(clock=clock)
+        manager.register("hot", ttl=10.0)
+        reads = clock.reads
+        for _ in range(100):
+            manager.renew("hot")
+        assert clock.reads == reads
 
     def test_default_ttl_matches_dotnet(self):
         assert DEFAULT_TTL_SECONDS == 300.0

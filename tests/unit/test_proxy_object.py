@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.core.proxy_object import (
     RemoteGrain,
     make_parallel_class,
 )
-from repro.errors import GrainError, ScooppError
+from repro.errors import GrainError, NodeLostError, ScooppError
 
 
 class Sink:
@@ -391,6 +392,66 @@ class TestRemoteGrainLifecycle:
                 break
         else:
             pytest.fail("sender error never surfaced")
+
+
+class TestFaultsReachTheOpenBuffer:
+    """A post that would append to an open buffer still sees every fault."""
+
+    def test_lost_grain_rejects_post_and_call(self, remote_grain):
+        grain, sink = remote_grain
+        grain.post("push", (1,), {})  # opens the buffer
+        lost = NodeLostError("node tcp://h:1 is gone")
+        grain.mark_lost(lost)
+        with pytest.raises(NodeLostError) as posted:
+            grain.post("push", (2,), {})
+        assert posted.value is lost
+        with pytest.raises(NodeLostError):
+            grain.call("snapshot", (), {})
+        assert sink.snapshot() == []
+
+    def test_recovered_post_is_retried_once_and_keeps_the_buffer(self):
+        gate, in_flight = threading.Event(), threading.Event()
+
+        class WireCut:
+            def enqueue_batch(self, method, batch):
+                in_flight.set()
+                assert gate.wait(timeout=5.0)
+                raise ConnectionError("wire cut")
+
+            def dispose(self):
+                pass
+
+        sink = Sink()
+        healthy = ImplementationObject(sink, "test.Sink")
+        grain = RemoteGrain(WireCut(), max_calls=3, flush_after_s=30.0)
+        recoveries = []
+
+        def recoverer(failed, cause):
+            recoveries.append(cause)
+            failed.rebind(healthy)
+            return True
+
+        grain.recoverer = recoverer
+        try:
+            for value in range(3):
+                grain.post("push", (value,), {})  # flushed: the send hangs
+            assert in_flight.wait(timeout=5.0)
+            grain.post("push", (3,), {})
+            grain.post("push", (4,), {})  # both stay in the open buffer
+            gate.set()
+            deadline = time.monotonic() + 5.0
+            while grain._sender_error is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            # The failure surfaces here: recovered, and this call posted
+            # once, behind the two buffered calls that survived.
+            grain.post("push", (5,), {})
+            grain.drain()
+            assert [type(cause) for cause in recoveries] == [ConnectionError]
+            assert sink.snapshot() == [("push", v) for v in (3, 4, 5)]
+        finally:
+            gate.set()
+            grain.dispose()
 
 
 class FailingTuner:

@@ -2,8 +2,8 @@
 
 Every tag byte, the varint and bigint boundaries, graph identity (a
 shared sub-object and a list cycle), a registered object on the generic
-object path and the compiled remoting messages are pinned here as exact
-byte strings.  A change to the encoder or decoder that moves one byte
+object path, the positional call record and the compiled reply messages
+are pinned here as exact byte strings.  A change to the encoder or decoder that moves one byte
 fails these tests, whichever class produced it, so old and new peers
 keep speaking the same format.
 
@@ -67,19 +67,25 @@ GOLDEN = [
      b"Ad\x10\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00\xc0"),
     ("object", Point(3, 0.5),
      b"O\x11test.golden.Point\x02\x01xi\x06\x01yd?\xe0\x00\x00\x00\x00\x00\x00"),
+    # The call record: tag C, then uri, method, args, kwargs (N when
+    # empty) and the one_way byte, by position.
     ("call-message",
      CallMessage(uri="tcp://h:1/o", method="m", args=(1, "x"),
                  kwargs={"k": 2.0}),
-     b"O\x12parc.remoting.Call\x05\x03uris\x0btcp://h:1/o\x06methods\x01m"
-     b"\x04argsU\x02i\x02s\x01x\x06kwargsD\x01s\x01kd@\x00\x00\x00\x00\x00"
-     b"\x00\x00\x07one_wayF"),
+     b"Cs\x0btcp://h:1/os\x01mU\x02i\x02s\x01xD\x01s\x01kd@\x00\x00\x00"
+     b"\x00\x00\x00\x00F"),
+    ("call-empty-kwargs",
+     CallMessage(uri="io", method="invoke", args=("count", (), {})),
+     b"Cs\x02ios\x06invokeU\x03s\x05countU\x00D\x00NF"),
+    ("call-one-way",
+     CallMessage(uri="io", method="ping", one_way=True),
+     b"Cs\x02ios\x04pingU\x00NT"),
     ("int-columns",
      CallMessage(uri="io", method="enqueue_columns",
                  args=("tick", 3, [array.array("b", [0, 1, -1]),
                                    array.array("h", [300, -2, 7])])),
-     b"O\x12parc.remoting.Call\x05\x03uris\x02io\x06methods\x0f"
-     b"enqueue_columns\x04argsU\x03s\x04ticki\x06L\x02Ab\x03\x00\x01\xff"
-     b"Ah\x06,\x01\xfe\xff\x07\x00\x06kwargsD\x00\x07one_wayF"),
+     b"Cs\x02ios\x0fenqueue_columnsU\x03s\x04ticki\x06L\x02Ab\x03\x00\x01"
+     b"\xffAh\x06,\x01\xfe\xff\x07\x00NF"),
     ("return-batch",
      ReturnMessage(value=ReturnBatch(
          count=2, results=array.array("d", [1.0, 2.0]),
@@ -102,7 +108,7 @@ NDARRAY_WIRE = (
     b"\x00\x03\x00\x00\x00\x04\x00\x00\x00\x05\x00\x00\x00"
 )
 
-ALL_TAGS = set(b"NTFildcsbyLUDSzAMOR")
+ALL_TAGS = set(b"NTFildcsbyLUDSzAMORC")
 
 
 @pytest.fixture(params=["BinaryFormatter", "FastBinaryFormatter"])
