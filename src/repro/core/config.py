@@ -49,7 +49,8 @@ class ParcConfig:
     #: Number of in-process nodes (each gets an OM + factory).
     nodes: int = 4
     #: Channel kind string, resolved by :func:`repro.channels.create`
-    #: (``"loopback"``, ``"tcp"``, ``"aio"``, or a ``"chaos+*"`` variant).
+    #: (``"loopback"``, ``"tcp"``, ``"http"``, ``"aio"``, ``"shm"``, or a
+    #: ``"chaos+*"`` variant of one of them).
     channel: str = "loopback"
     #: Extra nodes as separate OS processes over TCP.
     worker_processes: int = 0

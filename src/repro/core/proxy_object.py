@@ -1019,6 +1019,7 @@ class ProxyObjectSurrogate(Surrogate):
     """
 
     wire_name = "parc.scoopp.PORef"
+    claims = (ProxyObject,)
 
     def applies_to(self, obj: Any) -> bool:
         return isinstance(obj, ProxyObject)

@@ -6,7 +6,8 @@ registered serializable types, so they travel through whichever formatter
 the channel uses — binary on ``tcp://``, SOAP on ``http://`` — exactly the
 .Net channel/formatter split the paper benchmarks.  The binary formatter
 writes the call as a positional record of its own (defined with it in
-:mod:`repro.serialization.codec`) and the replies through compiled codecs.
+:mod:`repro.serialization.codec`) and the replies on its one object path,
+as named fields.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.serialization import register_codec, serializable
+from repro.serialization import serializable
 from repro.serialization.codec import CallMessage  # noqa: F401 - exported
 
 
@@ -77,10 +78,3 @@ class ReturnBatch:
     results: Any = None
     errors: tuple = ()
 
-
-# The replies dominate the wire hot path beside the call, so they get
-# compiled codecs: encode skips the per-value type ladder, decode installs
-# fields directly.  Payloads stay byte-identical to the generic object path.
-register_codec(RemoteErrorInfo)
-register_codec(ReturnMessage)
-register_codec(ReturnBatch)

@@ -77,11 +77,14 @@ class MbrSurrogate(Surrogate):
 
     wire_name = "parc.remoting.ObjRef"
 
-    def applies_to(self, obj: Any) -> bool:
+    def __init__(self) -> None:
         # Import here to avoid a module cycle (proxy imports objref).
         from repro.remoting.proxy import RemoteProxy
 
-        return isinstance(obj, (MarshalByRefObject, ObjRef, RemoteProxy))
+        self.claims = (MarshalByRefObject, ObjRef, RemoteProxy)
+
+    def applies_to(self, obj: Any) -> bool:
+        return isinstance(obj, self.claims)
 
     def encode(self, obj: Any) -> dict[str, Any]:
         from repro.remoting.proxy import RemoteProxy

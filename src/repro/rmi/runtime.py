@@ -394,6 +394,7 @@ class _ExportedObjectSurrogate(Surrogate):
     """
 
     wire_name = "parc.rmi.StubRef"
+    claims = (RemoteStub, UnicastRemoteObject)
 
     def applies_to(self, obj: Any) -> bool:
         if isinstance(obj, RemoteStub):

@@ -13,7 +13,7 @@ The migration protocol (zero lost calls):
    is never stolen), and every queued entry is extracted in drain order.
 2. The instance's state — now stable — is serialized with the
    registry's ``state_of`` (the same ``__getstate__``-shaped dict the
-   compiled codecs ship for passive classes) and sent to the target's
+   formatters ship for passive classes) and sent to the target's
    ``adopt()``, which rebuilds the instance via ``restore_state``,
    wraps it in a fresh ImplementationObject and returns it by
    reference.

@@ -9,16 +9,17 @@ mechanism, built from scratch:
 * :class:`BinaryFormatter` — compact tagged binary encoding with full
   object-graph support (shared references and cycles), the analog of the
   .Net binary formatter used by the TCP channel.  It encodes into a
-  ``bytearray`` (``dumps_into`` appends to a frame buffer), decodes from a
-  ``memoryview``, and runs compiled codecs (:func:`register_codec`) for the
-  fixed-shape protocol messages.  ``FastBinaryFormatter`` is an alias of
-  it.
+  ``bytearray`` (``dumps_into`` appends to a frame buffer) and decodes
+  from a ``memoryview``; every registered class takes one object path.
+  ``FastBinaryFormatter`` is an alias of it.
 * :class:`SoapFormatter` — verbose, self-describing textual encoding, the
   analog of the SOAP formatter used by the HTTP channel (the slow curve of
   the paper's Fig. 8b).
 * a class **registry** (:func:`serializable`) so that only explicitly
   registered classes cross the wire — the ``[Serializable]`` attribute of
-  the paper's Fig. 7.  Nothing is ever deserialized into arbitrary code.
+  the paper's Fig. 7.  Nothing is ever deserialized into arbitrary code,
+  and a record that does not fit its class (every node runs one source
+  version) is a :class:`~repro.errors.WireFormatError`.
 
 Both formatters share the registry and round-trip the same value domain;
 property-based tests assert they agree.  The binary wire format is frozen as
@@ -31,14 +32,7 @@ from repro.serialization.registry import (
     default_registry,
     serializable,
 )
-from repro.serialization.codec import (
-    BinaryFormatter,
-    CodecRegistry,
-    CompiledCodec,
-    compile_codec,
-    default_codec_registry,
-    register_codec,
-)
+from repro.serialization.codec import BinaryFormatter
 from repro.serialization.soap import SoapFormatter
 from repro.serialization.base import Formatter
 
@@ -47,16 +41,11 @@ FastBinaryFormatter = BinaryFormatter
 
 __all__ = [
     "BinaryFormatter",
-    "CodecRegistry",
-    "CompiledCodec",
     "FastBinaryFormatter",
     "Formatter",
     "SerializationRegistry",
     "SoapFormatter",
     "Surrogate",
-    "compile_codec",
-    "default_codec_registry",
     "default_registry",
-    "register_codec",
     "serializable",
 ]

@@ -2,7 +2,7 @@
 
 The formatter itself (:class:`~repro.serialization.codec.BinaryFormatter`,
 the .Net binary formatter analog) lives in :mod:`repro.serialization.codec`
-beside the compiled per-class codecs it dispatches to.  This module holds
+beside the column packing of aggregates.  This module holds
 the pieces the format is built from, shared with the request framing of the
 socket channels (:mod:`repro.channels.request`) and the SOAP formatter.
 

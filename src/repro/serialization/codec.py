@@ -1,4 +1,4 @@
-"""The binary formatter and the compiled per-class codecs it dispatches to.
+"""The binary formatter and the column packing of aggregates.
 
 :class:`BinaryFormatter` is the .Net binary formatter analog, the formatter
 behind the tcp, shm, aio and loopback channels, RMI and the MPI
@@ -12,28 +12,14 @@ and no slice copies for scalars.  The wire format is described in
 ``tests/unit/test_wire_golden.py``.
 
 The request, :class:`CallMessage`, is a positional record of the format
-(tag ``C``: uri, method, args, kwargs or ``None``, one_way).  The replies
-are *fixed-shape* registered classes whose field layout is known ahead of
-time, and this module compiles those classes once:
-
-* :func:`compile_codec` inspects a registered dataclass and builds a
-  :class:`CompiledCodec` — the object-tag prefix, wire name and per-field
-  name prefixes are precomputed constant byte strings, and each field gets
-  a specialized encoder/decoder picked from its annotation (zigzag-varint
-  ints, ``struct``-packed floats, raw utf-8 strings), so encoding an
-  instance is a handful of ``bytearray`` appends with **no per-value type
-  ladder** and no state-dict allocation.  Its output is byte-for-byte what
-  the generic object path emits for the same instance.
-* :class:`CodecRegistry` keys codecs by class (encode) and wire name
-  (decode); unregistered classes take the generic object path, so a
-  compiled codec never changes what the formatter accepts.
-
-Identity semantics are preserved: a compiled object still occupies a slot
-of the pre-order reference memo, so shared sub-objects and back-references
-decode identically whichever side compiled the class.  A class whose
-instances are expected to form reference-heavy graphs can be registered
-with ``graph=True`` to skip compilation and keep the fully general
-memoized object path.
+(tag ``C``: uri, method, args, kwargs or ``None``, one_way).  Every other
+registered class, the replies included, takes one object path: tag ``O``,
+the wire name, then each field as a name and a value.  Surrogates are
+consulted first, every object takes a slot of the pre-order reference
+memo, and the spelled wire name and field names are worked out once per
+class (:class:`~repro.serialization.registry.WireClass`).  Decoding
+installs a record by the registry's one-version rule
+(:meth:`~repro.serialization.registry.WireClass.restore`).
 
 The module also hosts the *method-signature* half of the fast path:
 :func:`method_column_plan` derives per-argument column kinds from a
@@ -54,10 +40,8 @@ import dataclasses
 import inspect
 import struct
 import sys
-import threading
 import typing
-from operator import attrgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import SerializationError, WireFormatError
 from repro.serialization.base import Formatter
@@ -67,11 +51,7 @@ from repro.serialization.binary import (
     import_numpy,
     uvarint_from,
 )
-from repro.serialization.registry import (
-    SerializationRegistry,
-    default_registry,
-    serializable,
-)
+from repro.serialization.registry import serializable, spell
 
 # Tag bytes as ints (the decode ladder indexes memoryviews, which yield
 # ints).  One printable byte per supported shape keeps hexdumps readable.
@@ -102,9 +82,6 @@ _I64_MAX = (1 << 63) - 1
 _DOUBLE = struct.Struct(">d")
 _TAGGED_DOUBLE = struct.Struct(">cd")  # tag byte + IEEE-754 double, one pack
 _TAGGED_COMPLEX = struct.Struct(">cdd")
-
-_OBJECT_GETSTATE = getattr(object, "__getstate__", None)
-
 
 #: A ``bytes``/``bytearray``/``array``/ndarray payload larger than this is
 #: referenced, not copied, by :meth:`BinaryFormatter.gather_into`; the
@@ -143,376 +120,12 @@ class _Placeholder:
     __slots__ = ()
 
 
-def _uvarint_bytes(value: int) -> bytes:
-    out = bytearray()
-    append_uvarint(out, value)
-    return bytes(out)
-
-
-# -- specialized field encoders/decoders -------------------------------------
-#
-# One pair per annotation kind.  Encoders verify the runtime type before
-# taking the specialized path — an ``int``-annotated field holding a float
-# (Python does not enforce annotations) falls back to the generic ladder,
-# so compiled output is always exactly what the generic object path emits.
-
-
-def _enc_any(fmt: "BinaryFormatter", out: bytearray, value: Any,
-             memo: dict) -> None:
-    fmt._encode(out, value, memo)
-
-
-def _enc_int(fmt: "BinaryFormatter", out: bytearray, value: Any,
-             memo: dict) -> None:
-    if type(value) is int and _I64_MIN <= value <= _I64_MAX:
-        out.append(_O_INT)
-        value = (value << 1) ^ (value >> 63)
-        while value > 0x7F:
-            out.append((value & 0x7F) | 0x80)
-            value >>= 7
-        out.append(value)
-    else:
-        fmt._encode(out, value, memo)
-
-
-def _enc_float(fmt: "BinaryFormatter", out: bytearray, value: Any,
-               memo: dict) -> None:
-    if type(value) is float:
-        out += _TAGGED_DOUBLE.pack(b"d", value)
-    else:
-        fmt._encode(out, value, memo)
-
-
-def _enc_bool(fmt: "BinaryFormatter", out: bytearray, value: Any,
-              memo: dict) -> None:
-    if value is True:
-        out.append(_O_TRUE)
-    elif value is False:
-        out.append(_O_FALSE)
-    else:
-        fmt._encode(out, value, memo)
-
-
-def _enc_str(fmt: "BinaryFormatter", out: bytearray, value: Any,
-             memo: dict) -> None:
-    if type(value) is str:
-        encoded = value.encode("utf-8")
-        out.append(_O_STR)
-        append_uvarint(out, len(encoded))
-        out += encoded
-    else:
-        fmt._encode(out, value, memo)
-
-
-def _enc_bytes(fmt: "BinaryFormatter", out: bytearray, value: Any,
-               memo: dict) -> None:
-    if type(value) is bytes and len(value) <= INLINE_MAX:
-        out.append(_O_BYTES)
-        append_uvarint(out, len(value))
-        out += value
-    else:  # a large payload may be gathered
-        fmt._encode(out, value, memo)
-
-
-def _dec_any(fmt: "BinaryFormatter", buf: Any, pos: int,
-             refs: list) -> tuple[Any, int]:
-    return fmt._decode(buf, pos, refs)
-
-
-def _dec_int(fmt: "BinaryFormatter", buf: Any, pos: int,
-             refs: list) -> tuple[Any, int]:
-    if buf[pos] == _O_INT:
-        value, pos = uvarint_from(buf, pos + 1)
-        return (value >> 1) ^ -(value & 1), pos
-    return fmt._decode(buf, pos, refs)
-
-
-def _dec_float(fmt: "BinaryFormatter", buf: Any, pos: int,
-               refs: list) -> tuple[Any, int]:
-    if buf[pos] == _O_FLOAT:
-        return _DOUBLE.unpack_from(buf, pos + 1)[0], pos + 9
-    return fmt._decode(buf, pos, refs)
-
-
-def _dec_bool(fmt: "BinaryFormatter", buf: Any, pos: int,
-              refs: list) -> tuple[Any, int]:
-    tag = buf[pos]
-    if tag == _O_TRUE:
-        return True, pos + 1
-    if tag == _O_FALSE:
-        return False, pos + 1
-    return fmt._decode(buf, pos, refs)
-
-
-def _dec_str(fmt: "BinaryFormatter", buf: Any, pos: int,
-             refs: list) -> tuple[Any, int]:
-    if buf[pos] == _O_STR:
-        size, pos = uvarint_from(buf, pos + 1)
-        end = pos + size
-        if end > len(buf):
-            raise WireFormatError("truncated string payload")
-        return str(buf[pos:end], "utf-8"), end
-    return fmt._decode(buf, pos, refs)
-
-
-def _dec_bytes(fmt: "BinaryFormatter", buf: Any, pos: int,
-               refs: list) -> tuple[Any, int]:
-    if buf[pos] == _O_BYTES:
-        size, pos = uvarint_from(buf, pos + 1)
-        end = pos + size
-        if end > len(buf):
-            raise WireFormatError("truncated bytes payload")
-        return bytes(buf[pos:end]), end
-    return fmt._decode(buf, pos, refs)
-
-
-_FIELD_CODECS: dict[type, tuple[Callable, Callable]] = {
-    int: (_enc_int, _dec_int),
-    float: (_enc_float, _dec_float),
-    bool: (_enc_bool, _dec_bool),
-    str: (_enc_str, _dec_str),
-    bytes: (_enc_bytes, _dec_bytes),
-}
-
-
-def _annotation_kind(annotation: Any) -> tuple[Callable, Callable]:
-    """Specialized (encoder, decoder) for a field annotation, or generic."""
-    return _FIELD_CODECS.get(annotation, (_enc_any, _dec_any))
-
-
 def _resolved_hints(obj: Any) -> dict[str, Any]:
     """Best-effort annotation resolution (PEP 563 strings and all)."""
     try:
         return typing.get_type_hints(obj)
     except Exception:  # noqa: BLE001 - unresolvable hints mean "no hints"
         return {}
-
-
-@dataclasses.dataclass(frozen=True)
-class _FieldCodec:
-    """One compiled field: constant name prefix + specialized enc/dec."""
-
-    name: str
-    prefix: bytes  # uvarint(len(name)) + utf-8 name, as the wire carries it
-    enc: Callable
-    dec: Callable
-
-
-class CompiledCodec:
-    """Specialized encoder/decoder for one registered dataclass.
-
-    The compiled encode path appends the class's precomputed object-tag
-    prefix (tag + wire name + field count) and then, per field, a constant
-    name prefix plus the field's specialized value encoding — matching the
-    generic object path byte-for-byte.  Decode walks the same layout; when a
-    payload does not match the compiled shape (an old peer sent a renamed
-    or missing field) it degrades to the generic state-dict path, keeping
-    the registry's schema-evolution rules (`__parc_upgrade__`, defaults).
-    """
-
-    __slots__ = (
-        "cls", "wire_name", "name_bytes", "prefix", "fields", "_getter",
-        "_direct",
-    )
-
-    def __init__(self, cls: type, wire_name: str,
-                 fields: Sequence[_FieldCodec]) -> None:
-        self.cls = cls
-        self.wire_name = wire_name
-        self.name_bytes = wire_name.encode("utf-8")
-        self.fields = tuple(fields)
-        prefix = bytearray()
-        prefix.append(_O_OBJECT)
-        append_uvarint(prefix, len(self.name_bytes))
-        prefix += self.name_bytes
-        append_uvarint(prefix, len(self.fields))
-        self.prefix = bytes(prefix)
-        names = [f.name for f in self.fields]
-        if len(names) == 1:
-            single = attrgetter(names[0])
-            self._getter = lambda obj: (single(obj),)
-        elif names:
-            self._getter = attrgetter(*names)
-        else:
-            self._getter = lambda obj: ()
-        # Direct field installation is only safe without restore hooks.
-        self._direct = getattr(cls, "__parc_upgrade__", None) is None
-
-    def encode(self, out: bytearray, obj: Any, fmt: "BinaryFormatter",
-               memo: dict) -> None:
-        out += self.prefix
-        for field, value in zip(self.fields, self._getter(obj)):
-            out += field.prefix
-            field.enc(fmt, out, value, memo)
-
-    def decode(self, fmt: "BinaryFormatter", buf: Any, pos: int,
-               refs: list) -> tuple[Any, int]:
-        cls = self.cls
-        obj = cls.__new__(cls)
-        refs.append(obj)  # same pre-order slot as the generic object path
-        count, pos = uvarint_from(buf, pos)
-        values: list[Any] = []
-        matched = 0
-        if count == len(self.fields):
-            for field in self.fields:
-                end = pos + len(field.prefix)
-                if buf[pos:end] == field.prefix:
-                    value, pos = field.dec(fmt, buf, end, refs)
-                    values.append(value)
-                    matched += 1
-                else:
-                    break
-            if matched == count and self._direct:
-                set_attr = object.__setattr__
-                for field, value in zip(self.fields, values):
-                    set_attr(obj, field.name, value)
-                return obj, pos
-        # Shape mismatch (schema drift) or a restore hook: fall back to the
-        # registry's state-dict path for the remaining fields.
-        state = {
-            self.fields[i].name: values[i] for i in range(matched)
-        }
-        for _ in range(count - matched):
-            size, pos = uvarint_from(buf, pos)
-            end = pos + size
-            if end > len(buf):
-                raise WireFormatError("truncated field name")
-            name = str(buf[pos:end], "utf-8")
-            state[name], pos = fmt._decode(buf, end, refs)
-        fmt.registry.restore_state(obj, state)
-        return obj, pos
-
-
-def compile_codec(
-    cls: type,
-    registry: SerializationRegistry | None = None,
-) -> CompiledCodec:
-    """Compile a specialized wire codec for registered dataclass *cls*.
-
-    Requirements (violations raise :class:`SerializationError`):
-
-    * *cls* is registered in *registry* (its wire name pins the prefix);
-    * *cls* is a dataclass — the field list is the wire schema, and the
-      generic object path serializes dataclasses in field order, so the two
-      paths agree byte-for-byte;
-    * *cls* has no custom ``__getstate__``/``__setstate__`` — those hooks
-      define a dynamic wire shape the compiler cannot precompute (such
-      classes simply stay on the generic path).
-    """
-    registry = registry if registry is not None else default_registry
-    wire_name = registry.wire_name_of(cls)
-    if not dataclasses.is_dataclass(cls):
-        raise SerializationError(
-            f"cannot compile a codec for {cls.__qualname__}: codec "
-            f"compilation requires a dataclass (the field list is the "
-            f"wire schema)"
-        )
-    getstate = getattr(cls, "__getstate__", None)
-    if getstate is not None and getstate is not _OBJECT_GETSTATE:
-        raise SerializationError(
-            f"cannot compile a codec for {cls.__qualname__}: custom "
-            f"__getstate__ defines a dynamic wire shape"
-        )
-    if getattr(cls, "__setstate__", None) is not None:
-        raise SerializationError(
-            f"cannot compile a codec for {cls.__qualname__}: custom "
-            f"__setstate__ defines a dynamic wire shape"
-        )
-    hints = _resolved_hints(cls)
-    fields = []
-    for field in dataclasses.fields(cls):
-        enc, dec = _annotation_kind(hints.get(field.name, None))
-        name_bytes = field.name.encode("utf-8")
-        fields.append(
-            _FieldCodec(
-                name=field.name,
-                prefix=_uvarint_bytes(len(name_bytes)) + name_bytes,
-                enc=enc,
-                dec=dec,
-            )
-        )
-    return CompiledCodec(cls, wire_name, fields)
-
-
-class CodecRegistry:
-    """Compiled codecs keyed by class (encode) and wire name (decode).
-
-    The mutable dicts are shared by reference with every
-    :class:`BinaryFormatter` constructed against this registry, so
-    codecs registered after a formatter exists are picked up immediately.
-    Registration is idempotent per class.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.by_class: dict[type, CompiledCodec] = {}
-        self.by_name: dict[bytes, CompiledCodec] = {}
-        self._graph: set[type] = set()
-
-    def register(
-        self,
-        cls: type,
-        *,
-        graph: bool = False,
-        registry: SerializationRegistry | None = None,
-    ) -> CompiledCodec | None:
-        """Compile and install a codec for *cls*; returns it.
-
-        ``graph=True`` marks the class graph-shaped instead: no codec is
-        compiled and instances keep the fully general memoized object
-        path (returns ``None``).  Only classes that are *not* claimed by
-        a :class:`~repro.serialization.registry.Surrogate` may be
-        compiled — surrogates rewrite instances before encoding, which a
-        per-class codec would bypass.
-        """
-        if graph:
-            with self._lock:
-                codec = self.by_class.pop(cls, None)
-                if codec is not None:
-                    self.by_name.pop(codec.name_bytes, None)
-                self._graph.add(cls)
-            return None
-        codec = compile_codec(cls, registry)
-        with self._lock:
-            self._graph.discard(cls)
-            self.by_class[cls] = codec
-            self.by_name[codec.name_bytes] = codec
-        return codec
-
-    def unregister(self, cls: type) -> None:
-        with self._lock:
-            self._graph.discard(cls)
-            codec = self.by_class.pop(cls, None)
-            if codec is not None:
-                self.by_name.pop(codec.name_bytes, None)
-
-    def codec_for(self, cls: type) -> CompiledCodec | None:
-        return self.by_class.get(cls)
-
-    def is_graph(self, cls: type) -> bool:
-        return cls in self._graph
-
-    def __len__(self) -> int:
-        return len(self.by_class)
-
-
-#: Process-wide codec registry used by :func:`register_codec` and, by
-#: default, by every :class:`BinaryFormatter`.
-default_codec_registry = CodecRegistry()
-
-
-def register_codec(
-    cls: type,
-    *,
-    graph: bool = False,
-    registry: SerializationRegistry | None = None,
-) -> CompiledCodec | None:
-    """Compile a wire codec for *cls* into the default codec registry.
-
-    The class must already be ``@serializable``.  See
-    :meth:`CodecRegistry.register`.
-    """
-    return default_codec_registry.register(cls, graph=graph, registry=registry)
 
 
 @serializable(name="parc.remoting.Call")
@@ -544,10 +157,10 @@ class BinaryFormatter(Formatter):
     """Compact graph-preserving binary formatter.
 
     The formatter behind :class:`repro.channels.tcp.TcpChannel`, matching
-    the paper's measured configuration ("Mono (Tcp)" in Fig. 8).  Instances
-    of codec-compiled classes (*codecs*, default
-    :data:`default_codec_registry`) skip the per-value type ladder; every
-    other registered class (*registry*) takes the generic object path.
+    the paper's measured configuration ("Mono (Tcp)" in Fig. 8).  Every
+    class registered in *registry* takes one object path; its spelled
+    wire name and field names are worked out once per class
+    (:class:`~repro.serialization.registry.WireClass`).
 
     Malformed input raises :class:`~repro.errors.WireFormatError` and an
     unencodable value :class:`~repro.errors.SerializationError`, including
@@ -555,17 +168,6 @@ class BinaryFormatter(Formatter):
     """
 
     content_type = "application/x-parc-binary"
-
-    def __init__(
-        self,
-        registry: SerializationRegistry | None = None,
-        codecs: CodecRegistry | None = None,
-    ) -> None:
-        super().__init__(registry)
-        self.codecs = codecs if codecs is not None else default_codec_registry
-        # Bound dict references: one attribute load on the hot path.
-        self._codec_by_class = self.codecs.by_class
-        self._codec_by_name = self.codecs.by_name
 
     # -- encoding -----------------------------------------------------------
 
@@ -682,10 +284,6 @@ class BinaryFormatter(Formatter):
                 self._encode(out, value, memo)
             out.append(_O_TRUE if obj.one_way else _O_FALSE)
             return
-        codec = self._codec_by_class.get(kind)
-        if codec is not None:
-            codec.encode(out, obj, self, memo)
-            return
         if kind is bytearray:
             out.append(_O_BYTEARRAY)
             size = len(obj)
@@ -739,24 +337,23 @@ class BinaryFormatter(Formatter):
         else:
             out += contiguous.data.cast("B")  # one memcpy, no tobytes()
 
-    def _encode_object(self, out: bytearray, obj: Any,
-                            memo: dict) -> None:
-        surrogate = self.registry.surrogate_for(obj)
+    def _encode_object(self, out: bytearray, obj: Any, memo: dict) -> None:
+        registry = self.registry
+        surrogate = registry.surrogate_for(obj)
         if surrogate is not None:
-            wire_name = surrogate.wire_name
+            name, keys = spell(surrogate.wire_name), {}
             state = surrogate.encode(obj)
         else:
-            wire_name = self.registry.wire_name_of(type(obj))
-            state = self.registry.state_of(obj)
-        name_bytes = wire_name.encode("utf-8")
+            kind = type(obj)
+            wire = registry.wire_class(kind)
+            name = wire.name or spell(registry.wire_name_of(kind))
+            keys = wire.keys
+            state = vars(obj) if wire.plain else registry.state_of(obj)
         out.append(_O_OBJECT)
-        append_uvarint(out, len(name_bytes))
-        out += name_bytes
+        out += name
         append_uvarint(out, len(state))
         for field, value in state.items():
-            encoded = field.encode("utf-8")
-            append_uvarint(out, len(encoded))
-            out += encoded
+            out += keys.get(field) or spell(field)
             self._encode(out, value, memo)
 
     # -- decoding -----------------------------------------------------------
@@ -946,49 +543,51 @@ class BinaryFormatter(Formatter):
         return call, pos + 1
 
     def _decode_object(self, buf: Any, pos: int,
-                            refs: list) -> tuple[Any, int]:
+                       refs: list) -> tuple[Any, int]:
+        start = pos
         size, pos = uvarint_from(buf, pos)
         end = pos + size
         if end > len(buf):
             raise WireFormatError("truncated object wire name")
-        name_raw = bytes(buf[pos:end])
-        pos = end
-        codec = self._codec_by_name.get(name_raw)
-        if codec is not None:
-            return codec.decode(self, buf, pos, refs)
-        wire_name = name_raw.decode("utf-8")
-        surrogate = self.registry.surrogate_by_name(wire_name)
-        if surrogate is not None:
-            # The final value only exists after decode(), so back-references
-            # into a surrogate-encoded object are unsupported (placeholder
-            # makes that a clear error rather than silent corruption).
-            slot = len(refs)
-            refs.append(_Placeholder())
-            count, pos = uvarint_from(buf, pos)
-            state: dict[str, Any] = {}
-            for _ in range(count):
-                size, pos = uvarint_from(buf, pos)
-                end = pos + size
-                if end > len(buf):
-                    raise WireFormatError("truncated field name")
-                field = str(buf[pos:end], "utf-8")
-                state[field], pos = self._decode(buf, end, refs)
-            value = surrogate.decode(state)
-            refs[slot] = value
-            return value, pos
-        obj = self.registry.new_instance(wire_name)
+        registry = self.registry
+        wire = registry.wire_class_named(bytes(buf[start:end]))
+        if wire is None:
+            wire_name = str(buf[pos:end], "utf-8")
+            surrogate = registry.surrogate_by_name(wire_name)
+            if surrogate is not None:
+                # The final value only exists after decode(), so
+                # back-references into a surrogate-encoded object are
+                # unsupported (the placeholder makes that a clear error
+                # rather than silent corruption).
+                slot = len(refs)
+                refs.append(_Placeholder())
+                state, pos = self._decode_state(buf, end, refs)
+                value = surrogate.decode(state)
+                refs[slot] = value
+                return value, pos
+            wire = registry.wire_class(registry.class_of(wire_name))
+        obj = wire.cls.__new__(wire.cls)
         refs.append(obj)
+        state, pos = self._decode_state(buf, end, refs)
+        wire.restore(obj, state)
+        return obj, pos
+
+    def _decode_state(self, buf: Any, pos: int,
+                      refs: list) -> tuple[dict[str, Any], int]:
         count, pos = uvarint_from(buf, pos)
-        state = {}
+        state: dict[str, Any] = {}
         for _ in range(count):
-            size, pos = uvarint_from(buf, pos)
+            size = buf[pos]  # past the end: IndexError, a wire error
+            if size < 0x80:  # a name under 128 bytes: its length is a byte
+                pos += 1
+            else:
+                size, pos = uvarint_from(buf, pos)
             end = pos + size
             if end > len(buf):
                 raise WireFormatError("truncated field name")
             field = str(buf[pos:end], "utf-8")
             state[field], pos = self._decode(buf, end, refs)
-        self.registry.restore_state(obj, state)
-        return obj, pos
+        return state, pos
 
 
 # -- columnar batch packing (the processN aggregate fast path) ---------------

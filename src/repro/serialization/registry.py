@@ -14,18 +14,26 @@ the analog of ``ISerializable``:
 
 * ``__getstate__(self) -> dict`` — produce the field dict;
 * ``__setstate__(self, state: dict) -> None`` — restore from it.
+
+Every node runs one source version, so there are no rolling-upgrade
+rules: a record that does not fit its class is a wire error
+(:meth:`WireClass.restore`).
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
+import inspect
 import threading
 from typing import Any, Callable, Iterator, TypeVar
 
-from repro.errors import SerializationError, UnknownTypeError
+from repro.errors import SerializationError, UnknownTypeError, WireFormatError
+from repro.serialization.binary import append_uvarint
 
 T = TypeVar("T", bound=type)
+
+_OBJECT_GETSTATE = object.__getstate__
 
 
 class Surrogate(abc.ABC):
@@ -41,6 +49,12 @@ class Surrogate(abc.ABC):
 
     #: Wire name the surrogate's encoded form travels under.
     wire_name: str
+
+    #: The types whose instances :meth:`applies_to` can claim.  Like .Net's
+    #: surrogate selector, which picks by type, the registry works out
+    #: once per class which surrogates to ask; instances of other types
+    #: never ask this one.
+    claims: tuple[type, ...] = (object,)
 
     @abc.abstractmethod
     def applies_to(self, obj: Any) -> bool:
@@ -70,6 +84,8 @@ class SerializationRegistry:
         self._by_class: dict[type, str] = {}
         self._surrogates: list[Surrogate] = []
         self._surrogates_by_name: dict[str, Surrogate] = {}
+        self._wire_classes: dict[type, WireClass] = {}
+        self._wire_names: dict[bytes, WireClass] = {}
 
     def register(self, cls: type, wire_name: str | None = None) -> type:
         """Register *cls* under *wire_name* (default: qualified class name).
@@ -88,8 +104,15 @@ class SerializationRegistry:
                     f"wire name {name!r} is already registered "
                     f"to {existing.__qualname__}"
                 )
+            if name in self._surrogates_by_name:
+                raise SerializationError(
+                    f"wire name {name!r} is taken by a surrogate"
+                )
             self._by_name[name] = cls
             self._by_class[cls] = name
+            stale = self._wire_classes.pop(cls, None)
+            if stale is not None:
+                self._wire_names.pop(stale.name, None)
         return cls
 
     def wire_name_of(self, cls: type) -> str:
@@ -149,11 +172,14 @@ class SerializationRegistry:
                 )
             self._surrogates.append(surrogate)
             self._surrogates_by_name[surrogate.wire_name] = surrogate
+            # Every class's surrogates to ask may have changed.
+            self._wire_classes.clear()
+            self._wire_names.clear()
         return surrogate
 
     def surrogate_for(self, obj: Any) -> Surrogate | None:
         """First registered surrogate that applies to *obj*, if any."""
-        for surrogate in self._surrogates:
+        for surrogate in self.wire_class(type(obj)).surrogates:
             if surrogate.applies_to(obj):
                 return surrogate
         return None
@@ -210,62 +236,121 @@ class SerializationRegistry:
         return cls.__new__(cls)
 
     def restore_state(self, obj: Any, state: dict[str, Any]) -> None:
+        """Install a decoded field dict on a freshly allocated instance
+        (:meth:`WireClass.restore` states the rule)."""
+        self.wire_class(type(obj)).restore(obj, state)
+
+    # -- per-class layout ----------------------------------------------------
+
+    def wire_class(self, cls: type) -> "WireClass":
+        """The :class:`WireClass` of *cls*, worked out on first use."""
+        wire = self._wire_classes.get(cls)
+        if wire is None:
+            with self._lock:
+                wire = WireClass(
+                    cls, self._by_class.get(cls), self._surrogates
+                )
+                self._wire_classes[cls] = wire
+                if wire.name is not None:
+                    self._wire_names[wire.name] = wire
+        return wire
+
+    def wire_class_named(self, name: bytes) -> "WireClass | None":
+        """The kept :class:`WireClass` whose spelled wire name is *name*."""
+        return self._wire_names.get(name)
+
+
+class WireClass:
+    """What the formatters need of one class, worked out once.
+
+    ``fields`` is the set of a dataclass's field names, which every
+    record of it must carry (empty for other classes); ``surrogates``
+    are the surrogates whose ``claims`` cover the class, in registration
+    order; ``setstate`` says that ``__setstate__`` owns restore.
+    ``plain`` says the state is the instance ``__dict__`` as a whole (no
+    ``__getstate__``, ``__setstate__`` or ``__slots__``): it is read with
+    ``vars`` and, unless a key names one of the ``descriptors`` (a
+    property, say), installed with one ``update``.  ``name`` and ``keys`` are the binary
+    formatter's spelling of the wire name and of each dataclass field
+    name: a uvarint length, then the utf-8 bytes.  ``name`` is ``None``
+    for a class not registered for the wire (a by-reference type, say).
+    """
+
+    __slots__ = (
+        "cls", "fields", "surrogates", "setstate", "plain", "descriptors",
+        "name", "keys",
+    )
+
+    def __init__(
+        self,
+        cls: type,
+        wire_name: str | None,
+        surrogates: list[Surrogate],
+    ) -> None:
+        self.cls = cls
+        names = (
+            [field.name for field in dataclasses.fields(cls)]
+            if dataclasses.is_dataclass(cls) else []
+        )
+        self.fields = frozenset(names)
+        self.surrogates = tuple(
+            surrogate for surrogate in surrogates
+            if issubclass(cls, surrogate.claims)
+        )
+        self.setstate = callable(getattr(cls, "__setstate__", None))
+        bases = cls.__mro__[:-1]  # object's own attributes are no fields
+        self.plain = (
+            cls.__dictoffset__ != 0
+            and not self.setstate
+            and getattr(cls, "__getstate__", None) is _OBJECT_GETSTATE
+            and not any("__slots__" in vars(base) for base in bases)
+        )
+        self.descriptors = frozenset(
+            name
+            for base in bases
+            for name, attr in vars(base).items()
+            if inspect.isdatadescriptor(attr)
+        )
+        self.name = None if wire_name is None else spell(wire_name)
+        self.keys = {name: spell(name) for name in names}
+
+    def restore(self, obj: Any, state: dict[str, Any]) -> None:
         """Install a decoded field dict on a freshly allocated instance.
 
-        Schema evolution is supported in three ways, checked in order:
-
-        1. an explicit ``__setstate__`` owns everything;
-        2. a ``__parc_upgrade__(state) -> state`` classmethod may migrate
-           old wire states (rename fields, recompute values) before
-           installation;
-        3. fields *missing* from the wire state are filled from dataclass
-           defaults and from a ``_parc_field_defaults`` class dict, so
-           old peers can talk to new code; fields the class cannot hold
-           (``__slots__`` without the name) are skipped, so new peers can
-           talk to old code.
+        Every node runs one source version, so a record must fit its
+        class: ``__setstate__`` owns its state; otherwise a record that
+        lacks one of a dataclass's fields, or names a field the class
+        cannot hold (a ``__slots__`` class without it), raises
+        :class:`~repro.errors.WireFormatError`.  Extra attributes of a
+        ``__dict__`` instance are installed as sent.
         """
-        setstate = getattr(obj, "__setstate__", None)
-        if callable(setstate):
-            setstate(state)
+        if self.setstate:
+            obj.__setstate__(state)
             return
-        upgrade = getattr(type(obj), "__parc_upgrade__", None)
-        if callable(upgrade):
-            state = upgrade(state)
-            if not isinstance(state, dict):
-                raise SerializationError(
-                    f"{type(obj).__qualname__}.__parc_upgrade__ must "
-                    f"return a dict"
-                )
-        for field_name, default in self._field_defaults(type(obj)).items():
-            if field_name not in state:
-                state[field_name] = default()
+        if not state.keys() >= self.fields:
+            missing = ", ".join(sorted(self.fields - state.keys()))
+            raise WireFormatError(
+                f"{self.cls.__qualname__} record lacks field(s) {missing}"
+            )
+        if self.plain and self.descriptors.isdisjoint(state):
+            vars(obj).update(state)
+            return
         for key, value in state.items():
             try:
                 object.__setattr__(obj, key, value)
             except AttributeError:
-                # __slots__ class without this field: a newer peer sent a
-                # field we do not know; forward compatibility drops it.
-                continue
+                raise WireFormatError(
+                    f"{self.cls.__qualname__} cannot hold field {key!r}"
+                ) from None
 
-    @staticmethod
-    def _field_defaults(cls: type) -> dict[str, Callable[[], Any]]:
-        """Zero-argument factories for every defaultable field of *cls*."""
-        defaults: dict[str, Callable[[], Any]] = {}
-        if dataclasses.is_dataclass(cls):
-            for field in dataclasses.fields(cls):
-                if field.default is not dataclasses.MISSING:
-                    value = field.default
-                    defaults[field.name] = lambda value=value: value
-                elif field.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-                    defaults[field.name] = field.default_factory  # type: ignore[assignment]
-        explicit = getattr(cls, "_parc_field_defaults", None)
-        if isinstance(explicit, dict):
-            for name, value in explicit.items():
-                if callable(value):
-                    defaults[name] = value
-                else:
-                    defaults[name] = lambda value=value: value
-        return defaults
+
+def spell(name: str) -> bytes:
+    """*name* as the binary format writes a name: uvarint length, utf-8."""
+    encoded = name.encode("utf-8")
+    out = bytearray()
+    append_uvarint(out, len(encoded))
+    out += encoded
+    return bytes(out)
 
 
 def _default_wire_name(cls: type) -> str:

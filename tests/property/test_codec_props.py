@@ -1,12 +1,10 @@
-"""Property tests: compiled codecs vs the generic object path.
+"""Property tests of the binary formatter's object path and columns.
 
-The formatter runs a compiled codec for every class in its
-:class:`CodecRegistry`.  Here ``fast`` carries codecs for the test classes
-and ``generic`` is the same formatter with an empty registry, so every
-value takes the generic object path.  The two must agree byte for byte and
-decode each other's output; the format itself is pinned by
-``tests/unit/test_wire_golden.py``.  Also covered: unregistered classes
-and corrupted payloads.
+Registered dataclasses (``Record``, ``Pair``) round-trip, and a damaged
+payload raises a serialization error and nothing else.  The encoding
+itself is pinned byte for byte by ``tests/unit/test_wire_golden.py``.
+Also covered: ``processN`` argument columns and ``returnN`` result
+columns.
 """
 
 from __future__ import annotations
@@ -17,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.errors import SerializationError, UnknownTypeError
+from repro.errors import SerializationError
 from repro.remoting.messages import ReturnBatch
-from repro.serialization import BinaryFormatter, CodecRegistry, serializable
+from repro.serialization import BinaryFormatter, serializable
 from repro.serialization.codec import (
     pack_columns,
     pack_result_column,
@@ -47,16 +45,7 @@ class Pair:
     tags: list = field(default_factory=list)
 
 
-class NeverRegistered:
-    pass
-
-
-_codecs = CodecRegistry()
-_codecs.register(Record)
-_codecs.register(Pair)
-
-generic = BinaryFormatter(codecs=CodecRegistry())
-fast = BinaryFormatter(codecs=_codecs)
+fmt = BinaryFormatter()
 
 scalars = st.one_of(
     st.none(),
@@ -94,54 +83,28 @@ pairs = st.builds(
     tags=st.lists(scalars, max_size=4),
 )
 
-compiled_values = st.one_of(records, pairs, st.lists(records, max_size=3))
+record_values = st.one_of(records, pairs, st.lists(records, max_size=3))
 
 
 @settings(max_examples=150, deadline=None)
-@given(compiled_values)
-def test_compiled_and_generic_encodings_are_byte_identical(value):
-    assert fast.dumps(value) == generic.dumps(value)
-
-
-@settings(max_examples=150, deadline=None)
-@given(compiled_values)
-def test_old_encoder_new_decoder_roundtrip(value):
-    assert fast.loads(generic.dumps(value)) == value
-
-
-@settings(max_examples=150, deadline=None)
-@given(compiled_values)
-def test_new_encoder_old_decoder_roundtrip(value):
-    assert generic.loads(fast.dumps(value)) == value
-
-
-@settings(max_examples=100, deadline=None)
-@given(payloads)
-def test_generic_values_stay_byte_identical_without_codecs(value):
-    assert fast.dumps(value) == generic.dumps(value)
-    assert fast.loads(generic.dumps(value)) == value
+@given(record_values)
+def test_records_round_trip(value):
+    assert fmt.loads(fmt.dumps(value)) == value
 
 
 @settings(max_examples=60, deadline=None)
 @given(records, st.data())
 def test_corrupted_payloads_raise_serialization_errors(value, data):
-    payload = bytearray(fast.dumps(value))
+    payload = bytearray(fmt.dumps(value))
     cut = data.draw(st.integers(min_value=0, max_value=len(payload)))
     flip = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
     payload[flip] ^= data.draw(st.integers(min_value=1, max_value=255))
     try:
-        fast.loads(bytes(payload[:cut]))
+        fmt.loads(bytes(payload[:cut]))
     except SerializationError:
         pass  # the only acceptable failure mode
     # Any successful decode of a mutated payload is fine too (the flip may
     # have landed in a value byte) — the contract is "no raw exceptions".
-
-
-def test_unregistered_class_fallback_matches_generic():
-    with pytest.raises(UnknownTypeError):
-        generic.dumps(NeverRegistered())
-    with pytest.raises(UnknownTypeError):
-        fast.dumps(NeverRegistered())
 
 
 # -- processN argument columns ------------------------------------------------
@@ -178,7 +141,7 @@ def column_batches(draw):
 def test_columns_survive_the_wire_with_exact_types(batch):
     rows, plan = batch
     columns = pack_columns(rows, plan)
-    decoded = unpack_columns(len(rows), fast.loads(fast.dumps(columns)))
+    decoded = unpack_columns(len(rows), fmt.loads(fmt.dumps(columns)))
     assert decoded == rows
     for (args, _kwargs), (expected, _) in zip(decoded, rows):
         assert [type(value) for value in args] == [
@@ -211,26 +174,16 @@ error_slots = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(result_slots, error_slots)
-def test_returnn_batches_are_byte_identical_across_formatters(results, errors):
-    """A ReturnBatch travels the wire identically compiled or generic.
-
-    This is the reply-side interop guarantee: a batched reply decodes on
-    any peer whether or not it compiled ``ReturnBatch``, so the returnN
-    negotiation only needs to decide *whether* to batch, never how to
-    encode it.
-    """
+def test_returnn_batches_round_trip(results, errors):
     batch = ReturnBatch(
         count=len(results),
         results=pack_result_column(results),
         errors=tuple(errors),
     )
-    fast_bytes = fast.dumps(batch)
-    assert fast_bytes == generic.dumps(batch)
-    for decoder in (fast, generic):
-        decoded = decoder.loads(fast_bytes)
-        assert decoded.count == batch.count
-        assert list(decoded.results) == list(batch.results)
-        assert tuple(decoded.errors) == batch.errors
+    decoded = fmt.loads(fmt.dumps(batch))
+    assert decoded.count == batch.count
+    assert list(decoded.results) == list(batch.results)
+    assert tuple(decoded.errors) == batch.errors
 
 
 @settings(max_examples=150, deadline=None)
@@ -260,7 +213,7 @@ def test_int_results_survive_the_wire_as_ints(values):
         assert isinstance(packed, array.array) and packed.typecode in "bhiq"
     else:
         assert packed == list(values)
-    decoded = unpack_result_column(len(values), fast.loads(fast.dumps(packed)))
+    decoded = unpack_result_column(len(values), fmt.loads(fmt.dumps(packed)))
     assert decoded == list(values)
     assert all(type(value) is int for value in decoded)
 

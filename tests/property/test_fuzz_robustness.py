@@ -9,6 +9,8 @@ never executes user code.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ import pytest
 from repro.errors import ParcError, WireFormatError
 from repro.mpi import INT, UnpackBuffer
 from repro.remoting.messages import CallMessage
-from repro.serialization import BinaryFormatter, SoapFormatter
+from repro.serialization import BinaryFormatter, SoapFormatter, serializable
 
 binary = BinaryFormatter()
 soap = SoapFormatter()
@@ -26,6 +28,29 @@ soap = SoapFormatter()
 CALL_RECORD = binary.dumps(
     CallMessage(uri="io", method="m", args=(1, "x"), kwargs={"k": 2})
 )
+
+
+@serializable(name="test.fuzz.Point")
+@dataclass
+class Point:
+    x: int
+    y: int = 0
+
+
+@serializable(name="test.fuzz.Slim")
+class Slim:
+    __slots__ = ("kept",)
+
+
+def spelled(name):
+    """*name* as a record spells it: a one-byte length (under 128), utf-8."""
+    return bytes((len(name),)) + name.encode()
+
+
+def object_record(wire_name, fields):
+    """A binary object record of *wire_name* with each field set to 1."""
+    body = b"".join(spelled(field) + binary.dumps(1) for field in fields)
+    return b"O" + spelled(wire_name) + bytes((len(fields),)) + body
 
 
 class TestBinaryFuzz:
@@ -91,6 +116,33 @@ class TestCallRecordFuzz:
             return
         with pytest.raises(WireFormatError):
             binary.loads(CALL_RECORD[:-1] + flag)
+
+
+class TestObjectRecordFuzz:
+    """A record that does not fit its class is a wire error, and only that:
+    a dataclass record carries every field, a slots record only slots."""
+
+    @given(st.lists(st.sampled_from(["x", "y", "z"]), max_size=3, unique=True))
+    @settings(max_examples=50, deadline=None)
+    @example(["x"])  # y is missing, though it has a default
+    def test_dataclass_record_carries_every_field(self, fields):
+        record = object_record("test.fuzz.Point", fields)
+        if {"x", "y"} <= set(fields):
+            assert binary.loads(record).x == 1
+        else:
+            with pytest.raises(WireFormatError):
+                binary.loads(record)
+
+    @given(st.lists(st.sampled_from(["kept", "extra"]), max_size=2, unique=True))
+    @settings(max_examples=20, deadline=None)
+    @example(["kept", "extra"])  # a field the class cannot hold
+    def test_slots_record_names_only_slots(self, fields):
+        record = object_record("test.fuzz.Slim", fields)
+        if "extra" in fields:
+            with pytest.raises(WireFormatError):
+                binary.loads(record)
+        else:
+            assert isinstance(binary.loads(record), Slim)
 
 
 class TestSoapFuzz:

@@ -1,4 +1,8 @@
-"""Unit tests for the compiled-codec fast path (`repro.serialization.codec`)."""
+"""Unit tests for the binary formatter's object path and the column
+packing of ``processN`` aggregates (`repro.serialization.codec`).
+
+The object encoding itself is pinned byte for byte by
+``tests/unit/test_wire_golden.py``."""
 
 from __future__ import annotations
 
@@ -7,12 +11,10 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.errors import SerializationError, UnknownTypeError, WireFormatError
+from repro.errors import SerializationError, UnknownTypeError
 from repro.serialization import (
     BinaryFormatter,
-    CodecRegistry,
     SerializationRegistry,
-    compile_codec,
     serializable,
 )
 from repro.serialization.codec import (
@@ -40,187 +42,79 @@ class Nested:
     extras: list = field(default_factory=list)
 
 
-@serializable(name="test.codec.Graphish")
-@dataclass
-class Graphish:
-    items: list = field(default_factory=list)
-
-
-@serializable(name="test.codec.CustomState")
-class CustomState:
-    def __init__(self):
-        self.kept = 1
-
-    def __getstate__(self):
-        return {"kept": self.kept}
-
-    def __setstate__(self, state):
-        self.kept = state["kept"]
-
-
 class Unregistered:
     pass
 
 
 @pytest.fixture
-def codecs():
-    registry = CodecRegistry()
-    registry.register(Sample)
-    registry.register(Nested)
-    return registry
-
-
-@pytest.fixture
-def fast(codecs):
-    return BinaryFormatter(codecs=codecs)
-
-
-@pytest.fixture
-def generic():
-    """The same formatter without codecs: every object takes the generic path."""
-    return BinaryFormatter(codecs=CodecRegistry())
+def fmt():
+    return BinaryFormatter()
 
 
 SAMPLES = [
     Sample(count=7, ratio=2.5, label="hello", blob=b"\x00\xff", flag=True),
     Sample(count=-(2**62), ratio=float("inf"), label="", payload=[1, {"k": 2}]),
-    Sample(count=2**100, ratio=1.0, label="big int falls back", flag=False),
+    Sample(count=2**100, ratio=1.0, label="big int", flag=False),
     Nested(inner=Sample(1, 1.0, "in"), extras=[1, "two", (3.0,)]),
 ]
 
 
 @pytest.mark.parametrize("value", SAMPLES, ids=lambda v: type(v).__name__)
-def test_compiled_encode_is_byte_identical(generic, fast, value):
-    assert generic.dumps(value) == fast.dumps(value)
+def test_wire_interop_both_directions(fmt, value):
+    """Value to wire to value, and wire to value to the same wire."""
+    data = fmt.dumps(value)
+    assert fmt.loads(data) == value
+    assert fmt.dumps(fmt.loads(data)) == data
 
 
-@pytest.mark.parametrize("value", SAMPLES, ids=lambda v: type(v).__name__)
-def test_wire_interop_both_directions(generic, fast, value):
-    assert fast.loads(generic.dumps(value)) == value
-    assert generic.loads(fast.dumps(value)) == value
-
-
-def test_identity_memo_matches_generic(generic, fast):
+def test_shared_objects_decode_shared(fmt):
     shared = Sample(1, 1.0, "shared")
     graph = [shared, shared, (shared, [shared])]
-    assert generic.dumps(graph) == fast.dumps(graph)
-    decoded = fast.loads(generic.dumps(graph))
+    decoded = fmt.loads(fmt.dumps(graph))
     assert decoded[0] is decoded[1]
     assert decoded[2][0] is decoded[0]
+    assert decoded[2][1][0] is decoded[0]
 
 
-def test_dumps_into_appends_to_existing_buffer(fast):
+def test_dumps_into_appends_to_existing_buffer(fmt):
     out = bytearray(b"HDR")
-    fast.dumps_into(out, Sample(1, 2.0, "x"))
+    fmt.dumps_into(out, Sample(1, 2.0, "x"))
     assert out[:3] == b"HDR"
-    assert fast.loads(memoryview(out)[3:]) == Sample(1, 2.0, "x")
+    assert fmt.loads(memoryview(out)[3:]) == Sample(1, 2.0, "x")
 
 
-def test_loads_accepts_memoryview_and_bytearray(fast):
-    payload = fast.dumps(SAMPLES[0])
-    assert fast.loads(bytearray(payload)) == SAMPLES[0]
-    assert fast.loads(memoryview(payload)) == SAMPLES[0]
+def test_loads_accepts_memoryview_and_bytearray(fmt):
+    payload = fmt.dumps(SAMPLES[0])
+    assert fmt.loads(bytearray(payload)) == SAMPLES[0]
+    assert fmt.loads(memoryview(payload)) == SAMPLES[0]
 
 
-def test_annotation_lies_fall_back_to_generic_ladder(generic, fast):
-    # `count` is annotated int but holds a float: the specialized encoder
-    # must not mis-tag it.  Payload stays byte-identical to the generic one.
-    value = Sample(count=1.5, ratio=2, label=None, blob="not-bytes")
-    assert generic.dumps(value) == fast.dumps(value)
-    assert generic.loads(fast.dumps(value)) == value
+def test_truncated_payloads_raise_wire_errors(fmt):
+    for value in SAMPLES:
+        payload = fmt.dumps(value)
+        for cut in range(len(payload)):
+            with pytest.raises(SerializationError):
+                fmt.loads(payload[:cut])
 
 
-def test_truncated_payloads_raise_wire_errors(fast):
-    payload = fast.dumps(SAMPLES[0])
-    for cut in range(len(payload)):
-        with pytest.raises(SerializationError):
-            fast.loads(payload[:cut])
-
-
-def test_unregistered_class_raises_like_generic(generic, fast):
+def test_unregistered_class_raises(fmt):
     with pytest.raises(UnknownTypeError):
-        generic.dumps(Unregistered())
-    with pytest.raises(UnknownTypeError):
-        fast.dumps(Unregistered())
+        fmt.dumps(Unregistered())
 
 
-def test_compile_refuses_non_dataclass():
-    with pytest.raises(SerializationError, match="dataclass"):
-        compile_codec(CustomState)
-
-
-def test_compile_refuses_custom_state_hooks():
+def test_a_class_registered_after_a_failed_encode_encodes():
+    # The registry works a class's spelled names out on first use; the
+    # failed encode must not leave a stale entry behind.
     @dataclass
-    class Hooked:
-        kept: int = 0
-
-        def __getstate__(self):
-            return {"kept": self.kept}
+    class Late:
+        n: int = 0
 
     registry = SerializationRegistry()
-    registry.register(Hooked, "test.codec.Hooked")
-    with pytest.raises(SerializationError, match="__getstate__"):
-        compile_codec(Hooked, registry)
-
-
-def test_graph_marker_keeps_generic_path(generic):
-    codecs = CodecRegistry()
-    codecs.register(Sample)
-    assert codecs.codec_for(Sample) is not None
-    codecs.register(Graphish, graph=True)
-    assert codecs.codec_for(Graphish) is None
-    assert codecs.is_graph(Graphish)
-    # Re-marking a compiled class as graph-shaped evicts its codec.
-    codecs.register(Sample, graph=True)
-    assert codecs.codec_for(Sample) is None
-    fmt = BinaryFormatter(codecs=codecs)
-    cyclic = Graphish()
-    cyclic.items.append(cyclic)
-    decoded = fmt.loads(generic.dumps(cyclic))
-    assert decoded.items[0] is decoded
-
-
-def test_codecs_registered_after_formatter_are_picked_up(generic):
-    codecs = CodecRegistry()
-    fmt = BinaryFormatter(codecs=codecs)
-    value = Sample(3, 3.0, "late")
-    before = fmt.dumps(value)
-    codecs.register(Sample)
-    after = fmt.dumps(value)
-    assert before == after == generic.dumps(value)
-
-
-def test_schema_drift_falls_back_to_state_restore():
-    # An "old" peer compiled (a, b); the "new" class is (a, c=9).  The field
-    # mismatch mid-decode must degrade to the registry's state-dict path:
-    # `a` keeps its value, stray `b` is attached, missing `c` gets its
-    # dataclass default.
-    @dataclass
-    class OldShape:
-        a: int
-        b: int
-
-    @dataclass
-    class NewShape:
-        a: int
-        c: int = 9
-
-    old_reg = SerializationRegistry()
-    old_reg.register(OldShape, "test.codec.Evolving")
-    old_codecs = CodecRegistry()
-    old_codecs.register(OldShape, registry=old_reg)
-    new_reg = SerializationRegistry()
-    new_reg.register(NewShape, "test.codec.Evolving")
-    new_codecs = CodecRegistry()
-    new_codecs.register(NewShape, registry=new_reg)
-
-    old_fmt = BinaryFormatter(old_reg, old_codecs)
-    new_fmt = BinaryFormatter(new_reg, new_codecs)
-    decoded = new_fmt.loads(old_fmt.dumps(OldShape(a=4, b=5)))
-    assert type(decoded) is NewShape
-    assert decoded.a == 4
-    assert decoded.c == 9
-    assert decoded.b == 5  # unknown field preserved as a plain attribute
+    wire = BinaryFormatter(registry)
+    with pytest.raises(UnknownTypeError):
+        wire.dumps(Late(1))
+    registry.register(Late, "test.codec.Late")
+    assert wire.loads(wire.dumps(Late(2))) == Late(2)
 
 
 # -- columnar batch packing ---------------------------------------------------
@@ -355,11 +249,11 @@ def test_unpack_columns_length_mismatch_raises():
             unpack_columns(count, columns)
 
 
-def test_columnar_aggregate_is_materially_smaller(fast):
+def test_columnar_aggregate_is_materially_smaller(fmt):
     # The acceptance-style size check: a 64-call aggregate in columnar form
     # must encode >=1.5x smaller than the legacy [(args, kwargs), ...] batch.
     batch = [((float(i), i), {}) for i in range(64)]
-    legacy = fast.dumps(("step", batch))
+    legacy = fmt.dumps(("step", batch))
     columns = pack_columns(batch)
-    columnar = fast.dumps(("step", 64, columns))
+    columnar = fmt.dumps(("step", 64, columns))
     assert len(legacy) / len(columnar) >= 1.5

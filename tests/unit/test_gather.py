@@ -28,7 +28,7 @@ from repro.channels.tcp import _TcpConnection
 from repro.remoting import MarshalByRefObject, RemotingHost
 from repro.errors import ChannelClosedError, SerializationError
 from repro.remoting.messages import CallMessage, ReturnMessage
-from repro.serialization import BinaryFormatter, CodecRegistry, serializable
+from repro.serialization import BinaryFormatter, serializable
 from repro.serialization.codec import INLINE_MAX, gather_parts
 from repro.shm import ShmChannel
 from tests.unit.test_exchange import FakeChannel
@@ -133,7 +133,7 @@ class TestPartsAreTheSameBytesUncopied:
         decoded = FORMATTER.loads(b"".join(parts))
         assert decoded[0] is decoded[1] is decoded[2]["again"]
 
-    def test_compiled_call_message_with_a_bulk_argument(self):
+    def test_call_message_with_a_bulk_argument(self):
         payload = array.array("i", range(BULK // 4))
         message = CallMessage(uri="auto/echo-1", method="echo", args=(payload,))
         spills, parts = gathered(message)
@@ -141,19 +141,18 @@ class TestPartsAreTheSameBytesUncopied:
         assert [part.obj for part in parts if len(part) == BULK] == [payload]
         assert sum(map(len, parts)) - BULK < 200  # the rest is inline
 
-    def test_compiled_bytes_field(self):
+    def test_registered_dataclass_bytes_field(self):
         @serializable(name="test.gather.Blob")
         @dataclass
         class Blob:
             data: bytes = b""
 
-        codecs = CodecRegistry()
-        codecs.register(Blob)
-        fmt = BinaryFormatter(codecs=codecs)
         value = Blob(data=bytes(range(256)) * 4)
-        spills, parts = gathered(value, fmt)
-        assert b"".join(parts) == fmt.dumps(value)
+        assert len(value.data) > INLINE_MAX
+        spills, parts = gathered(value)
+        assert b"".join(parts) == FORMATTER.dumps(value)
         assert spilled_objects(spills) == [value.data]
+        assert FORMATTER.loads(b"".join(parts)) == value
 
     def test_plain_bytearray_stays_inline(self):
         value = [bytes(4096), array.array("d", range(1000))]

@@ -218,6 +218,45 @@ class TestSurrogates:
         with pytest.raises(SerializationError):
             registry.register_surrogate(_UpperSurrogate())
 
+    def test_class_name_cannot_shadow_surrogate(self):
+        registry = SerializationRegistry()
+
+        class K:
+            pass
+
+        registry.register_surrogate(_UpperSurrogate())
+        with pytest.raises(SerializationError, match="surrogate"):
+            registry.register(K, "test.registry.Upper")
+
+    def test_surrogate_is_asked_only_for_the_types_it_claims(self):
+        asked = []
+
+        class Claiming(_UpperSurrogate):
+            claims = (_Marked,)
+
+            def applies_to(self, obj):
+                asked.append(type(obj))
+                return super().applies_to(obj)
+
+        class Other:
+            pass
+
+        registry = SerializationRegistry()
+        registry.register(Other, "test.registry.Other")
+        registry.register_surrogate(Claiming())
+        formatter = BinaryFormatter(registry)
+        decoded = formatter.loads(formatter.dumps([Other(), _Marked("a")]))
+        assert isinstance(decoded[0], Other) and decoded[1] == "A"
+        assert asked == [_Marked]
+
+    def test_a_surrogate_registered_after_an_encode_applies(self):
+        registry = SerializationRegistry()
+        formatter = BinaryFormatter(registry)
+        with pytest.raises(SerializationError):
+            formatter.dumps(_Marked("a"))
+        registry.register_surrogate(_UpperSurrogate())
+        assert formatter.loads(formatter.dumps(_Marked("a"))) == "A"
+
     def test_surrogate_lookup_miss(self):
         registry = SerializationRegistry()
         assert registry.surrogate_for(object()) is None

@@ -32,7 +32,6 @@ EXPECTED = {
     "core/patterns.py": 2,
     "core/runtime.py": 1,
     "nio/channels.py": 2,
-    "serialization/registry.py": 1,
     "shm/channel.py": 11,
     "shm/doorbell.py": 3,
 }
