@@ -1021,9 +1021,6 @@ class ProxyObjectSurrogate(Surrogate):
     wire_name = "parc.scoopp.PORef"
     claims = (ProxyObject,)
 
-    def applies_to(self, obj: Any) -> bool:
-        return isinstance(obj, ProxyObject)
-
     def encode(self, obj: ProxyObject) -> dict[str, Any]:
         info = type(obj)._parc_info
         grain = obj._parc_grain

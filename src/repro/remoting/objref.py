@@ -83,9 +83,6 @@ class MbrSurrogate(Surrogate):
 
         self.claims = (MarshalByRefObject, ObjRef, RemoteProxy)
 
-    def applies_to(self, obj: Any) -> bool:
-        return isinstance(obj, self.claims)
-
     def encode(self, obj: Any) -> dict[str, Any]:
         from repro.remoting.proxy import RemoteProxy
 

@@ -346,8 +346,9 @@ class BinaryFormatter(Formatter):
         else:
             kind = type(obj)
             wire = registry.wire_class(kind)
-            name = wire.name or spell(registry.wire_name_of(kind))
-            keys = wire.keys
+            if wire.name is None:
+                registry.wire_name_of(kind)  # raises UnknownTypeError
+            name, keys = wire.name, wire.keys
             state = vars(obj) if wire.plain else registry.state_of(obj)
         out.append(_O_OBJECT)
         out += name
@@ -577,11 +578,7 @@ class BinaryFormatter(Formatter):
         count, pos = uvarint_from(buf, pos)
         state: dict[str, Any] = {}
         for _ in range(count):
-            size = buf[pos]  # past the end: IndexError, a wire error
-            if size < 0x80:  # a name under 128 bytes: its length is a byte
-                pos += 1
-            else:
-                size, pos = uvarint_from(buf, pos)
+            size, pos = uvarint_from(buf, pos)
             end = pos + size
             if end > len(buf):
                 raise WireFormatError("truncated field name")

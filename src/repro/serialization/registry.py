@@ -33,7 +33,9 @@ from repro.serialization.binary import append_uvarint
 
 T = TypeVar("T", bound=type)
 
-_OBJECT_GETSTATE = object.__getstate__
+#: ``object.__getstate__`` exists from Python 3.11 on; before, a class
+#: without the hook has none.
+_OBJECT_GETSTATE = getattr(object, "__getstate__", None)
 
 
 class Surrogate(abc.ABC):
@@ -50,15 +52,16 @@ class Surrogate(abc.ABC):
     #: Wire name the surrogate's encoded form travels under.
     wire_name: str
 
-    #: The types whose instances :meth:`applies_to` can claim.  Like .Net's
+    #: The types whose instances the surrogate encodes.  Like .Net's
     #: surrogate selector, which picks by type, the registry works out
     #: once per class which surrogates to ask; instances of other types
     #: never ask this one.
     claims: tuple[type, ...] = (object,)
 
-    @abc.abstractmethod
     def applies_to(self, obj: Any) -> bool:
-        """True if this surrogate should encode *obj* (isinstance-style)."""
+        """True if this surrogate should encode *obj*; a subclass narrows
+        the test below ``claims`` by overriding it."""
+        return isinstance(obj, self.claims)
 
     @abc.abstractmethod
     def encode(self, obj: Any) -> dict[str, Any]:

@@ -249,6 +249,25 @@ class TestSurrogates:
         assert isinstance(decoded[0], Other) and decoded[1] == "A"
         assert asked == [_Marked]
 
+    def test_applies_to_defaults_to_the_claimed_types(self):
+        class ByClaims(Surrogate):
+            wire_name = "test.registry.ByClaims"
+            claims = (_Marked,)
+
+            def encode(self, obj):
+                return {"text": obj.text}
+
+            def decode(self, state):
+                return state["text"]
+
+        surrogate = ByClaims()
+        assert surrogate.applies_to(_Marked("a"))
+        assert not surrogate.applies_to("a")
+        registry = SerializationRegistry()
+        registry.register_surrogate(surrogate)
+        formatter = BinaryFormatter(registry)
+        assert formatter.loads(formatter.dumps([_Marked("a")])) == ["a"]
+
     def test_a_surrogate_registered_after_an_encode_applies(self):
         registry = SerializationRegistry()
         formatter = BinaryFormatter(registry)
