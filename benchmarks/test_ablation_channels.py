@@ -55,7 +55,7 @@ def message_size_rows() -> list[tuple[str, int, int]]:
     messages = {
         "enqueue_batch (25 candidates)": CallMessage(
             uri="auto/x", method="enqueue_batch",
-            args=("process", [batch_args] * 4),
+            args=([("process", 4, None, [batch_args] * 4)],),
         ),
         "invoke count()": CallMessage(uri="auto/x", method="invoke",
                                       args=("count", (), {})),

@@ -87,18 +87,21 @@ def test_pingpong_round_trips_over_tcp_and_aio():
 
 
 def columnar_sizes(calls: int = 64) -> tuple[int, int]:
-    """Encoded request-body bytes: row batch versus columnar aggregate."""
+    """Encoded request-body bytes: a rows entry versus a columns entry,
+    each the one entry of an ``enqueue_batch`` request."""
     formatter = BinaryFormatter()
     batch = [((index * 0.5, index), {}) for index in range(calls)]
     row_message = CallMessage(
-        uri="auto/x", method="enqueue_batch", args=("step", batch)
+        uri="auto/x",
+        method="enqueue_batch",
+        args=([("step", calls, None, batch)],),
     )
     columns = pack_columns(batch)
     assert columns is not None
     columnar_message = CallMessage(
         uri="auto/x",
-        method="enqueue_columns",
-        args=("step", calls, list(columns)),
+        method="enqueue_batch",
+        args=([("step", calls, list(columns), None)],),
     )
     return (
         len(formatter.dumps(row_message)),

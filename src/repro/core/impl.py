@@ -44,7 +44,7 @@ from repro.errors import OverloadError, ScooppError, SerializationError
 from repro.executor import Executor, blocking, executor
 from repro.remoting import MarshalByRefObject
 from repro.remoting.messages import ReturnBatch
-from repro.serialization.codec import pack_result_column, unpack_columns
+from repro.serialization.codec import pack_result_column
 from repro.telemetry.context import current_context
 from repro.telemetry.tracer import current_tracer_var, get_global_tracer
 
@@ -100,9 +100,10 @@ class _Aggregate:
     trace context: the decoded argument *columns*, or ``[(args, kwargs),
     ...]`` *rows* for keyword arguments or mixed arity.  No caller waits
     on them, so the run executes the entry as a plain loop over the
-    columns (:meth:`ImplementationObject._execute_aggregate`); rows and
-    :class:`_Task` objects are built only for the paths that need one per
-    call — traced execution, migration replay, forwarding.
+    columns (:meth:`ImplementationObject._execute_aggregate`), and
+    forwarding and migration replay pass it on as it arrived
+    (:meth:`wire`); rows and :class:`_Task` objects are built only for
+    traced execution.
     """
 
     method: str
@@ -128,6 +129,34 @@ class _Aggregate:
                 method=self.method, args=args, kwargs=kwargs, trace=self.trace
             )
 
+    def wire(self) -> tuple:
+        """The ``enqueue_batch`` entry that carries this aggregate on."""
+        return (self.method, self.count, self.columns, self.rows)
+
+
+def _checked_entry(
+    method: str, count: int, columns: Sequence | None, rows: list | None,
+    trace: Any,
+) -> _Aggregate:
+    """One arrived ``(method, count, columns, rows)`` entry, shape checked.
+
+    Ragged columns raise :class:`SerializationError` and rows that do
+    not number *count* raise :class:`ScooppError`, before anything of
+    the entry is admitted.
+    """
+    if columns is not None:
+        if any(len(column) != count for column in columns):
+            raise SerializationError(
+                f"columnar batch length mismatch: header says {count} calls"
+            )
+        return _Aggregate(method, count, trace, columns=columns)
+    if rows is None or len(rows) != count:
+        raise ScooppError(
+            f"entry for {method!r} announces {count} calls, carries "
+            f"{None if rows is None else len(rows)}"
+        )
+    return _Aggregate(method, count, trace, rows=rows)
+
 
 #: A mailbox entry: an asynchronous aggregate, or the task list of a
 #: synchronous call / ``invoke_batch`` whose callers wait on the events.
@@ -148,8 +177,8 @@ class _IOMailbox:
     ``depth`` bounds the queue in *tasks* (0 = unbounded, the paper's
     semantics).  An entry that would overfill it is rejected with
     :class:`OverloadError` — admission control happens here, on the
-    dispatch thread serving the remote ``enqueue``, so the typed error
-    travels back to the caller synchronously.  An empty queue admits one
+    dispatch thread serving the remote ``enqueue_batch``, so the typed
+    error travels back to the caller synchronously.  An empty queue admits one
     entry of any size, so an aggregate larger than ``depth`` is served
     rather than shed forever; the bound is therefore ``depth`` plus one
     entry.
@@ -421,18 +450,14 @@ class ImplementationObject(MarshalByRefObject):
 
     Remote surface (called through the PO's transparent proxy):
 
-    * ``enqueue(method, args, kwargs)`` — post one asynchronous call;
-    * ``enqueue_batch(method, batch)`` — post an aggregated call (the
-      paper's ``processN``, Fig. 7): *batch* is a list of
-      ``(args, kwargs)`` pairs, executed back-to-back;
-    * ``enqueue_columns(method, count, columns)`` — the columnar form of
-      the same aggregate: positional argument columns instead of repeated
-      per-call tuples (smaller on the wire for homogeneous batches);
-    * ``enqueue_run(entries)`` — several consecutive aggregates/singles
-      in one request, each admitted as its own mailbox entry (partial
-      admission on failure, see the method);
+    * ``enqueue_batch(entries)`` — post asynchronous work, each entry
+      ``(method, count, columns | None, rows | None)`` one aggregate (the
+      paper's ``processN``, Fig. 7) executed back-to-back; a single call
+      is an entry of one;
     * ``invoke(method, args, kwargs)`` — synchronous call: queued behind
       pending work, result returned (program order is preserved);
+    * ``invoke_batch(method, count, columns, rows)`` — one such entry,
+      synchronous: one ``returnN`` reply carries every result;
     * ``drain()`` — block until the mailbox is empty;
     * ``dispose()`` — refuse new work and drain what is queued;
     * ``stats()`` — counters for the object manager.
@@ -476,67 +501,30 @@ class ImplementationObject(MarshalByRefObject):
 
     # -- remote surface ----------------------------------------------------
 
-    def enqueue(self, method: str, args: tuple = (), kwargs: dict | None = None) -> None:
-        self.enqueue_batch(method, [(tuple(args), dict(kwargs or {}))])
+    def enqueue_batch(self, entries: list) -> None:
+        """Post asynchronous work: every entry one aggregate message.
 
-    def enqueue_batch(self, method: str, batch: list) -> None:
-        """Post one aggregate message carrying *batch* invocations.
-
-        The whole batch is a single mailbox entry: its calls execute
-        consecutively with no interleaving, matching Fig. 7's ``processN``
-        loop over the parameter array.
-        """
-        if batch:
-            entry = _Aggregate(
-                method, len(batch), current_context.get(), rows=list(batch)
-            )
-            self._post(method, entry)
-
-    def enqueue_columns(
-        self, method: str, count: int, columns: list = ()
-    ) -> None:
-        """Post an aggregate shipped in columnar form.
-
-        The PO sender packs a homogeneous batch as per-parameter columns
-        (method name, schema and trace header encoded once).  The entry
-        keeps them, so execution builds no per-call row; its semantics
-        are those of :meth:`enqueue_batch`.
-        """
-        if any(len(column) != count for column in columns):
-            raise SerializationError(
-                f"columnar batch length mismatch: header says {count} calls"
-            )
-        if count > 0:
-            entry = _Aggregate(method, count, current_context.get(), columns)
-            self._post(method, entry)
-
-    def enqueue_run(self, entries: list) -> None:
-        """Post a run of consecutive outbox items shipped as one request.
-
-        The PO sender's group commit: each entry is one aggregate or
-        single in caller order, ``(method, count, columns | None, rows |
-        None)`` — columns as for :meth:`enqueue_columns`, rows as for
-        :meth:`enqueue_batch`.  Every entry is admitted on its own
-        through those methods, so it is its own mailbox entry and the
-        depth bound, migration forwarding and FIFO order behave as
-        if the entries had arrived in separate requests.
+        Each entry is ``(method, count, columns | None, rows | None)``,
+        Fig. 7's ``processN`` over its parameter array: *count* calls of
+        *method* as positional argument *columns* when the sender could
+        pack them, else as ``[(args, kwargs), ...]`` *rows*.  A single
+        call is an entry of one.  Every entry is its own mailbox entry
+        (its calls execute back-to-back), checked and admitted in order,
+        so the depth bound, migration forwarding and FIFO order behave
+        as if the entries had arrived in separate requests.
 
         Admission is partial on failure: the entries before the first
-        one that raises (``OverloadError`` from a full mailbox, a disposed
-        mailbox) are enqueued exactly once, that entry and all later
-        ones are not, and the error travels back to the sender — which
-        therefore must never re-send a refused run.
+        one that raises (a malformed shape, ``OverloadError`` from a full
+        mailbox, a disposed mailbox) are enqueued exactly once, that
+        entry and all later ones are not, and the error travels back to
+        the sender — which therefore must never re-send a refused
+        request.
         """
+        trace = current_context.get()
         for method, count, columns, rows in entries:
-            if columns is not None:
-                self.enqueue_columns(method, count, columns)
-            elif len(rows) != count:
-                raise ScooppError(
-                    f"run entry for {method!r} announces {count} calls, "
-                    f"carries {len(rows)}"
-                )
-            else:
-                self.enqueue_batch(method, rows)
+            entry = _checked_entry(method, count, columns, rows, trace)
+            if count > 0:
+                self._post(method, entry)
 
     def invoke(self, method: str, args: tuple = (), kwargs: dict | None = None) -> Any:
         task = _Task(
@@ -554,26 +542,28 @@ class ImplementationObject(MarshalByRefObject):
             raise task.error
         return task.result
 
-    def invoke_batch(self, method: str, batch: list) -> Any:
+    def invoke_batch(
+        self, method: str, count: int, columns: list | None = None,
+        rows: list | None = None,
+    ) -> Any:
         """Synchronous aggregate: N calls in, one ``returnN`` reply out.
 
-        The reply-side twin of :meth:`enqueue_batch`: *batch* is the
-        same ``[(args, kwargs), ...]`` list, posted as ONE mailbox entry
-        (back-to-back execution, FIFO with surrounding work) — but every
-        call is synchronous and the results travel back as a single
+        The reply-side twin of :meth:`enqueue_batch`, for one entry of
+        the same shape, posted as ONE mailbox entry (back-to-back
+        execution, FIFO with surrounding work) — but every call is
+        synchronous and the results travel back as a single
         :class:`~repro.remoting.messages.ReturnBatch` instead of N
         response frames.  Per-call failures land in the batch's error
         slots; they never abort the remaining calls.
         """
         trace = current_context.get()
+        entry = _checked_entry(method, count, columns, rows, trace)
         tasks = [
             _Task(
-                method=method,
-                args=tuple(args),
-                kwargs=dict(kwargs),
+                method=method, args=tuple(args), kwargs=dict(kwargs),
                 trace=trace,
             )
-            for args, kwargs in batch
+            for args, kwargs in entry.calls()
         ]
         if not tasks:
             return ReturnBatch(count=0, results=[], errors=())
@@ -613,10 +603,6 @@ class ImplementationObject(MarshalByRefObject):
             results=pack_result_column(results),
             errors=tuple(errors),
         )
-
-    def invoke_columns(self, method: str, count: int, columns: list = ()) -> Any:
-        """Columnar form of :meth:`invoke_batch` (processN in, returnN out)."""
-        return self.invoke_batch(method, unpack_columns(count, columns))
 
     def _run_inline(self, tasks: list[_Task]) -> bool:
         """Sync fast path: execute *tasks* on the caller's thread.
@@ -726,7 +712,7 @@ class ImplementationObject(MarshalByRefObject):
                 "away with no forwarding address"
             )
         if type(entry) is _Aggregate:
-            forward.enqueue_batch(method, list(entry.calls()))
+            forward.enqueue_batch([entry.wire()])
             return
         for task in entry:
             # Synchronous stragglers complete inline: the caller's wait

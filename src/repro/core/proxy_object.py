@@ -404,10 +404,8 @@ class RemoteGrain:
 
     def _call_many_inner(self, method: str, batch: list) -> list:
         columns = self._columns_for(method, batch)
-        if columns is not None:
-            reply = self.impl.invoke_columns(method, len(batch), columns)
-        else:
-            reply = self.impl.invoke_batch(method, batch)
+        rows = batch if columns is None else None
+        reply = self.impl.invoke_batch(method, len(batch), columns, rows)
         return self._unpack_returnn(method, reply, len(batch))
 
     def _unpack_returnn(self, method: str, reply, count: int) -> list:  # type: ignore[no-untyped-def]
@@ -608,8 +606,8 @@ class RemoteGrain:
     def _enqueue_locked(self, item: tuple) -> None:
         """Queue one ``(method, calls, trace context)`` item to be sent.
 
-        An item of one call is a *single* (it travels as a plain
-        ``enqueue``), anything longer an aggregate.  Submits a send run
+        An item of one call is a *single*, anything longer an aggregate;
+        each travels as one ``enqueue_batch`` entry.  Submits a send run
         unless one is already queued or running: it will reach the item.
         """
         self._outbox.append(item)
@@ -687,9 +685,9 @@ class RemoteGrain:
                     self._unsent_calls -= len(item[1])
                 self._outbox_cv.notify_all()
             try:
-                # Re-activate the post-time trace context so the enqueue
-                # rpc (and the remote io span behind it) chains to the
-                # caller's span rather than to the executor thread.
+                # Re-activate the post-time trace context so the
+                # enqueue_batch rpc (and the remote io span behind it)
+                # chains to the caller's span, not to the executor thread.
                 ctx = run[0][2]
                 if ctx is None and current_context.get() is None:
                     calls = self._send_run(run)
@@ -774,36 +772,13 @@ class RemoteGrain:
         return run
 
     def _send_run(self, run: list) -> int:
-        """Ship *run* in one request; returns the number of calls sent.
+        """Ship *run* in one ``enqueue_batch``; returns the calls sent.
 
-        A lone call travels as ``enqueue``; an aggregate as columns
-        (Fig. 7's parameter array, transposed) when its shape allows,
-        else as rows (kwargs, mixed arity), alone as ``enqueue_columns``
-        / ``enqueue_batch`` and in a longer run as an ``enqueue_run``
-        entry.  Nothing is re-sent in another form: the IO admits entry
-        by entry, so a failure may have left a prefix enqueued.
-        """
-        method, calls, _ctx = run[0]
-        if len(run) == 1 and len(calls) == 1:
-            self._admit("enqueue", method, *calls[0])
-            return 1
-        entries = []
-        total = 0
-        for method, calls, _ctx in run:
-            columns = self._columns_for(method, calls)
-            rows = calls if columns is None else None
-            entries.append((method, len(calls), columns, rows))
-            total += len(calls)
-        if len(entries) > 1:
-            self._admit("enqueue_run", entries)
-        elif columns is not None:
-            self._admit("enqueue_columns", method, total, columns)
-        else:
-            self._admit("enqueue_batch", method, calls)
-        return total
-
-    def _admit(self, name: str, *args: Any) -> None:
-        """Call the IO's admission method *name* from a send run.
+        Every item — a single, a lone aggregate or one of a coalesced
+        run — is one entry: argument columns (Fig. 7's parameter array,
+        transposed) when its shape allows, else rows (kwargs, mixed
+        arity).  Nothing is re-sent: the IO admits entry by entry, so a
+        failure may have left a prefix enqueued.
 
         A remote IO is reached through the proxy's ``_parc_invoke``, not
         through a :class:`~repro.remoting.proxy.RemoteMethod`: the
@@ -811,11 +786,19 @@ class RemoteGrain:
         needs no run of this process, so it stays outside the executor's
         managed blocking and the send runs stay within its cap.
         """
+        entries = []
+        total = 0
+        for method, calls, _ctx in run:
+            columns = self._columns_for(method, calls)
+            rows = calls if columns is None else None
+            entries.append((method, len(calls), columns, rows))
+            total += len(calls)
         invoke = getattr(self.impl, "_parc_invoke", None)
         if invoke is None:
-            getattr(self.impl, name)(*args)
+            self.impl.enqueue_batch(entries)
         else:
-            invoke(name, args, {})
+            invoke("enqueue_batch", (entries,), {})
+        return total
 
     def _columns_for(self, method: str, calls: list) -> list | None:
         """*calls* as argument columns, or None when they travel as rows."""

@@ -18,8 +18,8 @@ The migration protocol (zero lost calls):
    wraps it in a fresh ImplementationObject and returns it by
    reference.
 3. The extracted backlog is replayed to the new IO in order —
-   asynchronous runs as aggregate batches, synchronous calls relayed
-   inline so parked local waiters get their results.
+   each asynchronous aggregate as the entry it arrived as, synchronous
+   calls relayed inline so parked local waiters get their results.
 4. ``complete_migration`` flips the old IO into a forwarding shell:
    parked and straggler callers are relayed to the new home, so even
    proxies that never hear about the move keep working.  On any
@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any
 
-from repro.core.impl import ImplementationObject, _Entry
+from repro.core.impl import ImplementationObject, _Aggregate, _Entry
 from repro.core.model import parallel_class_table
 from repro.errors import MigrationError
 from repro.remoting import MarshalByRefObject
@@ -40,11 +40,6 @@ from repro.serialization.registry import default_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import Node
-
-#: Replayed asynchronous calls are re-aggregated into batches of at most
-#: this many, so a huge stolen backlog neither ships as one giant frame
-#: nor degrades into per-call round trips.
-REPLAY_BATCH = 64
 
 
 class NodeScheduler(MarshalByRefObject):
@@ -190,45 +185,31 @@ class NodeScheduler(MarshalByRefObject):
     ) -> tuple[int, int]:
         """Replay the extracted backlog into the new IO, in order.
 
-        Consecutive asynchronous tasks of one method re-aggregate into
-        ``enqueue_batch`` chunks; synchronous tasks are relayed inline
-        and their parked local waiters completed here (the wait event
-        cannot cross the wire).  Returns ``(moved, lost)``: a chunk
-        that still fails after one retry is dropped rather than
-        deadlocking the committed move (lost > 0 marks the migration
-        failed in the counters).
+        Each asynchronous aggregate travels on as it arrived, one
+        ``enqueue_batch`` entry per request (columns stay columns);
+        synchronous tasks are relayed inline and their parked local
+        waiters completed here (the wait event cannot cross the wire).
+        Returns ``(moved, lost)``: an aggregate whose request still
+        fails after one retry is dropped rather than deadlocking the
+        committed move (lost > 0 marks the migration failed in the
+        counters).  A request carries one entry, so a refused one
+        admitted nothing and the retry cannot admit a call twice.
         """
         moved = 0
         lost = 0
-        pending_method: str | None = None
-        pending: list[tuple[tuple, dict]] = []
-
-        def flush() -> None:
-            nonlocal pending, pending_method, lost
-            if pending:
+        for entry in entries:
+            if type(entry) is _Aggregate:
+                moved += entry.count
                 for attempt in (1, 2):
                     try:
-                        new_impl.enqueue_batch(pending_method, pending)
+                        new_impl.enqueue_batch([entry.wire()])
                         break
                     except Exception:  # noqa: BLE001 - retry once
                         if attempt == 2:
-                            lost += len(pending)
-                pending = []
-            pending_method = None
-
-        for batch in entries:
-            for task in batch:
+                            lost += entry.count
+                continue
+            for task in entry:
                 moved += 1
-                if task.done is None:
-                    if (
-                        pending_method != task.method
-                        or len(pending) >= REPLAY_BATCH
-                    ):
-                        flush()
-                        pending_method = task.method
-                    pending.append((task.args, task.kwargs))
-                    continue
-                flush()
                 try:
                     task.result = new_impl.invoke(
                         task.method, task.args, task.kwargs
@@ -236,5 +217,4 @@ class NodeScheduler(MarshalByRefObject):
                 except BaseException as exc:  # noqa: BLE001 - relay verbatim
                     task.error = exc
                 task.done.set()
-        flush()
         return moved, lost

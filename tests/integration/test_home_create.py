@@ -159,7 +159,7 @@ class TestLifecycleCensus:
                     seen["remote"] += 1
                     assert delta == {
                         other.host.host_id: collections.Counter(
-                            create=1, enqueue_columns=1, invoke=1, dispose=1
+                            create=1, enqueue_batch=1, invoke=1, dispose=1
                         )
                     }
             assert seen["home"] >= 2 and seen["remote"] >= 2

@@ -52,9 +52,8 @@ class SlowWire:
     """An IO behind a wire with a round-trip time.
 
     While a request sleeps the caller keeps flushing, so the outbox the
-    sender finds afterwards holds several items: the coalesced
-    ``enqueue_run`` path, which a zero-latency in-process IO would
-    hardly ever take.
+    sender finds afterwards holds several items: the coalesced run of
+    entries, which a zero-latency in-process IO would hardly ever take.
     """
 
     def __init__(self, inner, delay_s):
@@ -64,21 +63,9 @@ class SlowWire:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def enqueue(self, *args):
+    def enqueue_batch(self, entries):
         time.sleep(self._delay_s)
-        self._inner.enqueue(*args)
-
-    def enqueue_batch(self, *args):
-        time.sleep(self._delay_s)
-        self._inner.enqueue_batch(*args)
-
-    def enqueue_columns(self, *args):
-        time.sleep(self._delay_s)
-        self._inner.enqueue_columns(*args)
-
-    def enqueue_run(self, entries):
-        time.sleep(self._delay_s)
-        self._inner.enqueue_run(entries)
+        self._inner.enqueue_batch(entries)
 
 
 class TestAggregationOrdering:

@@ -1,11 +1,11 @@
 """The PO sender's group commit: a queued outbox leaves as one request.
 
-While one ``enqueue*`` round trip is in flight the caller keeps flushing
-aggregates into the outbox; when the sender comes back it ships the
-whole queued prefix as a single ``enqueue_run``.  These tests pin what
-may merge (same trace context, inside the call and byte caps), what a
-partly refused run leaves behind, and what must not change at all: a
-lone aggregate's request, byte for byte.
+While one ``enqueue_batch`` round trip is in flight the caller keeps
+flushing aggregates into the outbox; when the sender comes back it ships
+the whole queued prefix as a single ``enqueue_batch`` of several entries.
+These tests pin what may merge (same trace context, inside the call and
+byte caps), what a partly refused run leaves behind, and the request a
+lone aggregate and a single make, byte for byte.
 """
 
 from __future__ import annotations
@@ -84,25 +84,13 @@ class GatedImpl:
         getattr(self._inner, name)(*args)
         self._parc_last_wire_bytes = self.bytes_per_call * calls
 
-    def enqueue(self, method, args=(), kwargs=None):
-        self._request("enqueue", 1, method, args, kwargs)
-
-    def enqueue_batch(self, method, batch):
-        self._request("enqueue_batch", len(batch), method, batch)
-
-    def enqueue_columns(self, method, count, columns=()):
-        self._request("enqueue_columns", count, method, count, columns)
-
-    def enqueue_run(self, entries):
+    def enqueue_batch(self, entries):
         calls = sum(count for _m, count, _c, _r in entries)
-        self._request("enqueue_run", calls, entries)
+        self._request("enqueue_batch", calls, entries)
 
     def run_sizes(self):
-        """Items per request (1 for every lone send)."""
-        return [
-            len(args[0]) if name == "enqueue_run" else 1
-            for name, args in self.requests
-        ]
+        """Entries per request (1 for every lone send)."""
+        return [len(args[0]) for _name, args in self.requests]
 
 
 def steps(start, count):
@@ -142,10 +130,7 @@ class TestRunFormation:
         post_steps(grain, MAX_CALLS, k * MAX_CALLS)
         impl.gate.set()
         grain.drain()
-        assert [name for name, _args in impl.requests] == [
-            "enqueue_columns",
-            "enqueue_run",
-        ]
+        assert [name for name, _args in impl.requests] == ["enqueue_batch"] * 2
         (entries,) = impl.requests[1][1]
         assert len(entries) == k
         for index, (method, count, columns, rows) in enumerate(entries):
@@ -170,10 +155,7 @@ class TestRunFormation:
         grain.post("mark", (0,), {})
         grain.post("mark", (1,), {})
         grain.drain()
-        assert [name for name, _args in impl.requests] == [
-            "enqueue_columns",
-            "enqueue_columns",
-        ]
+        assert impl.run_sizes() == [1, 1]
         del impl.requests[:]
         impl.gate.clear()
         post_steps(grain, MAX_CALLS, MAX_CALLS)
@@ -184,10 +166,7 @@ class TestRunFormation:
         grain.flush()
         impl.gate.set()
         grain.drain()
-        assert [name for name, _args in impl.requests] == [
-            "enqueue_columns",
-            "enqueue_run",
-        ]
+        assert impl.run_sizes() == [1, 3]
         (entries,) = impl.requests[1][1]
         assert [(m, count) for m, count, _c, _r in entries] == [
             ("mark", 1),
@@ -225,9 +204,9 @@ class TestRunFormation:
             post_steps(grain, MAX_CALLS, 2 * MAX_CALLS)
             impl.gate.set()
             grain.drain()
-            assert [name for name, _args in impl.requests] == [
-                "enqueue_batch"
-            ] * 3
+            assert impl.run_sizes() == [1, 1, 1]
+            for _name, (entries,) in impl.requests:
+                assert entries[0][2] is None  # rows: the class is unknown
         finally:
             impl.gate.set()
             grain.dispose()
@@ -251,8 +230,14 @@ class TestFlushDeadline:
             post_steps(grain, MAX_CALLS + 2, 2)
             grain.drain()
             assert (grain.batches, grain.singles) == (2, 0)
-            assert impl.requests[1][1][1] == [
-                ((x, n), {}) for x, n in steps(MAX_CALLS, MAX_CALLS)
+            (entries,) = impl.requests[1][1]
+            assert entries == [
+                (
+                    "step",
+                    MAX_CALLS,
+                    None,
+                    [((x, n), {}) for x, n in steps(MAX_CALLS, MAX_CALLS)],
+                )
             ]
         finally:
             impl.gate.set()
@@ -284,7 +269,8 @@ class TestRunCaps:
         impl.gate.set()
         grain.drain()
         assert impl.run_sizes() == [1, 3, 3, 1]
-        assert impl.requests[-1][0] == "enqueue_columns"
+        ((_method, count, columns, _rows),) = impl.requests[-1][1][0]
+        assert (count, len(columns)) == (MAX_CALLS, 2)
         assert len(target.snapshot()) == 8 * MAX_CALLS
 
     def test_byte_cap_uses_the_observed_bytes_per_call(self, gated):
@@ -381,7 +367,7 @@ class TestCallerYield:
         gate, in_flight = threading.Event(), threading.Event()
 
         class Refusing:
-            def enqueue_columns(self, method, count, columns=()):
+            def enqueue_batch(self, entries):
                 in_flight.set()
                 assert gate.wait(timeout=10.0)
                 raise OverloadError("mailbox full")
@@ -465,23 +451,24 @@ class TestPartialAdmission:
     def test_failed_run_is_not_resent_in_another_form(self, gated):
         target, _io, impl, grain = gated
 
+        admit = impl.enqueue_batch
+
         def refuse(entries):
-            impl.requests.append(("enqueue_run", (entries,)))
+            if len(entries) == 1:
+                return admit(entries)
+            impl.requests.append(("enqueue_batch", (entries,)))
             raise RemoteInvocationError(
-                "remote call enqueue_run failed with ValueError: boom"
+                "remote call enqueue_batch failed with ValueError: boom"
             )
 
-        impl.enqueue_run = refuse
+        impl.enqueue_batch = refuse
         post_steps(grain, 0, MAX_CALLS)
         assert impl.in_flight.wait(timeout=5.0)
         post_steps(grain, MAX_CALLS, 2 * MAX_CALLS)
         impl.gate.set()
         with pytest.raises(ScooppError, match="boom"):
             grain.drain()
-        assert [name for name, _args in impl.requests] == [
-            "enqueue_columns",
-            "enqueue_run",
-        ]
+        assert impl.run_sizes() == [1, 2]
         assert grain.columnar
         grain.drain()  # the error was reported once; the grain works on
         assert target.snapshot() == [
@@ -560,10 +547,10 @@ class GatedRecordingChannel(RecordingChannel):
 
 
 class FailingColumnsIO(ImplementationObject):
-    """An IO whose ``enqueue_columns`` fails *after* enqueueing."""
+    """An IO whose ``enqueue_batch`` fails *after* enqueueing."""
 
-    def enqueue_columns(self, method, count, columns=()):
-        super().enqueue_columns(method, count, columns)
+    def enqueue_batch(self, entries):
+        super().enqueue_batch(entries)
         raise ValueError("disk full while journalling the aggregate")
 
 
@@ -604,25 +591,25 @@ class TestOverTheWire:
         grain.post("mark", (5,), {})
         grain.drain()
         grain.dispose()
-        # The messages below are the lone-item requests as the sender
-        # built them before runs existed; their encoding is pinned by
-        # tests/unit/test_wire_golden.py.
+        # A lone aggregate and a single each leave as one columnar
+        # entry; their encoding is pinned by tests/unit/test_wire_golden.py.
         oracle = BinaryFormatter()
         xs, ns = zip(*steps(0, MAX_CALLS))
+        columns = [array.array("d", xs), array.array("b", ns)]
         assert channel.bodies[:2] == [
             oracle.dumps(
                 CallMessage(
                     uri="io",
-                    method="enqueue_columns",
-                    args=(
-                        "step",
-                        MAX_CALLS,
-                        [array.array("d", xs), array.array("b", ns)],
-                    ),
+                    method="enqueue_batch",
+                    args=([("step", MAX_CALLS, columns, None)],),
                 )
             ),
             oracle.dumps(
-                CallMessage(uri="io", method="enqueue", args=("mark", (5,), {}))
+                CallMessage(
+                    uri="io",
+                    method="enqueue_batch",
+                    args=([("mark", 1, [array.array("b", [5])], None)],),
+                )
             ),
         ]
         assert target.snapshot() == [
@@ -641,9 +628,7 @@ class TestOverTheWire:
         post_steps(grain, MAX_CALLS, (aggregates - 1) * MAX_CALLS)
         channel.gate.set()
         grain.drain()
-        assert channel.methods() == [
-            "enqueue_columns", "enqueue_run", "drain"
-        ]
+        assert channel.methods() == ["enqueue_batch", "enqueue_batch", "drain"]
         assert target.snapshot() == [
             ("step", x, n) for x, n in steps(0, aggregates * MAX_CALLS)
         ]
@@ -682,7 +667,7 @@ class TestOverTheWire:
             assert rpc.category == "rpc"
             assert rpc.parent_id == poster.span_id
             rpc_names.add(rpc.name)
-        assert rpc_names == {"call.enqueue_columns", "call.enqueue_run"}
+        assert rpc_names == {"call.enqueue_batch"}
         flushes = [e for e in events if e.name == "po.flush"]
         assert [e.span_id for e in flushes] == [poster.span_id] * 4
         grain.dispose()
@@ -713,10 +698,10 @@ class HeldIO(ImplementationObject):
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def enqueue(self, method, args=(), kwargs=None):
+    def enqueue_batch(self, entries):
         self.entered.set()
         assert self.release.wait(timeout=10.0)
-        super().enqueue(method, args, kwargs)
+        super().enqueue_batch(entries)
 
 
 class TestWireBytesPerGrain:

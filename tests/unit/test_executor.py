@@ -25,6 +25,7 @@ import time
 from repro.core.impl import ImplementationObject
 from repro.core.proxy_object import RemoteGrain
 from repro.executor import Executor, Timer, blocking
+from tests.entries import post
 
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -60,7 +61,7 @@ class TestNoStarvation:
         impls = [ImplementationObject(Meeter(), "t.Meeter") for _ in range(64)]
         try:
             for impl in impls:
-                impl.enqueue("meet")
+                post(impl, "meet")
             for impl in impls:
                 impl.drain()
             assert len(met) == 64
@@ -84,7 +85,7 @@ class TestThreadCensus:
             "impls = [ImplementationObject(Counter(), 't.Counter')"
             " for _ in range(500)]\n"
             "for impl in impls:\n"
-            "    impl.enqueue('add')\n"
+            "    impl.enqueue_batch([('add', 1, None, [((), {})])])\n"
             "for impl in impls:\n"
             "    impl.drain()\n"
             "assert all(impl.instance.n == 1 for impl in impls)\n"
@@ -161,7 +162,7 @@ class TestOrdering:
                 if seq % 7 == 0:
                     assert impl.invoke("record", (index, seq)) == seq
                 else:
-                    impl.enqueue("record", (index, seq))
+                    post(impl, "record", (index, seq))
 
         threads = [
             threading.Thread(target=poster, args=(index,)) for index in range(4)
@@ -202,9 +203,9 @@ class TestMigrationPause:
 
         impl = ImplementationObject(Slow(), "t.Slow")
         try:
-            impl.enqueue("hold")
+            post(impl, "hold")
             assert entered.wait(timeout=5.0)
-            impl.enqueue("record", (1,))
+            post(impl, "record", (1,))
             extracted = []
             pauser = threading.Thread(
                 target=lambda: extracted.append(impl.begin_migration())
@@ -220,7 +221,7 @@ class TestMigrationPause:
             assert log == ["hold"]
             assert [len(entry) for entry in entries] == [1]
             impl.abort_migration(entries)
-            impl.enqueue("record", (2,))
+            post(impl, "record", (2,))
             impl.drain()
             assert log == ["hold", 1, 2]
         finally:
@@ -335,19 +336,20 @@ class TestFlushClock:
 
 
 class GatedIO:
-    """Forwards ``enqueue`` to an IO once *admit* is set; until then the
-    send run waits in managed blocking, as one waiting on a reply does."""
+    """Forwards ``enqueue_batch`` to an IO once *admit* is set; until then
+    the send run waits in managed blocking, as one waiting on a reply
+    does."""
 
     def __init__(self, io, admit):
         self.io = io
         self.admit = admit
         self.waiting = threading.Event()
 
-    def enqueue(self, method, args=(), kwargs=None):
+    def enqueue_batch(self, entries):
         self.waiting.set()
         with blocking():
             assert self.admit.wait(10.0)
-        self.io.enqueue(method, args, kwargs)
+        self.io.enqueue_batch(entries)
 
     def drain(self):
         self.io.drain()

@@ -36,6 +36,7 @@ from repro.executor import (
 )
 from repro.perfmodel.clock import VirtualClock
 from repro.remoting import MarshalByRefObject, RemotingHost
+from tests.entries import post
 from tests.unit.test_executor import run_python, wait_until
 
 
@@ -85,7 +86,7 @@ class TestCap:
             "    # Admission takes half a millisecond of interpreter time.\n"
             "    def __init__(self):\n"
             "        self.io = ImplementationObject(Counter(), 't.Counter')\n"
-            "    def enqueue(self, method, args=(), kwargs=None):\n"
+            "    def enqueue_batch(self, entries):\n"
             "        global peak\n"
             "        names = [t.name for t in threading.enumerate()]\n"
             "        peak = max(peak, names.count('parc-exec'),\n"
@@ -93,7 +94,7 @@ class TestCap:
             "        until = time.perf_counter() + 0.0005\n"
             "        while time.perf_counter() < until:\n"
             "            pass\n"
-            "        self.io.enqueue(method, args, kwargs)\n"
+            "        self.io.enqueue_batch(entries)\n"
             "    def drain(self):\n"
             "        self.io.drain()\n"
             "    def dispose(self):\n"
@@ -249,8 +250,8 @@ class TestTurns:
             hold(pool, gate, managed=False)
             assert wait_until(lambda: pool.stats()["threads"] == 1, timeout=5.0)
             for n in (1, 2, 3):
-                a.enqueue("note", (n,))
-            b.enqueue("note", (1,))
+                post(a, "note", (n,))
+            post(b, "note", (1,))
             assert pool.stats()["waiting"] == 2
         finally:
             gate.set()
@@ -283,12 +284,12 @@ class TestNodePools:
         free = ImplementationObject(Waiter(gate), "t.Waiter", node=node_b)
         try:
             for impl in blocked:
-                impl.enqueue("wait")
+                post(impl, "wait")
             assert wait_until(lambda: pool_a.stats()["waiting"] == 1, timeout=5.0)
             gate_b = threading.Event()
             free.instance.gate = gate_b
             gate_b.set()
-            free.enqueue("wait")
+            post(free, "wait")
             free.drain()
             assert free.instance.done == 1
             assert pool_a.stats()["threads"] == 1

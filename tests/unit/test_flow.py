@@ -14,6 +14,7 @@ import pytest
 from repro.core.impl import ImplementationObject, _IOMailbox, _Task
 from repro.errors import OverloadError
 from repro.flow import ElasticController, ElasticPolicy
+from tests.entries import post, post_rows
 
 
 class TestElasticController:
@@ -125,7 +126,7 @@ class TestIOMailbox:
 
         impl = ImplementationObject(Adder(), "test.Adder", mailbox_depth=4)
         try:
-            impl.enqueue_batch("add", [((1,), {})] * 8)
+            post_rows(impl, "add", [((1,), {})] * 8)
             impl.drain()
             assert seen == [1] * 8
             assert impl.stats()["shed"] == 0
@@ -174,7 +175,7 @@ class TestIOMailbox:
             def producer():
                 index = 0
                 while not stop.is_set():
-                    impl.enqueue("record", (index,))
+                    post(impl, "record", (index,))
                     index += 1
 
             thread = threading.Thread(target=producer, daemon=True)

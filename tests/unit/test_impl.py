@@ -9,9 +9,10 @@ import time
 
 import pytest
 
-from repro.core.impl import ImplementationObject
+from repro.core.impl import ImplementationObject, _Aggregate
 from repro.errors import ScooppError, SerializationError
 from repro.telemetry.node import NodeTelemetry
+from tests.entries import post, post_columns, post_rows
 
 
 class Recorder:
@@ -45,25 +46,25 @@ def impl():
 class TestOrdering:
     def test_fifo_order_async(self, impl):
         for index in range(50):
-            impl.enqueue("record", (index,))
+            post(impl, "record", (index,))
         impl.drain()
         assert impl.invoke("get_log") == list(range(50))
 
     def test_batch_runs_in_order(self, impl):
-        impl.enqueue_batch("record", [((index,), {}) for index in range(10)])
+        post_rows(impl, "record", [((index,), {}) for index in range(10)])
         impl.drain()
         assert impl.invoke("get_log") == list(range(10))
 
     def test_sync_after_async_sees_everything(self, impl):
         for index in range(5):
-            impl.enqueue("record", (index,))
+            post(impl, "record", (index,))
         # No drain: the sync call queues behind pending tasks.
         assert impl.invoke("get_log") == list(range(5))
 
     def test_interleaved_batches_and_singles(self, impl):
-        impl.enqueue("record", ("a",))
-        impl.enqueue_batch("record", [(("b",), {}), (("c",), {})])
-        impl.enqueue("record", ("d",))
+        post(impl, "record", ("a",))
+        post_rows(impl, "record", [(("b",), {}), (("c",), {})])
+        post(impl, "record", ("d",))
         assert impl.invoke("get_log") == ["a", "b", "c", "d"]
 
     def test_serial_execution_no_races(self):
@@ -82,7 +83,7 @@ class TestOrdering:
         container = ImplementationObject(Unsafe(), "test.Unsafe")
         try:
             for _ in range(20):
-                container.enqueue("bump")
+                post(container, "bump")
             assert container.invoke("value") == 20
         finally:
             container.dispose()
@@ -90,7 +91,7 @@ class TestOrdering:
 
 class TestSyncInvocation:
     def test_result_returned(self, impl):
-        impl.enqueue("record", (1,))
+        post(impl, "record", (1,))
         assert impl.invoke("get_log") == [1]
 
     def test_error_raised_to_caller(self, impl):
@@ -104,7 +105,7 @@ class TestSyncInvocation:
 
 class TestAsyncFailures:
     def test_async_failure_recorded_not_raised(self, impl):
-        impl.enqueue("boom")
+        post(impl, "boom")
         impl.drain()
         failures = impl.async_failures()
         assert len(failures) == 1
@@ -112,13 +113,13 @@ class TestAsyncFailures:
         assert "exploding" in failures[0][1]
 
     def test_failure_does_not_stop_worker(self, impl):
-        impl.enqueue("boom")
-        impl.enqueue("record", ("after",))
+        post(impl, "boom")
+        post(impl, "record", ("after",))
         assert impl.invoke("get_log") == ["after"]
 
     def test_failure_log_bounded(self, impl):
         for _ in range(40):
-            impl.enqueue("boom")
+            post(impl, "boom")
         impl.drain()
         assert len(impl.async_failures()) <= 32
         assert impl.stats()["async_failures"] == 40
@@ -127,7 +128,7 @@ class TestAsyncFailures:
 class TestLifecycle:
     def test_drain_waits_for_all_work(self, impl):
         for index in range(5):
-            impl.enqueue("slow", (index,), {"delay": 0.005})
+            post(impl, "slow", (index,), {"delay": 0.005})
         impl.drain()
         assert impl.stats()["queued"] == 0
         assert len(impl.invoke("get_log")) == 5
@@ -136,18 +137,18 @@ class TestLifecycle:
         container = ImplementationObject(Recorder(), "test.Recorder")
         container.dispose()
         with pytest.raises(ScooppError, match="disposed"):
-            container.enqueue("record", (1,))
+            post(container, "record", (1,))
 
     def test_dispose_completes_pending_work(self):
         recorder = Recorder()
         container = ImplementationObject(recorder, "test.Recorder")
         for index in range(10):
-            container.enqueue("slow", (index,), {"delay": 0.002})
+            post(container, "slow", (index,), {"delay": 0.002})
         container.dispose()
         assert recorder.get_log() == list(range(10))
 
     def test_stats_shape(self, impl):
-        impl.enqueue("record", (1,))
+        post(impl, "record", (1,))
         impl.drain()
         stats = impl.stats()
         assert stats["class_name"] == "test.Recorder"
@@ -175,7 +176,7 @@ class TestLifecycle:
 
         container = ImplementationObject(Slow(), "test.Slow")
         try:
-            container.enqueue("wait")
+            post(container, "wait")
             deadline = time.time() + 5
             while container.queue_length == 0 and time.time() < deadline:
                 time.sleep(0.001)
@@ -265,7 +266,7 @@ class TestProcessNLoop:
         target = Picky()
         container = ImplementationObject(target, "test.Picky")
         try:
-            container.enqueue_batch("record_unless_odd", _batch(range(6)))
+            post_rows(container, "record_unless_odd", _batch(range(6)))
             container.drain()
             assert target.get_log() == [0, 2, 4]
             failures = container.async_failures()
@@ -279,15 +280,15 @@ class TestProcessNLoop:
             container.dispose()
 
     def test_unknown_method_fails_every_call_of_the_batch(self, impl):
-        impl.enqueue_batch("no_such_method", _batch(range(3)))
-        impl.enqueue("record", ("after",))
+        post_rows(impl, "no_such_method", _batch(range(3)))
+        post(impl, "record", ("after",))
         assert impl.invoke("get_log") == ["after"]
         assert len(impl.async_failures()) == 3
 
     def test_processed_and_busy_advance_by_the_batch(self, impl):
         before = impl.stats()
-        impl.enqueue_batch(
-            "slow", [((index, 0.002), {}) for index in range(5)]
+        post_rows(
+            impl, "slow", [((index, 0.002), {}) for index in range(5)]
         )
         impl.drain()
         after = impl.stats()
@@ -304,8 +305,8 @@ class TestProcessNLoop:
             ),
         )
         try:
-            container.enqueue_batch(
-                "slow", [((index, 0.004), {}) for index in range(4)]
+            post_rows(
+                container, "slow", [((index, 0.004), {}) for index in range(4)]
             )
             container.drain()
             assert len(seen) == 1
@@ -330,7 +331,7 @@ class TestProcessNLoop:
             node=SimpleNamespace(telemetry=telemetry),
         )
         try:
-            container.enqueue_batch("record", _batch(range(7)))
+            post_rows(container, "record", _batch(range(7)))
             container.drain()
             spans = [
                 e for e in telemetry.tracer.events() if e.category == "io"
@@ -351,7 +352,7 @@ class TestProcessNLoop:
         set_global_tracer(tracer)
         container = ImplementationObject(Recorder(), "test.Recorder")
         try:
-            container.enqueue_batch("record", _batch(range(3)))
+            post_rows(container, "record", _batch(range(3)))
             container.drain()
             io_spans = [e for e in tracer.events() if e.category == "io"]
             assert len(io_spans) == 3
@@ -374,21 +375,30 @@ class Gated(Recorder):
         self.record("tick")
 
 
+def _no_rows(self):
+    raise AssertionError("per-call rows built on an untraced path")
+
+
+class EntrySpy:
+    """A grain's new home that records the entries each request carries."""
+
+    def __init__(self):
+        self.requests = []
+
+    def enqueue_batch(self, entries):
+        self.requests.append(list(entries))
+
+
 class TestColumnRun:
     """A columnar aggregate runs from its columns; rows only on demand."""
 
     def test_untraced_run_builds_no_rows(self, monkeypatch):
-        import repro.core.impl as impl_module
-
-        def no_rows(count, columns):
-            raise AssertionError("rows built for an untraced aggregate")
-
-        monkeypatch.setattr(impl_module, "unpack_columns", no_rows)
+        monkeypatch.setattr(_Aggregate, "__iter__", _no_rows)
         target = Picky()
         container = ImplementationObject(target, "test.Picky")
         try:
-            container.enqueue_columns(
-                "record_unless_odd", 5, [array.array("b", range(5))]
+            post_columns(
+                container, "record_unless_odd", 5, [array.array("b", range(5))]
             )
             container.drain()
             assert target.get_log() == [0, 2, 4]
@@ -408,7 +418,7 @@ class TestColumnRun:
             target, "test.Recorder", node=SimpleNamespace(telemetry=telemetry)
         )
         try:
-            container.enqueue_columns("record", 4, [[10, 11, 12, 13]])
+            post_columns(container, "record", 4, [[10, 11, 12, 13]])
             container.drain()
             spans = [
                 e for e in telemetry.tracer.events() if e.category == "io"
@@ -425,10 +435,10 @@ class TestColumnRun:
 
         target = Gated()
         victim = ImplementationObject(target, "test.Gated")
-        victim.enqueue("hold")
+        post(victim, "hold")
         assert target.entered.wait(timeout=5.0)
-        victim.enqueue_columns("record", 6, [array.array("h", range(6))])
-        victim.enqueue_columns("tick", 2, [])
+        post_columns(victim, "record", 6, [array.array("h", range(6))])
+        post_columns(victim, "tick", 2, [])
         extracted = []
         pausing = threading.Thread(
             target=lambda: extracted.append(victim.begin_migration())
@@ -453,10 +463,54 @@ class TestColumnRun:
         finally:
             adopted.dispose()
 
+    def test_forwarded_columnar_aggregate_is_one_entry(self, monkeypatch):
+        victim = ImplementationObject(Recorder(), "test.Recorder")
+        assert victim.begin_migration() == []
+        home = EntrySpy()
+        victim.complete_migration(home)
+        column = array.array("h", range(6))
+        monkeypatch.setattr(_Aggregate, "calls", _no_rows)
+        monkeypatch.setattr(_Aggregate, "__iter__", _no_rows)
+        post_columns(victim, "record", 6, [column])
+        assert home.requests == [[("record", 6, [column], None)]]
+        assert home.requests[0][0][2][0] is column
+
+    def test_replayed_aggregates_are_one_entry_per_request(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.sched.engine import NodeScheduler
+
+        target = Gated()
+        victim = ImplementationObject(target, "test.Gated")
+        post(victim, "hold")
+        assert target.entered.wait(timeout=5.0)
+        column = array.array("h", range(6))
+        post_columns(victim, "record", 6, [column])
+        post_rows(victim, "record", [((), {"value": 9})])
+        extracted = []
+        pausing = threading.Thread(
+            target=lambda: extracted.append(victim.begin_migration())
+        )
+        pausing.start()
+        target.gate.set()
+        pausing.join(timeout=5.0)
+        assert not pausing.is_alive()
+        (entries,) = extracted
+        home = EntrySpy()
+        monkeypatch.setattr(_Aggregate, "calls", _no_rows)
+        monkeypatch.setattr(_Aggregate, "__iter__", _no_rows)
+        moved, lost = NodeScheduler(SimpleNamespace())._replay(entries, home)
+        assert (moved, lost) == (7, 0)
+        assert home.requests == [
+            [("record", 6, [column], None)],
+            [("record", 1, None, [((), {"value": 9})])],
+        ]
+        assert home.requests[0][0][2][0] is column
+
     def test_ragged_columns_are_refused_before_admission(self, impl):
         before = impl.stats()["processed"]
         with pytest.raises(SerializationError, match="length mismatch"):
-            impl.enqueue_columns("record", 3, [[1, 2, 3], [1, 2]])
+            post_columns(impl, "record", 3, [[1, 2, 3], [1, 2]])
         assert impl.queue_length == 0
         impl.drain()
         assert impl.stats()["processed"] == before
@@ -466,9 +520,59 @@ class TestColumnRun:
         target = Gated()
         container = ImplementationObject(target, "test.Gated")
         try:
-            container.enqueue_columns("tick", 3, [])
+            post_columns(container, "tick", 3, [])
             container.drain()
             assert target.get_log() == ["tick"] * 3
             assert container.stats()["processed"] == 3
         finally:
             container.dispose()
+
+
+class TestCallSurface:
+    """Calls reach an IO through three entry points, in one entry shape."""
+
+    def test_three_call_entry_points(self):
+        public = {
+            name
+            for name, value in vars(ImplementationObject).items()
+            if callable(value) and not name.startswith("_")
+        }
+        control = {
+            "drain",
+            "dispose",
+            "stats",
+            "async_failures",
+            "begin_migration",
+            "abort_migration",
+            "complete_migration",
+        }
+        assert public == control | {"enqueue_batch", "invoke", "invoke_batch"}
+
+    def test_a_miscounted_entry_is_refused_after_the_prefix(self, impl):
+        with pytest.raises(ScooppError, match="announces 2 calls"):
+            impl.enqueue_batch(
+                [
+                    ("record", 1, None, [(("a",), {})]),
+                    ("record", 2, None, [(("b",), {})]),
+                    ("record", 1, [["c"]], None),
+                ]
+            )
+        assert impl.invoke("get_log") == ["a"]
+
+    def test_a_single_travels_as_an_entry_of_one(self, impl):
+        impl.enqueue_batch(
+            [
+                ("record", 1, [array.array("b", [1])], None),
+                ("record", 1, None, [((), {"value": 2})]),
+            ]
+        )
+        assert impl.invoke("get_log") == [1, 2]
+
+    def test_invoke_batch_takes_columns_or_rows(self, impl):
+        reply = impl.invoke_batch("record", 3, [array.array("b", [1, 2, 3])])
+        assert (reply.count, reply.errors) == (3, ())
+        reply = impl.invoke_batch("record", 1, None, [((), {"value": 4})])
+        assert reply.count == 1
+        with pytest.raises(SerializationError, match="length mismatch"):
+            impl.invoke_batch("record", 2, [[5, 6], [7]])
+        assert impl.invoke("get_log") == [1, 2, 3, 4]

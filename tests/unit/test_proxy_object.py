@@ -235,7 +235,7 @@ class ColumnTarget:
 
 
 class _RecordingImpl:
-    """Wraps an ImplementationObject, recording which enqueue ran."""
+    """Wraps an ImplementationObject, recording each entry's form."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -244,13 +244,11 @@ class _RecordingImpl:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def enqueue_batch(self, method, batch):
-        self.calls.append(("batch", method, len(batch)))
-        self._inner.enqueue_batch(method, batch)
-
-    def enqueue_columns(self, method, count, columns=()):
-        self.calls.append(("columns", method, count))
-        self._inner.enqueue_columns(method, count, columns)
+    def enqueue_batch(self, entries):
+        for method, count, columns, _rows in entries:
+            form = "rows" if columns is None else "columns"
+            self.calls.append((form, method, count))
+        self._inner.enqueue_batch(entries)
 
 
 class TestColumnarAggregates:
@@ -295,14 +293,15 @@ class TestColumnarAggregates:
         from repro.errors import RemoteInvocationError
 
         class _RefusingImpl(_RecordingImpl):
-            def enqueue_columns(self, method, count, columns=()):
+            def enqueue_batch(self, entries):
+                ((method, count, _columns, _rows),) = entries
                 self.calls.append(("columns-refused", method, count))
                 # The wording of RemotingHost._resolve_method through
                 # the proxy's error mapping.
                 raise RemoteInvocationError(
-                    "remote call enqueue_columns failed with "
+                    "remote call enqueue_batch failed with "
                     "RemotingError: ImplementationObject has no remote "
-                    "method 'enqueue_columns'"
+                    "method 'enqueue_batch'"
                 )
 
         target = ColumnTarget()
@@ -363,9 +362,6 @@ class TestRemoteGrainLifecycle:
 
     def test_sender_error_surfaces_on_next_use(self):
         class BrokenImpl:
-            def enqueue(self, *args):
-                raise ConnectionError("wire cut")
-
             def enqueue_batch(self, *args):
                 raise ConnectionError("wire cut")
 
@@ -413,7 +409,7 @@ class TestFaultsReachTheOpenBuffer:
         gate, in_flight = threading.Event(), threading.Event()
 
         class WireCut:
-            def enqueue_batch(self, method, batch):
+            def enqueue_batch(self, entries):
                 in_flight.set()
                 assert gate.wait(timeout=5.0)
                 raise ConnectionError("wire cut")
@@ -462,7 +458,7 @@ class FailingTuner:
 class RefusingImpl:
     """An IO proxy whose every asynchronous send fails."""
 
-    def enqueue(self, *args):
+    def enqueue_batch(self, *args):
         raise ValueError("refused")
 
     def dispose(self):

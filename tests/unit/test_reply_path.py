@@ -28,6 +28,7 @@ from repro.telemetry.metrics import (
     estimate_quantile,
     summarize_method_histograms,
 )
+from tests.entries import invoke_rows, post
 
 
 class Recorder:
@@ -73,7 +74,7 @@ class TestSyncFastPath:
         impl = ImplementationObject(Recorder(), "t.R")
         try:
             for value in range(3):
-                impl.enqueue("slow", (value,))
+                post(impl, "slow", (value,))
             before = impl.stats()["sync_inline"]
             # Queued work pending: the sync call must NOT jump the line.
             assert impl.invoke("get_log") == [0, 1, 2]
@@ -84,8 +85,8 @@ class TestSyncFastPath:
     def test_inline_batch_counts_every_call(self):
         impl = ImplementationObject(Recorder(), "t.R")
         try:
-            reply = impl.invoke_batch(
-                "double", [((float(i),), {}) for i in range(6)]
+            reply = invoke_rows(
+                impl, "double", [((float(i),), {}) for i in range(6)]
             )
             stats = impl.stats()
             assert stats["processed"] == 6
@@ -187,7 +188,7 @@ class TestInlineBookkeeping:
         impl = ImplementationObject(Recorder(), "t.R")
         try:
             assert impl.invoke("double", (2.0,)) == 4.0
-            reply = impl.invoke_batch("double", [((1.0,), {}), ((3.0,), {})])
+            reply = invoke_rows(impl, "double", [((1.0,), {}), ((3.0,), {})])
             assert list(reply.results) == [2.0, 6.0]
             assert impl.stats()["sync_inline"] == 3
             assert counting_threading.events == 0
@@ -204,8 +205,8 @@ class TestInlineBookkeeping:
 
         def call():
             if batch:
-                reply = impl.invoke_batch(
-                    "double", [((1.0,), {}), ((3.0,), {})]
+                reply = invoke_rows(
+                    impl, "double", [((1.0,), {}), ((3.0,), {})]
                 )
                 results.extend(reply.results)
             else:
@@ -281,7 +282,7 @@ class TestInlineBookkeeping:
         def caller(index):
             for value in range(calls):
                 assert impl.invoke("double", (1.0,)) == 2.0
-                impl.enqueue("record", ((index, value),))
+                post(impl, "record", ((index, value),))
 
         def drainer():
             for _ in range(100):
@@ -324,8 +325,8 @@ class TestInvokeBatch:
     def test_error_slots_carry_type_and_message(self):
         impl = ImplementationObject(Recorder(), "t.R")
         try:
-            reply = impl.invoke_batch(
-                "pick", [((1.0,), {}), ((-2.0,), {}), ((3.0,), {})]
+            reply = invoke_rows(
+                impl, "pick", [((1.0,), {}), ((-2.0,), {}), ((3.0,), {})]
             )
             assert isinstance(reply, ReturnBatch)
             assert reply.count == 3
@@ -341,8 +342,8 @@ class TestInvokeBatch:
         impl = ImplementationObject(Recorder(), "t.R")
         try:
             for value in range(3):
-                impl.enqueue("slow", (value,))
-            reply = impl.invoke_batch("record", [((99,), {})])
+                post(impl, "slow", (value,))
+            reply = invoke_rows(impl, "record", [((99,), {})])
             assert reply.count == 1
             assert impl.invoke("get_log") == [0, 1, 2, 99]
         finally:

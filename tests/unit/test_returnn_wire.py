@@ -52,8 +52,7 @@ class RefusingImplementationObject(ImplementationObject):
     """
 
     invoke_batch = None
-    invoke_columns = None
-    enqueue_columns = None
+    enqueue_batch = None
 
 
 class RecordingChannel(Channel):
@@ -190,19 +189,21 @@ class TestRefusedMethod:
         assert len(channel.exchanges) == 1
 
     def test_refused_invoke_columns(self, refusing_pair):
+        # A columnar call_many is an invoke_batch entry that carries columns.
         io, grain, channel = refusing_pair
         grain.columnar, grain.impl_class = True, Calc
-        with pytest.raises(RemoteInvocationError, match="invoke_columns"):
+        with pytest.raises(RemoteInvocationError, match="invoke_batch"):
             grain.call_many("mul", BATCH)
         assert io.stats()["processed"] == 0
         assert len(channel.exchanges) == 1
 
     def test_refused_enqueue_columns(self, refusing_pair):
+        # A columnar aggregate is an enqueue_batch entry that carries columns.
         io, grain, channel = refusing_pair
         grain.columnar, grain.impl_class = True, Calc
         for args, kwargs in BATCH[: grain.max_calls]:
             grain.post("note", args, kwargs)
-        with pytest.raises(ScooppError, match="enqueue_columns") as excinfo:
+        with pytest.raises(ScooppError, match="enqueue_batch") as excinfo:
             grain.drain()
         assert isinstance(excinfo.value.__cause__, RemoteInvocationError)
         assert io.stats()["processed"] == 0

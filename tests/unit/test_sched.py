@@ -24,6 +24,7 @@ from repro.sched import (
     RebalancePlanner,
     SchedulerConfig,
 )
+from tests.entries import post
 
 INF = float("inf")
 
@@ -251,7 +252,7 @@ class TestMailboxMigration:
         impl = ImplementationObject(SlowCounter(), "SlowCounter")
         try:
             for i in range(20):
-                impl.enqueue("work", (i,), {})
+                post(impl, "work", (i,), {})
             entries = impl.begin_migration()
             extracted = sum(len(batch) for batch in entries)
             executed = len(impl.instance.seen)
@@ -275,7 +276,7 @@ class TestMailboxMigration:
             assert victim.migrated
             # Stragglers that still hold the old IO keep working: async
             # calls forward into the new mailbox, sync calls relay.
-            victim.enqueue("work", (1,), {})
+            post(victim, "work", (1,), {})
             assert victim.invoke("count", (), {}) == 1
             assert target.instance.seen == [1]
         finally:

@@ -1,9 +1,10 @@
 """Golden wire bytes: the binary format, frozen.
 
 Every tag byte, the varint and bigint boundaries, graph identity (a
-shared sub-object and a list cycle), a registered object on the generic
-object path, the positional call record and the compiled reply messages
-are pinned here as exact byte strings.  A change to the encoder or decoder that moves one byte
+shared sub-object and a list cycle), a registered object on the object
+path, the positional call record, the asynchronous ``enqueue_batch``
+requests and the reply messages (registered objects on that same object
+path) are pinned here as exact byte strings.  A change to the encoder or decoder that moves one byte
 fails these tests, whichever class produced it, so old and new peers
 keep speaking the same format.
 
@@ -31,7 +32,7 @@ from repro.serialization.codec import pack_columns
 
 @serializable(name="test.golden.Point")
 class Point:
-    """Registered but not codec-compiled: the generic object path."""
+    """A registered class: it crosses the wire on the object path."""
 
     def __init__(self, x=0, y=0.0):
         self.x = x
@@ -86,6 +87,25 @@ GOLDEN = [
                                    array.array("h", [300, -2, 7])])),
      b"Cs\x02ios\x0fenqueue_columnsU\x03s\x04ticki\x06L\x02Ab\x03\x00\x01"
      b"\xffAh\x06,\x01\xfe\xff\x07\x00NF"),
+    # Asynchronous work as the PO sends it: one enqueue_batch request of
+    # (method, count, columns | None, rows | None) entries.
+    ("entry-columns",
+     CallMessage(uri="io", method="enqueue_batch",
+                 args=([("tick", 3, [array.array("b", [0, 1, -1]),
+                                     array.array("h", [300, -2, 7])],
+                         None)],)),
+     b"Cs\x02ios\renqueue_batchU\x01L\x01U\x04s\x04ticki\x06L\x02Ab\x03"
+     b"\x00\x01\xffAh\x06,\x01\xfe\xff\x07\x00NNF"),
+    ("entry-single",
+     CallMessage(uri="io", method="enqueue_batch",
+                 args=([("mark", 1, [array.array("b", [5])], None)],)),
+     b"Cs\x02ios\renqueue_batchU\x01L\x01U\x04s\x04marki\x02L\x01Ab\x01"
+     b"\x05NNF"),
+    ("entry-single-rows",
+     CallMessage(uri="io", method="enqueue_batch",
+                 args=([("mark", 1, None, [((), {"n": 5})])],)),
+     b"Cs\x02ios\renqueue_batchU\x01L\x01U\x04s\x04marki\x02NL\x01U\x02"
+     b"U\x00D\x01s\x01ni\nNF"),
     ("return-batch",
      ReturnMessage(value=ReturnBatch(
          count=2, results=array.array("d", [1.0, 2.0]),
@@ -129,6 +149,42 @@ def test_loads_matches_golden(formatter, _id, value, wire):
     decoded = formatter.loads(wire)
     assert decoded == value
     assert type(decoded) is type(value)
+
+
+class _Mark:
+    def tick(self, a: int, b: int):
+        pass
+
+    def mark(self, n: int):
+        pass
+
+
+def test_entry_vectors_are_what_the_sender_builds():
+    from repro.core.proxy_object import RemoteGrain
+
+    sent = []
+
+    class Wire:
+        def _parc_invoke(self, method, args, kwargs):
+            sent.append(CallMessage(uri="io", method=method, args=args))
+
+        def dispose(self):
+            pass
+
+    grain = RemoteGrain(Wire(), max_calls=3, flush_after_s=30.0)
+    grain.columnar, grain.impl_class = True, _Mark
+    for a, b in ((0, 300), (1, -2), (-1, 7)):
+        grain.post("tick", (a, b), {})
+    grain.post("mark", (5,), {})
+    grain.sync_outbox()
+    grain.post("mark", (), {"n": 5})
+    grain.dispose()
+    golden = {_id: value for _id, value, _wire in GOLDEN}
+    assert sent == [
+        golden["entry-columns"],
+        golden["entry-single"],
+        golden["entry-single-rows"],
+    ]
 
 
 def test_int_columns_vector_is_what_pack_columns_builds():
